@@ -124,6 +124,8 @@ let or_diag_exit f =
     Format.eprintf "snoise: %a@." Sn_engine.Diag.pp d;
     exit 2
 
+let print_json j = print_endline (Sn_json.Json.to_string j)
+
 let run_fig3 verbose =
   setup_logs verbose;
   or_diag_exit (fun () ->
@@ -223,14 +225,6 @@ let run_op verbose vtune file =
       Format.fprintf fmt "%a@." Sn_engine.Dc.pp dc;
       finish ())
 
-(* --ignore CODE[=SUBJECT]: '=' as the separator because subject
-   names themselves contain ':' (backgate:m1, nwell:vdd) *)
-let parse_ignore s =
-  match String.index_opt s '=' with
-  | None -> (s, None)
-  | Some i ->
-    (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
-
 let run_lint verbose json strict ignores disables file =
   setup_logs verbose;
   or_diag_exit (fun () ->
@@ -244,14 +238,10 @@ let run_lint verbose json strict ignores disables file =
                  ~vtune:0.45) )
       in
       let config =
-        {
-          Sn_analysis.Analyzer.default with
-          Sn_analysis.Analyzer.disabled = disables;
-          ignores = List.map parse_ignore ignores;
-        }
+        Sn_analysis.Analyzer.configure ~disable:disables ~ignore:ignores
       in
       let report = Sn_analysis.Analyzer.analyze ~config netlist in
-      if json then print_endline (Sn_analysis.Analyzer.to_json report)
+      if json then print_json (Sn_analysis.Analyzer.to_json report)
       else Snoise.Report.lint fmt ~deck report;
       finish ();
       let failing =
@@ -265,108 +255,6 @@ let run_lint verbose json strict ignores disables file =
    lint by design: ANY finding — warnings included — or a refused
    reduction certificate, or a bad cache entry, exits 1.  Unreadable
    input exits 2, like every diagnostic failure. *)
-
-module J = Sn_server.Json
-
-let embed_json s =
-  match J.parse s with Ok j -> j | Error _ -> J.Str s
-
-let preflight_json ~deck (p : Snoise.Flow.preflight) =
-  let module A = Sn_analysis in
-  let module Nu = Sn_analysis.Numeric in
-  let num i = J.Num (float_of_int i) in
-  let span_json (s : Nu.span) =
-    J.Obj
-      [
-        ("node", J.Str s.Nu.sp_node);
-        ("ratio", J.Num s.Nu.sp_ratio);
-        ( "hi",
-          J.Obj
-            [
-              ("element", J.Str (fst s.Nu.sp_hi));
-              ("siemens", J.Num (snd s.Nu.sp_hi));
-            ] );
-        ( "lo",
-          J.Obj
-            [
-              ("element", J.Str (fst s.Nu.sp_lo));
-              ("siemens", J.Num (snd s.Nu.sp_lo));
-            ] );
-        ("digits", J.Num s.Nu.sp_digits);
-      ]
-  in
-  let stiffness_json = function
-    | None -> J.Null
-    | Some (st : Nu.stiffness) ->
-      J.Obj
-        [
-          ("fast_node", J.Str st.Nu.st_fast_node);
-          ("fast_tau_s", J.Num st.Nu.st_fast_tau);
-          ("slow_node", J.Str st.Nu.st_slow_node);
-          ("slow_tau_s", J.Num st.Nu.st_slow_tau);
-          ("ratio", J.Num st.Nu.st_ratio);
-          ("suggested_dt_s", J.Num st.Nu.st_dt);
-          ("steps_to_cover", J.Num st.Nu.st_steps);
-        ]
-  in
-  let pool_defect_json (d : Nu.pool_defect) =
-    J.Obj
-      [
-        ( "pencil",
-          J.Str
-            (match d.Nu.pd_pencil with
-            | `Conductance -> "conductance"
-            | `Capacitance -> "capacitance") );
-        ("node", J.Str d.Nu.pd_node);
-        ("defect", J.Num d.Nu.pd_defect);
-        ("tolerance", J.Num d.Nu.pd_tol);
-        ("dim", num d.Nu.pd_dim);
-        ("negative_branches", num d.Nu.pd_negative);
-      ]
-  in
-  J.Obj
-    [
-      ("schema_version", num Sn_analysis.Analyzer.schema_version);
-      ("mode", J.Str "deck");
-      ("deck", J.Str deck);
-      ( "report",
-        embed_json (Sn_analysis.Analyzer.to_json p.Snoise.Flow.pf_report) );
-      ( "conditioning",
-        J.Arr (List.map span_json p.Snoise.Flow.pf_spans) );
-      ("stiffness", stiffness_json p.Snoise.Flow.pf_stiffness);
-      ("pool", J.Arr (List.map pool_defect_json p.Snoise.Flow.pf_pool));
-      ( "reduction",
-        J.Str (Snoise.Flow.reduction_verdict_name p.Snoise.Flow.pf_reduction)
-      );
-      ("failing", J.Bool (Snoise.Flow.preflight_failing p));
-    ]
-
-let cache_verification_json ~dir (v : Sn_substrate.Cache.verification) =
-  let module SC = Sn_substrate.Cache in
-  let num i = J.Num (float_of_int i) in
-  J.Obj
-    [
-      ("schema_version", num Sn_analysis.Analyzer.schema_version);
-      ("mode", J.Str "cache");
-      ("dir", J.Str dir);
-      ( "entries",
-        J.Arr
-          (List.map
-             (fun (key, status) ->
-               J.Obj
-                 (("key", J.Str key)
-                  :: ("status", J.Str (SC.status_name status))
-                  ::
-                  (match status with
-                  | SC.Bad why -> [ ("detail", J.Str why) ]
-                  | _ -> [])))
-             v.SC.vf_entries) );
-      ("certified", num v.SC.vf_certified);
-      ("recertified", num v.SC.vf_recertified);
-      ("stale", num v.SC.vf_stale);
-      ("bad", num v.SC.vf_bad);
-      ("failing", J.Bool (v.SC.vf_bad > 0));
-    ]
 
 let run_verify verbose json ignores disables cache file =
   setup_logs verbose;
@@ -382,7 +270,7 @@ let run_verify verbose json ignores disables cache file =
         end;
         let module SC = Sn_substrate.Cache in
         let v = SC.verify_dir (SC.create ~dir) in
-        if json then print_endline (J.to_string (cache_verification_json ~dir v))
+        if json then print_json (Snoise.Report.cache_verification_json ~dir v)
         else Snoise.Report.cache_verification fmt ~dir v;
         finish ();
         if v.SC.vf_bad > 0 then exit 1
@@ -406,14 +294,10 @@ let run_verify verbose json ignores disables cache file =
                    ~vtune:0.45) )
         in
         let config =
-          {
-            Sn_analysis.Analyzer.default with
-            Sn_analysis.Analyzer.disabled = disables;
-            ignores = List.map parse_ignore ignores;
-          }
+          Sn_analysis.Analyzer.configure ~disable:disables ~ignore:ignores
         in
         let p = Snoise.Flow.preflight ~config netlist in
-        if json then print_endline (J.to_string (preflight_json ~deck p))
+        if json then print_json (Snoise.Report.verify_json ~deck p)
         else Snoise.Report.verify fmt ~deck p;
         finish ();
         if Snoise.Flow.preflight_failing p then exit 1)
@@ -604,10 +488,10 @@ let run_request verbose socket wait lines =
       match In_channel.input_line ic with
       | Some reply ->
         print_endline reply;
-        (match Sn_server.Json.parse reply with
+        (match Sn_json.Json.parse reply with
         | Ok j -> (
-          match Sn_server.Json.member "type" j with
-          | Some (Sn_server.Json.Str "error") -> saw_error := true
+          match Sn_json.Json.member "type" j with
+          | Some (Sn_json.Json.Str "error") -> saw_error := true
           | _ -> ())
         | Error _ -> saw_error := true);
         read_replies (n - 1)

@@ -8,6 +8,17 @@ type config = {
 
 let default = { disabled = []; ignores = []; use_pragmas = true }
 
+(* CODE[=SUBJECT]: '=' as the separator because subject names
+   themselves contain ':' (backgate:m1, nwell:vdd) *)
+let configure ~disable ~ignore =
+  let parse_ignore s =
+    match String.index_opt s '=' with
+    | None -> (s, None)
+    | Some i ->
+      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+  in
+  { default with disabled = disable; ignores = List.map parse_ignore ignore }
+
 type report = {
   diagnostics : Rule.diagnostic list;
   suppressed : int;
@@ -87,13 +98,17 @@ let pp_report fmt r =
    added alongside the numerical pre-flight rules. *)
 let schema_version = 2
 
+module J = Sn_json.Json
+
 let to_json r =
-  Printf.sprintf
-    "{\"tool\": \"snoise lint\", \"version\": \"1.0.0\", \
-     \"schema_version\": %d, \"errors\": %d, \"warnings\": %d, \
-     \"suppressed\": %d, \"diagnostics\": [%s]}"
-    schema_version
-    (List.length (errors r))
-    (List.length (warnings r))
-    r.suppressed
-    (String.concat ", " (List.map Rule.diagnostic_to_json r.diagnostics))
+  let num i = J.Num (float_of_int i) in
+  J.Obj
+    [
+      ("tool", J.Str "snoise lint");
+      ("version", J.Str "1.0.0");
+      ("schema_version", num schema_version);
+      ("errors", num (List.length (errors r)));
+      ("warnings", num (List.length (warnings r)));
+      ("suppressed", num r.suppressed);
+      ("diagnostics", J.Arr (List.map Rule.diagnostic_to_json r.diagnostics));
+    ]

@@ -18,6 +18,14 @@ type config = {
 val default : config
 (** Everything enabled, no suppressions, pragmas honoured. *)
 
+val configure : disable:string list -> ignore:string list -> config
+(** {!default} with the rule codes in [disable] not run and the
+    [CODE[=SUBJECT]] suppressions in [ignore] applied: [CODE] silences
+    the rule everywhere, [CODE=SUBJECT] only on that element, node or
+    port.  ['='] separates because subject names contain [':'].  What
+    the CLI's [--disable]/[--ignore] flags and the service's
+    [disable]/[ignore] lint params mean. *)
+
 type report = {
   diagnostics : Rule.diagnostic list;
       (** deduplicated and sorted with {!Rule.compare_diagnostic}:
@@ -47,7 +55,7 @@ val schema_version : int
     [snoise verify --json], which shares it).  Bumped when fields are
     added or change meaning; see docs/LINT.md. *)
 
-val to_json : report -> string
+val to_json : report -> Sn_json.Json.t
 (** Stable JSON object:
     [{"tool", "version", "schema_version", "errors", "warnings",
     "suppressed", "diagnostics": [...]}] with each diagnostic rendered

@@ -73,7 +73,7 @@ val pp_diagnostic : Format.formatter -> diagnostic -> unit
 (** [error [code] @ file:line: message (subject)] — the human text
     rendering used by the CLI and the flow's lint log. *)
 
-val diagnostic_to_json : diagnostic -> string
-(** One stable single-line JSON object:
+val diagnostic_to_json : diagnostic -> Sn_json.Json.t
+(** One stable JSON object:
     [{"severity", "code", "subject_kind", "subject", "message",
     "file", "line"}] ([file]/[line] are [null] when unlocated). *)

@@ -361,33 +361,49 @@ let of_string ?(file = "<string>") text =
 (* ------------------------------------------------------------------ *)
 (* printing *)
 
+(* values print as the shortest decimal that reads back bit-identical *)
+let num = Sn_json.Json.shortest_float
+
+(* the reader takes a card's type from its first letter, so a name
+   that does not start with it gets it prefixed (itc_R1 -> ritc_R1) *)
+let card kind name fields =
+  let name =
+    if name <> "" && Char.lowercase_ascii name.[0] = kind then name
+    else String.make 1 kind ^ name
+  in
+  String.concat " " (name :: fields)
+
 let mos_card (m : Mos_model.t) =
   Printf.sprintf
-    ".model %s %s vt0=%g kp=%g gamma=%g phi=%g lambda=%g cdb=%g csb=%g cgs=%g cgd=%g"
+    ".model %s %s vt0=%s kp=%s gamma=%s phi=%s lambda=%s cdb=%s csb=%s \
+     cgs=%s cgd=%s"
     m.Mos_model.name
     (match m.Mos_model.polarity with
      | Mos_model.Nmos -> "nmos"
      | Mos_model.Pmos -> "pmos")
-    m.Mos_model.vt0 m.Mos_model.kp m.Mos_model.gamma m.Mos_model.phi
-    m.Mos_model.lambda m.Mos_model.cdb m.Mos_model.csb m.Mos_model.cgs
-    m.Mos_model.cgd
+    (num m.Mos_model.vt0) (num m.Mos_model.kp) (num m.Mos_model.gamma)
+    (num m.Mos_model.phi) (num m.Mos_model.lambda) (num m.Mos_model.cdb)
+    (num m.Mos_model.csb) (num m.Mos_model.cgs) (num m.Mos_model.cgd)
 
 let var_card (m : Varactor_model.t) =
-  Printf.sprintf ".model %s varactor cmin=%g cmax=%g v0=%g vslope=%g"
-    m.Varactor_model.name m.Varactor_model.cmin m.Varactor_model.cmax
-    m.Varactor_model.v0 m.Varactor_model.vslope
+  Printf.sprintf ".model %s varactor cmin=%s cmax=%s v0=%s vslope=%s"
+    m.Varactor_model.name (num m.Varactor_model.cmin)
+    (num m.Varactor_model.cmax) (num m.Varactor_model.v0)
+    (num m.Varactor_model.vslope)
 
 let wave_text = function
-  | Waveform.Dc v -> Printf.sprintf "DC %g" v
+  | Waveform.Dc v -> "DC " ^ num v
   | Waveform.Sin { offset; amplitude; freq; phase } ->
-    Printf.sprintf "SIN(%g %g %g %g)" offset amplitude freq phase
+    Printf.sprintf "SIN(%s)"
+      (String.concat " " (List.map num [ offset; amplitude; freq; phase ]))
   | Waveform.Pulse { v1; v2; delay; rise; fall; width; period } ->
-    Printf.sprintf "PULSE(%g %g %g %g %g %g %g)" v1 v2 delay rise fall width
-      period
+    Printf.sprintf "PULSE(%s)"
+      (String.concat " "
+         (List.map num [ v1; v2; delay; rise; fall; width; period ]))
   | Waveform.Pwl points ->
     Printf.sprintf "PWL(%s)"
       (String.concat " "
-         (List.map (fun (t, v) -> Printf.sprintf "%g %g" t v) points))
+         (List.map (fun (t, v) -> num t ^ " " ^ num v) points))
 
 let to_string nl =
   let b = Buffer.create 4096 in
@@ -430,25 +446,26 @@ let to_string nl =
       let line =
         match e with
         | Element.Resistor { name; n1; n2; ohms } ->
-          Printf.sprintf "%s %s %s %g" name n1 n2 ohms
+          card 'r' name [ n1; n2; num ohms ]
         | Element.Capacitor { name; n1; n2; farads } ->
-          Printf.sprintf "%s %s %s %g" name n1 n2 farads
+          card 'c' name [ n1; n2; num farads ]
         | Element.Inductor { name; n1; n2; henries } ->
-          Printf.sprintf "%s %s %s %g" name n1 n2 henries
+          card 'l' name [ n1; n2; num henries ]
         | Element.Vsource { name; np; nn; wave; ac_mag } ->
-          Printf.sprintf "%s %s %s %s AC %g" name np nn (wave_text wave) ac_mag
+          card 'v' name [ np; nn; wave_text wave; "AC"; num ac_mag ]
         | Element.Isource { name; np; nn; wave; ac_mag } ->
-          Printf.sprintf "%s %s %s %s AC %g" name np nn (wave_text wave) ac_mag
+          card 'i' name [ np; nn; wave_text wave; "AC"; num ac_mag ]
         | Element.Vccs { name; np; nn; cp; cn; gm } ->
-          Printf.sprintf "%s %s %s %s %s %g" name np nn cp cn gm
+          card 'g' name [ np; nn; cp; cn; num gm ]
         | Element.Vcvs { name; np; nn; cp; cn; gain } ->
-          Printf.sprintf "%s %s %s %s %s %g" name np nn cp cn gain
+          card 'e' name [ np; nn; cp; cn; num gain ]
         | Element.Mosfet { name; drain; gate; source; bulk; model; w; l; mult } ->
-          Printf.sprintf "%s %s %s %s %s %s W=%g L=%g M=%d" name drain gate
-            source bulk model.Mos_model.name w l mult
+          card 'm' name
+            [ drain; gate; source; bulk; model.Mos_model.name; "W=" ^ num w;
+              "L=" ^ num l; Printf.sprintf "M=%d" mult ]
         | Element.Varactor { name; n1; n2; model; mult } ->
-          Printf.sprintf "%s %s %s %s M=%d" name n1 n2
-            model.Varactor_model.name mult
+          card 'y' name
+            [ n1; n2; model.Varactor_model.name; Printf.sprintf "M=%d" mult ]
       in
       Buffer.add_string b (line ^ "\n"))
     (Netlist.elements nl);

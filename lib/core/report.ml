@@ -292,6 +292,10 @@ let lint fmt ~deck (r : Sn_analysis.Analyzer.report) =
     Format.fprintf fmt " (%d suppressed)" r.A.Analyzer.suppressed;
   Format.fprintf fmt "@,@]"
 
+let pencil_name = function
+  | `Conductance -> "conductance"
+  | `Capacitance -> "capacitance"
+
 let verify fmt ~deck (p : Flow.preflight) =
   let module A = Sn_analysis in
   let r = p.Flow.pf_report in
@@ -336,9 +340,7 @@ let verify fmt ~deck (p : Flow.preflight) =
          Format.fprintf fmt
            "passivity    : indefinite %s pencil (pivot %.3g at node %s, \
             component of %d, %d negative branch%s)@,"
-           (match d.A.Numeric.pd_pencil with
-            | `Conductance -> "conductance"
-            | `Capacitance -> "capacitance")
+           (pencil_name d.A.Numeric.pd_pencil)
            d.A.Numeric.pd_defect d.A.Numeric.pd_node d.A.Numeric.pd_dim
            d.A.Numeric.pd_negative
            (if d.A.Numeric.pd_negative = 1 then "" else "es"))
@@ -382,3 +384,86 @@ let cache_verification fmt ~dir (v : Sn_substrate.Cache.verification) =
     v.SC.vf_certified v.SC.vf_recertified v.SC.vf_stale v.SC.vf_bad
     (if v.SC.vf_bad = 0 then "verified" else "REFUSED");
   Format.fprintf fmt "@]"
+
+(* ------------------------------------------------------------------ *)
+(* JSON documents of [snoise verify --json] and the service's verify
+   verb *)
+
+module J = Sn_json.Json
+module Nu = Sn_analysis.Numeric
+
+let count i = J.Num (float_of_int i)
+
+let span_json (s : Nu.span) =
+  let branch (element, siemens) =
+    J.Obj [ ("element", J.Str element); ("siemens", J.Num siemens) ]
+  in
+  J.Obj
+    [
+      ("node", J.Str s.Nu.sp_node);
+      ("ratio", J.Num s.Nu.sp_ratio);
+      ("hi", branch s.Nu.sp_hi);
+      ("lo", branch s.Nu.sp_lo);
+      ("digits", J.Num s.Nu.sp_digits);
+    ]
+
+let stiffness_json (st : Nu.stiffness) =
+  J.Obj
+    [
+      ("fast_node", J.Str st.Nu.st_fast_node);
+      ("fast_tau_s", J.Num st.Nu.st_fast_tau);
+      ("slow_node", J.Str st.Nu.st_slow_node);
+      ("slow_tau_s", J.Num st.Nu.st_slow_tau);
+      ("ratio", J.Num st.Nu.st_ratio);
+      ("suggested_dt_s", J.Num st.Nu.st_dt);
+      ("steps_to_cover", J.Num st.Nu.st_steps);
+    ]
+
+let pool_defect_json (d : Nu.pool_defect) =
+  J.Obj
+    [
+      ("pencil", J.Str (pencil_name d.Nu.pd_pencil));
+      ("node", J.Str d.Nu.pd_node);
+      ("defect", J.Num d.Nu.pd_defect);
+      ("tolerance", J.Num d.Nu.pd_tol);
+      ("dim", count d.Nu.pd_dim);
+      ("negative_branches", count d.Nu.pd_negative);
+    ]
+
+let verify_json ?deck (p : Flow.preflight) =
+  J.Obj
+    ([
+       ("schema_version", count Sn_analysis.Analyzer.schema_version);
+       ("mode", J.Str "deck");
+     ]
+    @ Option.fold ~none:[] ~some:(fun d -> [ ("deck", J.Str d) ]) deck
+    @ [
+        ("report", Sn_analysis.Analyzer.to_json p.Flow.pf_report);
+        ("conditioning", J.Arr (List.map span_json p.Flow.pf_spans));
+        ( "stiffness",
+          Option.fold ~none:J.Null ~some:stiffness_json p.Flow.pf_stiffness );
+        ("pool", J.Arr (List.map pool_defect_json p.Flow.pf_pool));
+        ("reduction", J.Str (Flow.reduction_verdict_name p.Flow.pf_reduction));
+        ("failing", J.Bool (Flow.preflight_failing p));
+      ])
+
+let cache_verification_json ~dir (v : Sn_substrate.Cache.verification) =
+  let module SC = Sn_substrate.Cache in
+  let entry (key, status) =
+    J.Obj
+      (("key", J.Str key)
+       :: ("status", J.Str (SC.status_name status))
+       :: (match status with SC.Bad why -> [ ("detail", J.Str why) ] | _ -> []))
+  in
+  J.Obj
+    [
+      ("schema_version", count Sn_analysis.Analyzer.schema_version);
+      ("mode", J.Str "cache");
+      ("dir", J.Str dir);
+      ("entries", J.Arr (List.map entry v.SC.vf_entries));
+      ("certified", count v.SC.vf_certified);
+      ("recertified", count v.SC.vf_recertified);
+      ("stale", count v.SC.vf_stale);
+      ("bad", count v.SC.vf_bad);
+      ("failing", J.Bool (v.SC.vf_bad > 0));
+    ]

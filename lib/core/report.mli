@@ -59,3 +59,22 @@ val cache_verification :
 (** Boxed certificate-verification report for a tile-cache directory:
     one judged entry per line and the certified / recertified / stale /
     bad counts.  The CLI's [snoise verify --cache] text output. *)
+
+(** {1 JSON documents}
+
+    One encoder per document, shared by [snoise verify --json] and the
+    service's [verify] verb.  Both carry
+    {!Sn_analysis.Analyzer.schema_version}; docs/LINT.md documents the
+    fields. *)
+
+val verify_json : ?deck:string -> Flow.preflight -> Sn_json.Json.t
+(** The deck-mode pre-flight document:
+    [{"schema_version", "mode": "deck", "deck"?, "report",
+    "conditioning", "stiffness", "pool", "reduction", "failing"}].
+    [deck] names the deck; only the CLI passes it. *)
+
+val cache_verification_json :
+  dir:string -> Sn_substrate.Cache.verification -> Sn_json.Json.t
+(** The cache-mode document:
+    [{"schema_version", "mode": "cache", "dir", "entries", "certified",
+    "recertified", "stale", "bad", "failing"}]. *)

@@ -113,67 +113,68 @@ let () =
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering: hand-rolled (no JSON dependency), stable key order *)
+(* JSON rendering: stable key order *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Sn_json.Json
 
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
+let or_null f = function None -> J.Null | Some v -> f v
 
-let jfloat v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+let num v = J.Num v
 
-let jopt f = function None -> "null" | Some v -> f v
+let count i = J.Num (float_of_int i)
 
-let junknown = function
-  | Node n -> Printf.sprintf "{\"node\": %s}" (jstr n)
-  | Branch b -> Printf.sprintf "{\"branch\": %s}" (jstr b)
+let unknown_json = function
+  | Node n -> J.Obj [ ("node", J.Str n) ]
+  | Branch b -> J.Obj [ ("branch", J.Str b) ]
 
-let jlocation l =
-  Printf.sprintf "{\"analysis\": %s, \"time\": %s, \"freq\": %s}"
-    (jstr l.analysis)
-    (jopt jfloat l.time)
-    (jopt jfloat l.freq)
+let location_json l =
+  J.Obj
+    [
+      ("analysis", J.Str l.analysis);
+      ("time", or_null num l.time);
+      ("freq", or_null num l.freq);
+    ]
 
-let jattempt a =
-  Printf.sprintf "{\"rung\": %s, \"iterations\": %d, \"converged\": %b}"
-    (jstr (rung_name a.rung))
-    a.iterations a.converged
+let attempt_json a =
+  J.Obj
+    [
+      ("rung", J.Str (rung_name a.rung));
+      ("iterations", count a.iterations);
+      ("converged", J.Bool a.converged);
+    ]
 
 let to_json = function
   | No_convergence { loc; iterations; residual; worst; attempts } ->
-    Printf.sprintf
-      "{\"kind\": \"no-convergence\", \"location\": %s, \"iterations\": %d, \
-       \"residual\": %s, \"worst\": %s, \"attempts\": [%s]}"
-      (jlocation loc) iterations (jfloat residual)
-      (jopt junknown worst)
-      (String.concat ", " (List.map jattempt attempts))
+    J.Obj
+      [
+        ("kind", J.Str "no-convergence");
+        ("location", location_json loc);
+        ("iterations", count iterations);
+        ("residual", J.Num residual);
+        ("worst", or_null unknown_json worst);
+        ("attempts", J.Arr (List.map attempt_json attempts));
+      ]
   | Singular_pivot { loc; pivot; unknown } ->
-    Printf.sprintf
-      "{\"kind\": \"singular-pivot\", \"location\": %s, \"pivot\": %d, \
-       \"unknown\": %s}"
-      (jlocation loc) pivot
-      (jopt junknown unknown)
+    J.Obj
+      [
+        ("kind", J.Str "singular-pivot");
+        ("location", location_json loc);
+        ("pivot", count pivot);
+        ("unknown", or_null unknown_json unknown);
+      ]
   | Step_truncated { loc; dt_final; retries; completed_points } ->
-    Printf.sprintf
-      "{\"kind\": \"step-truncated\", \"location\": %s, \"dt_final\": %s, \
-       \"retries\": %d, \"completed_points\": %d}"
-      (jlocation loc) (jfloat dt_final) retries completed_points
+    J.Obj
+      [
+        ("kind", J.Str "step-truncated");
+        ("location", location_json loc);
+        ("dt_final", J.Num dt_final);
+        ("retries", count retries);
+        ("completed_points", count completed_points);
+      ]
   | Bad_input { loc; what } ->
-    Printf.sprintf "{\"kind\": \"bad-input\", \"location\": %s, \"what\": %s}"
-      (jlocation loc) (jstr what)
+    J.Obj
+      [
+        ("kind", J.Str "bad-input");
+        ("location", location_json loc);
+        ("what", J.Str what);
+      ]

@@ -1,18 +1,16 @@
-(** Minimal JSON values for the wire protocol.
+(** JSON values: one value type, a parser and a canonical printer.
 
-    The repo's other JSON producers ({!Sn_engine.Diag.to_json},
-    [Sn_analysis.Analyzer.to_json]) hand-render strings; the server
-    additionally needs to {e parse} client requests, so this module
-    carries a small self-contained value type with a recursive-descent
-    parser and a deterministic printer.  No external dependency.
+    Every JSON document the project emits — engine diagnostics, lint
+    and verify reports, the service's wire replies — is built from
+    these constructors and printed by {!to_string}.  The parser reads
+    bytes from outside the process: request lines, files and replies.
+    The library depends on nothing but the standard library.
 
     Printing is canonical and stable: object members keep their
-    construction order, floats render as the shortest of [%.17g] (or a
-    plain integer when exact), and non-finite floats render as the
-    strings ["nan"], ["inf"], ["-inf"] — the same convention as
-    {!Sn_engine.Diag.to_json}.  Stable bytes matter: the protocol
-    tests assert that batched and individual sweeps produce
-    byte-identical result payloads. *)
+    construction order, floats render as {!shortest_float}, and
+    non-finite floats render as the strings ["nan"], ["inf"],
+    ["-inf"].  Stable bytes matter: batched and individual sweeps must
+    produce byte-identical result payloads. *)
 
 type t =
   | Null
@@ -30,6 +28,12 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Canonical single-line rendering (no insignificant whitespace). *)
+
+val shortest_float : float -> string
+(** For a finite float, the shortest decimal that [float_of_string]
+    reads back bit-identical: a bare integer when the value is one
+    (below 1e15), otherwise [%.15g] or, when that loses bits,
+    [%.17g]. *)
 
 (** {1 Accessors}
 

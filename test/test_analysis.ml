@@ -38,11 +38,6 @@ let check_has what code report =
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* plain Newton only: no rescue rung may paper over a singularity the
    analyzer is supposed to predict *)
 let singular_pivot_of nl =
@@ -512,18 +507,30 @@ let test_extract_tile_degenerate () =
 (* JSON output *)
 
 let test_json_shape () =
+  let module J = Sn_json.Json in
   let nl = C.Netlist.create [ r "r1" "a" "0" 1.0e3; r "r2" "a" "b" 1.0e3 ] in
-  let s = A.Analyzer.to_json (analyze nl) in
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) ("has " ^ key) true (contains_sub s key))
-    [ "\"tool\": \"snoise lint\""; "\"version\""; "\"errors\": 0";
-      "\"warnings\""; "\"suppressed\": 0"; "\"diagnostics\"";
-      "\"code\": \"dangling-node\""; "\"subject_kind\": \"node\"";
-      "\"subject\": \"b\""; "\"severity\": \"warning\"" ];
-  let count ch = String.fold_left (fun n c -> if c = ch then n + 1 else n) 0 s in
-  Alcotest.(check int) "balanced braces" (count '{') (count '}');
-  Alcotest.(check int) "balanced brackets" (count '[') (count ']')
+  let j = A.Analyzer.to_json (analyze nl) in
+  let field k o =
+    match J.member k o with
+    | Some v -> v
+    | None -> Alcotest.failf "no %S in %s" k (J.to_string o)
+  in
+  let str k o = J.to_str (field k o) and int k o = J.to_int (field k o) in
+  Alcotest.(check (option string)) "tool" (Some "snoise lint") (str "tool" j);
+  Alcotest.(check bool) "version" true (str "version" j <> None);
+  Alcotest.(check (option int)) "errors" (Some 0) (int "errors" j);
+  Alcotest.(check (option int)) "warnings" (Some 1) (int "warnings" j);
+  Alcotest.(check (option int)) "suppressed" (Some 0) (int "suppressed" j);
+  match J.to_list (field "diagnostics" j) with
+  | Some [ d ] ->
+    Alcotest.(check (option string)) "code" (Some "dangling-node")
+      (str "code" d);
+    Alcotest.(check (option string)) "subject_kind" (Some "node")
+      (str "subject_kind" d);
+    Alcotest.(check (option string)) "subject" (Some "b") (str "subject" d);
+    Alcotest.(check (option string)) "severity" (Some "warning")
+      (str "severity" d)
+  | _ -> Alcotest.failf "expected one diagnostic: %s" (J.to_string j)
 
 (* ------------------------------------------------------------------ *)
 (* registry hygiene *)

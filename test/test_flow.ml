@@ -341,6 +341,72 @@ let test_corner_resistive_worst_dominates () =
        > nom.Snoise.Corners.spur_at_10mhz_dbm +. 1.0)
   | _ -> Alcotest.fail "expected 2 corners"
 
+(* ------------------------------------------------------------------ *)
+(* the merged deck through the SPICE writer and reader *)
+
+(* an element's card letter, nodes and every number it carries *)
+let card_values (e : Sn_circuit.Element.t) =
+  let module El = Sn_circuit.Element in
+  let module W = Sn_circuit.Waveform in
+  let wave = function
+    | W.Dc v -> [ v ]
+    | W.Sin { offset; amplitude; freq; phase } ->
+      [ offset; amplitude; freq; phase ]
+    | W.Pulse { v1; v2; delay; rise; fall; width; period } ->
+      [ v1; v2; delay; rise; fall; width; period ]
+    | W.Pwl points -> List.concat_map (fun (t, v) -> [ t; v ]) points
+  in
+  let mos (m : Sn_circuit.Mos_model.t) =
+    Sn_circuit.Mos_model.
+      [ m.vt0; m.kp; m.gamma; m.phi; m.lambda; m.cdb; m.csb; m.cgs; m.cgd ]
+  in
+  let var (m : Sn_circuit.Varactor_model.t) =
+    Sn_circuit.Varactor_model.[ m.cmin; m.cmax; m.v0; m.vslope ]
+  in
+  let kind, values =
+    match e with
+    | El.Resistor { ohms; _ } -> ('r', [ ohms ])
+    | El.Capacitor { farads; _ } -> ('c', [ farads ])
+    | El.Inductor { henries; _ } -> ('l', [ henries ])
+    | El.Vsource { wave = w; ac_mag; _ } -> ('v', ac_mag :: wave w)
+    | El.Isource { wave = w; ac_mag; _ } -> ('i', ac_mag :: wave w)
+    | El.Vccs { gm; _ } -> ('g', [ gm ])
+    | El.Vcvs { gain; _ } -> ('e', [ gain ])
+    | El.Mosfet { model; w; l; mult; _ } ->
+      ('m', (float_of_int mult :: w :: l :: mos model))
+    | El.Varactor { model; mult; _ } ->
+      ('y', float_of_int mult :: var model)
+  in
+  (kind, El.nodes e, List.map Int64.bits_of_float values)
+
+let test_merged_deck_roundtrip () =
+  let options =
+    {
+      Flow.default_options with
+      Flow.grid = { Sn_substrate.Grid.default_config with nx = 12; ny = 12 };
+    }
+  in
+  let nl =
+    Flow.vco_merged
+      (Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune:0.45)
+  in
+  let nl' = Sn_circuit.Spice.of_string (Sn_circuit.Spice.to_string nl) in
+  let cards n = List.map card_values (Sn_circuit.Netlist.elements n) in
+  Alcotest.(check int) "element count"
+    (Sn_circuit.Netlist.element_count nl)
+    (Sn_circuit.Netlist.element_count nl');
+  List.iteri
+    (fun k (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "element %d: same kind, nodes and value bits" k)
+        true (a = b))
+    (List.combine (cards nl) (cards nl'));
+  let report = Sn_analysis.Analyzer.analyze nl' in
+  Alcotest.(check (list string)) "re-parsed deck lints error-free" []
+    (List.map
+       (fun (d : Sn_analysis.Rule.diagnostic) -> d.Sn_analysis.Rule.code)
+       (Sn_analysis.Analyzer.errors report))
+
 let suites =
   [
     ( "flow.fig3",
@@ -410,5 +476,7 @@ let suites =
         Alcotest.test_case "well net naming" `Quick test_merge_well_net_naming;
         Alcotest.test_case "macromodel to elements" `Quick
           test_merge_macromodel_elements;
+        Alcotest.test_case "merged deck round-trips through SPICE" `Quick
+          test_merged_deck_roundtrip;
       ] );
   ]

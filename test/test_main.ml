@@ -16,4 +16,5 @@ let () =
      @ Test_reduce.suites
      @ Test_flow.suites
      @ Test_robustness.suites
-     @ Test_server.suites)
+     @ Test_server.suites
+     @ Test_golden.suites)

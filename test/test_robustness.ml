@@ -365,14 +365,25 @@ let test_unknown_node_candidates () =
     Alcotest.(check bool) "suggests mid" true (List.mem "mid" candidates)
 
 let test_diag_json () =
+  let module J = Sn_json.Json in
+  let at j keys =
+    List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some j) keys
+  in
+  let str j keys = Option.bind (at j keys) J.to_str in
   let j =
     Diag.to_json
       (Diag.Singular_pivot
          { loc = Diag.loc "dc"; pivot = 3;
            unknown = Some (Diag.Branch "v1") })
   in
-  Alcotest.(check bool) "kind" true (contains j "\"kind\": \"singular-pivot\"");
-  Alcotest.(check bool) "branch" true (contains j "\"branch\": \"v1\"");
+  Alcotest.(check (option string)) "kind" (Some "singular-pivot")
+    (str j [ "kind" ]);
+  Alcotest.(check (option string)) "branch" (Some "v1")
+    (str j [ "unknown"; "branch" ]);
+  Alcotest.(check (option string)) "analysis" (Some "dc")
+    (str j [ "location"; "analysis" ]);
+  Alcotest.(check (option int)) "pivot" (Some 3)
+    (Option.bind (at j [ "pivot" ]) J.to_int);
   let j2 =
     Diag.to_json
       (Diag.No_convergence
@@ -382,9 +393,17 @@ let test_diag_json () =
              [ { Diag.rung = Diag.Plain_newton; iterations = 12;
                  converged = false } ] })
   in
-  Alcotest.(check bool) "kind 2" true
-    (contains j2 "\"kind\": \"no-convergence\"");
-  Alcotest.(check bool) "rung name" true (contains j2 "\"plain-newton\"")
+  Alcotest.(check (option string)) "kind 2" (Some "no-convergence")
+    (str j2 [ "kind" ]);
+  Alcotest.(check (option (float 0.0))) "residual" (Some 0.5)
+    (Option.bind (at j2 [ "residual" ]) J.to_float);
+  Alcotest.(check (option string)) "worst node" (Some "out")
+    (str j2 [ "worst"; "node" ]);
+  match Option.bind (at j2 [ "attempts" ]) J.to_list with
+  | Some [ a ] ->
+    Alcotest.(check (option string)) "rung name" (Some "plain-newton")
+      (str a [ "rung" ])
+  | _ -> Alcotest.fail "expected one recorded attempt"
 
 let suites =
   [
