@@ -1,11 +1,16 @@
 (* Geometric multigrid V-cycle preconditioner for the FDM substrate
-   Laplacian.  The hierarchy is built variationally: index-space
-   trilinear prolongation P per level, restriction P^T, Galerkin
-   coarse operator P^T A P — so nonuniform (snap-line) spacings need
-   no special casing.  Smoothing is red-black Gauss-Seidel; the
-   post-smoother sweeps in exactly the reverse order of the
-   pre-smoother, which makes one V-cycle a symmetric positive-definite
-   operator, as PCG requires. *)
+   Laplacian.  The hierarchy semi-coarsens: only x and y halve per
+   level, every z level is kept.  The substrate slabs are far thicker
+   than the cells are wide, so the lateral couplings dominate the
+   vertical ones by about (dz/dx)^2 and the error a point smoother
+   leaves behind is smooth in x-y but not in z; coarsening z as well
+   would hand that error to a grid that cannot represent it.  The
+   hierarchy is built variationally: index-space bilinear prolongation
+   P per level, restriction P^T, Galerkin coarse operator P^T A P — so
+   nonuniform (snap-line) spacings need no special casing.  Smoothing
+   is red-black Gauss-Seidel; the post-smoother sweeps in exactly the
+   reverse order of the pre-smoother, which makes one V-cycle a
+   symmetric positive-definite operator, as PCG requires. *)
 
 type level = {
   a : Sparse.t;
@@ -27,10 +32,9 @@ type t = { levels : level array; coarse : Lu.rfactor option; nu : int }
 
 let levels t = Array.length t.levels
 
-(* 1-D index-space coarsening: even fine lines inject, odd fine lines
-   average their two coarse flanks.  Dimensions below 4 stay as they
-   are (the z extent of the substrate stack bottoms out quickly while
-   x/y keep halving). *)
+(* 1-D index-space coarsening of a lateral dimension: even fine lines
+   inject, odd fine lines average their two coarse flanks.  Extents
+   below 4 stay as they are. *)
 let coarsen_dim nf = if nf >= 4 then (nf + 1) / 2 else nf
 
 let interp_1d nf nc =
@@ -67,69 +71,107 @@ let inv_diag_of a =
       if Float.abs d > 0.0 then 1.0 /. d else raise (Cg.Zero_diagonal i))
     (Sparse.diagonal a)
 
-(* Tensor-product trilinear prolongation as a CSR map fine -> coarse
-   entries, and the Galerkin triple product P^T A P accumulated row by
-   row into hash tables (the coarse stencil stays O(27) wide, so the
-   tables stay tiny). *)
-let build_transfer (nx, ny, nz) (cx, cy, cz) a =
-  let mx = interp_1d nx cx and my = interp_1d ny cy and mz = interp_1d nz cz in
+(* Tensor-product prolongation from (cx, cy, nz) to (nx, ny, nz) as a
+   CSR map fine -> coarse entries (z is the identity), and the
+   Galerkin triple product P^T A P.  The product runs one coarse row
+   at a time over P^T, accumulating into a dense row with a mark
+   array, and emits CSR directly.  Every coarse entry sums its
+   contributions in ascending (fine row i, fine column j) order,
+   starting from 0. *)
+let build_transfer (nx, ny, nz) (cx, cy) a =
+  let mx = interp_1d nx cx and my = interp_1d ny cy in
   let n = nx * ny * nz in
-  let nc = cx * cy * cz in
+  let nc = cx * cy * nz in
   let p_ptr = Array.make (n + 1) 0 in
-  let rows = Array.make n [||] in
+  let p_idx = Dyn.I.create ~capacity:(4 * n) ()
+  and p_w = Dyn.F.create ~capacity:(4 * n) () in
   for iz = 0 to nz - 1 do
     for iy = 0 to ny - 1 do
       for ix = 0 to nx - 1 do
         let i = (iz * nx * ny) + (iy * nx) + ix in
-        let ex = mx.(ix) and ey = my.(iy) and ez = mz.(iz) in
-        let row =
-          Array.concat
-            (List.concat_map
-               (fun (jz, wz) ->
-                 List.map
-                   (fun (jy, wy) ->
-                     Array.map
-                       (fun (jx, wx) ->
-                         ((jz * cx * cy) + (jy * cx) + jx, wx *. wy *. wz))
-                       ex)
-                   (Array.to_list ey))
-               (Array.to_list ez))
-        in
-        rows.(i) <- row;
-        p_ptr.(i + 1) <- p_ptr.(i) + Array.length row
+        Array.iter
+          (fun (jy, wy) ->
+            Array.iter
+              (fun (jx, wx) ->
+                Dyn.I.push p_idx ((iz * cx * cy) + (jy * cx) + jx);
+                Dyn.F.push p_w (wx *. wy))
+              mx.(ix))
+          my.(iy);
+        p_ptr.(i + 1) <- Dyn.I.length p_idx
       done
     done
   done;
-  let nnz_p = p_ptr.(n) in
-  let p_idx = Array.make nnz_p 0 and p_w = Array.make nnz_p 0.0 in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun k (j, w) ->
-          p_idx.(p_ptr.(i) + k) <- j;
-          p_w.(p_ptr.(i) + k) <- w)
-        row)
-    rows;
-  (* Galerkin coarse operator *)
-  let acc = Array.init nc (fun _ -> Hashtbl.create 32) in
-  let bump ci cj v =
-    let tbl = acc.(ci) in
-    let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl cj) in
-    Hashtbl.replace tbl cj (cur +. v)
-  in
-  for i = 0 to n - 1 do
-    Sparse.iter_row a i (fun j aij ->
-        let rj = rows.(j) in
-        Array.iter
-          (fun (ci, wi) ->
-            Array.iter (fun (cj, wj) -> bump ci cj (wi *. wj *. aij)) rj)
-          rows.(i))
+  let p_idx = Dyn.I.to_array p_idx and p_w = Dyn.F.to_array p_w in
+  let nnz_p = Array.length p_idx in
+  (* P^T by a counting sort over the coarse columns: each coarse row
+     lists its fine rows in ascending order *)
+  let t_ptr = Array.make (nc + 1) 0 in
+  Array.iter (fun c -> t_ptr.(c + 1) <- t_ptr.(c + 1) + 1) p_idx;
+  for c = 0 to nc - 1 do
+    t_ptr.(c + 1) <- t_ptr.(c + 1) + t_ptr.(c)
   done;
-  let b = Sparse.builder nc nc in
-  Array.iteri
-    (fun ci tbl -> Hashtbl.iter (fun cj v -> Sparse.add b ci cj v) tbl)
-    acc;
-  (p_ptr, p_idx, p_w, Sparse.finalize b)
+  let t_row = Array.make nnz_p 0 and t_w = Array.make nnz_p 0.0 in
+  let next = Array.sub t_ptr 0 nc in
+  for i = 0 to n - 1 do
+    for e = p_ptr.(i) to p_ptr.(i + 1) - 1 do
+      let c = p_idx.(e) in
+      t_row.(next.(c)) <- i;
+      t_w.(next.(c)) <- p_w.(e);
+      next.(c) <- next.(c) + 1
+    done
+  done;
+  (* Galerkin coarse operator *)
+  let a_ptr = Sparse.row_ptr a
+  and a_idx = Sparse.col_idx a
+  and a_val = Sparse.values a in
+  let acc = Array.make nc 0.0 in
+  let mark = Array.make nc (-1) in
+  let touched = Array.make nc 0 in
+  let c_ptr = Array.make (nc + 1) 0 in
+  let c_idx = Dyn.I.create ~capacity:(max 1 (27 * nc)) () in
+  let c_val = Dyn.F.create ~capacity:(max 1 (27 * nc)) () in
+  for ci = 0 to nc - 1 do
+    let m = ref 0 in
+    for t = t_ptr.(ci) to t_ptr.(ci + 1) - 1 do
+      let i = t_row.(t) and wi = t_w.(t) in
+      for e = a_ptr.(i) to a_ptr.(i + 1) - 1 do
+        let j = a_idx.(e) and aij = a_val.(e) in
+        for f = p_ptr.(j) to p_ptr.(j + 1) - 1 do
+          let cj = p_idx.(f) in
+          if mark.(cj) <> ci then begin
+            mark.(cj) <- ci;
+            acc.(cj) <- 0.0;
+            touched.(!m) <- cj;
+            incr m
+          end;
+          acc.(cj) <- acc.(cj) +. (wi *. p_w.(f) *. aij)
+        done
+      done
+    done;
+    (* the coarse stencil is a few dozen wide: insertion-sort it *)
+    for p = 1 to !m - 1 do
+      let c = touched.(p) in
+      let q = ref (p - 1) in
+      while !q >= 0 && touched.(!q) > c do
+        touched.(!q + 1) <- touched.(!q);
+        decr q
+      done;
+      touched.(!q + 1) <- c
+    done;
+    for p = 0 to !m - 1 do
+      let cj = touched.(p) in
+      if acc.(cj) <> 0.0 then begin
+        Dyn.I.push c_idx cj;
+        Dyn.F.push c_val acc.(cj)
+      end
+    done;
+    c_ptr.(ci + 1) <- Dyn.I.length c_idx
+  done;
+  let a_c =
+    Sparse.of_csr ~rows:nc ~cols:nc ~row_ptr:c_ptr
+      ~col_idx:(Dyn.I.to_array c_idx) ~values:(Dyn.F.to_array c_val)
+  in
+  (p_ptr, p_idx, p_w, a_c)
 
 let build ?(nu = 1) ?(coarse_limit = 600) ~dims a =
   let nx, ny, nz = dims in
@@ -140,8 +182,8 @@ let build ?(nu = 1) ?(coarse_limit = 600) ~dims a =
   let rec grow a dims acc =
     let nx, ny, nz = dims in
     let n = nx * ny * nz in
-    let cx = coarsen_dim nx and cy = coarsen_dim ny and cz = coarsen_dim nz in
-    let stop = n <= coarse_limit || (cx = nx && cy = ny && cz = nz) in
+    let cx = coarsen_dim nx and cy = coarsen_dim ny in
+    let stop = n <= coarse_limit || (cx = nx && cy = ny) in
     if stop then begin
       let lvl =
         {
@@ -161,7 +203,7 @@ let build ?(nu = 1) ?(coarse_limit = 600) ~dims a =
       List.rev (lvl :: acc)
     end
     else begin
-      let p_ptr, p_idx, p_w, a_c = build_transfer dims (cx, cy, cz) a in
+      let p_ptr, p_idx, p_w, a_c = build_transfer dims (cx, cy) a in
       let lvl =
         {
           a;
@@ -174,10 +216,10 @@ let build ?(nu = 1) ?(coarse_limit = 600) ~dims a =
           p_ptr;
           p_idx;
           p_w;
-          coarse_n = cx * cy * cz;
+          coarse_n = cx * cy * nz;
         }
       in
-      grow a_c (cx, cy, cz) (lvl :: acc)
+      grow a_c (cx, cy, nz) (lvl :: acc)
     end
   in
   let levels = Array.of_list (grow a dims []) in

@@ -33,52 +33,95 @@ let add b i j v =
     Dyn.F.push b.bvv v
   end
 
+(* Linear-time compression: a stable counting sort places the triples
+   row by row in insertion order, a stable sort by column within each
+   row keeps duplicates in that order, and each run of equal columns
+   is then summed left to right.  Rows of a conductance stencil hold a
+   handful of entries, so the per-row sort is an insertion sort; wider
+   rows fall back to a stable merge sort. *)
 let finalize b =
-  let n = Dyn.I.length b.bri in
+  let n = Dyn.I.length b.bri and nr = b.bnr in
   let ri = Dyn.I.unsafe_data b.bri
   and ci = Dyn.I.unsafe_data b.bci
   and vv = Dyn.F.unsafe_data b.bvv in
-  (* sort an index permutation by (row, col); nc is bounded so the
-     composite key fits a native int *)
-  let order = Array.init n (fun k -> k) in
-  let key k = (ri.(k) * b.bnc) + ci.(k) in
-  Array.sort (fun a c -> compare (key a) (key c)) order;
-  (* sum duplicates, dropping entries that cancel to exactly 0 *)
-  let out_i = Dyn.I.create ~capacity:(max n 1) () in
-  let out_j = Dyn.I.create ~capacity:(max n 1) () in
-  let out_v = Dyn.F.create ~capacity:(max n 1) () in
-  let k = ref 0 in
-  while !k < n do
-    let idx = order.(!k) in
-    let i = ri.(idx) and j = ci.(idx) in
-    let acc = ref 0.0 in
-    while
-      !k < n
-      &&
-      let idx' = order.(!k) in
-      ri.(idx') = i && ci.(idx') = j
-    do
-      acc := !acc +. vv.(order.(!k));
-      incr k
-    done;
-    if !acc <> 0.0 then begin
-      Dyn.I.push out_i i;
-      Dyn.I.push out_j j;
-      Dyn.F.push out_v !acc
+  let start = Array.make (nr + 1) 0 in
+  for k = 0 to n - 1 do
+    start.(ri.(k) + 1) <- start.(ri.(k) + 1) + 1
+  done;
+  for i = 0 to nr - 1 do
+    start.(i + 1) <- start.(i + 1) + start.(i)
+  done;
+  let next = Array.sub start 0 nr in
+  let order = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let i = ri.(k) in
+    order.(next.(i)) <- k;
+    next.(i) <- next.(i) + 1
+  done;
+  for i = 0 to nr - 1 do
+    let lo = start.(i) and hi = start.(i + 1) in
+    if hi - lo <= 32 then
+      for p = lo + 1 to hi - 1 do
+        let k = order.(p) in
+        let c = ci.(k) in
+        let q = ref (p - 1) in
+        while !q >= lo && ci.(order.(!q)) > c do
+          order.(!q + 1) <- order.(!q);
+          decr q
+        done;
+        order.(!q + 1) <- k
+      done
+    else begin
+      let seg = Array.sub order lo (hi - lo) in
+      Array.stable_sort (fun a c -> Int.compare ci.(a) ci.(c)) seg;
+      Array.blit seg 0 order lo (hi - lo)
     end
   done;
-  let nnz = Dyn.I.length out_i in
-  let row_ptr = Array.make (b.bnr + 1) 0 in
-  for k = 0 to nnz - 1 do
-    let i = Dyn.I.get out_i k in
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
+  (* sum duplicates, dropping entries that cancel to exactly 0 *)
+  let row_ptr = Array.make (nr + 1) 0 in
+  let col_idx = Array.make n 0 and values = Array.make n 0.0 in
+  let nnz = ref 0 in
+  for i = 0 to nr - 1 do
+    let p = ref start.(i) and hi = start.(i + 1) in
+    while !p < hi do
+      let j = ci.(order.(!p)) in
+      let acc = ref 0.0 in
+      while !p < hi && ci.(order.(!p)) = j do
+        acc := !acc +. vv.(order.(!p));
+        incr p
+      done;
+      if !acc <> 0.0 then begin
+        col_idx.(!nnz) <- j;
+        values.(!nnz) <- !acc;
+        incr nnz
+      end
+    done;
+    row_ptr.(i + 1) <- !nnz
   done;
-  for i = 0 to b.bnr - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
+  { nr; nc = b.bnc; row_ptr;
+    col_idx = Array.sub col_idx 0 !nnz;
+    values = Array.sub values 0 !nnz }
+
+let of_csr ~rows ~cols ~row_ptr ~col_idx ~values =
+  let bad what = invalid_arg ("Sparse.of_csr: " ^ what) in
+  if rows < 0 || cols < 0 then bad "negative dimension";
+  if Array.length row_ptr <> rows + 1 || row_ptr.(0) <> 0 then
+    bad "row_ptr shape";
+  let nnz = row_ptr.(rows) in
+  if Array.length col_idx <> nnz || Array.length values <> nnz then
+    bad "col_idx/values length";
+  for i = 0 to rows - 1 do
+    if row_ptr.(i + 1) < row_ptr.(i) then bad "row_ptr not monotone"
   done;
-  { nr = b.bnr; nc = b.bnc; row_ptr;
-    col_idx = Dyn.I.to_array out_j;
-    values = Dyn.F.to_array out_v }
+  for i = 0 to rows - 1 do
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    for k = lo to hi - 1 do
+      let j = col_idx.(k) in
+      if j < 0 || j >= cols || (k > lo && j <= col_idx.(k - 1)) then
+        bad "columns out of range or not strictly ascending"
+    done
+  done;
+  { nr = rows; nc = cols; row_ptr; col_idx; values }
 
 let rows m = m.nr
 let cols m = m.nc

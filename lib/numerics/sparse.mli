@@ -18,8 +18,23 @@ val add : builder -> int -> int -> float -> unit
     Raises [Invalid_argument] on out-of-range indices. *)
 
 val finalize : builder -> t
-(** [finalize b] compresses the triplets (summing duplicates, dropping
-    exact zeros) into CSR form. *)
+(** [finalize b] compresses the triplets into CSR form: duplicates of
+    one coordinate are summed left to right in the order they were
+    {!add}ed (so the result is a deterministic function of the
+    insertion sequence), entries that sum to exactly 0 are dropped,
+    and columns are strictly ascending within each row.  Cost
+    O(nnz + rows) for rows of bounded width (a stable counting sort
+    by row, then an insertion sort within each row); rows wider than
+    32 entries are merge-sorted. *)
+
+val of_csr :
+  rows:int -> cols:int -> row_ptr:int array -> col_idx:int array ->
+  values:float array -> t
+(** [of_csr ~rows ~cols ~row_ptr ~col_idx ~values] wraps CSR arrays
+    that are already compressed (no copy: the arrays are taken over).
+    Raises [Invalid_argument] unless [row_ptr] has length [rows + 1],
+    starts at 0 and never decreases, and each row's columns are in
+    range and strictly ascending. *)
 
 val rows : t -> int
 val cols : t -> int

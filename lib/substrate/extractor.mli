@@ -9,9 +9,10 @@
 
     Three solvers compute the elimination ({!solver}); the default
     multigrid-preconditioned CG keeps the cost per Schur column far
-    below a direct factorization as the grid grows (the layered
-    profile's z-anisotropy still costs iterations at scale — the
-    bench records the per-size counts).  The reduction optionally runs {e tiled}
+    below a direct factorization as the grid grows (the hierarchy
+    coarsens only laterally, so the layered profile's anisotropy
+    leaves the iteration count flat — the bench records the per-size
+    counts).  The reduction optionally runs {e tiled}
     (hierarchical, nested Schur: reduce each lateral tile onto its
     interface and local ports independently on the worker pool, then
     stitch the interface skeleton — see {!Tiling}) and consults a

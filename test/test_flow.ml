@@ -66,6 +66,24 @@ let test_fig3_transfer_decreases_with_bias () =
   in
   check r.E.points
 
+(* A cold extraction of the NMOS structure at the paper's settings
+   stays within a fixed CG budget: the semi-coarsened multigrid keeps
+   the iteration count flat under the layered profile's anisotropy, and
+   a hierarchy regression shows up here as a count, not a slowdown. *)
+let test_fig3_cold_extraction_cg_budget () =
+  ignore
+    (Flow.build_nmos ~options:Flow.default_options
+       Sn_testchip.Nmos_structure.default);
+  match Sn_substrate.Extractor.last_stats () with
+  | None -> Alcotest.fail "extractor recorded no stats"
+  | Some s ->
+    Alcotest.(check int) "cold: no tile-cache hit" 0
+      s.Sn_substrate.Extractor.cache_hits;
+    let it = s.Sn_substrate.Extractor.cg_iterations_total in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d CG iterations <= 120" it)
+      true (it > 0 && it <= 120)
+
 let test_sec3_gmb_gds_ranges () =
   let r = Lazy.force sec3 in
   let lo_gmb, hi_gmb = r.E.gmb_range_ms in
@@ -419,6 +437,8 @@ let suites =
           test_fig3_hand_calculation_agreement;
         Alcotest.test_case "transfer monotone in bias" `Slow
           test_fig3_transfer_decreases_with_bias;
+        Alcotest.test_case "cold extraction CG budget" `Quick
+          test_fig3_cold_extraction_cg_budget;
         Alcotest.test_case "gmb / gds ranges" `Slow test_sec3_gmb_gds_ranges;
         Alcotest.test_case "f3dB crossover band" `Slow test_sec3_f3db_crossover;
         Alcotest.test_case "classical-flow ablation" `Slow

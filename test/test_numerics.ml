@@ -186,6 +186,119 @@ let test_sparse_cancel () =
   let m = Sparse.finalize b in
   Alcotest.(check int) "cancelled entries dropped" 1 (Sparse.nnz m)
 
+(* [finalize] against a reference that walks the triples in insertion
+   order: the CSR must match bit for bit, so duplicates are summed left
+   to right whatever order the sort visits them in *)
+let reference_csr nr triples =
+  let sums = Array.init nr (fun _ -> Hashtbl.create 8) in
+  List.iter
+    (fun (i, j, v) ->
+      let cur = Option.value ~default:0.0 (Hashtbl.find_opt sums.(i) j) in
+      Hashtbl.replace sums.(i) j (cur +. v))
+    triples;
+  let row_ptr = Array.make (nr + 1) 0 in
+  let entries =
+    List.concat
+      (List.init nr (fun i ->
+           let row =
+             Hashtbl.fold
+               (fun j v acc -> if v <> 0.0 then (j, v) :: acc else acc)
+               sums.(i) []
+             |> List.sort (fun (a, _) (b, _) -> compare a b)
+           in
+           row_ptr.(i + 1) <- row_ptr.(i) + List.length row;
+           row))
+  in
+  (row_ptr, Array.of_list (List.map fst entries),
+   Array.of_list (List.map snd entries))
+
+let csr_matches_reference nr nc triples =
+  let b = Sparse.builder nr nc in
+  List.iter (fun (i, j, v) -> Sparse.add b i j v) triples;
+  let m = Sparse.finalize b in
+  let row_ptr, col_idx, values = reference_csr nr triples in
+  let bits x = Int64.bits_of_float x in
+  let ascending = ref true in
+  for i = 0 to nr - 1 do
+    for k = (Sparse.row_ptr m).(i) + 1 to (Sparse.row_ptr m).(i + 1) - 1 do
+      if (Sparse.col_idx m).(k) <= (Sparse.col_idx m).(k - 1) then
+        ascending := false
+    done
+  done;
+  Sparse.rows m = nr && Sparse.cols m = nc
+  && Sparse.row_ptr m = row_ptr
+  && Sparse.col_idx m = col_idx
+  && Array.length (Sparse.values m) = Array.length values
+  && Array.for_all2
+       (fun x y -> Int64.equal (bits x) (bits y))
+       (Sparse.values m) values
+  && !ascending
+  && Array.for_all (fun v -> v <> 0.0) (Sparse.values m)
+
+let prop_finalize_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"finalize = insertion-order reference, bit for bit"
+    QCheck.(triple (int_range 1 30) (int_range 1 30) (int_range 0 100_000))
+    (fun (nr, nc, seed) ->
+      let st = Random.State.make [| seed |] in
+      (* values whose sums depend on the summation order, plus pairs
+         that cancel exactly; only every other row is used, so empty
+         rows occur, and a narrow column range forces duplicates *)
+      let pool = [| 0.1; 0.2; 0.3; 1e16; -1e16; 1.0; -0.7; 3.0e-17 |] in
+      let width = 1 + Random.State.int st (min nc 4) in
+      let triples = ref [] in
+      for _ = 1 to Random.State.int st (4 * nr * width) do
+        let i = 2 * Random.State.int st ((nr + 1) / 2) in
+        let j = Random.State.int st width in
+        let v = pool.(Random.State.int st (Array.length pool)) in
+        triples := (i, j, v) :: !triples;
+        if Random.State.int st 4 = 0 then triples := (i, j, -.v) :: !triples
+      done;
+      (* one long row exercises the wide-row path *)
+      let long =
+        List.init (Random.State.int st 80) (fun k ->
+            (0, Random.State.int st nc, pool.(k mod Array.length pool)))
+      in
+      csr_matches_reference nr nc (List.rev !triples @ long))
+
+let test_finalize_edges () =
+  Alcotest.(check bool) "0 x 0" true (csr_matches_reference 0 0 []);
+  Alcotest.(check bool) "0 x 5" true (csr_matches_reference 0 5 []);
+  Alcotest.(check bool) "1 x 1 empty" true (csr_matches_reference 1 1 []);
+  Alcotest.(check bool) "1 x 1 summed" true
+    (csr_matches_reference 1 1 [ (0, 0, 0.1); (0, 0, 0.2); (0, 0, 0.3) ]);
+  Alcotest.(check bool) "1 x 1 cancelled" true
+    (csr_matches_reference 1 1 [ (0, 0, 2.5); (0, 0, -2.5) ]);
+  let b = Sparse.builder 1 1 in
+  Sparse.add b 0 0 2.5;
+  Sparse.add b 0 0 (-2.5);
+  Alcotest.(check int) "cancelled 1 x 1 stores nothing" 0
+    (Sparse.nnz (Sparse.finalize b))
+
+let test_sparse_of_csr () =
+  let m =
+    Sparse.of_csr ~rows:3 ~cols:3 ~row_ptr:[| 0; 2; 2; 3 |]
+      ~col_idx:[| 0; 2; 1 |] ~values:[| 1.0; -2.0; 4.0 |]
+  in
+  check_float "entry (0,2)" (-2.0) (Sparse.get m 0 2);
+  check_float "empty row" 0.0 (Sparse.get m 1 1);
+  Alcotest.(check int) "nnz" 3 (Sparse.nnz m);
+  let refused what row_ptr col_idx =
+    match
+      Sparse.of_csr ~rows:2 ~cols:2 ~row_ptr ~col_idx
+        ~values:(Array.make (Array.length col_idx) 1.0)
+    with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ ": " ^ msg) true
+        (String.starts_with ~prefix:"Sparse.of_csr" msg)
+  in
+  refused "short row_ptr" [| 0; 1 |] [| 0 |];
+  refused "unsorted columns" [| 0; 2; 2 |] [| 1; 0 |];
+  refused "duplicate column" [| 0; 2; 2 |] [| 1; 1 |];
+  refused "column out of range" [| 0; 1; 1 |] [| 2 |];
+  refused "decreasing row_ptr" [| 0; 1; 0 |] [||]
+
 let test_sparse_mul_vec () =
   let m = laplacian_1d 4 in
   let v = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -321,6 +434,70 @@ let test_mg_iterations_flat () =
     (Printf.sprintf "near-constant iterations (%d -> %d)" small large)
     true
     (large <= small + 6 && large <= 30)
+
+(* The substrate's layered profile, as the extractor grids it at its
+   default z resolution: a 1 um p+ cap at 0.002 ohm m over 4 x 12.5 um,
+   3 x 50 um and 2 x 150 um slabs of 0.2 ohm m bulk, on 7 um cells,
+   grounded only through a 3x3 contact patch at the centre of the
+   surface.  The slabs are far thicker than the cells are wide, so
+   lateral coupling dominates; a hierarchy that coarsens z as well
+   leaves error the point smoother cannot reach, and its iteration
+   count grows with the lateral size. *)
+let layered_substrate n_lat =
+  let dx = 7.0e-6 in
+  let layers =
+    List.concat
+      [ [ (1.0e-6, 0.002) ]; List.init 4 (fun _ -> (12.5e-6, 0.2));
+        List.init 3 (fun _ -> (50.0e-6, 0.2));
+        List.init 2 (fun _ -> (150.0e-6, 0.2)) ]
+    |> Array.of_list
+  in
+  let nz = Array.length layers in
+  let nx = n_lat and ny = n_lat in
+  let n = nx * ny * nz in
+  let b = Sparse.builder n n in
+  let idx ix iy iz = (iz * nx * ny) + (iy * nx) + ix in
+  let couple i j g =
+    Sparse.add b i i g;
+    Sparse.add b j j g;
+    Sparse.add b i j (-.g);
+    Sparse.add b j i (-.g)
+  in
+  let c0 = (n_lat / 2) - 1 in
+  for iz = 0 to nz - 1 do
+    let dz, rho = layers.(iz) in
+    let g_lat = dz /. rho in
+    for iy = 0 to ny - 1 do
+      for ix = 0 to nx - 1 do
+        let here = idx ix iy iz in
+        if ix + 1 < nx then couple here (idx (ix + 1) iy iz) g_lat;
+        if iy + 1 < ny then couple here (idx ix (iy + 1) iz) g_lat;
+        if iz + 1 < nz then begin
+          let dz', rho' = layers.(iz + 1) in
+          let r = ((0.5 *. dz *. rho) +. (0.5 *. dz' *. rho')) /. (dx *. dx) in
+          couple here (idx ix iy (iz + 1)) (1.0 /. r)
+        end;
+        if iz = 0 && ix >= c0 && ix < c0 + 3 && iy >= c0 && iy < c0 + 3 then
+          Sparse.add b here here (dx *. dx /. (0.5 *. dz *. rho))
+      done
+    done
+  done;
+  (Sparse.finalize b, (nx, ny, nz))
+
+let test_mg_layered_anisotropy () =
+  List.iter
+    (fun n_lat ->
+      let m, dims = layered_substrate n_lat in
+      let mg = Mg.build ~dims m in
+      let n = Sparse.rows m in
+      let rhs = Array.init n (fun i -> sin (0.37 *. float_of_int i)) in
+      let r = Cg.solve ~tol:1e-10 ~precond:(Mg.apply mg) m rhs in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d^2 converged in %d <= 20 iterations" n_lat
+           r.Cg.iterations)
+        true
+        (r.Cg.converged && r.Cg.iterations <= 20))
+    [ 16; 48 ]
 
 let test_cg_zero_diagonal () =
   let b = Sparse.builder 3 3 in
@@ -854,6 +1031,9 @@ let suites =
       [
         Alcotest.test_case "triplet build" `Quick test_sparse_build;
         Alcotest.test_case "cancellation drops zeros" `Quick test_sparse_cancel;
+        qcheck prop_finalize_matches_reference;
+        Alcotest.test_case "finalize edge shapes" `Quick test_finalize_edges;
+        Alcotest.test_case "of_csr validates" `Quick test_sparse_of_csr;
         Alcotest.test_case "mat-vec" `Quick test_sparse_mul_vec;
         Alcotest.test_case "symmetry" `Quick test_sparse_symmetric;
         Alcotest.test_case "CG matches LU" `Quick test_cg_vs_lu;
@@ -868,6 +1048,8 @@ let suites =
         Alcotest.test_case "V-cycle symmetric" `Quick test_mg_symmetric;
         Alcotest.test_case "iterations near-constant" `Quick
           test_mg_iterations_flat;
+        Alcotest.test_case "layered anisotropy" `Quick
+          test_mg_layered_anisotropy;
       ] );
     ( "numerics.splu",
       [
