@@ -13,26 +13,17 @@ let setup_logs
   Logs.set_level (if verbose then Some Logs.Info else Some Logs.Warning);
   Option.iter Snoise.Sweep.set_jobs jobs;
   if no_lint then Snoise.Flow.disable_lint ();
-  (match (reduce_order, reduce_tol) with
-  | None, None -> ()
-  | Some _, Some _ ->
-    Format.eprintf
-      "snoise: --reduce-order and --reduce-tol are mutually exclusive@.";
-    exit 1
-  | Some k, None ->
-    Snoise.Flow.set_default_reduction
-      (Some
-         {
-           Snoise.Reduced_model.default_config with
-           Snoise.Reduced_model.order = Snoise.Reduced_model.Fixed k;
-         })
-  | None, Some e ->
-    Snoise.Flow.set_default_reduction
-      (Some
-         {
-           Snoise.Reduced_model.default_config with
-           Snoise.Reduced_model.order = Snoise.Reduced_model.Auto e;
-         }));
+  (match
+     Snoise.Reduced_model.(
+       config_of_knobs
+         ~name:(function
+           | Order -> "--reduce-order" | Tol -> "--reduce-tol" | S0 -> "s0")
+         ?order:(Option.map float_of_int reduce_order) ?tol:reduce_tol ())
+   with
+  | Ok config -> Snoise.Flow.set_default_reduction config
+  | Error msg ->
+    Format.eprintf "snoise: %s@." msg;
+    exit 1);
   if no_cache then Sn_substrate.Cache.set_default_dir None
   else
     Option.iter

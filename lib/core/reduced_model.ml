@@ -22,6 +22,43 @@ type config = {
 
 let default_config = { order = Fixed 2; s0_hz = 1e8; band = (1e6, 1e10) }
 
+type knob = Order | Tol | S0
+
+let knob_name = function Order -> "order" | Tol -> "tol" | S0 -> "s0"
+
+let config_of_knobs ?(name = knob_name) ?order ?tol ?s0_hz () =
+  let check knob ok what = function
+    | Some v when not (ok v) ->
+      Error (Printf.sprintf "%s: expected %s, got %g" (name knob) what v)
+    | _ -> Ok ()
+  in
+  let ( let* ) = Result.bind in
+  let* () =
+    check Order
+      (fun v -> Float.is_integer v && v >= 1.0 && v <= 1024.0)
+      "an integer order in 1..1024" order
+  in
+  let* () =
+    check Tol (fun v -> v > 0.0 && v < 1.0) "a relative tolerance in (0, 1)" tol
+  in
+  let* () = check S0 (fun v -> v > 0.0) "an expansion point in Hz > 0" s0_hz in
+  let with_order order =
+    Ok
+      (Some
+         { default_config with
+           order;
+           s0_hz = Option.value s0_hz ~default:default_config.s0_hz })
+  in
+  match (order, tol) with
+  | Some k, None -> with_order (Fixed (int_of_float k))
+  | None, Some e -> with_order (Auto e)
+  | Some _, Some _ ->
+    Error (Printf.sprintf "%s conflicts with %s" (name Order) (name Tol))
+  | None, None when s0_hz <> None ->
+    Error
+      (Printf.sprintf "%s needs %s or %s" (name S0) (name Order) (name Tol))
+  | None, None -> Ok None
+
 let config_digest c =
   let order =
     match c.order with

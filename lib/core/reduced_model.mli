@@ -29,6 +29,21 @@ type config = {
 val default_config : config
 (** [Fixed 2], expansion point 100 MHz, band 1 MHz – 10 GHz. *)
 
+(** The user-facing reduction knobs, named in {!config_of_knobs}'s
+    messages. *)
+type knob = Order | Tol | S0
+
+val config_of_knobs :
+  ?name:(knob -> string) -> ?order:float -> ?tol:float -> ?s0_hz:float ->
+  unit -> (config option, string) result
+(** The one validator of the reduction knobs, shared by the CLI flags
+    and the server's [reduce_*] overrides.  [order] must be an integer
+    in 1..1024 ([Fixed]), [tol] a relative tolerance in (0, 1)
+    ([Auto]); the two are mutually exclusive, and [s0_hz] (> 0,
+    default {!default_config}'s) only goes with one of them.
+    [Ok None] when no knob is given.  Messages render each knob with
+    [name] (default ["order"] / ["tol"] / ["s0"]). *)
+
 val config_digest : config -> string
 (** Canonical one-line rendering of a config, stable across runs — the
     string cache digests fold in so reduced and exact artifacts never

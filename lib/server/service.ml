@@ -95,9 +95,8 @@ let create ?(config = default_config) () =
     flow_hits = 0;
     flow_misses = 0;
     restarts =
-      (match Sys.getenv_opt "SNOISE_RESTARTS" with
-      | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 0)
-      | None -> 0);
+      Option.value ~default:0
+        (Option.bind (Sys.getenv_opt "SNOISE_RESTARTS") int_of_string_opt);
     deadline_exceeded = 0;
     disconnected = 0;
     shed_events = 0;
@@ -140,7 +139,8 @@ let guard_result ~id f =
       (P.error ~id
          ~data:[ ("lint", A.Analyzer.to_json report) ]
          P.Lint_refused "lint errors refused simulation")
-  | exception Bad m -> Error (P.error ~id P.Bad_request m)
+  | exception (Bad m | Invalid_argument m) ->
+    Error (P.error ~id P.Bad_request m)
   | exception Unreadable m -> Error (P.error ~id P.Deck_unreadable m)
   | exception C.Spice.Parse_error (line, msg) ->
     Error
@@ -156,7 +156,6 @@ let guard_result ~id f =
     Error
       (P.error ~id P.Bad_request
          (Printf.sprintf "unknown branch %S%s" name (name_hint candidates)))
-  | exception Invalid_argument m -> Error (P.error ~id P.Bad_request m)
   | exception Not_found ->
     Error (P.error ~id P.Bad_request "unknown name in request")
   | exception N.Cancel.Cancelled tok ->
@@ -195,52 +194,30 @@ let params_members = function
   | J.Obj members -> members
   | _ -> raise (Bad "\"params\" must be an object")
 
-let opt_field m k = List.assoc_opt k m
+(* a typed param accessor: the JSON converter and what the refusal
+   calls the expected kind *)
+type 'a kind = (J.t -> 'a option) * string
 
-let opt_float m k =
-  match opt_field m k with
+let number : float kind = (J.to_float, "a number")
+let integer : int kind = (J.to_int, "an integer")
+let boolean : bool kind = (J.to_bool, "a boolean")
+let str : string kind = (J.to_str, "a string")
+
+let param ((conv, what) : 'a kind) m k =
+  match List.assoc_opt k m with
   | None -> None
   | Some v -> (
-    match J.to_float v with
-    | Some f -> Some f
-    | None -> raise (Bad (Printf.sprintf "param %S must be a number" k)))
+    match conv v with
+    | Some x -> Some x
+    | None -> raise (Bad (Printf.sprintf "param %S must be %s" k what)))
 
-let req_float m k =
-  match opt_float m k with
-  | Some f -> f
-  | None -> raise (Bad (Printf.sprintf "missing required param %S" k))
-
-let opt_int m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_int v with
-    | Some i -> Some i
-    | None -> raise (Bad (Printf.sprintf "param %S must be an integer" k)))
-
-let opt_bool m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_bool v with
-    | Some b -> Some b
-    | None -> raise (Bad (Printf.sprintf "param %S must be a boolean" k)))
-
-let opt_str m k =
-  match opt_field m k with
-  | None -> None
-  | Some v -> (
-    match J.to_str v with
-    | Some s -> Some s
-    | None -> raise (Bad (Printf.sprintf "param %S must be a string" k)))
-
-let req_str m k =
-  match opt_str m k with
-  | Some s -> s
+let required kind m k =
+  match param kind m k with
+  | Some x -> x
   | None -> raise (Bad (Printf.sprintf "missing required param %S" k))
 
 let opt_str_list m k =
-  match opt_field m k with
+  match List.assoc_opt k m with
   | None -> None
   | Some v -> (
     match J.to_list v with
@@ -258,17 +235,18 @@ let opt_str_list m k =
 (* ["freqs": [...]] or a generated span ["fstart"/"fstop"/"points"
    with log (default) or lin "spacing"] *)
 let freqs_of_params m =
-  match opt_field m "freqs" with
+  match List.assoc_opt "freqs" m with
   | Some v -> (
     match J.float_list v with
     | Some (_ :: _ as l) -> Array.of_list l
     | Some [] -> raise (Bad "\"freqs\" must not be empty")
     | None -> raise (Bad "\"freqs\" must be an array of numbers"))
   | None ->
-    let fstart = req_float m "fstart" and fstop = req_float m "fstop" in
-    let points = Option.value (opt_int m "points") ~default:50 in
+    let fstart = required number m "fstart" in
+    let fstop = required number m "fstop" in
+    let points = Option.value (param integer m "points") ~default:50 in
     if points < 1 then raise (Bad "\"points\" must be >= 1");
-    (match Option.value (opt_str m "spacing") ~default:"log" with
+    (match Option.value (param str m "spacing") ~default:"log" with
     | "log" -> N.Sweep.logspace fstart fstop points
     | "lin" -> N.Sweep.linspace fstart fstop points
     | other ->
@@ -294,83 +272,50 @@ let require_source (req : P.request) =
          (Printf.sprintf "verb %S needs a deck (\"deck\" or \"deck_path\")"
             (P.verb_name req.P.verb)))
 
+(* a request's deck, resolved once: where it came from, its text and
+   overrides, and the plan-cache key they digest to *)
+type deck = {
+  src : P.source;
+  text : string;
+  overrides : (string * float) list;
+  key : string;
+}
+
+let deck_of_text src text overrides =
+  { src; text; overrides; key = Plan_cache.deck_key ~text ~overrides }
+
+let deck_of (req : P.request) =
+  let src = require_source req in
+  deck_of_text src (source_text src) req.P.overrides
+
 (* reserved override keys steering server-side model-order reduction:
    they are configuration, not element values, so they are peeled off
    before apply_overrides's unknown-element check.  deck_key digests
    the raw override list, so requests differing only in reduce_*
    settings compile into distinct plan-cache entries. *)
 let reduction_of_overrides overrides =
-  let order = ref None and tol = ref None and s0 = ref None in
-  let elements =
-    List.filter
+  let module R = Snoise.Reduced_model in
+  let key = function
+    | R.Order -> "reduce_order"
+    | R.Tol -> "reduce_tol"
+    | R.S0 -> "reduce_s0"
+  in
+  let is_knob k = List.mem k (List.map key [ R.Order; R.Tol; R.S0 ]) in
+  let knobs, elements =
+    List.partition_map
       (fun (k, v) ->
-        match String.lowercase_ascii k with
-        | "reduce_order" ->
-          if Float.is_integer v && v >= 1.0 && v <= 1024.0 then
-            order := Some (int_of_float v)
-          else
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "override \"reduce_order\": expected an integer order >= \
-                     1, got %g"
-                    v));
-          false
-        | "reduce_tol" ->
-          if v > 0.0 && v < 1.0 then tol := Some v
-          else
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "override \"reduce_tol\": expected a relative tolerance \
-                     in (0, 1), got %g"
-                    v));
-          false
-        | "reduce_s0" ->
-          if v > 0.0 then s0 := Some v
-          else
-            raise
-              (Bad
-                 (Printf.sprintf
-                    "override \"reduce_s0\": expected an expansion point in \
-                     Hz > 0, got %g"
-                    v));
-          false
-        | _ -> true)
+        let k' = String.lowercase_ascii k in
+        if is_knob k' then Either.Left (k', v) else Either.Right (k, v))
       overrides
   in
-  let config =
-    match (!order, !tol) with
-    | None, None ->
-      if !s0 <> None then
-        raise
-          (Bad
-             "override \"reduce_s0\" needs \"reduce_order\" or \"reduce_tol\"")
-      else None
-    | Some _, Some _ ->
-      raise (Bad "overrides \"reduce_order\" and \"reduce_tol\" conflict")
-    | Some k, None ->
-      Some
-        {
-          Snoise.Reduced_model.default_config with
-          Snoise.Reduced_model.order = Snoise.Reduced_model.Fixed k;
-          s0_hz =
-            Option.value !s0
-              ~default:Snoise.Reduced_model.default_config
-                         .Snoise.Reduced_model.s0_hz;
-        }
-    | None, Some e ->
-      Some
-        {
-          Snoise.Reduced_model.default_config with
-          Snoise.Reduced_model.order = Snoise.Reduced_model.Auto e;
-          s0_hz =
-            Option.value !s0
-              ~default:Snoise.Reduced_model.default_config
-                         .Snoise.Reduced_model.s0_hz;
-        }
-  in
-  (elements, config)
+  let value knob = List.assoc_opt (key knob) (List.rev knobs) in
+  match
+    R.config_of_knobs
+      ~name:(fun knob -> Printf.sprintf "%S" (key knob))
+      ?order:(value R.Order) ?tol:(value R.Tol) ?s0_hz:(value R.S0) ()
+  with
+  | Ok config -> (elements, config)
+  | Error m -> raise (Bad ("override " ^ m))
 
 let apply_overrides nl overrides =
   if overrides = [] then nl
@@ -417,163 +362,101 @@ let apply_overrides nl overrides =
 
 (* parse (cached), apply overrides; the compiled result is lint-gated
    with a wire-structured refusal and cached under the content key *)
-let netlist_of t ~src ~text ~overrides =
+let netlist_of t d =
   let nl =
-    Plan_cache.find_netlist t.cache ~text ~parse:(fun s ->
-        C.Spice.of_string ~file:(source_name src) s)
+    Plan_cache.find_netlist t.cache ~text:d.text ~parse:(fun s ->
+        C.Spice.of_string ~file:(source_name d.src) s)
   in
-  let element_overrides, reduce = reduction_of_overrides overrides in
+  let element_overrides, reduce = reduction_of_overrides d.overrides in
   let nl = apply_overrides nl element_overrides in
   match reduce with
   | None -> (nl, None)
   | Some config -> Snoise.Reduced_model.reduce_deck_certified ~config nl
 
-let journal_compile t ~key ~text ~overrides =
+let journal_compile t d =
   match t.journal with
   | None -> ()
   | Some j ->
     let fresh =
       with_lock t (fun () ->
-          if t.journaling && not (Hashtbl.mem t.journaled key) then begin
-            Hashtbl.replace t.journaled key ();
+          if t.journaling && not (Hashtbl.mem t.journaled d.key) then begin
+            Hashtbl.replace t.journaled d.key ();
             true
           end
           else false)
     in
-    if fresh then Journal.append j { Journal.text; overrides }
+    if fresh then
+      Journal.append j { Journal.text = d.text; overrides = d.overrides }
 
-let compiled_of t ~src ~text ~overrides =
-  let key = Plan_cache.deck_key ~text ~overrides in
-  let result =
-    Plan_cache.find_compiled t.cache ~key ~compile:(fun () ->
-        let nl, reduced = netlist_of t ~src ~text ~overrides in
+let compiled_of t d =
+  let cp, note =
+    Plan_cache.find_compiled t.cache ~key:d.key ~compile:(fun () ->
+        let nl, reduced = netlist_of t d in
         let report = A.Analyzer.analyze nl in
-        (match A.Analyzer.errors report with
-        | [] -> ()
-        | _ -> raise (Lint_errors report));
+        if A.Analyzer.errors report <> [] then raise (Lint_errors report);
         {
           Plan_cache.cp_plan = Flow.compile_deck ~lint:false nl;
           cp_reduced = Option.map fst reduced;
           cp_cert = Option.bind reduced snd;
         })
   in
-  (match result with
-  | _, P.Miss -> journal_compile t ~key ~text ~overrides
-  | _ -> ());
-  let cp, note = result in
+  if note = P.Miss then journal_compile t d;
   (cp.Plan_cache.cp_plan, note)
 
 (* ------------------------------------------------------------------ *)
 (* result rendering *)
 
+let num i = J.Num (float_of_int i)
+
 let cx_json (c : Complex.t) = J.Arr [ J.Num c.Complex.re; J.Num c.Complex.im ]
 
 let float_arr a = J.Arr (Array.to_list (Array.map (fun v -> J.Num v) a))
 
-let ac_points_json ~nodes ~freqs table =
+(* a sweep reply's ["points"]: one object per requested frequency,
+   ["freq"] first, the rest looked up in the group's shared solve *)
+let points_json freqs members =
   J.Arr
     (Array.to_list
-       (Array.map
-          (fun freq ->
-            let values : (string * Complex.t) list = Hashtbl.find table freq in
-            J.Obj
-              [
-                ("freq", J.Num freq);
-                ( "v",
-                  J.Obj
-                    (List.map
-                       (fun n -> (n, cx_json (List.assoc n values)))
-                       nodes) );
-              ])
+       (Array.map (fun freq -> J.Obj (("freq", J.Num freq) :: members freq))
           freqs))
 
-let noise_points_json ~with_contributions ~freqs table =
-  J.Arr
-    (Array.to_list
-       (Array.map
-          (fun freq ->
-            let (p : E.Noise.point) = Hashtbl.find table freq in
-            let base =
-              [
-                ("freq", J.Num freq);
-                ("total_psd", J.Num p.E.Noise.total_psd);
-                ("spot_nv", J.Num (E.Noise.spot_nv p));
-              ]
-            in
-            let members =
-              if with_contributions then
-                base
-                @ [
-                    ( "contributions",
-                      J.Arr
-                        (List.map
-                           (fun (c : E.Noise.contribution) ->
-                             J.Obj
-                               [
-                                 ("element", J.Str c.E.Noise.element);
-                                 ("psd", J.Num c.E.Noise.psd);
-                               ])
-                           p.E.Noise.contributions) );
-                  ]
-              else base
-            in
-            J.Obj members)
-          freqs))
+let by_freq n points =
+  let table = Hashtbl.create n in
+  List.iter (fun (freq, v) -> Hashtbl.replace table freq v) points;
+  Hashtbl.find table
 
 (* ------------------------------------------------------------------ *)
 (* batching: one signature per sweep-shaped request, so [drain] can
    coalesce same-plan same-node requests into one pool dispatch *)
 
 type sweep_sig = {
-  sg_key : string;  (* plan-cache key: deck digest + overrides *)
-  sg_src : P.source;
-  sg_text : string;
-  sg_overrides : (string * float) list;
+  sg_deck : deck;
   sg_columns : string list;  (* AC probe nodes, or the noise output *)
   sg_freqs : float array;
   sg_contributions : bool;  (* noise only: render per-element PSDs *)
   sg_deadline_ms : float option;  (* only equal deadlines coalesce *)
 }
 
-let ac_signature (req : P.request) =
-  let m = params_members req.P.params in
-  let nodes =
-    match opt_str_list m "nodes" with
-    | Some (_ :: _ as ns) -> ns
-    | Some [] -> raise (Bad "\"nodes\" must not be empty")
-    | None -> raise (Bad "missing required param \"nodes\"")
-  in
-  let src = require_source req in
-  let text = source_text src in
-  {
-    sg_key = Plan_cache.deck_key ~text ~overrides:req.P.overrides;
-    sg_src = src;
-    sg_text = text;
-    sg_overrides = req.P.overrides;
-    sg_columns = nodes;
-    sg_freqs = freqs_of_params m;
-    sg_contributions = false;
-    sg_deadline_ms = req.P.deadline_ms;
-  }
+(* what a sweep-shaped verb adds to the shared batching path *)
+type sweep_verb = {
+  columns : (string * J.t) list -> string list * bool;
+      (* from the params: the AC probe nodes or the noise output, and
+         whether per-element PSDs are rendered *)
+  solve : Flow.compiled -> sweep_sig -> float array -> sweep_sig -> J.t;
+      (* one pool dispatch of the leader's plan over the union of the
+         group's frequencies, returning each member's renderer *)
+}
 
-let noise_signature (req : P.request) =
+let sweep_signature sv (req : P.request) =
   let m = params_members req.P.params in
-  let output = req_str m "output" in
-  let src = require_source req in
-  let text = source_text src in
-  {
-    sg_key = Plan_cache.deck_key ~text ~overrides:req.P.overrides;
-    sg_src = src;
-    sg_text = text;
-    sg_overrides = req.P.overrides;
-    sg_columns = [ output ];
-    sg_contributions = Option.value (opt_bool m "contributions") ~default:false;
-    sg_freqs = freqs_of_params m;
-    sg_deadline_ms = req.P.deadline_ms;
-  }
+  let sg_columns, sg_contributions = sv.columns m in
+  let sg_deck = deck_of req in
+  let sg_freqs = freqs_of_params m in
+  { sg_deck; sg_columns; sg_freqs; sg_contributions;
+    sg_deadline_ms = req.P.deadline_ms }
 
 let compatible a b =
-  String.equal a.sg_key b.sg_key
+  String.equal a.sg_deck.key b.sg_deck.key
   && List.length a.sg_columns = List.length b.sg_columns
   && List.for_all2 String.equal a.sg_columns b.sg_columns
   (* a bounded and an unbounded request must not share a fate, and
@@ -586,17 +469,15 @@ let union_freqs members =
   |> Array.of_list
 
 (* ------------------------------------------------------------------ *)
-(* per-verb handlers.  Each returns (result, plan note, bias note). *)
+(* per-verb handlers.  A verb that runs alone returns (result, plan
+   note, bias note); a sweep verb is a [sweep_verb]. *)
+
+let bias_note compiled =
+  if Flow.compiled_bias_cached compiled then P.Hit else P.Miss
 
 let run_op t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
-  let compiled, plan_note =
-    compiled_of t ~src ~text ~overrides:req.P.overrides
-  in
-  let bias_note =
-    if Flow.compiled_bias_cached compiled then P.Hit else P.Miss
-  in
+  let compiled, plan_note = compiled_of t (deck_of req) in
+  let bias_note = bias_note compiled in
   let dc = Flow.compiled_bias compiled in
   let m = params_members req.P.params in
   let nodes =
@@ -610,13 +491,9 @@ let run_op t (req : P.request) =
   (J.Obj [ ("voltages", J.Obj voltages) ], plan_note, bias_note)
 
 let run_tran t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
-  let compiled, plan_note =
-    compiled_of t ~src ~text ~overrides:req.P.overrides
-  in
+  let compiled, plan_note = compiled_of t (deck_of req) in
   let m = params_members req.P.params in
-  let tstop = req_float m "tstop" and dt = req_float m "dt" in
+  let tstop = required number m "tstop" and dt = required number m "dt" in
   if tstop <= 0.0 || dt <= 0.0 then
     raise (Bad "\"tstop\" and \"dt\" must be > 0");
   let n_points = int_of_float (Float.round (tstop /. dt)) + 1 in
@@ -628,7 +505,7 @@ let run_tran t (req : P.request) =
              split the window)"
             n_points t.config.tran_max_points));
   let method_ =
-    match Option.value (opt_str m "method") ~default:"trapezoidal" with
+    match Option.value (param str m "method") ~default:"trapezoidal" with
     | "trapezoidal" | "trap" -> E.Tran.Trapezoidal
     | "backward-euler" | "be" -> E.Tran.Backward_euler
     | other ->
@@ -662,11 +539,9 @@ let run_tran t (req : P.request) =
     P.Not_applicable )
 
 let run_lint t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
-  let nl, _ = netlist_of t ~src ~text ~overrides:req.P.overrides in
+  let nl, _ = netlist_of t (deck_of req) in
   let m = params_members req.P.params in
-  let strict = Option.value (opt_bool m "strict") ~default:false in
+  let strict = Option.value (param boolean m "strict") ~default:false in
   let strings k = Option.value (opt_str_list m k) ~default:[] in
   let config =
     A.Analyzer.configure ~disable:(strings "disable") ~ignore:(strings "ignore")
@@ -692,18 +567,16 @@ let run_lint t (req : P.request) =
 
 let run_verify t (req : P.request) =
   let m = params_members req.P.params in
-  let num i = J.Num (float_of_int i) in
   let doc =
-    match (opt_str m "cache_dir", req.P.source) with
+    match (param str m "cache_dir", req.P.source) with
     | Some _, Some _ -> raise (Bad "give a deck or \"cache_dir\", not both")
     | Some dir, None ->
       if not (Sys.file_exists dir && Sys.is_directory dir) then
         raise (Bad (Printf.sprintf "cache_dir %S is not a directory" dir));
       Snoise.Report.cache_verification_json ~dir
         (Sn_substrate.Cache.verify_dir (Sn_substrate.Cache.create ~dir))
-    | None, Some src ->
-      let text = source_text src in
-      let nl, _ = netlist_of t ~src ~text ~overrides:req.P.overrides in
+    | None, Some _ ->
+      let nl, _ = netlist_of t (deck_of req) in
       Snoise.Report.verify_json (Flow.preflight nl)
     | None, None ->
       let pv = Plan_cache.verify_plans t.cache in
@@ -722,8 +595,7 @@ let run_verify t (req : P.request) =
   (doc, P.Not_applicable, P.Not_applicable)
 
 let run_extract t (req : P.request) =
-  let src = require_source req in
-  let text = source_text src in
+  let text = source_text (require_source req) in
   let macro, note =
     Plan_cache.find_macro t.cache ~text ~extract:(fun () ->
         let layout = Sn_layout.Layout_io.of_string text in
@@ -748,11 +620,13 @@ let run_extract t (req : P.request) =
 
 let run_spur t (req : P.request) =
   let m = params_members req.P.params in
-  let f_noise = req_float m "f_noise" in
-  let vtune = Option.value (opt_float m "vtune") ~default:0.45 in
-  let p_noise_dbm = Option.value (opt_float m "p_noise_dbm") ~default:(-5.0) in
-  let nx = Option.value (opt_int m "nx") ~default:48 in
-  let ny = Option.value (opt_int m "ny") ~default:48 in
+  let f_noise = required number m "f_noise" in
+  let vtune = Option.value (param number m "vtune") ~default:0.45 in
+  let p_noise_dbm =
+    Option.value (param number m "p_noise_dbm") ~default:(-5.0)
+  in
+  let nx = Option.value (param integer m "nx") ~default:48 in
+  let ny = Option.value (param integer m "ny") ~default:48 in
   if nx < 4 || ny < 4 then raise (Bad "\"nx\"/\"ny\" must be >= 4");
   let key = Printf.sprintf "%.17g:%d:%d" vtune nx ny in
   let cached =
@@ -803,6 +677,90 @@ let run_spur t (req : P.request) =
       ],
     note,
     P.Not_applicable )
+
+let ac_sweep =
+  {
+    columns =
+      (fun m ->
+        match opt_str_list m "nodes" with
+        | Some (_ :: _ as ns) -> (ns, false)
+        | Some [] -> raise (Bad "\"nodes\" must not be empty")
+        | None -> raise (Bad "missing required param \"nodes\""));
+    solve =
+      (fun compiled leader union ->
+        let at =
+          E.Ac.sweep_plan
+            (Flow.compiled_ac_plan compiled)
+            ~freqs:union ~nodes:leader.sg_columns
+          |> Array.to_list
+          |> List.map (fun (pt : E.Ac.sweep_point) ->
+                 (pt.E.Ac.freq, pt.E.Ac.values))
+          |> by_freq (Array.length union)
+        in
+        fun sg ->
+          J.Obj
+            [
+              ( "points",
+                points_json sg.sg_freqs (fun freq ->
+                    let values = at freq in
+                    [
+                      ( "v",
+                        J.Obj
+                          (List.map
+                             (fun n -> (n, cx_json (List.assoc n values)))
+                             sg.sg_columns) );
+                    ]) );
+            ]);
+  }
+
+let noise_sweep =
+  {
+    columns =
+      (fun m ->
+        ( [ required str m "output" ],
+          Option.value (param boolean m "contributions") ~default:false ));
+    solve =
+      (fun compiled leader union ->
+        let acp = Flow.compiled_ac_plan compiled in
+        let dc = Flow.compiled_bias compiled in
+        let output = List.hd leader.sg_columns in
+        let at =
+          E.Noise.analyze_plan ~dc acp ~output ~freqs:union
+          |> List.map (fun (pt : E.Noise.point) -> (pt.E.Noise.freq, pt))
+          |> by_freq (Array.length union)
+        in
+        let contribution (c : E.Noise.contribution) =
+          J.Obj
+            [
+              ("element", J.Str c.E.Noise.element);
+              ("psd", J.Num c.E.Noise.psd);
+            ]
+        in
+        fun sg ->
+          let point freq =
+            let p = at freq in
+            ("total_psd", J.Num p.E.Noise.total_psd)
+            :: ("spot_nv", J.Num (E.Noise.spot_nv p))
+            ::
+            (if sg.sg_contributions then
+               [
+                 ( "contributions",
+                   J.Arr (List.map contribution p.E.Noise.contributions) );
+               ]
+             else [])
+          in
+          let total_rms =
+            if Array.length sg.sg_freqs >= 2 then
+              J.Num
+                (E.Noise.total_rms (Array.to_list (Array.map at sg.sg_freqs)))
+            else J.Null
+          in
+          J.Obj
+            [
+              ("points", points_json sg.sg_freqs point);
+              ("total_rms", total_rms);
+            ]);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* memory watermark: Gc heap words plus the plan cache's own size
@@ -860,7 +818,6 @@ let stats_json t =
         |> List.sort (fun (a, _) (b, _) -> String.compare a b))
   in
   let ms v = Float.round (v *. 1000.0) /. 1000.0 in
-  let num i = J.Num (float_of_int i) in
   J.Obj
     [
       ("uptime_s", J.Num (Unix.gettimeofday () -. t.started));
@@ -993,7 +950,6 @@ let health_json t =
   let shedding = pressure > watermark in
   let queue_full = depth >= t.config.max_queue in
   let status = if shedding || queue_full then "degraded" else "ok" in
-  let num i = J.Num (float_of_int i) in
   J.Obj
     [
       ("status", J.Str status);
@@ -1018,18 +974,34 @@ let health_json t =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* the verb table: everything the service knows per verb *)
+
+type handler =
+  | Control of (t -> J.t)  (* answered at submission, never queued *)
+  | Alone of (t -> P.request -> J.t * P.cache_note * P.cache_note)
+  | Sweep of sweep_verb  (* coalesces with compatible queued requests *)
+
+let handler = function
+  | P.Ping -> Control (fun _ -> J.Obj [])
+  | P.Stats -> Control stats_json
+  | P.Health -> Control health_json
+  | P.Shutdown -> Control (fun _ -> J.Obj [ ("stopping", J.Bool true) ])
+  | P.Op -> Alone run_op
+  | P.Tran -> Alone run_tran
+  | P.Lint -> Alone run_lint
+  | P.Verify -> Alone run_verify
+  | P.Extract -> Alone run_extract
+  | P.Spur -> Alone run_spur
+  | P.Ac -> Sweep ac_sweep
+  | P.Noise -> Sweep noise_sweep
+
+(* ------------------------------------------------------------------ *)
 (* submit: parse, immediately answer control verbs and refusals, queue
    analysis work *)
 
-let bump table k v =
-  match Hashtbl.find_opt table k with
-  | Some prev -> Hashtbl.replace table k (prev +. v)
-  | None -> Hashtbl.replace table k v
-
-let count table k =
-  match Hashtbl.find_opt table k with
-  | Some prev -> Hashtbl.replace table k (prev + 1)
-  | None -> Hashtbl.replace table k 1
+let bump add table k v =
+  Hashtbl.replace table k
+    (match Hashtbl.find_opt table k with Some prev -> add prev v | None -> v)
 
 let note_reply t reply =
   with_lock t (fun () ->
@@ -1038,6 +1010,68 @@ let note_reply t reply =
         t.errors_total <- t.errors_total + 1
       | _ -> t.responses_total <- t.responses_total + 1);
   reply
+
+(* admission of analysis work.  Graceful degradation first: when the
+   heap (or the accounted plan cache) crosses the watermark, shed LRU
+   state once, and if that was not enough answer busy instead of
+   growing toward the OOM killer.  Then the queue bound and the
+   per-client quota. *)
+let admit t ~client (req : P.request) =
+  let memory_ok =
+    if not (over_watermark t) then true
+    else begin
+      try_shed t;
+      not (over_watermark t)
+    end
+  in
+  let arrived = Unix.gettimeofday () in
+  let verdict =
+    with_lock t (fun () ->
+        let depth = Queue.length t.queue in
+        let mine =
+          Option.value (Hashtbl.find_opt t.per_client client) ~default:0
+        in
+        if not memory_ok then begin
+          t.rejected_memory <- t.rejected_memory + 1;
+          t.rejected_busy <- t.rejected_busy + 1;
+          `Memory
+        end
+        else if depth >= t.config.max_queue then begin
+          t.rejected_busy <- t.rejected_busy + 1;
+          `Busy
+        end
+        else if mine >= t.config.client_quota then begin
+          t.rejected_quota <- t.rejected_quota + 1;
+          `Quota
+        end
+        else begin
+          t.seq <- t.seq + 1;
+          Queue.add { seq = t.seq; client; arrived; req } t.queue;
+          Hashtbl.replace t.per_client client (mine + 1);
+          t.max_depth <- max t.max_depth (depth + 1);
+          `Accepted
+        end)
+  in
+  let refuse code msg =
+    `Replied
+      (note_reply t
+         (P.error ~id:req.P.id
+            ~data:[ ("retry_after_ms", J.Num 100.0) ]
+            code msg))
+  in
+  match verdict with
+  | `Accepted -> `Queued
+  | `Memory ->
+    refuse P.Busy
+      (Printf.sprintf "memory pressure: %.0f MB exceeds the %d MB watermark"
+         (mem_pressure_mb t) t.config.mem_watermark_mb)
+  | `Busy ->
+    refuse P.Busy
+      (Printf.sprintf "queue full (%d requests)" t.config.max_queue)
+  | `Quota ->
+    refuse P.Quota_exceeded
+      (Printf.sprintf "client has %d requests queued (quota %d)"
+         t.config.client_quota t.config.client_quota)
 
 let submit t ~client line =
   let trimmed = String.trim line in
@@ -1050,100 +1084,20 @@ let submit t ~client line =
       let id = Option.value (J.member "id" json) ~default:J.Null in
       `Replied (note_reply t (P.error ~id code msg))
     | Ok req -> (
-      with_lock t (fun () -> count t.verb_counts (P.verb_name req.P.verb));
-      let served_now =
-        { P.elapsed_ms = 0.0; plan = P.Not_applicable;
-          bias = P.Not_applicable; batched = 1 }
-      in
-      match req.P.verb with
-      | P.Ping ->
-        `Replied
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Ping ~served:served_now
-                (J.Obj [])))
-      | P.Stats ->
-        `Replied
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Stats ~served:served_now
-                (stats_json t)))
-      | P.Health ->
-        `Replied
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Health ~served:served_now
-                (health_json t)))
-      | P.Shutdown ->
-        `Shutdown
-          (note_reply t
-             (P.response ~id:req.P.id ~verb:P.Shutdown ~served:served_now
-                (J.Obj [ ("stopping", J.Bool true) ])))
-      | P.Op | P.Ac | P.Tran | P.Noise | P.Spur | P.Lint | P.Verify
-      | P.Extract -> (
-        (* graceful degradation: when the heap (or the accounted plan
-           cache) crosses the watermark, shed LRU state once, and if
-           that was not enough answer busy instead of growing toward
-           the OOM killer *)
-        let memory_ok =
-          if not (over_watermark t) then true
-          else begin
-            try_shed t;
-            not (over_watermark t)
-          end
+      with_lock t (fun () ->
+          bump ( + ) t.verb_counts (P.verb_name req.P.verb) 1);
+      match handler req.P.verb with
+      | Control payload ->
+        let reply =
+          note_reply t
+            (P.response ~id:req.P.id ~verb:req.P.verb
+               ~served:
+                 { P.elapsed_ms = 0.0; plan = P.Not_applicable;
+                   bias = P.Not_applicable; batched = 1 }
+               (payload t))
         in
-        let arrived = Unix.gettimeofday () in
-        let verdict =
-          with_lock t (fun () ->
-              let depth = Queue.length t.queue in
-              let mine =
-                Option.value (Hashtbl.find_opt t.per_client client) ~default:0
-              in
-              if not memory_ok then begin
-                t.rejected_memory <- t.rejected_memory + 1;
-                t.rejected_busy <- t.rejected_busy + 1;
-                `Memory
-              end
-              else if depth >= t.config.max_queue then begin
-                t.rejected_busy <- t.rejected_busy + 1;
-                `Busy
-              end
-              else if mine >= t.config.client_quota then begin
-                t.rejected_quota <- t.rejected_quota + 1;
-                `Quota
-              end
-              else begin
-                t.seq <- t.seq + 1;
-                Queue.add { seq = t.seq; client; arrived; req } t.queue;
-                Hashtbl.replace t.per_client client (mine + 1);
-                t.max_depth <- max t.max_depth (depth + 1);
-                `Accepted
-              end)
-        in
-        match verdict with
-        | `Accepted -> `Queued
-        | `Memory ->
-          `Replied
-            (note_reply t
-               (P.error ~id:req.P.id
-                  ~data:[ ("retry_after_ms", J.Num 100.0) ]
-                  P.Busy
-                  (Printf.sprintf
-                     "memory pressure: %.0f MB exceeds the %d MB watermark"
-                     (mem_pressure_mb t) t.config.mem_watermark_mb)))
-        | `Busy ->
-          `Replied
-            (note_reply t
-               (P.error ~id:req.P.id
-                  ~data:[ ("retry_after_ms", J.Num 100.0) ]
-                  P.Busy
-                  (Printf.sprintf "queue full (%d requests)"
-                     t.config.max_queue)))
-        | `Quota ->
-          `Replied
-            (note_reply t
-               (P.error ~id:req.P.id
-                  ~data:[ ("retry_after_ms", J.Num 100.0) ]
-                  P.Quota_exceeded
-                  (Printf.sprintf "client has %d requests queued (quota %d)"
-                     t.config.client_quota t.config.client_quota))))))
+        if req.P.verb = P.Shutdown then `Shutdown reply else `Replied reply
+      | Alone _ | Sweep _ -> admit t ~client req))
 
 (* ------------------------------------------------------------------ *)
 (* drain: execute everything queued, coalescing sweep-shaped work *)
@@ -1154,7 +1108,7 @@ let finish_timing t verb t0 =
       t.svc_total_ms <- t.svc_total_ms +. elapsed_ms;
       t.svc_last_ms <- elapsed_ms;
       if elapsed_ms > t.svc_max_ms then t.svc_max_ms <- elapsed_ms;
-      bump t.verb_ms (P.verb_name verb) elapsed_ms);
+      bump ( +. ) t.verb_ms (P.verb_name verb) elapsed_ms);
   elapsed_ms
 
 (* chaos point: die abruptly mid-request, exactly as a segfault or an
@@ -1182,49 +1136,20 @@ let run_with_deadline t ~arrived ~deadline_ms f =
       with_lock t (fun () -> t.deadline_exceeded <- t.deadline_exceeded + 1);
       raise e)
 
-let serve_single t (p : pending) =
+(* The one dispatch path: a lone request is a group of one, a sweep
+   group is led by its first member, whose plan and deadline serve
+   everyone.  [work] runs under the group's fault point, deadline and
+   error mapping and returns the leader's cache notes plus a renderer
+   of each member's result. *)
+let serve_group t (members : (pending * 'a) list) work emit =
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    guard_result ~id:p.req.P.id (fun () ->
-        fire_kill ();
-        run_with_deadline t ~arrived:p.arrived ~deadline_ms:p.req.P.deadline_ms
-          (fun () ->
-            match p.req.P.verb with
-            | P.Op -> run_op t p.req
-            | P.Tran -> run_tran t p.req
-            | P.Lint -> run_lint t p.req
-            | P.Verify -> run_verify t p.req
-            | P.Extract -> run_extract t p.req
-            | P.Spur -> run_spur t p.req
-            | P.Ac | P.Noise | P.Stats | P.Ping | P.Health | P.Shutdown ->
-              assert false))
-  in
-  let elapsed_ms = finish_timing t p.req.P.verb t0 in
-  with_lock t (fun () -> t.dispatches <- t.dispatches + 1);
-  match outcome with
-  | Error reply -> note_reply t reply
-  | Ok (result, plan, bias) ->
-    note_reply t
-      (P.response ~id:p.req.P.id ~verb:p.req.P.verb
-         ~served:{ P.elapsed_ms; plan; bias; batched = 1 }
-         result)
-
-(* serve a compatible group of AC (or noise) requests with one pool
-   dispatch over the union of their frequencies.  Byte-identity with
-   one-by-one serving holds because the cached plan's pivot order is
-   fixed by its first (master) factorization — every dispatch refills
-   the same pattern numerically. *)
-let serve_sweep_group t ~verb (members : (pending * sweep_sig) list) emit =
-  let t0 = Unix.gettimeofday () in
-  let leader = snd (List.hd members) in
+  let leader = (fst (List.hd members)).req in
   let n = List.length members in
   with_lock t (fun () ->
       t.dispatches <- t.dispatches + 1;
-      if n > 1 then t.coalesced <- t.coalesced + (n - 1));
-  let union = union_freqs members in
+      t.coalesced <- t.coalesced + (n - 1));
   Log.debug (fun m ->
-      m "dispatch %s: %d request(s), %d union point(s)" (P.verb_name verb) n
-        (Array.length union));
+      m "dispatch %s: %d request(s)" (P.verb_name leader.P.verb) n);
   (* the earliest member's admission time bounds the whole group (all
      members carry the same deadline_ms by [compatible]) *)
   let arrived =
@@ -1233,85 +1158,56 @@ let serve_sweep_group t ~verb (members : (pending * sweep_sig) list) emit =
       Float.infinity members
   in
   let outcome =
-    guard_result ~id:J.Null (fun () ->
+    guard_result ~id:leader.P.id (fun () ->
         fire_kill ();
-        run_with_deadline t ~arrived ~deadline_ms:leader.sg_deadline_ms
-          (fun () ->
-        let compiled, plan_note =
-          compiled_of t ~src:leader.sg_src ~text:leader.sg_text
-            ~overrides:leader.sg_overrides
-        in
-        let bias_note =
-          if Flow.compiled_bias_cached compiled then P.Hit else P.Miss
-        in
-        let acp = Flow.compiled_ac_plan compiled in
-        let render =
-          match verb with
-          | P.Ac ->
-            let points =
-              E.Ac.sweep_plan acp ~freqs:union ~nodes:leader.sg_columns
-            in
-            let table = Hashtbl.create (Array.length union) in
-            Array.iter
-              (fun (pt : E.Ac.sweep_point) ->
-                Hashtbl.replace table pt.E.Ac.freq pt.E.Ac.values)
-              points;
-            fun sg ->
-              J.Obj
-                [
-                  ( "points",
-                    ac_points_json ~nodes:sg.sg_columns ~freqs:sg.sg_freqs
-                      table );
-                ]
-          | P.Noise ->
-            let dc = Flow.compiled_bias compiled in
-            let output = List.hd leader.sg_columns in
-            let points = E.Noise.analyze_plan ~dc acp ~output ~freqs:union in
-            let table = Hashtbl.create (Array.length union) in
-            List.iter
-              (fun (pt : E.Noise.point) ->
-                Hashtbl.replace table pt.E.Noise.freq pt)
-              points;
-            fun sg ->
-              let points_json =
-                noise_points_json ~with_contributions:sg.sg_contributions
-                  ~freqs:sg.sg_freqs table
-              in
-              let total_rms =
-                if Array.length sg.sg_freqs >= 2 then
-                  J.Num
-                    (E.Noise.total_rms
-                       (Array.to_list
-                          (Array.map (Hashtbl.find table) sg.sg_freqs)))
-                else J.Null
-              in
-              J.Obj [ ("points", points_json); ("total_rms", total_rms) ]
-          | _ -> assert false
-        in
-        (plan_note, bias_note, render)))
+        run_with_deadline t ~arrived ~deadline_ms:leader.P.deadline_ms work)
   in
-  let elapsed_ms = finish_timing t verb t0 in
-  match outcome with
-  | Error failure ->
-    (* the group failed as a unit (lint refusal, singular pivot, bad
-       deck): every member gets the error, tagged with its own id *)
-    List.iter
-      (fun ((p : pending), _) ->
-        emit p.seq p.client (note_reply t (with_id failure p.req.P.id)))
-      members
-  | Ok (plan_note, bias_note, render) ->
-    List.iteri
-      (fun i ((p : pending), sg) ->
-        (* the leader reports the real cache outcome; coalesced
-           followers ran off the (by now resident) plan *)
-        let plan = if i = 0 then plan_note else P.Hit in
-        let bias = if i = 0 then bias_note else P.Hit in
-        emit p.seq p.client
-          (note_reply t
-             (P.response ~id:p.req.P.id ~verb
-                ~served:{ P.elapsed_ms; plan; bias; batched = n }
-                (render sg))))
-      members
+  let elapsed_ms = finish_timing t leader.P.verb t0 in
+  List.iteri
+    (fun i ((p : pending), member) ->
+      emit p.seq p.client
+        (note_reply t
+           (match outcome with
+           | Error failure ->
+             (* the group failed as a unit (lint refusal, singular
+                pivot, bad deck): every member gets the error, tagged
+                with its own id *)
+             with_id failure p.req.P.id
+           | Ok (plan, bias, render) ->
+             (* the leader reports the real cache outcome; coalesced
+                followers ran off the (by now resident) plan *)
+             let plan, bias =
+               if i = 0 then (plan, bias) else (P.Hit, P.Hit)
+             in
+             P.response ~id:p.req.P.id ~verb:leader.P.verb
+               ~served:{ P.elapsed_ms; plan; bias; batched = n }
+               (render member))))
+    members
+
+(* Serve a sweep group with one pool dispatch over the union of its
+   frequencies.  Byte-identity with one-by-one serving holds because
+   the cached plan's pivot order is fixed by its first (master)
+   factorization — every dispatch refills the same pattern
+   numerically. *)
+let solve_sweep t sv leader union =
+  let compiled, plan_note = compiled_of t leader.sg_deck in
+  let bias_note = bias_note compiled in
+  (plan_note, bias_note, sv.solve compiled leader union)
+
+(* a queued request, classified once *)
+type job =
+  | Lone of (t -> P.request -> J.t * P.cache_note * P.cache_note)
+  | Swept of sweep_verb * sweep_sig
+  | Refused of J.t  (* a sweep request whose params failed *)
+
+let job_of (p : pending) =
+  match handler p.req.P.verb with
+  | Alone run -> Lone run
+  | Sweep sv -> (
+    match guard_result ~id:p.req.P.id (fun () -> sweep_signature sv p.req) with
+    | Ok sg -> Swept (sv, sg)
+    | Error reply -> Refused reply)
+  | Control _ -> assert false (* never queued *)
 
 let drain ?(alive = fun _ -> true) t =
   let items =
@@ -1339,36 +1235,36 @@ let drain ?(alive = fun _ -> true) t =
   in
   let results = ref [] in
   let emit seq client reply = results := (seq, (client, reply)) :: !results in
-  let taken = Hashtbl.create 16 in
-  let try_signature (p : pending) =
-    match p.req.P.verb with
-    | P.Ac -> Some (guard_result ~id:p.req.P.id (fun () -> ac_signature p.req))
-    | P.Noise ->
-      Some (guard_result ~id:p.req.P.id (fun () -> noise_signature p.req))
-    | _ -> None
+  (* dispatch in submission order of each group's first member *)
+  let rec dispatch = function
+    | [] -> ()
+    | ((p : pending), Refused reply) :: rest ->
+      emit p.seq p.client (note_reply t reply);
+      dispatch rest
+    | (p, Lone run) :: rest ->
+      serve_group t [ (p, ()) ]
+        (fun () ->
+          let result, plan, bias = run t p.req in
+          (plan, bias, fun () -> result))
+        emit;
+      dispatch rest
+    | (p, Swept (sv, sg)) :: rest ->
+      let mates, rest =
+        List.partition_map
+          (function
+            | (q, Swept (_, qs))
+              when q.req.P.verb = p.req.P.verb && compatible sg qs ->
+              Either.Left (q, qs)
+            | other -> Either.Right other)
+          rest
+      in
+      let members = (p, sg) :: mates in
+      serve_group t members
+        (fun () -> solve_sweep t sv sg (union_freqs members))
+        emit;
+      dispatch rest
   in
-  List.iter
-    (fun (p : pending) ->
-      if not (Hashtbl.mem taken p.seq) then begin
-        Hashtbl.replace taken p.seq ();
-        match try_signature p with
-        | None -> emit p.seq p.client (serve_single t p)
-        | Some (Error reply) -> emit p.seq p.client (note_reply t reply)
-        | Some (Ok leader_sig) ->
-          let group = ref [ (p, leader_sig) ] in
-          List.iter
-            (fun (q : pending) ->
-              if (not (Hashtbl.mem taken q.seq)) && q.req.P.verb = p.req.P.verb
-              then
-                match try_signature q with
-                | Some (Ok qsig) when compatible leader_sig qsig ->
-                  Hashtbl.replace taken q.seq ();
-                  group := (q, qsig) :: !group
-                | _ -> ())
-            items;
-          serve_sweep_group t ~verb:p.req.P.verb (List.rev !group) emit
-      end)
-    items;
+  dispatch (List.map (fun p -> (p, job_of p)) items);
   List.sort (fun (a, _) (b, _) -> compare a b) !results |> List.map snd
 
 (* Replay the warmup journal into the plan cache (most recent
@@ -1379,18 +1275,20 @@ let warm_from_journal t =
   match t.journal with
   | None -> (0, 0)
   | Some j ->
-    let entries = Journal.replay ~path:(Journal.path j) in
-    let key_of (e : Journal.entry) =
-      Plan_cache.deck_key ~text:e.Journal.text ~overrides:e.Journal.overrides
+    let decks =
+      List.map
+        (fun (e : Journal.entry) ->
+          deck_of_text (P.Inline e.Journal.text) e.Journal.text
+            e.Journal.overrides)
+        (Journal.replay ~path:(Journal.path j))
     in
     let seen = Hashtbl.create 16 in
     let unique =
-      List.rev entries
-      |> List.filter (fun e ->
-             let key = key_of e in
-             if Hashtbl.mem seen key then false
+      List.rev decks
+      |> List.filter (fun d ->
+             if Hashtbl.mem seen d.key then false
              else begin
-               Hashtbl.replace seen key ();
+               Hashtbl.replace seen d.key ();
                true
              end)
       |> List.filteri (fun i _ -> i < t.config.max_decks)
@@ -1399,18 +1297,19 @@ let warm_from_journal t =
     t.journaling <- false;
     let ok = ref 0 and failed = ref 0 in
     List.iter
-      (fun (e : Journal.entry) ->
-        match
-          compiled_of t ~src:(P.Inline e.Journal.text) ~text:e.Journal.text
-            ~overrides:e.Journal.overrides
-        with
+      (fun d ->
+        match compiled_of t d with
         | _ -> incr ok
         | exception _ -> incr failed)
       unique;
     t.journaling <- true;
-    List.iter (fun e -> Hashtbl.replace t.journaled (key_of e) ()) unique;
+    List.iter (fun d -> Hashtbl.replace t.journaled d.key ()) unique;
     with_lock t (fun () -> t.journal_replayed <- !ok);
-    if unique <> [] then Journal.rewrite j unique;
+    if unique <> [] then
+      Journal.rewrite j
+        (List.map
+           (fun d -> { Journal.text = d.text; overrides = d.overrides })
+           unique);
     Log.info (fun m ->
         m "warmup journal: %d plan(s) recompiled, %d failed" !ok !failed);
     (!ok, !failed)

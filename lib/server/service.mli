@@ -15,7 +15,9 @@
     pool dispatch over the union of their points, then splits the
     results back per request.  Because a cached plan's pivot order is
     fixed by its first factorization, batched replies are
-    byte-identical to the same requests served one by one.
+    byte-identical to the same requests served one by one.  Every
+    queued request, alone or coalesced, goes through the same
+    dispatch path: a lone request is simply a group of one.
 
     {b Backpressure.}  A full queue answers [busy] (with a
     [retry_after_ms] hint), a client exceeding its in-queue quota

@@ -209,6 +209,55 @@ let test_config_digest_distinct () =
     (d (R.Auto 1e-4) <> d (R.Auto 1e-6));
   Alcotest.(check bool) "digest stable" true (d (R.Fixed 2) = d (R.Fixed 2))
 
+(* the one validator of the order / tol / s0 knobs, as a table *)
+let test_config_of_knobs () =
+  let s0 = R.default_config.R.s0_hz in
+  let ok ?order ?tol ?s0_hz () =
+    match R.config_of_knobs ?order ?tol ?s0_hz () with
+    | Ok c -> Option.map (fun (c : R.config) -> (c.R.order, c.R.s0_hz)) c
+    | Error m -> Alcotest.failf "refused: %s" m
+  in
+  let refused ?order ?tol ?s0_hz () =
+    Result.is_error (R.config_of_knobs ?order ?tol ?s0_hz ())
+  in
+  let check_ok name expected got =
+    Alcotest.(check bool) name true (got = expected)
+  in
+  check_ok "no knob, no reduction" None (ok ());
+  check_ok "order 1" (Some (R.Fixed 1, s0)) (ok ~order:1.0 ());
+  check_ok "order 1024" (Some (R.Fixed 1024, s0)) (ok ~order:1024.0 ());
+  check_ok "tol" (Some (R.Auto 1e-6, s0)) (ok ~tol:1e-6 ());
+  check_ok "order with s0" (Some (R.Fixed 4, 5e8))
+    (ok ~order:4.0 ~s0_hz:5e8 ());
+  check_ok "tol with s0" (Some (R.Auto 0.5, 1e9)) (ok ~tol:0.5 ~s0_hz:1e9 ());
+  List.iter
+    (fun (name, bad) -> Alcotest.(check bool) name true bad)
+    [
+      ("order 0", refused ~order:0.0 ());
+      ("order 1025", refused ~order:1025.0 ());
+      ("fractional order", refused ~order:2.5 ());
+      ("nan order", refused ~order:Float.nan ());
+      ("tol 0", refused ~tol:0.0 ());
+      ("tol 1", refused ~tol:1.0 ());
+      ("negative tol", refused ~tol:(-1.0) ());
+      ("tol 2", refused ~tol:2.0 ());
+      ("s0 0", refused ~order:2.0 ~s0_hz:0.0 ());
+      ("negative s0", refused ~tol:1e-3 ~s0_hz:(-1.0) ());
+      ("order and tol", refused ~order:2.0 ~tol:1e-3 ());
+      ("s0 alone", refused ~s0_hz:1e8 ());
+    ];
+  (* messages name the knob as the caller spells it *)
+  match
+    R.config_of_knobs
+      ~name:(function
+        | R.Order -> "--reduce-order" | R.Tol -> "--reduce-tol" | R.S0 -> "s0")
+      ~order:0.0 ()
+  with
+  | Error m ->
+    Alcotest.(check string) "message"
+      "--reduce-order: expected an integer order in 1..1024, got 0" m
+  | Ok _ -> Alcotest.fail "order 0 accepted"
+
 (* --- QCheck harness (ISSUE 9 satellite) --------------------------- *)
 
 (* Random connected RC networks: nodes 0..n-1 (0 is ground), a spanning
@@ -409,6 +458,7 @@ let suites =
           test_reduce_deck_noop;
         Alcotest.test_case "config digests distinct" `Quick
           test_config_digest_distinct;
+        Alcotest.test_case "knob validation" `Quick test_config_of_knobs;
       ] );
     ( "reduce.flow",
       [

@@ -416,7 +416,11 @@ let test_reduce_overrides () =
   check_bad "conflicting modes refused"
     {|{"reduce_order": 4, "reduce_tol": 1e-6}|};
   check_bad "dangling s0 refused" {|{"reduce_s0": 1e8}|};
-  check_bad "out-of-range tol refused" {|{"reduce_tol": 2.0}|}
+  check_bad "out-of-range tol refused" {|{"reduce_tol": 2.0}|};
+  check_bad "zero order refused" {|{"reduce_order": 0}|};
+  check_bad "order above 1024 refused" {|{"reduce_order": 2000}|};
+  check_bad "zero tol refused" {|{"reduce_tol": 0}|};
+  check_bad "negative s0 refused" {|{"reduce_s0": -1}|}
 
 (* ------------------------------------------------------------------ *)
 (* the verify verb: deck pre-flight, tile-cache and plan-cache modes *)
@@ -759,6 +763,77 @@ let test_warm_restart () =
       | other -> Alcotest.failf "journal stats: %s" (J.to_string other))
 
 (* ------------------------------------------------------------------ *)
+(* one drain over every queued verb *)
+
+let test_mixed_verb_drain () =
+  let ac id params = request ~id ~verb:"ac" ~deck ~params () in
+  let lines =
+    [
+      request ~id:1 ~verb:"op" ~deck ();
+      ac 2 {|{"freqs": [1e6, 2e6], "nodes": ["out"]}|};
+      request ~id:3 ~verb:"tran" ~deck ~params:{|{"tstop": 1e-6, "dt": 1e-7}|}
+        ();
+      request ~id:4 ~verb:"noise" ~deck
+        ~params:{|{"freqs": [1e3, 1e6], "output": "out"}|} ();
+      (* same plan and nodes as request 2: coalesces with it *)
+      ac 5 {|{"freqs": [3e6], "nodes": ["out"]}|};
+      request ~id:6 ~verb:"lint" ~deck ();
+      request ~id:7 ~verb:"verify" ~deck ();
+      (* no "nodes": refused before any dispatch *)
+      ac 8 {|{"freqs": [1e6]}|};
+    ]
+  in
+  let svc = Sv.create () in
+  let batch k =
+    match member k (member "batch" (Sv.stats_json svc)) with
+    | J.Num n -> int_of_float n
+    | other -> Alcotest.failf "batch.%s: %s" k (J.to_string other)
+  in
+  let dispatches0 = batch "dispatches" in
+  let coalesced0 = batch "coalesced_requests" in
+  let client i = 1 + (i mod 2) in
+  List.iteri
+    (fun i line ->
+      match Sv.submit svc ~client:(client i) line with
+      | `Queued -> ()
+      | _ -> Alcotest.failf "request %d not queued" (i + 1))
+    lines;
+  let replies = Sv.drain svc in
+  Alcotest.(check (list string))
+    "replies in submission order"
+    (List.init (List.length lines) (fun i -> string_of_int (i + 1)))
+    (List.map (fun (_, r) -> J.to_string (member "id" r)) replies);
+  Alcotest.(check (list int))
+    "each reply addressed to its client"
+    (List.mapi (fun i _ -> client i) lines)
+    (List.map fst replies);
+  let payload r =
+    J.to_string
+      (match J.member "result" r with Some v -> v | None -> member "error" r)
+  in
+  List.iteri
+    (fun i ((_, mixed), line) ->
+      let alone = handle1 (Sv.create ()) line in
+      (* alone on a fresh service, a solving verb finds no cached bias *)
+      if
+        List.mem (J.member "verb" alone)
+          [ Some (J.Str "op"); Some (J.Str "ac") ]
+      then
+        Alcotest.(check string)
+          (Printf.sprintf "request %d bias cold alone" (i + 1))
+          {|"miss"|}
+          (J.to_string (member "bias" (member "served" alone)));
+      Alcotest.(check string) (Printf.sprintf "request %d reply type" (i + 1))
+        (msg_type alone) (msg_type mixed);
+      Alcotest.(check string)
+        (Printf.sprintf "request %d byte-identical to serving it alone" (i + 1))
+        (payload alone) (payload mixed))
+    (List.combine replies lines);
+  Alcotest.(check int) "six dispatches" (dispatches0 + 6) (batch "dispatches");
+  Alcotest.(check int) "one coalesced request" (coalesced0 + 1)
+    (batch "coalesced_requests")
+
+(* ------------------------------------------------------------------ *)
 (* disconnect shedding at the dispatch boundary *)
 
 let test_drain_sheds_dead_clients () =
@@ -956,6 +1031,7 @@ let suites =
         Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
         Alcotest.test_case "warm restart from journal" `Quick
           test_warm_restart;
+        Alcotest.test_case "mixed-verb drain" `Quick test_mixed_verb_drain;
         Alcotest.test_case "drain sheds dead clients" `Quick
           test_drain_sheds_dead_clients;
       ] );
