@@ -14,6 +14,12 @@ module Flow = Snoise.Flow
 
 let fmt = Format.std_formatter
 
+(* [f pool] on a fresh worker pool of width [jobs], shut down after *)
+let with_pool jobs f =
+  let pool = Sn_engine.Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Sn_engine.Pool.shutdown pool) (fun () ->
+      f pool)
+
 let banner title =
   Format.fprintf fmt "@.%s@.%s@.%s@." (String.make 72 '=') title
     (String.make 72 '=')
@@ -360,11 +366,13 @@ let frequency_domain () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* sparse AC sweep, sequential *)
-  Eng.Pool.set_default_jobs 1;
-  ignore (Eng.Ac.sweep ~dc nl ~freqs:[| 1.0e6 |] ~nodes:[ out ]) (* warm-up *);
+  (* sparse AC sweep, sequential (a width-1 pool spawns no domains) *)
+  let seq_pool = Eng.Pool.create ~jobs:1 () in
+  ignore
+    (Eng.Ac.sweep ~pool:seq_pool ~dc nl ~freqs:[| 1.0e6 |] ~nodes:[ out ])
+  (* warm-up *);
   let seq, t_sparse =
-    time (fun () -> Eng.Ac.sweep ~dc nl ~freqs ~nodes:[ out ])
+    time (fun () -> Eng.Ac.sweep ~pool:seq_pool ~dc nl ~freqs ~nodes:[ out ])
   in
   (* dense reference on a subset of points, extrapolated *)
   let subset = [| 0; n_pts / 3; 2 * n_pts / 3; n_pts - 1 |] in
@@ -393,14 +401,15 @@ let frequency_domain () =
   if !max_ac_err > 1e-9 then
     failwith "bench part5: sparse AC disagrees with the dense reference";
   (* parallel byte-identity *)
-  Eng.Pool.set_default_jobs 4;
-  let par = Eng.Ac.sweep ~dc nl ~freqs ~nodes:[ out ] in
-  Eng.Pool.set_default_jobs 1;
+  let par =
+    with_pool 4 (fun pool -> Eng.Ac.sweep ~pool ~dc nl ~freqs ~nodes:[ out ])
+  in
   if not (seq = par) then
     failwith "bench part5: jobs=4 sweep differs from jobs=1";
   (* adjoint noise on the shared sparse factorization *)
   let noise_pts, t_noise =
-    time (fun () -> Eng.Noise.analyze ~dc nl ~output:out ~freqs)
+    time (fun () ->
+        Eng.Noise.analyze ~pool:seq_pool ~dc nl ~output:out ~freqs)
   in
   let noise_arr = Array.of_list noise_pts in
   (* dense adjoint baseline: materialized transpose + dense complex LU
@@ -445,7 +454,6 @@ let frequency_domain () =
   let t_noise_dense_est = t_noise_dense_sub /. n_sub *. float_of_int n_pts in
   if !max_noise_err > 1e-9 then
     failwith "bench part5: adjoint noise disagrees with the dense baseline";
-  Eng.Pool.set_default_jobs (Eng.Pool.env_jobs ());
   let ac_speedup = t_dense_est /. t_sparse in
   let noise_speedup = t_noise_dense_est /. t_noise in
   Format.fprintf fmt
@@ -654,15 +662,13 @@ let extraction_scaling () =
     t_warm st_warm.X.cache_hits st_warm.X.tiles;
   (* worker-count determinism *)
   let n_par = if small then 48 else 96 in
-  let run_par () =
-    X.extract ~config:(cfg n_par) ~tiles:(2, 2) ~tech:Sn_tech.Tech.imec018
-      ~die ports
+  let run_par jobs =
+    with_pool jobs (fun pool ->
+        X.extract ~config:(cfg n_par) ~tiles:(2, 2) ~pool
+          ~tech:Sn_tech.Tech.imec018 ~die ports)
   in
-  Pool.set_default_jobs 1;
-  let seq = run_par () in
-  Pool.set_default_jobs 4;
-  let par = run_par () in
-  Pool.set_default_jobs (Pool.env_jobs ());
+  let seq = run_par 1 in
+  let par = run_par 4 in
   if mat_bits seq.Mac.conductance <> mat_bits par.Mac.conductance then
     failwith "bench part6: jobs=4 extraction differs from jobs=1";
   Format.fprintf fmt "jobs=1 vs jobs=4: byte-identical@.";
@@ -804,11 +810,9 @@ let serving_throughput () =
   in
   let result_str reply = J.to_string (member "result" reply) in
   let batch_identical jobs =
-    Snoise.Sweep.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Snoise.Sweep.set_jobs 1)
-      (fun () ->
-        let batched = Sv.create () in
+    with_pool jobs (fun pool ->
+        let options = { Flow.default_options with Flow.pool = Some pool } in
+        let batched = Sv.create ~options () in
         List.iteri
           (fun i freqs ->
             match Sv.submit batched ~client:1 (ac_line ~id:i freqs) with
@@ -816,7 +820,7 @@ let serving_throughput () =
             | _ -> failwith "bench part7: batch submit not queued")
           freq_sets;
         let batched_replies = List.map snd (Sv.drain batched) in
-        let indiv = Sv.create () in
+        let indiv = Sv.create ~options () in
         List.iteri
           (fun i freqs ->
             let b = List.nth batched_replies i in
@@ -1052,10 +1056,10 @@ let reduction_speedup () =
     { R.default_config with R.order = R.Auto 1e-6; band = (1.0e6, 1.0e9) }
   in
   let t_build0 = Unix.gettimeofday () in
-  let red = R.reduce_deck ~config ~keep:[ out ] nl in
+  let red, reduced = R.reduce_deck_certified ~config ~keep:[ out ] nl in
   let build_s = Unix.gettimeofday () -. t_build0 in
   let stats =
-    match R.last_stats () with
+    match Option.bind reduced (fun (model, _) -> R.stats model) with
     | Some s -> s
     | None -> failwith "bench part9: reduction did not run"
   in
@@ -1069,7 +1073,10 @@ let reduction_speedup () =
   let n_pts = if small then 40 else 96 in
   let freqs = N.Sweep.logspace 1.0e6 1.0e9 n_pts in
   let dc_exact = Eng.Dc.solve nl and dc_red = Eng.Dc.solve red in
-  let sweep ~dc deck = Eng.Ac.sweep ~dc deck ~freqs ~nodes:[ out ] in
+  let seq_pool = Eng.Pool.create ~jobs:1 () in
+  let sweep ?(pool = seq_pool) ~dc deck =
+    Eng.Ac.sweep ~pool ~dc deck ~freqs ~nodes:[ out ]
+  in
   (* warm both paths before timing (symbolic factorization, plans) *)
   ignore (sweep ~dc:dc_exact nl);
   ignore (sweep ~dc:dc_red red);
@@ -1083,7 +1090,6 @@ let reduction_speedup () =
     done;
     !best
   in
-  Eng.Pool.set_default_jobs 1;
   let t_exact = min_of (fun () -> sweep ~dc:dc_exact nl) in
   let t_red = min_of (fun () -> sweep ~dc:dc_red red) in
   let speedup = t_exact /. t_red in
@@ -1102,9 +1108,7 @@ let reduction_speedup () =
       max_err := Float.max !max_err err)
     pts_exact;
   (* parallel byte-identity on the reduced path *)
-  Eng.Pool.set_default_jobs 4;
-  let pts_par = sweep ~dc:dc_red red in
-  Eng.Pool.set_default_jobs (Eng.Pool.env_jobs ());
+  let pts_par = with_pool 4 (fun pool -> sweep ~pool ~dc:dc_red red) in
   let parallel_identical = pts_red = pts_par in
   Format.fprintf fmt
     "%d points: exact %.3f ms, reduced %.3f ms -> %.1fx, max rel err \

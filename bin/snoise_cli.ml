@@ -6,29 +6,39 @@
 
 open Cmdliner
 
-let setup_logs
-    (verbose, jobs, no_lint, cache_dir, no_cache, reduce_order, reduce_tol) =
+(* The common flags, read once: logging is set up on the way, and the
+   run configuration comes back as the options every flow is called
+   with, paired with the [--jobs] width (see [with_jobs]). *)
+let setup verbose jobs no_lint cache_dir no_cache reduce_order reduce_tol =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Info else Some Logs.Warning);
-  Option.iter Snoise.Sweep.set_jobs jobs;
-  if no_lint then Snoise.Flow.disable_lint ();
-  (match
-     Snoise.Reduced_model.(
-       config_of_knobs
-         ~name:(function
-           | Order -> "--reduce-order" | Tol -> "--reduce-tol" | S0 -> "s0")
-         ?order:(Option.map float_of_int reduce_order) ?tol:reduce_tol ())
-   with
-  | Ok config -> Snoise.Flow.set_default_reduction config
-  | Error msg ->
-    Format.eprintf "snoise: %s@." msg;
-    exit 1);
+  let reduce =
+    match
+      Snoise.Reduced_model.(
+        config_of_knobs
+          ~name:(function
+            | Order -> "--reduce-order" | Tol -> "--reduce-tol" | S0 -> "s0")
+          ?order:(Option.map float_of_int reduce_order) ?tol:reduce_tol ())
+    with
+    | Ok config -> config
+    | Error msg ->
+      Format.eprintf "snoise: %s@." msg;
+      exit 1
+  in
   if no_cache then Sn_substrate.Cache.set_default_dir None
   else
     Option.iter
       (fun d -> Sn_substrate.Cache.set_default_dir (Some d))
-      cache_dir
+      cache_dir;
+  ({ Snoise.Flow.default_options with lint = not no_lint; reduce }, jobs)
+
+(* [--jobs N] becomes the run's own pool of width N; without it the
+   default pool ([SNOISE_JOBS]) serves the run *)
+let with_jobs (options, jobs) =
+  { options with
+    Snoise.Flow.pool =
+      Option.map (fun jobs -> Sn_engine.Pool.create ~jobs ()) jobs }
 
 let verbose_flag =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log extraction progress.")
@@ -95,11 +105,12 @@ let reduce_tol_flag =
 
 (* every command takes -v, --jobs, --no-lint, the cache knobs and the
    model-order-reduction knobs *)
-let verbose =
+let common =
   Term.(
-    const (fun v j nl cd nc ro rt -> (v, j, nl, cd, nc, ro, rt))
-    $ verbose_flag $ jobs_flag $ no_lint_flag $ cache_dir_flag
+    const setup $ verbose_flag $ jobs_flag $ no_lint_flag $ cache_dir_flag
     $ no_cache_flag $ reduce_order_flag $ reduce_tol_flag)
+
+let options = Term.(const with_jobs $ common)
 
 let fmt = Format.std_formatter
 
@@ -117,70 +128,62 @@ let or_diag_exit f =
 
 let print_json j = print_endline (Sn_json.Json.to_string j)
 
-let run_fig3 verbose =
-  setup_logs verbose;
+let run_fig3 options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig3 fmt (Snoise.Experiments.fig3 ());
-      Snoise.Report.sec3 fmt (Snoise.Experiments.sec3_numbers ());
+      Snoise.Report.fig3 fmt (Snoise.Experiments.fig3 ~options ());
+      Snoise.Report.sec3 fmt (Snoise.Experiments.sec3_numbers ~options ());
       finish ())
 
-let run_fig7 verbose f_noise =
-  setup_logs verbose;
+let run_fig7 options f_noise =
   or_diag_exit (fun () ->
-      Snoise.Report.fig7 fmt (Snoise.Experiments.fig7 ~f_noise ());
+      Snoise.Report.fig7 fmt (Snoise.Experiments.fig7 ~options ~f_noise ());
       finish ())
 
-let run_fig8 verbose =
-  setup_logs verbose;
+let run_fig8 options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig8 fmt (Snoise.Experiments.fig8 ());
+      Snoise.Report.fig8 fmt (Snoise.Experiments.fig8 ~options ());
       finish ())
 
-let run_fig9 verbose =
-  setup_logs verbose;
+let run_fig9 options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig9 fmt (Snoise.Experiments.fig9 ());
+      Snoise.Report.fig9 fmt (Snoise.Experiments.fig9 ~options ());
       finish ())
 
-let run_fig10 verbose =
-  setup_logs verbose;
+let run_fig10 options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig10 fmt (Snoise.Experiments.fig10 ());
+      Snoise.Report.fig10 fmt (Snoise.Experiments.fig10 ~options ());
       finish ())
 
-let run_card verbose =
-  setup_logs verbose;
+let run_card options =
   or_diag_exit (fun () ->
-      Snoise.Report.vco_card fmt (Snoise.Experiments.vco_card ());
+      Snoise.Report.vco_card fmt (Snoise.Experiments.vco_card ~options ());
       finish ())
 
-let run_runtime verbose =
-  setup_logs verbose;
+let run_runtime options =
   or_diag_exit (fun () ->
-      Snoise.Report.runtime fmt (Snoise.Experiments.runtime ());
+      Snoise.Report.runtime fmt (Snoise.Experiments.runtime ~options ());
       finish ())
 
-let run_aggressor verbose =
-  setup_logs verbose;
+let run_aggressor options =
   or_diag_exit (fun () ->
-      Snoise.Report.aggressor fmt (Snoise.Experiments.aggressor_comb ());
+      Snoise.Report.aggressor fmt
+        (Snoise.Experiments.aggressor_comb ~options ());
       finish ())
 
-let run_all verbose =
-  run_fig3 verbose;
-  run_fig7 verbose 10.0e6;
-  run_fig8 verbose;
-  run_fig9 verbose;
-  run_fig10 verbose;
-  run_card verbose;
-  run_runtime verbose
+let run_all options =
+  run_fig3 options;
+  run_fig7 options 10.0e6;
+  run_fig8 options;
+  run_fig9 options;
+  run_fig10 options;
+  run_card options;
+  run_runtime options
 
-let run_extract verbose path =
-  setup_logs verbose;
+let run_extract options path =
   let layout = Sn_layout.Layout_io.load path in
   let macro =
-    Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
-      layout
+    Sn_substrate.Extractor.extract_from_layout ?pool:options.Snoise.Flow.pool
+      ~tech:Sn_tech.Tech.imec018 layout
   in
   Sn_substrate.Macromodel.pp fmt macro;
   Format.fprintf fmt "@.";
@@ -191,24 +194,24 @@ let run_extract verbose path =
     (Sn_substrate.Macromodel.to_resistors macro);
   finish ()
 
-let run_netlist verbose vtune =
-  setup_logs verbose;
+let run_netlist options vtune =
   or_diag_exit (fun () ->
-      let flow = Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune in
+      let flow =
+        Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune
+      in
       print_string (Sn_circuit.Spice.to_string (Snoise.Flow.vco_merged flow)))
 
-let run_op verbose vtune file =
-  setup_logs verbose;
+let run_op options vtune file =
   or_diag_exit (fun () ->
       let netlist =
         match file with
         | Some path ->
           let nl = Sn_circuit.Spice.load path in
-          Snoise.Flow.lint_gate nl;
+          Snoise.Flow.lint_gate ~enabled:options.Snoise.Flow.lint nl;
           nl
         | None ->
           let flow =
-            Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune
+            Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune
           in
           Snoise.Flow.vco_merged flow
       in
@@ -216,8 +219,7 @@ let run_op verbose vtune file =
       Format.fprintf fmt "%a@." Sn_engine.Dc.pp dc;
       finish ())
 
-let run_lint verbose json strict ignores disables file =
-  setup_logs verbose;
+let run_lint options json strict ignores disables file =
   or_diag_exit (fun () ->
       let deck, netlist =
         match file with
@@ -225,7 +227,7 @@ let run_lint verbose json strict ignores disables file =
         | None ->
           ( "merged VCO impact model",
             Snoise.Flow.vco_merged
-              (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default
+              (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default
                  ~vtune:0.45) )
       in
       let config =
@@ -247,8 +249,7 @@ let run_lint verbose json strict ignores disables file =
    reduction certificate, or a bad cache entry, exits 1.  Unreadable
    input exits 2, like every diagnostic failure. *)
 
-let run_verify verbose json ignores disables cache file =
-  setup_logs verbose;
+let run_verify options json ignores disables cache file =
   or_diag_exit (fun () ->
       match (cache, file) with
       | Some _, Some _ ->
@@ -279,22 +280,26 @@ let run_verify verbose json ignores disables cache file =
                   (String.concat "; " msg);
                 exit 2 ))
           | None ->
+            (* unreduced: the pre-flight dry-runs the reduction itself *)
             ( "merged VCO impact model",
               Snoise.Flow.vco_merged
-                (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default
-                   ~vtune:0.45) )
+                (Snoise.Flow.build_vco
+                   ~options:{ options with Snoise.Flow.reduce = None }
+                   Sn_testchip.Vco_chip.default ~vtune:0.45) )
         in
         let config =
           Sn_analysis.Analyzer.configure ~disable:disables ~ignore:ignores
         in
-        let p = Snoise.Flow.preflight ~config netlist in
+        let p =
+          Snoise.Flow.preflight ~config ?reduce:options.Snoise.Flow.reduce
+            netlist
+        in
         if json then print_json (Snoise.Report.verify_json ~deck p)
         else Snoise.Report.verify fmt ~deck p;
         finish ();
         if Snoise.Flow.preflight_failing p then exit 1)
 
-let run_drc verbose file =
-  setup_logs verbose;
+let run_drc _common file =
   let layout =
     match file with
     | Some path -> Sn_layout.Layout_io.load path
@@ -306,12 +311,11 @@ let run_drc verbose file =
   finish ();
   if vs <> [] then exit 1
 
-let run_isolation verbose path port1 port2 =
-  setup_logs verbose;
+let run_isolation options path port1 port2 =
   let layout = Sn_layout.Layout_io.load path in
   let macro =
-    Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
-      layout
+    Sn_substrate.Extractor.extract_from_layout ?pool:options.Snoise.Flow.pool
+      ~tech:Sn_tech.Tech.imec018 layout
   in
   let nl =
     Sn_circuit.Netlist.create
@@ -386,9 +390,8 @@ let supervise_loop run_worker =
   in
   loop 0.25
 
-let run_serve verbose socket tcp auth_token supervise max_queue quota
+let run_serve common socket tcp auth_token supervise max_queue quota
     max_decks tran_max_points max_flows mem_watermark_mb warmup_journal =
-  setup_logs verbose;
   let tcp =
     Option.map
       (fun s ->
@@ -410,7 +413,12 @@ let run_serve verbose socket tcp auth_token supervise max_queue quota
     }
   in
   let worker () =
-    let server = Sn_server.Server.create ~config ?tcp ?auth_token ~socket () in
+    (* the --jobs pool is spawned here, after the supervisor's fork:
+       Unix.fork refuses a process that already runs other domains *)
+    let options = with_jobs common in
+    let server =
+      Sn_server.Server.create ~config ~options ?tcp ?auth_token ~socket ()
+    in
     (match Sn_server.Service.warm_from_journal (Sn_server.Server.service server)
      with
     | 0, 0 -> ()
@@ -431,8 +439,7 @@ let run_serve verbose socket tcp auth_token supervise max_queue quota
 
 (* one-shot JSONL client: send request lines (positional or stdin),
    print each reply line, exit 1 when any reply is an error *)
-let run_request verbose socket wait lines =
-  setup_logs verbose;
+let run_request _common socket wait lines =
   let connect () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX socket);
@@ -527,30 +534,30 @@ let cmd name doc term =
 let cmds =
   [
     cmd "fig3" "NMOS measurement structure transfer (paper Figure 3 / section 3)"
-      Term.(const run_fig3 $ verbose);
+      Term.(const run_fig3 $ options);
     cmd "fig7" "VCO output spectrum with a substrate tone (paper Figure 7)"
-      Term.(const run_fig7 $ verbose $ f_noise_arg);
+      Term.(const run_fig7 $ options $ f_noise_arg);
     cmd "fig8" "spur power vs noise frequency and Vtune (paper Figure 8)"
-      Term.(const run_fig8 $ verbose);
+      Term.(const run_fig8 $ options);
     cmd "fig9" "per-device contribution analysis (paper Figure 9)"
-      Term.(const run_fig9 $ verbose);
+      Term.(const run_fig9 $ options);
     cmd "fig10" "ground interconnect sizing experiment (paper Figure 10)"
-      Term.(const run_fig10 $ verbose);
+      Term.(const run_fig10 $ options);
     cmd "card" "VCO design card check (paper section 4)"
-      Term.(const run_card $ verbose);
+      Term.(const run_card $ options);
     cmd "runtime" "extraction / simulation wall-clock (paper section 6 note)"
-      Term.(const run_runtime $ verbose);
+      Term.(const run_runtime $ options);
     cmd "aggressor"
       "digital switching-noise spur comb (the paper's sign-off outlook)"
-      Term.(const run_aggressor $ verbose);
-    cmd "all" "run every experiment" Term.(const run_all $ verbose);
+      Term.(const run_aggressor $ options);
+    cmd "all" "run every experiment" Term.(const run_all $ options);
     cmd "extract" "extract the substrate macromodel of a layout file"
-      Term.(const run_extract $ verbose $ layout_arg);
+      Term.(const run_extract $ options $ layout_arg);
     cmd "netlist" "print the merged VCO impact model as a SPICE deck"
-      Term.(const run_netlist $ verbose $ vtune_arg);
+      Term.(const run_netlist $ options $ vtune_arg);
     cmd "drc" "design-rule check a layout file (default: the VCO layout)"
       Term.(
-        const run_drc $ verbose
+        const run_drc $ common
         $ Arg.(
             value
             & pos 0 (some file) None
@@ -558,7 +565,7 @@ let cmds =
     cmd "isolation"
       "S21 substrate isolation between two ports of a layout file"
       Term.(
-        const run_isolation $ verbose $ layout_arg
+        const run_isolation $ options $ layout_arg
         $ Arg.(
             required
             & pos 1 (some string) None
@@ -569,7 +576,7 @@ let cmds =
             & info [] ~docv:"PORT2" ~doc:"Victim port name."));
     cmd "op" "DC operating point of a SPICE deck (default: the merged VCO)"
       Term.(
-        const run_op $ verbose $ vtune_arg
+        const run_op $ options $ vtune_arg
         $ Arg.(
             value
             & pos 0 (some file) None
@@ -580,7 +587,7 @@ let cmds =
     cmd "serve"
       "persistent simulation service over a Unix-domain socket (JSONL)"
       Term.(
-        const run_serve $ verbose $ socket_arg
+        const run_serve $ common $ socket_arg
         $ Arg.(
             value
             & opt (some string) None
@@ -675,7 +682,7 @@ let cmds =
     cmd "request"
       "send JSONL request lines to a running snoise serve and print replies"
       Term.(
-        const run_request $ verbose $ socket_arg
+        const run_request $ common $ socket_arg
         $ Arg.(
             value
             & opt float 0.0
@@ -695,7 +702,7 @@ let cmds =
     cmd "lint"
       "structural ERC of a SPICE deck (default: the merged VCO model)"
       Term.(
-        const run_lint $ verbose
+        const run_lint $ options
         $ Arg.(
             value & flag
             & info [ "json" ]
@@ -726,7 +733,7 @@ let cmds =
       "numerical pre-flight of a deck, or certificate verification of a \
        tile-cache directory"
       Term.(
-        const run_verify $ verbose
+        const run_verify $ options
         $ Arg.(
             value & flag
             & info [ "json" ]

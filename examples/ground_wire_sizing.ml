@@ -26,7 +26,7 @@ let () =
   Format.printf "== Ground wire sizing (paper Fig. 10, extended) ==@.@.";
   Format.printf
     "Spur at fc + 10 MHz, -5 dBm substrate tone, Vtune = 0 (%d jobs):@.@."
-    (Sweep.jobs ());
+    (Sn_engine.Pool.jobs (Sn_engine.Pool.default ()));
   Format.printf "  %8s %12s %12s %14s@." "width x" "wire R" "spur [dBm]"
     "vs normal [dB]";
   (* every width is an independent extraction + impact run: one sweep

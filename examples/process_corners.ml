@@ -12,7 +12,7 @@ let () =
      (Snoise.Sweep.corners) — width picked by SNOISE_JOBS *)
   Format.printf "  evaluating %d corners on %d worker(s)@.@."
     (List.length Corners.corners_3sigma)
-    (Snoise.Sweep.jobs ());
+    (Sn_engine.Pool.jobs (Sn_engine.Pool.default ()));
   let results = Corners.vco_spread () in
   Format.printf "  %-12s %10s %10s %10s %8s | %12s %10s@." "corner"
     "bulk rho" "sheet R" "contact R" "well C" "spur [dBm]" "fc [GHz]";

@@ -66,7 +66,7 @@ let with_corner options c =
 
 let nmos_spread ?(options = Flow.default_options)
     ?(corners = corners_3sigma) () =
-  Sweep.corners
+  Sweep.corners ?pool:options.Flow.pool
     (fun c ->
       let flow =
         Flow.build_nmos ~options:(with_corner options c)
@@ -87,7 +87,7 @@ type vco_corner_result = {
 
 let vco_spread ?(options = Flow.default_options) ?(corners = corners_3sigma)
     () =
-  Sweep.corners
+  Sweep.corners ?pool:options.Flow.pool
     (fun c ->
       let flow =
         Flow.build_vco ~options:(with_corner options c) Tc.Vco_chip.default

@@ -125,7 +125,7 @@ let fig7 ?(options = Flow.default_options) ?(f_noise = 10.0e6) () =
      pool path (and its determinism guarantee) with fig8-fig10 *)
   let spur, lower, upper, samples =
     match
-      Sweep.map_points
+      Sweep.map_points ?pool:options.Flow.pool
         (fun fn ->
           let spur = Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn in
           let lower, upper, samples = behavioral_sidebands osc ~h:(h fn) ~f_noise:fn in
@@ -186,8 +186,9 @@ let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
      impact simulation) fans out over the vtunes, then the per-point
      work fans out over the full (family x f_noise) grid.  Each level
      drains before the next starts, so the pool is never re-entered. *)
+  let pool = options.Flow.pool in
   let families =
-    Sweep.map_points
+    Sweep.map_points ?pool
       (fun vtune ->
         let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune in
         let h = Flow.vco_transfers flow ~f_noise in
@@ -196,7 +197,7 @@ let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
       vtunes
   in
   let cells =
-    Sweep.grid
+    Sweep.grid ?pool
       (fun (_, _, flow, h, osc) fn ->
         let spur =
           Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn
@@ -259,7 +260,7 @@ let fig9 ?(options = Flow.default_options) ?(f_noise = default_f_noise) () =
   let h = Flow.vco_transfers flow ~f_noise in
   let spurs =
     Array.to_list f_noise
-    |> Sweep.map_points (fun fn ->
+    |> Sweep.map_points ?pool:options.Flow.pool (fun fn ->
            (fn, Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn))
   in
   let labels =
@@ -325,9 +326,10 @@ let fig10 ?(options = Flow.default_options) ?(f_noise = default_f_noise) () =
   (* the two variants (normal / widened ground) are independent full
      extractions: build them as parallel sweep points, then fan the
      per-frequency spur pairs out *)
+  let pool = options.Flow.pool in
   let normal, widened =
     match
-      Sweep.map_points
+      Sweep.map_points ?pool
         (fun options ->
           let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune:0.0 in
           (flow, Flow.vco_transfers flow ~f_noise))
@@ -338,7 +340,7 @@ let fig10 ?(options = Flow.default_options) ?(f_noise = default_f_noise) () =
   in
   let points =
     Array.to_list f_noise
-    |> Sweep.map_points (fun fn ->
+    |> Sweep.map_points ?pool (fun fn ->
            let s_n =
              Flow.vco_spur (fst normal) ~h:(snd normal)
                ~p_noise_dbm:paper_noise_dbm ~f_noise:fn
@@ -423,13 +425,14 @@ type runtime = {
 }
 
 let runtime ?(options = Flow.default_options) () =
-  Sweep.reset_stats ();
+  let pool = Flow.pool_of options in
+  Sn_engine.Pool.reset_stats pool;
   let t0 = Unix.gettimeofday () in
   let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune:0.0 in
   let t1 = Unix.gettimeofday () in
   let h = Flow.vco_transfers flow ~f_noise:default_f_noise in
   ignore
-    (Sweep.map_array
+    (Sweep.map_array ~pool
        (fun fn ->
          Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn)
        default_f_noise);
@@ -445,7 +448,7 @@ let runtime ?(options = Flow.default_options) () =
     simulation_seconds = t2 -. t1;
     grid_cells = cells;
     extractor = xstats;
-    pool = Sweep.stats ();
+    pool = Sn_engine.Pool.stats pool;
     tile_cache = Sn_substrate.Cache.resolution ();
-    reduction = Reduced_model.last_stats ();
+    reduction = Flow.vco_reduction flow;
   }

@@ -1,7 +1,9 @@
 (** Drivers that regenerate every table and figure of the paper's
     evaluation.  Each function returns a structured result record; the
     benchmark harness and the CLI print them, and the test suite
-    asserts the acceptance bands recorded in EXPERIMENTS.md. *)
+    asserts the acceptance bands recorded in EXPERIMENTS.md.  Every
+    driver takes its whole run configuration as [?options]
+    ({!Flow.options}); the sweep fan-outs run on its [pool]. *)
 
 val paper_noise_dbm : float
 (** The paper's injected tone power: -5 dBm. *)
@@ -174,12 +176,12 @@ type runtime = {
           ([--cache-dir] / [SNOISE_CACHE_DIR] / disabled) — the knob
           that decides whether this extraction could run warm *)
   reduction : Reduced_model.stats option;
-      (** model-order reduction counters of the flow's merged deck
-          (order, rank, build time, estimated error) when
-          [--reduce-order] / [--reduce-tol] is active *)
+      (** the flow's own model-order reduction ({!Flow.vco_reduction}:
+          order, rank, build time, estimated error) when
+          [options.reduce] is set and the reduction won *)
 }
 
 val runtime : ?options:Flow.options -> unit -> runtime
 (** Time one full flow run — extraction, then the default noise-
-    frequency impact sweep on the shared pool — mirroring the paper's
+    frequency impact sweep on the run's pool — mirroring the paper's
     "20 min + 15 min on an HP-UX L2000" section-6 note. *)

@@ -22,9 +22,7 @@ type options = {
   tech : Sn_tech.Tech.t;
   lint : bool;
   reduce : Reduced_model.config option;
-      (** swap the merged deck's passive pool for its PRIMA-reduced
-          realization before compiling; [None] follows the process-wide
-          default ({!set_default_reduction}) *)
+  pool : Sn_engine.Pool.t option;
 }
 
 let default_options =
@@ -36,27 +34,25 @@ let default_options =
     tech = Sn_tech.Tech.imec018;
     lint = true;
     reduce = None;
+    pool = None;
   }
 
-(* process-wide reduction default, the --reduce-order / --reduce-tol
-   CLI knob (mirrors the disable_lint pattern: figure flows construct
-   their own options and pick the default up from here) *)
-let default_reduction : Reduced_model.config option ref = ref None
+let pool_of options =
+  match options.pool with Some p -> p | None -> Sn_engine.Pool.default ()
 
-let set_default_reduction c = default_reduction := c
-
-let reduction_of options =
-  match options.reduce with Some _ as c -> c | None -> !default_reduction
-
+(* the deck with its passive pool swapped for the configured PRIMA
+   realization, and the stats of that reduction ([None] when exact) *)
 let maybe_reduce options ~keep nl =
-  match reduction_of options with
-  | None -> nl
-  | Some config -> Reduced_model.reduce_deck ~config ~keep nl
+  match options.reduce with
+  | None -> (nl, None)
+  | Some config ->
+    let nl, reduced = Reduced_model.reduce_deck_certified ~config ~keep nl in
+    (nl, Option.bind reduced (fun (model, _) -> Reduced_model.stats model))
 
 (* substrate tile-cache namespace tag: reduced and exact runs must
    never share cached artifacts *)
 let reduction_digest options =
-  Option.map Reduced_model.config_digest (reduction_of options)
+  Option.map Reduced_model.config_digest options.reduce
 
 (* ------------------------------------------------------------------ *)
 (* lint gate: merged models pass the Sn_analysis rule suite before the
@@ -67,16 +63,12 @@ let reduction_digest options =
 
 module A = Sn_analysis
 
-let lint_disabled = ref false
-
-let disable_lint () = lint_disabled := true
-
 let warned : (string, unit) Hashtbl.t = Hashtbl.create 16
 
 let warned_lock = Mutex.create ()
 
 let lint_gate ?(enabled = true) nl =
-  if enabled && not !lint_disabled then begin
+  if enabled then begin
     let report = A.Analyzer.analyze nl in
     List.iter
       (fun (d : A.Rule.diagnostic) ->
@@ -130,11 +122,11 @@ type preflight = {
   pf_reduction : reduction_verdict;
 }
 
-let preflight ?config nl =
+let preflight ?config ?reduce nl =
   let report = A.Analyzer.analyze ?config nl in
   let ctx = A.Rule.context nl in
   let reduction =
-    match !default_reduction with
+    match reduce with
     | None -> Not_reduced
     | Some rc -> (
       match snd (Reduced_model.reduce_deck_certified ~config:rc nl) with
@@ -260,7 +252,7 @@ let build_nmos ?(options = default_options) params =
   let macro =
     Sub.Extractor.extract_from_layout ~config:options.grid
       ~tiles:options.tiles ?reduction:(reduction_digest options)
-      ~tech:options.tech layout
+      ?pool:options.pool ~tech:options.tech layout
   in
   Log.info (fun m ->
       m "nmos structure: %d wires, %d substrate ports"
@@ -288,6 +280,7 @@ let nmos_passive_netlist f =
   (* sub_inject and the back-gate probe are passive-touched only: the
      divider observes them, so reduction must keep them explicit *)
   |> maybe_reduce f.nmos_options ~keep:[ "sub_inject"; "backgate:m1" ]
+  |> fst
 
 let nmos_divider f =
   let nl = nmos_passive_netlist f in
@@ -303,6 +296,7 @@ let nmos_merged f ~vgs ~vds =
     @ Merge.of_macromodel f.nmos_macro
     @ Merge.of_rc_netlist f.nmos_itc)
   |> maybe_reduce f.nmos_options ~keep:[ "sub_inject" ]
+  |> fst
 
 type nmos_point = {
   vgs : float;
@@ -345,6 +339,8 @@ type vco_flow = {
   vco_itc : Itc.Rc_netlist.t;
   vco_nl : C.Netlist.t;
   vco_dc : Dc.solution;
+  vco_pool : Sn_engine.Pool.t option;
+  vco_reduction : Reduced_model.stats option;
   bias : Tank.bias;
   oscillator : Impact.oscillator;
   tank_cm_resistance : float;
@@ -376,10 +372,10 @@ let build_vco ?(options = default_options) params ~vtune =
   let macro =
     Sub.Extractor.extract_from_layout ~config:options.grid
       ~tiles:options.tiles ?reduction:(reduction_digest options)
-      ~tech:options.tech layout
+      ?pool:options.pool ~tech:options.tech layout
   in
   let circuit = Tc.Vco_chip.circuit params ~vtune in
-  let merged =
+  let merged, reduction =
     C.Netlist.create ~title:"vco merged impact model"
       (C.Netlist.elements circuit
       @ frame_elements
@@ -451,6 +447,8 @@ let build_vco ?(options = default_options) params ~vtune =
     vco_itc = report.Itc.Extract.netlist;
     vco_nl = merged;
     vco_dc = dc;
+    vco_pool = options.pool;
+    vco_reduction = reduction;
     bias;
     oscillator;
     tank_cm_resistance;
@@ -462,6 +460,7 @@ let vco_oscillator f = f.oscillator
 let vco_ground_wire_resistance f =
   Itc.Rc_netlist.resistance_between f.vco_itc "vss_ring" "vss_pad"
 
+let vco_reduction f = f.vco_reduction
 let vco_carrier_freq f = f.oscillator.Impact.carrier_freq
 let vco_amplitude f = f.oscillator.Impact.amplitude
 
@@ -472,7 +471,9 @@ let vco_transfers f ~f_noise =
     List.map snd Tc.Vco_chip.sensitive_nodes @ [ "sub_inject" ]
     |> List.sort_uniq String.compare
   in
-  let points = Ac.sweep ~dc:f.vco_dc f.vco_nl ~freqs:f_noise ~nodes in
+  let points =
+    Ac.sweep ?pool:f.vco_pool ~dc:f.vco_dc f.vco_nl ~freqs:f_noise ~nodes
+  in
   let table = Hashtbl.create 64 in
   Array.iter
     (fun (p : Ac.sweep_point) ->

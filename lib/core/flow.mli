@@ -14,7 +14,10 @@
     parallel pool workers ([Snoise.Sweep]). *)
 
 (** Knobs of one flow run — the ablations of the paper's evaluation
-    are all expressed as option records. *)
+    are all expressed as option records.  The record is the whole run
+    configuration: the library reads no process-wide setting, so two
+    flows built with different options in one process never see each
+    other's reduction, lint policy or pool. *)
 type options = {
   grid : Sn_substrate.Grid.config;
       (** substrate FDM discretization (default 48x48, four doping
@@ -33,47 +36,42 @@ type options = {
           analysis swaps in scaled variants *)
   lint : bool;
       (** run the {!Sn_analysis} rule suite on every merged model
-          before simulating it (default [true]); error-severity
-          diagnostics refuse to simulate by raising
-          {!Sn_engine.Diag.Error} *)
+          before simulating it (default [true]; the CLI's [--no-lint]
+          clears it); error-severity diagnostics refuse to simulate by
+          raising {!Sn_engine.Diag.Error} *)
   reduce : Reduced_model.config option;
       (** swap each merged model's passive pool (substrate resistors,
           well capacitors, interconnect RC) for its PRIMA rank-k
           realization ({!Reduced_model.reduce_deck}) before
-          simulating.  [None] (the default) follows the process-wide
-          default set by {!set_default_reduction} — so figure flows
-          built with {!default_options} honour the CLI's
-          [--reduce-order] / [--reduce-tol].  Observation nodes the
-          flow needs (injection node, back-gate probes, spur entry
-          nodes) are kept explicit automatically. *)
+          simulating; [None] (the default) simulates the exact
+          models.  The CLI's [--reduce-order] / [--reduce-tol] set it.
+          Observation nodes the flow needs (injection node, back-gate
+          probes, spur entry nodes) are kept explicit automatically. *)
+  pool : Sn_engine.Pool.t option;
+      (** worker pool for the substrate extraction, the AC sweeps and
+          every {!Sweep} fan-out of the run; [None] (the default)
+          means {!Sn_engine.Pool.default}.  The CLI's [--jobs N] sets
+          it to a pool of width [N].  Output is byte-identical at any
+          width. *)
 }
 
 val default_options : options
 (** The paper's setup: 48x48 grid, extracted interconnect resistance,
     nominal widths, the 0.18 um high-ohmic imec card, lint gate on,
-    no reduction. *)
+    no reduction, the default pool. *)
 
-val set_default_reduction : Reduced_model.config option -> unit
-(** Process-wide reduction default — the CLI's [--reduce-order k] /
-    [--reduce-tol e] knob.  Applies wherever an options record leaves
-    [reduce] as [None]. *)
-
-val reduction_of : options -> Reduced_model.config option
-(** The reduction configuration in effect for [options] (its own
-    [reduce] field, else the process-wide default). *)
+val pool_of : options -> Sn_engine.Pool.t
+(** The pool a run with [options] uses: [options.pool], else
+    {!Sn_engine.Pool.default}. *)
 
 val lint_gate : ?enabled:bool -> Sn_circuit.Netlist.t -> unit
 (** [lint_gate nl] runs {!Sn_analysis.Analyzer.analyze} (with deck
     pragmas honoured) and refuses a netlist with error-severity
     diagnostics by raising {!Sn_engine.Diag.Error} with a
     {!Sn_engine.Diag.Bad_input} listing every error; warnings are
-    logged once per distinct message.  [?enabled:false] (or
-    {!disable_lint}) turns the gate into a no-op.  The flow calls this
-    on every merged model it is about to simulate. *)
-
-val disable_lint : unit -> unit
-(** Process-wide lint kill switch — the CLI's [--no-lint].  Overrides
-    the per-flow [lint] option. *)
+    logged once per distinct message.  [?enabled:false] turns the
+    gate into a no-op.  The flow calls this on every merged model it
+    is about to simulate, with [~enabled:options.lint]. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Numerical pre-flight}
@@ -81,8 +79,8 @@ val disable_lint : unit -> unit
     Everything [snoise verify] reports about a deck: the full analyzer
     report (structural and numeric rules), the raw analyses behind the
     numeric rules ({!Sn_analysis.Numeric}), and — when a reduction is
-    configured process-wide — whether the deck's reduced pencil earns
-    a passivity certificate.  Purely static: no DC solve, no sweep, no
+    requested — whether the deck's reduced pencil earns a passivity
+    certificate.  Purely static: no DC solve, no sweep, no
     extraction. *)
 
 (** Did the configured model-order reduction certify? *)
@@ -111,10 +109,13 @@ type preflight = {
 }
 
 val preflight :
-  ?config:Sn_analysis.Analyzer.config -> Sn_circuit.Netlist.t -> preflight
+  ?config:Sn_analysis.Analyzer.config -> ?reduce:Reduced_model.config ->
+  Sn_circuit.Netlist.t -> preflight
 (** Run the pre-flight over a deck.  [?config] tunes the analyzer pass
     exactly as in {!Sn_analysis.Analyzer.analyze} (deck pragmas are
-    honoured either way). *)
+    honoured either way).  [?reduce] dry-runs that reduction of the
+    (unreduced) deck and sets [pf_reduction] from its certificate;
+    without it [pf_reduction] is [Not_reduced]. *)
 
 val preflight_failing : preflight -> bool
 (** The verify gate: [true] when any diagnostic fired (warnings
@@ -238,6 +239,11 @@ val vco_oscillator : vco_flow -> Sn_rf.Impact.oscillator
 
 val vco_ground_wire_resistance : vco_flow -> float
 (** Extracted resistance of the VCO ground net, the Fig. 10 knob. *)
+
+val vco_reduction : vco_flow -> Reduced_model.stats option
+(** Stats of the reduction this flow applied to its merged model
+    (order, rank, build time, estimated error); [None] for an exact
+    flow or when reduction won nothing. *)
 
 val vco_carrier_freq : vco_flow -> float
 (** Free-running carrier frequency at this flow's [vtune], Hz. *)

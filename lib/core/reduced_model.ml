@@ -85,15 +85,6 @@ type t = {
   form : form;
 }
 
-let n_reductions = Atomic.make 0
-let last = Atomic.make (None : stats option)
-let last_stats () = Atomic.get last
-let reductions () = Atomic.get n_reductions
-
-let reset_stats () =
-  Atomic.set n_reductions 0;
-  Atomic.set last None
-
 let is_passive = function
   | C.Element.Resistor _ | C.Element.Capacitor _ -> true
   | _ -> false
@@ -284,8 +275,6 @@ let reduce ?(config = default_config) t =
             est_error;
           }
         in
-        Atomic.incr n_reductions;
-        Atomic.set last (Some stats);
         Log.info (fun m ->
             m "reduced %d ports + %d internal -> rank %d (order %d, %.1f ms)"
               p internal stats.rank stats.order

@@ -158,14 +158,3 @@ val reduce_deck_certified :
     server's plan cache alongside the compiled plan, so a resident
     plan's pencil can be re-verified by hashing alone
     ([snoise verify], server [verify] verb). *)
-
-(** {1 Process-wide counters} *)
-
-val last_stats : unit -> stats option
-(** Stats of the most recent reduction in this process (for
-    [snoise runtime] and the server's [stats] verb). *)
-
-val reductions : unit -> int
-(** How many reductions have run in this process. *)
-
-val reset_stats : unit -> unit

@@ -10,11 +10,6 @@ let log_src = Logs.Src.create "sn.core.sweep" ~doc:"sweep combinators"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let jobs () = Pool.jobs (Pool.default ())
-let set_jobs n = Pool.set_default_jobs n
-let stats () = Pool.stats (Pool.default ())
-let reset_stats () = Pool.reset_stats (Pool.default ())
-
 let resolve = function Some p -> p | None -> Pool.default ()
 
 let map_points ?pool f points = Pool.map_list (resolve pool) f points

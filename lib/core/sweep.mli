@@ -8,25 +8,11 @@
     bit-identical to the sequential one — the pool width only changes
     wall-clock time, never numbers.
 
-    Pool width resolution, in priority order: the [?pool] argument, a
-    {!set_jobs} call (the CLI's [--jobs]), the [SNOISE_JOBS]
-    environment variable, [Domain.recommended_domain_count ()].  Width
-    1 runs the exact sequential path (no domains are spawned). *)
-
-val jobs : unit -> int
-(** Width of the pool the combinators will use (resolving it creates
-    the default pool on first call). *)
-
-val set_jobs : int -> unit
-(** Select the default pool width (clamped to
-    [[1, Sn_engine.Pool.max_jobs]]).  Recreates the shared pool when
-    the width changes. *)
-
-val stats : unit -> Sn_engine.Pool.stats
-(** Counters of the shared default pool ({!Sn_engine.Pool.stats}). *)
-
-val reset_stats : unit -> unit
-(** Reset the shared default pool's counters. *)
+    Pool width resolution, in priority order: the [?pool] argument
+    (the flows pass [options.pool] — {!Flow.options}, set from the
+    CLI's [--jobs]), the [SNOISE_JOBS] environment variable,
+    [Domain.recommended_domain_count ()].  Width 1 runs the exact
+    sequential path (no domains are spawned). *)
 
 val map_points : ?pool:Sn_engine.Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_points f points] is [List.map f points] with the points

@@ -131,7 +131,7 @@ let magnitude_db s node =
 
 type sweep_point = { freq : float; values : (string * Complex.t) list }
 
-let sweep_plan acp ~freqs ~nodes =
+let sweep_plan ?(pool = Pool.default ()) acp ~freqs ~nodes =
   let mna = Stamp_plan.mna (Ac_plan.plan acp) in
   Array.iter
     (fun f -> if f < 0.0 then invalid_arg "Ac.solve: freq must be >= 0")
@@ -144,7 +144,7 @@ let sweep_plan acp ~freqs ~nodes =
      batched and individual dispatches over one plan agree bit for
      bit *)
   if Array.length freqs > 0 then Ac_plan.ensure_master acp ~freq:freqs.(0);
-  Pool.map_array (Pool.default ())
+  Pool.map_array pool
     (fun freq ->
       (* per-point cancellation tick: a deadline-armed sweep stops at
          the next point boundary (one refill+solve) *)
@@ -159,11 +159,11 @@ let sweep_plan acp ~freqs ~nodes =
       })
     freqs
 
-let sweep ?dc netlist ~freqs ~nodes =
+let sweep ?pool ?dc netlist ~freqs ~nodes =
   let mna = Mna.build netlist in
   let plan = Stamp_plan.build mna in
   let dc = match dc with Some d -> d | None -> Dc.solve_mna mna in
-  sweep_plan (Ac_plan.of_dc plan dc) ~freqs ~nodes
+  sweep_plan ?pool (Ac_plan.of_dc plan dc) ~freqs ~nodes
 
 let transfer_db points node =
   Array.map

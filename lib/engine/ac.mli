@@ -10,9 +10,9 @@
     frequency-independent conductance and susceptance slot lists, each
     point is a [G + jwB] refill into a reused sparse pattern, and the
     symbolic factorization is computed once and numerically refilled per
-    frequency.  {!sweep} distributes points over the process-wide
-    {!Pool} (the [--jobs] flag / [SNOISE_JOBS]); results are
-    byte-identical at any pool width. *)
+    frequency.  {!sweep} distributes points over a {!Pool} ([?pool],
+    default {!Pool.default}); results are byte-identical at any pool
+    width. *)
 
 type solution
 
@@ -59,24 +59,26 @@ val system_of_plan :
 type sweep_point = { freq : float; values : (string * Complex.t) list }
 
 val sweep :
-  ?dc:Dc.solution -> Sn_circuit.Netlist.t -> freqs:float array ->
-  nodes:string list -> sweep_point array
+  ?pool:Pool.t -> ?dc:Dc.solution -> Sn_circuit.Netlist.t ->
+  freqs:float array -> nodes:string list -> sweep_point array
 (** [sweep nl ~freqs ~nodes] reuses one operating point, one compiled
     plan and one symbolic factorization across the whole frequency
-    sweep, and evaluates the points on the default {!Pool}.  The result
+    sweep, and evaluates the points on [pool] (default
+    {!Pool.default}).  The result
     array is positioned by input index and byte-identical regardless of
     the pool's width.  Raises as {!solve}; unknown node names raise
     [Not_found] before any solve runs. *)
 
 val sweep_plan :
-  Ac_plan.t -> freqs:float array -> nodes:string list -> sweep_point array
+  ?pool:Pool.t -> Ac_plan.t -> freqs:float array -> nodes:string list ->
+  sweep_point array
 (** [sweep_plan acp ~freqs ~nodes] is {!sweep} over a pre-compiled
     {!Ac_plan}: the symbolic factorization is pinned once (or reused
-    when the plan already carries it) and the points run on the
-    default {!Pool}.  Because a plan's pivot order is fixed by its
-    first factorization, repeated and batched sweeps over one cached
-    plan are byte-identical however the points are grouped into
-    dispatches.  Raises as {!sweep}. *)
+    when the plan already carries it) and the points run on [pool].
+    Because a plan's pivot order is fixed by its first factorization,
+    repeated and batched sweeps over one cached plan are
+    byte-identical however the points are grouped into dispatches.
+    Raises as {!sweep}. *)
 
 val transfer_db : sweep_point array -> string -> float array
 (** [transfer_db points node] extracts [20 log10 |v(node)|] per sweep

@@ -34,7 +34,8 @@ let noise_sources nl dc ~temperature =
         None)
     (C.Netlist.elements nl)
 
-let analyze_plan ?(temperature = 300.0) ~dc acp ~output ~freqs =
+let analyze_plan ?(pool = Pool.default ()) ?(temperature = 300.0) ~dc acp
+    ~output ~freqs =
   let mna = Stamp_plan.mna (Ac_plan.plan acp) in
   let nl = Mna.netlist mna in
   let out_slot = Mna.node_slot mna output in
@@ -60,7 +61,7 @@ let analyze_plan ?(temperature = 300.0) ~dc acp ~output ~freqs =
      any jobs width) *)
   if Array.length freqs > 0 then
     Ac_plan.ensure_master ~analysis:"noise" acp ~freq:freqs.(0);
-  Pool.map_array (Pool.default ())
+  Pool.map_array pool
     (fun freq ->
       (* adjoint: factor the forward AC system once, then solve
          A^T y = e_out on the same factorization (transpose solve); the
@@ -86,11 +87,11 @@ let analyze_plan ?(temperature = 300.0) ~dc acp ~output ~freqs =
     freqs
   |> Array.to_list
 
-let analyze ?dc ?temperature nl ~output ~freqs =
+let analyze ?pool ?dc ?temperature nl ~output ~freqs =
   let mna = Mna.build nl in
   let dc = match dc with Some d -> d | None -> Dc.solve_mna mna in
   let acp = Ac_plan.of_dc (Stamp_plan.build mna) dc in
-  analyze_plan ?temperature ~dc acp ~output ~freqs
+  analyze_plan ?pool ?temperature ~dc acp ~output ~freqs
 
 let total_rms points =
   match points with

@@ -9,9 +9,8 @@
     The transpose solve runs on the {e same} sparse factorization the
     forward AC path builds ([U{^T}] then [L{^T}] sweeps) — no
     transposed matrix is materialized and no second factorization is
-    run.  Frequency points are distributed over the default {!Pool}
-    ([--jobs] / [SNOISE_JOBS]) with byte-identical results at any
-    width. *)
+    run.  Frequency points are distributed over [?pool] (default
+    {!Pool.default}) with byte-identical results at any width. *)
 
 type contribution = {
   element : string;
@@ -25,8 +24,8 @@ type point = {
 }
 
 val analyze :
-  ?dc:Dc.solution -> ?temperature:float -> Sn_circuit.Netlist.t ->
-  output:string -> freqs:float array -> point list
+  ?pool:Pool.t -> ?dc:Dc.solution -> ?temperature:float ->
+  Sn_circuit.Netlist.t -> output:string -> freqs:float array -> point list
 (** [analyze ?dc ?temperature nl ~output ~freqs] computes the output
     noise voltage spectral density.  [temperature] defaults to 300 K.
     Raises [Not_found] for an unknown output node and
@@ -34,7 +33,7 @@ val analyze :
     solve runs). *)
 
 val analyze_plan :
-  ?temperature:float -> dc:Dc.solution -> Ac_plan.t ->
+  ?pool:Pool.t -> ?temperature:float -> dc:Dc.solution -> Ac_plan.t ->
   output:string -> freqs:float array -> point list
 (** [analyze_plan ~dc acp ~output ~freqs] is {!analyze} over a
     pre-compiled {!Ac_plan} and its operating point — the

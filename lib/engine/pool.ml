@@ -298,36 +298,12 @@ let pp_stats fmt s =
 (* default pool *)
 
 let default_pool = ref None
-let default_width = ref None (* set by --jobs before first use *)
-let exit_hook_registered = ref false
 
 let default () =
   match !default_pool with
   | Some p -> p
   | None ->
-    let jobs =
-      match !default_width with Some j -> j | None -> env_jobs ()
-    in
-    let p = create ~jobs () in
+    let p = create ~jobs:(env_jobs ()) () in
     default_pool := Some p;
-    if not !exit_hook_registered then begin
-      exit_hook_registered := true;
-      at_exit (fun () ->
-          match !default_pool with
-          | Some p ->
-            default_pool := None;
-            shutdown p
-          | None -> ())
-    end;
+    at_exit (fun () -> shutdown p);
     p
-
-let set_default_jobs n =
-  let n = clamp_jobs n in
-  default_width := Some n;
-  match !default_pool with
-  | Some p when jobs p = n -> ()
-  | Some p ->
-    default_pool := None;
-    shutdown p;
-    ignore (default ())
-  | None -> ()

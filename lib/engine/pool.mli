@@ -122,10 +122,8 @@ val env_jobs : unit -> int
 
 val default : unit -> t
 (** The process-wide pool, created on first use with {!env_jobs}
-    workers and shut down at exit.  The sweep combinators
-    ([Snoise.Sweep]) run on it unless given an explicit pool. *)
-
-val set_default_jobs : int -> unit
-(** Resize the {!default} pool (the [--jobs] flag).  Shuts the current
-    default pool down and recreates it lazily at the new width; a
-    no-op when the width is unchanged. *)
+    workers and shut down at exit.  Every parallel entry point
+    ([Snoise.Sweep], [Ac.sweep], [Noise.analyze], substrate
+    extraction) runs on it unless given an explicit pool; a run that
+    wants another width creates its own with {!create} and passes it
+    along (the CLI's [--jobs] travels as [Snoise.Flow.options.pool]). *)

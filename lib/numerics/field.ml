@@ -13,21 +13,6 @@ module type S = sig
   val pp : Format.formatter -> t -> unit
 end
 
-module Real = struct
-  type t = float
-
-  let zero = 0.0
-  let one = 1.0
-  let add = ( +. )
-  let sub = ( -. )
-  let mul = ( *. )
-  let div = ( /. )
-  let neg x = -.x
-  let magnitude = Float.abs
-  let of_float x = x
-  let pp fmt x = Format.fprintf fmt "%g" x
-end
-
 module Cplx = struct
   type t = Complex.t
 

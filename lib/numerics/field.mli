@@ -1,8 +1,8 @@
 (** Scalar fields over which the dense linear algebra is functorized.
 
-    {!Lu.Make} takes an implementation of {!S} so that the same LU
-    factorization code serves the real-valued DC/transient solves and the
-    complex-valued AC solves of the circuit engine. *)
+    {!Lu.Make} takes an implementation of {!S}; its one instance is the
+    complex field of the dense AC solves ({!Lu.Cplx}).  Real systems go
+    through {!Lu}'s flat row-major kernel instead. *)
 
 module type S = sig
   type t
@@ -22,9 +22,6 @@ module type S = sig
   val of_float : float -> t
   val pp : Format.formatter -> t -> unit
 end
-
-module Real : S with type t = float
-(** Ordinary floating-point arithmetic. *)
 
 module Cplx : S with type t = Complex.t
 (** Complex arithmetic on the standard library's [Complex.t]. *)

@@ -115,7 +115,6 @@ module Make (F : Field.S) = struct
   let dim { lu; _ } = Array.length lu
 end
 
-module Real = Make (Field.Real)
 module Cplx = Make (Field.Cplx)
 
 (* ------------------------------------------------------------------ *)

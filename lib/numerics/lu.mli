@@ -1,6 +1,6 @@
-(** LU factorization with partial pivoting, functorized over the scalar
-    field so that the same code solves the real (DC, transient) and
-    complex (AC) linear systems of the circuit engine. *)
+(** Dense LU factorization with partial pivoting: a functor over the
+    scalar field, instantiated for the complex AC systems ({!Cplx}),
+    and a flat row-major kernel for real systems ({!factor_mat}). *)
 
 exception Singular of int
 (** [Singular k] is raised when no usable pivot exists at elimination
@@ -41,9 +41,6 @@ module Make (F : Field.S) : sig
   val dim : t -> int
   (** [dim lu] is the matrix dimension. *)
 end
-
-module Real : module type of Make (Field.Real)
-(** Real-valued instantiation. *)
 
 module Cplx : module type of Make (Field.Cplx)
 (** Complex-valued instantiation. *)

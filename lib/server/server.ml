@@ -42,7 +42,7 @@ let unlink_stale path =
          path)
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-let create ?config ?tcp ?auth_token ~socket () =
+let create ?config ?options ?tcp ?auth_token ~socket () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   unlink_stale socket;
@@ -67,7 +67,7 @@ let create ?config ?tcp ?auth_token ~socket () =
       ([ unix_fd; tcp_fd ], Some tcp_fd)
   in
   {
-    service = Service.create ?config ();
+    service = Service.create ?config ?options ();
     listeners;
     tcp_listener;
     auth_token = (match auth_token with Some "" -> None | other -> other);

@@ -20,6 +20,7 @@ type t
 
 val create :
   ?config:Service.config ->
+  ?options:Snoise.Flow.options ->
   ?tcp:string * int ->
   ?auth_token:string ->
   socket:string ->
@@ -38,7 +39,9 @@ val create :
     request is served; until then the connection only ever receives
     the stable [unauthorized] error.  The comparison is constant-time
     ({!Auth.equal_const}).  The Unix-domain socket — guarded by file
-    permissions — never requires a token. *)
+    permissions — never requires a token.
+
+    [?config] and [?options] are handed to {!Service.create}. *)
 
 val tcp_port : t -> int option
 (** The bound TCP port, when a TCP listener exists.  Useful with

@@ -29,6 +29,7 @@ type pending = { seq : int; client : int; arrived : float; req : P.request }
 
 type t = {
   config : config;
+  options : Flow.options;  (* spur flows; the pool of every dispatch *)
   cache : Plan_cache.t;
   lock : Mutex.t;
   queue : pending Queue.t;
@@ -55,6 +56,9 @@ type t = {
   flows : Flow.vco_flow Sn_rf.Lru.t;
   mutable flow_hits : int;
   mutable flow_misses : int;
+  (* reductions this service ran (plan compiles and spur flows) *)
+  mutable reductions : int;
+  mutable last_reduction : Snoise.Reduced_model.stats option;
   (* resilience layer (all under [lock] unless noted) *)
   restarts : int;  (* set by the supervisor via SNOISE_RESTARTS *)
   mutable deadline_exceeded : int;
@@ -69,9 +73,10 @@ type t = {
   mutable journaling : bool;  (* off while warming, to avoid echo *)
 }
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) ?(options = Flow.default_options) () =
   {
     config;
+    options;
     cache = Plan_cache.create ~max_decks:config.max_decks ();
     lock = Mutex.create ();
     queue = Queue.create ();
@@ -94,6 +99,8 @@ let create ?(config = default_config) () =
     flows = Sn_rf.Lru.create ~capacity:(max 1 config.max_flows);
     flow_hits = 0;
     flow_misses = 0;
+    reductions = 0;
+    last_reduction = None;
     restarts =
       Option.value ~default:0
         (Option.bind (Sys.getenv_opt "SNOISE_RESTARTS") int_of_string_opt);
@@ -116,6 +123,13 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let queue_depth t = with_lock t (fun () -> Queue.length t.queue)
+
+let note_reduction t = function
+  | None -> ()
+  | Some stats ->
+    with_lock t (fun () ->
+        t.reductions <- t.reductions + 1;
+        t.last_reduction <- Some stats)
 
 (* ------------------------------------------------------------------ *)
 (* request-shape failures raised by handlers, mapped to wire errors by
@@ -360,18 +374,23 @@ let apply_overrides nl overrides =
       ~locs:(C.Netlist.element_locs nl) elements
   end
 
-(* parse (cached), apply overrides; the compiled result is lint-gated
-   with a wire-structured refusal and cached under the content key *)
-let netlist_of t d =
+(* parse (cached) and apply the element overrides: the unreduced deck
+   and the reduction its reduce_* overrides ask for *)
+let overridden_netlist t d =
   let nl =
     Plan_cache.find_netlist t.cache ~text:d.text ~parse:(fun s ->
         C.Spice.of_string ~file:(source_name d.src) s)
   in
   let element_overrides, reduce = reduction_of_overrides d.overrides in
-  let nl = apply_overrides nl element_overrides in
-  match reduce with
-  | None -> (nl, None)
-  | Some config -> Snoise.Reduced_model.reduce_deck_certified ~config nl
+  (apply_overrides nl element_overrides, reduce)
+
+(* the deck as served: overridden, then reduced; the compiled result is
+   lint-gated with a wire-structured refusal and cached under the
+   content key *)
+let netlist_of t d =
+  match overridden_netlist t d with
+  | nl, None -> (nl, None)
+  | nl, Some config -> Snoise.Reduced_model.reduce_deck_certified ~config nl
 
 let journal_compile t d =
   match t.journal with
@@ -392,6 +411,8 @@ let compiled_of t d =
   let cp, note =
     Plan_cache.find_compiled t.cache ~key:d.key ~compile:(fun () ->
         let nl, reduced = netlist_of t d in
+        note_reduction t
+          (Option.bind reduced (fun (m, _) -> Snoise.Reduced_model.stats m));
         let report = A.Analyzer.analyze nl in
         if A.Analyzer.errors report <> [] then raise (Lint_errors report);
         {
@@ -442,9 +463,10 @@ type sweep_verb = {
   columns : (string * J.t) list -> string list * bool;
       (* from the params: the AC probe nodes or the noise output, and
          whether per-element PSDs are rendered *)
-  solve : Flow.compiled -> sweep_sig -> float array -> sweep_sig -> J.t;
-      (* one pool dispatch of the leader's plan over the union of the
-         group's frequencies, returning each member's renderer *)
+  solve :
+    E.Pool.t -> Flow.compiled -> sweep_sig -> float array -> sweep_sig -> J.t;
+      (* one dispatch on the pool of the leader's plan over the union
+         of the group's frequencies, returning each member's renderer *)
 }
 
 let sweep_signature sv (req : P.request) =
@@ -576,8 +598,10 @@ let run_verify t (req : P.request) =
       Snoise.Report.cache_verification_json ~dir
         (Sn_substrate.Cache.verify_dir (Sn_substrate.Cache.create ~dir))
     | None, Some _ ->
-      let nl, _ = netlist_of t (deck_of req) in
-      Snoise.Report.verify_json (Flow.preflight nl)
+      (* the unreduced deck: the pre-flight dry-runs the requested
+         reduction itself to judge its certificate *)
+      let nl, reduce = overridden_netlist t (deck_of req) in
+      Snoise.Report.verify_json (Flow.preflight ?reduce nl)
     | None, None ->
       let pv = Plan_cache.verify_plans t.cache in
       J.Obj
@@ -599,8 +623,8 @@ let run_extract t (req : P.request) =
   let macro, note =
     Plan_cache.find_macro t.cache ~text ~extract:(fun () ->
         let layout = Sn_layout.Layout_io.of_string text in
-        Sn_substrate.Extractor.extract_from_layout ~tech:Sn_tech.Tech.imec018
-          layout)
+        Sn_substrate.Extractor.extract_from_layout ?pool:t.options.Flow.pool
+          ~tech:Sn_tech.Tech.imec018 layout)
   in
   let resistors =
     List.map
@@ -644,12 +668,11 @@ let run_spur t (req : P.request) =
     | Some f -> (f, P.Hit)
     | None ->
       let grid =
-        { Flow.default_options.Flow.grid with
-          Sn_substrate.Grid.nx = nx;
-          ny = ny }
+        { t.options.Flow.grid with Sn_substrate.Grid.nx = nx; ny = ny }
       in
-      let options = { Flow.default_options with Flow.grid = grid } in
+      let options = { t.options with Flow.grid = grid } in
       let f = Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune in
+      note_reduction t (Flow.vco_reduction f);
       with_lock t (fun () -> Sn_rf.Lru.add t.flows key f);
       (f, P.Miss)
   in
@@ -687,9 +710,9 @@ let ac_sweep =
         | Some [] -> raise (Bad "\"nodes\" must not be empty")
         | None -> raise (Bad "missing required param \"nodes\""));
     solve =
-      (fun compiled leader union ->
+      (fun pool compiled leader union ->
         let at =
-          E.Ac.sweep_plan
+          E.Ac.sweep_plan ~pool
             (Flow.compiled_ac_plan compiled)
             ~freqs:union ~nodes:leader.sg_columns
           |> Array.to_list
@@ -720,12 +743,12 @@ let noise_sweep =
         ( [ required str m "output" ],
           Option.value (param boolean m "contributions") ~default:false ));
     solve =
-      (fun compiled leader union ->
+      (fun pool compiled leader union ->
         let acp = Flow.compiled_ac_plan compiled in
         let dc = Flow.compiled_bias compiled in
         let output = List.hd leader.sg_columns in
         let at =
-          E.Noise.analyze_plan ~dc acp ~output ~freqs:union
+          E.Noise.analyze_plan ~pool ~dc acp ~output ~freqs:union
           |> List.map (fun (pt : E.Noise.point) -> (pt.E.Noise.freq, pt))
           |> by_freq (Array.length union)
         in
@@ -810,7 +833,7 @@ let try_shed t =
 
 let stats_json t =
   let cs = Plan_cache.stats t.cache in
-  let pool = Snoise.Sweep.stats () in
+  let pool = E.Pool.stats (Flow.pool_of t.options) in
   let tile = Sn_substrate.Cache.resolution () in
   let verb_table table to_json =
     with_lock t (fun () ->
@@ -895,10 +918,13 @@ let stats_json t =
             ("stores", num tc.Sn_substrate.Cache.stores);
           ] );
       ( "reduction",
+        let reductions, last =
+          with_lock t (fun () -> (t.reductions, t.last_reduction))
+        in
         J.Obj
-          (("reductions", num (Snoise.Reduced_model.reductions ()))
+          (("reductions", num reductions)
           ::
-          (match Snoise.Reduced_model.last_stats () with
+          (match last with
           | None -> []
           | Some r ->
             let module R = Snoise.Reduced_model in
@@ -943,7 +969,7 @@ let stats_json t =
    loop, detailed enough for a load balancer to act on *)
 let health_json t =
   let depth = queue_depth t in
-  let pool = Snoise.Sweep.stats () in
+  let pool = E.Pool.stats (Flow.pool_of t.options) in
   let cs = Plan_cache.stats t.cache in
   let pressure = mem_pressure_mb t in
   let watermark = float_of_int t.config.mem_watermark_mb in
@@ -1192,7 +1218,8 @@ let serve_group t (members : (pending * 'a) list) work emit =
 let solve_sweep t sv leader union =
   let compiled, plan_note = compiled_of t leader.sg_deck in
   let bias_note = bias_note compiled in
-  (plan_note, bias_note, sv.solve compiled leader union)
+  let pool = Flow.pool_of t.options in
+  (plan_note, bias_note, sv.solve pool compiled leader union)
 
 (* a queued request, classified once *)
 type job =

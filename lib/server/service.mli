@@ -58,7 +58,11 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : ?config:config -> ?options:Snoise.Flow.options -> unit -> t
+(** [options] (default {!Snoise.Flow.default_options}) configures the
+    [spur] verb's VCO flows (grid aside, which the request picks;
+    reduction, lint policy) and names the pool every dispatch runs
+    on. *)
 
 val submit :
   t -> client:int -> string ->
@@ -95,10 +99,10 @@ val cache : t -> Plan_cache.t
 val stats_json : t -> Json.t
 (** The [stats] reply payload: request / error / batching counters,
     queue state, plan-cache and VCO-flow-cache hit rates, pool stats,
-    per-verb service timings, memory-watermark and cancellation
-    counters, the supervisor restart count, journal state, and the
-    substrate tile-cache directory resolution
-    ({!Sn_substrate.Cache.resolution}). *)
+    the reductions this service ran, per-verb service timings,
+    memory-watermark and cancellation counters, the supervisor restart
+    count, journal state, and the substrate tile-cache directory
+    resolution ({!Sn_substrate.Cache.resolution}). *)
 
 val health_json : t -> Json.t
 (** The [health] reply payload: [status] (["ok"] / ["degraded"]),

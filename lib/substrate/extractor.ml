@@ -156,7 +156,7 @@ let key_material ~solver ~form ~tol ~dims:(w, h, d) ~n_i ~labels
 
 let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     ?(solver = Mg_cg) ?(tiles = (1, 1)) ?cache ?(tol = 1e-13) ?reduction
-    ~tech ~die ports =
+    ?(pool = Pool.default ()) ~tech ~die ports =
   if ports = [] then invalid_arg "Extractor.extract: no ports";
   (* artifact namespace tag: runs targeting a PRIMA-reduced flow must
      never share entries with exact runs, whatever the format version *)
@@ -336,7 +336,6 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
   in
   let t_assemble = Unix.gettimeofday () in
   (* --- reduce phase ---------------------------------------------- *)
-  let pool = Pool.default () in
   let total_iters = Atomic.make 0 in
   let prepare_tile t_id =
     let tl = plan.Tiling.tiles.(t_id) in
@@ -661,11 +660,11 @@ let substrate_bbox layout =
       (Sn_layout.Shape.bbox s) rest
 
 let extract_from_layout ?config ?(margin_fraction = 0.35) ?solver ?tiles
-    ?cache ?tol ?reduction ~tech layout =
+    ?cache ?tol ?reduction ?pool ~tech layout =
   let bbox = substrate_bbox layout in
   let margin =
     margin_fraction *. Float.max (G.Rect.width bbox) (G.Rect.height bbox)
   in
   let die = G.Rect.expand margin bbox in
-  extract ?config ?solver ?tiles ?cache ?tol ?reduction ~tech ~die
+  extract ?config ?solver ?tiles ?cache ?tol ?reduction ?pool ~tech ~die
     (Port.of_layout layout)

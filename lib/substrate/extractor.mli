@@ -62,12 +62,13 @@ val extract :
   ?cache:Cache.t ->
   ?tol:float ->
   ?reduction:string ->
+  ?pool:Sn_engine.Pool.t ->
   tech:Sn_tech.Tech.t ->
   die:Sn_geometry.Rect.t ->
   Port.t list ->
   Macromodel.t
 (** [extract ?config ?grounded_backplane ?solver ?tiles ?cache ?tol
-    ?reduction ~tech ~die ports] computes the macromodel.
+    ?reduction ?pool ~tech ~die ports] computes the macromodel.
 
     With [grounded_backplane] (default [false]) the die backside is
     metallized: an extra resistive port named ["backplane"] couples to
@@ -89,9 +90,9 @@ val extract :
     disjoint cache namespaces — a mismatched or corrupted entry is a
     fail-soft miss, never a wrong answer.
 
-    Port columns (and tiles) are reduced in parallel on
-    {!Sn_engine.Pool.default}; results are byte-identical regardless
-    of worker count.
+    Port columns (and tiles) are reduced in parallel on [pool]
+    (default {!Sn_engine.Pool.default}); results are byte-identical
+    regardless of worker count.
 
     Raises [Invalid_argument] when [ports] is empty, when a port lies
     outside the die, when a grid cell is disconnected (zero diagonal —
@@ -107,14 +108,15 @@ val extract_from_layout :
   ?cache:Cache.t ->
   ?tol:float ->
   ?reduction:string ->
+  ?pool:Sn_engine.Pool.t ->
   tech:Sn_tech.Tech.t ->
   Sn_layout.Layout.t ->
   Macromodel.t
 (** [extract_from_layout ?config ?margin_fraction ?solver ?tiles
-    ?cache ?tol ?reduction ~tech layout] derives the extraction window from the
-    substrate-relevant shapes (contacts, wells, probes — metal routing
-    and pads are excluded so they cannot blow up the cell size),
-    padded on each side by [margin_fraction] (default 0.35) of the
-    larger extent so bulk spreading has room, then extracts with ports
-    from {!Port.of_layout}.  The solver, tiling, cache and reduction
-    options are forwarded to {!extract}. *)
+    ?cache ?tol ?reduction ?pool ~tech layout] derives the extraction
+    window from the substrate-relevant shapes (contacts, wells, probes
+    — metal routing and pads are excluded so they cannot blow up the
+    cell size), padded on each side by [margin_fraction] (default
+    0.35) of the larger extent so bulk spreading has room, then
+    extracts with ports from {!Port.of_layout}.  The solver, tiling,
+    cache, reduction and pool options are forwarded to {!extract}. *)

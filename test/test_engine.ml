@@ -286,17 +286,16 @@ let test_ac_sweep_parallel_identical () =
   let nl, dc = Lazy.force vco_fixture in
   let nodes = List.sort_uniq String.compare (List.map snd VC.sensitive_nodes) in
   let freqs = Sn_numerics.Sweep.logspace 1e5 1e9 33 in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_jobs (Pool.env_jobs ()))
-    (fun () ->
-      Pool.set_default_jobs 1;
-      Splu.reset_stats ();
-      let seq = Ac.sweep ~dc nl ~freqs ~nodes in
-      Alcotest.(check int) "one master factorization"
-        1 (Splu.factorizations ());
-      Pool.set_default_jobs 4;
-      let par = Ac.sweep ~dc nl ~freqs ~nodes in
-      Alcotest.(check bool) "jobs=4 byte-identical to jobs=1" true (seq = par))
+  let sweep jobs =
+    let pool = Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    Ac.sweep ~pool ~dc nl ~freqs ~nodes
+  in
+  Splu.reset_stats ();
+  let seq = sweep 1 in
+  Alcotest.(check int) "one master factorization" 1 (Splu.factorizations ());
+  let par = sweep 4 in
+  Alcotest.(check bool) "jobs=4 byte-identical to jobs=1" true (seq = par)
 
 (* ------------------------------------------------------------------ *)
 (* Transient *)

@@ -127,21 +127,21 @@ let render pp v =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
+(* [f] run with [fast_options] on a fresh pool of width [jobs] *)
 let with_jobs jobs f =
-  let before = Sweep.jobs () in
-  Sweep.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Sweep.set_jobs before) f
+  let pool = Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  f { fast_options with Flow.pool = Some pool }
 
 let test_fig7_parallel_identical () =
-  let run () = render Snoise.Report.fig7 (E.fig7 ~options:fast_options ()) in
+  let run options = render Snoise.Report.fig7 (E.fig7 ~options ()) in
   let sequential = with_jobs 1 run in
   let parallel = with_jobs 4 run in
   Alcotest.(check string) "fig7 report byte-identical" sequential parallel
 
 let test_fig9_parallel_identical () =
-  let run () =
-    render Snoise.Report.fig9
-      (E.fig9 ~options:fast_options ~f_noise:fast_f_noise ())
+  let run options =
+    render Snoise.Report.fig9 (E.fig9 ~options ~f_noise:fast_f_noise ())
   in
   let sequential = with_jobs 1 run in
   let parallel = with_jobs 4 run in

@@ -240,13 +240,9 @@ let test_preflight_fails_on_warning () =
     (Snoise.Flow.preflight_failing p)
 
 let test_preflight_reduction_certified () =
-  Snoise.Flow.set_default_reduction (Some reduce_config);
-  Fun.protect
-    ~finally:(fun () -> Snoise.Flow.set_default_reduction None)
-    (fun () ->
-      let p = Snoise.Flow.preflight ladder_deck in
-      Alcotest.(check bool) "reduction certified" true
-        (p.Snoise.Flow.pf_reduction = Snoise.Flow.Certified))
+  let p = Snoise.Flow.preflight ~reduce:reduce_config ladder_deck in
+  Alcotest.(check bool) "reduction certified" true
+    (p.Snoise.Flow.pf_reduction = Snoise.Flow.Certified)
 
 (* ------------------------------------------------------------------ *)
 (* non-passive pool: static error names the offending node *)

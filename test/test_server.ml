@@ -42,6 +42,12 @@ let handle1 svc line =
   | [ r ] -> r
   | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs)
 
+(* [f] given service options running on a fresh pool of width [jobs] *)
+let with_jobs jobs f =
+  let pool = Sn_engine.Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Sn_engine.Pool.shutdown pool) @@ fun () ->
+  f { Snoise.Flow.default_options with Snoise.Flow.pool = Some pool }
+
 let request ?(id = 1) ~verb ?deck:d ?params () =
   let fields =
     [ ("id", string_of_int id); ("verb", Printf.sprintf "%S" verb) ]
@@ -208,10 +214,7 @@ let test_plan_cache_lifecycle () =
 
 (* batched sweep must be byte-identical to one-by-one serving *)
 let batch_vs_individual jobs () =
-  Snoise.Sweep.set_jobs jobs;
-  Fun.protect
-    ~finally:(fun () -> Snoise.Sweep.set_jobs 1)
-    (fun () ->
+  with_jobs jobs (fun options ->
       let freq_sets =
         [ "[1e6, 3e6]"; "[2e6]"; "[1e6, 5e6, 9e6]"; "[3e6, 2e6]" ]
       in
@@ -221,7 +224,7 @@ let batch_vs_individual jobs () =
           ()
       in
       (* batched: all queued before one drain *)
-      let batched = Sv.create () in
+      let batched = Sv.create ~options () in
       List.iteri
         (fun i freqs ->
           match Sv.submit batched ~client:1 (req i freqs) with
@@ -230,7 +233,7 @@ let batch_vs_individual jobs () =
         freq_sets;
       let batched_replies = List.map snd (Sv.drain batched) in
       (* individual: a fresh service, one request at a time *)
-      let indiv = Sv.create () in
+      let indiv = Sv.create ~options () in
       let indiv_replies =
         List.mapi (fun i freqs -> handle1 indiv (req i freqs)) freq_sets
       in
@@ -372,7 +375,6 @@ let out_values reply =
 
 let test_reduce_overrides () =
   let svc = Sv.create () in
-  Snoise.Reduced_model.reset_stats ();
   let exact = handle1 svc (ac_request ()) in
   let reduced =
     handle1 svc (ac_request ~overrides:{|{"reduce_tol": 1e-8}|} ())
@@ -383,7 +385,9 @@ let test_reduce_overrides () =
     "reduce override compiles its own plan" {|"miss"|}
     (J.to_string (plan_note reduced));
   Alcotest.(check bool) "a reduction ran" true
-    (Snoise.Reduced_model.reductions () >= 1);
+    (match member "reductions" (member "reduction" (Sv.stats_json svc)) with
+    | J.Num n -> n >= 1.0
+    | _ -> false);
   let ve = out_values exact and vr = out_values reduced in
   let vmax =
     List.fold_left (fun a c -> Float.max a (Complex.norm c)) 0.0 ve
@@ -562,11 +566,8 @@ let deadline_line ?(id = 1) ms =
     ms
 
 let deadline_exceeded_at jobs () =
-  Snoise.Sweep.set_jobs jobs;
-  Fun.protect
-    ~finally:(fun () -> Snoise.Sweep.set_jobs 1)
-    (fun () ->
-      let svc = Sv.create () in
+  with_jobs jobs (fun options ->
+      let svc = Sv.create ~options () in
       (* a deadline this small has always passed by dispatch time, so
          the refusal is deterministic at any pool width *)
       let reply = handle1 svc (deadline_line "1e-6") in
@@ -628,6 +629,63 @@ let test_deadline_no_coalesce () =
 
 (* ------------------------------------------------------------------ *)
 (* health *)
+
+(* a served verify judges the reduction its own reduce_* overrides ask
+   for, on the unreduced deck, exactly as the library pre-flight does *)
+let test_verify_reduce_override () =
+  let text =
+    In_channel.with_open_bin
+      (Filename.concat ".." "examples/decks/probe_divider.sp")
+      In_channel.input_all
+  in
+  let reply =
+    handle1 (Sv.create ())
+      (Printf.sprintf
+         {|{"id": 1, "verb": "verify", "deck": %s, "overrides": %s}|}
+         (J.to_string (J.Str text)) {|{"reduce_order": 2}|})
+  in
+  let result = member "result" reply in
+  Alcotest.(check string) "reduction certified" {|"certified"|}
+    (J.to_string (member "reduction" result));
+  let reduce =
+    match Snoise.Reduced_model.config_of_knobs ~order:2.0 () with
+    | Ok (Some c) -> c
+    | _ -> Alcotest.fail "order 2 refused"
+  in
+  let nl = Sn_circuit.Spice.of_string ~file:"<inline>" text in
+  Alcotest.(check string) "served document = library pre-flight"
+    (J.to_string
+       (Snoise.Report.verify_json (Snoise.Flow.preflight ~reduce nl)))
+    (J.to_string result)
+
+(* stats.reduction counts the reductions of this service only *)
+let test_reduction_stats_per_service () =
+  let a = Sv.create () and b = Sv.create () in
+  let reduction svc = member "reduction" (Sv.stats_json svc) in
+  let reduced = handle1 a (ac_request ~overrides:{|{"reduce_order": 4}|} ()) in
+  Alcotest.(check string) "reduced ac served" "response" (msg_type reduced);
+  Alcotest.(check string) "one reduction on A" "1"
+    (J.to_string (member "reductions" (reduction a)));
+  ignore (member "last_rank" (reduction a));
+  Alcotest.(check string) "B untouched" {|{"reductions": 0}|}
+    (J.to_string (reduction b))
+
+(* the service's options reach the spur verb's flows: extraction and
+   AC sweep run on the service's pool, which stats reports *)
+let test_spur_follows_options () =
+  with_jobs 2 @@ fun options ->
+  let svc = Sv.create ~options () in
+  let spur =
+    handle1 svc
+      (request ~verb:"spur"
+         ~params:{|{"f_noise": 1e7, "vtune": 0.45, "nx": 12, "ny": 12}|} ())
+  in
+  Alcotest.(check string) "spur served" "response" (msg_type spur);
+  let pool = Option.get options.Snoise.Flow.pool in
+  Alcotest.(check bool) "the flow ran on the service's pool" true
+    ((Sn_engine.Pool.stats pool).Sn_engine.Pool.tasks_run > 0);
+  Alcotest.(check string) "stats report that pool" "2"
+    (J.to_string (member "jobs" (member "pool" (Sv.stats_json svc))))
 
 let test_health_verb () =
   let svc = Sv.create () in
@@ -831,7 +889,55 @@ let test_mixed_verb_drain () =
     (List.combine replies lines);
   Alcotest.(check int) "six dispatches" (dispatches0 + 6) (batch "dispatches");
   Alcotest.(check int) "one coalesced request" (coalesced0 + 1)
-    (batch "coalesced_requests")
+    (batch "coalesced_requests");
+  (* reduced and exact requests on one deck, interleaved in one drain:
+     each request's configuration travels with it alone *)
+  let on_ladder id verb ?overrides params =
+    Printf.sprintf {|{"id": %d, "verb": %S, "deck": %s, "params": %s%s}|} id
+      verb
+      (J.to_string (J.Str ladder_deck))
+      params
+      (match overrides with
+      | None -> ""
+      | Some ov -> Printf.sprintf {|, "overrides": %s|} ov)
+  in
+  let sweep = {|{"freqs": [1e6, 1e8, 1e9], "nodes": ["out"]}|} in
+  let order = {|{"reduce_order": 4}|} and tol = {|{"reduce_tol": 1e-8}|} in
+  let lines =
+    [
+      on_ladder 1 "ac" sweep;
+      on_ladder 2 "ac" ~overrides:order sweep;
+      on_ladder 3 "op" ~overrides:tol "{}";
+      on_ladder 4 "noise" ~overrides:order
+        {|{"freqs": [1e6, 1e8], "output": "out"}|};
+      on_ladder 5 "op" "{}";
+      on_ladder 6 "verify" ~overrides:tol "{}";
+      on_ladder 7 "ac" ~overrides:tol sweep;
+      on_ladder 8 "verify" "{}";
+    ]
+  in
+  let svc = Sv.create () in
+  List.iter
+    (fun line ->
+      match Sv.submit svc ~client:1 line with
+      | `Queued -> ()
+      | _ -> Alcotest.failf "not queued: %s" line)
+    lines;
+  List.iteri
+    (fun i ((_, mixed), line) ->
+      let alone = handle1 (Sv.create ()) line in
+      Alcotest.(check string)
+        (Printf.sprintf "ladder request %d served" (i + 1))
+        "response" (msg_type mixed);
+      Alcotest.(check string)
+        (Printf.sprintf "ladder request %d byte-identical to serving it alone"
+           (i + 1))
+        (payload alone) (payload mixed))
+    (List.combine (Sv.drain svc) lines);
+  (* one reduction per distinct reduced plan: order 4 and tol 1e-8 *)
+  Alcotest.(check string) "two reductions in the drain" "2"
+    (J.to_string
+       (member "reductions" (member "reduction" (Sv.stats_json svc))))
 
 (* ------------------------------------------------------------------ *)
 (* disconnect shedding at the dispatch boundary *)
@@ -1015,6 +1121,12 @@ let suites =
         Alcotest.test_case "stats shape" `Quick test_stats_shape;
         Alcotest.test_case "reduce overrides" `Quick test_reduce_overrides;
         Alcotest.test_case "verify verb" `Quick test_verify_verb;
+        Alcotest.test_case "verify honours reduce overrides" `Quick
+          test_verify_reduce_override;
+        Alcotest.test_case "reduction stats per service" `Quick
+          test_reduction_stats_per_service;
+        Alcotest.test_case "spur follows the service options" `Quick
+          test_spur_follows_options;
         Alcotest.test_case "health verb" `Quick test_health_verb;
         Alcotest.test_case "deadline exceeded (jobs 1)" `Quick
           (deadline_exceeded_at 1);

@@ -725,15 +725,14 @@ let test_cache_certificates () =
     (Cache.lookup cache ~key:"00stale" = None)
 
 let test_jobs_identity () =
-  let run () =
-    Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~tech:T.imec018
+  let run jobs =
+    let pool = Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~pool ~tech:T.imec018
       ~die:scale_die scale_ports4
   in
-  Pool.set_default_jobs 1;
-  let seq = run () in
-  Pool.set_default_jobs 4;
-  let par = run () in
-  Pool.set_default_jobs (Pool.env_jobs ());
+  let seq = run 1 in
+  let par = run 4 in
   check_identical "1 worker = 4 workers, byte-identical"
     seq.Macromodel.conductance par.Macromodel.conductance
 
