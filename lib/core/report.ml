@@ -214,11 +214,12 @@ let runtime fmt (r : E.runtime) =
        x.X.interface_nodes;
      Format.fprintf fmt
        "extractor: %d CG iterations (%d MG levels), cache %d hit%s / %d \
-        miss%s@,"
+        miss%s, input key %s@,"
        x.X.cg_iterations_total x.X.mg_levels x.X.cache_hits
        (if x.X.cache_hits = 1 then "" else "s")
        x.X.cache_misses
-       (if x.X.cache_misses = 1 then "" else "es"));
+       (if x.X.cache_misses = 1 then "" else "es")
+       (if x.X.input_key_hit then "hit" else "miss"));
   Format.fprintf fmt "tile cache: %a@," Sn_substrate.Cache.pp_resolution
     r.E.tile_cache;
   (match r.E.reduction with

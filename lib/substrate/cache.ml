@@ -7,7 +7,10 @@
    serialized content, and a hit can skip the tile reduction entirely.
    Entries persist as versioned Marshal payloads behind a magic
    header; anything unreadable (truncated file, stale version, label
-   mismatch) is treated as a miss and recomputed. *)
+   mismatch) is treated as a miss and recomputed.  Each handle also
+   keeps an in-memory index from extraction-input digests to the
+   content keys they produced, so a warm extraction need not rebuild
+   the grid to find its tiles. *)
 
 let log_src = Logs.Src.create "sn.subcache" ~doc:"substrate macromodel cache"
 
@@ -22,14 +25,33 @@ module N = Sn_numerics
    touched, so older entries are clean misses. *)
 let format_version = 3
 
-type t = { dir : string }
-
 type tile_model = {
   labels : string array;
   matrix : float array;
   iterations : int;
   form : string;
 }
+
+type recorded_tile = { content_key : string; tile_labels : string array; dim : int }
+
+type recorded = {
+  tile_entries : recorded_tile array;
+  conductance : float array;
+  grid_cells : int;
+  interface_nodes : int;
+}
+
+(* the input-key index: in memory only, one per handle, bounded; the
+   oldest entry is evicted first *)
+type index = {
+  lock : Mutex.t;
+  entries : (string, recorded) Hashtbl.t;
+  order : string Queue.t;
+}
+
+type t = { dir : string; index : index }
+
+let index_capacity = 64
 
 (* payload written to disk; [version] is checked on read so a format
    bump invalidates old entries instead of misreading them *)
@@ -56,7 +78,11 @@ let create ~dir =
     end
   in
   ensure dir;
-  { dir }
+  {
+    dir;
+    index =
+      { lock = Mutex.create (); entries = Hashtbl.create 16; order = Queue.create () };
+  }
 
 let hex_key material = Digest.to_hex (Digest.string material)
 
@@ -76,6 +102,50 @@ let read_payload file =
       else
         let (p : payload) = Marshal.from_channel ic in
         if p.version = format_version then Some p else None)
+
+(* ------------------------------------------------------------------ *)
+(* judging an entry from its bytes alone — signature hashing for
+   certified entries, a fresh LDL^T for uncertified ones — with no
+   extraction and no CG work, which is the point of storing
+   certificates.  [lookup] serves exactly the entries [verify_entry]
+   passes. *)
+
+type entry_status =
+  | Certified  (** signature verifies against the entry's own bytes *)
+  | Recertified
+      (** no stored certificate, but the matrix passes a fresh PSD
+          check now *)
+  | Stale  (** older format version: a clean miss for the extractor *)
+  | Bad of string  (** corrupt, tampered, or genuinely non-passive *)
+
+let judge ~key p =
+  match model_mat p.model with
+  | exception Invalid_argument _ -> Bad "matrix size does not match its labels"
+  | mat -> (
+    match p.cert with
+    | Some cert ->
+      if N.Passivity.verify ~context:key mat cert then Certified
+      else Bad "certificate signature does not match entry bytes"
+    | None ->
+      let v = N.Passivity.psd mat in
+      if N.Passivity.passes v then Recertified
+      else
+        Bad
+          (Printf.sprintf
+             "matrix is not passive (LDL^T pivot %.3g at index %d)"
+             v.N.Passivity.defect v.N.Passivity.index))
+
+(* the judgement, and the model when it may be served *)
+let read_judged t ~key =
+  match read_payload (path t ~key) with
+  | Some p -> (
+    match judge ~key p with
+    | (Certified | Recertified) as s -> (s, Some p.model)
+    | s -> (s, None))
+  | None -> (Stale, None)
+  | exception _ -> (Bad "unreadable entry (truncated or corrupt)", None)
+
+let verify_entry t ~key = fst (read_judged t ~key)
 
 (* process-wide counters, reported by [snoise runtime] and the
    server's stats / verify verbs *)
@@ -100,33 +170,24 @@ let reset_counters () =
 let lookup t ~key =
   Atomic.incr n_lookups;
   let file = path t ~key in
-  match read_payload file with
-  | Some p -> (
-    (* a certified entry must still verify against its own bytes: a
-       corrupted matrix or a certificate pasted from another artifact
-       is a miss, not a wrong answer *)
-    match p.cert with
-    | Some cert when not (N.Passivity.verify ~context:key (model_mat p.model) cert)
-      ->
-      Atomic.incr n_rejected;
-      Log.warn (fun m ->
-          m "cache entry %s fails certificate verification: recomputing" file);
-      None
-    | _ ->
+  if not (Sys.file_exists file) then None
+  else
+    (* a corrupted matrix, a certificate pasted from another artifact
+       or a non-passive entry is a miss, not a wrong answer *)
+    match read_judged t ~key with
+    | _, Some model ->
       Atomic.incr n_hits;
-      Some p.model)
-  | None -> None
-  | exception _ ->
-    (* missing, truncated or corrupted entry: fall back to recompute *)
-    if Sys.file_exists file then
-      Log.warn (fun m -> m "unreadable cache entry %s: recomputing" file);
-    None
+      Some model
+    | Bad why, None ->
+      Atomic.incr n_rejected;
+      Log.warn (fun m -> m "cache entry %s refused (%s): recomputing" file why);
+      None
+    | _, None -> None
 
 let store t ~key model =
   (* write-to-temp + rename so concurrent readers never observe a
      partial entry; failures only cost the caching, never the result *)
   try
-    Atomic.incr n_stores;
     let file = path t ~key in
     let cert = N.Passivity.certify ~context:key (model_mat model) in
     if cert = None then
@@ -142,22 +203,41 @@ let store t ~key model =
       (fun () ->
         output_string oc magic;
         Marshal.to_channel oc { version = format_version; model; cert } []);
-    Sys.rename tmp file
+    Sys.rename tmp file;
+    Atomic.incr n_stores
   with _ -> Log.warn (fun m -> m "cache store failed under %s" t.dir)
 
 (* ------------------------------------------------------------------ *)
-(* certificate verification of a whole cache directory: every entry is
-   re-judged from its bytes alone — signature hashing for certified
-   entries, a fresh LDL^T for uncertified ones — with no extraction
-   and no CG work, which is the point of storing certificates. *)
+(* the input-key index *)
 
-type entry_status =
-  | Certified  (** signature verifies against the entry's own bytes *)
-  | Recertified
-      (** no stored certificate, but the matrix passes a fresh PSD
-          check now *)
-  | Stale  (** older format version: a clean miss for the extractor *)
-  | Bad of string  (** corrupt, tampered, or genuinely non-passive *)
+let copy_recorded r =
+  {
+    r with
+    tile_entries =
+      Array.map
+        (fun e -> { e with tile_labels = Array.copy e.tile_labels })
+        r.tile_entries;
+    conductance = Array.copy r.conductance;
+  }
+
+let recall t ~input_key =
+  let ix = t.index in
+  Mutex.protect ix.lock (fun () -> Hashtbl.find_opt ix.entries input_key)
+  |> Option.map copy_recorded
+
+let remember t ~input_key r =
+  let r = copy_recorded r in
+  let ix = t.index in
+  Mutex.protect ix.lock (fun () ->
+      if not (Hashtbl.mem ix.entries input_key) then begin
+        if Hashtbl.length ix.entries >= index_capacity then
+          Hashtbl.remove ix.entries (Queue.pop ix.order);
+        Queue.push input_key ix.order
+      end;
+      Hashtbl.replace ix.entries input_key r)
+
+(* ------------------------------------------------------------------ *)
+(* verification of a whole cache directory *)
 
 type verification = {
   vf_entries : (string * entry_status) list;  (** key, judgement *)
@@ -166,26 +246,6 @@ type verification = {
   vf_stale : int;
   vf_bad : int;
 }
-
-let verify_entry t ~key =
-  let file = path t ~key in
-  match read_payload file with
-  | Some p -> (
-    let mat = model_mat p.model in
-    match p.cert with
-    | Some cert ->
-      if N.Passivity.verify ~context:key mat cert then Certified
-      else Bad "certificate signature does not match entry bytes"
-    | None ->
-      let v = N.Passivity.psd mat in
-      if N.Passivity.passes v then Recertified
-      else
-        Bad
-          (Printf.sprintf
-             "matrix is not passive (LDL^T pivot %.3g at index %d)"
-             v.N.Passivity.defect v.N.Passivity.index))
-  | None -> Stale
-  | exception _ -> Bad "unreadable entry (truncated or corrupt)"
 
 let status_name = function
   | Certified -> "certified"

@@ -11,10 +11,19 @@
     Entries persist on disk (conventionally under [_snoise_cache/]) as
     versioned [Marshal] payloads behind a magic header.  Reads are
     fail-soft: a truncated, corrupted or version-stale entry is a miss
-    that falls back to recomputation. *)
+    that falls back to recomputation.
+
+    In front of the content keys, each handle keeps an in-memory
+    {e input-key index} ({!recall}, {!remember}): a digest of an
+    extraction's inputs mapped to the content keys it produced and the
+    stitched port matrix, so a warm {!Extractor.extract} skips building
+    the grid.  The index is never persisted and never authoritative:
+    a hit is served only after every recorded content key passes
+    {!lookup} again. *)
 
 type t
-(** A handle on one cache directory. *)
+(** A handle on one cache directory, with its own input-key index
+    (empty at {!create}). *)
 
 (** A cached reduced tile. *)
 type tile_model = {
@@ -39,7 +48,8 @@ val create : dir:string -> t
 (** [create ~dir] binds a cache to [dir], creating it (best-effort,
     [mkdir -p] style) when missing.  An unwritable directory degrades
     to a cache that never hits — extraction results are never
-    affected. *)
+    affected.  Every handle starts with an empty input-key index, even
+    on a directory another handle has warmed. *)
 
 val dir : t -> string
 (** The cache directory. *)
@@ -49,20 +59,53 @@ val hex_key : string -> string
     file-name key. *)
 
 val lookup : t -> key:string -> tile_model option
-(** [lookup t ~key] returns the cached model, or [None] on a miss —
-    including any unreadable or version-stale entry, and any entry
-    whose passivity certificate no longer verifies against its own
-    bytes (corruption and tampering downgrade to recomputation, never
-    to a wrong answer). *)
+(** [lookup t ~key] returns the cached model when {!verify_entry}
+    judges the entry {!Certified} or {!Recertified}, else [None]: a
+    missing or {!Stale} entry is a plain miss, and a {!Bad} one
+    (unreadable, tampered, or non-passive) is a miss counted in
+    [rejected] — corruption and tampering downgrade to recomputation,
+    never to a wrong answer. *)
 
 val store : t -> key:string -> tile_model -> unit
 (** [store t ~key model] persists an entry atomically (temp file +
     rename), together with a signed passivity certificate
     ({!Sn_numerics.Passivity.certify} over the reduced matrix, bound
     to [key]); a non-passive matrix — which a healthy extraction never
-    produces — is stored uncertified and flagged by {!verify_dir}.
-    Failures are logged and swallowed: caching is an optimization,
-    never a correctness dependency. *)
+    produces — is stored uncertified, flagged by {!verify_dir} and
+    refused by {!lookup}.  Failures are logged and swallowed: caching
+    is an optimization, never a correctness dependency.  Only a
+    completed rename counts in [stores]. *)
+
+(** {1 Input-key index}
+
+    What a cold extraction produced, keyed by a digest of its inputs
+    ({!Extractor.input_key}).  Bounded to a fixed number of entries per
+    handle (the oldest is evicted first), guarded by a mutex, and lost
+    with the handle: nothing here touches the disk.  An entry goes
+    stale on its own when a tile file is deleted, corrupted or
+    replaced, because the extractor re-runs {!lookup} on every
+    recorded content key before serving it. *)
+
+type recorded_tile = {
+  content_key : string;  (** the tile's content key in this cache *)
+  tile_labels : string array;  (** its retained-node labels *)
+  dim : int;  (** its reduced matrix dimension *)
+}
+
+type recorded = {
+  tile_entries : recorded_tile array;  (** one per tile, in tile order *)
+  conductance : float array;
+      (** row-major stitched port conductance matrix *)
+  grid_cells : int;  (** cells of the grid the cold run built *)
+  interface_nodes : int;  (** interface cells it stitched *)
+}
+
+val recall : t -> input_key:string -> recorded option
+(** [recall t ~input_key] is a copy of the recorded entry, if any. *)
+
+val remember : t -> input_key:string -> recorded -> unit
+(** [remember t ~input_key r] records a copy of [r], replacing any
+    entry under the same key. *)
 
 val format_version : int
 (** Serialization format version; bumping it invalidates every
@@ -73,7 +116,8 @@ val format_version : int
     [snoise verify --cache-dir DIR] and the server's [verify] verb
     re-judge every entry from its bytes alone: signature hashing for
     certified entries (O(dim²)), a fresh LDLᵀ for uncertified ones —
-    never an extraction, never a CG iteration. *)
+    never an extraction, never a CG iteration.  {!lookup} applies the
+    same judgement. *)
 
 (** How one entry verified. *)
 type entry_status =
@@ -113,9 +157,10 @@ type counters = {
   lookups : int;
   hits : int;  (** lookups that returned a (verified) model *)
   rejected : int;
-      (** lookups whose entry was readable but failed certificate
-          verification — corruption or tampering caught in time *)
-  stores : int;
+      (** lookups whose entry exists but {!verify_entry} judges {!Bad}
+          — corruption, tampering or a non-passive matrix caught in
+          time *)
+  stores : int;  (** entries actually written (rename completed) *)
 }
 
 val counters : unit -> counters

@@ -22,6 +22,7 @@ type stats = {
   cache_hits : int;
   cache_misses : int;
   elapsed_seconds : float;
+  input_key_hit : bool;
 }
 
 (* atomic: concurrent extractions on pool workers (Sn_engine.Pool)
@@ -154,27 +155,102 @@ let key_material ~solver ~form ~tol ~dims:(w, h, d) ~n_i ~labels
   done;
   Buffer.contents buf
 
-let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
-    ?(solver = Mg_cg) ?(tiles = (1, 1)) ?cache ?(tol = 1e-13) ?reduction
-    ?(pool = Pool.default ()) ~tech ~die ports =
-  if ports = [] then invalid_arg "Extractor.extract: no ports";
-  (* artifact namespace tag: runs targeting a PRIMA-reduced flow must
-     never share entries with exact runs, whatever the format version *)
-  let form = match reduction with None -> "exact" | Some d -> d in
+(* artifact namespace tag: runs targeting a PRIMA-reduced flow must
+   never share entries with exact runs, whatever the format version *)
+let form_of = function None -> "exact" | Some digest -> digest
+
+(* input key material: every input the extraction depends on — the
+   settings, the die, the substrate profile and the ports in order —
+   serialized with exact float bits and length-prefixed strings.  The
+   cache handle's index maps its digest to the content keys a cold run
+   produced, so a warm run finds its tiles without building the grid. *)
+let input_material ~config ~grounded_backplane ~solver ~tiles:(tx, ty) ~tol
+    ~form ~(profile : T.substrate_profile) ~die ports =
+  let buf = Buffer.create 512 in
+  let int i = Buffer.add_int64_le buf (Int64.of_int i) in
+  let float f = Buffer.add_int64_le buf (Int64.bits_of_float f) in
+  let str s =
+    int (String.length s);
+    Buffer.add_string buf s
+  in
+  let rect (r : G.Rect.t) =
+    List.iter float [ r.G.Rect.x0; r.G.Rect.y0; r.G.Rect.x1; r.G.Rect.y1 ]
+  in
+  Buffer.add_string buf "snoise-input/";
+  int Cache.format_version;
+  str form;
+  str (match solver with Direct -> "direct" | Mg_cg -> "cg");
+  float tol;
+  List.iter int [ tx; ty; config.Grid.nx; config.Grid.ny ];
+  (match config.Grid.z_per_layer with
+   | None -> int (-1)
+   | Some zs ->
+     int (List.length zs);
+     List.iter int zs);
+  int (Bool.to_int grounded_backplane);
+  rect die;
+  int (List.length profile.T.layers);
+  List.iter
+    (fun (l : T.substrate_layer) ->
+      float l.T.depth;
+      float l.T.resistivity)
+    profile.T.layers;
+  List.iter float
+    [ profile.T.contact_resistance; profile.T.nwell_cap_area;
+      profile.T.nwell_cap_perimeter ];
+  int (List.length ports);
   List.iter
     (fun (p : Port.t) ->
-      List.iter
-        (fun r ->
-          if not (G.Rect.intersects die r) then
-            invalid_arg
-              (Printf.sprintf "Extractor.extract: port %s outside die"
-                 p.Port.name))
-        p.Port.region)
+      str p.Port.name;
+      str (Port.kind_name p.Port.kind);
+      int (List.length p.Port.region);
+      List.iter rect p.Port.region)
     ports;
-  let t0 = Unix.gettimeofday () in
-  let cache = match cache with Some c -> Some c | None -> Cache.default () in
-  let profile = tech.T.substrate in
-  let surface_ports = ports in
+  Buffer.contents buf
+
+let input_key ?(config = Grid.default_config) ?(grounded_backplane = false)
+    ?(solver = Mg_cg) ?(tiles = (1, 1)) ?(tol = 1e-13) ?reduction ~tech ~die
+    ports =
+  Cache.hex_key
+    (input_material ~config ~grounded_backplane ~solver ~tiles ~tol
+       ~form:(form_of reduction) ~profile:tech.T.substrate ~die ports)
+
+(* a cached tile model fits the slot it is about to fill *)
+let usable ~labels ~r ~form (m : Cache.tile_model) =
+  m.Cache.labels = labels
+  && Array.length m.Cache.matrix = r * r
+  && String.equal m.Cache.form form
+
+(* The recorded extraction for [input_key], served only when every
+   tile it used still passes [Cache.lookup] and [usable].  Also returns
+   every lookup made, so a cold fall-through never repeats one. *)
+let recorded_hit c ~input_key ~form =
+  let looked_up = Hashtbl.create 8 in
+  let served =
+    match Cache.recall c ~input_key with
+    | None -> None
+    | Some r ->
+      let fits =
+        Array.map
+          (fun (e : Cache.recorded_tile) ->
+            let m = Cache.lookup c ~key:e.Cache.content_key in
+            Hashtbl.replace looked_up e.Cache.content_key m;
+            match m with
+            | Some m -> usable ~labels:e.Cache.tile_labels ~r:e.Cache.dim ~form m
+            | None -> false)
+          r.Cache.tile_entries
+      in
+      if Array.for_all Fun.id fits then Some r else None
+  in
+  (served, looked_up)
+
+(* The full path: build the grid, find each tile by content key or
+   reduce it, stitch the interface skeleton, and record the result in
+   the cache handle's input-key index.  [looked_up] holds lookups
+   already made for this extraction. *)
+let extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
+    ~pool ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports =
+  let np = Array.length ports_arr in
   (* snap grid lines to every port rectangle edge so thin rings and
      gaps are resolved exactly rather than aliased *)
   let snap_x, snap_y =
@@ -185,18 +261,11 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
             ( r.G.Rect.x0 :: r.G.Rect.x1 :: xs,
               r.G.Rect.y0 :: r.G.Rect.y1 :: ys ))
           (xs, ys) p.Port.region)
-      ([], []) surface_ports
+      ([], []) ports
   in
   let grid = Grid.build ~snap_x ~snap_y config ~die profile in
   let n = Grid.cell_count grid in
   let nx = Grid.nx grid and ny = Grid.ny grid and nz = Grid.nz grid in
-  let ports_arr =
-    if grounded_backplane then
-      Array.of_list
-        (ports @ [ Port.v ~name:"backplane" ~kind:Port.Resistive [ die ] ])
-    else Array.of_list ports
-  in
-  let np = Array.length ports_arr in
   (match Tiling.degenerate ~tiles ~grid:(nx, ny) ~ports:np with
    | Some why -> Log.warn (fun m -> m "degenerate tiling: %s" why)
    | None -> ());
@@ -368,12 +437,13 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     let cached =
       match (cache, key) with
       | Some c, Some k -> (
-        match Cache.lookup c ~key:k with
-        | Some m
-          when m.Cache.labels = labels.(t_id)
-               && Array.length m.Cache.matrix = r * r
-               && String.equal m.Cache.form form ->
-          Some m
+        let found =
+          match Hashtbl.find_opt looked_up k with
+          | Some found -> found
+          | None -> Cache.lookup c ~key:k
+        in
+        match found with
+        | Some m when usable ~labels:labels.(t_id) ~r ~form m -> Some m
         | Some _ ->
           Log.warn (fun f ->
               f "cache entry %s does not match its key: recomputing" k);
@@ -607,36 +677,117 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     N.Mat.init np np (fun p q ->
         0.5 *. (N.Mat.get s p q +. N.Mat.get s q p))
   in
-  let well_caps =
-    Array.to_list ports_arr
-    |> List.filter (fun (p : Port.t) -> p.Port.kind = Port.Well)
-    |> List.map (fun (p : Port.t) ->
-           (p.Port.name, well_capacitance profile p))
-  in
-  let t_end = Unix.gettimeofday () in
-  Atomic.set stats_ref
-    (Some
+  (match (cache, input_key) with
+   | Some c, Some input_key ->
+     Cache.remember c ~input_key
        {
+         Cache.tile_entries =
+           Array.map
+             (fun w ->
+               { Cache.content_key = Option.get w.key; tile_labels = w.labels;
+                 dim = w.r })
+             works;
+         conductance = N.Mat.raw_data s;
          grid_cells = n;
-         ports = np;
-         tiles = n_tiles;
          interface_nodes = m_total;
-         cg_iterations_total = Atomic.get total_iters;
-         mg_levels;
-         assemble_seconds = t_assemble -. t0;
-         reduce_seconds = t_reduce -. t_assemble;
-         stitch_seconds = t_end -. t_reduce;
-         cache_hits;
-         cache_misses;
-         elapsed_seconds = t_end -. t0;
-       });
+       }
+   | _ -> ());
+  let t_end = Unix.gettimeofday () in
+  ( s,
+    {
+      grid_cells = n;
+      ports = np;
+      tiles = n_tiles;
+      interface_nodes = m_total;
+      cg_iterations_total = Atomic.get total_iters;
+      mg_levels;
+      assemble_seconds = t_assemble -. t0;
+      reduce_seconds = t_reduce -. t_assemble;
+      stitch_seconds = t_end -. t_reduce;
+      cache_hits;
+      cache_misses;
+      elapsed_seconds = t_end -. t0;
+      input_key_hit = false;
+    } )
+
+let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
+    ?(solver = Mg_cg) ?(tiles = (1, 1)) ?cache ?(tol = 1e-13) ?reduction
+    ?(pool = Pool.default ()) ~tech ~die ports =
+  if ports = [] then invalid_arg "Extractor.extract: no ports";
+  let form = form_of reduction in
+  List.iter
+    (fun (p : Port.t) ->
+      List.iter
+        (fun r ->
+          if not (G.Rect.intersects die r) then
+            invalid_arg
+              (Printf.sprintf "Extractor.extract: port %s outside die"
+                 p.Port.name))
+        p.Port.region)
+    ports;
+  let t0 = Unix.gettimeofday () in
+  let cache = match cache with Some c -> Some c | None -> Cache.default () in
+  let profile = tech.T.substrate in
+  let ports_arr =
+    if grounded_backplane then
+      Array.of_list
+        (ports @ [ Port.v ~name:"backplane" ~kind:Port.Resistive [ die ] ])
+    else Array.of_list ports
+  in
+  let np = Array.length ports_arr in
+  let input_key =
+    Option.map
+      (fun _ ->
+        Cache.hex_key
+          (input_material ~config ~grounded_backplane ~solver ~tiles ~tol
+             ~form ~profile ~die ports))
+      cache
+  in
+  let served, looked_up =
+    match (cache, input_key) with
+    | Some c, Some input_key -> recorded_hit c ~input_key ~form
+    | _ -> (None, Hashtbl.create 1)
+  in
+  let conductance, stats =
+    match served with
+    | Some r ->
+      (* warm: the recorded matrix, no grid *)
+      let n_tiles = Array.length r.Cache.tile_entries in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      ( N.Mat.of_flat ~rows:np ~cols:np r.Cache.conductance,
+        {
+          grid_cells = r.Cache.grid_cells;
+          ports = np;
+          tiles = n_tiles;
+          interface_nodes = r.Cache.interface_nodes;
+          cg_iterations_total = 0;
+          mg_levels = 0;
+          assemble_seconds = 0.0;
+          reduce_seconds = elapsed;
+          stitch_seconds = 0.0;
+          cache_hits = n_tiles;
+          cache_misses = 0;
+          elapsed_seconds = elapsed;
+          input_key_hit = true;
+        } )
+    | None ->
+      extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
+        ~pool ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports
+  in
+  Atomic.set stats_ref (Some stats);
   Log.info (fun m ->
       m
         "reduction done: %d CG iterations (%d MG levels), %d/%d cache \
-         hits, %.2f s"
-        (Atomic.get total_iters) mg_levels cache_hits n_tiles
-        (t_end -. t0));
-  Macromodel.make ~ports:ports_arr ~conductance:s ~well_capacitance:well_caps
+         hits%s, %.2f s"
+        stats.cg_iterations_total stats.mg_levels stats.cache_hits stats.tiles
+        (if stats.input_key_hit then " (input key)" else "")
+        stats.elapsed_seconds);
+  let well_caps =
+    Array.to_list ports_arr
+    |> List.filter (fun (p : Port.t) -> p.Port.kind = Port.Well)
+    |> List.map (fun (p : Port.t) -> (p.Port.name, well_capacitance profile p))
+  in
+  Macromodel.make ~ports:ports_arr ~conductance ~well_capacitance:well_caps
 
 (* The extraction window covers the substrate-relevant geometry
    (contacts, wells, probes) — not the metal routing and pads, whose

@@ -17,7 +17,18 @@
     interface and local ports independently on the worker pool, then
     stitch the interface skeleton — see {!Tiling}) and consults a
     content-addressed {!Cache} so unchanged tiles are never reduced
-    twice. *)
+    twice.
+
+    The cache is keyed at two levels.  Each tile's content key digests
+    its assembled branch list, so finding it means building the grid.
+    In front of it, {!input_key} digests the extraction inputs; the
+    cache handle's in-memory index maps it to what the cold run
+    produced (each tile's content key, labels and size, the stitched
+    port matrix and the grid summary).  A repeat extraction on the same
+    handle therefore re-checks its tiles with {!Cache.lookup} and
+    returns the recorded matrix without building the grid.  The index
+    is not persisted: a fresh handle, even on a warm directory, builds
+    the grid once and records. *)
 
 (** How the interior Schur columns are computed. *)
 type solver =
@@ -47,12 +58,39 @@ type stats = {
   cache_hits : int;
   cache_misses : int;
   elapsed_seconds : float;
+  input_key_hit : bool;
+      (** served from the cache handle's input-key index: no grid was
+          built, [cache_hits = tiles], [cg_iterations_total = 0], and
+          [grid_cells], [tiles] and [interface_nodes] are the recording
+          cold run's; the key, lookups and the matrix copy count as
+          [reduce_seconds] *)
 }
 
 val last_stats : unit -> stats option
 (** Statistics of the most recent {!extract} call (for the runtime
     report and the benches).  Stored atomically, so concurrent
     extractions on pool workers never expose a torn record. *)
+
+val input_key :
+  ?config:Grid.config ->
+  ?grounded_backplane:bool ->
+  ?solver:solver ->
+  ?tiles:int * int ->
+  ?tol:float ->
+  ?reduction:string ->
+  tech:Sn_tech.Tech.t ->
+  die:Sn_geometry.Rect.t ->
+  Port.t list ->
+  string
+(** [input_key ... ports] is the hex digest {!extract} looks up in the
+    cache handle's index, under the same defaults.  It covers
+    {!Cache.format_version}, the [reduction] tag, the solver, the exact
+    bits of [tol], [tiles], every {!Grid.config} field,
+    [grounded_backplane], the die, the whole substrate profile of
+    [tech] (each layer's depth and resistivity, the contact resistance
+    and both n-well capacitance coefficients) and the ports in order
+    (name, kind, every region rectangle).  The pool is not part of it:
+    results do not depend on the worker count. *)
 
 val extract :
   ?config:Grid.config ->
@@ -81,6 +119,15 @@ val extract :
     (default [1e-13], relative residual per Schur column).  [cache]
     overrides the process default ({!Cache.default}); pass a handle
     explicitly to isolate benches and tests.
+
+    With a cache, a repeat of a recorded extraction (same
+    {!input_key}, same handle) is served from the handle's index when
+    every recorded tile still passes {!Cache.lookup} with its labels,
+    size and form; the conductances and well capacitances are
+    byte-identical to the cold run's, and [input_key_hit] is set.  If
+    any tile misses (deleted, corrupted, stale), the extraction falls
+    through to the full path, reusing the lookups already made, and
+    only the missing tiles are recomputed.
 
     [reduction] tags the cached artifacts with the downstream
     model-order-reduction configuration (a

@@ -756,6 +756,285 @@ let test_solvers_agree () =
       ("mg-cg tiled", Extractor.Mg_cg, (2, 2));
       ("direct tiled", Extractor.Direct, (3, 2)) ]
 
+(* ------------------------------------------------------------------ *)
+(* lookup and store counters: one judgement for lookup and verify *)
+
+let write_entry cache ~key (model : Cache.tile_model) =
+  (* a current-format payload written by hand, without a certificate *)
+  let oc = open_out_bin (Filename.concat (Cache.dir cache) (key ^ ".tile")) in
+  output_string oc "snoise-tile-cache\n";
+  Marshal.to_channel oc
+    (Cache.format_version, model, (None : unit option))
+    [];
+  close_out oc
+
+let test_lookup_refuses_bad () =
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  write_entry cache ~key:"00bad"
+    { Cache.labels = [| "n" |]; matrix = [| -1.0 |]; iterations = 0;
+      form = "exact" };
+  (match Cache.verify_entry cache ~key:"00bad" with
+   | Cache.Bad _ -> ()
+   | s -> Alcotest.failf "judged %s, expected bad" (Cache.status_name s));
+  let before = Cache.counters () in
+  Alcotest.(check bool) "non-passive uncertified entry is a miss" true
+    (Cache.lookup cache ~key:"00bad" = None);
+  let after = Cache.counters () in
+  Alcotest.(check int) "counted as rejected" 1
+    (after.Cache.rejected - before.Cache.rejected);
+  Alcotest.(check int) "not counted as a hit" 0
+    (after.Cache.hits - before.Cache.hits);
+  (* an uncertified entry that passes a fresh PSD check is still served *)
+  write_entry cache ~key:"00ok"
+    { Cache.labels = [| "n" |]; matrix = [| 2.0 |]; iterations = 0;
+      form = "exact" };
+  Alcotest.(check bool) "recertified entry is a hit" true
+    (Cache.lookup cache ~key:"00ok" <> None)
+
+let test_store_counts_writes () =
+  let file = Filename.temp_file "snoise_not_a_dir" "" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let cache = Cache.create ~dir:(Filename.concat file "tiles") in
+  let before = Cache.counters () in
+  Cache.store cache ~key:"k"
+    { Cache.labels = [| "n" |]; matrix = [| 1.0 |]; iterations = 0;
+      form = "exact" };
+  Alcotest.(check int) "failed write is not a store" 0
+    ((Cache.counters ()).Cache.stores - before.Cache.stores);
+  let ok = Cache.create ~dir:(fresh_cache_dir ()) in
+  Cache.store ok ~key:"k"
+    { Cache.labels = [| "n" |]; matrix = [| 1.0 |]; iterations = 0;
+      form = "exact" };
+  Alcotest.(check int) "completed write is one store" 1
+    ((Cache.counters ()).Cache.stores - before.Cache.stores)
+
+(* ------------------------------------------------------------------ *)
+(* the input key and the handle's index *)
+
+type key_inputs = {
+  k_config : Grid.config;
+  k_backplane : bool;
+  k_solver : Extractor.solver;
+  k_tiles : int * int;
+  k_tol : float;
+  k_reduction : string option;
+  k_tech : T.t;
+  k_die : G.Rect.t;
+  k_ports : Port.t list;
+}
+
+let key_of k =
+  Extractor.input_key ~config:k.k_config ~grounded_backplane:k.k_backplane
+    ~solver:k.k_solver ~tiles:k.k_tiles ~tol:k.k_tol ?reduction:k.k_reduction
+    ~tech:k.k_tech ~die:k.k_die k.k_ports
+
+(* [r] with coordinate [c] (x0, y0, x1, y1) moved up by one ulp *)
+let bump_rect (r : G.Rect.t) c =
+  let x0 = r.G.Rect.x0 and y0 = r.G.Rect.y0 in
+  let x1 = r.G.Rect.x1 and y1 = r.G.Rect.y1 in
+  match c mod 4 with
+  | 0 -> G.Rect.make (Float.succ x0) y0 x1 y1
+  | 1 -> G.Rect.make x0 (Float.succ y0) x1 y1
+  | 2 -> G.Rect.make x0 y0 (Float.succ x1) y1
+  | _ -> G.Rect.make x0 y0 x1 (Float.succ y1)
+
+let n_key_fields = 20
+
+(* [perturb field seed k] changes exactly one input field of [k] *)
+let perturb field seed k =
+  let profile = k.k_tech.T.substrate in
+  let with_profile p = { k with k_tech = { k.k_tech with T.substrate = p } } in
+  let nth_layer f =
+    let i = seed mod List.length profile.T.layers in
+    with_profile
+      { profile with
+        T.layers = List.mapi (fun j l -> if j = i then f l else l) profile.T.layers }
+  in
+  let nth_port f =
+    let i = seed mod List.length k.k_ports in
+    { k with k_ports = List.mapi (fun j p -> if j = i then f p else p) k.k_ports }
+  in
+  let tx, ty = k.k_tiles in
+  let cfg = k.k_config in
+  match field with
+  | 0 -> { k with k_reduction = Some "prima-digest" }
+  | 1 -> { k with k_solver = Extractor.Direct }
+  | 2 -> { k with k_tol = Float.succ k.k_tol }
+  | 3 -> { k with k_tiles = (tx + 1, ty) }
+  | 4 -> { k with k_tiles = (tx, ty + 1) }
+  | 5 -> { k with k_config = { cfg with Grid.nx = cfg.Grid.nx + 1 } }
+  | 6 -> { k with k_config = { cfg with Grid.ny = cfg.Grid.ny + 1 } }
+  | 7 ->
+    let zs = Option.get cfg.Grid.z_per_layer in
+    let i = seed mod List.length zs in
+    { k with
+      k_config =
+        { cfg with
+          Grid.z_per_layer = Some (List.mapi (fun j z -> if j = i then z + 1 else z) zs) } }
+  | 8 -> { k with k_config = { cfg with Grid.z_per_layer = None } }
+  | 9 -> { k with k_backplane = true }
+  | 10 -> { k with k_die = bump_rect k.k_die seed }
+  | 11 -> nth_layer (fun l -> { l with T.depth = Float.succ l.T.depth })
+  | 12 -> nth_layer (fun l -> { l with T.resistivity = Float.succ l.T.resistivity })
+  | 13 ->
+    with_profile
+      { profile with T.contact_resistance = Float.succ profile.T.contact_resistance }
+  | 14 ->
+    with_profile { profile with T.nwell_cap_area = Float.succ profile.T.nwell_cap_area }
+  | 15 ->
+    with_profile
+      { profile with T.nwell_cap_perimeter = Float.succ profile.T.nwell_cap_perimeter }
+  | 16 -> (
+    (* swap two neighbouring ports *)
+    let i = seed mod (List.length k.k_ports - 1) in
+    let a = List.nth k.k_ports i and b = List.nth k.k_ports (i + 1) in
+    { k with
+      k_ports =
+        List.mapi (fun j p -> if j = i then b else if j = i + 1 then a else p) k.k_ports })
+  | 17 -> nth_port (fun p -> { p with Port.name = p.Port.name ^ "'" })
+  | 18 ->
+    nth_port (fun p ->
+        { p with Port.kind = (if p.Port.kind = Port.Well then Port.Probe else Port.Well) })
+  | _ ->
+    nth_port (fun p ->
+        { p with
+          Port.region =
+            List.mapi
+              (fun j r -> if j = 0 then bump_rect r (seed / 7) else r)
+              p.Port.region })
+
+let qcheck_input_key_fields =
+  QCheck.Test.make ~count:200 ~name:"any one input field moves the input key"
+    QCheck.(pair (int_range 0 (n_key_fields - 1)) (int_range 0 10000))
+    (fun (field, seed) ->
+      let base =
+        { k_config = scale_cfg; k_backplane = false; k_solver = Extractor.Mg_cg;
+          k_tiles = (2, 2); k_tol = 1e-13; k_reduction = None;
+          k_tech = T.imec018; k_die = scale_die; k_ports = scale_ports seed }
+      in
+      let k = key_of base in
+      String.equal k (key_of { base with k_ports = scale_ports seed })
+      && not (String.equal k (key_of (perturb field seed base))))
+
+let well_ports =
+  scale_ports4
+  @ [ Port.v ~name:"w" ~kind:Port.Well [ G.Rect.make 24.0 24.0 36.0 36.0 ] ]
+
+let check_same_model what (a : Macromodel.t) (b : Macromodel.t) =
+  check_identical (what ^ ": conductance") a.Macromodel.conductance
+    b.Macromodel.conductance;
+  let bits l = List.map (fun (n, c) -> (n, Int64.bits_of_float c)) l in
+  Alcotest.(check bool) (what ^ ": well caps") true
+    (bits a.Macromodel.well_capacitance = bits b.Macromodel.well_capacitance)
+
+let test_input_key_hit_identical () =
+  let digest = Snoise.Reduced_model.(config_digest default_config) in
+  List.iter
+    (fun (what, tiles, grounded_backplane, reduction) ->
+      let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+      let run () =
+        let m =
+          Extractor.extract ~config:scale_cfg ~tiles ~grounded_backplane
+            ?reduction ~cache ~tech:T.imec018 ~die:scale_die well_ports
+        in
+        (m, stats_exn ())
+      in
+      let cold, s_cold = run () in
+      Alcotest.(check bool) (what ^ ": cold is no input-key hit") false
+        s_cold.Extractor.input_key_hit;
+      let warm, s_warm = run () in
+      Alcotest.(check bool) (what ^ ": warm input-key hit") true
+        s_warm.Extractor.input_key_hit;
+      Alcotest.(check int) (what ^ ": every tile hits") s_cold.Extractor.tiles
+        s_warm.Extractor.cache_hits;
+      Alcotest.(check int) (what ^ ": no misses") 0 s_warm.Extractor.cache_misses;
+      Alcotest.(check int) (what ^ ": no CG") 0 s_warm.Extractor.cg_iterations_total;
+      Alcotest.(check (list int)) (what ^ ": cold grid summary")
+        [ s_cold.Extractor.grid_cells; s_cold.Extractor.tiles;
+          s_cold.Extractor.interface_nodes; s_cold.Extractor.ports ]
+        [ s_warm.Extractor.grid_cells; s_warm.Extractor.tiles;
+          s_warm.Extractor.interface_nodes; s_warm.Extractor.ports ];
+      Alcotest.(check bool) (what ^ ": well caps present") true
+        (warm.Macromodel.well_capacitance <> []);
+      check_same_model what cold warm)
+    [ ("untiled", (1, 1), false, None);
+      ("2x2 tiled", (2, 2), false, None);
+      ("grounded backplane", (2, 2), true, None);
+      ("reduction-tagged", (2, 2), false, Some digest) ]
+
+let tile_files cache =
+  Sys.readdir (Cache.dir cache)
+  |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".tile")
+  |> List.sort String.compare
+  |> List.map (Filename.concat (Cache.dir cache))
+
+let test_input_key_falls_through () =
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  let cold = extract_cached cache in
+  List.iter
+    (fun (what, damage, rejected) ->
+      (match tile_files cache with
+       | victim :: _ -> damage victim
+       | [] -> Alcotest.fail "no tile files");
+      let before = Cache.counters () in
+      let m = extract_cached cache in
+      let s = stats_exn () in
+      let after = Cache.counters () in
+      Alcotest.(check bool) (what ^ ": no input-key hit") false
+        s.Extractor.input_key_hit;
+      Alcotest.(check int) (what ^ ": exactly one miss") 1 s.Extractor.cache_misses;
+      Alcotest.(check int) (what ^ ": three hits") 3 s.Extractor.cache_hits;
+      Alcotest.(check int) (what ^ ": each tile looked up once") 4
+        (after.Cache.lookups - before.Cache.lookups);
+      Alcotest.(check int) (what ^ ": rejections") rejected
+        (after.Cache.rejected - before.Cache.rejected);
+      check_identical (what ^ ": identical result") cold.Macromodel.conductance
+        m.Macromodel.conductance;
+      ignore (extract_cached cache);
+      Alcotest.(check bool) (what ^ ": recorded again") true
+        (stats_exn ()).Extractor.input_key_hit)
+    [ ("deleted", Sys.remove, 0);
+      ( "corrupted",
+        (fun f ->
+          let oc = open_out_bin f in
+          output_string oc "garbage";
+          close_out oc),
+        1 ) ]
+
+let test_input_index_per_handle () =
+  let dir = fresh_cache_dir () in
+  let cold = extract_cached (Cache.create ~dir) in
+  let fresh = Cache.create ~dir in
+  let m = extract_cached fresh in
+  let s = stats_exn () in
+  Alcotest.(check bool) "new handle: empty index" false s.Extractor.input_key_hit;
+  Alcotest.(check int) "new handle: tiles still hit on disk" 4 s.Extractor.cache_hits;
+  Alcotest.(check int) "new handle: no CG" 0 s.Extractor.cg_iterations_total;
+  check_identical "new handle: identical" cold.Macromodel.conductance
+    m.Macromodel.conductance;
+  ignore (extract_cached fresh);
+  Alcotest.(check bool) "new handle records" true
+    (stats_exn ()).Extractor.input_key_hit
+
+let test_input_key_concurrent () =
+  let reference =
+    Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~tech:T.imec018
+      ~die:scale_die well_ports
+  in
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  let pool = Pool.create ~jobs:3 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  (* cold and racing, then warm and racing: every result agrees *)
+  for round = 1 to 2 do
+    Pool.map_array pool
+      (fun _ ->
+        Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~cache ~pool
+          ~tech:T.imec018 ~die:scale_die well_ports)
+      (Array.make 6 ())
+    |> Array.iter (check_same_model (Printf.sprintf "round %d" round) reference)
+  done
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -827,5 +1106,18 @@ let suites =
         Alcotest.test_case "cache certificates" `Quick
           test_cache_certificates;
         Alcotest.test_case "jobs identity" `Quick test_jobs_identity;
+        Alcotest.test_case "lookup refuses bad entries" `Quick
+          test_lookup_refuses_bad;
+        Alcotest.test_case "store counts completed writes" `Quick
+          test_store_counts_writes;
+        qcheck qcheck_input_key_fields;
+        Alcotest.test_case "input-key hit identical" `Quick
+          test_input_key_hit_identical;
+        Alcotest.test_case "input-key hit falls through" `Quick
+          test_input_key_falls_through;
+        Alcotest.test_case "input-key index per handle" `Quick
+          test_input_index_per_handle;
+        Alcotest.test_case "input-key concurrent extracts" `Quick
+          test_input_key_concurrent;
       ] );
   ]
