@@ -1,9 +1,10 @@
-(* Small bounded LRU map, used to cap the per-(vtune, grid) VCO flow
-   cache in the serving layer.  Recency is a monotonic tick stamped on
+(* Small bounded LRU map behind every resident cache: the serving
+   layer's plan, parse, macromodel and VCO-flow caches and the tile
+   cache's input-key index.  Recency is a monotonic tick stamped on
    every find/add; eviction scans for the minimum — capacities here
    are single digits to low hundreds, so O(n) eviction beats the
    bookkeeping of an intrusive list.  Not thread-safe: callers hold
-   their own lock (the service serializes cache access already). *)
+   their own lock. *)
 
 type 'a entry = { value : 'a; mutable last_use : int }
 
@@ -34,6 +35,8 @@ let length t = Hashtbl.length t.table
 let evictions t = t.evictions
 
 let capacity t = t.capacity
+
+let fold f t init = Hashtbl.fold (fun k e acc -> f k e.value acc) t.table init
 
 let evict_one t =
   let victim = ref None in

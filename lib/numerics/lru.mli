@@ -1,14 +1,14 @@
 (** Bounded string-keyed LRU map.
 
-    Caps the serving layer's per-[(vtune, grid)] VCO flow cache (each
-    resident flow holds a substrate macromodel plus compiled tank
-    plans, so an unbounded table is an OOM waiting for a parameter
-    sweep).  Recency is a monotonic tick; eviction is an O(n) minimum
-    scan, which at the single-digit-to-hundreds capacities used here
-    is cheaper than intrusive-list bookkeeping.
+    The one eviction policy of every resident cache: the serving
+    layer's plan, parse, macromodel and VCO-flow caches, and each tile
+    cache handle's input-key index.  Recency is a monotonic tick;
+    eviction is an O(n) minimum scan, which at the
+    single-digit-to-hundreds capacities used here is cheaper than
+    intrusive-list bookkeeping.
 
-    Not thread-safe — callers serialize access (the service holds its
-    own lock around every cache probe). *)
+    Not thread-safe — callers serialize access under their own
+    lock. *)
 
 type 'a t
 
@@ -28,6 +28,10 @@ val trim : 'a t -> max_entries:int -> int
     [max_entries] remain (memory-pressure shedding); returns how many
     were dropped. *)
 
+val fold : (string -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** [fold f t init] folds over every resident binding in unspecified
+    order, leaving recency unchanged. *)
+
 val length : 'a t -> int
 (** Resident entries. *)
 
@@ -37,3 +41,4 @@ val evictions : 'a t -> int
 (** Total evictions since creation (capacity plus {!trim}). *)
 
 val clear : 'a t -> unit
+(** Drop every entry.  The eviction count is kept. *)

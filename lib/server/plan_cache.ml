@@ -1,10 +1,4 @@
-(* LRU bookkeeping: every lookup stamps the entry with a monotonically
-   increasing tick; eviction scans for the minimum stamp.  The scan is
-   O(entries) but entries are bounded by max_decks (default 128) and
-   eviction only runs on insertion past the bound — invisible next to
-   a single Newton iteration. *)
-
-type 'a entry = { value : 'a; mutable last_use : int; words : int }
+module Lru = Sn_numerics.Lru
 
 (* what one plans-table slot holds: the compiled plan, and — when the
    deck went through model-order reduction on the way in — the reduced
@@ -18,46 +12,34 @@ type certified_plan = {
     (Sn_numerics.Passivity.cert * Sn_numerics.Passivity.cert) option;
 }
 
+(* one cache layer: its entries and its monotonic hit/miss counters *)
+type 'a layer = { lru : 'a Lru.t; mutable hits : int; mutable misses : int }
+
+let layer capacity = { lru = Lru.create ~capacity; hits = 0; misses = 0 }
+
+(* every layer is guarded by the one lock; a plan is stored with the
+   heap words it weighed at insert *)
 type t = {
   lock : Mutex.t;
-  max_decks : int;
-  mutable tick : int;
-  netlists : (string, Sn_circuit.Netlist.t entry) Hashtbl.t;
-  plans : (string, certified_plan entry) Hashtbl.t;
-  macros : (string, Sn_substrate.Macromodel.t entry) Hashtbl.t;
-  mutable plan_hits : int;
-  mutable plan_misses : int;
-  mutable parse_hits : int;
-  mutable parse_misses : int;
-  mutable macro_hits : int;
-  mutable macro_misses : int;
-  mutable evictions : int;
+  netlists : Sn_circuit.Netlist.t layer;
+  plans : (certified_plan * int) layer;
+  macros : Sn_substrate.Macromodel.t layer;
 }
 
 let create ?(max_decks = 128) () =
+  let max_decks = max 1 max_decks in
   {
     lock = Mutex.create ();
-    max_decks = max 1 max_decks;
-    tick = 0;
-    netlists = Hashtbl.create 64;
-    plans = Hashtbl.create 64;
-    macros = Hashtbl.create 16;
-    plan_hits = 0;
-    plan_misses = 0;
-    parse_hits = 0;
-    parse_misses = 0;
-    macro_hits = 0;
-    macro_misses = 0;
-    evictions = 0;
+    (* the parse layer only de-duplicates work between override
+       variants of one deck, so it may hold twice as many *)
+    netlists = layer (2 * max_decks);
+    plans = layer max_decks;
+    macros = layer max_decks;
   }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let touch t entry =
-  t.tick <- t.tick + 1;
-  entry.last_use <- t.tick
 
 let deck_key ~text ~overrides =
   let canonical =
@@ -82,99 +64,55 @@ let text_key text =
    requests), publish under the lock.  Two racing misses both compute;
    the second publish wins harmlessly — entries are pure values of
    their key. *)
-let find_generic ?(weigh = fun _ -> 0) t table ~key ~(compute : unit -> 'a)
-    ~hit ~miss ~(evict : unit -> unit) =
+let find_generic t layer ~key ~(compute : unit -> 'a) =
   let cached =
     with_lock t (fun () ->
-        match Hashtbl.find_opt table key with
-        | Some e ->
-          touch t e;
-          hit ();
-          Some e.value
-        | None ->
-          miss ();
-          None)
+        let v = Lru.find layer.lru key in
+        (match v with
+         | Some _ -> layer.hits <- layer.hits + 1
+         | None -> layer.misses <- layer.misses + 1);
+        v)
   in
   match cached with
   | Some v -> (v, Protocol.Hit)
   | None ->
     let v = compute () in
-    let words = weigh v in
-    with_lock t (fun () ->
-        t.tick <- t.tick + 1;
-        Hashtbl.replace table key { value = v; last_use = t.tick; words };
-        evict ());
+    with_lock t (fun () -> Lru.add layer.lru key v);
     (v, Protocol.Miss)
 
-(* caller holds the lock *)
-let evict_down t ~max_plans =
-  let dropped = ref 0 in
-  while Hashtbl.length t.plans > max 0 max_plans do
-    let victim = ref None in
-    Hashtbl.iter
-      (fun k e ->
-        match !victim with
-        | Some (_, age) when age <= e.last_use -> ()
-        | _ -> victim := Some (k, e.last_use))
-      t.plans;
-    match !victim with
-    | Some (k, _) ->
-      Hashtbl.remove t.plans k;
-      t.evictions <- t.evictions + 1;
-      incr dropped
-    | None -> ()
-  done;
-  (* keep the parse layer from outliving every plan that used it *)
-  while Hashtbl.length t.netlists > 2 * t.max_decks do
-    let victim = ref None in
-    Hashtbl.iter
-      (fun k e ->
-        match !victim with
-        | Some (_, age) when age <= e.last_use -> ()
-        | _ -> victim := Some (k, e.last_use))
-      t.netlists;
-    match !victim with
-    | Some (k, _) -> Hashtbl.remove t.netlists k
-    | None -> ()
-  done;
-  !dropped
-
-let evict_lru t = ignore (evict_down t ~max_plans:t.max_decks)
-
-(* memory-pressure shedding: drop LRU plans down to [keep], returning
-   how many went.  The freed words only leave the process after a
-   compaction — the service pairs this with [Gc.compact]. *)
-let shed t ~keep = with_lock t (fun () -> evict_down t ~max_plans:keep)
-
-let plan_words t =
+(* memory-pressure shedding: drop LRU plans and macromodels down to
+   [keep] each, returning how many plans went.  The freed words only
+   leave the process after a compaction — the service pairs this with
+   [Gc.compact]. *)
+let shed t ~keep =
   with_lock t (fun () ->
-      Hashtbl.fold (fun _ e acc -> acc + e.words) t.plans 0)
+      ignore (Lru.trim t.macros.lru ~max_entries:keep);
+      Lru.trim t.plans.lru ~max_entries:keep)
+
+let words_of plans =
+  Lru.fold (fun _ (_, words) acc -> acc + words) plans.lru 0
+
+let plan_words t = with_lock t (fun () -> words_of t.plans)
 
 let find_netlist t ~text ~parse =
-  let key = text_key text in
   fst
-    (find_generic t t.netlists ~key
-       ~compute:(fun () -> parse text)
-       ~hit:(fun () -> t.parse_hits <- t.parse_hits + 1)
-       ~miss:(fun () -> t.parse_misses <- t.parse_misses + 1)
-       ~evict:(fun () -> evict_lru t))
+    (find_generic t t.netlists ~key:(text_key text) ~compute:(fun () ->
+         parse text))
 
 let find_compiled t ~key ~compile =
   (* weigh each resident plan once at insert so the service's memory
      watermark can account for cache growth without a heap walk per
      request *)
-  find_generic t t.plans ~key ~compute:compile
-    ~weigh:(fun v -> Obj.reachable_words (Obj.repr v))
-    ~hit:(fun () -> t.plan_hits <- t.plan_hits + 1)
-    ~miss:(fun () -> t.plan_misses <- t.plan_misses + 1)
-    ~evict:(fun () -> evict_lru t)
+  let (cp, _), note =
+    find_generic t t.plans ~key
+      ~compute:(fun () ->
+        let cp = compile () in
+        (cp, Obj.reachable_words (Obj.repr cp)))
+  in
+  (cp, note)
 
 let find_macro t ~text ~extract =
-  let key = text_key text in
-  find_generic t t.macros ~key ~compute:extract
-    ~hit:(fun () -> t.macro_hits <- t.macro_hits + 1)
-    ~miss:(fun () -> t.macro_misses <- t.macro_misses + 1)
-    ~evict:(fun () -> ())
+  find_generic t t.macros ~key:(text_key text) ~compute:extract
 
 (* certificate re-verification of every resident plan: hash-only
    (Reduced_model.verify_certificate), no compile, no factorization.
@@ -193,7 +131,7 @@ type plan_verification = {
 let verify_plans t =
   let entries =
     with_lock t (fun () ->
-        Hashtbl.fold (fun _ e acc -> e.value :: acc) t.plans [])
+        Lru.fold (fun _ (cp, _) acc -> cp :: acc) t.plans.lru [])
   in
   let v =
     {
@@ -231,34 +169,23 @@ type stats = {
 let stats t =
   with_lock t (fun () ->
       {
-        plans = Hashtbl.length t.plans;
+        plans = Lru.length t.plans.lru;
         certified_plans =
-          Hashtbl.fold
-            (fun _ e acc -> if e.value.cp_cert <> None then acc + 1 else acc)
-            t.plans 0;
-        plan_words =
-          Hashtbl.fold (fun _ e acc -> acc + e.words) t.plans 0;
-        plan_hits = t.plan_hits;
-        plan_misses = t.plan_misses;
-        parse_hits = t.parse_hits;
-        parse_misses = t.parse_misses;
-        macro_hits = t.macro_hits;
-        macro_misses = t.macro_misses;
-        evictions = t.evictions;
+          Lru.fold
+            (fun _ (cp, _) acc -> if cp.cp_cert <> None then acc + 1 else acc)
+            t.plans.lru 0;
+        plan_words = words_of t.plans;
+        plan_hits = t.plans.hits;
+        plan_misses = t.plans.misses;
+        parse_hits = t.netlists.hits;
+        parse_misses = t.netlists.misses;
+        macro_hits = t.macros.hits;
+        macro_misses = t.macros.misses;
+        evictions = Lru.evictions t.plans.lru;
       })
 
 let clear t =
   with_lock t (fun () ->
-      Hashtbl.reset t.netlists;
-      Hashtbl.reset t.plans;
-      Hashtbl.reset t.macros)
-
-let reset_counters t =
-  with_lock t (fun () ->
-      t.plan_hits <- 0;
-      t.plan_misses <- 0;
-      t.parse_hits <- 0;
-      t.parse_misses <- 0;
-      t.macro_hits <- 0;
-      t.macro_misses <- 0;
-      t.evictions <- 0)
+      Lru.clear t.netlists.lru;
+      Lru.clear t.plans.lru;
+      Lru.clear t.macros.lru)

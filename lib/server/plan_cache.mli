@@ -16,16 +16,17 @@
     - {b macro layer}: layout text digest -> extracted substrate
       macromodel (the [extract] verb).
 
-    Plan-layer entries are evicted least-recently-used beyond
-    [max_decks]; the parse layer is evicted alongside (it only exists
-    to de-duplicate work between override variants of one deck).
-    All operations are thread-safe. *)
+    Every layer is a {!Sn_numerics.Lru} map, evicted
+    least-recently-used: the plan and macro layers hold at most
+    [max_decks] entries each, the parse layer [2 × max_decks] (it only
+    exists to de-duplicate work between override variants of one
+    deck).  All operations are thread-safe. *)
 
 type t
 
 val create : ?max_decks:int -> unit -> t
 (** [create ()] builds an empty cache holding at most [max_decks]
-    (default 128) compiled plans. *)
+    (default 128) compiled plans and as many extracted macromodels. *)
 
 val deck_key : text:string -> overrides:(string * float) list -> string
 (** The plan-layer key: a digest over the deck text and the
@@ -81,7 +82,8 @@ val find_macro :
   t -> text:string ->
   extract:(unit -> Sn_substrate.Macromodel.t) ->
   Sn_substrate.Macromodel.t * Protocol.cache_note
-(** Layout-extraction layer, keyed by layout text digest. *)
+(** Layout-extraction layer, keyed by layout text digest and bounded
+    at [max_decks] macromodels like the plan layer. *)
 
 (** Monotonic hit/miss/eviction counters, exposed in the server's
     [stats] reply. *)
@@ -99,7 +101,9 @@ type stats = {
   parse_misses : int;
   macro_hits : int;
   macro_misses : int;
-  evictions : int;  (** LRU evictions from the plan layer *)
+  evictions : int;
+      (** LRU evictions from the plan layer, capacity and {!shed}
+          alike *)
 }
 
 val stats : t -> stats
@@ -110,12 +114,11 @@ val plan_words : t -> int
 
 val shed : t -> keep:int -> int
 (** [shed t ~keep] drops least-recently-used plans until at most
-    [keep] remain, returning how many were evicted.  Called by the
-    service when the memory watermark is crossed; the freed words
+    [keep] remain, and likewise trims the macro layer to [keep]
+    macromodels; it returns how many plans were evicted.  Called by
+    the service when the memory watermark is crossed; the freed words
     leave the process on the next compaction. *)
 
 val clear : t -> unit
 (** Drop every entry (the bench's cold-cache mode).  Counters are
     preserved. *)
-
-val reset_counters : t -> unit

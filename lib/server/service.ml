@@ -53,7 +53,7 @@ type t = {
   (* VCO flows for the spur verb, keyed by (vtune, grid); LRU-bounded
      because each resident flow holds a substrate macromodel plus
      compiled tank plans *)
-  flows : Flow.vco_flow Sn_rf.Lru.t;
+  flows : Flow.vco_flow N.Lru.t;
   mutable flow_hits : int;
   mutable flow_misses : int;
   (* reductions this service ran (plan compiles and spur flows) *)
@@ -96,7 +96,7 @@ let create ?(config = default_config) ?(options = Flow.default_options) () =
     svc_total_ms = 0.0;
     svc_max_ms = 0.0;
     svc_last_ms = 0.0;
-    flows = Sn_rf.Lru.create ~capacity:(max 1 config.max_flows);
+    flows = N.Lru.create ~capacity:(max 1 config.max_flows);
     flow_hits = 0;
     flow_misses = 0;
     reductions = 0;
@@ -642,6 +642,11 @@ let run_extract t (req : P.request) =
     note,
     P.Not_applicable )
 
+(* largest lateral grid a served spur may build: the memory watermark
+   is checked at admission, before the grid is allocated, so an
+   unbounded size could take the worker down *)
+let max_spur_grid = 512
+
 let run_spur t (req : P.request) =
   let m = params_members req.P.params in
   let f_noise = required number m "f_noise" in
@@ -649,13 +654,17 @@ let run_spur t (req : P.request) =
   let p_noise_dbm =
     Option.value (param number m "p_noise_dbm") ~default:(-5.0)
   in
-  let nx = Option.value (param integer m "nx") ~default:48 in
-  let ny = Option.value (param integer m "ny") ~default:48 in
-  if nx < 4 || ny < 4 then raise (Bad "\"nx\"/\"ny\" must be >= 4");
+  let grid_size name =
+    let n = Option.value (param integer m name) ~default:48 in
+    if n < 4 || n > max_spur_grid then
+      raise (Bad (Printf.sprintf "%S must be in 4..%d" name max_spur_grid));
+    n
+  in
+  let nx = grid_size "nx" and ny = grid_size "ny" in
   let key = Printf.sprintf "%.17g:%d:%d" vtune nx ny in
   let cached =
     with_lock t (fun () ->
-        match Sn_rf.Lru.find t.flows key with
+        match N.Lru.find t.flows key with
         | Some f ->
           t.flow_hits <- t.flow_hits + 1;
           Some f
@@ -673,7 +682,7 @@ let run_spur t (req : P.request) =
       let options = { t.options with Flow.grid = grid } in
       let f = Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune in
       note_reduction t (Flow.vco_reduction f);
-      with_lock t (fun () -> Sn_rf.Lru.add t.flows key f);
+      with_lock t (fun () -> N.Lru.add t.flows key f);
       (f, P.Miss)
   in
   let h = Flow.vco_transfers flow ~f_noise:[| f_noise |] in
@@ -818,8 +827,7 @@ let try_shed t =
     let dropped = Plan_cache.shed t.cache ~keep:(resident / 2) in
     let flows_dropped =
       with_lock t (fun () ->
-          Sn_rf.Lru.trim t.flows
-            ~max_entries:(Sn_rf.Lru.length t.flows / 2))
+          N.Lru.trim t.flows ~max_entries:(N.Lru.length t.flows / 2))
     in
     with_lock t (fun () -> t.shed_plans <- t.shed_plans + dropped);
     Log.warn (fun m ->
@@ -878,9 +886,9 @@ let stats_json t =
             ("evictions", num cs.Plan_cache.evictions);
             ("plan_words", num cs.Plan_cache.plan_words);
             ("shed_plans", num t.shed_plans);
-            ("flows", num (Sn_rf.Lru.length t.flows));
-            ("flow_capacity", num (Sn_rf.Lru.capacity t.flows));
-            ("flow_evictions", num (Sn_rf.Lru.evictions t.flows));
+            ("flows", num (N.Lru.length t.flows));
+            ("flow_capacity", num (N.Lru.capacity t.flows));
+            ("flow_evictions", num (N.Lru.evictions t.flows));
             ("flow_hits", num t.flow_hits);
             ("flow_misses", num t.flow_misses);
           ] );
@@ -987,7 +995,7 @@ let health_json t =
         J.Obj
           [
             ("plans", num cs.Plan_cache.plans);
-            ("flows", num (Sn_rf.Lru.length t.flows));
+            ("flows", num (N.Lru.length t.flows));
           ] );
       ( "memory",
         J.Obj

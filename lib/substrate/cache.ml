@@ -2,8 +2,8 @@
 
    A reduced tile model is a pure function of the branch list it was
    reduced from (grid slice geometry and technology numbers are folded
-   into the branch conductances), the retained-node labels and the
-   solver settings — so the cache key is a digest over exactly that
+   into the branch conductances), the retained-node labels and the CG
+   tolerance — so the cache key is a digest over exactly that
    serialized content, and a hit can skip the tile reduction entirely.
    Entries persist as versioned Marshal payloads behind a magic
    header; anything unreadable (truncated file, stale version, label
@@ -42,14 +42,8 @@ type recorded = {
 }
 
 (* the input-key index: in memory only, one per handle, bounded; the
-   oldest entry is evicted first *)
-type index = {
-  lock : Mutex.t;
-  entries : (string, recorded) Hashtbl.t;
-  order : string Queue.t;
-}
-
-type t = { dir : string; index : index }
+   least recently used entry is evicted first *)
+type t = { dir : string; lock : Mutex.t; index : recorded N.Lru.t }
 
 let index_capacity = 64
 
@@ -78,11 +72,7 @@ let create ~dir =
     end
   in
   ensure dir;
-  {
-    dir;
-    index =
-      { lock = Mutex.create (); entries = Hashtbl.create 16; order = Queue.create () };
-  }
+  { dir; lock = Mutex.create (); index = N.Lru.create ~capacity:index_capacity }
 
 let hex_key material = Digest.to_hex (Digest.string material)
 
@@ -221,20 +211,12 @@ let copy_recorded r =
   }
 
 let recall t ~input_key =
-  let ix = t.index in
-  Mutex.protect ix.lock (fun () -> Hashtbl.find_opt ix.entries input_key)
+  Mutex.protect t.lock (fun () -> N.Lru.find t.index input_key)
   |> Option.map copy_recorded
 
 let remember t ~input_key r =
   let r = copy_recorded r in
-  let ix = t.index in
-  Mutex.protect ix.lock (fun () ->
-      if not (Hashtbl.mem ix.entries input_key) then begin
-        if Hashtbl.length ix.entries >= index_capacity then
-          Hashtbl.remove ix.entries (Queue.pop ix.order);
-        Queue.push input_key ix.order
-      end;
-      Hashtbl.replace ix.entries input_key r)
+  Mutex.protect t.lock (fun () -> N.Lru.add t.index input_key r)
 
 (* ------------------------------------------------------------------ *)
 (* verification of a whole cache directory *)

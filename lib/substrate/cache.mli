@@ -4,7 +4,7 @@
     serialized content {!Extractor} hashes into the key: the tile's
     branch list (grid slice geometry and technology numbers are folded
     into the branch conductances), the retained-node labels, and the
-    solver settings.  Keying by content means incremental layout edits
+    CG tolerance.  Keying by content means incremental layout edits
     and corner sweeps re-reduce only the tiles whose inputs actually
     changed, while warm extractions skip the reduction entirely.
 
@@ -36,8 +36,8 @@ type tile_model = {
           nodes *)
   iterations : int;  (** CG iterations spent producing the entry *)
   form : string;
-      (** solver/reduction configuration tag the entry was produced
-          under (["exact"], or a {!Snoise.Reduced_model.config_digest}
+      (** reduction configuration tag the entry was produced under
+          (["exact"], or a {!Snoise.Reduced_model.config_digest}
           string when the flow runs with model-order reduction) —
           verified against the extraction on a hit, so reduced and
           exact artifacts can never collide even across format
@@ -80,8 +80,9 @@ val store : t -> key:string -> tile_model -> unit
 
     What a cold extraction produced, keyed by a digest of its inputs
     ({!Extractor.input_key}).  Bounded to a fixed number of entries per
-    handle (the oldest is evicted first), guarded by a mutex, and lost
-    with the handle: nothing here touches the disk.  An entry goes
+    handle on a {!Sn_numerics.Lru} map (the least recently recalled or
+    recorded entry is evicted first), guarded by a mutex, and lost with
+    the handle: nothing here touches the disk.  An entry goes
     stale on its own when a tile file is deleted, corrupted or
     replaced, because the extractor re-runs {!lookup} on every
     recorded content key before serving it. *)

@@ -7,7 +7,8 @@ let log_src = Logs.Src.create "sn.substrate" ~doc:"substrate extraction"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type solver = Mg_cg | Direct
+(* relative residual at which each Schur column's CG stops *)
+let cg_tol = 1e-13
 
 type stats = {
   grid_cells : int;
@@ -121,22 +122,20 @@ let zero_diag_error tl li =
        ix iy iz)
 
 (* cache key material: everything the reduced tile matrix depends on —
-   solver settings, the downstream reduction configuration tag, the
+   the CG tolerance, the downstream reduction configuration tag, the
    interior box shape, retained labels and the full branch list (grid
    spacings and technology numbers are already folded into the branch
    conductances) *)
-let key_material ~solver ~form ~tol ~dims:(w, h, d) ~n_i ~labels
-    (bb : branchbuf) =
+let key_material ~form ~dims:(w, h, d) ~n_i ~labels (bb : branchbuf) =
   let buf = Buffer.create (64 + (20 * bb.blen)) in
   Buffer.add_string buf "snoise-tile/";
   Buffer.add_string buf (string_of_int Cache.format_version);
   Buffer.add_char buf '/';
   Buffer.add_string buf form;
-  (match solver with
-   | Direct -> Buffer.add_string buf "/direct"
-   | Mg_cg ->
-     Buffer.add_string buf "/cg:";
-     Buffer.add_int64_le buf (Int64.bits_of_float tol));
+  (* the CG tag and tolerance bits are part of every stored key:
+     changing them orphans warm cache directories *)
+  Buffer.add_string buf "/cg:";
+  Buffer.add_int64_le buf (Int64.bits_of_float cg_tol);
   List.iter
     (fun v ->
       Buffer.add_char buf '/';
@@ -164,8 +163,8 @@ let form_of = function None -> "exact" | Some digest -> digest
    serialized with exact float bits and length-prefixed strings.  The
    cache handle's index maps its digest to the content keys a cold run
    produced, so a warm run finds its tiles without building the grid. *)
-let input_material ~config ~grounded_backplane ~solver ~tiles:(tx, ty) ~tol
-    ~form ~(profile : T.substrate_profile) ~die ports =
+let input_material ~config ~grounded_backplane ~tiles:(tx, ty) ~form
+    ~(profile : T.substrate_profile) ~die ports =
   let buf = Buffer.create 512 in
   let int i = Buffer.add_int64_le buf (Int64.of_int i) in
   let float f = Buffer.add_int64_le buf (Int64.bits_of_float f) in
@@ -179,8 +178,8 @@ let input_material ~config ~grounded_backplane ~solver ~tiles:(tx, ty) ~tol
   Buffer.add_string buf "snoise-input/";
   int Cache.format_version;
   str form;
-  str (match solver with Direct -> "direct" | Mg_cg -> "cg");
-  float tol;
+  str "cg";
+  float cg_tol;
   List.iter int [ tx; ty; config.Grid.nx; config.Grid.ny ];
   (match config.Grid.z_per_layer with
    | None -> int (-1)
@@ -209,10 +208,9 @@ let input_material ~config ~grounded_backplane ~solver ~tiles:(tx, ty) ~tol
   Buffer.contents buf
 
 let input_key ?(config = Grid.default_config) ?(grounded_backplane = false)
-    ?(solver = Mg_cg) ?(tiles = (1, 1)) ?(tol = 1e-13) ?reduction ~tech ~die
-    ports =
+    ?(tiles = (1, 1)) ?reduction ~tech ~die ports =
   Cache.hex_key
-    (input_material ~config ~grounded_backplane ~solver ~tiles ~tol
+    (input_material ~config ~grounded_backplane ~tiles
        ~form:(form_of reduction) ~profile:tech.T.substrate ~die ports)
 
 (* a cached tile model fits the slot it is about to fill *)
@@ -248,8 +246,7 @@ let recorded_hit c ~input_key ~form =
    reduce it, stitch the interface skeleton, and record the result in
    the cache handle's input-key index.  [looked_up] holds lookups
    already made for this extraction. *)
-let extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
-    ~pool ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports =
+let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports =
   let np = Array.length ports_arr in
   (* snap grid lines to every port rectangle edge so thin rings and
      gaps are resolved exactly rather than aliased *)
@@ -417,9 +414,8 @@ let extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
       | Some _ ->
         Some
           (Cache.hex_key
-             (key_material ~solver ~form ~tol
-                ~dims:(Tiling.interior_dims tl ~nz)
-                ~n_i ~labels:labels.(t_id) bb))
+             (key_material ~form ~dims:(Tiling.interior_dims tl ~nz) ~n_i
+                ~labels:labels.(t_id) bb))
     in
     let work =
       {
@@ -456,71 +452,56 @@ let extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
        work.s <- m.Cache.matrix;
        work.iters <- m.Cache.iterations;
        work.from_cache <- true
-     | None -> (
-       match solver with
-       | Direct ->
-         let edges = ref [] in
-         for k = bb.blen - 1 downto 0 do
-           edges := (bb.bi.(k), bb.bj.(k), bb.bg.(k)) :: !edges
-         done;
-         let net =
-           Elimination.of_conductances ~n:(n_i + r)
-             ~ports:(Array.init r (fun k -> n_i + k))
-             !edges
+     | None ->
+       let builder = N.Sparse.builder (max n_i 1) (max n_i 1) in
+       let brow = Array.init r (fun _ -> Hashtbl.create 16) in
+       let abb = Array.make (r * r) 0.0 in
+       for k = 0 to bb.blen - 1 do
+         let u = bb.bi.(k) and v = bb.bj.(k) and g = bb.bg.(k) in
+         let stamp_cross i rq =
+           (* interior i against retained rq *)
+           N.Sparse.add builder i i g;
+           abb.((rq * r) + rq) <- abb.((rq * r) + rq) +. g;
+           let tbl = brow.(rq) in
+           let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl i) in
+           Hashtbl.replace tbl i (cur -. g)
          in
-         Elimination.eliminate_internal net;
-         let s = Elimination.port_conductance net in
-         work.s <- Array.init (r * r) (fun k -> N.Mat.get s (k / r) (k mod r))
-       | Mg_cg ->
-         let builder = N.Sparse.builder (max n_i 1) (max n_i 1) in
-         let brow = Array.init r (fun _ -> Hashtbl.create 16) in
-         let abb = Array.make (r * r) 0.0 in
-         for k = 0 to bb.blen - 1 do
-           let u = bb.bi.(k) and v = bb.bj.(k) and g = bb.bg.(k) in
-           let stamp_cross i rq =
-             (* interior i against retained rq *)
-             N.Sparse.add builder i i g;
-             abb.((rq * r) + rq) <- abb.((rq * r) + rq) +. g;
-             let tbl = brow.(rq) in
-             let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl i) in
-             Hashtbl.replace tbl i (cur -. g)
-           in
-           match (u < n_i, v < n_i) with
-           | true, true ->
-             N.Sparse.add builder u u g;
-             N.Sparse.add builder v v g;
-             N.Sparse.add builder u v (-.g);
-             N.Sparse.add builder v u (-.g)
-           | true, false -> stamp_cross u (v - n_i)
-           | false, true -> stamp_cross v (u - n_i)
-           | false, false ->
-             let ru = u - n_i and rv = v - n_i in
-             abb.((ru * r) + ru) <- abb.((ru * r) + ru) +. g;
-             abb.((rv * r) + rv) <- abb.((rv * r) + rv) +. g;
-             abb.((ru * r) + rv) <- abb.((ru * r) + rv) -. g;
-             abb.((rv * r) + ru) <- abb.((rv * r) + ru) -. g
-         done;
-         if n_i = 0 then work.s <- abb
-         else begin
-           let aii = N.Sparse.finalize builder in
-           let mg =
-             try N.Mg.build ~dims:(Tiling.interior_dims tl ~nz) aii
-             with N.Cg.Zero_diagonal li -> zero_diag_error tl li
-           in
-           let brow_idx = Array.make r [||] in
-           let brow_val = Array.make r [||] in
-           Array.iteri
-             (fun rq tbl ->
-               let entries =
-                 Hashtbl.fold (fun i v acc -> (i, v) :: acc) tbl []
-                 |> List.sort (fun (a, _) (b, _) -> compare a b)
-               in
-               brow_idx.(rq) <- Array.of_list (List.map fst entries);
-               brow_val.(rq) <- Array.of_list (List.map snd entries))
-             brow;
-           work.s <- Array.make (r * r) 0.0;
-           work.solve <- Some { aii; mg; brow_idx; brow_val; abb }
-         end));
+         match (u < n_i, v < n_i) with
+         | true, true ->
+           N.Sparse.add builder u u g;
+           N.Sparse.add builder v v g;
+           N.Sparse.add builder u v (-.g);
+           N.Sparse.add builder v u (-.g)
+         | true, false -> stamp_cross u (v - n_i)
+         | false, true -> stamp_cross v (u - n_i)
+         | false, false ->
+           let ru = u - n_i and rv = v - n_i in
+           abb.((ru * r) + ru) <- abb.((ru * r) + ru) +. g;
+           abb.((rv * r) + rv) <- abb.((rv * r) + rv) +. g;
+           abb.((ru * r) + rv) <- abb.((ru * r) + rv) -. g;
+           abb.((rv * r) + ru) <- abb.((rv * r) + ru) -. g
+       done;
+       if n_i = 0 then work.s <- abb
+       else begin
+         let aii = N.Sparse.finalize builder in
+         let mg =
+           try N.Mg.build ~dims:(Tiling.interior_dims tl ~nz) aii
+           with N.Cg.Zero_diagonal li -> zero_diag_error tl li
+         in
+         let brow_idx = Array.make r [||] in
+         let brow_val = Array.make r [||] in
+         Array.iteri
+           (fun rq tbl ->
+             let entries =
+               Hashtbl.fold (fun i v acc -> (i, v) :: acc) tbl []
+               |> List.sort (fun (a, _) (b, _) -> compare a b)
+             in
+             brow_idx.(rq) <- Array.of_list (List.map fst entries);
+             brow_val.(rq) <- Array.of_list (List.map snd entries))
+           brow;
+         work.s <- Array.make (r * r) 0.0;
+         work.solve <- Some { aii; mg; brow_idx; brow_val; abb }
+       end);
     work
   in
   let works = Pool.map_array pool prepare_tile (Array.init n_tiles Fun.id) in
@@ -548,7 +529,7 @@ let extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
           let rhs = Array.make w.n_i 0.0 in
           Array.iteri (fun e i -> rhs.(i) <- val_q.(e)) idx_q;
           let res =
-            try N.Cg.solve ~tol ~precond:(N.Mg.apply st.mg) st.aii rhs
+            try N.Cg.solve ~tol:cg_tol ~precond:(N.Mg.apply st.mg) st.aii rhs
             with N.Cg.Zero_diagonal li -> zero_diag_error tl li
           in
           ignore
@@ -711,8 +692,8 @@ let extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
     } )
 
 let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
-    ?(solver = Mg_cg) ?(tiles = (1, 1)) ?cache ?(tol = 1e-13) ?reduction
-    ?(pool = Pool.default ()) ~tech ~die ports =
+    ?(tiles = (1, 1)) ?cache ?reduction ?(pool = Pool.default ()) ~tech ~die
+    ports =
   if ports = [] then invalid_arg "Extractor.extract: no ports";
   let form = form_of reduction in
   List.iter
@@ -739,8 +720,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     Option.map
       (fun _ ->
         Cache.hex_key
-          (input_material ~config ~grounded_backplane ~solver ~tiles ~tol
-             ~form ~profile ~die ports))
+          (input_material ~config ~grounded_backplane ~tiles ~form ~profile
+             ~die ports))
       cache
   in
   let served, looked_up =
@@ -771,8 +752,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
           input_key_hit = true;
         } )
     | None ->
-      extract_cold ~config ~grounded_backplane ~solver ~tiles ~cache ~tol ~form
-        ~pool ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports
+      extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
+        ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports
   in
   Atomic.set stats_ref (Some stats);
   Log.info (fun m ->
@@ -810,12 +791,12 @@ let substrate_bbox layout =
       (fun acc sh -> G.Rect.union_bbox acc (Sn_layout.Shape.bbox sh))
       (Sn_layout.Shape.bbox s) rest
 
-let extract_from_layout ?config ?(margin_fraction = 0.35) ?solver ?tiles
-    ?cache ?tol ?reduction ?pool ~tech layout =
+let extract_from_layout ?config ?(margin_fraction = 0.35) ?tiles ?cache
+    ?reduction ?pool ~tech layout =
   let bbox = substrate_bbox layout in
   let margin =
     margin_fraction *. Float.max (G.Rect.width bbox) (G.Rect.height bbox)
   in
   let die = G.Rect.expand margin bbox in
-  extract ?config ?solver ?tiles ?cache ?tol ?reduction ?pool ~tech ~die
+  extract ?config ?tiles ?cache ?reduction ?pool ~tech ~die
     (Port.of_layout layout)

@@ -7,17 +7,20 @@
 
     {v S = G_pp - G_pi G_ii^-1 G_ip v}
 
-    Two solvers compute the elimination ({!solver}); the default
-    multigrid-preconditioned CG keeps the cost per Schur column far
+    Each Schur column is one conjugate-gradient solve preconditioned by
+    a geometric multigrid V-cycle ({!Sn_numerics.Mg}), run to a fixed
+    relative residual of [1e-13]; that keeps the cost per column far
     below a direct factorization as the grid grows (the hierarchy
     coarsens only laterally, so the layered profile's anisotropy
     leaves the iteration count flat — the bench records the per-size
-    counts).  The reduction optionally runs {e tiled}
-    (hierarchical, nested Schur: reduce each lateral tile onto its
-    interface and local ports independently on the worker pool, then
-    stitch the interface skeleton — see {!Tiling}) and consults a
-    content-addressed {!Cache} so unchanged tiles are never reduced
-    twice.
+    counts).  The exact star-mesh {!Elimination} is the small-grid
+    oracle the tests compare against.
+
+    The reduction optionally runs {e tiled} (hierarchical, nested
+    Schur: reduce each lateral tile onto its interface and local ports
+    independently on the worker pool, then stitch the interface
+    skeleton — see {!Tiling}) and consults a content-addressed {!Cache}
+    so unchanged tiles are never reduced twice.
 
     The cache is keyed at two levels.  Each tile's content key digests
     its assembled branch list, so finding it means building the grid.
@@ -30,16 +33,6 @@
     is not persisted: a fresh handle, even on a warm directory, builds
     the grid once and records. *)
 
-(** How the interior Schur columns are computed. *)
-type solver =
-  | Mg_cg
-      (** conjugate gradients preconditioned by a geometric multigrid
-          V-cycle ({!Sn_numerics.Mg}) — the default, and the only
-          choice that scales to million-cell grids *)
-  | Direct
-      (** exact star-mesh elimination per tile
-          ({!Elimination}) — the small-grid oracle *)
-
 (** Counters and phase timings of one extraction. *)
 type stats = {
   grid_cells : int;
@@ -50,8 +43,8 @@ type stats = {
   cg_iterations_total : int;
       (** CG iterations actually run — [0] on a fully warm cache *)
   mg_levels : int;
-      (** deepest multigrid hierarchy built; [0] unless {!Mg_cg}
-          reduced at least one tile *)
+      (** deepest multigrid hierarchy built; [0] unless at least one
+          tile with interior cells was reduced *)
   assemble_seconds : float;  (** grid build, contact scan, bucketing *)
   reduce_seconds : float;  (** per-tile Schur reduction (or cache) *)
   stitch_seconds : float;  (** interface-skeleton elimination *)
@@ -74,9 +67,7 @@ val last_stats : unit -> stats option
 val input_key :
   ?config:Grid.config ->
   ?grounded_backplane:bool ->
-  ?solver:solver ->
   ?tiles:int * int ->
-  ?tol:float ->
   ?reduction:string ->
   tech:Sn_tech.Tech.t ->
   die:Sn_geometry.Rect.t ->
@@ -84,41 +75,38 @@ val input_key :
   string
 (** [input_key ... ports] is the hex digest {!extract} looks up in the
     cache handle's index, under the same defaults.  It covers
-    {!Cache.format_version}, the [reduction] tag, the solver, the exact
-    bits of [tol], [tiles], every {!Grid.config} field,
-    [grounded_backplane], the die, the whole substrate profile of
-    [tech] (each layer's depth and resistivity, the contact resistance
-    and both n-well capacitance coefficients) and the ports in order
-    (name, kind, every region rectangle).  The pool is not part of it:
+    {!Cache.format_version}, the [reduction] tag, a tag naming the CG
+    solve and the exact bits of its tolerance, [tiles], every
+    {!Grid.config} field, [grounded_backplane], the die, the whole
+    substrate profile of [tech] (each layer's depth and resistivity,
+    the contact resistance and both n-well capacitance coefficients)
+    and the ports in order (name, kind, every region rectangle).  The pool is not part of it:
     results do not depend on the worker count. *)
 
 val extract :
   ?config:Grid.config ->
   ?grounded_backplane:bool ->
-  ?solver:solver ->
   ?tiles:int * int ->
   ?cache:Cache.t ->
-  ?tol:float ->
   ?reduction:string ->
   ?pool:Sn_engine.Pool.t ->
   tech:Sn_tech.Tech.t ->
   die:Sn_geometry.Rect.t ->
   Port.t list ->
   Macromodel.t
-(** [extract ?config ?grounded_backplane ?solver ?tiles ?cache ?tol
-    ?reduction ?pool ~tech ~die ports] computes the macromodel.
+(** [extract ?config ?grounded_backplane ?tiles ?cache ?reduction ?pool
+    ~tech ~die ports] computes the macromodel.
 
     With [grounded_backplane] (default [false]) the die backside is
     metallized: an extra resistive port named ["backplane"] couples to
     every bottom grid cell — ground it in the merged model to study a
     conductively attached die.  [die] is in micrometers.
 
-    [solver] defaults to {!Mg_cg}.  [tiles] (default [(1, 1)], the
-    whole-die reduction) selects the hierarchical tiled path; all
-    solver/tile combinations agree to the iterative tolerance [tol]
-    (default [1e-13], relative residual per Schur column).  [cache]
-    overrides the process default ({!Cache.default}); pass a handle
-    explicitly to isolate benches and tests.
+    [tiles] (default [(1, 1)], the whole-die reduction) selects the
+    hierarchical tiled path; every tiling agrees with the untiled
+    result to the CG tolerance.  [cache] overrides the process default
+    ({!Cache.default}); pass a handle explicitly to isolate benches and
+    tests.
 
     With a cache, a repeat of a recorded extraction (same
     {!input_key}, same handle) is served from the handle's index when
@@ -150,20 +138,18 @@ val extract :
 val extract_from_layout :
   ?config:Grid.config ->
   ?margin_fraction:float ->
-  ?solver:solver ->
   ?tiles:int * int ->
   ?cache:Cache.t ->
-  ?tol:float ->
   ?reduction:string ->
   ?pool:Sn_engine.Pool.t ->
   tech:Sn_tech.Tech.t ->
   Sn_layout.Layout.t ->
   Macromodel.t
-(** [extract_from_layout ?config ?margin_fraction ?solver ?tiles
-    ?cache ?tol ?reduction ?pool ~tech layout] derives the extraction
-    window from the substrate-relevant shapes (contacts, wells, probes
-    — metal routing and pads are excluded so they cannot blow up the
-    cell size), padded on each side by [margin_fraction] (default
+(** [extract_from_layout ?config ?margin_fraction ?tiles ?cache
+    ?reduction ?pool ~tech layout] derives the extraction window from
+    the substrate-relevant shapes (contacts, wells, probes — metal
+    routing and pads are excluded so they cannot blow up the cell
+    size), padded on each side by [margin_fraction] (default
     0.35) of the larger extent so bulk spreading has room, then
-    extracts with ports from {!Port.of_layout}.  The solver, tiling,
-    cache, reduction and pool options are forwarded to {!extract}. *)
+    extracts with ports from {!Port.of_layout}.  The tiling, cache,
+    reduction and pool options are forwarded to {!extract}. *)

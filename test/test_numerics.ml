@@ -7,6 +7,7 @@ module Lu = Sn_numerics.Lu
 module Sparse = Sn_numerics.Sparse
 module Splu = Sn_numerics.Splu
 module Heap = Sn_numerics.Heap
+module Lru = Sn_numerics.Lru
 module Cg = Sn_numerics.Cg
 module Fft = Sn_numerics.Fft
 module Goertzel = Sn_numerics.Goertzel
@@ -999,6 +1000,52 @@ let test_cancel_stops_cg () =
   | _ -> Alcotest.fail "expired token did not stop CG"
   | exception Cancel.Cancelled _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* the bounded LRU behind every resident cache *)
+
+let test_lru_eviction () =
+  let c = Lru.create ~capacity:2 in
+  Lru.add c "a" 1;
+  Lru.add c "b" 2;
+  (* touching "a" makes "b" the eviction victim *)
+  Alcotest.(check (option int)) "hit touches" (Some 1) (Lru.find c "a");
+  Lru.add c "c" 3;
+  Alcotest.(check (option int)) "LRU evicted" None (Lru.find c "b");
+  Alcotest.(check (option int)) "touched kept" (Some 1) (Lru.find c "a");
+  Alcotest.(check (option int)) "newest kept" (Some 3) (Lru.find c "c");
+  Alcotest.(check int) "bounded" 2 (Lru.length c);
+  Alcotest.(check int) "eviction counted" 1 (Lru.evictions c)
+
+let test_lru_replace_and_trim () =
+  let c = Lru.create ~capacity:3 in
+  Lru.add c "a" 1;
+  Lru.add c "b" 2;
+  Lru.add c "c" 3;
+  (* replacing a resident key refreshes its recency without evicting *)
+  Lru.add c "a" 10;
+  Alcotest.(check int) "replace keeps size" 3 (Lru.length c);
+  Alcotest.(check (option int)) "replaced value" (Some 10) (Lru.find c "a");
+  (* shedding: trim to one entry keeps the most recently used *)
+  Alcotest.(check int) "trim drops" 2 (Lru.trim c ~max_entries:1);
+  Alcotest.(check int) "trimmed" 1 (Lru.length c);
+  Alcotest.(check (option int)) "MRU survives trim" (Some 10) (Lru.find c "a");
+  Lru.clear c;
+  Alcotest.(check int) "cleared" 0 (Lru.length c);
+  match Lru.create ~capacity:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "capacity 0 accepted"
+
+let test_lru_fold () =
+  let c = Lru.create ~capacity:2 in
+  Lru.add c "a" 1;
+  Lru.add c "b" 2;
+  Alcotest.(check int) "fold sees every binding" 3
+    (Lru.fold (fun _ v acc -> acc + v) c 0);
+  (* folding touched nothing: "a" is still the eviction victim *)
+  Lru.add c "c" 3;
+  Alcotest.(check (list string)) "fold leaves recency" [ "b"; "c" ]
+    (List.sort String.compare (Lru.fold (fun k _ acc -> k :: acc) c []))
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -1101,5 +1148,11 @@ let suites =
         Alcotest.test_case "deadline expiry" `Quick test_cancel_expiry;
         Alcotest.test_case "ambient token" `Quick test_cancel_ambient;
         Alcotest.test_case "stops a CG solve" `Quick test_cancel_stops_cg;
+      ] );
+    ( "numerics.lru",
+      [
+        Alcotest.test_case "eviction order" `Quick test_lru_eviction;
+        Alcotest.test_case "replace and trim" `Quick test_lru_replace_and_trim;
+        Alcotest.test_case "fold leaves recency" `Quick test_lru_fold;
       ] );
   ]

@@ -312,43 +312,6 @@ let test_spur_equivalent () =
   check_close 1e-9 "beta to dBc" (-40.0)
     (Pn.spur_equivalent_dbc ~beta:0.02)
 
-(* ------------------------------------------------------------------ *)
-(* the bounded LRU behind the serving layer's flow cache *)
-
-module Lru = Sn_rf.Lru
-
-let test_lru_eviction () =
-  let c = Lru.create ~capacity:2 in
-  Lru.add c "a" 1;
-  Lru.add c "b" 2;
-  (* touching "a" makes "b" the eviction victim *)
-  Alcotest.(check (option int)) "hit touches" (Some 1) (Lru.find c "a");
-  Lru.add c "c" 3;
-  Alcotest.(check (option int)) "LRU evicted" None (Lru.find c "b");
-  Alcotest.(check (option int)) "touched kept" (Some 1) (Lru.find c "a");
-  Alcotest.(check (option int)) "newest kept" (Some 3) (Lru.find c "c");
-  Alcotest.(check int) "bounded" 2 (Lru.length c);
-  Alcotest.(check int) "eviction counted" 1 (Lru.evictions c)
-
-let test_lru_replace_and_trim () =
-  let c = Lru.create ~capacity:3 in
-  Lru.add c "a" 1;
-  Lru.add c "b" 2;
-  Lru.add c "c" 3;
-  (* replacing a resident key refreshes its recency without evicting *)
-  Lru.add c "a" 10;
-  Alcotest.(check int) "replace keeps size" 3 (Lru.length c);
-  Alcotest.(check (option int)) "replaced value" (Some 10) (Lru.find c "a");
-  (* shedding: trim to one entry keeps the most recently used *)
-  Alcotest.(check int) "trim drops" 2 (Lru.trim c ~max_entries:1);
-  Alcotest.(check int) "trimmed" 1 (Lru.length c);
-  Alcotest.(check (option int)) "MRU survives trim" (Some 10) (Lru.find c "a");
-  Lru.clear c;
-  Alcotest.(check int) "cleared" 0 (Lru.length c);
-  match Lru.create ~capacity:0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 accepted"
-
 let suites =
   [
     ( "rf.tank",
@@ -395,10 +358,5 @@ let suites =
         Alcotest.test_case "Leeson card" `Quick test_leeson_card;
         Alcotest.test_case "1/f^2 slope" `Quick test_leeson_slope;
         Alcotest.test_case "spur equivalent" `Quick test_spur_equivalent;
-      ] );
-    ( "rf.lru",
-      [
-        Alcotest.test_case "eviction order" `Quick test_lru_eviction;
-        Alcotest.test_case "replace and trim" `Quick test_lru_replace_and_trim;
       ] );
   ]

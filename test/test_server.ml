@@ -212,6 +212,59 @@ let test_plan_cache_lifecycle () =
   Alcotest.(check int) "two plans resident" 2 stats.Pc.plans;
   Alcotest.(check bool) "hits counted" true (stats.Pc.plan_hits >= 3)
 
+(* [probe find key] is whether [key] is resident: a raising compute
+   counts a miss and caches nothing *)
+let resident find key =
+  match find key (fun () -> raise Exit) with
+  | _, P.Hit -> true
+  | _, _ -> false
+  | exception Exit -> false
+
+let test_plan_cache_eviction () =
+  let pc = Pc.create ~max_decks:2 () in
+  let plan =
+    {
+      Pc.cp_plan =
+        Snoise.Flow.compile_deck ~lint:false
+          (Sn_circuit.Spice.of_string ~file:"rc" deck);
+      cp_reduced = None;
+      cp_cert = None;
+    }
+  in
+  let find key compile = Pc.find_compiled pc ~key ~compile in
+  let insert key = ignore (find key (fun () -> plan)) in
+  insert "a";
+  insert "b";
+  Alcotest.(check bool) "a hits" true (resident find "a");
+  insert "c";
+  Alcotest.(check bool) "least recent b evicted" false (resident find "b");
+  Alcotest.(check bool) "recently used a kept" true (resident find "a");
+  Alcotest.(check int) "one eviction" 1 (Pc.stats pc).Pc.evictions;
+  Alcotest.(check int) "shed drops every resident plan" 2
+    (Pc.shed pc ~keep:0);
+  Alcotest.(check int) "none resident" 0 (Pc.stats pc).Pc.plans
+
+let test_macro_layer_bounded () =
+  let pc = Pc.create ~max_decks:2 () in
+  let macro =
+    Sn_substrate.Macromodel.make
+      ~ports:
+        (Array.init 2 (fun k ->
+             Sn_substrate.Port.v ~name:(Printf.sprintf "p%d" k)
+               ~kind:Sn_substrate.Port.Resistive
+               [ Sn_geometry.Rect.make 0.0 0.0 1.0 1.0 ]))
+      ~conductance:
+        (Sn_numerics.Mat.of_flat ~rows:2 ~cols:2 [| 1.0; -1.0; -1.0; 1.0 |])
+      ~well_capacitance:[]
+  in
+  let find text extract = Pc.find_macro pc ~text ~extract in
+  List.iter (fun text -> ignore (find text (fun () -> macro))) [ "l1"; "l2"; "l3" ];
+  Alcotest.(check bool) "oldest layout evicted" false (resident find "l1");
+  Alcotest.(check bool) "newest layout kept" true (resident find "l3");
+  ignore (Pc.shed pc ~keep:0);
+  Alcotest.(check bool) "shed empties the layer" false (resident find "l3");
+  Alcotest.(check bool) "shed empties the layer" false (resident find "l2")
+
 (* batched sweep must be byte-identical to one-by-one serving *)
 let batch_vs_individual jobs () =
   with_jobs jobs (fun options ->
@@ -687,6 +740,26 @@ let test_spur_follows_options () =
   Alcotest.(check string) "stats report that pool" "2"
     (J.to_string (member "jobs" (member "pool" (Sv.stats_json svc))))
 
+let test_spur_grid_range () =
+  let svc = Sv.create () in
+  let spur nx ny =
+    handle1 svc
+      (request ~verb:"spur"
+         ~params:(Printf.sprintf {|{"f_noise": 1e7, "nx": %d, "ny": %d}|} nx ny)
+         ())
+  in
+  List.iter
+    (fun (nx, ny, name) ->
+      let reply = spur nx ny in
+      Alcotest.(check string) (Printf.sprintf "%dx%d refused" nx ny)
+        "bad-request" (error_code reply);
+      let message = str (member "message" (member "error" reply)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %s" message name)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "%S" name) message))
+    [ (513, 4, "nx"); (4, 100000, "ny"); (3, 12, "nx") ]
+
 let test_health_verb () =
   let svc = Sv.create () in
   let reply = handle1 svc {|{"id": 9, "verb": "health"}|} in
@@ -1108,6 +1181,10 @@ let suites =
       [
         Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
         Alcotest.test_case "lint refusal" `Quick test_lint_refused;
+        Alcotest.test_case "plan cache eviction" `Quick
+          test_plan_cache_eviction;
+        Alcotest.test_case "macro layer bounded" `Quick
+          test_macro_layer_bounded;
         Alcotest.test_case "plan cache lifecycle" `Quick
           test_plan_cache_lifecycle;
         Alcotest.test_case "batch identity (jobs 1)" `Quick
@@ -1127,6 +1204,7 @@ let suites =
           test_reduction_stats_per_service;
         Alcotest.test_case "spur follows the service options" `Quick
           test_spur_follows_options;
+        Alcotest.test_case "spur grid range" `Quick test_spur_grid_range;
         Alcotest.test_case "health verb" `Quick test_health_verb;
         Alcotest.test_case "deadline exceeded (jobs 1)" `Quick
           (deadline_exceeded_at 1);

@@ -542,8 +542,8 @@ let qcheck_tiled_matches_direct =
       let cfg = { Grid.nx; ny; z_per_layer = Some [ 1; 1; 1; 1 ] } in
       let ports = scale_ports seed in
       let tiled =
-        Extractor.extract ~config:cfg ~solver:Extractor.Mg_cg ~tiles
-          ~tech:T.imec018 ~die:scale_die ports
+        Extractor.extract ~config:cfg ~tiles ~tech:T.imec018 ~die:scale_die
+          ports
       in
       let direct =
         Elim.reduce_grid ~config:cfg ~tech:T.imec018 ~die:scale_die ports
@@ -737,24 +737,24 @@ let test_jobs_identity () =
     seq.Macromodel.conductance par.Macromodel.conductance
 
 let test_solvers_agree () =
-  (* both solvers and the untiled path agree with the direct oracle *)
+  (* untiled and tiled MG-CG agree with the direct elimination oracle *)
   let base =
     Elim.reduce_grid ~config:scale_cfg ~tech:T.imec018 ~die:scale_die
       scale_ports4
   in
   List.iter
-    (fun (what, solver, tiles) ->
+    (fun (what, tiles) ->
       let m =
-        Extractor.extract ~config:scale_cfg ~solver ~tiles ~tech:T.imec018
+        Extractor.extract ~config:scale_cfg ~tiles ~tech:T.imec018
           ~die:scale_die scale_ports4
       in
       let err = max_rel_err base.Macromodel.conductance m.Macromodel.conductance in
       Alcotest.(check bool)
         (Printf.sprintf "%s (rel err %.2e)" what err)
         true (err < 1e-8))
-    [ ("mg-cg untiled", Extractor.Mg_cg, (1, 1));
-      ("mg-cg tiled", Extractor.Mg_cg, (2, 2));
-      ("direct tiled", Extractor.Direct, (3, 2)) ]
+    [ ("mg-cg untiled", (1, 1));
+      ("mg-cg tiled", (2, 2));
+      ("mg-cg tiled 3x2", (3, 2)) ]
 
 (* ------------------------------------------------------------------ *)
 (* lookup and store counters: one judgement for lookup and verify *)
@@ -814,9 +814,7 @@ let test_store_counts_writes () =
 type key_inputs = {
   k_config : Grid.config;
   k_backplane : bool;
-  k_solver : Extractor.solver;
   k_tiles : int * int;
-  k_tol : float;
   k_reduction : string option;
   k_tech : T.t;
   k_die : G.Rect.t;
@@ -825,8 +823,8 @@ type key_inputs = {
 
 let key_of k =
   Extractor.input_key ~config:k.k_config ~grounded_backplane:k.k_backplane
-    ~solver:k.k_solver ~tiles:k.k_tiles ~tol:k.k_tol ?reduction:k.k_reduction
-    ~tech:k.k_tech ~die:k.k_die k.k_ports
+    ~tiles:k.k_tiles ?reduction:k.k_reduction ~tech:k.k_tech ~die:k.k_die
+    k.k_ports
 
 (* [r] with coordinate [c] (x0, y0, x1, y1) moved up by one ulp *)
 let bump_rect (r : G.Rect.t) c =
@@ -838,7 +836,7 @@ let bump_rect (r : G.Rect.t) c =
   | 2 -> G.Rect.make x0 y0 (Float.succ x1) y1
   | _ -> G.Rect.make x0 y0 x1 (Float.succ y1)
 
-let n_key_fields = 20
+let n_key_fields = 18
 
 (* [perturb field seed k] changes exactly one input field of [k] *)
 let perturb field seed k =
@@ -858,41 +856,39 @@ let perturb field seed k =
   let cfg = k.k_config in
   match field with
   | 0 -> { k with k_reduction = Some "prima-digest" }
-  | 1 -> { k with k_solver = Extractor.Direct }
-  | 2 -> { k with k_tol = Float.succ k.k_tol }
-  | 3 -> { k with k_tiles = (tx + 1, ty) }
-  | 4 -> { k with k_tiles = (tx, ty + 1) }
-  | 5 -> { k with k_config = { cfg with Grid.nx = cfg.Grid.nx + 1 } }
-  | 6 -> { k with k_config = { cfg with Grid.ny = cfg.Grid.ny + 1 } }
-  | 7 ->
+  | 1 -> { k with k_tiles = (tx + 1, ty) }
+  | 2 -> { k with k_tiles = (tx, ty + 1) }
+  | 3 -> { k with k_config = { cfg with Grid.nx = cfg.Grid.nx + 1 } }
+  | 4 -> { k with k_config = { cfg with Grid.ny = cfg.Grid.ny + 1 } }
+  | 5 ->
     let zs = Option.get cfg.Grid.z_per_layer in
     let i = seed mod List.length zs in
     { k with
       k_config =
         { cfg with
           Grid.z_per_layer = Some (List.mapi (fun j z -> if j = i then z + 1 else z) zs) } }
-  | 8 -> { k with k_config = { cfg with Grid.z_per_layer = None } }
-  | 9 -> { k with k_backplane = true }
-  | 10 -> { k with k_die = bump_rect k.k_die seed }
-  | 11 -> nth_layer (fun l -> { l with T.depth = Float.succ l.T.depth })
-  | 12 -> nth_layer (fun l -> { l with T.resistivity = Float.succ l.T.resistivity })
-  | 13 ->
+  | 6 -> { k with k_config = { cfg with Grid.z_per_layer = None } }
+  | 7 -> { k with k_backplane = true }
+  | 8 -> { k with k_die = bump_rect k.k_die seed }
+  | 9 -> nth_layer (fun l -> { l with T.depth = Float.succ l.T.depth })
+  | 10 -> nth_layer (fun l -> { l with T.resistivity = Float.succ l.T.resistivity })
+  | 11 ->
     with_profile
       { profile with T.contact_resistance = Float.succ profile.T.contact_resistance }
-  | 14 ->
+  | 12 ->
     with_profile { profile with T.nwell_cap_area = Float.succ profile.T.nwell_cap_area }
-  | 15 ->
+  | 13 ->
     with_profile
       { profile with T.nwell_cap_perimeter = Float.succ profile.T.nwell_cap_perimeter }
-  | 16 -> (
+  | 14 -> (
     (* swap two neighbouring ports *)
     let i = seed mod (List.length k.k_ports - 1) in
     let a = List.nth k.k_ports i and b = List.nth k.k_ports (i + 1) in
     { k with
       k_ports =
         List.mapi (fun j p -> if j = i then b else if j = i + 1 then a else p) k.k_ports })
-  | 17 -> nth_port (fun p -> { p with Port.name = p.Port.name ^ "'" })
-  | 18 ->
+  | 15 -> nth_port (fun p -> { p with Port.name = p.Port.name ^ "'" })
+  | 16 ->
     nth_port (fun p ->
         { p with Port.kind = (if p.Port.kind = Port.Well then Port.Probe else Port.Well) })
   | _ ->
@@ -908,8 +904,8 @@ let qcheck_input_key_fields =
     QCheck.(pair (int_range 0 (n_key_fields - 1)) (int_range 0 10000))
     (fun (field, seed) ->
       let base =
-        { k_config = scale_cfg; k_backplane = false; k_solver = Extractor.Mg_cg;
-          k_tiles = (2, 2); k_tol = 1e-13; k_reduction = None;
+        { k_config = scale_cfg; k_backplane = false; k_tiles = (2, 2);
+          k_reduction = None;
           k_tech = T.imec018; k_die = scale_die; k_ports = scale_ports seed }
       in
       let k = key_of base in
@@ -1035,6 +1031,22 @@ let test_input_key_concurrent () =
     |> Array.iter (check_same_model (Printf.sprintf "round %d" round) reference)
   done
 
+(* The key bytes are part of the on-disk contract: a warm --cache-dir
+   stays warm only while a fixed die keeps its tile file name and its
+   input key.  A deliberate change bumps Cache.format_version and
+   updates both digests here. *)
+let test_key_bytes_pinned () =
+  let config = { Grid.nx = 8; ny = 8; z_per_layer = Some [ 1; 1; 1; 1 ] } in
+  let ports = scale_ports 7 in
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  ignore
+    (Extractor.extract ~config ~cache ~tech:T.imec018 ~die:scale_die ports);
+  Alcotest.(check (list string)) "tile file name"
+    [ "12529d352a1269d8f12c0b511d4a6374.tile" ]
+    (List.map Filename.basename (tile_files cache));
+  Alcotest.(check string) "input key" "2004d457f225f4e404c350ce70782fbb"
+    (Extractor.input_key ~config ~tech:T.imec018 ~die:scale_die ports)
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -1119,5 +1131,6 @@ let suites =
           test_input_index_per_handle;
         Alcotest.test_case "input-key concurrent extracts" `Quick
           test_input_key_concurrent;
+        Alcotest.test_case "key bytes pinned" `Quick test_key_bytes_pinned;
       ] );
   ]
