@@ -28,45 +28,61 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?precond a b =
             if Float.abs d > 0.0 then 1.0 /. d else raise (Zero_diagonal i))
           (Sparse.diagonal a)
       in
-      fun r -> Vec.init n (fun i -> inv_diag.(i) *. r.(i))
+      fun r z ->
+        for i = 0 to n - 1 do
+          z.(i) <- inv_diag.(i) *. r.(i)
+        done
   in
   let b_norm = Vec.norm2 b in
   if b_norm = 0.0 then
     { solution = Vec.zeros n; iterations = 0; residual_norm = 0.0; converged = true }
   else begin
-    let r = Vec.sub b (Sparse.mul_vec a x) in
-    let z = apply_precond r in
-    let p = ref (Vec.copy z) in
+    (* the only vectors of the solve: every iteration updates them in
+       place *)
+    let r = Vec.zeros n and z = Vec.zeros n and ap = Vec.zeros n in
+    Sparse.mul_vec_into a x r;
+    for i = 0 to n - 1 do
+      r.(i) <- b.(i) -. r.(i)
+    done;
+    apply_precond r z;
+    let p = Vec.copy z in
     let rz = ref (Vec.dot r z) in
-    let rec loop k =
-      let res_norm = Vec.norm2 r /. b_norm in
-      if res_norm <= tol then
-        { solution = x; iterations = k; residual_norm = res_norm; converged = true }
-      else if k >= max_iter then
-        { solution = x; iterations = k; residual_norm = res_norm; converged = false }
-      else begin
-        (* cooperative cancellation: one ambient-token poll per
-           iteration; a matvec dwarfs it *)
-        Cancel.tick ();
-        let ap = Sparse.mul_vec a !p in
-        let p_ap = Vec.dot !p ap in
-        if p_ap <= 0.0 then
-          (* loss of positive-definiteness: stop with current iterate *)
-          { solution = x; iterations = k; residual_norm = res_norm; converged = false }
-        else begin
-          let alpha = !rz /. p_ap in
-          Vec.axpy alpha !p x;
-          Vec.axpy (-.alpha) ap r;
-          let z = apply_precond r in
-          let rz' = Vec.dot r z in
-          let beta = rz' /. !rz in
-          rz := rz';
-          p := Vec.add z (Vec.scale beta !p);
-          loop (k + 1)
-        end
+    let k = ref 0 and res_norm = ref (Vec.norm2 r /. b_norm) in
+    let stop = ref (!res_norm <= tol || !k >= max_iter) in
+    let breakdown = ref false in
+    while not !stop do
+      (* cooperative cancellation: one ambient-token poll per
+         iteration; a matvec dwarfs it *)
+      Cancel.tick ();
+      Sparse.mul_vec_into a p ap;
+      let p_ap = Vec.dot p ap in
+      if p_ap <= 0.0 then begin
+        (* loss of positive-definiteness: stop with current iterate *)
+        breakdown := true;
+        stop := true
       end
-    in
-    loop 0
+      else begin
+        let alpha = !rz /. p_ap in
+        Vec.axpy alpha p x;
+        Vec.axpy (-.alpha) ap r;
+        apply_precond r z;
+        let rz' = Vec.dot r z in
+        let beta = rz' /. !rz in
+        rz := rz';
+        for i = 0 to n - 1 do
+          p.(i) <- z.(i) +. (beta *. p.(i))
+        done;
+        incr k;
+        res_norm := Vec.norm2 r /. b_norm;
+        stop := !res_norm <= tol || !k >= max_iter
+      end
+    done;
+    {
+      solution = x;
+      iterations = !k;
+      residual_norm = !res_norm;
+      converged = (not !breakdown) && !res_norm <= tol;
+    }
   end
 
 let solve_exn ?tol ?max_iter ?x0 ?precond a b =

@@ -26,15 +26,18 @@ val solve :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:Vec.t ->
-  ?precond:(Vec.t -> Vec.t) ->
+  ?precond:(Vec.t -> Vec.t -> unit) ->
   Sparse.t ->
   Vec.t ->
   result
 (** [solve ?tol ?max_iter ?x0 ?precond a b] runs preconditioned CG on
-    [A x = b].  [precond] applies [M{^-1}] to a residual and must be a
-    symmetric positive-definite operator (e.g. {!Mg.apply}); when
-    omitted, a Jacobi preconditioner is built from the diagonal of
-    [a], raising {!Zero_diagonal} on a zero entry.  [tol] is the
+    [A x = b].  [precond r z] writes [M{^-1} r] into [z] (in place,
+    never aliasing [r]) and must be a symmetric positive-definite
+    operator (e.g. {!Mg.precond}); when omitted, a Jacobi
+    preconditioner is built from the diagonal of [a], raising
+    {!Zero_diagonal} on a zero entry.  The solve allocates its
+    solution and four work vectors once and updates them in place on
+    every iteration.  [tol] is the
     relative residual target (default [1e-10]); [max_iter] defaults to
     [4 * dim].  Raises [Invalid_argument] when [a] is not square or
     dimensions mismatch. *)
@@ -43,7 +46,7 @@ val solve_exn :
   ?tol:float ->
   ?max_iter:int ->
   ?x0:Vec.t ->
-  ?precond:(Vec.t -> Vec.t) ->
+  ?precond:(Vec.t -> Vec.t -> unit) ->
   Sparse.t ->
   Vec.t ->
   Vec.t

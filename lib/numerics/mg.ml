@@ -274,32 +274,50 @@ let prolong_add lvl xc x =
     x.(i) <- x.(i) +. !s
   done
 
-let rec v_cycle t l b =
+(* Per-solve V-cycle workspace: on every level below the finest, the
+   restricted residual [b] and the correction [x]; on every level but
+   the coarsest, the residual [r].  The finest level's right-hand side
+   and correction are the caller's vectors. *)
+type work = { b : Vec.t array; x : Vec.t array; r : Vec.t array }
+
+let workspace t =
+  let vec l = Vec.zeros t.levels.(l).n in
+  let nl = Array.length t.levels in
+  let below_finest l = if l = 0 then [||] else vec l in
+  {
+    b = Array.init nl below_finest;
+    x = Array.init nl below_finest;
+    r = Array.init nl (fun l -> if l = nl - 1 then [||] else vec l);
+  }
+
+let rec v_cycle t w l b x =
   let lvl = t.levels.(l) in
   if l = Array.length t.levels - 1 then
     match t.coarse with
-    | Some f -> Lu.solve_factored f b
+    | Some f -> Lu.solve_factored_into f b x
     | None -> assert false
   else begin
-    let x = Vec.zeros lvl.n in
+    Array.fill x 0 lvl.n 0.0;
     for _ = 1 to t.nu do
       gs_sweep lvl b x ~reverse:false
     done;
-    let r = Vec.zeros lvl.n in
+    let r = w.r.(l) in
     residual lvl b x r;
-    let rc = Vec.zeros lvl.coarse_n in
-    restrict lvl r rc;
-    let xc = v_cycle t (l + 1) rc in
+    let bc = w.b.(l + 1) and xc = w.x.(l + 1) in
+    restrict lvl r bc;
+    v_cycle t w (l + 1) bc xc;
     prolong_add lvl xc x;
     for _ = 1 to t.nu do
       gs_sweep lvl b x ~reverse:true
-    done;
-    x
+    done
   end
 
-let apply t r =
-  if Array.length r <> t.levels.(0).n then
-    invalid_arg "Mg.apply: dimension mismatch";
-  (* one cancellation poll per V-cycle; the cycle itself is bounded *)
-  Cancel.poll ();
-  v_cycle t 0 r
+let precond t =
+  let w = workspace t in
+  let n = t.levels.(0).n in
+  fun r z ->
+    if Array.length r <> n || Array.length z <> n then
+      invalid_arg "Mg.precond: dimension mismatch";
+    (* one cancellation poll per V-cycle; the cycle itself is bounded *)
+    Cancel.poll ();
+    v_cycle t w 0 r z

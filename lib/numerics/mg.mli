@@ -34,12 +34,17 @@ val build : ?nu:int -> ?coarse_limit:int -> dims:int * int * int -> Sparse.t -> 
     diagonal entry (a disconnected cell — structurally broken
     input). *)
 
-val apply : t -> Vec.t -> Vec.t
-(** [apply t r] runs one V-cycle on residual [r] from a zero initial
-    guess — the preconditioner application [M{^-1} r].  Allocates its
-    own workspaces, so concurrent calls from pool workers sharing one
-    hierarchy are safe.  Pass [Mg.apply t] as {!Cg.solve}'s
-    [precond]. *)
+val precond : t -> Vec.t -> Vec.t -> unit
+(** [precond t] allocates one V-cycle workspace (a few vectors per
+    level) and returns the preconditioner application: [precond t r z]
+    runs one V-cycle on residual [r] from a zero initial guess and
+    writes [M{^-1} r] into [z] ([r] and [z] may not alias).  Pass it as
+    {!Cg.solve}'s [precond].  Partially apply it once per solve: the
+    returned closure owns its workspace and reuses it on every call,
+    so it must not be shared between domains — concurrent solves on
+    one hierarchy each take their own [precond t].  The hierarchy
+    itself is read-only and safe to share.
+    Raises [Invalid_argument] when [r] or [z] has the wrong size. *)
 
 val levels : t -> int
 (** Number of levels in the hierarchy (1 = direct coarse solve

@@ -152,14 +152,21 @@ let row_ptr m = m.row_ptr
 let col_idx m = m.col_idx
 let values m = m.values
 
+let mul_vec_into m v y =
+  if Array.length v <> m.nc || Array.length y <> m.nr then
+    invalid_arg "Sparse.mul_vec: dimension mismatch";
+  for i = 0 to m.nr - 1 do
+    let acc = ref 0.0 in
+    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
+      acc := !acc +. (m.values.(k) *. v.(m.col_idx.(k)))
+    done;
+    y.(i) <- !acc
+  done
+
 let mul_vec m v =
-  if Array.length v <> m.nc then invalid_arg "Sparse.mul_vec: dimension mismatch";
-  Vec.init m.nr (fun i ->
-      let acc = ref 0.0 in
-      for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-        acc := !acc +. (m.values.(k) *. v.(m.col_idx.(k)))
-      done;
-      !acc)
+  let y = Vec.zeros m.nr in
+  mul_vec_into m v y;
+  y
 
 let diagonal m =
   if m.nr <> m.nc then invalid_arg "Sparse.diagonal: matrix not square";

@@ -49,6 +49,10 @@ val get : t -> int -> int -> float
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec m v] is [m * v]. *)
 
+val mul_vec_into : t -> Vec.t -> Vec.t -> unit
+(** [mul_vec_into m v y] writes [m * v] into [y] ([v] and [y] may not
+    alias); same summation order as {!mul_vec}. *)
+
 val diagonal : t -> Vec.t
 (** [diagonal m] is the main diagonal (square matrices only). *)
 

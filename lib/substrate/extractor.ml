@@ -529,7 +529,7 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool ~profile 
           let rhs = Array.make w.n_i 0.0 in
           Array.iteri (fun e i -> rhs.(i) <- val_q.(e)) idx_q;
           let res =
-            try N.Cg.solve ~tol:cg_tol ~precond:(N.Mg.apply st.mg) st.aii rhs
+            try N.Cg.solve ~tol:cg_tol ~precond:(N.Mg.precond st.mg) st.aii rhs
             with N.Cg.Zero_diagonal li -> zero_diag_error tl li
           in
           ignore

@@ -393,7 +393,7 @@ let test_mg_cg_vs_lu () =
   let mg = Mg.build ~dims m in
   let st = Random.State.make [| 7 |] in
   let rhs = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-  let x = Cg.solve_exn ~tol:1e-12 ~precond:(Mg.apply mg) m rhs in
+  let x = Cg.solve_exn ~tol:1e-12 ~precond:(Mg.precond mg) m rhs in
   let x_lu = Lu.solve_mat (Sparse.to_dense m) rhs in
   Alcotest.(check bool) "MG-CG matches LU" true
     (Vec.max_abs_diff x x_lu < 1e-7)
@@ -406,10 +406,15 @@ let test_mg_symmetric () =
   let n = Sparse.rows m in
   let mg = Mg.build ~coarse_limit:20 ~dims m in
   let basis k = Vec.init n (fun i -> if i = k then 1.0 else 0.0) in
+  let apply k =
+    let z = Vec.zeros n in
+    Mg.precond mg (basis k) z;
+    z
+  in
   let pairs = [ (0, n - 1); (3, 17); (n / 2, n / 3) ] in
   List.iter
     (fun (i, j) ->
-      let mi = Mg.apply mg (basis i) and mj = Mg.apply mg (basis j) in
+      let mi = apply i and mj = apply j in
       let scale = Float.max (Vec.norm_inf mi) (Vec.norm_inf mj) in
       Alcotest.(check bool)
         (Printf.sprintf "symmetry (%d,%d)" i j)
@@ -425,7 +430,7 @@ let test_mg_iterations_flat () =
     let mg = Mg.build ~dims m in
     let n = Sparse.rows m in
     let rhs = Array.init n (fun i -> sin (0.1 *. float_of_int i)) in
-    let r = Cg.solve ~tol:1e-10 ~precond:(Mg.apply mg) m rhs in
+    let r = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m rhs in
     Alcotest.(check bool) "converged" true r.Cg.converged;
     r.Cg.iterations
   in
@@ -492,13 +497,63 @@ let test_mg_layered_anisotropy () =
       let mg = Mg.build ~dims m in
       let n = Sparse.rows m in
       let rhs = Array.init n (fun i -> sin (0.37 *. float_of_int i)) in
-      let r = Cg.solve ~tol:1e-10 ~precond:(Mg.apply mg) m rhs in
+      let r = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m rhs in
       Alcotest.(check bool)
         (Printf.sprintf "%d^2 converged in %d <= 20 iterations" n_lat
            r.Cg.iterations)
         true
         (r.Cg.converged && r.Cg.iterations <= 20))
     [ 16; 48 ]
+
+(* Each solve owns its V-cycle workspace: solving on four domains, each
+   task with its own [Mg.precond], gives the sequential bytes. *)
+let test_mg_workspace_isolation () =
+  let module Pool = Sn_engine.Pool in
+  let m, dims = layered_substrate 16 in
+  let mg = Mg.build ~dims m in
+  let n = Sparse.rows m in
+  let rhs =
+    Array.init 8 (fun k ->
+        Array.init n (fun i -> sin ((0.1 +. (0.07 *. float_of_int k)) *. float_of_int i)))
+  in
+  let solve b =
+    let r = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m b in
+    (r.Cg.solution, r.Cg.iterations)
+  in
+  let sequential = Array.map solve rhs in
+  let pool = Pool.create ~jobs:4 () in
+  let parallel =
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+    Pool.map_array pool solve rhs
+  in
+  Array.iteri
+    (fun k (x, it) ->
+      let x', it' = parallel.(k) in
+      Alcotest.(check int) (Printf.sprintf "rhs %d iterations" k) it it';
+      Alcotest.(check bool) (Printf.sprintf "rhs %d bytes" k) true
+        (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) x x'))
+    sequential
+
+(* PCG updates its vectors in place and the V-cycle reuses one
+   workspace: a whole solve, workspace included, allocates a small
+   multiple of n words, not a few vectors per iteration. *)
+let test_mg_pcg_allocation () =
+  let m, dims = layered_substrate 48 in
+  let mg = Mg.build ~dims m in
+  let n = Sparse.rows m in
+  let rhs = Array.init n (fun i -> sin (0.37 *. float_of_int i)) in
+  (* a major cycle first: it hands this domain the allocation counts
+     that exited pool domains left behind, outside the measured span *)
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let r = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m rhs in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check bool) "converged" true r.Cg.converged;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words in %d iterations <= 32 n = %d" words
+       r.Cg.iterations (32 * n))
+    true
+    (words <= float_of_int (32 * n))
 
 let test_cg_zero_diagonal () =
   let b = Sparse.builder 3 3 in
@@ -1097,6 +1152,9 @@ let suites =
           test_mg_iterations_flat;
         Alcotest.test_case "layered anisotropy" `Quick
           test_mg_layered_anisotropy;
+        Alcotest.test_case "workspace isolation" `Quick
+          test_mg_workspace_isolation;
+        Alcotest.test_case "allocation-free PCG" `Quick test_mg_pcg_allocation;
       ] );
     ( "numerics.splu",
       [
