@@ -28,10 +28,6 @@ type level = {
   coarse_n : int;
 }
 
-type t = { levels : level array; coarse : Lu.rfactor option; nu : int }
-
-let levels t = Array.length t.levels
-
 (* 1-D index-space coarsening of a lateral dimension: even fine lines
    inject, odd fine lines average their two coarse flanks.  Extents
    below 4 stay as they are. *)
@@ -173,61 +169,135 @@ let build_transfer (nx, ny, nz) (cx, cy) a =
   in
   (p_ptr, p_idx, p_w, a_c)
 
+(* Banded Cholesky factor of the coarsest operator.  Its cells are
+   renumbered with the axes in ascending extent, the shortest varying
+   fastest, so every stencil neighbour lies within [bw] band rows; [bw]
+   is read off the renumbered CSR pattern.  [perm.(k)] is the cell at
+   band row [k].  L is stored by rows over the band: L(k, j), for
+   [k - bw <= j <= k], at [l.((k * bw) + bw + j)]. *)
+type band = { bw : int; perm : int array; l : float array }
+
+let band_factor a (nx, ny, nz) =
+  let n = nx * ny * nz in
+  let ext = [| nx; ny; nz |] in
+  let axes =
+    Array.of_list
+      (List.stable_sort (fun p q -> compare ext.(p) ext.(q)) [ 0; 1; 2 ])
+  in
+  let stride = Array.make 3 1 in
+  stride.(axes.(1)) <- ext.(axes.(0));
+  stride.(axes.(2)) <- ext.(axes.(0)) * ext.(axes.(1));
+  let pos = Array.make n 0 in
+  for iz = 0 to nz - 1 do
+    for iy = 0 to ny - 1 do
+      for ix = 0 to nx - 1 do
+        pos.((iz * nx * ny) + (iy * nx) + ix) <-
+          (ix * stride.(0)) + (iy * stride.(1)) + (iz * stride.(2))
+      done
+    done
+  done;
+  let rp = Sparse.row_ptr a and ci = Sparse.col_idx a and v = Sparse.values a in
+  let bw = ref 0 in
+  for i = 0 to n - 1 do
+    for e = rp.(i) to rp.(i + 1) - 1 do
+      bw := max !bw (abs (pos.(i) - pos.(ci.(e))))
+    done
+  done;
+  let bw = !bw in
+  let row k = (k * bw) + bw in
+  let l = Array.make (n * (bw + 1)) 0.0 in
+  for i = 0 to n - 1 do
+    let k = pos.(i) in
+    for e = rp.(i) to rp.(i + 1) - 1 do
+      let j = pos.(ci.(e)) in
+      if j <= k then l.(row k + j) <- v.(e)
+    done
+  done;
+  for k = 0 to n - 1 do
+    let rk = row k and lo = max 0 (k - bw) in
+    for j = lo to k do
+      let rj = row j in
+      let s = ref l.(rk + j) in
+      for m = lo to j - 1 do
+        s := !s -. (l.(rk + m) *. l.(rj + m))
+      done;
+      if j < k then l.(rk + j) <- !s /. l.(rj + j)
+      else if !s > 0.0 then l.(rk + k) <- sqrt !s
+      else raise (Lu.Singular k)
+    done
+  done;
+  let perm = Array.make n 0 in
+  Array.iteri (fun i k -> perm.(k) <- i) pos;
+  { bw; perm; l }
+
+(* Solve A x = b through the band factor: forward L, backward L^T
+   (column by column, so both sweeps read L by rows), un-permute.
+   [y] is band-ordered scratch. *)
+let band_solve { bw; perm; l } y b x =
+  let n = Array.length perm in
+  let row k = (k * bw) + bw in
+  for k = 0 to n - 1 do
+    let rk = row k in
+    let s = ref b.(perm.(k)) in
+    for m = max 0 (k - bw) to k - 1 do
+      s := !s -. (l.(rk + m) *. y.(m))
+    done;
+    y.(k) <- !s /. l.(rk + k)
+  done;
+  for k = n - 1 downto 0 do
+    let rk = row k in
+    let yk = y.(k) /. l.(rk + k) in
+    y.(k) <- yk;
+    for m = max 0 (k - bw) to k - 1 do
+      y.(m) <- y.(m) -. (l.(rk + m) *. yk)
+    done
+  done;
+  for k = 0 to n - 1 do
+    x.(perm.(k)) <- y.(k)
+  done
+
+type t = { levels : level array; coarse : band; nu : int }
+
+let levels t = Array.length t.levels
+
 let build ?(nu = 1) ?(coarse_limit = 600) ~dims a =
   let nx, ny, nz = dims in
   let n = nx * ny * nz in
   if Sparse.rows a <> n || Sparse.cols a <> n then
     invalid_arg "Mg.build: dims do not match matrix size";
   if nu < 1 then invalid_arg "Mg.build: nu must be >= 1";
+  let level a dims (p_ptr, p_idx, p_w) coarse_n =
+    let nx, ny, nz = dims in
+    {
+      a;
+      n = nx * ny * nz;
+      row_ptr = Sparse.row_ptr a;
+      col_idx = Sparse.col_idx a;
+      values = Sparse.values a;
+      inv_diag = inv_diag_of a;
+      order = red_black_order dims;
+      p_ptr;
+      p_idx;
+      p_w;
+      coarse_n;
+    }
+  in
   let rec grow a dims acc =
     let nx, ny, nz = dims in
-    let n = nx * ny * nz in
     let cx = coarsen_dim nx and cy = coarsen_dim ny in
-    let stop = n <= coarse_limit || (cx = nx && cy = ny) in
-    if stop then begin
-      let lvl =
-        {
-          a;
-          n;
-          row_ptr = Sparse.row_ptr a;
-          col_idx = Sparse.col_idx a;
-          values = Sparse.values a;
-          inv_diag = inv_diag_of a;
-          order = red_black_order dims;
-          p_ptr = [||];
-          p_idx = [||];
-          p_w = [||];
-          coarse_n = 0;
-        }
-      in
-      List.rev (lvl :: acc)
-    end
+    if nx * ny * nz <= coarse_limit || (cx = nx && cy = ny) then
+      let last = level a dims ([||], [||], [||]) 0 in
+      (Array.of_list (List.rev (last :: acc)), a, dims)
     else begin
       let p_ptr, p_idx, p_w, a_c = build_transfer dims (cx, cy) a in
-      let lvl =
-        {
-          a;
-          n;
-          row_ptr = Sparse.row_ptr a;
-          col_idx = Sparse.col_idx a;
-          values = Sparse.values a;
-          inv_diag = inv_diag_of a;
-          order = red_black_order dims;
-          p_ptr;
-          p_idx;
-          p_w;
-          coarse_n = cx * cy * nz;
-        }
-      in
+      let lvl = level a dims (p_ptr, p_idx, p_w) (cx * cy * nz) in
       grow a_c (cx, cy, nz) (lvl :: acc)
     end
   in
-  let levels = Array.of_list (grow a dims []) in
-  let last = levels.(Array.length levels - 1) in
-  (* the coarsest operator is dense-factored once; with only one level
+  let levels, a_last, dims_last = grow a dims [] in
+  (* the coarsest operator is band-factored once; with only one level
      the V-cycle degenerates to that direct solve *)
-  let coarse = Some (Lu.factor_mat (Sparse.to_dense last.a)) in
-  { levels; coarse; nu }
+  { levels; coarse = band_factor a_last dims_last; nu }
 
 (* One Gauss-Seidel sweep over the given cell order (forward = the
    stored red-then-black order; the post-smoother passes it
@@ -276,9 +346,10 @@ let prolong_add lvl xc x =
 
 (* Per-solve V-cycle workspace: on every level below the finest, the
    restricted residual [b] and the correction [x]; on every level but
-   the coarsest, the residual [r].  The finest level's right-hand side
-   and correction are the caller's vectors. *)
-type work = { b : Vec.t array; x : Vec.t array; r : Vec.t array }
+   the coarsest, the residual [r]; and the band solve's scratch [y].
+   The finest level's right-hand side and correction are the caller's
+   vectors. *)
+type work = { b : Vec.t array; x : Vec.t array; r : Vec.t array; y : Vec.t }
 
 let workspace t =
   let vec l = Vec.zeros t.levels.(l).n in
@@ -288,14 +359,12 @@ let workspace t =
     b = Array.init nl below_finest;
     x = Array.init nl below_finest;
     r = Array.init nl (fun l -> if l = nl - 1 then [||] else vec l);
+    y = vec (nl - 1);
   }
 
 let rec v_cycle t w l b x =
   let lvl = t.levels.(l) in
-  if l = Array.length t.levels - 1 then
-    match t.coarse with
-    | Some f -> Lu.solve_factored_into f b x
-    | None -> assert false
+  if l = Array.length t.levels - 1 then band_solve t.coarse w.y b x
   else begin
     Array.fill x 0 lvl.n 0.0;
     for _ = 1 to t.nu do

@@ -12,8 +12,12 @@
     sweep of the pre-smoother, which makes one V-cycle a symmetric
     positive-definite operator — the property PCG requires of its
     preconditioner ({!Cg.solve}'s [precond]).  The coarsest level is
-    solved directly through a dense {!Lu} factorization held by the
-    hierarchy. *)
+    solved directly through a banded Cholesky factor [L L{^T}] held by
+    the hierarchy: its cells are renumbered with the axes in ascending
+    extent (the shortest varies fastest), the half-bandwidth is read off
+    the renumbered sparsity pattern (45 on a 10x10x4 level, against 400
+    columns dense), and each application is one forward and one
+    backward band sweep. *)
 
 type t
 (** A multigrid hierarchy bound to one matrix. *)
@@ -30,9 +34,10 @@ val build : ?nu:int -> ?coarse_limit:int -> dims:int * int * int -> Sparse.t -> 
     build are linear in the nonzeros.  [nu] (default 1) is the number
     of pre- and post-smoothing sweeps.
     Raises [Invalid_argument] when [dims] disagree with the matrix
-    size and {!Cg.Zero_diagonal} when a level operator has a zero
-    diagonal entry (a disconnected cell — structurally broken
-    input). *)
+    size, {!Cg.Zero_diagonal} when a level operator has a zero
+    diagonal entry (a disconnected cell — structurally broken input)
+    and {!Lu.Singular}[ k] when the coarsest operator is not positive
+    definite (a non-positive pivot at band row [k]). *)
 
 val precond : t -> Vec.t -> Vec.t -> unit
 (** [precond t] allocates one V-cycle workspace (a few vectors per

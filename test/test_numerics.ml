@@ -398,6 +398,40 @@ let test_mg_cg_vs_lu () =
   Alcotest.(check bool) "MG-CG matches LU" true
     (Vec.max_abs_diff x x_lu < 1e-7)
 
+(* A one-level hierarchy is the banded-Cholesky direct solve: on every
+   axis order (z longest in the last shape) one application is the LU
+   solution, and PCG with it converges in one iteration. *)
+let test_mg_coarse_exact () =
+  List.iter
+    (fun ((nx, ny, nz) as dims) ->
+      let what = Printf.sprintf "%dx%dx%d" nx ny nz in
+      let m = grid_laplacian dims in
+      let n = Sparse.rows m in
+      let mg = Mg.build ~coarse_limit:n ~dims m in
+      Alcotest.(check int) (what ^ " one level") 1 (Mg.levels mg);
+      let rhs = Array.init n (fun i -> cos (0.3 *. float_of_int i)) in
+      let z = Vec.zeros n in
+      Mg.precond mg rhs z;
+      let x_lu = Lu.solve_mat (Sparse.to_dense m) rhs in
+      let err = Vec.max_abs_diff z x_lu /. Vec.norm_inf x_lu in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s band solve = LU (%.2g)" what err)
+        true (err <= 1e-12);
+      let r = Cg.solve ~precond:(Mg.precond mg) m rhs in
+      Alcotest.(check bool) (what ^ " converged") true r.Cg.converged;
+      Alcotest.(check int) (what ^ " PCG iterations") 1 r.Cg.iterations)
+    [ (9, 7, 3); (3, 9, 7); (5, 4, 12) ];
+  (* a non-positive pivot is refused with the dense factor's error *)
+  let dims = (4, 3, 2) in
+  let m = grid_laplacian dims in
+  let neg =
+    Sparse.of_csr ~rows:24 ~cols:24 ~row_ptr:(Sparse.row_ptr m)
+      ~col_idx:(Sparse.col_idx m)
+      ~values:(Array.map Float.neg (Sparse.values m))
+  in
+  Alcotest.check_raises "indefinite coarse operator" (Lu.Singular 0) (fun () ->
+      ignore (Mg.build ~dims neg))
+
 (* PCG requires a symmetric preconditioner: <M e_i, e_j> = <e_i, M e_j>.
    The symmetric red-black V-cycle must satisfy this to rounding. *)
 let test_mg_symmetric () =
@@ -514,7 +548,8 @@ let test_mg_workspace_isolation () =
   let n = Sparse.rows m in
   let rhs =
     Array.init 8 (fun k ->
-        Array.init n (fun i -> sin ((0.1 +. (0.07 *. float_of_int k)) *. float_of_int i)))
+        let w = 0.1 +. (0.07 *. float_of_int k) in
+        Array.init n (fun i -> sin (w *. float_of_int i)))
   in
   let solve b =
     let r = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m b in
@@ -530,8 +565,9 @@ let test_mg_workspace_isolation () =
     (fun k (x, it) ->
       let x', it' = parallel.(k) in
       Alcotest.(check int) (Printf.sprintf "rhs %d iterations" k) it it';
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
       Alcotest.(check bool) (Printf.sprintf "rhs %d bytes" k) true
-        (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) x x'))
+        (Array.for_all2 same x x'))
     sequential
 
 (* PCG updates its vectors in place and the V-cycle reuses one
@@ -547,7 +583,8 @@ let test_mg_pcg_allocation () =
   Gc.full_major ();
   let before = Gc.allocated_bytes () in
   let r = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m rhs in
-  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let bytes = Gc.allocated_bytes () -. before in
+  let words = bytes /. float_of_int (Sys.word_size / 8) in
   Alcotest.(check bool) "converged" true r.Cg.converged;
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words in %d iterations <= 32 n = %d" words
@@ -1155,6 +1192,7 @@ let suites =
         Alcotest.test_case "workspace isolation" `Quick
           test_mg_workspace_isolation;
         Alcotest.test_case "allocation-free PCG" `Quick test_mg_pcg_allocation;
+        Alcotest.test_case "coarse solve exact" `Quick test_mg_coarse_exact;
       ] );
     ( "numerics.splu",
       [
