@@ -48,19 +48,16 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?precond a b =
     let p = Vec.copy z in
     let rz = ref (Vec.dot r z) in
     let k = ref 0 and res_norm = ref (Vec.norm2 r /. b_norm) in
-    let stop = ref (!res_norm <= tol || !k >= max_iter) in
     let breakdown = ref false in
-    while not !stop do
+    while (not (!res_norm <= tol)) && !k < max_iter && not !breakdown do
       (* cooperative cancellation: one ambient-token poll per
          iteration; a matvec dwarfs it *)
       Cancel.tick ();
       Sparse.mul_vec_into a p ap;
       let p_ap = Vec.dot p ap in
-      if p_ap <= 0.0 then begin
+      if p_ap <= 0.0 then
         (* loss of positive-definiteness: stop with current iterate *)
-        breakdown := true;
-        stop := true
-      end
+        breakdown := true
       else begin
         let alpha = !rz /. p_ap in
         Vec.axpy alpha p x;
@@ -73,15 +70,14 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?precond a b =
           p.(i) <- z.(i) +. (beta *. p.(i))
         done;
         incr k;
-        res_norm := Vec.norm2 r /. b_norm;
-        stop := !res_norm <= tol || !k >= max_iter
+        res_norm := Vec.norm2 r /. b_norm
       end
     done;
     {
       solution = x;
       iterations = !k;
       residual_norm = !res_norm;
-      converged = (not !breakdown) && !res_norm <= tol;
+      converged = !res_norm <= tol;
     }
   end
 
