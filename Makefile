@@ -1,4 +1,4 @@
-.PHONY: all build test check lint bench bench-extract bench-serve bench-cancel bench-reduce bench-preflight server-smoke server-chaos doc clean
+.PHONY: all build test check lint bench bench-extract bench-serve bench-cancel bench-reduce bench-preflight server-smoke server-chaos doc loc clean
 
 all: build
 
@@ -67,6 +67,16 @@ server-smoke: build
 # warm from its journal
 server-chaos: build
 	sh test/server_chaos.sh
+
+# code size as ROADMAP item 4 measures it: lib + bin .ml and .mli line
+# totals, and bench/main.ml
+loc:
+	@ml=$$(find lib bin -name '*.ml' -exec cat {} + | wc -l); \
+	mli=$$(find lib bin -name '*.mli' -exec cat {} + | wc -l); \
+	echo "lib+bin .ml    $$ml"; \
+	echo "lib+bin .mli   $$mli"; \
+	echo "lib+bin total  $$((ml + mli))"; \
+	echo "bench/main.ml  $$(wc -l < bench/main.ml)"
 
 # API reference (requires odoc: `opam install odoc`);
 # output lands in _build/default/_doc/_html/

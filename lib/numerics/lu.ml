@@ -1,10 +1,9 @@
 exception Singular of int
 
-module Make (F : Field.S) = struct
-  type matrix = F.t array array
+(* Complex dense LU on arrays of rows, for the small AC systems. *)
+module Cplx = struct
+  type matrix = Complex.t array array
   type t = { lu : matrix; perm : int array; sign : int }
-
-  let matrix_of_fun n f = Array.init n (fun i -> Array.init n (fun j -> f i j))
 
   let check_square a =
     let n = Array.length a in
@@ -13,17 +12,16 @@ module Make (F : Field.S) = struct
       a;
     n
 
-  (* Doolittle elimination with row partial pivoting; pivot weight is
-     F.magnitude so the same code pivots sensibly for complex entries. *)
+  (* Doolittle elimination with row partial pivoting on the modulus. *)
   let decompose a =
     let n = check_square a in
     let lu = Array.map Array.copy a in
     let perm = Array.init n (fun i -> i) in
     let sign = ref 1 in
     for k = 0 to n - 1 do
-      let best = ref k and best_mag = ref (F.magnitude lu.(k).(k)) in
+      let best = ref k and best_mag = ref (Complex.norm lu.(k).(k)) in
       for i = k + 1 to n - 1 do
-        let m = F.magnitude lu.(i).(k) in
+        let m = Complex.norm lu.(i).(k) in
         if m > !best_mag then begin
           best := i;
           best_mag := m
@@ -41,11 +39,11 @@ module Make (F : Field.S) = struct
       end;
       let pivot = lu.(k).(k) in
       for i = k + 1 to n - 1 do
-        let factor = F.div lu.(i).(k) pivot in
+        let factor = Complex.div lu.(i).(k) pivot in
         lu.(i).(k) <- factor;
-        if F.magnitude factor <> 0.0 then
+        if Complex.norm factor <> 0.0 then
           for j = k + 1 to n - 1 do
-            lu.(i).(j) <- F.sub lu.(i).(j) (F.mul factor lu.(k).(j))
+            lu.(i).(j) <- Complex.sub lu.(i).(j) (Complex.mul factor lu.(k).(j))
           done
       done
     done;
@@ -59,7 +57,7 @@ module Make (F : Field.S) = struct
     for i = 1 to n - 1 do
       let acc = ref x.(i) in
       for j = 0 to i - 1 do
-        acc := F.sub !acc (F.mul lu.(i).(j) x.(j))
+        acc := Complex.sub !acc (Complex.mul lu.(i).(j) x.(j))
       done;
       x.(i) <- !acc
     done;
@@ -67,9 +65,9 @@ module Make (F : Field.S) = struct
     for i = n - 1 downto 0 do
       let acc = ref x.(i) in
       for j = i + 1 to n - 1 do
-        acc := F.sub !acc (F.mul lu.(i).(j) x.(j))
+        acc := Complex.sub !acc (Complex.mul lu.(i).(j) x.(j))
       done;
-      x.(i) <- F.div !acc lu.(i).(i)
+      x.(i) <- Complex.div !acc lu.(i).(i)
     done;
     x
 
@@ -83,48 +81,41 @@ module Make (F : Field.S) = struct
     let n = Array.length lu in
     if Array.length b <> n then
       invalid_arg "Lu.solve_transpose: dimension mismatch";
-    let z = Array.make n F.zero in
+    let z = Array.make n Complex.zero in
     for i = 0 to n - 1 do
       let acc = ref b.(i) in
       for j = 0 to i - 1 do
-        acc := F.sub !acc (F.mul lu.(j).(i) z.(j))
+        acc := Complex.sub !acc (Complex.mul lu.(j).(i) z.(j))
       done;
-      z.(i) <- F.div !acc lu.(i).(i)
+      z.(i) <- Complex.div !acc lu.(i).(i)
     done;
     for i = n - 1 downto 0 do
       let acc = ref z.(i) in
       for j = i + 1 to n - 1 do
-        acc := F.sub !acc (F.mul lu.(j).(i) z.(j))
+        acc := Complex.sub !acc (Complex.mul lu.(j).(i) z.(j))
       done;
       z.(i) <- !acc
     done;
-    let x = Array.make n F.zero in
+    let x = Array.make n Complex.zero in
     for i = 0 to n - 1 do
       x.(perm.(i)) <- z.(i)
     done;
     x
 
   let det { lu; sign; _ } =
-    let n = Array.length lu in
-    let d = ref (if sign >= 0 then F.one else F.neg F.one) in
-    for i = 0 to n - 1 do
-      d := F.mul !d lu.(i).(i)
-    done;
+    let d = ref (if sign >= 0 then Complex.one else Complex.neg Complex.one) in
+    Array.iteri (fun i row -> d := Complex.mul !d row.(i)) lu;
     !d
 
   let dim { lu; _ } = Array.length lu
 end
 
-module Cplx = Make (Field.Cplx)
-
 (* ------------------------------------------------------------------ *)
 (* Real factorization on the flat row-major representation of Mat.t.
 
-   The functorial code above builds an array-of-arrays; going through
-   it from [Mat.t] used to allocate n boxed rows per solve.  The flat
-   variant copies the backing store once (a single [Array.copy]) and
-   eliminates in place, and the factor can be refilled in place for
-   repeated factorizations of a same-shape system. *)
+   No per-row boxing: the factor copies the backing store once (a
+   single [Array.copy]) and eliminates in place, and it can be refilled
+   in place for repeated factorizations of a same-shape system. *)
 
 type rfactor = { fn : int; fa : float array; fperm : int array }
 

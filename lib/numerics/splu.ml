@@ -1,14 +1,23 @@
-(* Sparse LU factorization with reusable symbolic structure.
+(* Sparse LU factorization with reusable symbolic structure, over the
+   real and the complex field.
 
    Left-looking Gilbert-Peierls factorization of a CSR matrix: the
    first factorization performs partial pivoting and a depth-first
    symbolic reach per column; the pivot order and the L/U fill patterns
-   are then kept, so later factorizations of a matrix with the *same
-   sparsity pattern* (the SPICE situation: one netlist, many Newton
-   iterations and timesteps) skip all graph work and run a plain
-   fixed-pattern numeric refill.  Below [default_crossover] unknowns a
-   flat dense factorization wins on constant factors, so [factor]
-   falls back to it transparently.
+   ([sym]) are then kept, so later factorizations of a matrix with the
+   *same sparsity pattern* (the SPICE situation: one netlist, many
+   Newton iterations, timesteps or frequencies) skip all graph work and
+   run a plain fixed-pattern numeric refill.
+
+   One core, [gp_factor], is the whole field-independent half of the
+   first factorization: CSC view, reach, pivot choice, L/U index
+   patterns and the remap into pivot coordinates.  Each field hands it
+   a [column] record of closures over its own unboxed value arrays for
+   the numerics of one column, called once per reach entry.  The
+   refill and the triangular solves, the hot path, are written out per
+   field.  Below [default_crossover] unknowns a flat dense
+   factorization wins on constant factors, so [factor] falls back to it
+   transparently.
 
    Global counters record fresh factorizations, pattern-reusing
    refactorizations and triangular solves, so tests and benchmarks can
@@ -33,9 +42,14 @@ let reset_stats () =
   Atomic.set n_refactor 0;
   Atomic.set n_solve 0
 
-(* ------------------------------------------------------------------ *)
+let lift_singular f = try f () with Lu.Singular k -> raise (Singular k)
 
-type sp = {
+(* ------------------------------------------------------------------ *)
+(* Field-independent core *)
+
+(* Symbolic half of a factor: immutable once built, so clones share it
+   read-only (across domains too). *)
+type sym = {
   n : int;
   perm : int array; (* perm.(k) = original row pivotal at step k *)
   (* input-matrix columns: row indices in pivot coordinates, values
@@ -47,48 +61,37 @@ type sp = {
      diagonal implicit *)
   lcolptr : int array;
   lrow : int array;
-  lval : float array;
-  (* U: CSC, strictly-upper row indices in pivot coordinates, sorted
-     ascending within each column; diagonal kept apart in [dval] *)
+  (* U: CSC, strictly-upper row indices in pivot coordinates, ascending
+     within each column; the diagonal is kept apart by the field *)
   ucolptr : int array;
   urow : int array;
-  uval : float array;
-  dval : float array;
-  work : float array; (* dense scatter vector, kept all-zero between uses *)
 }
 
-type t =
-  | Dense of { df : Lu.rfactor; scratch : Mat.t option }
-  | Sparse_f of sp
+(* The numerics of one first-factorization column, supplied by a field
+   over its dense scatter vector x (indexed by original row, all-zero
+   between columns):
+   - [scatter row src]: x(row) <- the A value at CSR index [src];
+   - [eliminate lrow i lo hi]: if x(i) <> 0, x(lrow.(q)) -= L(q) x(i)
+     for q in [lo, hi);
+   - [magnitude i]: pivoting weight of x(i), zero iff x(i) = 0;
+   - [pivot col i]: x(i) is the diagonal of step [col];
+   - [push_l i]: append x(i) / diagonal to the L values;
+   - [push_u i]: append x(i) to the U values;
+   - [clear i]: x(i) <- 0. *)
+type column = {
+  scatter : int -> int -> unit;
+  eliminate : int array -> int -> int -> int -> unit;
+  magnitude : int -> float;
+  pivot : int -> int -> unit;
+  push_l : int -> unit;
+  push_u : int -> unit;
+  clear : int -> unit;
+}
 
-let dim = function
-  | Dense { df; _ } -> Lu.rdim df
-  | Sparse_f sp -> sp.n
-
-let is_dense = function Dense _ -> true | Sparse_f _ -> false
-
-(* Sort the [lo, hi) segment of a (row, value) column by row index.
-   Columns are short, so insertion sort is fine. *)
-let sort_column_segment rows vals lo hi =
-  let rdata = Dyn.I.unsafe_data rows and vdata = Dyn.F.unsafe_data vals in
-  for p = lo + 1 to hi - 1 do
-    let r = rdata.(p) and v = vdata.(p) in
-    let q = ref (p - 1) in
-    while !q >= lo && rdata.(!q) > r do
-      rdata.(!q + 1) <- rdata.(!q);
-      vdata.(!q + 1) <- vdata.(!q);
-      decr q
-    done;
-    rdata.(!q + 1) <- r;
-    vdata.(!q + 1) <- v
-  done
-
-let gp_factor m =
-  let n = Sparse.rows m in
-  let nnz = Sparse.nnz m in
-  let row_ptr = Sparse.row_ptr m
-  and col_idx = Sparse.col_idx m
-  and vals = Sparse.values m in
+let gp_factor pattern c =
+  let n = Sparse.rows pattern in
+  let nnz = Sparse.nnz pattern in
+  let row_ptr = Sparse.row_ptr pattern and col_idx = Sparse.col_idx pattern in
   (* CSC view of A carrying, for each entry, its index in the CSR value
      array so refactorization can reread values without re-sorting *)
   let acolptr = Array.make (n + 1) 0 in
@@ -117,15 +120,12 @@ let gp_factor m =
   let ucolptr = Array.make (n + 1) 0 in
   let cap = max (2 * nnz) 16 in
   let lrow = Dyn.I.create ~capacity:cap () in
-  let lval = Dyn.F.create ~capacity:cap () in
   let urow = Dyn.I.create ~capacity:cap () in
-  let uval = Dyn.F.create ~capacity:cap () in
-  let dval = Array.make n 0.0 in
-  let x = Array.make n 0.0 in
   let visited = Array.make n (-1) in
   let topo = Array.make n 0 in
   let stack = Array.make n 0 in
   let pstack = Array.make n 0 in
+  let ucol = Array.make n 0 in (* one column's U steps, ascending *)
   for col = 0 to n - 1 do
     (* symbolic: reach of the A(:,col) nonzeros in the graph of the
        finished L columns, collected in reverse topological order in
@@ -167,26 +167,20 @@ let gp_factor m =
     done;
     (* numeric: sparse solve L x = A(:,col) along the reach *)
     for p = acolptr.(col) to acolptr.(col + 1) - 1 do
-      x.(arow_orig.(p)) <- vals.(aval_src.(p))
+      c.scatter arow_orig.(p) aval_src.(p)
     done;
     for t = !top to n - 1 do
       let i = topo.(t) in
       let k = pinv.(i) in
-      if k >= 0 then begin
-        let xi = x.(i) in
-        if xi <> 0.0 then
-          for q = lcolptr.(k) to lcolptr.(k + 1) - 1 do
-            let r = Dyn.I.get lrow q in
-            x.(r) <- x.(r) -. (Dyn.F.get lval q *. xi)
-          done
-      end
+      if k >= 0 then
+        c.eliminate (Dyn.I.unsafe_data lrow) i lcolptr.(k) lcolptr.(k + 1)
     done;
     (* partial pivot among the not-yet-pivotal reach entries *)
     let piv = ref (-1) and piv_mag = ref 0.0 in
     for t = !top to n - 1 do
       let i = topo.(t) in
       if pinv.(i) < 0 then begin
-        let mag = Float.abs x.(i) in
+        let mag = c.magnitude i in
         if mag > !piv_mag then begin
           piv := i;
           piv_mag := mag
@@ -196,35 +190,46 @@ let gp_factor m =
     if !piv < 0 || not (Float.is_finite !piv_mag) || !piv_mag = 0.0 then begin
       (* keep the scatter vector clean before bailing out *)
       for t = !top to n - 1 do
-        x.(topo.(t)) <- 0.0
+        c.clear topo.(t)
       done;
       raise (Singular col)
     end;
-    let d = x.(!piv) in
     pinv.(!piv) <- col;
     perm.(col) <- !piv;
-    dval.(col) <- d;
+    c.pivot col !piv;
+    (* L rows in reach order; finished pivots are U rows, inserted into
+       [ucol] by step because refactorization walks U columns in
+       ascending row order.  The pattern is kept even for exact numeric
+       zeros so refactorization stays valid. *)
+    let nu = ref 0 in
     for t = !top to n - 1 do
       let i = topo.(t) in
       if i <> !piv then begin
         let k = pinv.(i) in
         if k >= 0 then begin
-          (* finished pivot: U entry at row k; the pattern is kept even
-             for exact numeric zeros so refactorization stays valid *)
-          Dyn.I.push urow k;
-          Dyn.F.push uval x.(i)
+          let q = ref !nu in
+          while !q > 0 && ucol.(!q - 1) > k do
+            ucol.(!q) <- ucol.(!q - 1);
+            decr q
+          done;
+          ucol.(!q) <- k;
+          incr nu
         end
         else begin
           Dyn.I.push lrow i;
-          Dyn.F.push lval (x.(i) /. d)
+          c.push_l i
         end
-      end;
-      x.(i) <- 0.0
+      end
+    done;
+    for q = 0 to !nu - 1 do
+      Dyn.I.push urow ucol.(q);
+      c.push_u perm.(ucol.(q))
+    done;
+    for t = !top to n - 1 do
+      c.clear topo.(t)
     done;
     ucolptr.(col + 1) <- Dyn.I.length urow;
-    lcolptr.(col + 1) <- Dyn.I.length lrow;
-    (* refactorization walks U columns in ascending row order *)
-    sort_column_segment urow uval ucolptr.(col) ucolptr.(col + 1)
+    lcolptr.(col + 1) <- Dyn.I.length lrow
   done;
   (* remap L rows and the A scatter rows into pivot coordinates *)
   let lrow = Dyn.I.to_array lrow in
@@ -235,51 +240,86 @@ let gp_factor m =
   for p = 0 to nnz - 1 do
     arow.(p) <- pinv.(arow_orig.(p))
   done;
-  {
-    n;
-    perm;
-    acolptr;
-    arow;
-    aval_src;
-    lcolptr;
-    lrow;
-    lval = Dyn.F.to_array lval;
-    ucolptr;
-    urow = Dyn.I.to_array urow;
-    uval = Dyn.F.to_array uval;
-    dval;
-    work = x;
-  }
+  { n; perm; acolptr; arow; aval_src; lcolptr; lrow; ucolptr;
+    urow = Dyn.I.to_array urow }
+
+(* ------------------------------------------------------------------ *)
+(* Real field *)
+
+type sp = {
+  sym : sym;
+  lval : float array;
+  uval : float array;
+  dval : float array; (* diagonal of U *)
+  work : float array; (* dense scatter vector, kept all-zero between uses *)
+}
+
+type t = Dense of Lu.rfactor | Sparse_f of sp
+
+let dim = function Dense df -> Lu.rdim df | Sparse_f sp -> sp.sym.n
+let is_dense = function Dense _ -> true | Sparse_f _ -> false
+
+let sp_factor m =
+  let n = Sparse.rows m and vals = Sparse.values m in
+  let cap = max (2 * Sparse.nnz m) 16 in
+  let lval = Dyn.F.create ~capacity:cap () in
+  let uval = Dyn.F.create ~capacity:cap () in
+  let dval = Array.make n 0.0 in
+  let x = Array.make n 0.0 in
+  let piv = ref 0 in
+  let sym =
+    gp_factor m
+      {
+        scatter = (fun row src -> x.(row) <- vals.(src));
+        eliminate =
+          (fun lrow i lo hi ->
+            let xi = x.(i) in
+            if xi <> 0.0 then begin
+              let lv = Dyn.F.unsafe_data lval in
+              for q = lo to hi - 1 do
+                let r = lrow.(q) in
+                x.(r) <- x.(r) -. (lv.(q) *. xi)
+              done
+            end);
+        magnitude = (fun i -> Float.abs x.(i));
+        pivot =
+          (fun col i ->
+            piv := i;
+            dval.(col) <- x.(i));
+        push_l = (fun i -> Dyn.F.push lval (x.(i) /. x.(!piv)));
+        push_u = (fun i -> Dyn.F.push uval x.(i));
+        clear = (fun i -> x.(i) <- 0.0);
+      }
+  in
+  { sym; lval = Dyn.F.to_array lval; uval = Dyn.F.to_array uval; dval;
+    work = x }
 
 (* Numeric refill of an existing factor from a matrix with the same
    sparsity pattern: no reach computation, no pivot search. *)
-let sp_refactor sp m =
+let sp_refactor { sym; lval; uval; dval; work = x } m =
   let vals = Sparse.values m in
-  if Sparse.rows m <> sp.n || Sparse.cols m <> sp.n then
-    invalid_arg "Splu.refactor: dimension mismatch";
-  if Array.length vals <> Array.length sp.aval_src then
+  if Array.length vals <> Array.length sym.aval_src then
     invalid_arg "Splu.refactor: sparsity pattern changed";
-  let x = sp.work in
   let clear_column col =
-    for p = sp.ucolptr.(col) to sp.ucolptr.(col + 1) - 1 do
-      x.(sp.urow.(p)) <- 0.0
+    for p = sym.ucolptr.(col) to sym.ucolptr.(col + 1) - 1 do
+      x.(sym.urow.(p)) <- 0.0
     done;
     x.(col) <- 0.0;
-    for q = sp.lcolptr.(col) to sp.lcolptr.(col + 1) - 1 do
-      x.(sp.lrow.(q)) <- 0.0
+    for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
+      x.(sym.lrow.(q)) <- 0.0
     done
   in
-  for col = 0 to sp.n - 1 do
-    for p = sp.acolptr.(col) to sp.acolptr.(col + 1) - 1 do
-      x.(sp.arow.(p)) <- vals.(sp.aval_src.(p))
+  for col = 0 to sym.n - 1 do
+    for p = sym.acolptr.(col) to sym.acolptr.(col + 1) - 1 do
+      x.(sym.arow.(p)) <- vals.(sym.aval_src.(p))
     done;
-    for p = sp.ucolptr.(col) to sp.ucolptr.(col + 1) - 1 do
-      let k = sp.urow.(p) in
+    for p = sym.ucolptr.(col) to sym.ucolptr.(col + 1) - 1 do
+      let k = sym.urow.(p) in
       let xk = x.(k) in
-      sp.uval.(p) <- xk;
+      uval.(p) <- xk;
       if xk <> 0.0 then
-        for q = sp.lcolptr.(k) to sp.lcolptr.(k + 1) - 1 do
-          x.(sp.lrow.(q)) <- x.(sp.lrow.(q)) -. (sp.lval.(q) *. xk)
+        for q = sym.lcolptr.(k) to sym.lcolptr.(k + 1) - 1 do
+          x.(sym.lrow.(q)) <- x.(sym.lrow.(q)) -. (lval.(q) *. xk)
         done
     done;
     let d = x.(col) in
@@ -287,82 +327,62 @@ let sp_refactor sp m =
       clear_column col;
       raise (Singular col)
     end;
-    sp.dval.(col) <- d;
-    for q = sp.lcolptr.(col) to sp.lcolptr.(col + 1) - 1 do
-      sp.lval.(q) <- x.(sp.lrow.(q)) /. d
+    dval.(col) <- d;
+    for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
+      lval.(q) <- x.(sym.lrow.(q)) /. d
     done;
     clear_column col
   done
 
-let sp_solve sp b =
-  let n = sp.n in
+let sp_solve { sym; lval; uval; dval; _ } b =
+  let n = sym.n in
   if Array.length b <> n then invalid_arg "Splu.solve: dimension mismatch";
   let x = Array.make n 0.0 in
   for k = 0 to n - 1 do
-    x.(k) <- b.(sp.perm.(k))
+    x.(k) <- b.(sym.perm.(k))
   done;
   for k = 0 to n - 1 do
     let xk = x.(k) in
     if xk <> 0.0 then
-      for q = sp.lcolptr.(k) to sp.lcolptr.(k + 1) - 1 do
-        x.(sp.lrow.(q)) <- x.(sp.lrow.(q)) -. (sp.lval.(q) *. xk)
+      for q = sym.lcolptr.(k) to sym.lcolptr.(k + 1) - 1 do
+        x.(sym.lrow.(q)) <- x.(sym.lrow.(q)) -. (lval.(q) *. xk)
       done
   done;
   for k = n - 1 downto 0 do
-    let xk = x.(k) /. sp.dval.(k) in
+    let xk = x.(k) /. dval.(k) in
     x.(k) <- xk;
     if xk <> 0.0 then
-      for p = sp.ucolptr.(k) to sp.ucolptr.(k + 1) - 1 do
-        x.(sp.urow.(p)) <- x.(sp.urow.(p)) -. (sp.uval.(p) *. xk)
+      for p = sym.ucolptr.(k) to sym.ucolptr.(k + 1) - 1 do
+        x.(sym.urow.(p)) <- x.(sym.urow.(p)) -. (uval.(p) *. xk)
       done
   done;
   x
-
-(* ------------------------------------------------------------------ *)
-(* public entry points *)
-
-let to_dense_into scratch m =
-  let nc = Sparse.cols m in
-  let data = Mat.raw_data scratch in
-  Array.fill data 0 (Array.length data) 0.0;
-  for i = 0 to Sparse.rows m - 1 do
-    Sparse.iter_row m i (fun j v -> data.((i * nc) + j) <- v)
-  done
-
-let lift_singular f = try f () with Lu.Singular k -> raise (Singular k)
 
 let factor ?(crossover = default_crossover) m =
   let n = Sparse.rows m in
   if Sparse.cols m <> n then invalid_arg "Splu.factor: matrix not square";
   Atomic.incr n_factor;
-  if n < crossover then begin
-    let scratch = Sparse.to_dense m in
-    Dense { df = lift_singular (fun () -> Lu.factor_mat scratch);
-            scratch = Some scratch }
-  end
-  else Sparse_f (gp_factor m)
+  if n < crossover then
+    Dense (lift_singular (fun () -> Lu.factor_mat (Sparse.to_dense m)))
+  else Sparse_f (sp_factor m)
 
 let refactor t m =
+  Atomic.incr n_refactor;
+  if Sparse.rows m <> dim t || Sparse.cols m <> dim t then
+    invalid_arg "Splu.refactor: dimension mismatch";
   match t with
-  | Dense { df; scratch = Some s } ->
-    Atomic.incr n_refactor;
-    to_dense_into s m;
-    lift_singular (fun () -> Lu.refactor_mat df s)
-  | Dense { scratch = None; _ } ->
-    invalid_arg "Splu.refactor: factor was built from a dense matrix"
-  | Sparse_f sp ->
-    Atomic.incr n_refactor;
-    sp_refactor sp m
+  | Dense df -> lift_singular (fun () -> Lu.refactor_mat df (Sparse.to_dense m))
+  | Sparse_f sp -> sp_refactor sp m
 
 (* Dense entry points for callers that assemble straight into a Mat.t
    (small systems below the crossover): same counters, same exceptions. *)
 let factor_dense m =
   Atomic.incr n_factor;
-  Dense { df = lift_singular (fun () -> Lu.factor_mat m); scratch = None }
+  Dense (lift_singular (fun () -> Lu.factor_mat m))
 
 let refactor_dense t m =
   match t with
-  | Dense { df; _ } ->
+  | Dense df ->
     Atomic.incr n_refactor;
     lift_singular (fun () -> Lu.refactor_mat df m)
   | Sparse_f _ -> invalid_arg "Splu.refactor_dense: not a dense factor"
@@ -370,22 +390,19 @@ let refactor_dense t m =
 let solve t b =
   Atomic.incr n_solve;
   match t with
-  | Dense { df; _ } -> lift_singular (fun () -> Lu.solve_factored df b)
+  | Dense df -> Lu.solve_factored df b
   | Sparse_f sp -> sp_solve sp b
 
 (* ------------------------------------------------------------------ *)
-(* Complex kernel for the frequency-domain engine.
+(* Complex field, for the frequency-domain engine.
 
-   Same left-looking Gilbert-Peierls algorithm as the real kernel
-   above, on split re/im value arrays so every inner loop stays on
-   unboxed floats — a [Complex.t array] would allocate one heap block
-   per entry.  The factor is split into a symbolic half (pivot order,
-   A/L/U index structure: immutable after the first factorization and
-   shared read-only between worker domains) and a numeric half (L/U/D
-   values plus the scatter workspace: one copy per worker via
-   {!Cplx.clone}), so a frequency sweep pays the graph work exactly
-   once and every parallel worker refills the same pivot order — which
-   is what makes parallel sweeps byte-identical to sequential ones.
+   Split re/im value arrays keep every inner loop on unboxed floats — a
+   [Complex.t array] would allocate one heap block per entry.  The
+   numeric half [cnum] (L/U/D values plus the scatter workspace) is one
+   copy per worker via {!Cplx.clone}, while the [sym] is shared
+   read-only, so a frequency sweep pays the graph work exactly once and
+   every parallel worker refills the same pivot order — which is what
+   makes parallel sweeps byte-identical to sequential ones.
 
    Boxed [Complex.t] appears only at the [solve] boundaries. *)
 
@@ -411,18 +428,6 @@ module Cplx = struct
     done;
     d
 
-  type csym = {
-    n : int;
-    perm : int array;
-    acolptr : int array;
-    arow : int array;
-    aval_src : int array;
-    lcolptr : int array;
-    lrow : int array;
-    ucolptr : int array;
-    urow : int array;
-  }
-
   type cnum = {
     lre : float array;
     lim : float array;
@@ -435,190 +440,70 @@ module Cplx = struct
   }
 
   type t =
-    | Cdense of { cdim : int; mutable df : Lu.Cplx.t }
-    | Csparse of { sym : csym; num : cnum }
+    | Cdense of { mutable df : Lu.Cplx.t }
+    | Csparse of { sym : sym; num : cnum }
 
   let dim = function
-    | Cdense { cdim; _ } -> cdim
+    | Cdense { df } -> Lu.Cplx.dim df
     | Csparse { sym; _ } -> sym.n
 
   let is_dense = function Cdense _ -> true | Csparse _ -> false
 
-  let sort_column_segment_c rows re im lo hi =
-    let rdata = Dyn.I.unsafe_data rows in
-    let rd = Dyn.F.unsafe_data re and id = Dyn.F.unsafe_data im in
-    for p = lo + 1 to hi - 1 do
-      let r = rdata.(p) and vr = rd.(p) and vi = id.(p) in
-      let q = ref (p - 1) in
-      while !q >= lo && rdata.(!q) > r do
-        rdata.(!q + 1) <- rdata.(!q);
-        rd.(!q + 1) <- rd.(!q);
-        id.(!q + 1) <- id.(!q);
-        decr q
-      done;
-      rdata.(!q + 1) <- r;
-      rd.(!q + 1) <- vr;
-      id.(!q + 1) <- vi
-    done
-
-  let gp_factor_c (m : mat) =
-    let pat = m.pattern in
-    let n = Sparse.rows pat in
-    let nnz = Sparse.nnz pat in
-    let row_ptr = Sparse.row_ptr pat and col_idx = Sparse.col_idx pat in
+  (* pivots on |x|^2 *)
+  let sp_factor_c (m : mat) =
+    let n = Sparse.rows m.pattern in
     let vre = m.re and vim = m.im in
-    let acolptr = Array.make (n + 1) 0 in
-    for p = 0 to nnz - 1 do
-      acolptr.(col_idx.(p) + 1) <- acolptr.(col_idx.(p) + 1) + 1
-    done;
-    for j = 0 to n - 1 do
-      acolptr.(j + 1) <- acolptr.(j + 1) + acolptr.(j)
-    done;
-    let cursor = Array.sub acolptr 0 n in
-    let arow_orig = Array.make nnz 0 in
-    let aval_src = Array.make nnz 0 in
-    for i = 0 to n - 1 do
-      for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-        let j = col_idx.(p) in
-        let q = cursor.(j) in
-        arow_orig.(q) <- i;
-        aval_src.(q) <- p;
-        cursor.(j) <- q + 1
-      done
-    done;
-    let pinv = Array.make n (-1) in
-    let perm = Array.make n (-1) in
-    let lcolptr = Array.make (n + 1) 0 in
-    let ucolptr = Array.make (n + 1) 0 in
-    let cap = max (2 * nnz) 16 in
-    let lrow = Dyn.I.create ~capacity:cap () in
+    let cap = max (2 * Sparse.nnz m.pattern) 16 in
     let lre = Dyn.F.create ~capacity:cap () in
     let lim = Dyn.F.create ~capacity:cap () in
-    let urow = Dyn.I.create ~capacity:cap () in
     let ure = Dyn.F.create ~capacity:cap () in
     let uim = Dyn.F.create ~capacity:cap () in
     let dgr = Array.make n 0.0 and dgi = Array.make n 0.0 in
     let xr = Array.make n 0.0 and xi = Array.make n 0.0 in
-    let visited = Array.make n (-1) in
-    let topo = Array.make n 0 in
-    let stack = Array.make n 0 in
-    let pstack = Array.make n 0 in
-    for col = 0 to n - 1 do
-      (* symbolic reach: identical to the real kernel *)
-      let top = ref n in
-      for p = acolptr.(col) to acolptr.(col + 1) - 1 do
-        let seed = arow_orig.(p) in
-        if visited.(seed) <> col then begin
-          let sp = ref 0 in
-          stack.(0) <- seed;
-          pstack.(0) <-
-            (let k = pinv.(seed) in
-             if k >= 0 then lcolptr.(k) else 0);
-          visited.(seed) <- col;
-          while !sp >= 0 do
-            let i = stack.(!sp) in
-            let k = pinv.(i) in
-            let hi = if k >= 0 then lcolptr.(k + 1) else 0 in
-            let next = pstack.(!sp) in
-            if k >= 0 && next < hi then begin
-              pstack.(!sp) <- next + 1;
-              let child = Dyn.I.get lrow next in
-              if visited.(child) <> col then begin
-                visited.(child) <- col;
-                incr sp;
-                stack.(!sp) <- child;
-                pstack.(!sp) <-
-                  (let ck = pinv.(child) in
-                   if ck >= 0 then lcolptr.(ck) else 0)
-              end
-            end
-            else begin
-              decr top;
-              topo.(!top) <- i;
-              decr sp
-            end
-          done
-        end
-      done;
-      (* numeric: sparse complex solve L x = A(:,col) along the reach *)
-      for p = acolptr.(col) to acolptr.(col + 1) - 1 do
-        xr.(arow_orig.(p)) <- vre.(aval_src.(p));
-        xi.(arow_orig.(p)) <- vim.(aval_src.(p))
-      done;
-      for t = !top to n - 1 do
-        let i = topo.(t) in
-        let k = pinv.(i) in
-        if k >= 0 then begin
-          let xir = xr.(i) and xii = xi.(i) in
-          if xir <> 0.0 || xii <> 0.0 then
-            for q = lcolptr.(k) to lcolptr.(k + 1) - 1 do
-              let r = Dyn.I.get lrow q in
-              let lr = Dyn.F.get lre q and li = Dyn.F.get lim q in
-              xr.(r) <- xr.(r) -. ((lr *. xir) -. (li *. xii));
-              xi.(r) <- xi.(r) -. ((lr *. xii) +. (li *. xir))
-            done
-        end
-      done;
-      (* partial pivot on |x|^2 among the not-yet-pivotal reach entries *)
-      let piv = ref (-1) and piv_mag = ref 0.0 in
-      for t = !top to n - 1 do
-        let i = topo.(t) in
-        if pinv.(i) < 0 then begin
-          let mag = (xr.(i) *. xr.(i)) +. (xi.(i) *. xi.(i)) in
-          if mag > !piv_mag then begin
-            piv := i;
-            piv_mag := mag
-          end
-        end
-      done;
-      if !piv < 0 || not (Float.is_finite !piv_mag) || !piv_mag = 0.0 then begin
-        for t = !top to n - 1 do
-          xr.(topo.(t)) <- 0.0;
-          xi.(topo.(t)) <- 0.0
-        done;
-        raise (Singular col)
-      end;
-      let dr = xr.(!piv) and di = xi.(!piv) in
-      let den = (dr *. dr) +. (di *. di) in
-      pinv.(!piv) <- col;
-      perm.(col) <- !piv;
-      dgr.(col) <- dr;
-      dgi.(col) <- di;
-      for t = !top to n - 1 do
-        let i = topo.(t) in
-        if i <> !piv then begin
-          let k = pinv.(i) in
-          if k >= 0 then begin
-            Dyn.I.push urow k;
-            Dyn.F.push ure xr.(i);
-            Dyn.F.push uim xi.(i)
-          end
-          else begin
-            Dyn.I.push lrow i;
-            Dyn.F.push lre (((xr.(i) *. dr) +. (xi.(i) *. di)) /. den);
-            Dyn.F.push lim (((xi.(i) *. dr) -. (xr.(i) *. di)) /. den)
-          end
-        end;
-        xr.(i) <- 0.0;
-        xi.(i) <- 0.0
-      done;
-      ucolptr.(col + 1) <- Dyn.I.length urow;
-      lcolptr.(col + 1) <- Dyn.I.length lrow;
-      sort_column_segment_c urow ure uim ucolptr.(col) ucolptr.(col + 1)
-    done;
-    let lrow = Dyn.I.to_array lrow in
-    for p = 0 to Array.length lrow - 1 do
-      lrow.(p) <- pinv.(lrow.(p))
-    done;
-    let arow = Array.make nnz 0 in
-    for p = 0 to nnz - 1 do
-      arow.(p) <- pinv.(arow_orig.(p))
-    done;
+    let piv = ref 0 in
+    let sym =
+      gp_factor m.pattern
+        {
+          scatter =
+            (fun row src ->
+              xr.(row) <- vre.(src);
+              xi.(row) <- vim.(src));
+          eliminate =
+            (fun lrow i lo hi ->
+              let xir = xr.(i) and xii = xi.(i) in
+              if xir <> 0.0 || xii <> 0.0 then begin
+                let lr = Dyn.F.unsafe_data lre and li = Dyn.F.unsafe_data lim in
+                for q = lo to hi - 1 do
+                  let r = lrow.(q) in
+                  xr.(r) <- xr.(r) -. ((lr.(q) *. xir) -. (li.(q) *. xii));
+                  xi.(r) <- xi.(r) -. ((lr.(q) *. xii) +. (li.(q) *. xir))
+                done
+              end);
+          magnitude = (fun i -> (xr.(i) *. xr.(i)) +. (xi.(i) *. xi.(i)));
+          pivot =
+            (fun col i ->
+              piv := i;
+              dgr.(col) <- xr.(i);
+              dgi.(col) <- xi.(i));
+          push_l =
+            (fun i ->
+              let dr = xr.(!piv) and di = xi.(!piv) in
+              let den = (dr *. dr) +. (di *. di) in
+              Dyn.F.push lre (((xr.(i) *. dr) +. (xi.(i) *. di)) /. den);
+              Dyn.F.push lim (((xi.(i) *. dr) -. (xr.(i) *. di)) /. den));
+          push_u =
+            (fun i ->
+              Dyn.F.push ure xr.(i);
+              Dyn.F.push uim xi.(i));
+          clear =
+            (fun i ->
+              xr.(i) <- 0.0;
+              xi.(i) <- 0.0);
+        }
+    in
     Csparse
       {
-        sym =
-          { n; perm; acolptr; arow; aval_src; lcolptr; lrow; ucolptr;
-            urow = Dyn.I.to_array urow };
+        sym;
         num =
           { lre = Dyn.F.to_array lre; lim = Dyn.F.to_array lim;
             ure = Dyn.F.to_array ure; uim = Dyn.F.to_array uim; dgr; dgi;
@@ -627,8 +512,6 @@ module Cplx = struct
 
   let sp_refactor_c sym num (m : mat) =
     let vre = m.re and vim = m.im in
-    if Sparse.rows m.pattern <> sym.n || Sparse.cols m.pattern <> sym.n then
-      invalid_arg "Splu.Cplx.refactor: dimension mismatch";
     if Array.length vre <> Array.length sym.aval_src then
       invalid_arg "Splu.Cplx.refactor: sparsity pattern changed";
     let xr = num.wkr and xi = num.wki in
@@ -755,7 +638,10 @@ module Cplx = struct
     x
 
   (* public entry points: same counters, same [Singular] as the real
-     kernel, so tests can assert symbolic reuse across both fields *)
+     field, so tests can assert symbolic reuse across both fields *)
+
+  let dense_factor m =
+    lift_singular (fun () -> Lu.Cplx.decompose (mat_to_dense m))
 
   let factor ?(crossover = default_crossover) m =
     let n = Sparse.rows m.pattern in
@@ -763,20 +649,19 @@ module Cplx = struct
       invalid_arg "Splu.Cplx.factor: matrix not square";
     Atomic.incr n_factor;
     if n < crossover then
-      Cdense
-        { cdim = n;
-          df = lift_singular (fun () -> Lu.Cplx.decompose (mat_to_dense m)) }
-    else gp_factor_c m
+      Cdense { df = dense_factor m }
+    else sp_factor_c m
 
   let refactor t m =
     Atomic.incr n_refactor;
+    if Sparse.rows m.pattern <> dim t || Sparse.cols m.pattern <> dim t then
+      invalid_arg "Splu.Cplx.refactor: dimension mismatch";
     match t with
-    | Cdense d ->
-      d.df <- lift_singular (fun () -> Lu.Cplx.decompose (mat_to_dense m))
+    | Cdense d -> d.df <- dense_factor m
     | Csparse { sym; num } -> sp_refactor_c sym num m
 
   let clone = function
-    | Cdense { cdim; df } -> Cdense { cdim; df }
+    | Cdense { df } -> Cdense { df }
     | Csparse { sym; num } ->
       Csparse
         { sym;
@@ -789,12 +674,12 @@ module Cplx = struct
   let solve t b =
     Atomic.incr n_solve;
     match t with
-    | Cdense { df; _ } -> Lu.Cplx.solve df b
+    | Cdense { df } -> Lu.Cplx.solve df b
     | Csparse { sym; num } -> sp_solve_c sym num b
 
   let solve_transpose t b =
     Atomic.incr n_solve;
     match t with
-    | Cdense { df; _ } -> Lu.Cplx.solve_transpose df b
+    | Cdense { df } -> Lu.Cplx.solve_transpose df b
     | Csparse { sym; num } -> sp_solve_transpose_c sym num b
 end

@@ -790,6 +790,87 @@ let test_csplu_dense_fallback () =
        (Lu.Cplx.solve_matrix (dense_transpose d) rhs)
      < 1e-9)
 
+(* Bit-exactness pins for both Gilbert-Peierls kernels: the digest of
+   every solution component printed with %h, after a fresh factor and
+   after a scaled same-pattern refactor.  The dense-LU comparisons above
+   only hold to 1e-9, so a change in pivot order or rounding shows up
+   here alone.  A deliberate numeric change updates both digests. *)
+let digest_hex floats =
+  Digest.to_hex
+    (Digest.string
+       (String.concat " " (List.map (Printf.sprintf "%h") floats)))
+
+let cfloats xs =
+  List.concat_map (fun c -> [ c.Complex.re; c.Complex.im ]) (Array.to_list xs)
+
+let test_splu_bit_exact () =
+  let st = Random.State.make [| 2005; 120 |] in
+  let n = 120 in
+  let m = random_dd_system st n in
+  let rhs = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+  let f = Splu.factor ~crossover:0 m in
+  let x1 = Splu.solve f rhs in
+  let v = Sparse.values m in
+  for k = 0 to Array.length v - 1 do
+    v.(k) <- v.(k) *. (1.5 +. (0.25 *. sin (float_of_int k)))
+  done;
+  Splu.refactor f m;
+  let x2 = Splu.solve f rhs in
+  Alcotest.(check string) "real solve digest"
+    "aa8e78d3e1b1eb9ed72518dec6ccf38d"
+    (digest_hex (Array.to_list x1 @ Array.to_list x2))
+
+let test_csplu_bit_exact () =
+  let st = Random.State.make [| 2005; 100 |] in
+  let n = 100 in
+  let m = random_cdd_system st n in
+  let rhs = random_crhs st n in
+  let f = Splu.Cplx.factor ~crossover:0 m in
+  let x1 = Splu.Cplx.solve f rhs and y1 = Splu.Cplx.solve_transpose f rhs in
+  for k = 0 to Array.length m.Splu.Cplx.re - 1 do
+    m.Splu.Cplx.re.(k) <- m.Splu.Cplx.re.(k) *. 1.25;
+    m.Splu.Cplx.im.(k) <- m.Splu.Cplx.im.(k) *. 0.75
+  done;
+  Splu.Cplx.refactor f m;
+  let x2 = Splu.Cplx.solve f rhs and y2 = Splu.Cplx.solve_transpose f rhs in
+  Alcotest.(check string) "complex solve digest"
+    "4dcff7c076384a7b17c3f751534fe87f"
+    (digest_hex (List.concat_map cfloats [ x1; y1; x2; y2 ]))
+
+(* A dense factor (below the crossover) refilled from a matrix of the
+   wrong size must refuse it the way the sparse kernels do, and keep
+   solving the system it was built from. *)
+let raises_dimension_mismatch f =
+  match f () with
+  | () -> false
+  | exception Invalid_argument msg ->
+    String.ends_with ~suffix:"dimension mismatch" msg
+
+let test_dense_refactor_shape () =
+  let st = Random.State.make [| 12 |] in
+  let m = random_dd_system st 12 and small = random_dd_system st 10 in
+  let rhs = Array.init 12 (fun i -> sin (float_of_int i)) in
+  let f = Splu.factor m in
+  Alcotest.(check bool) "real factor is dense" true (Splu.is_dense f);
+  Alcotest.(check bool) "real refactor refuses 10x10" true
+    (raises_dimension_mismatch (fun () -> Splu.refactor f small));
+  Alcotest.(check int) "real dim" 12 (Splu.dim f);
+  Alcotest.(check bool) "real factor intact" true
+    (Vec.max_abs_diff (Splu.solve f rhs)
+       (Lu.solve_mat (Sparse.to_dense m) rhs)
+     < 1e-9);
+  let cm = random_cdd_system st 12 and csmall = random_cdd_system st 10 in
+  let crhs = random_crhs st 12 in
+  let cf = Splu.Cplx.factor cm in
+  Alcotest.(check bool) "complex factor is dense" true (Splu.Cplx.is_dense cf);
+  Alcotest.(check bool) "complex refactor refuses 10x10" true
+    (raises_dimension_mismatch (fun () -> Splu.Cplx.refactor cf csmall));
+  Alcotest.(check int) "complex dim" 12 (Splu.Cplx.dim cf);
+  Alcotest.(check bool) "complex factor intact" true
+    (cmax_diff (Splu.Cplx.solve cf crhs)
+       (Lu.Cplx.solve_matrix (Splu.Cplx.mat_to_dense cm) crhs)
+     < 1e-9)
+
 let test_csplu_singular () =
   let b = Sparse.builder 3 3 in
   Sparse.add b 0 0 1.0;
@@ -1164,6 +1245,8 @@ let suites =
         Alcotest.test_case "LU pivoting" `Quick test_lu_pivoting;
         Alcotest.test_case "complex LU" `Quick test_lu_complex;
         Alcotest.test_case "complex determinant" `Quick test_lu_complex_det;
+        Alcotest.test_case "dense refactor checks shape" `Quick
+          test_dense_refactor_shape;
         qcheck prop_lu_random_solve;
       ] );
     ( "numerics.sparse",
@@ -1205,6 +1288,9 @@ let suites =
           test_csplu_dense_fallback;
         Alcotest.test_case "complex structurally singular" `Quick
           test_csplu_singular;
+        Alcotest.test_case "real kernel bit-exact" `Quick test_splu_bit_exact;
+        Alcotest.test_case "complex kernel bit-exact" `Quick
+          test_csplu_bit_exact;
         Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
       ] );
     ( "numerics.spectral",
