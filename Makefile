@@ -69,14 +69,26 @@ server-chaos: build
 	sh test/server_chaos.sh
 
 # code size as ROADMAP item 4 measures it: lib + bin .ml and .mli line
-# totals, and bench/main.ml
+# totals, and bench/main.ml; then the lib/ modules that no other lib/,
+# bin/ or examples/ file names (qualified access, module alias, include
+# or open), i.e. code only tests or benches reach
 loc:
 	@ml=$$(find lib bin -name '*.ml' -exec cat {} + | wc -l); \
 	mli=$$(find lib bin -name '*.mli' -exec cat {} + | wc -l); \
 	echo "lib+bin .ml    $$ml"; \
 	echo "lib+bin .mli   $$mli"; \
 	echo "lib+bin total  $$((ml + mli))"; \
-	echo "bench/main.ml  $$(wc -l < bench/main.ml)"
+	echo "bench/main.ml  $$(wc -l < bench/main.ml)"; \
+	unused=$$(for f in $$(find lib -name '*.ml' | sort); do \
+	  d=$$(dirname $$f); b=$$(basename $$f .ml); \
+	  m=$$(echo $$b | sed 's/^./\U&/'); \
+	  lib=$$(sed -n 's/.*(name \([a-z_]*\)).*/\1/p' $$d/dune | head -1); \
+	  grep -rlE "\b$$m\.|(module [A-Za-z_]+ =|include|open) ([A-Za-z_]+\.)?$$m\b" \
+	    lib bin examples --include='*.ml' --include='*.mli' \
+	    | grep -qv "^$$d/$$b\.mli\?$$" \
+	    || echo "$$lib.$$m" | sed 's/^./\U&/'; \
+	done); \
+	echo "lib, unused by lib/bin/examples:" $$unused
 
 # API reference (requires odoc: `opam install odoc`);
 # output lands in _build/default/_doc/_html/

@@ -13,7 +13,6 @@ module Fft = Sn_numerics.Fft
 module Goertzel = Sn_numerics.Goertzel
 module Sweep = Sn_numerics.Sweep
 module Stats = Sn_numerics.Stats
-module Rootfind = Sn_numerics.Rootfind
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
@@ -1000,7 +999,7 @@ let prop_goertzel_matches_fft =
       Float.abs (g -. apk) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Sweep / Stats / Rootfind *)
+(* Sweep / Stats *)
 
 let test_linspace () =
   Alcotest.(check (array (float 1e-12)))
@@ -1045,20 +1044,6 @@ let test_slope_db_per_decade () =
   let freqs = Sweep.logspace 1.0e5 1.0e7 21 in
   let dbs = Array.map (fun f -> Units.db_of_ratio (1.0 /. f)) freqs in
   check_close 1e-6 "1/f slope" (-20.0) (Stats.slope_db_per_decade freqs dbs)
-
-let test_bisect () =
-  let root = Rootfind.bisect (fun x -> (x *. x) -. 2.0) 0.0 2.0 in
-  check_close 1e-9 "sqrt 2" (sqrt 2.0) root
-
-let test_bisect_no_bracket () =
-  Alcotest.check_raises "no bracket" Rootfind.No_bracket (fun () ->
-      ignore (Rootfind.bisect (fun x -> (x *. x) +. 1.0) 0.0 1.0))
-
-let test_newton () =
-  let root =
-    Rootfind.newton ~f:(fun x -> (x *. x) -. 9.0) ~df:(fun x -> 2.0 *. x) 1.0
-  in
-  check_close 1e-9 "sqrt 9" 3.0 root
 
 (* ------------------------------------------------------------------ *)
 (* Zero crossing *)
@@ -1321,9 +1306,6 @@ let suites =
           test_zc_too_short;
         qcheck prop_zc_tracks_frequency;
         qcheck prop_fft_parseval;
-        Alcotest.test_case "bisection" `Quick test_bisect;
-        Alcotest.test_case "bisection no bracket" `Quick test_bisect_no_bracket;
-        Alcotest.test_case "newton" `Quick test_newton;
       ] );
     ( "numerics.cancel",
       [
