@@ -169,12 +169,11 @@ let build_transfer (nx, ny, nz) (cx, cy) a =
   in
   (p_ptr, p_idx, p_w, a_c)
 
-(* Banded Cholesky factor of the coarsest operator.  Its cells are
-   renumbered with the axes in ascending extent, the shortest varying
-   fastest, so every stencil neighbour lies within [bw] band rows; [bw]
-   is read off the renumbered CSR pattern.  [perm.(k)] is the cell at
-   band row [k].  L is stored by rows over the band: L(k, j), for
-   [k - bw <= j <= k], at [l.((k * bw) + bw + j)]. *)
+(* Banded Cholesky factor of the coarsest operator ({!Chol}).  Its
+   cells are renumbered with the axes in ascending extent, the shortest
+   varying fastest, so every stencil neighbour lies within [bw] band
+   rows; [bw] is read off the renumbered CSR pattern.  [perm.(k)] is
+   the cell at band row [k]. *)
 type band = { bw : int; perm : int array; l : float array }
 
 let band_factor a (nx, ny, nz) =
@@ -204,54 +203,28 @@ let band_factor a (nx, ny, nz) =
     done
   done;
   let bw = !bw in
-  let row k = (k * bw) + bw in
   let l = Array.make (n * (bw + 1)) 0.0 in
   for i = 0 to n - 1 do
     let k = pos.(i) in
     for e = rp.(i) to rp.(i + 1) - 1 do
       let j = pos.(ci.(e)) in
-      if j <= k then l.(row k + j) <- v.(e)
+      if j <= k then l.(Chol.index ~bw k j) <- v.(e)
     done
   done;
-  for k = 0 to n - 1 do
-    let rk = row k and lo = max 0 (k - bw) in
-    for j = lo to k do
-      let rj = row j in
-      let s = ref l.(rk + j) in
-      for m = lo to j - 1 do
-        s := !s -. (l.(rk + m) *. l.(rj + m))
-      done;
-      if j < k then l.(rk + j) <- !s /. l.(rj + j)
-      else if !s > 0.0 then l.(rk + k) <- sqrt !s
-      else raise (Lu.Singular k)
-    done
-  done;
+  Chol.factor ~bw l;
   let perm = Array.make n 0 in
   Array.iteri (fun i k -> perm.(k) <- i) pos;
   { bw; perm; l }
 
-(* Solve A x = b through the band factor: forward L, backward L^T
-   (column by column, so both sweeps read L by rows), un-permute.
-   [y] is band-ordered scratch. *)
+(* Solve A x = b through the band factor; [y] is band-ordered
+   scratch. *)
 let band_solve { bw; perm; l } y b x =
   let n = Array.length perm in
-  let row k = (k * bw) + bw in
   for k = 0 to n - 1 do
-    let rk = row k in
-    let s = ref b.(perm.(k)) in
-    for m = max 0 (k - bw) to k - 1 do
-      s := !s -. (l.(rk + m) *. y.(m))
-    done;
-    y.(k) <- !s /. l.(rk + k)
+    y.(k) <- b.(perm.(k))
   done;
-  for k = n - 1 downto 0 do
-    let rk = row k in
-    let yk = y.(k) /. l.(rk + k) in
-    y.(k) <- yk;
-    for m = max 0 (k - bw) to k - 1 do
-      y.(m) <- y.(m) -. (l.(rk + m) *. yk)
-    done
-  done;
+  Chol.forward ~bw l y;
+  Chol.backward ~bw l y;
   for k = 0 to n - 1 do
     x.(perm.(k)) <- y.(k)
   done

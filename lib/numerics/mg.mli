@@ -12,7 +12,7 @@
     sweep of the pre-smoother, which makes one V-cycle a symmetric
     positive-definite operator — the property PCG requires of its
     preconditioner ({!Cg.solve}'s [precond]).  The coarsest level is
-    solved directly through a banded Cholesky factor [L L{^T}] held by
+    solved directly through a banded Cholesky factor ({!Chol}) held by
     the hierarchy: its cells are renumbered with the axes in ascending
     extent (the shortest varies fastest), the half-bandwidth is read off
     the renumbered sparsity pattern (45 on a 10x10x4 level, against 400

@@ -13,6 +13,7 @@ module Fft = Sn_numerics.Fft
 module Goertzel = Sn_numerics.Goertzel
 module Sweep = Sn_numerics.Sweep
 module Stats = Sn_numerics.Stats
+module Chol = Sn_numerics.Chol
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))
@@ -151,6 +152,81 @@ let prop_lu_random_solve =
       let b = Mat.mul_vec a x_true in
       let x = Lu.solve_mat a b in
       Vec.max_abs_diff x x_true < 1e-8)
+
+(* ------------------------------------------------------------------ *)
+(* Band Cholesky *)
+
+(* random symmetric entries within [bw] of the diagonal, and a diagonal
+   that dominates its row: SPD *)
+let random_spd_band st n bw =
+  let a = Mat.make n n in
+  for i = 0 to n - 1 do
+    for j = max 0 (i - bw) to i - 1 do
+      let v = Random.State.float st 2.0 -. 1.0 in
+      Mat.set a i j v;
+      Mat.set a j i v
+    done
+  done;
+  for i = 0 to n - 1 do
+    let off = ref 0.0 in
+    for j = 0 to n - 1 do
+      if j <> i then off := !off +. Float.abs (Mat.get a i j)
+    done;
+    Mat.set a i i (!off +. 0.1 +. Random.State.float st 1.0)
+  done;
+  a
+
+(* the lower band of [a], factored in place *)
+let chol_factor a ~bw =
+  let n = Mat.rows a in
+  let l = Array.make (n * (bw + 1)) 0.0 in
+  for k = 0 to n - 1 do
+    for j = max 0 (k - bw) to k do
+      l.(Chol.index ~bw k j) <- Mat.get a k j
+    done
+  done;
+  Chol.factor ~bw l;
+  l
+
+let chol_solve a ~bw b =
+  let l = chol_factor a ~bw in
+  let y = Array.copy b in
+  Chol.forward ~bw l y;
+  Chol.backward ~bw l y;
+  y
+
+let prop_chol_matches_lu =
+  QCheck.Test.make ~count:100 ~name:"band and dense Cholesky solve as LU does"
+    QCheck.(triple (int_range 1 24) (int_range 0 24) (int_range 0 10000))
+    (fun (n, bw, seed) ->
+      let bw = min bw (n - 1) in
+      let st = Random.State.make [| seed; n; bw |] in
+      let a = random_spd_band st n bw in
+      let b = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      let x_lu = Lu.solve_mat a b in
+      let close x = Vec.max_abs_diff x x_lu <= 1e-10 *. Vec.norm_inf x_lu in
+      close (chol_solve a ~bw b) && close (chol_solve a ~bw:(n - 1) b))
+
+let test_chol_singular () =
+  (* pivots 2, 1, then 0.5 - 1 < 0 at row 2, banded or dense *)
+  let a =
+    Mat.of_arrays
+      [| [| 4.0; 2.0; 0.0 |]; [| 2.0; 2.0; 1.0 |]; [| 0.0; 1.0; 0.5 |] |]
+  in
+  List.iter
+    (fun bw ->
+      Alcotest.check_raises
+        (Printf.sprintf "negative pivot, bw %d" bw)
+        (Lu.Singular 2)
+        (fun () -> ignore (chol_factor a ~bw)))
+    [ 1; 2 ];
+  (* a zero pivot is refused too *)
+  let ones = Mat.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] in
+  Alcotest.check_raises "zero pivot" (Lu.Singular 1) (fun () ->
+      ignore (chol_factor ones ~bw:1));
+  Alcotest.check_raises "vector length"
+    (Invalid_argument "Chol: vector length does not match the factor")
+    (fun () -> Chol.forward ~bw:1 (Array.make 4 1.0) [| 1.0 |])
 
 (* ------------------------------------------------------------------ *)
 (* Sparse / CG *)
@@ -1233,6 +1309,9 @@ let suites =
         Alcotest.test_case "dense refactor checks shape" `Quick
           test_dense_refactor_shape;
         qcheck prop_lu_random_solve;
+        qcheck prop_chol_matches_lu;
+        Alcotest.test_case "Cholesky refuses non-positive pivots" `Quick
+          test_chol_singular;
       ] );
     ( "numerics.sparse",
       [
