@@ -84,37 +84,192 @@ let bb_push b i j g =
   b.blen <- b.blen + 1
 
 (* ------------------------------------------------------------------ *)
-(* per-tile reduction state *)
+(* Stage 1, assemble: the grid, its tiling, the contact scan, and every
+   branch routed to its tile or to the interface skeleton. *)
 
-type solve_state = {
-  aii : N.Sparse.t;
-  mg : N.Mg.t;
-  brow_idx : int array array; (* sparse A_ri rows over interior, per retained *)
-  brow_val : float array array;
-  abb : float array; (* r x r retained block, row-major *)
-}
-
-type tile_work = {
-  t_id : int;
+(* One tile's reduction problem.  The retained nodes are the tile's
+   interface cells (ascending global index), then the ports touching
+   it (ascending port index).  [branches] are numbered tile-locally:
+   interior index, or [n_i] + retained slot. *)
+type problem = {
+  tile : Tiling.tile;
+  dims : int * int * int; (* interior box, the multigrid dims *)
   n_i : int;
-  r : int;
+  interface : int; (* retained interface cells *)
+  ports : int array; (* port of each retained slot after the interface *)
   labels : string array;
-  key : string option;
-  mutable s : float array; (* reduced r x r tile matrix *)
-  mutable from_cache : bool;
-  mutable iters : int;
-  mutable solve : solve_state option;
+  branches : branchbuf;
 }
 
-let cell_of_interior (tl : Tiling.tile) li =
+(* The problems in tile order and the lateral cut edges, numbered over
+   the skeleton: each tile's interface cells, tile after tile. *)
+type assembly = {
+  grid_cells : int;
+  problems : problem array;
+  skeleton : branchbuf;
+  interface_nodes : int; (* skeleton size *)
+}
+
+(* Contact scan: one (surface cell, port, conductance) entry per port
+   overlapping a surface cell, row-major over the surface, then the
+   backplane's coupling to every bottom cell. *)
+let contact_scan grid ~profile ~grounded_backplane ports_arr =
+  let np = Array.length ports_arr in
+  let nx = Grid.nx grid and ny = Grid.ny grid in
+  let um2 = T.micron *. T.micron in
+  let contacts = bb_create () in
+  for iy = 0 to ny - 1 do
+    for ix = 0 to nx - 1 do
+      let cell_rect = Grid.surface_cell_rect grid ix iy in
+      let cell = Grid.cell_index grid ix iy 0 in
+      Array.iteri
+        (fun p port ->
+          let a_um2 = overlap_area port cell_rect in
+          if a_um2 > 0.0 then
+            bb_push contacts cell p
+              (a_um2 *. um2 /. profile.T.contact_resistance))
+        ports_arr
+    done
+  done;
+  (* metallized backside: the last port couples to every bottom cell *)
+  if grounded_backplane then begin
+    let iz = Grid.nz grid - 1 in
+    for iy = 0 to ny - 1 do
+      for ix = 0 to nx - 1 do
+        let area = Grid.dx grid ix *. Grid.dy grid iy in
+        bb_push contacts (Grid.cell_index grid ix iy iz) (np - 1)
+          (area /. profile.T.contact_resistance)
+      done
+    done
+  end;
+  let coverage = Array.make np 0.0 in
+  for k = 0 to contacts.blen - 1 do
+    coverage.(contacts.bj.(k)) <- coverage.(contacts.bj.(k)) +. contacts.bg.(k)
+  done;
+  Array.iteri
+    (fun p c ->
+      if c <= 0.0 then
+        invalid_arg
+          (Printf.sprintf "Extractor.extract: port %s overlaps no surface cell"
+             ports_arr.(p).Port.name))
+    coverage;
+  contacts
+
+let assemble ~config ~grounded_backplane ~tiles ~profile ~die ~ports_arr ports =
+  let np = Array.length ports_arr in
+  (* snap grid lines to every port rectangle edge so thin rings and
+     gaps are resolved exactly rather than aliased *)
+  let snap_x, snap_y =
+    List.fold_left
+      (fun (xs, ys) (p : Port.t) ->
+        List.fold_left
+          (fun (xs, ys) (r : G.Rect.t) ->
+            ( r.G.Rect.x0 :: r.G.Rect.x1 :: xs,
+              r.G.Rect.y0 :: r.G.Rect.y1 :: ys ))
+          (xs, ys) p.Port.region)
+      ([], []) ports
+  in
+  let grid = Grid.build ~snap_x ~snap_y config ~die profile in
+  let n = Grid.cell_count grid in
+  let nx = Grid.nx grid and ny = Grid.ny grid and nz = Grid.nz grid in
+  (match Tiling.degenerate ~tiles ~grid:(nx, ny) ~ports:np with
+   | Some why -> Log.warn (fun m -> m "degenerate tiling: %s" why)
+   | None -> ());
+  let plan = Tiling.plan ~tiles ~nx ~ny ~nz in
+  let n_tiles = Tiling.count plan in
+  Log.info (fun m ->
+      m "grid %dx%dx%d (%d cells), %d ports, %dx%d tiles" nx ny nz n np
+        (fst (Tiling.shape plan))
+        (snd (Tiling.shape plan)));
+  (* interface cells per tile and, per cell, its tile-local slot:
+     interior index when >= 0, interface position encoded as
+     -(pos) - 1 *)
+  let iface = Array.init n_tiles (Tiling.interface_cells plan) in
+  let nxy = nx * ny in
+  let cell_slot = Array.make n 0 in
+  Array.iteri
+    (fun id (tl : Tiling.tile) ->
+      for iz = 0 to nz - 1 do
+        for iy = tl.Tiling.y0 to tl.Tiling.y1 - 1 do
+          for ix = tl.Tiling.x0 to tl.Tiling.x1 - 1 do
+            if Tiling.is_interior tl ~ix ~iy then
+              cell_slot.((iz * nxy) + (iy * nx) + ix) <-
+                Tiling.interior_index tl ~nz ~ix ~iy ~iz
+          done
+        done
+      done;
+      Array.iteri (fun pos cell -> cell_slot.(cell) <- -pos - 1) iface.(id))
+    plan.Tiling.tiles;
+  let tile_of_cell cell = plan.Tiling.tile_of.(cell mod nxy) in
+  let contacts = contact_scan grid ~profile ~grounded_backplane ports_arr in
+  (* each tile retains the ports that touch it, after its interface *)
+  let port_slot = Array.make_matrix n_tiles np (-1) in
+  for k = 0 to contacts.blen - 1 do
+    port_slot.(tile_of_cell contacts.bi.(k)).(contacts.bj.(k)) <- 0
+  done;
+  let tile_ports =
+    Array.mapi
+      (fun t slots ->
+        let ps = List.filter (fun p -> slots.(p) = 0) (List.init np Fun.id) in
+        List.iteri (fun k p -> slots.(p) <- Array.length iface.(t) + k) ps;
+        Array.of_list ps)
+      port_slot
+  in
+  let dims = Array.map (Tiling.interior_dims ~nz) plan.Tiling.tiles in
+  let n_i = Array.map (fun (w, h, d) -> w * h * d) dims in
+  let local_of_cell t cell =
+    let s = cell_slot.(cell) in
+    if s >= 0 then s else n_i.(t) + (-s - 1)
+  in
+  let offset = Array.make n_tiles 0 in
+  for t = 1 to n_tiles - 1 do
+    offset.(t) <- offset.(t - 1) + Array.length iface.(t - 1)
+  done;
+  let branches = Array.init n_tiles (fun _ -> bb_create ()) in
+  let skeleton = bb_create () in
+  Grid.iter_conductances grid (fun a b g ->
+      let ta = tile_of_cell a and tb = tile_of_cell b in
+      if ta = tb then
+        bb_push branches.(ta) (local_of_cell ta a) (local_of_cell ta b) g
+      else
+        (* a lateral cut edge: both endpoints are interface cells *)
+        bb_push skeleton
+          (offset.(ta) - cell_slot.(a) - 1)
+          (offset.(tb) - cell_slot.(b) - 1)
+          g);
+  for k = 0 to contacts.blen - 1 do
+    let cell = contacts.bi.(k) and p = contacts.bj.(k) in
+    let t = tile_of_cell cell in
+    bb_push branches.(t) (local_of_cell t cell)
+      (n_i.(t) + port_slot.(t).(p))
+      contacts.bg.(k)
+  done;
+  let problem t tile =
+    {
+      tile;
+      dims = dims.(t);
+      n_i = n_i.(t);
+      interface = Array.length iface.(t);
+      ports = tile_ports.(t);
+      labels =
+        Array.append
+          (Array.map (fun c -> "c" ^ string_of_int c) iface.(t))
+          (Array.map (fun p -> "p:" ^ ports_arr.(p).Port.name) tile_ports.(t));
+      branches = branches.(t);
+    }
+  in
+  {
+    grid_cells = n;
+    problems = Array.mapi problem plan.Tiling.tiles;
+    skeleton;
+    interface_nodes = offset.(n_tiles - 1) + Array.length iface.(n_tiles - 1);
+  }
+
+let zero_diag_error (tl : Tiling.tile) li =
   let w = tl.Tiling.ix1 - tl.Tiling.ix0 in
   let h = tl.Tiling.iy1 - tl.Tiling.iy0 in
-  let iz = li / (w * h) in
-  let rem = li mod (w * h) in
-  (tl.Tiling.ix0 + (rem mod w), tl.Tiling.iy0 + (rem / w), iz)
-
-let zero_diag_error tl li =
-  let ix, iy, iz = cell_of_interior tl li in
+  let iz = li / (w * h) and rem = li mod (w * h) in
+  let ix = tl.Tiling.ix0 + (rem mod w) and iy = tl.Tiling.iy0 + (rem / w) in
   invalid_arg
     (Printf.sprintf
        "Extractor: grid cell (%d,%d,%d) has a zero diagonal — the cell is \
@@ -126,7 +281,8 @@ let zero_diag_error tl li =
    interior box shape, retained labels and the full branch list (grid
    spacings and technology numbers are already folded into the branch
    conductances) *)
-let key_material ~form ~dims:(w, h, d) ~n_i ~labels (bb : branchbuf) =
+let key_material ~form (p : problem) =
+  let w, h, d = p.dims and bb = p.branches and labels = p.labels in
   let buf = Buffer.create (64 + (20 * bb.blen)) in
   Buffer.add_string buf "snoise-tile/";
   Buffer.add_string buf (string_of_int Cache.format_version);
@@ -140,7 +296,7 @@ let key_material ~form ~dims:(w, h, d) ~n_i ~labels (bb : branchbuf) =
     (fun v ->
       Buffer.add_char buf '/';
       Buffer.add_string buf (string_of_int v))
-    [ w; h; d; n_i; Array.length labels ];
+    [ w; h; d; p.n_i; Array.length labels ];
   Array.iter
     (fun l ->
       Buffer.add_char buf '\x00';
@@ -221,7 +377,8 @@ let usable ~labels ~r ~form (m : Cache.tile_model) =
 
 (* The recorded extraction for [input_key], served only when every
    tile it used still passes [Cache.lookup] and [usable].  Also returns
-   every lookup made, so a cold fall-through never repeats one. *)
+   the cache lookup for a cold fall-through, which never repeats a
+   lookup made here. *)
 let recorded_hit c ~input_key ~form =
   let looked_up = Hashtbl.create 8 in
   let served =
@@ -240,453 +397,286 @@ let recorded_hit c ~input_key ~form =
       in
       if Array.for_all Fun.id fits then Some r else None
   in
-  (served, looked_up)
+  let lookup key =
+    match Hashtbl.find_opt looked_up key with
+    | Some found -> found
+    | None -> Cache.lookup c ~key
+  in
+  (served, lookup)
 
-(* The full path: build the grid, find each tile by content key or
-   reduce it, stitch the interface skeleton, and record the result in
-   the cache handle's input-key index.  [looked_up] holds lookups
-   already made for this extraction. *)
-let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports =
-  let np = Array.length ports_arr in
-  (* snap grid lines to every port rectangle edge so thin rings and
-     gaps are resolved exactly rather than aliased *)
-  let snap_x, snap_y =
-    List.fold_left
-      (fun (xs, ys) (p : Port.t) ->
-        List.fold_left
-          (fun (xs, ys) (r : G.Rect.t) ->
-            ( r.G.Rect.x0 :: r.G.Rect.x1 :: xs,
-              r.G.Rect.y0 :: r.G.Rect.y1 :: ys ))
-          (xs, ys) p.Port.region)
-      ([], []) ports
+(* ------------------------------------------------------------------ *)
+(* Stage 2, reduce: each missed tile's problem to its Schur block
+   S = A_bb - B A_ii^-1 B^T over the retained nodes, one MG-PCG solve
+   per retained column. *)
+
+type reduction = {
+  problem : problem;
+  aii : N.Sparse.t;
+  mg : N.Mg.t option; (* None when the tile has no interior *)
+  b : N.Sparse.t; (* A_ri: one row per retained node *)
+  abb : float array; (* r x r retained block, row-major *)
+  s : float array; (* the Schur block, filled column by column *)
+  iters : int array; (* CG iterations per column *)
+}
+
+(* a tile's Schur block and the CG iterations that produced it *)
+type block = { matrix : float array; iterations : int }
+
+let setup (p : problem) =
+  let n_i = p.n_i and r = Array.length p.labels and bb = p.branches in
+  let aii = N.Sparse.builder (max n_i 1) (max n_i 1) in
+  let b = N.Sparse.builder r (max n_i 1) in
+  let abb = Array.make (r * r) 0.0 in
+  let stamp_bb ru rv g =
+    abb.((ru * r) + rv) <- abb.((ru * r) + rv) +. g
   in
-  let grid = Grid.build ~snap_x ~snap_y config ~die profile in
-  let n = Grid.cell_count grid in
-  let nx = Grid.nx grid and ny = Grid.ny grid and nz = Grid.nz grid in
-  (match Tiling.degenerate ~tiles ~grid:(nx, ny) ~ports:np with
-   | Some why -> Log.warn (fun m -> m "degenerate tiling: %s" why)
-   | None -> ());
-  let plan = Tiling.plan ~tiles ~nx ~ny ~nz in
-  let n_tiles = Tiling.count plan in
-  Log.info (fun m ->
-      m "grid %dx%dx%d (%d cells), %d ports, %dx%d tiles" nx ny nz n np
-        (fst (Tiling.shape plan))
-        (snd (Tiling.shape plan)));
-  (* --- assemble phase ------------------------------------------- *)
-  (* interface cells per tile (ascending global index) and, per cell,
-     its tile-local slot: interior index when >= 0, interface retained
-     position encoded as -(pos) - 1 *)
-  let iface = Array.init n_tiles (fun id -> Tiling.interface_cells plan id) in
-  let interface_nodes = Array.fold_left (fun a c -> a + Array.length c) 0 iface in
-  let nxy = nx * ny in
-  let cell_slot = Array.make n 0 in
-  Array.iteri
-    (fun id (tl : Tiling.tile) ->
-      for iz = 0 to nz - 1 do
-        for iy = tl.Tiling.y0 to tl.Tiling.y1 - 1 do
-          for ix = tl.Tiling.x0 to tl.Tiling.x1 - 1 do
-            if Tiling.is_interior tl ~ix ~iy then
-              cell_slot.((iz * nxy) + (iy * nx) + ix) <-
-                Tiling.interior_index tl ~nz ~ix ~iy ~iz
-          done
-        done
-      done;
-      Array.iteri
-        (fun pos cell -> cell_slot.(cell) <- -pos - 1)
-        iface.(id))
-    plan.Tiling.tiles;
-  let tile_of_cell cell = plan.Tiling.tile_of.(cell mod nxy) in
-  (* contact scan: port coverage and, per tile, which ports touch it *)
-  let um2 = T.micron *. T.micron in
-  let coverage = Array.make np 0.0 in
-  let port_touches = Array.make_matrix n_tiles np false in
-  let contacts = Array.init n_tiles (fun _ -> bb_create ()) in
-  let add_contact cell p g =
-    let t = tile_of_cell cell in
-    port_touches.(t).(p) <- true;
-    (* stash (cell, port) in the tile's contact buffer; rewritten to
-       tile-local numbering once retained slots are known *)
-    bb_push contacts.(t) cell p g;
-    coverage.(p) <- coverage.(p) +. g
-  in
-  for iy = 0 to ny - 1 do
-    for ix = 0 to nx - 1 do
-      let cell_rect = Grid.surface_cell_rect grid ix iy in
-      let cell = Grid.cell_index grid ix iy 0 in
-      Array.iteri
-        (fun p port ->
-          let a_um2 = overlap_area port cell_rect in
-          if a_um2 > 0.0 then
-            add_contact cell p (a_um2 *. um2 /. profile.T.contact_resistance))
-        ports_arr
-    done
+  for k = 0 to bb.blen - 1 do
+    let u = bb.bi.(k) and v = bb.bj.(k) and g = bb.bg.(k) in
+    let stamp_cross i rq =
+      (* interior i against retained rq *)
+      N.Sparse.add aii i i g;
+      stamp_bb rq rq g;
+      N.Sparse.add b rq i (-.g)
+    in
+    match (u < n_i, v < n_i) with
+    | true, true ->
+      N.Sparse.add aii u u g;
+      N.Sparse.add aii v v g;
+      N.Sparse.add aii u v (-.g);
+      N.Sparse.add aii v u (-.g)
+    | true, false -> stamp_cross u (v - n_i)
+    | false, true -> stamp_cross v (u - n_i)
+    | false, false ->
+      let ru = u - n_i and rv = v - n_i in
+      stamp_bb ru ru g;
+      stamp_bb rv rv g;
+      stamp_bb ru rv (-.g);
+      stamp_bb rv ru (-.g)
   done;
-  (* metallized backside: the last port couples to every bottom cell *)
-  if grounded_backplane then begin
-    let p = np - 1 in
-    let iz = nz - 1 in
-    for iy = 0 to ny - 1 do
-      for ix = 0 to nx - 1 do
-        let cell = Grid.cell_index grid ix iy iz in
-        let area = Grid.dx grid ix *. Grid.dy grid iy in
-        add_contact cell p (area /. profile.T.contact_resistance)
-      done
-    done
-  end;
-  Array.iteri
-    (fun p c ->
-      if c <= 0.0 then
-        invalid_arg
-          (Printf.sprintf
-             "Extractor.extract: port %s overlaps no surface cell"
-             ports_arr.(p).Port.name))
-    coverage;
-  (* retained-node layout per tile: interface cells first (ascending
-     global index), then the tile's ports (ascending port index) *)
-  let tile_ports =
-    Array.init n_tiles (fun t ->
-        let acc = ref [] in
-        for p = np - 1 downto 0 do
-          if port_touches.(t).(p) then acc := p :: !acc
-        done;
-        Array.of_list !acc)
+  let aii = N.Sparse.finalize aii in
+  let mg =
+    if n_i = 0 then None
+    else
+      try Some (N.Mg.build ~dims:p.dims aii)
+      with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
   in
-  let port_slot = Array.make_matrix n_tiles np (-1) in
-  Array.iteri
-    (fun t ps ->
-      let m_t = Array.length iface.(t) in
-      Array.iteri (fun k p -> port_slot.(t).(p) <- m_t + k) ps)
-    tile_ports;
-  let interior_count =
-    Array.map
-      (fun (tl : Tiling.tile) ->
-        let w, h, d = Tiling.interior_dims tl ~nz in
-        w * h * d)
-      plan.Tiling.tiles
+  { problem = p; aii; mg; b = N.Sparse.finalize b; abb;
+    s = Array.make (r * r) 0.0; iters = Array.make r 0 }
+
+(* Schur column q: x = A_ii^-1 B^T e_q, then S(:, q) = A_bb(:, q) - B x.
+   A retained node with no interior neighbour needs no solve. *)
+let solve_column red q mg =
+  let p = red.problem in
+  let r = Array.length p.labels in
+  let rp = N.Sparse.row_ptr red.b
+  and ci = N.Sparse.col_idx red.b
+  and bv = N.Sparse.values red.b in
+  let x =
+    if rp.(q) = rp.(q + 1) then None
+    else begin
+      let rhs = Array.make p.n_i 0.0 in
+      for e = rp.(q) to rp.(q + 1) - 1 do
+        rhs.(ci.(e)) <- bv.(e)
+      done;
+      let res =
+        try N.Cg.solve ~tol:cg_tol ~precond:(N.Mg.precond mg) red.aii rhs
+        with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
+      in
+      red.iters.(q) <- res.N.Cg.iterations;
+      if not res.N.Cg.converged then raise (N.Cg.Not_converged res);
+      Some res.N.Cg.solution
+    end
   in
-  let retained_count =
-    Array.init n_tiles (fun t ->
-        Array.length iface.(t) + Array.length tile_ports.(t))
-  in
-  (* branch buffers in tile-local numbering: interior index, or
-     n_i + retained slot *)
-  let branches = Array.init n_tiles (fun _ -> bb_create ()) in
-  let local_of_cell t cell =
-    let s = cell_slot.(cell) in
-    if s >= 0 then s else interior_count.(t) + (-s - 1)
-  in
-  let stitch = bb_create () in
-  Grid.iter_conductances grid (fun a b g ->
-      let ta = tile_of_cell a and tb = tile_of_cell b in
-      if ta = tb then
-        bb_push branches.(ta) (local_of_cell ta a) (local_of_cell ta b) g
-      else
-        (* a lateral cut edge: both endpoints are interface cells *)
-        bb_push stitch a b g);
-  Array.iteri
-    (fun t cb ->
-      for k = 0 to cb.blen - 1 do
-        let cell = cb.bi.(k) and p = cb.bj.(k) in
-        bb_push branches.(t) (local_of_cell t cell)
-          (interior_count.(t) + port_slot.(t).(p))
-          cb.bg.(k)
-      done)
-    contacts;
-  let labels =
-    Array.init n_tiles (fun t ->
-        Array.append
-          (Array.map (fun c -> "c" ^ string_of_int c) iface.(t))
-          (Array.map
-             (fun p -> "p:" ^ ports_arr.(p).Port.name)
-             tile_ports.(t)))
-  in
-  let t_assemble = Unix.gettimeofday () in
-  (* --- reduce phase ---------------------------------------------- *)
-  let total_iters = Atomic.make 0 in
-  let prepare_tile t_id =
-    let tl = plan.Tiling.tiles.(t_id) in
-    let n_i = interior_count.(t_id) in
-    let r = retained_count.(t_id) in
-    let bb = branches.(t_id) in
-    let key =
-      match cache with
-      | None -> None
-      | Some _ ->
-        Some
-          (Cache.hex_key
-             (key_material ~form ~dims:(Tiling.interior_dims tl ~nz) ~n_i
-                ~labels:labels.(t_id) bb))
-    in
-    let work =
-      {
-        t_id;
-        n_i;
-        r;
-        labels = labels.(t_id);
-        key;
-        s = [||];
-        from_cache = false;
-        iters = 0;
-        solve = None;
-      }
-    in
-    let cached =
-      match (cache, key) with
-      | Some c, Some k -> (
-        let found =
-          match Hashtbl.find_opt looked_up k with
-          | Some found -> found
-          | None -> Cache.lookup c ~key:k
-        in
-        match found with
-        | Some m when usable ~labels:labels.(t_id) ~r ~form m -> Some m
-        | Some _ ->
-          Log.warn (fun f ->
-              f "cache entry %s does not match its key: recomputing" k);
-          None
-        | None -> None)
-      | _ -> None
-    in
-    (match cached with
-     | Some m ->
-       work.s <- m.Cache.matrix;
-       work.iters <- m.Cache.iterations;
-       work.from_cache <- true
-     | None ->
-       let builder = N.Sparse.builder (max n_i 1) (max n_i 1) in
-       let brow = Array.init r (fun _ -> Hashtbl.create 16) in
-       let abb = Array.make (r * r) 0.0 in
-       for k = 0 to bb.blen - 1 do
-         let u = bb.bi.(k) and v = bb.bj.(k) and g = bb.bg.(k) in
-         let stamp_cross i rq =
-           (* interior i against retained rq *)
-           N.Sparse.add builder i i g;
-           abb.((rq * r) + rq) <- abb.((rq * r) + rq) +. g;
-           let tbl = brow.(rq) in
-           let cur = Option.value ~default:0.0 (Hashtbl.find_opt tbl i) in
-           Hashtbl.replace tbl i (cur -. g)
-         in
-         match (u < n_i, v < n_i) with
-         | true, true ->
-           N.Sparse.add builder u u g;
-           N.Sparse.add builder v v g;
-           N.Sparse.add builder u v (-.g);
-           N.Sparse.add builder v u (-.g)
-         | true, false -> stamp_cross u (v - n_i)
-         | false, true -> stamp_cross v (u - n_i)
-         | false, false ->
-           let ru = u - n_i and rv = v - n_i in
-           abb.((ru * r) + ru) <- abb.((ru * r) + ru) +. g;
-           abb.((rv * r) + rv) <- abb.((rv * r) + rv) +. g;
-           abb.((ru * r) + rv) <- abb.((ru * r) + rv) -. g;
-           abb.((rv * r) + ru) <- abb.((rv * r) + ru) -. g
-       done;
-       if n_i = 0 then work.s <- abb
-       else begin
-         let aii = N.Sparse.finalize builder in
-         let mg =
-           try N.Mg.build ~dims:(Tiling.interior_dims tl ~nz) aii
-           with N.Cg.Zero_diagonal li -> zero_diag_error tl li
-         in
-         let brow_idx = Array.make r [||] in
-         let brow_val = Array.make r [||] in
-         Array.iteri
-           (fun rq tbl ->
-             let entries =
-               Hashtbl.fold (fun i v acc -> (i, v) :: acc) tbl []
-               |> List.sort (fun (a, _) (b, _) -> compare a b)
-             in
-             brow_idx.(rq) <- Array.of_list (List.map fst entries);
-             brow_val.(rq) <- Array.of_list (List.map snd entries))
-           brow;
-         work.s <- Array.make (r * r) 0.0;
-         work.solve <- Some { aii; mg; brow_idx; brow_val; abb }
-       end);
-    work
-  in
-  let works = Pool.map_array pool prepare_tile (Array.init n_tiles Fun.id) in
-  (* flatten the remaining Schur columns of every missed tile into one
-     batch: tile- and port-level parallelism share the same pool *)
+  for rr = 0 to r - 1 do
+    red.s.((rr * r) + q) <-
+      (match x with
+       | None -> red.abb.((rr * r) + q)
+       | Some x ->
+         let dot = ref 0.0 in
+         for e = rp.(rr) to rp.(rr + 1) - 1 do
+           dot := !dot +. (bv.(e) *. x.(ci.(e)))
+         done;
+         red.abb.((rr * r) + q) -. !dot)
+  done
+
+(* Every problem's block, and the deepest hierarchy built.  The columns
+   of all tiles run as one batch, so tile- and column-level parallelism
+   share the pool. *)
+let reduce_tiles pool problems =
+  let reds = Pool.map_array pool setup problems in
   let columns =
     Array.concat
       (Array.to_list
          (Array.map
-            (fun w ->
-              match w.solve with
+            (fun red ->
+              match red.mg with
               | None -> [||]
-              | Some _ -> Array.init w.r (fun q -> (w, q)))
-            works))
+              | Some mg ->
+                Array.init (Array.length red.iters) (fun q -> (red, q, mg)))
+            reds))
   in
   Pool.run pool ~n:(Array.length columns) (fun k ->
-      let w, q = columns.(k) in
-      let st = Option.get w.solve in
-      let tl = plan.Tiling.tiles.(w.t_id) in
-      let r = w.r in
-      let idx_q = st.brow_idx.(q) and val_q = st.brow_val.(q) in
-      let x =
-        if Array.length idx_q = 0 then None
-        else begin
-          let rhs = Array.make w.n_i 0.0 in
-          Array.iteri (fun e i -> rhs.(i) <- val_q.(e)) idx_q;
-          let res =
-            try N.Cg.solve ~tol:cg_tol ~precond:(N.Mg.precond st.mg) st.aii rhs
-            with N.Cg.Zero_diagonal li -> zero_diag_error tl li
-          in
-          ignore
-            (Atomic.fetch_and_add total_iters res.N.Cg.iterations);
-          if not res.N.Cg.converged then raise (N.Cg.Not_converged res);
-          Some res.N.Cg.solution
-        end
-      in
-      for rr = 0 to r - 1 do
-        let v =
-          match x with
-          | None -> st.abb.((rr * r) + q)
-          | Some x ->
-            let idx = st.brow_idx.(rr) and vl = st.brow_val.(rr) in
-            let dot = ref 0.0 in
-            Array.iteri (fun e i -> dot := !dot +. (vl.(e) *. x.(i))) idx;
-            st.abb.((rr * r) + q) -. !dot
-        in
-        w.s.((rr * r) + q) <- v
-      done);
-  (* symmetrize the freshly computed tiles (iterative tolerance breaks
-     exact symmetry) and persist them *)
-  Array.iter
-    (fun w ->
-      if not w.from_cache then begin
-        let r = w.r in
-        if w.solve <> None then begin
-          let s = w.s in
-          for a = 0 to r - 1 do
-            for b = a + 1 to r - 1 do
-              let v = 0.5 *. (s.((a * r) + b) +. s.((b * r) + a)) in
-              s.((a * r) + b) <- v;
-              s.((b * r) + a) <- v
-            done
-          done
-        end;
-        match (cache, w.key) with
-        | Some c, Some k ->
-          Cache.store c ~key:k
-            { Cache.labels = w.labels; matrix = w.s; iterations = w.iters;
-              form }
-        | _ -> ()
-      end)
-    works;
-  let cache_hits =
-    Array.fold_left (fun a w -> if w.from_cache then a + 1 else a) 0 works
-  in
-  let cache_misses =
-    match cache with None -> 0 | Some _ -> n_tiles - cache_hits
-  in
-  let mg_levels =
-    Array.fold_left
-      (fun acc w ->
-        match w.solve with
-        | Some { mg; _ } -> max acc (N.Mg.levels mg)
-        | None -> acc)
-      0 works
-  in
-  let t_reduce = Unix.gettimeofday () in
-  (* --- stitch phase ---------------------------------------------- *)
-  (* stitched system over (all interface cells, then all ports) *)
-  let stitch_of_cell = Hashtbl.create (max 16 interface_nodes) in
-  let m_total = ref 0 in
-  Array.iter
-    (fun cells ->
-      Array.iter
-        (fun c ->
-          Hashtbl.replace stitch_of_cell c !m_total;
-          incr m_total)
-        cells)
-    iface;
-  let m_total = !m_total in
-  let dim = m_total + np in
-  let k_mat = N.Mat.make dim dim in
-  Array.iter
-    (fun w ->
-      let m_t = Array.length iface.(w.t_id) in
-      let global =
-        Array.init w.r (fun k ->
-            if k < m_t then Hashtbl.find stitch_of_cell iface.(w.t_id).(k)
-            else m_total + tile_ports.(w.t_id).(k - m_t))
-      in
-      for a = 0 to w.r - 1 do
-        for b = 0 to w.r - 1 do
-          N.Mat.add_to k_mat global.(a) global.(b) w.s.((a * w.r) + b)
+      let red, q, mg = columns.(k) in
+      solve_column red q mg);
+  let block red =
+    match red.mg with
+    | None -> { matrix = red.abb; iterations = 0 }
+    | Some _ ->
+      (* the iterative tolerance breaks exact symmetry: restore it *)
+      let s = red.s and r = Array.length red.iters in
+      for a = 0 to r - 1 do
+        for b = a + 1 to r - 1 do
+          let v = 0.5 *. (s.((a * r) + b) +. s.((b * r) + a)) in
+          s.((a * r) + b) <- v;
+          s.((b * r) + a) <- v
         done
-      done)
-    works;
-  for k = 0 to stitch.blen - 1 do
-    let a = Hashtbl.find stitch_of_cell stitch.bi.(k) in
-    let b = Hashtbl.find stitch_of_cell stitch.bj.(k) in
-    let g = stitch.bg.(k) in
-    N.Mat.add_to k_mat a a g;
-    N.Mat.add_to k_mat b b g;
-    N.Mat.add_to k_mat a b (-.g);
-    N.Mat.add_to k_mat b a (-.g)
+      done;
+      { matrix = s; iterations = Array.fold_left ( + ) 0 red.iters }
+  in
+  let levels m red = max m (Option.fold ~none:0 ~some:N.Mg.levels red.mg) in
+  (Array.map block reds, Array.fold_left levels 0 reds)
+
+(* ------------------------------------------------------------------ *)
+(* Stage 3, stitch: the blocks scattered over (skeleton, ports) and the
+   skeleton eliminated.  With K_ii = L L^T and Y = L^-1 K_ip, the port
+   matrix is S = K_pp - Y^T Y, symmetric by construction. *)
+
+let stitch ~np (a : assembly) blocks =
+  let m = a.interface_nodes in
+  let bw = max 0 (m - 1) in
+  let kii = Array.make (m * (bw + 1)) 0.0 in
+  let kip = Array.init np (fun _ -> Array.make m 0.0) in
+  let s = Array.make (np * np) 0.0 in
+  let add_ii i j v =
+    let k = N.Chol.index ~bw (max i j) (min i j) in
+    kii.(k) <- kii.(k) +. v
+  in
+  let o = ref 0 in
+  Array.iteri
+    (fun t (p : problem) ->
+      let blk = blocks.(t) and r = Array.length p.labels in
+      let m_t = p.interface in
+      (* the lower triangle of each symmetric block *)
+      for x = 0 to r - 1 do
+        for y = 0 to x do
+          let v = blk.((x * r) + y) in
+          if x < m_t then add_ii (!o + x) (!o + y) v
+          else if y < m_t then
+            let col = kip.(p.ports.(x - m_t)) in
+            col.(!o + y) <- col.(!o + y) +. v
+          else begin
+            let pp = (p.ports.(x - m_t) * np) + p.ports.(y - m_t) in
+            s.(pp) <- s.(pp) +. v
+          end
+        done
+      done;
+      o := !o + m_t)
+    a.problems;
+  let sk = a.skeleton in
+  for k = 0 to sk.blen - 1 do
+    let i = sk.bi.(k) and j = sk.bj.(k) and g = sk.bg.(k) in
+    add_ii i i g;
+    add_ii j j g;
+    add_ii i j (-.g)
   done;
-  let s =
-    if m_total = 0 then
-      N.Mat.init np np (fun p q ->
-          N.Mat.get k_mat (m_total + p) (m_total + q))
-    else begin
-      (* dense Schur over the interface skeleton: the retained blocks
-         are dense after the per-tile reduction anyway, and the
-         skeleton is one cell line per cut — small next to the grid *)
-      let kii =
-        N.Mat.init m_total m_total (fun a b -> N.Mat.get k_mat a b)
-      in
-      let f = N.Lu.factor_mat kii in
-      let xcols =
-        Array.init np (fun q ->
-            N.Lu.solve_factored f
-              (Array.init m_total (fun i -> N.Mat.get k_mat i (m_total + q))))
-      in
-      N.Mat.init np np (fun p q ->
-          let acc = ref (N.Mat.get k_mat (m_total + p) (m_total + q)) in
-          let x = xcols.(q) in
-          for i = 0 to m_total - 1 do
-            acc := !acc -. (N.Mat.get k_mat (m_total + p) i *. x.(i))
-          done;
-          !acc)
-    end
+  if m > 0 then begin
+    N.Chol.factor ~bw kii;
+    Array.iter (N.Chol.forward ~bw kii) kip
+  end;
+  for p = 0 to np - 1 do
+    for q = 0 to p do
+      let yp = kip.(p) and yq = kip.(q) in
+      let acc = ref s.((p * np) + q) in
+      for i = 0 to m - 1 do
+        acc := !acc -. (yp.(i) *. yq.(i))
+      done;
+      s.((p * np) + q) <- !acc;
+      s.((q * np) + p) <- !acc
+    done
+  done;
+  s
+
+(* The full path: assemble the problems, find each tile by content key
+   or reduce it, stitch, and record the result in the cache handle's
+   input-key index.  [lookup] answers for the cache, reusing lookups
+   this extraction already made. *)
+let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
+    ~profile ~die ~ports_arr ~lookup ~input_key ~t0 ports =
+  let np = Array.length ports_arr in
+  let a =
+    assemble ~config ~grounded_backplane ~tiles ~profile ~die ~ports_arr ports
   in
-  (* enforce exact symmetry lost to iterative tolerance *)
-  let s =
-    N.Mat.init np np (fun p q ->
-        0.5 *. (N.Mat.get s p q +. N.Mat.get s q p))
+  let t_assemble = Unix.gettimeofday () in
+  let n_tiles = Array.length a.problems in
+  let find (p : problem) =
+    match cache with
+    | None -> (None, None)
+    | Some _ -> (
+      let k = Cache.hex_key (key_material ~form p) in
+      let r = Array.length p.labels in
+      match lookup k with
+      | Some m when usable ~labels:p.labels ~r ~form m ->
+        (Some k, Some m.Cache.matrix)
+      | Some _ ->
+        Log.warn (fun f ->
+            f "cache entry %s does not match its key: recomputing" k);
+        (Some k, None)
+      | None -> (Some k, None))
   in
+  let found = Pool.map_array pool find a.problems in
+  let missed =
+    List.filter (fun t -> snd found.(t) = None) (List.init n_tiles Fun.id)
+    |> Array.of_list
+  in
+  let fresh, mg_levels =
+    reduce_tiles pool (Array.map (fun t -> a.problems.(t)) missed)
+  in
+  let blocks = Array.map (fun (_, m) -> Option.value m ~default:[||]) found in
+  Array.iteri
+    (fun j t ->
+      let p = a.problems.(t) in
+      blocks.(t) <- fresh.(j).matrix;
+      match (cache, fst found.(t)) with
+      | Some c, Some k ->
+        Cache.store c ~key:k
+          { Cache.labels = p.labels; matrix = fresh.(j).matrix;
+            iterations = 0; form }
+      | _ -> ())
+    missed;
+  let cache_hits = n_tiles - Array.length missed in
+  let t_reduce = Unix.gettimeofday () in
+  let s = stitch ~np a blocks in
   (match (cache, input_key) with
    | Some c, Some input_key ->
      Cache.remember c ~input_key
        {
          Cache.tile_entries =
-           Array.map
-             (fun w ->
-               { Cache.content_key = Option.get w.key; tile_labels = w.labels;
-                 dim = w.r })
-             works;
-         conductance = N.Mat.raw_data s;
-         grid_cells = n;
-         interface_nodes = m_total;
+           Array.mapi
+             (fun t (p : problem) ->
+               { Cache.content_key = Option.get (fst found.(t));
+                 tile_labels = p.labels; dim = Array.length p.labels })
+             a.problems;
+         conductance = s;
+         grid_cells = a.grid_cells;
+         interface_nodes = a.interface_nodes;
        }
    | _ -> ());
   let t_end = Unix.gettimeofday () in
-  ( s,
+  ( N.Mat.of_flat ~rows:np ~cols:np s,
     {
-      grid_cells = n;
+      grid_cells = a.grid_cells;
       ports = np;
       tiles = n_tiles;
-      interface_nodes = m_total;
-      cg_iterations_total = Atomic.get total_iters;
+      interface_nodes = a.interface_nodes;
+      cg_iterations_total =
+        Array.fold_left (fun acc b -> acc + b.iterations) 0 fresh;
       mg_levels;
       assemble_seconds = t_assemble -. t0;
       reduce_seconds = t_reduce -. t_assemble;
       stitch_seconds = t_end -. t_reduce;
       cache_hits;
-      cache_misses;
+      cache_misses =
+        (match cache with None -> 0 | Some _ -> Array.length missed);
       elapsed_seconds = t_end -. t0;
       input_key_hit = false;
     } )
@@ -724,10 +714,10 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
              ~die ports))
       cache
   in
-  let served, looked_up =
+  let served, lookup =
     match (cache, input_key) with
     | Some c, Some input_key -> recorded_hit c ~input_key ~form
-    | _ -> (None, Hashtbl.create 1)
+    | _ -> (None, fun _ -> None)
   in
   let conductance, stats =
     match served with
@@ -753,7 +743,7 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
         } )
     | None ->
       extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
-        ~profile ~die ~ports_arr ~looked_up ~input_key ~t0 ports
+        ~profile ~die ~ports_arr ~lookup ~input_key ~t0 ports
   in
   Atomic.set stats_ref (Some stats);
   Log.info (fun m ->

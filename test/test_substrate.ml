@@ -1047,6 +1047,56 @@ let test_key_bytes_pinned () =
   Alcotest.(check string) "input key" "2004d457f225f4e404c350ce70782fbb"
     (Extractor.input_key ~config ~tech:T.imec018 ~die:scale_die ports)
 
+(* Golden bits of the extraction, recorded before the extractor was
+   split into assemble / reduce / stitch stages: each tile's Schur block
+   of a 2x2 extraction (in tile order), the untiled port matrix, and the
+   CG iterations of both.  The tiled port matrix is not pinned: its
+   interface elimination rounds differently since it became a Cholesky
+   factor, and the Elimination-oracle bounds above cover it. *)
+let digest_floats a =
+  let b = Buffer.create (24 * Array.length a) in
+  Array.iter (fun x -> Printf.bprintf b "%h;" x) a;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let stored_tile cache key =
+  match Cache.lookup cache ~key with
+  | Some m -> m
+  | None -> Alcotest.failf "tile %s not stored" key
+
+let test_extraction_bit_exact () =
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  ignore (extract_cached cache);
+  let tiled = stats_exn () in
+  let input_key =
+    Extractor.input_key ~config:scale_cfg ~tiles:(2, 2) ~tech:T.imec018
+      ~die:scale_die scale_ports4
+  in
+  let blocks =
+    match Cache.recall cache ~input_key with
+    | None -> Alcotest.fail "cold run recorded nothing"
+    | Some r ->
+      Array.map
+        (fun (e : Cache.recorded_tile) ->
+          digest_floats (stored_tile cache e.Cache.content_key).Cache.matrix)
+        r.Cache.tile_entries
+  in
+  Alcotest.(check (array string)) "tile Schur blocks"
+    [| "dd3030bb6cb98dd2b22b31d2e372525f"; "ed5b64b2046f2c2cbb7b19588754dc83";
+       "20cba40dae5dfba338fd00c52a54eb8b"; "9ef03869a142a6d6a1f1b674c4c95f41" |]
+    blocks;
+  Alcotest.(check int) "tiled CG iterations" 292
+    tiled.Extractor.cg_iterations_total;
+  let untiled =
+    Extractor.extract ~config:scale_cfg
+      ~cache:(Cache.create ~dir:(fresh_cache_dir ()))
+      ~tech:T.imec018 ~die:scale_die scale_ports4
+  in
+  Alcotest.(check string) "untiled port matrix"
+    "76c1607a8788c8ae656c03a2bca5a2ed"
+    (digest_floats (mat_entries untiled.Macromodel.conductance));
+  Alcotest.(check int) "untiled CG iterations" 80
+    (stats_exn ()).Extractor.cg_iterations_total
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -1132,5 +1182,7 @@ let suites =
         Alcotest.test_case "input-key concurrent extracts" `Quick
           test_input_key_concurrent;
         Alcotest.test_case "key bytes pinned" `Quick test_key_bytes_pinned;
+        Alcotest.test_case "extraction bit-exact" `Quick
+          test_extraction_bit_exact;
       ] );
   ]
