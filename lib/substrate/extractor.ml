@@ -640,7 +640,7 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
       | Some c, Some k ->
         Cache.store c ~key:k
           { Cache.labels = p.labels; matrix = fresh.(j).matrix;
-            iterations = 0; form }
+            iterations = fresh.(j).iterations; form }
       | _ -> ())
     missed;
   let cache_hits = n_tiles - Array.length missed in

@@ -1097,6 +1097,21 @@ let test_extraction_bit_exact () =
   Alcotest.(check int) "untiled CG iterations" 80
     (stats_exn ()).Extractor.cg_iterations_total
 
+(* every stored tile records the CG iterations that produced it *)
+let test_stored_iterations () =
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  ignore (extract_cached cache);
+  let total = (stats_exn ()).Extractor.cg_iterations_total in
+  let stored =
+    List.fold_left
+      (fun acc f ->
+        let key = Filename.chop_suffix (Filename.basename f) ".tile" in
+        acc + (stored_tile cache key).Cache.iterations)
+      0 (tile_files cache)
+  in
+  Alcotest.(check int) "stored iterations sum to the run's total" total
+    stored
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -1184,5 +1199,7 @@ let suites =
         Alcotest.test_case "key bytes pinned" `Quick test_key_bytes_pinned;
         Alcotest.test_case "extraction bit-exact" `Quick
           test_extraction_bit_exact;
+        Alcotest.test_case "stored tiles record CG iterations" `Quick
+          test_stored_iterations;
       ] );
   ]
