@@ -50,10 +50,10 @@ let well_capacitance (profile : T.substrate_profile) (port : Port.t) =
     0.0 port.Port.region
 
 (* ------------------------------------------------------------------ *)
-(* unboxed growable branch buffers: one per tile, holding every
-   conductance branch in tile-local numbering (interior cells first,
-   then retained nodes).  The buffer is both the assembly input of the
-   tile reduction and the content the cache key digests. *)
+(* unboxed growable branch buffers of (i, j, conductance) triples.  A
+   tile's buffer holds every branch in tile-local numbering (interior
+   cells first, then retained nodes); it is both the assembly input of
+   the tile reduction and the content the cache key digests. *)
 
 type branchbuf = {
   mutable bi : int array;
@@ -210,7 +210,7 @@ let assemble ~config ~grounded_backplane ~tiles ~profile ~die ~ports_arr ports =
   let tile_ports =
     Array.mapi
       (fun t slots ->
-        let ps = List.filter (fun p -> slots.(p) = 0) (List.init np Fun.id) in
+        let ps = List.filter (fun p -> slots.(p) >= 0) (List.init np Fun.id) in
         List.iteri (fun k p -> slots.(p) <- Array.length iface.(t) + k) ps;
         Array.of_list ps)
       port_slot
@@ -254,7 +254,9 @@ let assemble ~config ~grounded_backplane ~tiles ~profile ~die ~ports_arr ports =
       labels =
         Array.append
           (Array.map (fun c -> "c" ^ string_of_int c) iface.(t))
-          (Array.map (fun p -> "p:" ^ ports_arr.(p).Port.name) tile_ports.(t));
+          (Array.map
+             (fun p -> "p:" ^ ports_arr.(p).Port.name)
+             tile_ports.(t));
       branches = branches.(t);
     }
   in
@@ -422,6 +424,8 @@ type reduction = {
 (* a tile's Schur block and the CG iterations that produced it *)
 type block = { matrix : float array; iterations : int }
 
+(* A_ii, B and A_bb from the problem's branch list in one pass, and the
+   multigrid hierarchy of A_ii *)
 let setup (p : problem) =
   let n_i = p.n_i and r = Array.length p.labels and bb = p.branches in
   let aii = N.Sparse.builder (max n_i 1) (max n_i 1) in

@@ -1047,12 +1047,12 @@ let test_key_bytes_pinned () =
   Alcotest.(check string) "input key" "2004d457f225f4e404c350ce70782fbb"
     (Extractor.input_key ~config ~tech:T.imec018 ~die:scale_die ports)
 
-(* Golden bits of the extraction, recorded before the extractor was
-   split into assemble / reduce / stitch stages: each tile's Schur block
-   of a 2x2 extraction (in tile order), the untiled port matrix, and the
-   CG iterations of both.  The tiled port matrix is not pinned: its
-   interface elimination rounds differently since it became a Cholesky
-   factor, and the Elimination-oracle bounds above cover it. *)
+(* Bit-exactness pins for the extraction: the digest of each tile's
+   Schur block of a 2x2 extraction (in tile order) and of the untiled
+   port matrix, every entry printed with %h, and the exact CG iteration
+   counts of both.  The Elimination-oracle comparisons above only hold
+   to 1e-8, so a change in the reduction's rounding or iteration shows
+   up here alone.  A deliberate numeric change updates the digests. *)
 let digest_floats a =
   let b = Buffer.create (24 * Array.length a) in
   Array.iter (fun x -> Printf.bprintf b "%h;" x) a;
