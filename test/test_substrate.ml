@@ -1048,9 +1048,10 @@ let test_key_bytes_pinned () =
     (Extractor.input_key ~config ~tech:T.imec018 ~die:scale_die ports)
 
 (* Bit-exactness pins for the extraction: the digest of each tile's
-   Schur block of a 2x2 extraction (in tile order) and of the untiled
-   port matrix, every entry printed with %h, and the exact CG iteration
-   counts of both.  The Elimination-oracle comparisons above only hold
+   Schur block of a 2x2 extraction (in tile order), of the port matrix
+   stitched from them, of the 4x4-tiled and the untiled port matrices,
+   every entry printed with %h, and the exact CG iteration counts of the
+   2x2 and untiled runs.  The Elimination-oracle comparisons above only hold
    to 1e-8, so a change in the reduction's rounding or iteration shows
    up here alone.  A deliberate numeric change updates the digests. *)
 let digest_floats a =
@@ -1065,7 +1066,7 @@ let stored_tile cache key =
 
 let test_extraction_bit_exact () =
   let cache = Cache.create ~dir:(fresh_cache_dir ()) in
-  ignore (extract_cached cache);
+  let stitched = extract_cached cache in
   let tiled = stats_exn () in
   let input_key =
     Extractor.input_key ~config:scale_cfg ~tiles:(2, 2) ~tech:T.imec018
@@ -1086,6 +1087,17 @@ let test_extraction_bit_exact () =
     blocks;
   Alcotest.(check int) "tiled CG iterations" 292
     tiled.Extractor.cg_iterations_total;
+  Alcotest.(check string) "2x2 stitched port matrix"
+    "b94e7636a9cbe98bf43462a1d02010ed"
+    (digest_floats (mat_entries stitched.Macromodel.conductance));
+  let stitched4 =
+    Extractor.extract ~config:scale_cfg ~tiles:(4, 4)
+      ~cache:(Cache.create ~dir:(fresh_cache_dir ()))
+      ~tech:T.imec018 ~die:scale_die scale_ports4
+  in
+  Alcotest.(check string) "4x4 stitched port matrix"
+    "28680f0c8cd8e9aa2c31239072cb2e12"
+    (digest_floats (mat_entries stitched4.Macromodel.conductance));
   let untiled =
     Extractor.extract ~config:scale_cfg
       ~cache:(Cache.create ~dir:(fresh_cache_dir ()))
