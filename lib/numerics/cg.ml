@@ -49,7 +49,10 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?precond a b =
     let rz = ref (Vec.dot r z) in
     let k = ref 0 and res_norm = ref (Vec.norm2 r /. b_norm) in
     let breakdown = ref false in
-    while (not (!res_norm <= tol)) && !k < max_iter && not !breakdown do
+    let running () =
+      (not (!res_norm <= tol)) && !k < max_iter && not !breakdown
+    in
+    while running () do
       (* cooperative cancellation: one ambient-token poll per
          iteration; a matvec dwarfs it *)
       Cancel.tick ();
@@ -62,15 +65,19 @@ let solve ?(tol = 1e-10) ?max_iter ?x0 ?precond a b =
         let alpha = !rz /. p_ap in
         Vec.axpy alpha p x;
         Vec.axpy (-.alpha) ap r;
-        apply_precond r z;
-        let rz' = Vec.dot r z in
-        let beta = rz' /. !rz in
-        rz := rz';
-        for i = 0 to n - 1 do
-          p.(i) <- z.(i) +. (beta *. p.(i))
-        done;
         incr k;
-        res_norm := Vec.norm2 r /. b_norm
+        res_norm := Vec.norm2 r /. b_norm;
+        (* the next direction only when there is a next iteration: the
+           last preconditioner application would be thrown away *)
+        if running () then begin
+          apply_precond r z;
+          let rz' = Vec.dot r z in
+          let beta = rz' /. !rz in
+          rz := rz';
+          for i = 0 to n - 1 do
+            p.(i) <- z.(i) +. (beta *. p.(i))
+          done
+        end
       end
     done;
     {

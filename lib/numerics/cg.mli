@@ -6,7 +6,11 @@
 type result = {
   solution : Vec.t;
   iterations : int;
-  residual_norm : float; (** final [||b - A x|| / ||b||] *)
+  residual_norm : float;
+      (** [||r|| / ||b||] for the recursively updated residual
+          [r <- r - alpha A p], the quantity the tolerance is tested
+          on.  Rounding lets it drift from the true
+          [||b - A x|| / ||b||] of the returned solution. *)
   converged : bool;
 }
 
@@ -35,7 +39,10 @@ val solve :
     never aliasing [r]) and must be a symmetric positive-definite
     operator (e.g. {!Mg.precond}); when omitted, a Jacobi
     preconditioner is built from the diagonal of [a], raising
-    {!Zero_diagonal} on a zero entry.  The solve allocates its
+    {!Zero_diagonal} on a zero entry.  The preconditioner runs once on
+    the initial residual and then once after every iteration that is
+    not the last, so a solve that stops converged or at [max_iter]
+    after [k >= 1] iterations applies it exactly [k] times.  The solve allocates its
     solution and four work vectors once and updates them in place on
     every iteration.  [tol] is the
     relative residual target (default [1e-10]); [max_iter] defaults to

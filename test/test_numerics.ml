@@ -507,6 +507,44 @@ let test_mg_coarse_exact () =
   Alcotest.check_raises "indefinite coarse operator" (Lu.Singular 0) (fun () ->
       ignore (Mg.build ~dims neg))
 
+(* PCG tests convergence before it preconditions, so the V-cycle runs
+   once per direction the solve uses: once per converged solve on a
+   one-level hierarchy (the direct solve), [iterations] times on a
+   deeper one.  Counting the calls leaves the solve's bits alone. *)
+let test_mg_precond_count () =
+  List.iter
+    (fun (what, coarse_limit, dims) ->
+      let m = grid_laplacian dims in
+      let n = Sparse.rows m in
+      let mg = Mg.build ~coarse_limit ~dims m in
+      let rhs = Array.init n (fun i -> sin (0.1 *. float_of_int i)) in
+      let calls = ref 0 in
+      let precond =
+        let v_cycle = Mg.precond mg in
+        fun r z ->
+          incr calls;
+          v_cycle r z
+      in
+      let r = Cg.solve ~tol:1e-10 ~precond m rhs in
+      let plain = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m rhs in
+      Alcotest.(check bool) (what ^ " converged") true r.Cg.converged;
+      if coarse_limit >= n then begin
+        Alcotest.(check int) (what ^ " levels") 1 (Mg.levels mg);
+        Alcotest.(check int) (what ^ " applications") 1 !calls
+      end
+      else begin
+        Alcotest.(check bool) (what ^ " levels") true (Mg.levels mg > 1);
+        Alcotest.(check int) (what ^ " applications") r.Cg.iterations !calls
+      end;
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Alcotest.(check bool) (what ^ " solution bits") true
+        (Array.for_all2 same r.Cg.solution plain.Cg.solution);
+      Alcotest.(check int) (what ^ " iterations") plain.Cg.iterations
+        r.Cg.iterations;
+      Alcotest.(check bool) (what ^ " residual bits") true
+        (same r.Cg.residual_norm plain.Cg.residual_norm))
+    [ ("one level", max_int, (9, 7, 3)); ("multi-level", 600, (24, 24, 4)) ]
+
 (* PCG requires a symmetric preconditioner: <M e_i, e_j> = <e_i, M e_j>.
    The symmetric red-black V-cycle must satisfy this to rounding. *)
 let test_mg_symmetric () =
@@ -1340,6 +1378,8 @@ let suites =
           test_mg_workspace_isolation;
         Alcotest.test_case "allocation-free PCG" `Quick test_mg_pcg_allocation;
         Alcotest.test_case "coarse solve exact" `Quick test_mg_coarse_exact;
+        Alcotest.test_case "PCG skips its unused last V-cycle" `Quick
+          test_mg_precond_count;
       ] );
     ( "numerics.splu",
       [
