@@ -1,29 +1,53 @@
-(** In-place band Cholesky [A = L L{^T}] for symmetric positive-definite
-    matrices: the coarsest multigrid level's direct solve ({!Mg}) and
-    the interface-skeleton elimination of the tiled substrate stitch.
-    A dense matrix is the band with [bw = n - 1].
+(** In-place envelope (profile) Cholesky [A = L L{^T}] for symmetric
+    positive-definite matrices: the coarsest multigrid level's direct
+    solve ({!Mg}) and the interface-skeleton elimination of the tiled
+    substrate stitch.
 
-    L is stored by rows over the band: entry [(k, j)], for
-    [k - bw <= j <= k], lives at [l.(index ~bw k j)], so an [n x n]
-    factor takes [n * (bw + 1)] floats.  Before {!factor} the same
-    slots hold the lower band of [A]; the rest of the array is never
-    read. *)
+    L is stored by rows over an envelope: row [k] holds columns
+    [first.(k)] through [k], and entry [(k, j)] lives at
+    [l.(index t k j)], so a factor takes [size t] floats.  L has no
+    entry left of the first non-zero of [A]'s row, so any [first] at
+    or left of those columns holds the exact factor.  A band of
+    half-width [bw] is the envelope [first.(k) = max 0 (k - bw)], and
+    a dense matrix the band [bw = n - 1].  Before {!factor} the same
+    slots hold the lower envelope of [A]. *)
 
-val index : bw:int -> int -> int -> int
-(** [index ~bw k j] is the slot of entry [(k, j)], [k - bw <= j <= k]. *)
+type t
+(** The envelope shape of an [n x n] factor. *)
 
-val factor : bw:int -> float array -> unit
-(** [factor ~bw l] overwrites the lower band of [A] held in [l] with
-    its Cholesky factor [L].
+val envelope : int array -> t
+(** [envelope first] stores row [k] from column [first.(k)] on.
+    Raises [Invalid_argument] unless [0 <= first.(k) <= k] for every
+    row. *)
+
+val band : n:int -> bw:int -> t
+(** [band ~n ~bw] is the envelope of half-bandwidth [bw].
+    Raises [Invalid_argument] when [n] or [bw] is negative. *)
+
+val dim : t -> int
+(** Number of rows. *)
+
+val size : t -> int
+(** Number of stored entries: the length of the factor's array. *)
+
+val index : t -> int -> int -> int
+(** [index t k j] is the slot of entry [(k, j)],
+    [first.(k) <= j <= k]. *)
+
+val factor : t -> float array -> unit
+(** [factor t l] overwrites the lower envelope of [A] held in [l] with
+    its Cholesky factor [L].  The inner product of rows [k] and [j]
+    runs from [max first.(k) first.(j)]: every term a wider envelope
+    adds to it is an exact zero.
     Raises {!Lu.Singular}[ k] at the first non-positive (or NaN) pivot,
-    band row [k] (the factor is then partial), and [Invalid_argument]
-    when [bw < 0] or the length of [l] is not a multiple of [bw + 1]. *)
+    row [k] (the factor is then partial), and [Invalid_argument] when
+    the length of [l] is not [size t]. *)
 
-val forward : bw:int -> float array -> Vec.t -> unit
-(** [forward ~bw l y] solves [L z = y] in place ([y <- z]).
-    Raises [Invalid_argument] when [y] does not match the factor. *)
+val forward : t -> float array -> Vec.t -> unit
+(** [forward t l y] solves [L z = y] in place ([y <- z]).
+    Raises [Invalid_argument] when [l] or [y] does not match [t]. *)
 
-val backward : bw:int -> float array -> Vec.t -> unit
-(** [backward ~bw l y] solves [L{^T} z = y] in place, reading [L] by
+val backward : t -> float array -> Vec.t -> unit
+(** [backward t l y] solves [L{^T} z = y] in place, reading [L] by
     rows.  [forward] then [backward] is the solve of [A x = y].
-    Raises [Invalid_argument] when [y] does not match the factor. *)
+    Raises [Invalid_argument] when [l] or [y] does not match [t]. *)

@@ -169,12 +169,13 @@ let build_transfer (nx, ny, nz) (cx, cy) a =
   in
   (p_ptr, p_idx, p_w, a_c)
 
-(* Banded Cholesky factor of the coarsest operator ({!Chol}).  Its
+(* Envelope Cholesky factor of the coarsest operator ({!Chol}).  Its
    cells are renumbered with the axes in ascending extent, the shortest
-   varying fastest, so every stencil neighbour lies within [bw] band
-   rows; [bw] is read off the renumbered CSR pattern.  [perm.(k)] is
-   the cell at band row [k]. *)
-type band = { bw : int; perm : int array; l : float array }
+   varying fastest, so every stencil neighbour lies within a few planes
+   of band rows; each row's first stored column is its leftmost
+   neighbour in the renumbered CSR pattern.  [perm.(k)] is the cell at
+   band row [k]. *)
+type band = { env : Chol.t; perm : int array; l : float array }
 
 let band_factor a (nx, ny, nz) =
   let n = nx * ny * nz in
@@ -196,35 +197,36 @@ let band_factor a (nx, ny, nz) =
     done
   done;
   let rp = Sparse.row_ptr a and ci = Sparse.col_idx a and v = Sparse.values a in
-  let bw = ref 0 in
+  let first = Array.init n Fun.id in
   for i = 0 to n - 1 do
+    let k = pos.(i) in
     for e = rp.(i) to rp.(i + 1) - 1 do
-      bw := max !bw (abs (pos.(i) - pos.(ci.(e))))
+      first.(k) <- min first.(k) pos.(ci.(e))
     done
   done;
-  let bw = !bw in
-  let l = Array.make (n * (bw + 1)) 0.0 in
+  let env = Chol.envelope first in
+  let l = Array.make (Chol.size env) 0.0 in
   for i = 0 to n - 1 do
     let k = pos.(i) in
     for e = rp.(i) to rp.(i + 1) - 1 do
       let j = pos.(ci.(e)) in
-      if j <= k then l.(Chol.index ~bw k j) <- v.(e)
+      if j <= k then l.(Chol.index env k j) <- v.(e)
     done
   done;
-  Chol.factor ~bw l;
+  Chol.factor env l;
   let perm = Array.make n 0 in
   Array.iteri (fun i k -> perm.(k) <- i) pos;
-  { bw; perm; l }
+  { env; perm; l }
 
-(* Solve A x = b through the band factor; [y] is band-ordered
+(* Solve A x = b through the envelope factor; [y] is band-ordered
    scratch. *)
-let band_solve { bw; perm; l } y b x =
+let band_solve { env; perm; l } y b x =
   let n = Array.length perm in
   for k = 0 to n - 1 do
     y.(k) <- b.(perm.(k))
   done;
-  Chol.forward ~bw l y;
-  Chol.backward ~bw l y;
+  Chol.forward env l y;
+  Chol.backward env l y;
   for k = 0 to n - 1 do
     x.(perm.(k)) <- y.(k)
   done

@@ -543,16 +543,30 @@ let reduce_tiles pool problems =
 (* ------------------------------------------------------------------ *)
 (* Stage 3, stitch: the blocks scattered over (skeleton, ports) and the
    skeleton eliminated.  With K_ii = L L^T and Y = L^-1 K_ip, the port
-   matrix is S = K_pp - Y^T Y, symmetric by construction. *)
+   matrix is S = K_pp - Y^T Y, symmetric by construction.  K_ii is held
+   in its envelope: a skeleton row couples only to its own tile's
+   rows, from the tile's offset on, and to the rows its cut branches
+   reach. *)
 
 let stitch ~np (a : assembly) blocks =
   let m = a.interface_nodes in
-  let bw = max 0 (m - 1) in
-  let kii = Array.make (m * (bw + 1)) 0.0 in
+  let first = Array.make m 0 and o = ref 0 in
+  Array.iter
+    (fun (p : problem) ->
+      Array.fill first !o p.interface !o;
+      o := !o + p.interface)
+    a.problems;
+  let sk = a.skeleton in
+  for k = 0 to sk.blen - 1 do
+    let i = max sk.bi.(k) sk.bj.(k) and j = min sk.bi.(k) sk.bj.(k) in
+    first.(i) <- min first.(i) j
+  done;
+  let env = N.Chol.envelope first in
+  let kii = Array.make (N.Chol.size env) 0.0 in
   let kip = Array.init np (fun _ -> Array.make m 0.0) in
   let s = Array.make (np * np) 0.0 in
   let add_ii i j v =
-    let k = N.Chol.index ~bw (max i j) (min i j) in
+    let k = N.Chol.index env (max i j) (min i j) in
     kii.(k) <- kii.(k) +. v
   in
   let o = ref 0 in
@@ -576,17 +590,14 @@ let stitch ~np (a : assembly) blocks =
       done;
       o := !o + m_t)
     a.problems;
-  let sk = a.skeleton in
   for k = 0 to sk.blen - 1 do
     let i = sk.bi.(k) and j = sk.bj.(k) and g = sk.bg.(k) in
     add_ii i i g;
     add_ii j j g;
     add_ii i j (-.g)
   done;
-  if m > 0 then begin
-    N.Chol.factor ~bw kii;
-    Array.iter (N.Chol.forward ~bw kii) kip
-  end;
+  N.Chol.factor env kii;
+  Array.iter (N.Chol.forward env kii) kip;
   for p = 0 to np - 1 do
     for q = 0 to p do
       let yp = kip.(p) and yq = kip.(q) in

@@ -154,14 +154,15 @@ let prop_lu_random_solve =
       Vec.max_abs_diff x x_true < 1e-8)
 
 (* ------------------------------------------------------------------ *)
-(* Band Cholesky *)
+(* Envelope Cholesky *)
 
-(* random symmetric entries within [bw] of the diagonal, and a diagonal
-   that dominates its row: SPD *)
-let random_spd_band st n bw =
+(* random symmetric entries at (i, j) for first.(i) <= j < i, and a
+   diagonal that dominates its row: SPD *)
+let random_spd_envelope st first =
+  let n = Array.length first in
   let a = Mat.make n n in
   for i = 0 to n - 1 do
-    for j = max 0 (i - bw) to i - 1 do
+    for j = first.(i) to i - 1 do
       let v = Random.State.float st 2.0 -. 1.0 in
       Mat.set a i j v;
       Mat.set a j i v
@@ -176,36 +177,51 @@ let random_spd_band st n bw =
   done;
   a
 
-(* the lower band of [a], factored in place *)
-let chol_factor a ~bw =
+(* the lower triangle of [a] in the envelope [env], which must hold
+   its non-zeros, factored in place *)
+let chol_factor a env =
   let n = Mat.rows a in
-  let l = Array.make (n * (bw + 1)) 0.0 in
+  let l = Array.make (Chol.size env) 0.0 in
   for k = 0 to n - 1 do
-    for j = max 0 (k - bw) to k do
-      l.(Chol.index ~bw k j) <- Mat.get a k j
+    for j = 0 to k do
+      if Mat.get a k j <> 0.0 then l.(Chol.index env k j) <- Mat.get a k j
     done
   done;
-  Chol.factor ~bw l;
+  Chol.factor env l;
   l
 
-let chol_solve a ~bw b =
-  let l = chol_factor a ~bw in
+let chol_solve a env b =
+  let l = chol_factor a env in
   let y = Array.copy b in
-  Chol.forward ~bw l y;
-  Chol.backward ~bw l y;
+  Chol.forward env l y;
+  Chol.backward env l y;
   y
 
+(* A band of half-width [bw], the dense triangle, and a random profile
+   each solve as LU does; the profile's solve is bit-equal to the
+   dense one, since every term the envelope skips is an exact zero. *)
 let prop_chol_matches_lu =
   QCheck.Test.make ~count:100 ~name:"band and dense Cholesky solve as LU does"
     QCheck.(triple (int_range 1 24) (int_range 0 24) (int_range 0 10000))
     (fun (n, bw, seed) ->
       let bw = min bw (n - 1) in
       let st = Random.State.make [| seed; n; bw |] in
-      let a = random_spd_band st n bw in
-      let b = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-      let x_lu = Lu.solve_mat a b in
-      let close x = Vec.max_abs_diff x x_lu <= 1e-10 *. Vec.norm_inf x_lu in
-      close (chol_solve a ~bw b) && close (chol_solve a ~bw:(n - 1) b))
+      let rhs () = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      let close a b x =
+        let x_lu = Lu.solve_mat a b in
+        Vec.max_abs_diff x x_lu <= 1e-10 *. Vec.norm_inf x_lu
+      in
+      let dense = Chol.band ~n ~bw:(n - 1) in
+      let a = random_spd_envelope st (Array.init n (fun k -> max 0 (k - bw))) in
+      let b = rhs () in
+      let first = Array.init n (fun k -> Random.State.int st (k + 1)) in
+      let a' = random_spd_envelope st first in
+      let b' = rhs () in
+      let x' = chol_solve a' (Chol.envelope first) b' in
+      close a b (chol_solve a (Chol.band ~n ~bw) b)
+      && close a b (chol_solve a dense b)
+      && close a' b' x'
+      && x' = chol_solve a' dense b')
 
 let test_chol_singular () =
   (* pivots 2, 1, then 0.5 - 1 < 0 at row 2, banded or dense *)
@@ -218,15 +234,20 @@ let test_chol_singular () =
       Alcotest.check_raises
         (Printf.sprintf "negative pivot, bw %d" bw)
         (Lu.Singular 2)
-        (fun () -> ignore (chol_factor a ~bw)))
+        (fun () -> ignore (chol_factor a (Chol.band ~n:3 ~bw))))
     [ 1; 2 ];
   (* a zero pivot is refused too *)
   let ones = Mat.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] in
   Alcotest.check_raises "zero pivot" (Lu.Singular 1) (fun () ->
-      ignore (chol_factor ones ~bw:1));
+      ignore (chol_factor ones (Chol.band ~n:2 ~bw:1)));
   Alcotest.check_raises "vector length"
     (Invalid_argument "Chol: vector length does not match the factor")
-    (fun () -> Chol.forward ~bw:1 (Array.make 4 1.0) [| 1.0 |])
+    (fun () ->
+      let env = Chol.band ~n:4 ~bw:1 in
+      Chol.forward env (Array.make (Chol.size env) 1.0) [| 1.0 |]);
+  Alcotest.check_raises "first column right of the diagonal"
+    (Invalid_argument "Chol.envelope: a first column is outside 0..row")
+    (fun () -> ignore (Chol.envelope [| 0; 2 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Sparse / CG *)
