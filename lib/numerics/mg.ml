@@ -235,7 +235,7 @@ type t = { levels : level array; coarse : band; nu : int }
 
 let levels t = Array.length t.levels
 
-let build ?(nu = 1) ?(coarse_limit = 600) ~dims a =
+let build ?(nu = 1) ?(coarse_limit = 1500) ~dims a =
   let nx, ny, nz = dims in
   let n = nx * ny * nz in
   if Sparse.rows a <> n || Sparse.cols a <> n then

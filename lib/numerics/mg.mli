@@ -12,12 +12,13 @@
     sweep of the pre-smoother, which makes one V-cycle a symmetric
     positive-definite operator — the property PCG requires of its
     preconditioner ({!Cg.solve}'s [precond]).  The coarsest level is
-    solved directly through a banded Cholesky factor ({!Chol}) held by
-    the hierarchy: its cells are renumbered with the axes in ascending
-    extent (the shortest varies fastest), the half-bandwidth is read off
-    the renumbered sparsity pattern (45 on a 10x10x4 level, against 400
+    solved directly through an envelope Cholesky factor ({!Chol}) held
+    by the hierarchy: its cells are renumbered with the axes in
+    ascending extent (the shortest varies fastest), each row's first
+    stored column is read off the renumbered sparsity pattern (at most
+    45 columns left of the diagonal on a 10x10x4 level, against 400
     columns dense), and each application is one forward and one
-    backward band sweep. *)
+    backward sweep. *)
 
 type t
 (** A multigrid hierarchy bound to one matrix. *)
@@ -29,15 +30,20 @@ val build : ?nu:int -> ?coarse_limit:int -> dims:int * int * int -> Sparse.t -> 
     layout).  Only x and y coarsen: each of the two whose extent is
     [>= 4] is halved per level ([(n+1)/2], even lines inject), while
     every level keeps all [nz] z lines, until the level holds at most
-    [coarse_limit] cells (default 600) or neither lateral dimension
-    coarsens further.  The Galerkin product and every level's CSR
-    build are linear in the nonzeros.  [nu] (default 1) is the number
+    [coarse_limit] cells (default 1500) or neither lateral dimension
+    coarsens further.  A grid of at most [coarse_limit] cells is a
+    one-level hierarchy, its V-cycle the direct solve, on which PCG
+    converges in one iteration.  The default is chosen for the tiled
+    extractor: a 19x19x4 tile interior (1,444 cells) then costs one
+    envelope factor and one sweep pair per column, where a two-level
+    hierarchy spends about sixteen V-cycles per column.  The Galerkin
+    product and every level's CSR build are linear in the nonzeros.  [nu] (default 1) is the number
     of pre- and post-smoothing sweeps.
     Raises [Invalid_argument] when [dims] disagree with the matrix
     size, {!Cg.Zero_diagonal} when a level operator has a zero
     diagonal entry (a disconnected cell — structurally broken input)
     and {!Lu.Singular}[ k] when the coarsest operator is not positive
-    definite (a non-positive pivot at band row [k]). *)
+    definite (a non-positive pivot at renumbered row [k]). *)
 
 val precond : t -> Vec.t -> Vec.t -> unit
 (** [precond t] allocates one V-cycle workspace (a few vectors per

@@ -1124,6 +1124,53 @@ let test_stored_iterations () =
   Alcotest.(check int) "stored iterations sum to the run's total" total
     stored
 
+(* A 2x2-tiled 40x40x4 die, one 80 um contact per tile: each tile's
+   interior (19x19x4 = 1,444 cells) fits under Mg's default coarse
+   limit, so the tile is reduced through one band factor.  PCG then
+   converges in one iteration per column it solves, and the stitched matrix
+   still agrees with the untiled elimination oracle. *)
+let test_one_level_tile () =
+  let config = { Grid.nx = 40; ny = 40; z_per_layer = Some [ 1; 1; 1; 1 ] } in
+  let die = G.Rect.make 0.0 0.0 400.0 400.0 in
+  let contact name x y =
+    Port.v ~name ~kind:Port.Resistive [ G.Rect.make x y (x +. 80.0) (y +. 80.0) ]
+  in
+  let ports =
+    [ contact "a" 40.0 40.0; contact "b" 280.0 40.0; contact "c" 40.0 280.0;
+      contact "d" 280.0 280.0 ]
+  in
+  let plan = Sn_substrate.Tiling.plan ~tiles:(2, 2) ~nx:40 ~ny:40 ~nz:4 in
+  Array.iter
+    (fun tl ->
+      let w, h, d = Sn_substrate.Tiling.interior_dims tl ~nz:4 in
+      Alcotest.(check bool)
+        (Printf.sprintf "interior %dx%dx%d between 601 and 1500 cells" w h d)
+        true
+        (w * h * d > 600 && w * h * d <= 1500))
+    plan.Sn_substrate.Tiling.tiles;
+  let cache = Cache.create ~dir:(fresh_cache_dir ()) in
+  let tiled =
+    Extractor.extract ~config ~tiles:(2, 2) ~cache ~tech:T.imec018 ~die ports
+  in
+  Alcotest.(check int) "one-level hierarchy" 1 (stats_exn ()).Extractor.mg_levels;
+  List.iter
+    (fun f ->
+      let m =
+        stored_tile cache (Filename.chop_suffix (Filename.basename f) ".tile")
+      in
+      (* every retained column needs a solve but the cut corner's, one
+         cell per layer, whose neighbours are all interface cells *)
+      Alcotest.(check int) "one CG iteration per solved column"
+        (Array.length m.Cache.labels - 4) m.Cache.iterations)
+    (tile_files cache);
+  let direct = Elim.reduce_grid ~config ~tech:T.imec018 ~die ports in
+  let err =
+    max_rel_err direct.Macromodel.conductance tiled.Macromodel.conductance
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "tiled vs elimination %.3g <= 1e-8" err)
+    true (err <= 1e-8)
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
@@ -1213,5 +1260,6 @@ let suites =
           test_extraction_bit_exact;
         Alcotest.test_case "stored tiles record CG iterations" `Quick
           test_stored_iterations;
+        Alcotest.test_case "one-level tiles" `Quick test_one_level_tile;
       ] );
   ]
