@@ -21,10 +21,6 @@ let envelope first =
   done;
   { first = Array.copy first; base; size = !size }
 
-let band ~n ~bw =
-  if n < 0 || bw < 0 then invalid_arg "Chol.band: negative size or bandwidth";
-  envelope (Array.init n (fun k -> max 0 (k - bw)))
-
 let dim t = Array.length t.first
 let size t = t.size
 let index t k j = t.base.(k) + j

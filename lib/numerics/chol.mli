@@ -20,13 +20,6 @@ val envelope : int array -> t
     Raises [Invalid_argument] unless [0 <= first.(k) <= k] for every
     row. *)
 
-val band : n:int -> bw:int -> t
-(** [band ~n ~bw] is the envelope of half-bandwidth [bw].
-    Raises [Invalid_argument] when [n] or [bw] is negative. *)
-
-val dim : t -> int
-(** Number of rows. *)
-
 val size : t -> int
 (** Number of stored entries: the length of the factor's array. *)
 

@@ -190,6 +190,8 @@ let chol_factor a env =
   Chol.factor env l;
   l
 
+let chol_band ~n ~bw = Chol.envelope (Array.init n (fun k -> max 0 (k - bw)))
+
 let chol_solve a env b =
   let l = chol_factor a env in
   let y = Array.copy b in
@@ -211,14 +213,14 @@ let prop_chol_matches_lu =
         let x_lu = Lu.solve_mat a b in
         Vec.max_abs_diff x x_lu <= 1e-10 *. Vec.norm_inf x_lu
       in
-      let dense = Chol.band ~n ~bw:(n - 1) in
+      let dense = chol_band ~n ~bw:(n - 1) in
       let a = random_spd_envelope st (Array.init n (fun k -> max 0 (k - bw))) in
       let b = rhs () in
       let first = Array.init n (fun k -> Random.State.int st (k + 1)) in
       let a' = random_spd_envelope st first in
       let b' = rhs () in
       let x' = chol_solve a' (Chol.envelope first) b' in
-      close a b (chol_solve a (Chol.band ~n ~bw) b)
+      close a b (chol_solve a (chol_band ~n ~bw) b)
       && close a b (chol_solve a dense b)
       && close a' b' x'
       && x' = chol_solve a' dense b')
@@ -234,16 +236,16 @@ let test_chol_singular () =
       Alcotest.check_raises
         (Printf.sprintf "negative pivot, bw %d" bw)
         (Lu.Singular 2)
-        (fun () -> ignore (chol_factor a (Chol.band ~n:3 ~bw))))
+        (fun () -> ignore (chol_factor a (chol_band ~n:3 ~bw))))
     [ 1; 2 ];
   (* a zero pivot is refused too *)
   let ones = Mat.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |] in
   Alcotest.check_raises "zero pivot" (Lu.Singular 1) (fun () ->
-      ignore (chol_factor ones (Chol.band ~n:2 ~bw:1)));
+      ignore (chol_factor ones (chol_band ~n:2 ~bw:1)));
   Alcotest.check_raises "vector length"
     (Invalid_argument "Chol: vector length does not match the factor")
     (fun () ->
-      let env = Chol.band ~n:4 ~bw:1 in
+      let env = chol_band ~n:4 ~bw:1 in
       Chol.forward env (Array.make (Chol.size env) 1.0) [| 1.0 |]);
   Alcotest.check_raises "first column right of the diagonal"
     (Invalid_argument "Chol.envelope: a first column is outside 0..row")
