@@ -42,10 +42,10 @@ val solve :
     {!Zero_diagonal} on a zero entry.  The preconditioner runs once on
     the initial residual and then once after every iteration that is
     not the last, so a solve that stops converged or at [max_iter]
-    after [k >= 1] iterations applies it exactly [k] times.  The solve allocates its
-    solution and four work vectors once and updates them in place on
-    every iteration.  [tol] is the
-    relative residual target (default [1e-10]); [max_iter] defaults to
+    after [k >= 1] iterations applies it exactly [k] times.  The solve
+    allocates its solution and four work vectors once and updates them
+    in place on every iteration.  [tol] is the relative residual
+    target (default [1e-10]); [max_iter] defaults to
     [4 * dim].  Raises [Invalid_argument] when [a] is not square or
     dimensions mismatch. *)
 

@@ -37,8 +37,8 @@ val build : ?nu:int -> ?coarse_limit:int -> dims:int * int * int -> Sparse.t -> 
     extractor: a 19x19x4 tile interior (1,444 cells) then costs one
     envelope factor and one sweep pair per column, where a two-level
     hierarchy spends about sixteen V-cycles per column.  The Galerkin
-    product and every level's CSR build are linear in the nonzeros.  [nu] (default 1) is the number
-    of pre- and post-smoothing sweeps.
+    product and every level's CSR build are linear in the nonzeros.
+    [nu] (default 1) is the number of pre- and post-smoothing sweeps.
     Raises [Invalid_argument] when [dims] disagree with the matrix
     size, {!Cg.Zero_diagonal} when a level operator has a zero
     diagonal entry (a disconnected cell — structurally broken input)
