@@ -35,7 +35,7 @@ val solve :
   Vec.t ->
   result
 (** [solve ?tol ?max_iter ?x0 ?precond a b] runs preconditioned CG on
-    [A x = b].  [precond r z] writes [M{^-1} r] into [z] (in place,
+    [A x = b]: the one-lane case of {!solve_lanes}.  [precond r z] writes [M{^-1} r] into [z] (in place,
     never aliasing [r]) and must be a symmetric positive-definite
     operator (e.g. {!Mg.precond}); when omitted, a Jacobi
     preconditioner is built from the diagonal of [a], raising
@@ -48,6 +48,43 @@ val solve :
     target (default [1e-10]); [max_iter] defaults to
     [4 * dim].  Raises [Invalid_argument] when [a] is not square or
     dimensions mismatch. *)
+
+val solve_lanes :
+  ?tol:float ->
+  ?max_iter:int ->
+  ?x0:Vec.t ->
+  ?precond:(Vec.t -> Vec.t -> unit) ->
+  lanes:int ->
+  Sparse.t ->
+  Vec.t ->
+  result array
+(** [solve_lanes ~lanes a b] solves [A x = b_c] for [lanes] (1 to 4)
+    right-hand sides at once, in lockstep.  [b], [x0] and the vectors
+    [precond] sees hold the lanes interleaved: entry [(i, c)] is at
+    [lanes * i + c], so [precond] must be a lane-aware operator of the
+    same width ({!Mg.precond_lanes}); the Jacobi default handles any
+    width.  The result's slot [c] is lane [c]'s own result, its
+    solution de-interleaved.
+
+    Every lane performs exactly the arithmetic of {!solve} on its
+    column alone, in the same order: its own [alpha], [beta], [r.z],
+    residual norm, iteration count and breakdown flag, and dots summed
+    in ascending row order.  A lane leaves the loop exactly when that
+    one-column solve would stop, and its [x], [r] and direction are
+    never written afterwards; so each slot's [solution], [iterations],
+    [residual_norm] and [converged] are bit-identical to {!solve}'s,
+    whatever the other lanes hold.  The matrix product, the dots and
+    the preconditioner run over all lanes, which is what pays: each
+    decoded matrix entry serves every lane.  The preconditioner runs
+    once on the initial residual (unless every lane is zero) and then
+    after every iteration some lane continues past, so a block applies
+    it as often as its longest lane's one-column solve would.
+    {!Cancel.tick} runs once per iteration, as in {!solve}.  The solve
+    allocates the same five vectors as {!solve}, each [lanes] times as
+    long, and with more than one lane a de-interleaved copy of each
+    solution.
+    Raises [Invalid_argument] when [a] is not square, [lanes] is
+    outside 1..4 or [b] is not [lanes] times the dimension. *)
 
 val solve_exn :
   ?tol:float ->

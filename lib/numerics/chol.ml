@@ -48,29 +48,70 @@ let factor t l =
     done
   done
 
-let check t l y =
+(* [w] interleaved right-hand sides, entry (k, c) at [w * k + c]: each
+   decoded entry of L serves every lane, and lane c does exactly the
+   arithmetic of a one-lane solve of its own column.  Called with a
+   constant [w], the inlined sweeps fold the [if w > c] guards away. *)
+let check t l ~lanes y =
   check_storage t l;
-  if Array.length y <> dim t then
+  if lanes < 1 || lanes > 4 then invalid_arg "Chol: lanes must be 1..4";
+  if Array.length y <> lanes * dim t then
     invalid_arg "Chol: vector length does not match the factor"
 
-let forward t l y =
-  check t l y;
+let[@inline] forward_lanes w t l y =
   for k = 0 to dim t - 1 do
-    let rk = t.base.(k) in
-    let s = ref y.(k) in
+    let rk = t.base.(k) and yk = w * k in
+    let s0 = ref y.(yk) in
+    let s1 = ref (if w > 1 then y.(yk + 1) else 0.0) in
+    let s2 = ref (if w > 2 then y.(yk + 2) else 0.0) in
+    let s3 = ref (if w > 3 then y.(yk + 3) else 0.0) in
     for m = t.first.(k) to k - 1 do
-      s := !s -. (l.(rk + m) *. y.(m))
+      let a = l.(rk + m) and ym = w * m in
+      s0 := !s0 -. (a *. y.(ym));
+      if w > 1 then s1 := !s1 -. (a *. y.(ym + 1));
+      if w > 2 then s2 := !s2 -. (a *. y.(ym + 2));
+      if w > 3 then s3 := !s3 -. (a *. y.(ym + 3))
     done;
-    y.(k) <- !s /. l.(rk + k)
+    let d = l.(rk + k) in
+    y.(yk) <- !s0 /. d;
+    if w > 1 then y.(yk + 1) <- !s1 /. d;
+    if w > 2 then y.(yk + 2) <- !s2 /. d;
+    if w > 3 then y.(yk + 3) <- !s3 /. d
   done
 
-let backward t l y =
-  check t l y;
+let forward t l ~lanes y =
+  check t l ~lanes y;
+  match lanes with
+  | 1 -> forward_lanes 1 t l y
+  | 2 -> forward_lanes 2 t l y
+  | 3 -> forward_lanes 3 t l y
+  | _ -> forward_lanes 4 t l y
+
+let[@inline] backward_lanes w t l y =
   for k = dim t - 1 downto 0 do
-    let rk = t.base.(k) in
-    let yk = y.(k) /. l.(rk + k) in
-    y.(k) <- yk;
+    let rk = t.base.(k) and yk = w * k in
+    let d = l.(rk + k) in
+    let y0 = y.(yk) /. d in
+    let y1 = if w > 1 then y.(yk + 1) /. d else 0.0 in
+    let y2 = if w > 2 then y.(yk + 2) /. d else 0.0 in
+    let y3 = if w > 3 then y.(yk + 3) /. d else 0.0 in
+    y.(yk) <- y0;
+    if w > 1 then y.(yk + 1) <- y1;
+    if w > 2 then y.(yk + 2) <- y2;
+    if w > 3 then y.(yk + 3) <- y3;
     for m = t.first.(k) to k - 1 do
-      y.(m) <- y.(m) -. (l.(rk + m) *. yk)
+      let a = l.(rk + m) and ym = w * m in
+      y.(ym) <- y.(ym) -. (a *. y0);
+      if w > 1 then y.(ym + 1) <- y.(ym + 1) -. (a *. y1);
+      if w > 2 then y.(ym + 2) <- y.(ym + 2) -. (a *. y2);
+      if w > 3 then y.(ym + 3) <- y.(ym + 3) -. (a *. y3)
     done
   done
+
+let backward t l ~lanes y =
+  check t l ~lanes y;
+  match lanes with
+  | 1 -> backward_lanes 1 t l y
+  | 2 -> backward_lanes 2 t l y
+  | 3 -> backward_lanes 3 t l y
+  | _ -> backward_lanes 4 t l y

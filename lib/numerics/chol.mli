@@ -10,7 +10,9 @@
     or left of those columns holds the exact factor.  A band of
     half-width [bw] is the envelope [first.(k) = max 0 (k - bw)], and
     a dense matrix the band [bw = n - 1].  Before {!factor} the same
-    slots hold the lower envelope of [A]. *)
+    slots hold the lower envelope of [A].  The sweeps solve up to four
+    interleaved right-hand sides at once, each bit-identical to its
+    one-lane solve. *)
 
 type t
 (** The envelope shape of an [n x n] factor. *)
@@ -36,11 +38,18 @@ val factor : t -> float array -> unit
     row [k] (the factor is then partial), and [Invalid_argument] when
     the length of [l] is not [size t]. *)
 
-val forward : t -> float array -> Vec.t -> unit
-(** [forward t l y] solves [L z = y] in place ([y <- z]).
-    Raises [Invalid_argument] when [l] or [y] does not match [t]. *)
+val forward : t -> float array -> lanes:int -> Vec.t -> unit
+(** [forward t l ~lanes y] solves [L z = y] in place ([y <- z]) for
+    [lanes] (1 to 4) interleaved right-hand sides: entry [(k, c)] of
+    [y] is [y.(lanes * k + c)].  Each entry of [L] is read once and
+    applied to every lane, and each lane's result is bit-identical to
+    a one-lane solve of that column alone.
+    Raises [Invalid_argument] when [l] or [y] does not match [t] or
+    [lanes] is outside 1..4. *)
 
-val backward : t -> float array -> Vec.t -> unit
-(** [backward t l y] solves [L{^T} z = y] in place, reading [L] by
-    rows.  [forward] then [backward] is the solve of [A x = y].
-    Raises [Invalid_argument] when [l] or [y] does not match [t]. *)
+val backward : t -> float array -> lanes:int -> Vec.t -> unit
+(** [backward t l ~lanes y] solves [L{^T} z = y] in place, reading [L]
+    by rows, on the same lane layout as {!forward}.  [forward] then
+    [backward] is the solve of [A x = y].
+    Raises [Invalid_argument] when [l] or [y] does not match [t] or
+    [lanes] is outside 1..4. *)

@@ -218,17 +218,21 @@ let band_factor a (nx, ny, nz) =
   Array.iteri (fun i k -> perm.(k) <- i) pos;
   { env; perm; l }
 
-(* Solve A x = b through the envelope factor; [y] is band-ordered
-   scratch. *)
-let band_solve { env; perm; l } y b x =
+(* Solve A x = b through the envelope factor for [w] interleaved
+   right-hand sides; [y] is band-ordered scratch. *)
+let band_solve { env; perm; l } w y b x =
   let n = Array.length perm in
   for k = 0 to n - 1 do
-    y.(k) <- b.(perm.(k))
+    for c = 0 to w - 1 do
+      y.((w * k) + c) <- b.((w * perm.(k)) + c)
+    done
   done;
-  Chol.forward env l y;
-  Chol.backward env l y;
+  Chol.forward env l ~lanes:w y;
+  Chol.backward env l ~lanes:w y;
   for k = 0 to n - 1 do
-    x.(perm.(k)) <- y.(k)
+    for c = 0 to w - 1 do
+      x.((w * perm.(k)) + c) <- y.((w * k) + c)
+    done
   done
 
 type t = { levels : level array; coarse : band; nu : int }
@@ -274,94 +278,179 @@ let build ?(nu = 1) ?(coarse_limit = 1500) ~dims a =
      the V-cycle degenerates to that direct solve *)
   { levels; coarse = band_factor a_last dims_last; nu }
 
+(* The level kernels act on [w] (1 to 4) interleaved vectors, entry
+   (i, c) at [w * i + c].  Each decoded matrix or transfer entry is
+   applied to every lane through the per-lane accumulators [s0..s3],
+   and lane c performs exactly the operations, in exactly the order,
+   of the one-lane kernel on its own column.  Each kernel is written
+   once and dispatched on the lane count to an inlined copy with a
+   constant [w]: its [if w > c] guards fold away, so every width runs
+   guard-free code and one lane runs the plain one-column loop. *)
+
 (* One Gauss-Seidel sweep over the given cell order (forward = the
    stored red-then-black order; the post-smoother passes it
    reversed). *)
-let gs_sweep lvl b x ~reverse =
+let[@inline] gs_sweep_lanes w lvl b x ~reverse =
   let order = lvl.order in
   let rp = lvl.row_ptr and ci = lvl.col_idx and v = lvl.values in
   let m = Array.length order in
   for k = 0 to m - 1 do
     let i = order.(if reverse then m - 1 - k else k) in
-    let s = ref b.(i) in
+    let wi = w * i in
+    let s0 = ref b.(wi) in
+    let s1 = ref (if w > 1 then b.(wi + 1) else 0.0) in
+    let s2 = ref (if w > 2 then b.(wi + 2) else 0.0) in
+    let s3 = ref (if w > 3 then b.(wi + 3) else 0.0) in
     for e = rp.(i) to rp.(i + 1) - 1 do
       let j = ci.(e) in
-      if j <> i then s := !s -. (v.(e) *. x.(j))
+      if j <> i then begin
+        let a = v.(e) and wj = w * j in
+        s0 := !s0 -. (a *. x.(wj));
+        if w > 1 then s1 := !s1 -. (a *. x.(wj + 1));
+        if w > 2 then s2 := !s2 -. (a *. x.(wj + 2));
+        if w > 3 then s3 := !s3 -. (a *. x.(wj + 3))
+      end
     done;
-    x.(i) <- !s *. lvl.inv_diag.(i)
+    let d = lvl.inv_diag.(i) in
+    x.(wi) <- !s0 *. d;
+    if w > 1 then x.(wi + 1) <- !s1 *. d;
+    if w > 2 then x.(wi + 2) <- !s2 *. d;
+    if w > 3 then x.(wi + 3) <- !s3 *. d
   done
 
-let residual lvl b x r =
+let[@inline] residual_lanes w lvl b x r =
   let rp = lvl.row_ptr and ci = lvl.col_idx and v = lvl.values in
   for i = 0 to lvl.n - 1 do
-    let s = ref 0.0 in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
     for e = rp.(i) to rp.(i + 1) - 1 do
-      s := !s +. (v.(e) *. x.(ci.(e)))
+      let a = v.(e) and wj = w * ci.(e) in
+      s0 := !s0 +. (a *. x.(wj));
+      if w > 1 then s1 := !s1 +. (a *. x.(wj + 1));
+      if w > 2 then s2 := !s2 +. (a *. x.(wj + 2));
+      if w > 3 then s3 := !s3 +. (a *. x.(wj + 3))
     done;
-    r.(i) <- b.(i) -. !s
+    let wi = w * i in
+    r.(wi) <- b.(wi) -. !s0;
+    if w > 1 then r.(wi + 1) <- b.(wi + 1) -. !s1;
+    if w > 2 then r.(wi + 2) <- b.(wi + 2) -. !s2;
+    if w > 3 then r.(wi + 3) <- b.(wi + 3) -. !s3
   done
 
-let restrict lvl r rc =
+let[@inline] restrict_lanes w lvl r rc =
   Array.fill rc 0 (Array.length rc) 0.0;
   for i = 0 to lvl.n - 1 do
-    let ri = r.(i) in
+    let wi = w * i in
+    let r0 = r.(wi) in
+    let r1 = if w > 1 then r.(wi + 1) else 0.0 in
+    let r2 = if w > 2 then r.(wi + 2) else 0.0 in
+    let r3 = if w > 3 then r.(wi + 3) else 0.0 in
     for e = lvl.p_ptr.(i) to lvl.p_ptr.(i + 1) - 1 do
-      rc.(lvl.p_idx.(e)) <- rc.(lvl.p_idx.(e)) +. (lvl.p_w.(e) *. ri)
+      let a = lvl.p_w.(e) and wc = w * lvl.p_idx.(e) in
+      rc.(wc) <- rc.(wc) +. (a *. r0);
+      if w > 1 then rc.(wc + 1) <- rc.(wc + 1) +. (a *. r1);
+      if w > 2 then rc.(wc + 2) <- rc.(wc + 2) +. (a *. r2);
+      if w > 3 then rc.(wc + 3) <- rc.(wc + 3) +. (a *. r3)
     done
   done
 
-let prolong_add lvl xc x =
+let[@inline] prolong_add_lanes w lvl xc x =
   for i = 0 to lvl.n - 1 do
-    let s = ref 0.0 in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
     for e = lvl.p_ptr.(i) to lvl.p_ptr.(i + 1) - 1 do
-      s := !s +. (lvl.p_w.(e) *. xc.(lvl.p_idx.(e)))
+      let a = lvl.p_w.(e) and wc = w * lvl.p_idx.(e) in
+      s0 := !s0 +. (a *. xc.(wc));
+      if w > 1 then s1 := !s1 +. (a *. xc.(wc + 1));
+      if w > 2 then s2 := !s2 +. (a *. xc.(wc + 2));
+      if w > 3 then s3 := !s3 +. (a *. xc.(wc + 3))
     done;
-    x.(i) <- x.(i) +. !s
+    let wi = w * i in
+    x.(wi) <- x.(wi) +. !s0;
+    if w > 1 then x.(wi + 1) <- x.(wi + 1) +. !s1;
+    if w > 2 then x.(wi + 2) <- x.(wi + 2) +. !s2;
+    if w > 3 then x.(wi + 3) <- x.(wi + 3) +. !s3
   done
 
-(* Per-solve V-cycle workspace: on every level below the finest, the
-   restricted residual [b] and the correction [x]; on every level but
-   the coarsest, the residual [r]; and the band solve's scratch [y].
-   The finest level's right-hand side and correction are the caller's
-   vectors. *)
-type work = { b : Vec.t array; x : Vec.t array; r : Vec.t array; y : Vec.t }
+let gs_sweep lvl w b x ~reverse =
+  match w with
+  | 1 -> gs_sweep_lanes 1 lvl b x ~reverse
+  | 2 -> gs_sweep_lanes 2 lvl b x ~reverse
+  | 3 -> gs_sweep_lanes 3 lvl b x ~reverse
+  | _ -> gs_sweep_lanes 4 lvl b x ~reverse
 
-let workspace t =
-  let vec l = Vec.zeros t.levels.(l).n in
+let residual lvl w b x r =
+  match w with
+  | 1 -> residual_lanes 1 lvl b x r
+  | 2 -> residual_lanes 2 lvl b x r
+  | 3 -> residual_lanes 3 lvl b x r
+  | _ -> residual_lanes 4 lvl b x r
+
+let restrict lvl w r rc =
+  match w with
+  | 1 -> restrict_lanes 1 lvl r rc
+  | 2 -> restrict_lanes 2 lvl r rc
+  | 3 -> restrict_lanes 3 lvl r rc
+  | _ -> restrict_lanes 4 lvl r rc
+
+let prolong_add lvl w xc x =
+  match w with
+  | 1 -> prolong_add_lanes 1 lvl xc x
+  | 2 -> prolong_add_lanes 2 lvl xc x
+  | 3 -> prolong_add_lanes 3 lvl xc x
+  | _ -> prolong_add_lanes 4 lvl xc x
+
+(* Per-solve V-cycle workspace for [w] lanes: on every level below the
+   finest, the restricted residual [b] and the correction [x]; on every
+   level but the coarsest, the residual [r]; and the band solve's
+   scratch [y].  The finest level's right-hand side and correction are
+   the caller's vectors. *)
+type work = {
+  w : int;
+  b : Vec.t array;
+  x : Vec.t array;
+  r : Vec.t array;
+  y : Vec.t;
+}
+
+let workspace t w =
+  let vec l = Vec.zeros (w * t.levels.(l).n) in
   let nl = Array.length t.levels in
   let below_finest l = if l = 0 then [||] else vec l in
   {
+    w;
     b = Array.init nl below_finest;
     x = Array.init nl below_finest;
     r = Array.init nl (fun l -> if l = nl - 1 then [||] else vec l);
     y = vec (nl - 1);
   }
 
-let rec v_cycle t w l b x =
-  let lvl = t.levels.(l) in
-  if l = Array.length t.levels - 1 then band_solve t.coarse w.y b x
+let rec v_cycle t ws l b x =
+  let lvl = t.levels.(l) and w = ws.w in
+  if l = Array.length t.levels - 1 then band_solve t.coarse w ws.y b x
   else begin
-    Array.fill x 0 lvl.n 0.0;
+    Array.fill x 0 (w * lvl.n) 0.0;
     for _ = 1 to t.nu do
-      gs_sweep lvl b x ~reverse:false
+      gs_sweep lvl w b x ~reverse:false
     done;
-    let r = w.r.(l) in
-    residual lvl b x r;
-    let bc = w.b.(l + 1) and xc = w.x.(l + 1) in
-    restrict lvl r bc;
-    v_cycle t w (l + 1) bc xc;
-    prolong_add lvl xc x;
+    let r = ws.r.(l) in
+    residual lvl w b x r;
+    let bc = ws.b.(l + 1) and xc = ws.x.(l + 1) in
+    restrict lvl w r bc;
+    v_cycle t ws (l + 1) bc xc;
+    prolong_add lvl w xc x;
     for _ = 1 to t.nu do
-      gs_sweep lvl b x ~reverse:true
+      gs_sweep lvl w b x ~reverse:true
     done
   end
 
-let precond t =
-  let w = workspace t in
-  let n = t.levels.(0).n in
+let precond_lanes t ~lanes =
+  if lanes < 1 || lanes > 4 then invalid_arg "Mg.precond: lanes must be 1..4";
+  let ws = workspace t lanes in
+  let n = lanes * t.levels.(0).n in
   fun r z ->
     if Array.length r <> n || Array.length z <> n then
       invalid_arg "Mg.precond: dimension mismatch";
     (* one cancellation poll per V-cycle; the cycle itself is bounded *)
     Cancel.poll ();
-    v_cycle t w 0 r z
+    v_cycle t ws 0 r z
+
+let precond t = precond_lanes t ~lanes:1

@@ -18,7 +18,12 @@
     stored column is read off the renumbered sparsity pattern (at most
     45 columns left of the diagonal on a 10x10x4 level, against 400
     columns dense), and each application is one forward and one
-    backward sweep. *)
+    backward sweep.
+
+    {!precond_lanes} applies the V-cycle to up to four interleaved
+    vectors at once, for {!Cg.solve_lanes}: every kernel decodes each
+    matrix entry once for all lanes, and each lane's result is
+    bit-identical to {!precond} on its column alone. *)
 
 type t
 (** A multigrid hierarchy bound to one matrix. *)
@@ -56,6 +61,18 @@ val precond : t -> Vec.t -> Vec.t -> unit
     one hierarchy each take their own [precond t].  The hierarchy
     itself is read-only and safe to share.
     Raises [Invalid_argument] when [r] or [z] has the wrong size. *)
+
+val precond_lanes : t -> lanes:int -> Vec.t -> Vec.t -> unit
+(** [precond_lanes t ~lanes] is {!precond} for [lanes] (1 to 4)
+    interleaved vectors, entry [(i, c)] at [lanes * i + c] — the
+    preconditioner of {!Cg.solve_lanes} with the same [lanes].  Every
+    smoother, residual, transfer and coarse-solve kernel decodes each
+    matrix entry once and applies it to every lane through per-lane
+    accumulators, and lane [c] does exactly the arithmetic, in the same
+    order, of [precond t] on its column alone: its result is
+    bit-identical.  [precond t] is [precond_lanes t ~lanes:1].
+    Raises [Invalid_argument] when [lanes] is outside 1..4, or, on
+    application, when a vector is not [lanes] times the grid size. *)
 
 val levels : t -> int
 (** Number of levels in the hierarchy (1 = direct coarse solve

@@ -152,20 +152,42 @@ let row_ptr m = m.row_ptr
 let col_idx m = m.col_idx
 let values m = m.values
 
-let mul_vec_into m v y =
-  if Array.length v <> m.nc || Array.length y <> m.nr then
-    invalid_arg "Sparse.mul_vec: dimension mismatch";
+(* [w] interleaved vectors, entry (i, c) at [w * i + c]: each decoded
+   entry serves every lane, and lane c sums in the order of a one-lane
+   product of its own column.  Called with a constant [w], the inlined
+   body folds the [if w > c] guards away. *)
+let[@inline] mul_lanes w m v y =
+  let rp = m.row_ptr and ci = m.col_idx and va = m.values in
   for i = 0 to m.nr - 1 do
-    let acc = ref 0.0 in
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (m.values.(k) *. v.(m.col_idx.(k)))
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for k = rp.(i) to rp.(i + 1) - 1 do
+      let a = va.(k) and j = w * ci.(k) in
+      s0 := !s0 +. (a *. v.(j));
+      if w > 1 then s1 := !s1 +. (a *. v.(j + 1));
+      if w > 2 then s2 := !s2 +. (a *. v.(j + 2));
+      if w > 3 then s3 := !s3 +. (a *. v.(j + 3))
     done;
-    y.(i) <- !acc
+    let yi = w * i in
+    y.(yi) <- !s0;
+    if w > 1 then y.(yi + 1) <- !s1;
+    if w > 2 then y.(yi + 2) <- !s2;
+    if w > 3 then y.(yi + 3) <- !s3
   done
+
+let mul_vec_into m ~lanes v y =
+  if lanes < 1 || lanes > 4 then
+    invalid_arg "Sparse.mul_vec: lanes must be 1..4";
+  if Array.length v <> lanes * m.nc || Array.length y <> lanes * m.nr then
+    invalid_arg "Sparse.mul_vec: dimension mismatch";
+  match lanes with
+  | 1 -> mul_lanes 1 m v y
+  | 2 -> mul_lanes 2 m v y
+  | 3 -> mul_lanes 3 m v y
+  | _ -> mul_lanes 4 m v y
 
 let mul_vec m v =
   let y = Vec.zeros m.nr in
-  mul_vec_into m v y;
+  mul_vec_into m ~lanes:1 v y;
   y
 
 let diagonal m =

@@ -49,9 +49,15 @@ val get : t -> int -> int -> float
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec m v] is [m * v]. *)
 
-val mul_vec_into : t -> Vec.t -> Vec.t -> unit
-(** [mul_vec_into m v y] writes [m * v] into [y] ([v] and [y] may not
-    alias); same summation order as {!mul_vec}. *)
+val mul_vec_into : t -> lanes:int -> Vec.t -> Vec.t -> unit
+(** [mul_vec_into m ~lanes v y] writes [m * v] into [y] for [lanes]
+    (1 to 4) interleaved vectors: entry [(i, c)] is at
+    [lanes * i + c] in both [v] and [y] ([v] and [y] may not alias).
+    Each stored entry is read once and applied to every lane; each
+    lane sums in the same order as {!mul_vec}, so its result is
+    bit-identical to the product of its column alone.
+    Raises [Invalid_argument] on a dimension mismatch or [lanes]
+    outside 1..4. *)
 
 val diagonal : t -> Vec.t
 (** [diagonal m] is the main diagonal (square matrices only). *)

@@ -408,8 +408,8 @@ let recorded_hit c ~input_key ~form =
 
 (* ------------------------------------------------------------------ *)
 (* Stage 2, reduce: each missed tile's problem to its Schur block
-   S = A_bb - B A_ii^-1 B^T over the retained nodes, one MG-PCG solve
-   per retained column. *)
+   S = A_bb - B A_ii^-1 B^T over the retained nodes, one MG-PCG lane
+   per retained column, up to four lanes per solve. *)
 
 type reduction = {
   problem : problem;
@@ -417,7 +417,10 @@ type reduction = {
   mg : N.Mg.t option; (* None when the tile has no interior *)
   b : N.Sparse.t; (* A_ri: one row per retained node *)
   abb : float array; (* r x r retained block, row-major *)
-  s : float array; (* the Schur block, filled column by column *)
+  s : float array;
+      (* the Schur block: starts as A_bb, which is already the column
+         of a retained node with no interior neighbour; each solved
+         column is overwritten *)
   iters : int array; (* CG iterations per column *)
 }
 
@@ -465,63 +468,82 @@ let setup (p : problem) =
       with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
   in
   { problem = p; aii; mg; b = N.Sparse.finalize b; abb;
-    s = Array.make (r * r) 0.0; iters = Array.make r 0 }
+    s = Array.copy abb; iters = Array.make r 0 }
 
-(* Schur column q: x = A_ii^-1 B^T e_q, then S(:, q) = A_bb(:, q) - B x.
-   A retained node with no interior neighbour needs no solve. *)
-let solve_column red q mg =
+(* Schur columns [qs] (one to four) as the lanes of one MG-PCG solve:
+   x_c = A_ii^-1 B^T e_q for q = qs.(c), then S(:, q) = A_bb(:, q) - B x_c.
+   Each lane's bits are those of its column solved alone. *)
+let solve_block red mg qs =
   let p = red.problem in
-  let r = Array.length p.labels in
+  let r = Array.length p.labels and w = Array.length qs in
   let rp = N.Sparse.row_ptr red.b
   and ci = N.Sparse.col_idx red.b
   and bv = N.Sparse.values red.b in
-  let x =
-    if rp.(q) = rp.(q + 1) then None
-    else begin
-      let rhs = Array.make p.n_i 0.0 in
+  let rhs = Array.make (w * p.n_i) 0.0 in
+  Array.iteri
+    (fun c q ->
       for e = rp.(q) to rp.(q + 1) - 1 do
-        rhs.(ci.(e)) <- bv.(e)
-      done;
-      let res =
-        try N.Cg.solve ~tol:cg_tol ~precond:(N.Mg.precond mg) red.aii rhs
-        with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
-      in
+        rhs.((w * ci.(e)) + c) <- bv.(e)
+      done)
+    qs;
+  let lanes =
+    try
+      N.Cg.solve_lanes ~tol:cg_tol ~precond:(N.Mg.precond_lanes mg ~lanes:w)
+        ~lanes:w red.aii rhs
+    with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
+  in
+  Array.iteri
+    (fun c q ->
+      let res = lanes.(c) in
       red.iters.(q) <- res.N.Cg.iterations;
       if not res.N.Cg.converged then raise (N.Cg.Not_converged res);
-      Some res.N.Cg.solution
-    end
-  in
-  for rr = 0 to r - 1 do
-    red.s.((rr * r) + q) <-
-      (match x with
-       | None -> red.abb.((rr * r) + q)
-       | Some x ->
-         let dot = ref 0.0 in
-         for e = rp.(rr) to rp.(rr + 1) - 1 do
-           dot := !dot +. (bv.(e) *. x.(ci.(e)))
-         done;
-         red.abb.((rr * r) + q) -. !dot)
-  done
+      let x = res.N.Cg.solution in
+      for rr = 0 to r - 1 do
+        let dot = ref 0.0 in
+        for e = rp.(rr) to rp.(rr + 1) - 1 do
+          dot := !dot +. (bv.(e) *. x.(ci.(e)))
+        done;
+        red.s.((rr * r) + q) <- red.abb.((rr * r) + q) -. !dot
+      done)
+    qs
 
-(* Every problem's block, and the deepest hierarchy built.  The columns
-   of all tiles run as one batch, so tile- and column-level parallelism
-   share the pool. *)
+(* A tile's [c] columns that need a solve, as
+   [max (ceil (c / 4)) (min c jobs)] contiguous blocks of near-equal
+   size: at most four lanes each, and at least one block per worker
+   when the tile has the columns for it. *)
+let column_blocks ~jobs red mg =
+  let rp = N.Sparse.row_ptr red.b in
+  let qs =
+    Array.of_seq
+      (Seq.filter
+         (fun q -> rp.(q) < rp.(q + 1))
+         (Seq.init (Array.length red.iters) Fun.id))
+  in
+  let c = Array.length qs in
+  let nb = Int.max ((c + 3) / 4) (Int.min c jobs) in
+  Array.init nb (fun k ->
+      let lo = k * c / nb and hi = (k + 1) * c / nb in
+      (red, mg, Array.sub qs lo (hi - lo)))
+
+(* Every problem's block, and the deepest hierarchy built.  The column
+   blocks of all tiles run as one batch, so tile- and column-level
+   parallelism share the pool. *)
 let reduce_tiles pool problems =
   let reds = Pool.map_array pool setup problems in
-  let columns =
+  let jobs = Pool.jobs pool in
+  let blocks =
     Array.concat
       (Array.to_list
          (Array.map
             (fun red ->
               match red.mg with
               | None -> [||]
-              | Some mg ->
-                Array.init (Array.length red.iters) (fun q -> (red, q, mg)))
+              | Some mg -> column_blocks ~jobs red mg)
             reds))
   in
-  Pool.run pool ~n:(Array.length columns) (fun k ->
-      let red, q, mg = columns.(k) in
-      solve_column red q mg);
+  Pool.run pool ~n:(Array.length blocks) (fun k ->
+      let red, mg, qs = blocks.(k) in
+      solve_block red mg qs);
   let block red =
     match red.mg with
     | None -> { matrix = red.abb; iterations = 0 }
@@ -597,7 +619,7 @@ let stitch ~np (a : assembly) blocks =
     add_ii i j (-.g)
   done;
   N.Chol.factor env kii;
-  Array.iter (N.Chol.forward env kii) kip;
+  Array.iter (N.Chol.forward env kii ~lanes:1) kip;
   for p = 0 to np - 1 do
     for q = 0 to p do
       let yp = kip.(p) and yq = kip.(q) in

@@ -7,9 +7,13 @@
 
     {v S = G_pp - G_pi G_ii^-1 G_ip v}
 
-    Each Schur column is one conjugate-gradient solve preconditioned by
-    a geometric multigrid V-cycle ({!Sn_numerics.Mg}), run to a fixed
-    relative residual of [1e-13]; that keeps the cost per column far
+    Each Schur column is one lane of a conjugate-gradient solve
+    preconditioned by a geometric multigrid V-cycle ({!Sn_numerics.Mg}),
+    run to a fixed relative residual of [1e-13].  A tile's columns are
+    solved up to four abreast ({!Sn_numerics.Cg.solve_lanes}), so every
+    decoded matrix entry serves each column of the block, and each
+    lane's bits are those of its column solved alone.  That keeps the
+    cost per column far
     below a direct factorization as the grid grows (the hierarchy
     coarsens only laterally, so the layered profile's anisotropy
     leaves the iteration count flat — the bench records the per-size
@@ -126,8 +130,12 @@ val extract :
     fail-soft miss, never a wrong answer.
 
     Port columns (and tiles) are reduced in parallel on [pool]
-    (default {!Sn_engine.Pool.default}); results are byte-identical
-    regardless of worker count.
+    (default {!Sn_engine.Pool.default}).  A tile's [c] columns that
+    need a solve form [max (ceil (c / 4)) (min c jobs)] contiguous
+    blocks of near-equal size, one lockstep solve each; the block
+    shapes follow the worker count, but every lane is bit-identical to
+    its one-column solve, so results, and the iteration counts stored
+    with cached tiles, are byte-identical regardless of worker count.
 
     Raises [Invalid_argument] when [ports] is empty, when a port lies
     outside the die, when a grid cell is disconnected (zero diagonal —

@@ -195,8 +195,8 @@ let chol_band ~n ~bw = Chol.envelope (Array.init n (fun k -> max 0 (k - bw)))
 let chol_solve a env b =
   let l = chol_factor a env in
   let y = Array.copy b in
-  Chol.forward env l y;
-  Chol.backward env l y;
+  Chol.forward env l ~lanes:1 y;
+  Chol.backward env l ~lanes:1 y;
   y
 
 (* A band of half-width [bw], the dense triangle, and a random profile
@@ -246,7 +246,12 @@ let test_chol_singular () =
     (Invalid_argument "Chol: vector length does not match the factor")
     (fun () ->
       let env = chol_band ~n:4 ~bw:1 in
-      Chol.forward env (Array.make (Chol.size env) 1.0) [| 1.0 |]);
+      Chol.forward env (Array.make (Chol.size env) 1.0) ~lanes:1 [| 1.0 |]);
+  Alcotest.check_raises "five lanes"
+    (Invalid_argument "Chol: lanes must be 1..4")
+    (fun () ->
+      let env = chol_band ~n:1 ~bw:0 in
+      Chol.backward env [| 1.0 |] ~lanes:5 (Array.make 5 1.0));
   Alcotest.check_raises "first column right of the diagonal"
     (Invalid_argument "Chol.envelope: a first column is outside 0..row")
     (fun () -> ignore (Chol.envelope [| 0; 2 |]))
@@ -530,10 +535,20 @@ let test_mg_coarse_exact () =
   Alcotest.check_raises "indefinite coarse operator" (Lu.Singular 0) (fun () ->
       ignore (Mg.build ~dims neg))
 
+(* [v_cycle] and a counter of its applications *)
+let counted v_cycle =
+  let calls = ref 0 in
+  ( calls,
+    fun r z ->
+      incr calls;
+      v_cycle r z )
+
 (* PCG tests convergence before it preconditions, so the V-cycle runs
    once per direction the solve uses: once per converged solve on a
    one-level hierarchy (the direct solve), [iterations] times on a
-   deeper one.  Counting the calls leaves the solve's bits alone. *)
+   deeper one.  Counting the calls leaves the solve's bits alone.  A
+   block of lanes applies its lane-wide V-cycle as often as its longest
+   lane alone would, not the sum over its lanes. *)
 let test_mg_precond_count () =
   List.iter
     (fun (what, coarse_limit, dims) ->
@@ -541,13 +556,7 @@ let test_mg_precond_count () =
       let n = Sparse.rows m in
       let mg = Mg.build ~coarse_limit ~dims m in
       let rhs = Array.init n (fun i -> sin (0.1 *. float_of_int i)) in
-      let calls = ref 0 in
-      let precond =
-        let v_cycle = Mg.precond mg in
-        fun r z ->
-          incr calls;
-          v_cycle r z
-      in
+      let calls, precond = counted (Mg.precond mg) in
       let r = Cg.solve ~tol:1e-10 ~precond m rhs in
       let plain = Cg.solve ~tol:1e-10 ~precond:(Mg.precond mg) m rhs in
       Alcotest.(check bool) (what ^ " converged") true r.Cg.converged;
@@ -565,7 +574,38 @@ let test_mg_precond_count () =
       Alcotest.(check int) (what ^ " iterations") plain.Cg.iterations
         r.Cg.iterations;
       Alcotest.(check bool) (what ^ " residual bits") true
-        (same r.Cg.residual_norm plain.Cg.residual_norm))
+        (same r.Cg.residual_norm plain.Cg.residual_norm);
+      let cols =
+        [| rhs;
+           Array.init n (fun i -> if i = n / 2 then 1e-6 else 0.0);
+           Array.init n (fun i -> 1e3 *. cos (0.7 *. float_of_int (i * i))) |]
+      in
+      let alone =
+        Array.map
+          (fun b ->
+            let calls, precond = counted (Mg.precond mg) in
+            let r = Cg.solve ~tol:1e-10 ~precond m b in
+            (!calls, r.Cg.iterations))
+          cols
+      in
+      let calls, precond = counted (Mg.precond_lanes mg ~lanes:3) in
+      let block =
+        Cg.solve_lanes ~tol:1e-10 ~precond ~lanes:3 m
+          (Array.init (3 * n) (fun k -> cols.(k mod 3).(k / 3)))
+      in
+      let longest = Array.fold_left (fun a (c, _) -> max a c) 0 alone in
+      Alcotest.(check int) (what ^ " block applications") longest !calls;
+      Array.iteri
+        (fun c (_, it) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s lane %d iterations" what c)
+            it block.(c).Cg.iterations)
+        alone;
+      if coarse_limit < n then
+        Alcotest.(check bool)
+          (what ^ " lanes finish on different iterations")
+          true
+          (Array.exists (fun (_, it) -> it <> snd alone.(0)) alone))
     [ ("one level", max_int, (9, 7, 3)); ("multi-level", 600, (24, 24, 4)) ]
 
 (* PCG requires a symmetric preconditioner: <M e_i, e_j> = <e_i, M e_j>.
@@ -675,6 +715,53 @@ let test_mg_layered_anisotropy () =
         (r.Cg.converged && r.Cg.iterations <= 20))
     [ 16; 48 ]
 
+(* Lanes of one lockstep PCG are their one-column solves, bit for bit,
+   on layered grids of random size and hierarchy depth: one lane is all
+   zero and the others differ in shape and in scale (1e-6 to 1e3), so
+   they finish on different iterations.  The Jacobi default, capped at
+   40 iterations, adds lanes that stop unconverged. *)
+let prop_lanes_match_columns =
+  QCheck.Test.make ~count:30 ~name:"lanes equal one-column solves, bit for bit"
+    QCheck.(triple (int_range 4 16) (int_range 1 4) (int_range 0 10000))
+    (fun (n_lat, w, seed) ->
+      let m, dims = layered_substrate n_lat in
+      let n = Sparse.rows m in
+      let st = Random.State.make [| seed; n_lat; w |] in
+      let coarse_limit = [| 100; 400; 1500 |].(Random.State.int st 3) in
+      let mg = Mg.build ~coarse_limit ~dims m in
+      let zero = if w > 1 then Random.State.int st w else -1 in
+      let column c =
+        let scale = 10.0 ** float_of_int (Random.State.int st 10 - 6) in
+        if c = zero then Vec.zeros n
+        else
+          match Random.State.int st 3 with
+          | 0 -> Array.init n (fun _ -> scale *. (Random.State.float st 2.0 -. 1.0))
+          | 1 ->
+            let at = Random.State.int st n in
+            Array.init n (fun i -> if i = at then scale else 0.0)
+          | _ ->
+            let f = Random.State.float st 1.0 in
+            Array.init n (fun i -> scale *. sin (f *. float_of_int i))
+      in
+      let cols = Array.init w column in
+      let b = Array.init (w * n) (fun k -> cols.(k mod w).(k / w)) in
+      let bits x = Printf.sprintf "%h" x in
+      let agree (lane : Cg.result) (one : Cg.result) =
+        Array.for_all2 (fun x y -> bits x = bits y) lane.solution one.solution
+        && lane.iterations = one.iterations
+        && bits lane.residual_norm = bits one.residual_norm
+        && lane.converged = one.converged
+      in
+      let mg_lanes =
+        Cg.solve_lanes ~precond:(Mg.precond_lanes mg ~lanes:w) ~lanes:w m b
+      in
+      let jacobi_lanes = Cg.solve_lanes ~max_iter:40 ~lanes:w m b in
+      List.for_all
+        (fun c ->
+          agree mg_lanes.(c) (Cg.solve ~precond:(Mg.precond mg) m cols.(c))
+          && agree jacobi_lanes.(c) (Cg.solve ~max_iter:40 m cols.(c)))
+        (List.init w Fun.id))
+
 (* Each solve owns its V-cycle workspace: solving on four domains, each
    task with its own [Mg.precond], gives the sequential bytes. *)
 let test_mg_workspace_isolation () =
@@ -737,7 +824,9 @@ let test_cg_zero_diagonal () =
   Sparse.add b 2 0 (-0.5);
   let m = Sparse.finalize b in
   Alcotest.check_raises "zero diagonal refused" (Cg.Zero_diagonal 1)
-    (fun () -> ignore (Cg.solve m [| 1.0; 1.0; 1.0 |]))
+    (fun () -> ignore (Cg.solve m [| 1.0; 1.0; 1.0 |]));
+  Alcotest.check_raises "no lanes" (Invalid_argument "Cg.solve: lanes must be 1..4")
+    (fun () -> ignore (Cg.solve_lanes ~lanes:0 m [||]))
 
 (* ------------------------------------------------------------------ *)
 (* Splu: sparse LU with reusable symbolic factorization *)
@@ -1403,6 +1492,7 @@ let suites =
         Alcotest.test_case "coarse solve exact" `Quick test_mg_coarse_exact;
         Alcotest.test_case "PCG skips its unused last V-cycle" `Quick
           test_mg_precond_count;
+        qcheck prop_lanes_match_columns;
       ] );
     ( "numerics.splu",
       [

@@ -724,17 +724,35 @@ let test_cache_certificates () =
   Alcotest.(check bool) "stale lookup is a miss" true
     (Cache.lookup cache ~key:"00stale" = None)
 
+(* A tile's columns are solved as lanes of blocks whose shape follows
+   the pool width: 1, 2, 3 (uneven blocks) and 4 workers give the same
+   bytes and the same CG iterations, tiled and untiled. *)
 let test_jobs_identity () =
-  let run jobs =
+  let run tiles jobs =
     let pool = Pool.create ~jobs () in
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-    Extractor.extract ~config:scale_cfg ~tiles:(2, 2) ~pool ~tech:T.imec018
-      ~die:scale_die scale_ports4
+    let m =
+      Extractor.extract ~config:scale_cfg ~tiles ~pool ~tech:T.imec018
+        ~die:scale_die scale_ports4
+    in
+    (m, (stats_exn ()).Extractor.cg_iterations_total)
   in
-  let seq = run 1 in
-  let par = run 4 in
-  check_identical "1 worker = 4 workers, byte-identical"
-    seq.Macromodel.conductance par.Macromodel.conductance
+  List.iter
+    (fun (what, tiles) ->
+      let seq, seq_iters = run tiles 1 in
+      Alcotest.(check bool) (what ^ ": CG ran") true (seq_iters > 0);
+      List.iter
+        (fun jobs ->
+          let par, par_iters = run tiles jobs in
+          check_identical
+            (Printf.sprintf "%s: 1 worker = %d workers, byte-identical" what
+               jobs)
+            seq.Macromodel.conductance par.Macromodel.conductance;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: CG iterations on %d workers" what jobs)
+            seq_iters par_iters)
+        [ 2; 3; 4 ])
+    [ ("2x2 tiles", (2, 2)); ("untiled", (1, 1)) ]
 
 let test_solvers_agree () =
   (* untiled and tiled MG-CG agree with the direct elimination oracle *)
