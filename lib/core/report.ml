@@ -208,10 +208,10 @@ let runtime fmt (r : E.runtime) =
    | Some x ->
      let module X = Sn_substrate.Extractor in
      Format.fprintf fmt
-       "extractor: assemble %.2f s, reduce %.2f s, stitch %.2f s \
-        (%d tiles, %d interface nodes)@,"
-       x.X.assemble_seconds x.X.reduce_seconds x.X.stitch_seconds x.X.tiles
-       x.X.interface_nodes;
+       "extractor: assemble %.2f s, reduce %.2f s (setup %.2f s, solve %.2f \
+        s), stitch %.2f s (%d tiles, %d interface nodes)@,"
+       x.X.assemble_seconds x.X.reduce_seconds x.X.setup_seconds
+       x.X.solve_seconds x.X.stitch_seconds x.X.tiles x.X.interface_nodes;
      Format.fprintf fmt
        "extractor: %d CG iterations (%d MG levels), cache %d hit%s / %d \
         miss%s, input key %s@,"

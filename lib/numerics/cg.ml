@@ -5,6 +5,13 @@ type result = {
   converged : bool;
 }
 
+type block = {
+  x : Vec.t;
+  lane_iterations : int array;
+  lane_residual_norms : float array;
+  lane_converged : bool array;
+}
+
 exception Not_converged of result
 
 exception Zero_diagonal of int
@@ -196,20 +203,34 @@ let solve_lanes ?(tol = 1e-10) ?max_iter ?x0 ?precond ~lanes a b =
       end
     done
   end;
-  Array.init w (fun c ->
-      if zero.(c) then
-        { solution = Vec.zeros n; iterations = 0; residual_norm = 0.0;
-          converged = true }
-      else
-        {
-          solution = (if w = 1 then x else Array.init n (fun i -> x.((w * i) + c)));
-          iterations = k.(c);
-          residual_norm = res_norm.(c);
-          converged = res_norm.(c) <= tol;
-        })
+  (* a zero lane's solution is zero, whatever [x0] held *)
+  Array.iteri
+    (fun c z ->
+      if z then
+        for i = 0 to n - 1 do
+          x.((w * i) + c) <- 0.0
+        done)
+    zero;
+  {
+    x;
+    lane_iterations = k;
+    lane_residual_norms = Array.sub res_norm 0 w;
+    lane_converged = Array.init w (fun c -> res_norm.(c) <= tol);
+  }
+
+let lane blk c =
+  let w = Array.length blk.lane_iterations in
+  let n = Array.length blk.x / w in
+  {
+    solution =
+      (if w = 1 then blk.x else Array.init n (fun i -> blk.x.((w * i) + c)));
+    iterations = blk.lane_iterations.(c);
+    residual_norm = blk.lane_residual_norms.(c);
+    converged = blk.lane_converged.(c);
+  }
 
 let solve ?tol ?max_iter ?x0 ?precond a b =
-  (solve_lanes ?tol ?max_iter ?x0 ?precond ~lanes:1 a b).(0)
+  lane (solve_lanes ?tol ?max_iter ?x0 ?precond ~lanes:1 a b) 0
 
 let solve_exn ?tol ?max_iter ?x0 ?precond a b =
   let r = solve ?tol ?max_iter ?x0 ?precond a b in

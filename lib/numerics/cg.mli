@@ -14,6 +14,17 @@ type result = {
   converged : bool;
 }
 
+type block = {
+  x : Vec.t;
+      (** the lanes' solutions, interleaved: entry [(i, c)] at
+          [lanes * i + c] *)
+  lane_iterations : int array;
+  lane_residual_norms : float array;
+  lane_converged : bool array;
+}
+(** The result of {!solve_lanes}: slot [c] of each array is lane [c]'s
+    field of {!result}. *)
+
 exception Not_converged of result
 (** Raised by {!solve_exn} when the iteration cap is reached before the
     tolerance. *)
@@ -57,22 +68,23 @@ val solve_lanes :
   lanes:int ->
   Sparse.t ->
   Vec.t ->
-  result array
+  block
 (** [solve_lanes ~lanes a b] solves [A x = b_c] for [lanes] (1 to 4)
     right-hand sides at once, in lockstep.  [b], [x0] and the vectors
     [precond] sees hold the lanes interleaved: entry [(i, c)] is at
     [lanes * i + c], so [precond] must be a lane-aware operator of the
     same width ({!Mg.precond_lanes}); the Jacobi default handles any
-    width.  The result's slot [c] is lane [c]'s own result, its
-    solution de-interleaved.
+    width.  The solutions come back interleaved in [x], the solve's own
+    iterate, so a caller reads each lane in place; {!lane} copies one
+    out.
 
     Every lane performs exactly the arithmetic of {!solve} on its
     column alone, in the same order: its own [alpha], [beta], [r.z],
     residual norm, iteration count and breakdown flag, and dots summed
     in ascending row order.  A lane leaves the loop exactly when that
     one-column solve would stop, and its [x], [r] and direction are
-    never written afterwards; so each slot's [solution], [iterations],
-    [residual_norm] and [converged] are bit-identical to {!solve}'s,
+    never written afterwards; so each lane's solution, iteration count,
+    residual norm and [converged] flag are bit-identical to {!solve}'s,
     whatever the other lanes hold.  The matrix product, the dots and
     the preconditioner run over all lanes, which is what pays: each
     decoded matrix entry serves every lane.  The preconditioner runs
@@ -81,10 +93,14 @@ val solve_lanes :
     it as often as its longest lane's one-column solve would.
     {!Cancel.tick} runs once per iteration, as in {!solve}.  The solve
     allocates the same five vectors as {!solve}, each [lanes] times as
-    long, and with more than one lane a de-interleaved copy of each
-    solution.
+    long, and nothing per lane.
     Raises [Invalid_argument] when [a] is not square, [lanes] is
     outside 1..4 or [b] is not [lanes] times the dimension. *)
+
+val lane : block -> int -> result
+(** [lane blk c] is lane [c] of [blk] as a one-column {!result}: with
+    one lane, [solution] is [blk.x] itself; with more, a de-interleaved
+    copy. *)
 
 val solve_exn :
   ?tol:float ->

@@ -69,12 +69,9 @@ let inv_diag_of a =
 
 (* Tensor-product prolongation from (cx, cy, nz) to (nx, ny, nz) as a
    CSR map fine -> coarse entries (z is the identity), and the
-   Galerkin triple product P^T A P.  The product runs one coarse row
-   at a time over P^T, accumulating into a dense row with a mark
-   array, and emits CSR directly.  Every coarse entry sums its
-   contributions in ascending (fine row i, fine column j) order,
-   starting from 0. *)
-let build_transfer (nx, ny, nz) (cx, cy) a =
+   Galerkin triple product P^T A P ({!Sparse.galerkin}, in row ranges
+   on [par]). *)
+let build_transfer ~par (nx, ny, nz) (cx, cy) a =
   let mx = interp_1d nx cx and my = interp_1d ny cy in
   let n = nx * ny * nz in
   let nc = cx * cy * nz in
@@ -97,77 +94,11 @@ let build_transfer (nx, ny, nz) (cx, cy) a =
       done
     done
   done;
-  let p_idx = Dyn.I.to_array p_idx and p_w = Dyn.F.to_array p_w in
-  let nnz_p = Array.length p_idx in
-  (* P^T by a counting sort over the coarse columns: each coarse row
-     lists its fine rows in ascending order *)
-  let t_ptr = Array.make (nc + 1) 0 in
-  Array.iter (fun c -> t_ptr.(c + 1) <- t_ptr.(c + 1) + 1) p_idx;
-  for c = 0 to nc - 1 do
-    t_ptr.(c + 1) <- t_ptr.(c + 1) + t_ptr.(c)
-  done;
-  let t_row = Array.make nnz_p 0 and t_w = Array.make nnz_p 0.0 in
-  let next = Array.sub t_ptr 0 nc in
-  for i = 0 to n - 1 do
-    for e = p_ptr.(i) to p_ptr.(i + 1) - 1 do
-      let c = p_idx.(e) in
-      t_row.(next.(c)) <- i;
-      t_w.(next.(c)) <- p_w.(e);
-      next.(c) <- next.(c) + 1
-    done
-  done;
-  (* Galerkin coarse operator *)
-  let a_ptr = Sparse.row_ptr a
-  and a_idx = Sparse.col_idx a
-  and a_val = Sparse.values a in
-  let acc = Array.make nc 0.0 in
-  let mark = Array.make nc (-1) in
-  let touched = Array.make nc 0 in
-  let c_ptr = Array.make (nc + 1) 0 in
-  let c_idx = Dyn.I.create ~capacity:(max 1 (27 * nc)) () in
-  let c_val = Dyn.F.create ~capacity:(max 1 (27 * nc)) () in
-  for ci = 0 to nc - 1 do
-    let m = ref 0 in
-    for t = t_ptr.(ci) to t_ptr.(ci + 1) - 1 do
-      let i = t_row.(t) and wi = t_w.(t) in
-      for e = a_ptr.(i) to a_ptr.(i + 1) - 1 do
-        let j = a_idx.(e) and aij = a_val.(e) in
-        for f = p_ptr.(j) to p_ptr.(j + 1) - 1 do
-          let cj = p_idx.(f) in
-          if mark.(cj) <> ci then begin
-            mark.(cj) <- ci;
-            acc.(cj) <- 0.0;
-            touched.(!m) <- cj;
-            incr m
-          end;
-          acc.(cj) <- acc.(cj) +. (wi *. p_w.(f) *. aij)
-        done
-      done
-    done;
-    (* the coarse stencil is a few dozen wide: insertion-sort it *)
-    for p = 1 to !m - 1 do
-      let c = touched.(p) in
-      let q = ref (p - 1) in
-      while !q >= 0 && touched.(!q) > c do
-        touched.(!q + 1) <- touched.(!q);
-        decr q
-      done;
-      touched.(!q + 1) <- c
-    done;
-    for p = 0 to !m - 1 do
-      let cj = touched.(p) in
-      if acc.(cj) <> 0.0 then begin
-        Dyn.I.push c_idx cj;
-        Dyn.F.push c_val acc.(cj)
-      end
-    done;
-    c_ptr.(ci + 1) <- Dyn.I.length c_idx
-  done;
-  let a_c =
-    Sparse.of_csr ~rows:nc ~cols:nc ~row_ptr:c_ptr
-      ~col_idx:(Dyn.I.to_array c_idx) ~values:(Dyn.F.to_array c_val)
+  let p =
+    Sparse.of_csr ~rows:n ~cols:nc ~row_ptr:p_ptr
+      ~col_idx:(Dyn.I.to_array p_idx) ~values:(Dyn.F.to_array p_w)
   in
-  (p_ptr, p_idx, p_w, a_c)
+  (Sparse.row_ptr p, Sparse.col_idx p, Sparse.values p, Sparse.galerkin ~par p a)
 
 (* Envelope Cholesky factor of the coarsest operator ({!Chol}).  Its
    cells are renumbered with the axes in ascending extent, the shortest
@@ -239,7 +170,7 @@ type t = { levels : level array; coarse : band; nu : int }
 
 let levels t = Array.length t.levels
 
-let build ?(nu = 1) ?(coarse_limit = 1500) ~dims a =
+let build ?(nu = 1) ?(coarse_limit = 1500) ?(par = Sparse.sequential) ~dims a =
   let nx, ny, nz = dims in
   let n = nx * ny * nz in
   if Sparse.rows a <> n || Sparse.cols a <> n then
@@ -268,7 +199,7 @@ let build ?(nu = 1) ?(coarse_limit = 1500) ~dims a =
       let last = level a dims ([||], [||], [||]) 0 in
       (Array.of_list (List.rev (last :: acc)), a, dims)
     else begin
-      let p_ptr, p_idx, p_w, a_c = build_transfer dims (cx, cy) a in
+      let p_ptr, p_idx, p_w, a_c = build_transfer ~par dims (cx, cy) a in
       let lvl = level a dims (p_ptr, p_idx, p_w) (cx * cy * nz) in
       grow a_c (cx, cy, nz) (lvl :: acc)
     end

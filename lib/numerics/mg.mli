@@ -28,7 +28,9 @@
 type t
 (** A multigrid hierarchy bound to one matrix. *)
 
-val build : ?nu:int -> ?coarse_limit:int -> dims:int * int * int -> Sparse.t -> t
+val build :
+  ?nu:int -> ?coarse_limit:int -> ?par:Sparse.par -> dims:int * int * int ->
+  Sparse.t -> t
 (** [build ~dims:(nx, ny, nz) a] constructs the hierarchy for the
     grid-ordered matrix [a] (cell [(ix, iy, iz)] at row
     [iz*nx*ny + iy*nx + ix], the {!Sn_substrate.Grid.cell_index}
@@ -43,6 +45,9 @@ val build : ?nu:int -> ?coarse_limit:int -> dims:int * int * int -> Sparse.t -> 
     envelope factor and one sweep pair per column, where a two-level
     hierarchy spends about sixteen V-cycles per column.  The Galerkin
     product and every level's CSR build are linear in the nonzeros.
+    Each Galerkin product is built in row ranges on [par] (default
+    {!Sparse.sequential}), one {!Sparse.of_rows} call per level; the
+    hierarchy is bit-identical whatever [par] is.
     [nu] (default 1) is the number of pre- and post-smoothing sweeps.
     Raises [Invalid_argument] when [dims] disagree with the matrix
     size, {!Cg.Zero_diagonal} when a level operator has a zero

@@ -102,6 +102,220 @@ let finalize b =
     col_idx = Array.sub col_idx 0 !nnz;
     values = Array.sub values 0 !nnz }
 
+type par = { width : int; run : int -> (int -> unit) -> unit }
+
+let sequential =
+  { width = 1; run = (fun n f -> for i = 0 to n - 1 do f i done) }
+
+(* One row range's scratch: a dense accumulator over the columns, a
+   mark array naming the row that last touched each column, and the
+   [m] columns the current row [row] touched, in first-touch order. *)
+type row_acc = {
+  acc : float array;
+  mark : int array;
+  touched : int array;
+  mutable m : int;
+  mutable row : int;
+}
+
+let[@inline] accumulate a j v =
+  let acc = a.acc in
+  if a.mark.(j) <> a.row then begin
+    a.mark.(j) <- a.row;
+    acc.(j) <- 0.0 +. v;
+    a.touched.(a.m) <- j;
+    a.m <- a.m + 1
+  end
+  else acc.(j) <- acc.(j) +. v
+
+(* the touched columns are distinct, so any sort gives the same row;
+   a stencil row is a few dozen wide and takes an insertion sort *)
+let sort_touched a =
+  let t = a.touched and m = a.m in
+  if m <= 32 then
+    for p = 1 to m - 1 do
+      let c = t.(p) in
+      let q = ref (p - 1) in
+      while !q >= 0 && t.(!q) > c do
+        t.(!q + 1) <- t.(!q);
+        decr q
+      done;
+      t.(!q + 1) <- c
+    done
+  else begin
+    let seg = Array.sub t 0 m in
+    Array.sort Int.compare seg;
+    Array.blit seg 0 t 0 m
+  end
+
+(* a range holds at least this many rows: a thinner one costs more in
+   scratch than it saves *)
+let min_range_rows = 256
+
+(* The CSR matrix whose row i is what [row a i] accumulates into [a],
+   built in up to [par.width] contiguous row ranges, each with its own
+   scratch, and concatenated in row order: the bits do not depend on
+   the ranges.  [width] is the expected entries per row, a capacity
+   hint. *)
+let of_rows ?(par = sequential) ~width ~rows ~cols row =
+  if rows < 0 || cols < 0 then invalid_arg "Sparse.of_rows: negative dimension";
+  let ranges = Int.max 1 (Int.min par.width (rows / min_range_rows)) in
+  let ends = Array.make ranges [||]
+  and idx = Array.make ranges [||]
+  and vals = Array.make ranges [||] in
+  par.run ranges (fun k ->
+      let lo = k * rows / ranges and hi = (k + 1) * rows / ranges in
+      let a =
+        { acc = Array.make cols 0.0; mark = Array.make cols (-1);
+          touched = Array.make cols 0; m = 0; row = -1 }
+      in
+      let ci = Dyn.I.create ~capacity:(width * (hi - lo)) ()
+      and cv = Dyn.F.create ~capacity:(width * (hi - lo)) () in
+      let e = Array.make (hi - lo) 0 in
+      for i = lo to hi - 1 do
+        a.row <- i;
+        a.m <- 0;
+        row a i;
+        sort_touched a;
+        for p = 0 to a.m - 1 do
+          let j = a.touched.(p) in
+          if a.acc.(j) <> 0.0 then begin
+            Dyn.I.push ci j;
+            Dyn.F.push cv a.acc.(j)
+          end
+        done;
+        e.(i - lo) <- Dyn.I.length ci
+      done;
+      ends.(k) <- e;
+      idx.(k) <- Dyn.I.to_array ci;
+      vals.(k) <- Dyn.F.to_array cv);
+  let row_ptr = Array.make (rows + 1) 0 in
+  let base = ref 0 in
+  for k = 0 to ranges - 1 do
+    let lo = k * rows / ranges in
+    Array.iteri (fun d e -> row_ptr.(lo + d + 1) <- !base + e) ends.(k);
+    base := !base + Array.length idx.(k)
+  done;
+  let col_idx, values =
+    if ranges = 1 then (idx.(0), vals.(0))
+    else (Array.concat (Array.to_list idx), Array.concat (Array.to_list vals))
+  in
+  { nr = rows; nc = cols; row_ptr; col_idx; values }
+
+let galerkin ?par p a =
+  if a.nr <> a.nc || p.nr <> a.nr then
+    invalid_arg "Sparse.galerkin: dimension mismatch";
+  let n = p.nr and nc = p.nc in
+  let p_ptr = p.row_ptr and p_idx = p.col_idx and p_w = p.values in
+  (* P^T by a counting sort over the coarse columns: each coarse row
+     lists its fine rows in ascending order *)
+  let t_ptr = Array.make (nc + 1) 0 in
+  Array.iter (fun c -> t_ptr.(c + 1) <- t_ptr.(c + 1) + 1) p_idx;
+  for c = 0 to nc - 1 do
+    t_ptr.(c + 1) <- t_ptr.(c + 1) + t_ptr.(c)
+  done;
+  let t_row = Array.make (Array.length p_idx) 0
+  and t_w = Array.make (Array.length p_idx) 0.0 in
+  let next = Array.sub t_ptr 0 nc in
+  for i = 0 to n - 1 do
+    for e = p_ptr.(i) to p_ptr.(i + 1) - 1 do
+      let c = p_idx.(e) in
+      t_row.(next.(c)) <- i;
+      t_w.(next.(c)) <- p_w.(e);
+      next.(c) <- next.(c) + 1
+    done
+  done;
+  let a_ptr = a.row_ptr and a_idx = a.col_idx and a_val = a.values in
+  of_rows ?par ~width:27 ~rows:nc ~cols:nc (fun acc ci ->
+      for t = t_ptr.(ci) to t_ptr.(ci + 1) - 1 do
+        let i = t_row.(t) and wi = t_w.(t) in
+        for e = a_ptr.(i) to a_ptr.(i + 1) - 1 do
+          let j = a_idx.(e) and aij = a_val.(e) in
+          for f = p_ptr.(j) to p_ptr.(j + 1) - 1 do
+            accumulate acc p_idx.(f) (wi *. p_w.(f) *. aij)
+          done
+        done
+      done)
+
+(* Each node's branches in ascending order: a counting sort over both
+   endpoints, a self-loop listed once. *)
+let incidence ~nodes ~len bi bj =
+  let ptr = Array.make (nodes + 1) 0 in
+  for k = 0 to len - 1 do
+    let u = bi.(k) and v = bj.(k) in
+    if u < 0 || u >= nodes || v < 0 || v >= nodes then
+      invalid_arg
+        (Printf.sprintf "Sparse.laplacian_blocks: branch %d (%d,%d) out of %d nodes"
+           k u v nodes);
+    ptr.(u + 1) <- ptr.(u + 1) + 1;
+    if v <> u then ptr.(v + 1) <- ptr.(v + 1) + 1
+  done;
+  for i = 0 to nodes - 1 do
+    ptr.(i + 1) <- ptr.(i + 1) + ptr.(i)
+  done;
+  let inc = Array.make ptr.(nodes) 0 and next = Array.sub ptr 0 nodes in
+  for k = 0 to len - 1 do
+    let u = bi.(k) and v = bj.(k) in
+    inc.(next.(u)) <- k;
+    next.(u) <- next.(u) + 1;
+    if v <> u then begin
+      inc.(next.(v)) <- k;
+      next.(v) <- next.(v) + 1
+    end
+  done;
+  (ptr, inc)
+
+let laplacian_blocks ?par ~interior:n_i ~retained:r ~len bi bj bg =
+  if n_i < 0 || r < 0 then
+    invalid_arg "Sparse.laplacian_blocks: negative dimension";
+  let ptr, inc = incidence ~nodes:(n_i + r) ~len bi bj in
+  let rr = Array.make (r * r) 0.0 in
+  let stamp a b g = rr.((a * r) + b) <- rr.((a * r) + b) +. g in
+  for k = 0 to len - 1 do
+    let u = bi.(k) and v = bj.(k) and g = bg.(k) in
+    match (u < n_i, v < n_i) with
+    | true, true -> ()
+    | true, false -> stamp (v - n_i) (v - n_i) g
+    | false, true -> stamp (u - n_i) (u - n_i) g
+    | false, false ->
+      let ru = u - n_i and rv = v - n_i in
+      stamp ru ru g;
+      stamp rv rv g;
+      stamp ru rv (-.g);
+      stamp rv ru (-.g)
+  done;
+  let dim = Int.max n_i 1 in
+  let ii =
+    of_rows ?par ~width:7 ~rows:dim ~cols:dim (fun a i ->
+        if i < n_i then
+          for t = ptr.(i) to ptr.(i + 1) - 1 do
+            let k = inc.(t) in
+            let u = bi.(k) and v = bj.(k) and g = bg.(k) in
+            if u = v then begin
+              (* the four stamps of a self-loop all land on (i, i) *)
+              accumulate a i g;
+              accumulate a i g;
+              accumulate a i (-.g);
+              accumulate a i (-.g)
+            end
+            else begin
+              accumulate a i g;
+              let o = if u = i then v else u in
+              if o < n_i then accumulate a o (-.g)
+            end
+          done)
+  in
+  let ri =
+    of_rows ?par ~width:8 ~rows:r ~cols:dim (fun a q ->
+        let node = n_i + q in
+        for t = ptr.(node) to ptr.(node + 1) - 1 do
+          let k = inc.(t) in
+          let o = if bi.(k) = node then bj.(k) else bi.(k) in
+          if o < n_i then accumulate a o (-.bg.(k))
+        done)
+  in
+  (ii, ri, rr)
+
 let of_csr ~rows ~cols ~row_ptr ~col_idx ~values =
   let bad what = invalid_arg ("Sparse.of_csr: " ^ what) in
   if rows < 0 || cols < 0 then bad "negative dimension";

@@ -27,6 +27,46 @@ val finalize : builder -> t
     by row, then an insertion sort within each row); rows wider than
     32 entries are merge-sorted. *)
 
+type par = { width : int; run : int -> (int -> unit) -> unit }
+(** A parallel loop: [run n f] evaluates [f 0 .. f (n - 1)], at most
+    [width] at a time, and returns when all have finished (a worker
+    pool's batch run).  The tasks a caller hands it write disjoint
+    data, so their order does not matter. *)
+
+val sequential : par
+(** The plain loop on the calling domain, [width = 1]. *)
+
+val galerkin : ?par:par -> t -> t -> t
+(** [galerkin ?par p a] is the Galerkin product [P{^T} A P] of a square
+    [a] and a prolongation [p] with as many rows: one coarse row at a
+    time, through a dense accumulator.  Every entry sums its
+    contributions [p(i, c) * p(j, d) * a(i, j)] in ascending (fine row
+    [i], fine column [j]) order, starting from 0; entries that sum to
+    exactly 0 are dropped.  The coarse rows are built in up to
+    [par.width] contiguous ranges of at least 256 rows, one task of
+    [par] (default {!sequential}) each, with its own accumulator of
+    [cols p] floats, and concatenated in row order, so the result is
+    bit-identical whatever [par] is.
+    Raises [Invalid_argument] on a dimension mismatch. *)
+
+val laplacian_blocks :
+  ?par:par -> interior:int -> retained:int -> len:int -> int array ->
+  int array -> float array -> t * t * float array
+(** [laplacian_blocks ?par ~interior:n ~retained:r ~len bi bj bg] is
+    the weighted Laplacian of the [len] branches [(bi.(k), bj.(k))] of
+    conductance [bg.(k)] over nodes [0 .. n + r - 1], split into the
+    interior block [A_ii] ([max n 1] square, CSR), the retained-interior
+    coupling [A_ri] ([r] by [max n 1], CSR) and the retained block
+    [A_rr] ([r * r], dense, row-major).  Each entry sums its branch
+    contributions in branch order; the result is bit-identical to
+    {!add}ing each branch's four stamps [(u,u,g)], [(v,v,g)],
+    [(u,v,-g)], [(v,u,-g)] in branch order and {!finalize}-ing, but
+    costs two incidence entries per branch instead of four sorted
+    triples.  The CSR rows are built as {!galerkin}'s are: in row
+    ranges on [par], bit-identical whatever [par] is.
+    Raises [Invalid_argument] when a branch names a node outside
+    [0 .. n + r - 1]. *)
+
 val of_csr :
   rows:int -> cols:int -> row_ptr:int array -> col_idx:int array ->
   values:float array -> t

@@ -18,6 +18,8 @@ type stats = {
   cg_iterations_total : int;
   mg_levels : int;
   assemble_seconds : float;
+  setup_seconds : float;
+  solve_seconds : float;
   reduce_seconds : float;
   stitch_seconds : float;
   cache_hits : int;
@@ -427,52 +429,28 @@ type reduction = {
 (* a tile's Schur block and the CG iterations that produced it *)
 type block = { matrix : float array; iterations : int }
 
-(* A_ii, B and A_bb from the problem's branch list in one pass, and the
-   multigrid hierarchy of A_ii *)
-let setup (p : problem) =
-  let n_i = p.n_i and r = Array.length p.labels and bb = p.branches in
-  let aii = N.Sparse.builder (max n_i 1) (max n_i 1) in
-  let b = N.Sparse.builder r (max n_i 1) in
-  let abb = Array.make (r * r) 0.0 in
-  let stamp_bb ru rv g =
-    abb.((ru * r) + rv) <- abb.((ru * r) + rv) +. g
+(* A_ii, B and A_bb from the problem's branch list, and the multigrid
+   hierarchy of A_ii; the CSR rows and every Galerkin product are
+   built in row ranges on [par] *)
+let setup ~par (p : problem) =
+  let bb = p.branches in
+  let aii, b, abb =
+    N.Sparse.laplacian_blocks ~par ~interior:p.n_i
+      ~retained:(Array.length p.labels) ~len:bb.blen bb.bi bb.bj bb.bg
   in
-  for k = 0 to bb.blen - 1 do
-    let u = bb.bi.(k) and v = bb.bj.(k) and g = bb.bg.(k) in
-    let stamp_cross i rq =
-      (* interior i against retained rq *)
-      N.Sparse.add aii i i g;
-      stamp_bb rq rq g;
-      N.Sparse.add b rq i (-.g)
-    in
-    match (u < n_i, v < n_i) with
-    | true, true ->
-      N.Sparse.add aii u u g;
-      N.Sparse.add aii v v g;
-      N.Sparse.add aii u v (-.g);
-      N.Sparse.add aii v u (-.g)
-    | true, false -> stamp_cross u (v - n_i)
-    | false, true -> stamp_cross v (u - n_i)
-    | false, false ->
-      let ru = u - n_i and rv = v - n_i in
-      stamp_bb ru ru g;
-      stamp_bb rv rv g;
-      stamp_bb ru rv (-.g);
-      stamp_bb rv ru (-.g)
-  done;
-  let aii = N.Sparse.finalize aii in
   let mg =
-    if n_i = 0 then None
+    if p.n_i = 0 then None
     else
-      try Some (N.Mg.build ~dims:p.dims aii)
+      try Some (N.Mg.build ~par ~dims:p.dims aii)
       with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
   in
-  { problem = p; aii; mg; b = N.Sparse.finalize b; abb;
-    s = Array.copy abb; iters = Array.make r 0 }
+  { problem = p; aii; mg; b; abb; s = Array.copy abb;
+    iters = Array.make (Array.length p.labels) 0 }
 
 (* Schur columns [qs] (one to four) as the lanes of one MG-PCG solve:
-   x_c = A_ii^-1 B^T e_q for q = qs.(c), then S(:, q) = A_bb(:, q) - B x_c.
-   Each lane's bits are those of its column solved alone. *)
+   x_c = A_ii^-1 B^T e_q for q = qs.(c), then S(:, q) = A_bb(:, q) - B x_c,
+   read from the solve's interleaved iterate.  Each lane's bits are
+   those of its column solved alone. *)
 let solve_block red mg qs =
   let p = red.problem in
   let r = Array.length p.labels and w = Array.length qs in
@@ -486,22 +464,22 @@ let solve_block red mg qs =
         rhs.((w * ci.(e)) + c) <- bv.(e)
       done)
     qs;
-  let lanes =
+  let blk =
     try
       N.Cg.solve_lanes ~tol:cg_tol ~precond:(N.Mg.precond_lanes mg ~lanes:w)
         ~lanes:w red.aii rhs
     with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
   in
+  let x = blk.N.Cg.x in
   Array.iteri
     (fun c q ->
-      let res = lanes.(c) in
-      red.iters.(q) <- res.N.Cg.iterations;
-      if not res.N.Cg.converged then raise (N.Cg.Not_converged res);
-      let x = res.N.Cg.solution in
+      red.iters.(q) <- blk.N.Cg.lane_iterations.(c);
+      if not blk.N.Cg.lane_converged.(c) then
+        raise (N.Cg.Not_converged (N.Cg.lane blk c));
       for rr = 0 to r - 1 do
         let dot = ref 0.0 in
         for e = rp.(rr) to rp.(rr + 1) - 1 do
-          dot := !dot +. (bv.(e) *. x.(ci.(e)))
+          dot := !dot +. (bv.(e) *. x.((w * ci.(e)) + c))
         done;
         red.s.((rr * r) + q) <- red.abb.((rr * r) + q) -. !dot
       done)
@@ -525,12 +503,24 @@ let column_blocks ~jobs red mg =
       let lo = k * c / nb and hi = (k + 1) * c / nb in
       (red, mg, Array.sub qs lo (hi - lo)))
 
-(* Every problem's block, and the deepest hierarchy built.  The column
-   blocks of all tiles run as one batch, so tile- and column-level
-   parallelism share the pool. *)
+(* Every problem's block, the deepest hierarchy built and the seconds
+   the setup took.  With a tile for every worker, each tile's setup is
+   one task; with fewer, the tiles are set up one after another, each
+   phase of each in row ranges over the whole pool.  (A nested
+   [Pool.run] executes inline, so the two cannot share one batch.)
+   The column blocks of all tiles then run as one batch, so tile- and
+   column-level parallelism share the pool. *)
 let reduce_tiles pool problems =
-  let reds = Pool.map_array pool setup problems in
+  let t0 = Unix.gettimeofday () in
   let jobs = Pool.jobs pool in
+  let reds =
+    if Array.length problems >= jobs then
+      Pool.map_array pool (setup ~par:N.Sparse.sequential) problems
+    else
+      let par = { N.Sparse.width = jobs; run = (fun n f -> Pool.run pool ~n f) } in
+      Array.map (setup ~par) problems
+  in
+  let setup_seconds = Unix.gettimeofday () -. t0 in
   let blocks =
     Array.concat
       (Array.to_list
@@ -560,7 +550,7 @@ let reduce_tiles pool problems =
       { matrix = s; iterations = Array.fold_left ( + ) 0 red.iters }
   in
   let levels m red = max m (Option.fold ~none:0 ~some:N.Mg.levels red.mg) in
-  (Array.map block reds, Array.fold_left levels 0 reds)
+  (Array.map block reds, Array.fold_left levels 0 reds, setup_seconds)
 
 (* ------------------------------------------------------------------ *)
 (* Stage 3, stitch: the blocks scattered over (skeleton, ports) and the
@@ -665,7 +655,7 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
     List.filter (fun t -> snd found.(t) = None) (List.init n_tiles Fun.id)
     |> Array.of_list
   in
-  let fresh, mg_levels =
+  let fresh, mg_levels, setup_seconds =
     reduce_tiles pool (Array.map (fun t -> a.problems.(t)) missed)
   in
   let blocks = Array.map (fun (_, m) -> Option.value m ~default:[||]) found in
@@ -709,6 +699,8 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
         Array.fold_left (fun acc b -> acc + b.iterations) 0 fresh;
       mg_levels;
       assemble_seconds = t_assemble -. t0;
+      setup_seconds;
+      solve_seconds = t_reduce -. t_assemble -. setup_seconds;
       reduce_seconds = t_reduce -. t_assemble;
       stitch_seconds = t_end -. t_reduce;
       cache_hits;
@@ -771,6 +763,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
           cg_iterations_total = 0;
           mg_levels = 0;
           assemble_seconds = 0.0;
+          setup_seconds = 0.0;
+          solve_seconds = elapsed;
           reduce_seconds = elapsed;
           stitch_seconds = 0.0;
           cache_hits = n_tiles;

@@ -50,7 +50,15 @@ type stats = {
       (** deepest multigrid hierarchy built; [0] unless at least one
           tile with interior cells was reduced *)
   assemble_seconds : float;  (** grid build, contact scan, bucketing *)
-  reduce_seconds : float;  (** per-tile Schur reduction (or cache) *)
+  setup_seconds : float;
+      (** reduce stage, part one: each missed tile's A_ii, B and A_bb
+          and its multigrid hierarchy *)
+  solve_seconds : float;
+      (** reduce stage, part two: the tile-cache lookups and stores and
+          the Schur columns' MG-PCG solves *)
+  reduce_seconds : float;
+      (** the whole per-tile Schur reduction (or cache):
+          [setup_seconds +. solve_seconds] *)
   stitch_seconds : float;  (** interface-skeleton elimination *)
   cache_hits : int;
   cache_misses : int;
@@ -60,7 +68,7 @@ type stats = {
           built, [cache_hits = tiles], [cg_iterations_total = 0], and
           [grid_cells], [tiles] and [interface_nodes] are the recording
           cold run's; the key, lookups and the matrix copy count as
-          [reduce_seconds] *)
+          [solve_seconds] and [reduce_seconds] *)
 }
 
 val last_stats : unit -> stats option

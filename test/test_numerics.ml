@@ -599,7 +599,7 @@ let test_mg_precond_count () =
         (fun c (_, it) ->
           Alcotest.(check int)
             (Printf.sprintf "%s lane %d iterations" what c)
-            it block.(c).Cg.iterations)
+            it block.Cg.lane_iterations.(c))
         alone;
       if coarse_limit < n then
         Alcotest.(check bool)
@@ -758,9 +758,88 @@ let prop_lanes_match_columns =
       let jacobi_lanes = Cg.solve_lanes ~max_iter:40 ~lanes:w m b in
       List.for_all
         (fun c ->
-          agree mg_lanes.(c) (Cg.solve ~precond:(Mg.precond mg) m cols.(c))
-          && agree jacobi_lanes.(c) (Cg.solve ~max_iter:40 m cols.(c)))
+          agree (Cg.lane mg_lanes c)
+            (Cg.solve ~precond:(Mg.precond mg) m cols.(c))
+          && agree (Cg.lane jacobi_lanes c) (Cg.solve ~max_iter:40 m cols.(c)))
         (List.init w Fun.id))
+
+(* The row-parallel setup is the sequential one, bit for bit: on a
+   random layered grid with a few retained nodes (contacts from surface
+   cells, retained-retained and duplicated branches), the A_ii / A_ri /
+   A_rr blocks built on pools of width 1 to 3 equal the four stamps per
+   branch through [Sparse.builder], and every level of a one- or
+   multi-level hierarchy built on the pool (P, Galerkin operator,
+   coarse envelope factor) equals the sequential build.  Marshal bytes
+   carry every float's bits, so equal strings are equal structures. *)
+let prop_parallel_setup_bit_identical =
+  let module Pool = Sn_engine.Pool in
+  QCheck.Test.make ~count:20 ~name:"row-parallel setup is the sequential build, bit for bit"
+    QCheck.(quad (int_range 4 24) (int_range 1 4) (int_range 1 3) (int_range 0 10000))
+    (fun (n_lat, nz, width, seed) ->
+      let st = Random.State.make [| seed; n_lat; nz; width |] in
+      let nx = n_lat and ny = n_lat + Random.State.int st 5 in
+      let n = nx * ny * nz and r = 1 + Random.State.int st 6 in
+      let branches = ref [] in
+      let branch i j =
+        branches := (i, j, Random.State.float st 2.0) :: !branches
+      in
+      let idx ix iy iz = (iz * nx * ny) + (iy * nx) + ix in
+      (* one contact at least: A_ii is then positive definite *)
+      branch 0 n;
+      for iz = 0 to nz - 1 do
+        for iy = 0 to ny - 1 do
+          for ix = 0 to nx - 1 do
+            if ix + 1 < nx then branch (idx ix iy iz) (idx (ix + 1) iy iz);
+            if iy + 1 < ny then branch (idx ix (iy + 1) iz) (idx ix iy iz);
+            if iz + 1 < nz then branch (idx ix iy iz) (idx ix iy (iz + 1));
+            if iz = 0 && Random.State.int st 4 = 0 then
+              branch (n + Random.State.int st r) (idx ix iy 0)
+          done
+        done
+      done;
+      for _ = 1 to 3 do
+        branch (n + Random.State.int st r) (n + Random.State.int st r);
+        let i, j, _ =
+          List.nth !branches (Random.State.int st (List.length !branches))
+        in
+        branch i j
+      done;
+      let all = Array.of_list (List.rev !branches) in
+      let len = Array.length all in
+      let bi = Array.map (fun (i, _, _) -> i) all
+      and bj = Array.map (fun (_, j, _) -> j) all
+      and bg = Array.map (fun (_, _, g) -> g) all in
+      let reference =
+        let aii = Sparse.builder n n and ari = Sparse.builder r n in
+        let arr = Array.make (r * r) 0.0 in
+        let stamp i j g =
+          match (i < n, j < n) with
+          | true, true -> Sparse.add aii i j g
+          | false, true -> Sparse.add ari (i - n) j g
+          | true, false -> ()
+          | false, false ->
+            arr.(((i - n) * r) + j - n) <- arr.(((i - n) * r) + j - n) +. g
+        in
+        for k = 0 to len - 1 do
+          let u = bi.(k) and v = bj.(k) and g = bg.(k) in
+          stamp u u g;
+          stamp v v g;
+          stamp u v (-.g);
+          stamp v u (-.g)
+        done;
+        Marshal.to_string (Sparse.finalize aii, Sparse.finalize ari, arr) []
+      in
+      let pool = Pool.create ~jobs:width () in
+      Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+      let par = { Sparse.width; run = (fun n f -> Pool.run pool ~n f) } in
+      let ((aii, _, _) as blocks) =
+        Sparse.laplacian_blocks ~par ~interior:n ~retained:r ~len bi bj bg
+      in
+      let dims = (nx, ny, nz) and coarse_limit = if seed mod 2 = 0 then 60 else n in
+      String.equal reference (Marshal.to_string blocks [])
+      && String.equal
+           (Marshal.to_string (Mg.build ~coarse_limit ~dims aii) [])
+           (Marshal.to_string (Mg.build ~coarse_limit ~par ~dims aii) []))
 
 (* Each solve owns its V-cycle workspace: solving on four domains, each
    task with its own [Mg.precond], gives the sequential bytes. *)
@@ -1493,6 +1572,7 @@ let suites =
         Alcotest.test_case "PCG skips its unused last V-cycle" `Quick
           test_mg_precond_count;
         qcheck prop_lanes_match_columns;
+        qcheck prop_parallel_setup_bit_identical;
       ] );
     ( "numerics.splu",
       [
