@@ -81,8 +81,8 @@ let test_fig3_cold_extraction_cg_budget () =
       s.Sn_substrate.Extractor.cache_hits;
     let it = s.Sn_substrate.Extractor.cg_iterations_total in
     Alcotest.(check bool)
-      (Printf.sprintf "%d CG iterations <= 120" it)
-      true (it > 0 && it <= 120)
+      (Printf.sprintf "%d CG iterations <= 70" it)
+      true (it > 0 && it <= 70)
 
 let test_sec3_gmb_gds_ranges () =
   let r = Lazy.force sec3 in
