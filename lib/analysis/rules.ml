@@ -393,18 +393,44 @@ let is_substrate_element name = List.exists (fun p -> has_prefix p name) substra
 let port_bindings ctx =
   (* node -> (substrate touches, other touches) *)
   let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 64 in
+  let touches n = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl n) in
   List.iter
     (fun e ->
       let sub = is_substrate_element (E.name e) in
       List.iter
         (fun n ->
           if not (E.is_ground n) then begin
-            let s, o = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl n) in
+            let s, o = touches n in
             Hashtbl.replace tbl n
               (if sub then (s + 1, o) else (s, o + 1))
           end)
         (E.nodes e))
     (elements ctx);
+  (* A well port binds through its own junction capacitor: a [cwell_*]
+     branch from [nwell:<net>] counts as a circuit touch of the port
+     when its other terminal is a circuit node, one that a
+     non-substrate element touches.  A well whose net floats stays
+     unbound. *)
+  let circuit n = (not (E.is_ground n)) && snd (touches n) > 0 in
+  let bound_wells =
+    List.concat_map
+      (fun e ->
+        match E.nodes e with
+        | [ a; b ] when has_prefix "cwell_" (E.name e) ->
+          List.filter_map
+            (fun (port, other) ->
+              if has_prefix well_port_prefix port && circuit other then
+                Some port
+              else None)
+            [ (a, b); (b, a) ]
+        | _ -> [])
+      (elements ctx)
+  in
+  List.iter
+    (fun port ->
+      let s, o = touches port in
+      Hashtbl.replace tbl port (s, o + 1))
+    bound_wells;
   tbl
 
 let unbound_ports ctx =

@@ -647,6 +647,38 @@ let test_merged_vco_clean_and_contract () =
   Alcotest.(check bool) "probe port contract" true
     (List.exists (has_prefix A.Rules.probe_port_prefix) nodes)
 
+(* The paper's own merged decks bind every n-well port through its
+   junction capacitor (cwell_* from nwell:<net> to <net>): the VCO
+   deck lints without a warning, and neither deck warns unbound-port.
+   A well whose net nothing else touches still warns. *)
+let test_merged_decks_bind_wells () =
+  let codes nl =
+    List.map
+      (fun (d : A.Rule.diagnostic) -> d.A.Rule.code)
+      (A.Analyzer.warnings (analyze nl))
+  in
+  let vco =
+    Snoise.Flow.vco_merged
+      (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune:0.45)
+  in
+  Alcotest.(check bool) "VCO deck has well ports" true
+    (List.exists (has_prefix A.Rules.well_port_prefix) (C.Netlist.nodes vco));
+  Alcotest.(check (list string)) "VCO deck: no warning" [] (codes vco);
+  let nmos =
+    Snoise.Flow.nmos_merged
+      (Snoise.Flow.build_nmos Sn_testchip.Nmos_structure.default)
+      ~vgs:0.9 ~vds:1.0
+  in
+  Alcotest.(check bool) "NMOS deck: no unbound-port" false
+    (List.mem "unbound-port" (codes nmos));
+  let floating = C.Spice.load (Filename.concat "decks" "floating_well.sp") in
+  Alcotest.(check bool) "floating well warns" true
+    (List.exists
+       (fun (d : A.Rule.diagnostic) ->
+         d.A.Rule.code = "unbound-port"
+         && A.Rule.subject_name d.A.Rule.subject = "nwell:vdd_lcl")
+       (A.Analyzer.warnings (analyze floating)))
+
 (* ------------------------------------------------------------------ *)
 (* QCheck soundness harness: on random small decks, a clean bill of
    health must never precede a singular pivot, and when the matching
@@ -745,5 +777,7 @@ let suites =
           test_probe_deck_lints_clean;
         Alcotest.test_case "merged VCO is error-free (contract)" `Slow
           test_merged_vco_clean_and_contract;
+        Alcotest.test_case "merged decks bind their wells" `Slow
+          test_merged_decks_bind_wells;
       ] );
   ]
