@@ -98,7 +98,8 @@ let build_transfer ~par (nx, ny, nz) (cx, cy) a =
     Sparse.of_csr ~rows:n ~cols:nc ~row_ptr:p_ptr
       ~col_idx:(Dyn.I.to_array p_idx) ~values:(Dyn.F.to_array p_w)
   in
-  (Sparse.row_ptr p, Sparse.col_idx p, Sparse.values p, Sparse.galerkin ~par p a)
+  ( Sparse.row_ptr p, Sparse.col_idx p, Sparse.values p,
+    Sparse.galerkin ~par p a )
 
 (* Envelope Cholesky factor of the coarsest operator ({!Chol}).  Its
    cells are renumbered with the axes in ascending extent, the shortest

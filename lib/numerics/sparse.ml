@@ -245,8 +245,9 @@ let incidence ~nodes ~len bi bj =
     let u = bi.(k) and v = bj.(k) in
     if u < 0 || u >= nodes || v < 0 || v >= nodes then
       invalid_arg
-        (Printf.sprintf "Sparse.laplacian_blocks: branch %d (%d,%d) out of %d nodes"
-           k u v nodes);
+        (Printf.sprintf
+           "Sparse.laplacian_blocks: branch %d (%d,%d) out of %d nodes" k u v
+           nodes);
     ptr.(u + 1) <- ptr.(u + 1) + 1;
     if v <> u then ptr.(v + 1) <- ptr.(v + 1) + 1
   done;

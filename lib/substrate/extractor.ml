@@ -501,9 +501,8 @@ let solve_block red mg qs =
     qs;
   let blk =
     try
-      N.Cg.solve_lanes
-        ~tol:red.tol
-        ~precond:(N.Mg.precond_lanes mg ~lanes:w) ~lanes:w red.aii rhs
+      N.Cg.solve_lanes ~tol:red.tol ~precond:(N.Mg.precond_lanes mg ~lanes:w)
+        ~lanes:w red.aii rhs
     with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
   in
   let x = blk.N.Cg.x in
@@ -595,7 +594,9 @@ let reduce_tiles ~schur pool problems =
     if Array.length problems >= jobs then
       Pool.map_array pool (setup ~schur ~par:N.Sparse.sequential) problems
     else
-      let par = { N.Sparse.width = jobs; run = (fun n f -> Pool.run pool ~n f) } in
+      let par =
+        { N.Sparse.width = jobs; run = (fun n f -> Pool.run pool ~n f) }
+      in
       Array.map (setup ~schur ~par) problems
   in
   let setup_seconds = Unix.gettimeofday () -. t0 in
@@ -799,8 +800,7 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~schur ~form ~pool
 
 let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     ?(tiles = (1, 1)) ?cache ?reduction ?(schur = default_schur)
-    ?(pool = Pool.default ()) ~tech ~die
-    ports =
+    ?(pool = Pool.default ()) ~tech ~die ports =
   if ports = [] then invalid_arg "Extractor.extract: no ports";
   let form = form_of reduction in
   List.iter
@@ -827,8 +827,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     Option.map
       (fun _ ->
         Cache.hex_key
-          (input_material ~config ~grounded_backplane ~tiles ~schur ~form ~profile
-             ~die ports))
+          (input_material ~config ~grounded_backplane ~tiles ~schur ~form
+             ~profile ~die ports))
       cache
   in
   let served, lookup =

@@ -773,8 +773,11 @@ let prop_lanes_match_columns =
    carry every float's bits, so equal strings are equal structures. *)
 let prop_parallel_setup_bit_identical =
   let module Pool = Sn_engine.Pool in
-  QCheck.Test.make ~count:20 ~name:"row-parallel setup is the sequential build, bit for bit"
-    QCheck.(quad (int_range 4 24) (int_range 1 4) (int_range 1 3) (int_range 0 10000))
+  QCheck.Test.make ~count:20
+    ~name:"row-parallel setup is the sequential build, bit for bit"
+    QCheck.(
+      quad (int_range 4 24) (int_range 1 4) (int_range 1 3)
+        (int_range 0 10000))
     (fun (n_lat, nz, width, seed) ->
       let st = Random.State.make [| seed; n_lat; nz; width |] in
       let nx = n_lat and ny = n_lat + Random.State.int st 5 in
@@ -835,7 +838,8 @@ let prop_parallel_setup_bit_identical =
       let ((aii, _, _) as blocks) =
         Sparse.laplacian_blocks ~par ~interior:n ~retained:r ~len bi bj bg
       in
-      let dims = (nx, ny, nz) and coarse_limit = if seed mod 2 = 0 then 60 else n in
+      let dims = (nx, ny, nz) in
+      let coarse_limit = if seed mod 2 = 0 then 60 else n in
       String.equal reference (Marshal.to_string blocks [])
       && String.equal
            (Marshal.to_string (Mg.build ~coarse_limit ~dims aii) [])

@@ -1202,7 +1202,9 @@ let test_one_level_tile () =
 let test_corrected_schur_accuracy () =
   let config = { Grid.nx = 20; ny = 20; z_per_layer = Some [ 1; 1; 1; 1 ] } in
   let d = Extractor.default_schur in
-  let linear tol = { d with Extractor.corrected_max_retained = 0; linear_tol = tol } in
+  let linear tol =
+    { d with Extractor.corrected_max_retained = 0; linear_tol = tol }
+  in
   List.iter
     (fun seed ->
       let ports = scale_ports seed in
