@@ -7,12 +7,6 @@ let log_src = Logs.Src.create "sn.substrate" ~doc:"substrate extraction"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type schur = {
-  linear_tol : float;
-  corrected_max_retained : int;
-  corrected_tol : float;
-}
-
 (* The linear form S = A_bb - B X stops each Schur column's CG at a
    relative residual of 1e-13: its error is about 10^3 x tol.  A tile
    with at most 16 retained nodes takes the residual-corrected form
@@ -23,8 +17,9 @@ type schur = {
    one is done: at r <= 16 that is about one V-cycle per column and no
    more memory than one four-lane solve holds.  Wider (interface-heavy,
    tiled) reductions keep the linear form. *)
-let default_schur =
-  { linear_tol = 1e-13; corrected_max_retained = 16; corrected_tol = 1e-10 }
+let linear_tol = 1e-13
+let corrected_max_retained = 16
+let corrected_tol = 1e-10
 
 type stats = {
   grid_cells : int;
@@ -285,8 +280,8 @@ let assemble ~config ~grounded_backplane ~tiles ~profile ~die ~ports_arr ports =
     interface_nodes = offset.(n_tiles - 1) + Array.length iface.(n_tiles - 1);
   }
 
-let corrected schur (p : problem) =
-  Array.length p.labels <= schur.corrected_max_retained
+let corrected (p : problem) =
+  Array.length p.labels <= corrected_max_retained
 
 let zero_diag_error (tl : Tiling.tile) li =
   let w = tl.Tiling.ix1 - tl.Tiling.ix0 in
@@ -304,7 +299,7 @@ let zero_diag_error (tl : Tiling.tile) li =
    interior box shape, retained labels and the full branch list (grid
    spacings and technology numbers are already folded into the branch
    conductances) *)
-let key_material ~schur ~form (p : problem) =
+let key_material ~form (p : problem) =
   let w, h, d = p.dims and bb = p.branches and labels = p.labels in
   let buf = Buffer.create (64 + (20 * bb.blen)) in
   Buffer.add_string buf "snoise-tile/";
@@ -313,13 +308,13 @@ let key_material ~schur ~form (p : problem) =
   Buffer.add_string buf form;
   (* the Schur form's tag and tolerance bits are part of every stored
      key: changing them orphans warm cache directories *)
-  if corrected schur p then begin
+  if corrected p then begin
     Buffer.add_string buf "/cg+r:";
-    Buffer.add_int64_le buf (Int64.bits_of_float schur.corrected_tol)
+    Buffer.add_int64_le buf (Int64.bits_of_float corrected_tol)
   end
   else begin
     Buffer.add_string buf "/cg:";
-    Buffer.add_int64_le buf (Int64.bits_of_float schur.linear_tol)
+    Buffer.add_int64_le buf (Int64.bits_of_float linear_tol)
   end;
   List.iter
     (fun v ->
@@ -348,7 +343,7 @@ let form_of = function None -> "exact" | Some digest -> digest
    serialized with exact float bits and length-prefixed strings.  The
    cache handle's index maps its digest to the content keys a cold run
    produced, so a warm run finds its tiles without building the grid. *)
-let input_material ~config ~grounded_backplane ~tiles:(tx, ty) ~schur ~form
+let input_material ~config ~grounded_backplane ~tiles:(tx, ty) ~form
     ~(profile : T.substrate_profile) ~die ports =
   let buf = Buffer.create 512 in
   let int i = Buffer.add_int64_le buf (Int64.of_int i) in
@@ -364,10 +359,10 @@ let input_material ~config ~grounded_backplane ~tiles:(tx, ty) ~schur ~form
   int Cache.format_version;
   str form;
   str "cg";
-  float schur.linear_tol;
+  float linear_tol;
   str "cg+r";
-  int schur.corrected_max_retained;
-  float schur.corrected_tol;
+  int corrected_max_retained;
+  float corrected_tol;
   List.iter int [ tx; ty; config.Grid.nx; config.Grid.ny ];
   (match config.Grid.z_per_layer with
    | None -> int (-1)
@@ -398,8 +393,7 @@ let input_material ~config ~grounded_backplane ~tiles:(tx, ty) ~schur ~form
 let input_key ?(config = Grid.default_config) ?(grounded_backplane = false)
     ?(tiles = (1, 1)) ?reduction ~tech ~die ports =
   Cache.hex_key
-    (input_material ~config ~grounded_backplane ~tiles ~schur:default_schur
-       ~form:(form_of reduction) ~profile:tech.T.substrate ~die ports)
+    (input_material ~config ~grounded_backplane ~tiles ~form:(form_of reduction) ~profile:tech.T.substrate ~die ports)
 
 (* a cached tile model fits the slot it is about to fill *)
 let usable ~labels ~r ~form (m : Cache.tile_model) =
@@ -452,6 +446,7 @@ type reduction = {
          of a retained node with no interior neighbour; each solved
          column is overwritten *)
   iters : int array; (* CG iterations per column *)
+  residuals : float array; (* each column's final relative residual *)
   tol : float; (* each column's CG tolerance *)
   corrected : bool; (* the residual-corrected form *)
   xhat : (float array * int) array;
@@ -465,7 +460,7 @@ type block = { matrix : float array; iterations : int }
 (* A_ii, B and A_bb from the problem's branch list, and the multigrid
    hierarchy of A_ii; the CSR rows and every Galerkin product are
    built in row ranges on [par] *)
-let setup ~schur ~par (p : problem) =
+let setup ~par (p : problem) =
   let bb = p.branches in
   let aii, b, abb =
     N.Sparse.laplacian_blocks ~par ~interior:p.n_i
@@ -477,9 +472,10 @@ let setup ~schur ~par (p : problem) =
       try Some (N.Mg.build ~par ~dims:p.dims aii)
       with N.Cg.Zero_diagonal li -> zero_diag_error p.tile li
   in
-  let r = Array.length p.labels and corrected = corrected schur p in
+  let r = Array.length p.labels and corrected = corrected p in
   { problem = p; aii; mg; b; abb; s = Array.copy abb; iters = Array.make r 0;
-    tol = (if corrected then schur.corrected_tol else schur.linear_tol);
+    residuals = Array.make r 0.0;
+    tol = (if corrected then corrected_tol else linear_tol);
     corrected; xhat = Array.make (if corrected then r else 0) ([||], 0) }
 
 (* Schur columns [qs] (one to four) as the lanes of one MG-PCG solve:
@@ -510,6 +506,7 @@ let solve_block red mg qs =
     (fun c q ->
       if red.corrected then red.xhat.(q) <- (x, c);
       red.iters.(q) <- blk.N.Cg.lane_iterations.(c);
+      red.residuals.(q) <- blk.N.Cg.lane_residual_norms.(c);
       if not blk.N.Cg.lane_converged.(c) then
         raise (N.Cg.Not_converged (N.Cg.lane blk c));
       for rr = 0 to r - 1 do
@@ -525,13 +522,15 @@ let solve_block red mg qs =
    corrected tile: S~(:, q) = S(:, q) - X^^T R_q with R_q = B^T e_q -
    A_ii x^_q, one lane matvec for the block and one dot of length n_i
    per solved column of X^.  D = A_ii X^ - B^T = -R is what is formed,
-   and S~ = S + X^^T D, the same bits.  A column whose solve converged
-   in one iteration (a one-level hierarchy's direct solve) keeps its
-   linear form. *)
+   and S~ = S + X^^T D, the same bits.  A column whose solve already
+   reached the linear form's tolerance (a one-level hierarchy's direct
+   solve) keeps its linear form: it is as accurate as the linear
+   extractor's. *)
 let correct_block red qs =
   let p = red.problem in
   let r = Array.length p.labels and n_i = p.n_i and w = Array.length qs in
-  if Array.exists (fun q -> red.iters.(q) > 1) qs then begin
+  let needs q = red.residuals.(q) > linear_tol in
+  if Array.exists needs qs then begin
     let rp = N.Sparse.row_ptr red.b
     and ci = N.Sparse.col_idx red.b
     and bv = N.Sparse.values red.b in
@@ -547,7 +546,7 @@ let correct_block red qs =
       qs;
     Array.iteri
       (fun c q ->
-        if red.iters.(q) > 1 then
+        if needs q then
           for a = 0 to r - 1 do
             let xa, ca = red.xhat.(a) in
             if Array.length xa > 0 then begin
@@ -587,17 +586,17 @@ let column_blocks ~jobs red mg =
    [Pool.run] executes inline, so the two cannot share one batch.)
    The column blocks of all tiles then run as one batch, so tile- and
    column-level parallelism share the pool. *)
-let reduce_tiles ~schur pool problems =
+let reduce_tiles pool problems =
   let t0 = Unix.gettimeofday () in
   let jobs = Pool.jobs pool in
   let reds =
     if Array.length problems >= jobs then
-      Pool.map_array pool (setup ~schur ~par:N.Sparse.sequential) problems
+      Pool.map_array pool (setup ~par:N.Sparse.sequential) problems
     else
       let par =
         { N.Sparse.width = jobs; run = (fun n f -> Pool.run pool ~n f) }
       in
-      Array.map (setup ~schur ~par) problems
+      Array.map (setup ~par) problems
   in
   let setup_seconds = Unix.gettimeofday () -. t0 in
   let blocks =
@@ -715,7 +714,7 @@ let stitch ~np (a : assembly) blocks =
    or reduce it, stitch, and record the result in the cache handle's
    input-key index.  [lookup] answers for the cache, reusing lookups
    this extraction already made. *)
-let extract_cold ~config ~grounded_backplane ~tiles ~cache ~schur ~form ~pool
+let extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
     ~profile ~die ~ports_arr ~lookup ~input_key ~t0 ports =
   let np = Array.length ports_arr in
   let a =
@@ -727,7 +726,7 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~schur ~form ~pool
     match cache with
     | None -> (None, None)
     | Some _ -> (
-      let k = Cache.hex_key (key_material ~schur ~form p) in
+      let k = Cache.hex_key (key_material ~form p) in
       let r = Array.length p.labels in
       match lookup k with
       | Some m when usable ~labels:p.labels ~r ~form m ->
@@ -744,7 +743,7 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~schur ~form ~pool
     |> Array.of_list
   in
   let fresh, mg_levels, setup_seconds =
-    reduce_tiles ~schur pool (Array.map (fun t -> a.problems.(t)) missed)
+    reduce_tiles pool (Array.map (fun t -> a.problems.(t)) missed)
   in
   let blocks = Array.map (fun (_, m) -> Option.value m ~default:[||]) found in
   Array.iteri
@@ -799,8 +798,8 @@ let extract_cold ~config ~grounded_backplane ~tiles ~cache ~schur ~form ~pool
     } )
 
 let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
-    ?(tiles = (1, 1)) ?cache ?reduction ?(schur = default_schur)
-    ?(pool = Pool.default ()) ~tech ~die ports =
+    ?(tiles = (1, 1)) ?cache ?reduction ?(pool = Pool.default ()) ~tech ~die
+    ports =
   if ports = [] then invalid_arg "Extractor.extract: no ports";
   let form = form_of reduction in
   List.iter
@@ -827,8 +826,8 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
     Option.map
       (fun _ ->
         Cache.hex_key
-          (input_material ~config ~grounded_backplane ~tiles ~schur ~form
-             ~profile ~die ports))
+          (input_material ~config ~grounded_backplane ~tiles ~form ~profile
+             ~die ports))
       cache
   in
   let served, lookup =
@@ -861,7 +860,7 @@ let extract ?(config = Grid.default_config) ?(grounded_backplane = false)
           input_key_hit = true;
         } )
     | None ->
-      extract_cold ~config ~grounded_backplane ~tiles ~cache ~schur ~form ~pool
+      extract_cold ~config ~grounded_backplane ~tiles ~cache ~form ~pool
         ~profile ~die ~ports_arr ~lookup ~input_key ~t0 ports
   in
   Atomic.set stats_ref (Some stats);

@@ -9,9 +9,18 @@
 
     Each Schur column is one lane of a conjugate-gradient solve
     preconditioned by a geometric multigrid V-cycle ({!Sn_numerics.Mg}),
-    run to a fixed relative residual: [1e-13] for the linear form
-    [S = A_bb - B X], [1e-10] for the residual-corrected form that
-    tiles with few retained nodes take ({!schur}).  A tile's columns are
+    run to a fixed relative residual.  A tile with more than 16
+    retained nodes takes the linear form [S = A_bb - B X] at [1e-13],
+    whose error is about [10{^3}] times the tolerance.  A tile with at
+    most 16 (the untiled paper flows keep 4 and 8 ports) takes the
+    residual-corrected form [S~ = A_bb - B X^ - X^{^T} R] with
+    [R = B{^T} - A_ii X^] recomputed once per column: its error is
+    quadratic in the solve error, so its columns stop at [1e-10], about
+    a third fewer CG iterations at the linear form's accuracy.  A
+    column whose solve already met [1e-13] keeps its linear form.
+    Wider tiles keep the linear form because the correction costs
+    [r{^2} n_i] multiply-adds and holds [r n_i] floats of [X^].  A
+    tile's columns are
     solved up to four abreast ({!Sn_numerics.Cg.solve_lanes}), so every
     decoded matrix entry serves each column of the block, and each
     lane's bits are those of its column solved alone.  That keeps the
@@ -38,29 +47,6 @@
     returns the recorded matrix without building the grid.  The index
     is not persisted: a fresh handle, even on a warm directory, builds
     the grid once and records. *)
-
-(** How each tile's Schur block is formed from its columns' MG-PCG
-    solves. *)
-type schur = {
-  linear_tol : float;
-      (** CG tolerance of the linear form [S = A_bb - B X], whose error
-          is about [10{^3}] times it *)
-  corrected_max_retained : int;
-      (** a tile with at most this many retained nodes takes the
-          residual-corrected form [S~ = A_bb - B X^ - X^{^T} R] with
-          [R = B{^T} - A_ii X^] recomputed once per column, whose error
-          is quadratic in the solve error; a column whose solve
-          converged in one iteration keeps its linear form *)
-  corrected_tol : float;  (** CG tolerance of the corrected form *)
-}
-
-val default_schur : schur
-(** [{ linear_tol = 1e-13; corrected_max_retained = 16;
-    corrected_tol = 1e-10 }]: the untiled paper flows (4 and 8 ports)
-    take the corrected form, about a third fewer CG iterations at the
-    linear form's accuracy; interface-heavy tiles keep the linear
-    form, because the correction costs [r{^2} n_i] multiply-adds and
-    holds [r n_i] floats of [X^]. *)
 
 (** Counters and phase timings of one extraction. *)
 type stats = {
@@ -113,8 +99,8 @@ val input_key :
 (** [input_key ... ports] is the hex digest {!extract} looks up in the
     cache handle's index, under the same defaults.  It covers
     {!Cache.format_version}, the [reduction] tag, tags naming the CG
-    solve's two Schur forms and every {!default_schur} field (exact
-    tolerance bits), [tiles], every
+    solve's two Schur forms, their tolerances (exact bits) and the
+    retained-node bound between them, [tiles], every
     {!Grid.config} field, [grounded_backplane], the die, the whole
     substrate profile of [tech] (each layer's depth and resistivity,
     the contact resistance and both n-well capacitance coefficients)
@@ -127,14 +113,13 @@ val extract :
   ?tiles:int * int ->
   ?cache:Cache.t ->
   ?reduction:string ->
-  ?schur:schur ->
   ?pool:Sn_engine.Pool.t ->
   tech:Sn_tech.Tech.t ->
   die:Sn_geometry.Rect.t ->
   Port.t list ->
   Macromodel.t
-(** [extract ?config ?grounded_backplane ?tiles ?cache ?reduction ?schur
-    ?pool ~tech ~die ports] computes the macromodel.
+(** [extract ?config ?grounded_backplane ?tiles ?cache ?reduction ?pool
+    ~tech ~die ports] computes the macromodel.
 
     With [grounded_backplane] (default [false]) the die backside is
     metallized: an extra resistive port named ["backplane"] couples to
@@ -164,12 +149,9 @@ val extract :
     disjoint cache namespaces — a mismatched or corrupted entry is a
     fail-soft miss, never a wrong answer.
 
-    [schur] (default {!default_schur}) selects each tile's Schur form
-    and CG tolerance.  Every field is part of the input key, and each
-    tile's key names the form it took and that form's tolerance bits,
-    so extractions under different settings never share cache
-    entries; with the default, a tile above the bound keeps the key
-    the linear-only extractor gave it.
+    Each tile's cache key names the Schur form it took and that form's
+    tolerance bits, so a tile above the retained-node bound keeps the
+    key the linear-only extractor gave it.
 
     Port columns (and tiles) are reduced in parallel on [pool]
     (default {!Sn_engine.Pool.default}).  A tile's [c] columns that

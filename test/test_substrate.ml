@@ -1192,35 +1192,106 @@ let test_one_level_tile () =
     (Printf.sprintf "tiled vs elimination %.3g <= 1e-8" err)
     true (err <= 1e-8)
 
+(* The linear Schur form S = A_bb - B X of an untiled die, each column
+   of X an MG-PCG solve to [tol], built from the numerics alone on the
+   grid and contacts {!Elim.reduce_grid} discretizes, with the CG
+   iterations it took. *)
+let linear_schur ~config ~tol ~die ports =
+  let profile = T.imec018.T.substrate in
+  let rects = List.concat_map (fun (p : Port.t) -> p.Port.region) ports in
+  let grid =
+    Grid.build
+      ~snap_x:(List.concat_map (fun r -> [ r.G.Rect.x0; r.G.Rect.x1 ]) rects)
+      ~snap_y:(List.concat_map (fun r -> [ r.G.Rect.y0; r.G.Rect.y1 ]) rects)
+      config ~die profile
+  in
+  let n = Grid.cell_count grid and np = List.length ports in
+  let branches = ref [] in
+  Grid.iter_conductances grid (fun a b g -> branches := (a, b, g) :: !branches);
+  let um2 = T.micron *. T.micron in
+  for iy = 0 to Grid.ny grid - 1 do
+    for ix = 0 to Grid.nx grid - 1 do
+      let cell_rect = Grid.surface_cell_rect grid ix iy in
+      List.iteri
+        (fun p (port : Port.t) ->
+          let overlap =
+            List.fold_left
+              (fun acc r ->
+                match G.Rect.intersection r cell_rect with
+                | Some o -> acc +. G.Rect.area o
+                | None -> acc)
+              0.0 port.Port.region
+          in
+          if overlap > 0.0 then
+            branches :=
+              ( n + p,
+                Grid.cell_index grid ix iy 0,
+                overlap *. um2 /. profile.T.contact_resistance )
+              :: !branches)
+        ports
+    done
+  done;
+  let br = Array.of_list (List.rev !branches) in
+  let aii, b, abb =
+    N.Sparse.laplacian_blocks ~interior:n ~retained:np ~len:(Array.length br)
+      (Array.map (fun (i, _, _) -> i) br)
+      (Array.map (fun (_, j, _) -> j) br)
+      (Array.map (fun (_, _, g) -> g) br)
+  in
+  let mg = N.Mg.build ~dims:(Grid.nx grid, Grid.ny grid, Grid.nz grid) aii in
+  let rp = N.Sparse.row_ptr b
+  and ci = N.Sparse.col_idx b
+  and bv = N.Sparse.values b in
+  let s = Array.copy abb and iterations = ref 0 in
+  for q = 0 to np - 1 do
+    let rhs = Array.make n 0.0 in
+    for e = rp.(q) to rp.(q + 1) - 1 do
+      rhs.(ci.(e)) <- bv.(e)
+    done;
+    let res = N.Cg.solve ~tol ~precond:(N.Mg.precond mg) aii rhs in
+    Alcotest.(check bool) "linear Schur column converged" true
+      res.N.Cg.converged;
+    iterations := !iterations + res.N.Cg.iterations;
+    for a = 0 to np - 1 do
+      for e = rp.(a) to rp.(a + 1) - 1 do
+        s.((a * np) + q) <-
+          s.((a * np) + q) -. (bv.(e) *. res.N.Cg.solution.(ci.(e)))
+      done
+    done
+  done;
+  for a = 0 to np - 1 do
+    for c = a + 1 to np - 1 do
+      let v = 0.5 *. (s.((a * np) + c) +. s.((c * np) + a)) in
+      s.((a * np) + c) <- v;
+      s.((c * np) + a) <- v
+    done
+  done;
+  (N.Mat.of_flat ~rows:np ~cols:np s, !iterations)
+
 (* The residual correction earns its looser tolerance.  On generated
    small dies (3 or 4 ports, untiled, 1,600 cells: a multi-level
-   hierarchy, so each column takes many iterations), the corrected form
-   at 1e-10 agrees with the exact elimination at least as tightly as
-   the linear form at 1e-13, in fewer CG iterations, while the linear
-   form at 1e-10 is off by two orders of magnitude more: a correction
-   that did nothing would read as the latter. *)
+   hierarchy, so each column takes many iterations), the extractor's
+   corrected form at 1e-10 agrees with the exact elimination at least
+   as tightly as the linear form at 1e-13, in fewer CG iterations,
+   while the linear form at 1e-10 is off by two orders of magnitude
+   more: a correction that did nothing would read as the latter. *)
 let test_corrected_schur_accuracy () =
   let config = { Grid.nx = 20; ny = 20; z_per_layer = Some [ 1; 1; 1; 1 ] } in
-  let d = Extractor.default_schur in
-  let linear tol =
-    { d with Extractor.corrected_max_retained = 0; linear_tol = tol }
-  in
   List.iter
     (fun seed ->
       let ports = scale_ports seed in
       let direct =
-        Elim.reduce_grid ~config ~tech:T.imec018 ~die:scale_die ports
+        (Elim.reduce_grid ~config ~tech:T.imec018 ~die:scale_die ports)
+          .Macromodel.conductance
       in
-      let run schur =
-        let m =
-          Extractor.extract ~config ~schur ~tech:T.imec018 ~die:scale_die ports
-        in
-        ( max_rel_err direct.Macromodel.conductance m.Macromodel.conductance,
-          (stats_exn ()).Extractor.cg_iterations_total )
+      let m = Extractor.extract ~config ~tech:T.imec018 ~die:scale_die ports in
+      let corrected = max_rel_err direct m.Macromodel.conductance
+      and it_c = (stats_exn ()).Extractor.cg_iterations_total in
+      let linear tol =
+        let s, it = linear_schur ~config ~tol ~die:scale_die ports in
+        (max_rel_err direct s, it)
       in
-      let corrected, it_c = run d in
-      let linear13, it_13 = run (linear 1e-13) in
-      let linear10, _ = run (linear 1e-10) in
+      let linear13, it_13 = linear 1e-13 and linear10, _ = linear 1e-10 in
       let what = Printf.sprintf "seed %d" seed in
       Alcotest.(check bool)
         (Printf.sprintf "%s: corrected 1e-10 %.3g <= linear 1e-13 %.3g" what
