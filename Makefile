@@ -1,4 +1,4 @@
-.PHONY: all build test check lint bench bench-extract bench-serve bench-cancel bench-reduce bench-preflight server-smoke server-chaos doc loc clean
+.PHONY: all build test check lint bench server-smoke server-chaos doc loc clean
 
 all: build
 
@@ -23,37 +23,10 @@ lint: build
 	done; \
 	exit $$status
 
+# timing-ratio gates at full size (bench/main.ml); CI runs
+# `dune exec bench/main.exe -- small`
 bench:
 	dune exec bench/main.exe
-
-# extraction-at-scale bench only (MG-CG vs direct, tiled cache, BENCH_5.json);
-# `make bench-extract SMALL=1` runs the reduced CI-sized ladder
-bench-extract:
-	dune exec bench/main.exe -- part6 $(if $(SMALL),small)
-
-# resident-service bench only (cold vs warm requests/s, batching
-# byte-identity, BENCH_6.json); `make bench-serve SMALL=1` runs the
-# reduced CI-sized workload
-bench-serve:
-	dune exec bench/main.exe -- part7 $(if $(SMALL),small)
-
-# cooperative-cancellation bench only (armed-vs-disarmed AC sweep,
-# deadline-fires probe, BENCH_7.json); `make bench-cancel SMALL=1` runs
-# the reduced CI-sized ladder
-bench-cancel:
-	dune exec bench/main.exe -- part8 $(if $(SMALL),small)
-
-# PRIMA model-order-reduction bench only (exact vs rank-k AC sweep,
-# matched-accuracy + jobs byte-identity gates, BENCH_8.json);
-# `make bench-reduce SMALL=1` runs the reduced CI-sized mesh
-bench-reduce:
-	dune exec bench/main.exe -- part9 $(if $(SMALL),small)
-
-# numerical pre-flight overhead bench only (static verify vs cold
-# compile on the shipped example decks, <= 5% gate, BENCH_9.json);
-# `make bench-preflight SMALL=1` trims the repetition counts
-bench-preflight:
-	dune exec bench/main.exe -- part10 $(if $(SMALL),small)
 
 # end-to-end smoke of `snoise serve` over a real socket (docs/SERVER.md
 # session, scripted): cold/warm requests, stats counters, structured
@@ -71,7 +44,9 @@ server-chaos: build
 # code size as ROADMAP item 4 measures it: lib + bin .ml and .mli line
 # totals, and bench/main.ml; then the lib/ modules that no other lib/,
 # bin/ or examples/ file names (qualified access, module alias, include
-# or open), i.e. code only tests or benches reach
+# or open), i.e. code only tests or benches reach; then the values a
+# lib/ .mli exports whose name no lib/, bin/ or examples/ file outside
+# their own module mentions (a name match: candidates, not verdicts)
 loc:
 	@ml=$$(find lib bin -name '*.ml' -exec cat {} + | wc -l); \
 	mli=$$(find lib bin -name '*.mli' -exec cat {} + | wc -l); \
@@ -88,7 +63,19 @@ loc:
 	    | grep -qv "^$$d/$$b\.mli\?$$" \
 	    || echo "$$lib.$$m" | sed 's/^./\U&/'; \
 	done); \
-	echo "lib, unused by lib/bin/examples:" $$unused
+	echo "lib, unused by lib/bin/examples:" $$unused; \
+	vals=$$(for f in $$(find lib -name '*.mli' | sort); do \
+	  d=$$(dirname $$f); b=$$(basename $$f .mli); \
+	  m=$$(echo $$b | sed 's/^./\U&/'); \
+	  lib=$$(sed -n 's/.*(name \([a-z_]*\)).*/\1/p' $$d/dune | head -1); \
+	  for v in $$(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\).*/\1/p' $$f | sort -u); do \
+	    grep -rlw --include='*.ml' --include='*.mli' -e "$$v" lib bin examples \
+	      | grep -qv "^$$d/$$b\.mli\?$$" \
+	      || echo "$$lib.$$m.$$v" | sed 's/^./\U&/'; \
+	  done; \
+	done); \
+	echo "lib vals, unused by lib/bin/examples: $$(echo $$vals | wc -w)"; \
+	echo $$vals | fmt -w 76 | sed 's/^/  /'
 
 # API reference (requires odoc: `opam install odoc`);
 # output lands in _build/default/_doc/_html/

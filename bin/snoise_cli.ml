@@ -177,6 +177,9 @@ let run_all options =
   run_fig9 options;
   run_fig10 options;
   run_card options;
+  or_diag_exit (fun () ->
+      Snoise.Report.ablations fmt (Snoise.Experiments.ablations ~options ());
+      finish ());
   run_runtime options
 
 let run_extract options path =

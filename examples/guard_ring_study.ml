@@ -105,7 +105,8 @@ let () =
        frame - even a floating ring helps here because it couples the@.\
        victim region to that ground (move the frame away and the@.\
        floating ring collapses);@.\
-     - an (idealized, zero-impedance) backside metallization is by@.\
-       far the strongest measure.@.\
+     - an (idealized, zero-impedance) backside metallization adds@.\
+       little: 500 um of 20 ohm cm bulk separates it from the surface@.\
+       where the noise travels.@.\
      Width is not the lever - the quality of the ring's ground is,@.\
      which is the paper's interconnect-resistance point.@."

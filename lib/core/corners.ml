@@ -95,7 +95,7 @@ let vco_spread ?(options = Flow.default_options) ?(corners = corners_3sigma)
       in
       let h = Flow.vco_transfers flow ~f_noise:[| 10.0e6 |] in
       let spur =
-        Flow.vco_spur flow ~h ~p_noise_dbm:Experiments.paper_noise_dbm
+        Flow.vco_spur flow ~h ~p_noise_dbm:Flow.paper_noise_dbm
           ~f_noise:10.0e6
       in
       {

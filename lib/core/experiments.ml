@@ -7,7 +7,7 @@ module Behavioral = Sn_rf.Behavioral
 
 let default_f_noise = N.Sweep.logspace 1.0e6 15.0e6 7
 
-let paper_noise_dbm = -5.0
+let paper_noise_dbm = Flow.paper_noise_dbm
 
 (* Behavioral "measurement" leg: the oscillator of eq. (1) is
    synthesized at a scaled-down carrier (the spur amplitudes depend
@@ -410,6 +410,70 @@ let aggressor_comb ?(options = Flow.default_options)
   let lines = Sn_rf.Aggressor.spur_comb aggressor ~osc ~h in
   { aggressor; lines;
     total_dbm = Sn_rf.Aggressor.total_spur_power_dbm lines }
+
+(* ------------------------------------------------------------------ *)
+(* Ablations *)
+
+type grid_ablation = { grid : Sn_substrate.Grid.config; grid_divider : float }
+
+type ablations = {
+  grid_resolution : grid_ablation list;
+  backside_open_db : float;
+  backside_grounded_db : float;
+  corners : Corners.vco_corner_result list;
+}
+
+(* the lateral grids of the resolution study, each with its vertical
+   subdivision; 48^2 is the default *)
+let ablation_grids =
+  List.map
+    (fun (nx, z) -> { Sn_substrate.Grid.nx; ny = nx; z_per_layer = Some z })
+    [ (32, [ 1; 3; 2; 1 ]); (48, [ 1; 4; 3; 2 ]); (64, [ 1; 5; 3; 2 ]);
+      (80, [ 1; 5; 3; 2 ]) ]
+
+(* victim coupling on a 100 um die, an injector and a probe 65 um apart
+   and a grounded tap between them, with the backside open or
+   metallized and grounded *)
+let backside_coupling_db options ~grounded_backplane =
+  let module G = Sn_geometry in
+  let module Port = Sn_substrate.Port in
+  let port name kind x0 y0 =
+    Port.v ~name ~kind [ G.Rect.make x0 y0 (x0 +. 10.0) (y0 +. 10.0) ]
+  in
+  let m =
+    Sn_substrate.Extractor.extract
+      ~config:
+        { Sn_substrate.Grid.nx = 32; ny = 32; z_per_layer = Some [ 1; 3; 2; 2 ] }
+      ~grounded_backplane ?pool:options.Flow.pool ~tech:options.Flow.tech
+      ~die:(G.Rect.make 0.0 0.0 100.0 100.0)
+      [ port "inj" Port.Resistive 5.0 45.0; port "vic" Port.Probe 80.0 45.0;
+        port "tap" Port.Resistive 45.0 5.0 ]
+  in
+  let grounded =
+    if grounded_backplane then [ "tap"; "backplane" ] else [ "tap" ]
+  in
+  U.db_of_ratio
+    (Sn_substrate.Macromodel.divider m ~inject:"inj" ~sense:"vic" ~grounded)
+
+let ablations ?(options = Flow.default_options) () =
+  let grid_resolution =
+    List.map
+      (fun grid ->
+        let flow =
+          Flow.build_nmos ~options:{ options with Flow.grid }
+            Tc.Nmos_structure.default
+        in
+        { grid; grid_divider = Flow.nmos_divider flow })
+      ablation_grids
+  in
+  {
+    grid_resolution;
+    backside_open_db =
+      backside_coupling_db options ~grounded_backplane:false;
+    backside_grounded_db =
+      backside_coupling_db options ~grounded_backplane:true;
+    corners = Corners.vco_spread ~options ();
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Runtime *)

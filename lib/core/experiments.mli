@@ -6,7 +6,7 @@
     ({!Flow.options}); the sweep fan-outs run on its [pool]. *)
 
 val paper_noise_dbm : float
-(** The paper's injected tone power: -5 dBm. *)
+(** {!Flow.paper_noise_dbm}, the paper's injected tone power. *)
 
 val default_f_noise : float array
 (** The default noise-frequency sweep (1 to 15 MHz, log-spaced). *)
@@ -157,6 +157,34 @@ val aggressor_comb :
   aggressor_comb
 (** Predict the spur comb a synchronous digital block imprints on the
     VCO through the extracted substrate and interconnect models. *)
+
+(** {1 Ablations}
+
+    The studies behind EXPERIMENTS.md's ablation list that no figure
+    covers.  The classical-flow ablation is {!fig3}'s [divider_no_r]. *)
+
+(** The NMOS structure's SUB -> back-gate divider on one grid. *)
+type grid_ablation = {
+  grid : Sn_substrate.Grid.config;
+  grid_divider : float;
+}
+
+type ablations = {
+  grid_resolution : grid_ablation list;
+      (** lateral grids 32{^2}, 48{^2} (the default), 64{^2} and 80{^2} *)
+  backside_open_db : float;
+      (** victim coupling on a 100 um die with a grounded tap, open
+          backside *)
+  backside_grounded_db : float;
+      (** the same with the backside metallized and grounded *)
+  corners : Corners.vco_corner_result list;
+      (** VCO spur at 10 MHz across {!Corners.corners_3sigma} *)
+}
+
+val ablations : ?options:Flow.options -> unit -> ablations
+(** Run the grid-resolution, backside-metallization and process-corner
+    studies.  [options.grid] is replaced by each grid of the
+    resolution study. *)
 
 (** {1 Runtime (section 6 note)} *)
 

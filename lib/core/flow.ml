@@ -521,6 +521,8 @@ let vco_transfers f ~f_noise =
     end
     else raw
 
+let paper_noise_dbm = -5.0
+
 let vco_spur f ~h ~p_noise_dbm ~f_noise =
   let a_noise = N.Units.vpeak_of_dbm p_noise_dbm in
   Impact.spur f.oscillator ~h:(h f_noise) ~a_noise ~f_noise

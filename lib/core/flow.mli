@@ -261,6 +261,9 @@ val vco_transfers :
     is formed from the bulk potential under the coil and the tank's
     common-mode impedance. *)
 
+val paper_noise_dbm : float
+(** The paper's injected tone power: -5 dBm. *)
+
 val vco_spur :
   vco_flow -> h:(float -> string -> Complex.t) -> p_noise_dbm:float ->
   f_noise:float -> Sn_rf.Impact.spur

@@ -195,6 +195,41 @@ let vco_card fmt (r : E.vco_card) =
     r.E.core_current_ma r.E.supply_v;
   Format.fprintf fmt "@]"
 
+let ablations fmt (r : E.ablations) =
+  let module Grid = Sn_substrate.Grid in
+  let module C = Corners in
+  Format.fprintf fmt "@[<v>";
+  hr fmt;
+  Format.fprintf fmt "Ablations@,";
+  hr fmt;
+  Format.fprintf fmt "substrate grid resolution (NMOS SUB -> back-gate):@,";
+  Format.fprintf fmt "%10s %16s@," "grid" "divider 1/x";
+  List.iter
+    (fun (g : E.grid_ablation) ->
+      let c = g.E.grid in
+      let nz =
+        List.fold_left ( + ) 0 (Option.value ~default:[] c.Grid.z_per_layer)
+      in
+      Format.fprintf fmt "%10s %16.0f@,"
+        (Printf.sprintf "%dx%dx%d" c.Grid.nx c.Grid.ny nz)
+        (1.0 /. g.E.grid_divider))
+    r.E.grid_resolution;
+  Format.fprintf fmt "victim coupling, open backside    : %6.1f dB@,"
+    r.E.backside_open_db;
+  Format.fprintf fmt "victim coupling, grounded backside: %6.1f dB@,"
+    r.E.backside_grounded_db;
+  Format.fprintf fmt "-> backside metallization buys %.1f dB here@,"
+    (r.E.backside_open_db -. r.E.backside_grounded_db);
+  Format.fprintf fmt "process corners (VCO spur at fc + 10 MHz):@,";
+  List.iter
+    (fun (c : C.vco_corner_result) ->
+      Format.fprintf fmt "%-12s %8.1f dBm@," c.C.corner.C.name
+        c.C.spur_at_10mhz_dbm)
+    r.E.corners;
+  Format.fprintf fmt "-> spread %.1f dB across corners@,"
+    (C.spread_db r.E.corners);
+  Format.fprintf fmt "@]"
+
 let runtime fmt (r : E.runtime) =
   Format.fprintf fmt "@[<v>";
   hr fmt;

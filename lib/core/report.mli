@@ -22,6 +22,10 @@ val fig10 : Format.formatter -> Experiments.fig10 -> unit
 val vco_card : Format.formatter -> Experiments.vco_card -> unit
 (** Section-4 VCO design card. *)
 
+val ablations : Format.formatter -> Experiments.ablations -> unit
+(** Grid-resolution, backside-metallization and process-corner
+    ablations. *)
+
 val runtime : Format.formatter -> Experiments.runtime -> unit
 (** Wall-clock breakdown of one flow run, including the worker-pool
     statistics of the impact sweep. *)

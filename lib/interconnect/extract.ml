@@ -76,16 +76,20 @@ let segment_elements options tech ~layer ~net ~shape_id ~from_node ~to_node path
          if options.include_capacitance then begin
            let len_m = len_um *. T.micron and width_m = width_um *. T.micron in
            let c = (cap_area *. len_m *. width_m) +. (cap_fringe *. len_m) in
+           (* a wire end tied to the substrate node itself carries no
+              ground capacitance: its half would short on that node *)
            let half n idx =
-             Rc_netlist.Cap
-               {
-                 name = Printf.sprintf "C%s.%d%s" shape_id k idx;
-                 n1 = n;
-                 n2 = options.substrate_node;
-                 farads = c /. 2.0;
-               }
+             if String.equal n options.substrate_node then []
+             else
+               [ Rc_netlist.Cap
+                   {
+                     name = Printf.sprintf "C%s.%d%s" shape_id k idx;
+                     n1 = n;
+                     n2 = options.substrate_node;
+                     farads = c /. 2.0;
+                   } ]
            in
-           [ res; half n1 "a"; half n2 "b" ]
+           (res :: half n1 "a") @ half n2 "b"
          end
          else [ res ])
        segs)

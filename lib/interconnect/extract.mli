@@ -16,7 +16,8 @@ type options = {
   substrate_node : string;
       (** node that wire-to-substrate capacitors connect to; merge it
           with a substrate port (e.g. the bulk probe under the
-          circuit) *)
+          circuit).  A wire end that is this node gets no half
+          capacitor: it would short on the node *)
   min_resistance : float;
       (** floor (ohm) replacing R when [include_resistance = false] or
           a segment rounds to zero, keeping the topology connected *)

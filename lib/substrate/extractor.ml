@@ -125,9 +125,11 @@ type assembly = {
 
 (* Contact scan: one (surface cell, port, conductance) entry per port
    overlapping a surface cell, row-major over the surface, then the
-   backplane's coupling to every bottom cell. *)
+   backplane's coupling to every bottom cell.  The backplane port's
+   region is the whole die, but it touches the bottom only. *)
 let contact_scan grid ~profile ~grounded_backplane ports_arr =
   let np = Array.length ports_arr in
+  let n_surface = if grounded_backplane then np - 1 else np in
   let nx = Grid.nx grid and ny = Grid.ny grid in
   let um2 = T.micron *. T.micron in
   let contacts = bb_create () in
@@ -135,13 +137,12 @@ let contact_scan grid ~profile ~grounded_backplane ports_arr =
     for ix = 0 to nx - 1 do
       let cell_rect = Grid.surface_cell_rect grid ix iy in
       let cell = Grid.cell_index grid ix iy 0 in
-      Array.iteri
-        (fun p port ->
-          let a_um2 = overlap_area port cell_rect in
-          if a_um2 > 0.0 then
-            bb_push contacts cell p
-              (a_um2 *. um2 /. profile.T.contact_resistance))
-        ports_arr
+      for p = 0 to n_surface - 1 do
+        let a_um2 = overlap_area ports_arr.(p) cell_rect in
+        if a_um2 > 0.0 then
+          bb_push contacts cell p
+            (a_um2 *. um2 /. profile.T.contact_resistance)
+      done
     done
   done;
   (* metallized backside: the last port couples to every bottom cell *)

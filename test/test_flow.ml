@@ -17,6 +17,7 @@ let fig8 = lazy (E.fig8 ())
 let fig9 = lazy (E.fig9 ())
 let fig10 = lazy (E.fig10 ())
 let card = lazy (E.vco_card ())
+let ablations = lazy (E.ablations ())
 
 let check_band name lo hi v =
   Alcotest.(check bool)
@@ -292,10 +293,38 @@ let test_merge_macromodel_elements () =
 
 let test_ablation_no_interconnect_resistance () =
   (* the headline claim: ignoring interconnect R (the classical flow)
-     underestimates the coupling division substantially *)
+     underestimates the coupling by 5.4 dB; band 3.5-9.5 dB, the
+     R-factor band 1.5-3.0x in dB *)
   let r = Lazy.force fig3 in
-  Alcotest.(check bool) "classical flow underestimates" true
-    (r.E.divider_no_r < r.E.divider)
+  check_band "classical-flow underestimate (dB)" 3.5 9.5
+    (20.0 *. log10 (r.E.divider /. r.E.divider_no_r))
+
+let test_ablation_grid_resolution () =
+  (* with port-edge snapping every grid from 32^2 to 80^2 divides
+     within 12% of the 48^2 default (measured 1/509 .. 1/566) *)
+  let rows = (Lazy.force ablations).E.grid_resolution in
+  Alcotest.(check int) "four grids" 4 (List.length rows);
+  let ratio (g : E.grid_ablation) = 1.0 /. g.E.grid_divider in
+  let default =
+    List.find
+      (fun (g : E.grid_ablation) -> g.E.grid = Flow.default_options.Flow.grid)
+      rows
+  in
+  List.iter
+    (fun g ->
+      check_band
+        (Printf.sprintf "%dx%d divider 1/x" g.E.grid.Sn_substrate.Grid.nx
+           g.E.grid.Sn_substrate.Grid.ny)
+        (0.88 *. ratio default) (1.12 *. ratio default) (ratio g))
+    rows
+
+let test_ablation_backside () =
+  (* 500 um of 20 ohm cm bulk lies between the backside and the 1 um
+     p+ surface layer the noise travels in: grounding the backside
+     buys 0.6 dB (band 0.2-2 dB) *)
+  let a = Lazy.force ablations in
+  check_band "backside gain (dB)" 0.2 2.0
+    (a.E.backside_open_db -. a.E.backside_grounded_db)
 
 (* ------------------------------------------------------------------ *)
 (* aggressor *)
@@ -341,23 +370,35 @@ let test_corner_apply_scales () =
     (Result.is_ok (T.validate t))
 
 let test_corner_resistive_worst_dominates () =
-  let corners =
-    List.filter
-      (fun (c : Snoise.Corners.corner) ->
-        c.Snoise.Corners.name = "nominal" || c.Snoise.Corners.name = "res-worst")
-      Snoise.Corners.corners_3sigma
+  (* the VCO spur moves 4.3 dB across the five corners (band 3-6 dB)
+     and the resistive-worst corner is the highest, by >= 1 dB over
+     nominal: the coupling is resistive *)
+  let results = (Lazy.force ablations).E.corners in
+  Alcotest.(check int) "five corners"
+    (List.length Snoise.Corners.corners_3sigma)
+    (List.length results);
+  let spur name =
+    (List.find
+       (fun (r : Snoise.Corners.vco_corner_result) ->
+         r.Snoise.Corners.corner.Snoise.Corners.name = name)
+       results)
+      .Snoise.Corners.spur_at_10mhz_dbm
   in
-  let results = Snoise.Corners.vco_spread ~corners () in
-  match results with
-  | [ nom; worst ] ->
-    Alcotest.(check bool)
-      (Printf.sprintf "res-worst %.1f > nominal %.1f dBm"
-         worst.Snoise.Corners.spur_at_10mhz_dbm
-         nom.Snoise.Corners.spur_at_10mhz_dbm)
-      true
-      (worst.Snoise.Corners.spur_at_10mhz_dbm
-       > nom.Snoise.Corners.spur_at_10mhz_dbm +. 1.0)
-  | _ -> Alcotest.fail "expected 2 corners"
+  List.iter
+    (fun (r : Snoise.Corners.vco_corner_result) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "res-worst %.1f >= %s %.1f dBm" (spur "res-worst")
+           r.Snoise.Corners.corner.Snoise.Corners.name
+           r.Snoise.Corners.spur_at_10mhz_dbm)
+        true
+        (spur "res-worst" >= r.Snoise.Corners.spur_at_10mhz_dbm))
+    results;
+  Alcotest.(check bool)
+    (Printf.sprintf "res-worst %.1f > nominal %.1f + 1 dB" (spur "res-worst")
+       (spur "nominal"))
+    true
+    (spur "res-worst" > spur "nominal" +. 1.0);
+  check_band "corner spread (dB)" 3.0 6.0 (Snoise.Corners.spread_db results)
 
 (* ------------------------------------------------------------------ *)
 (* the merged deck through the SPICE writer and reader *)
@@ -490,6 +531,11 @@ let suites =
         Alcotest.test_case "corner scaling" `Quick test_corner_apply_scales;
         Alcotest.test_case "resistive-worst dominates" `Slow
           test_corner_resistive_worst_dominates;
+      ] );
+    ( "flow.ablations",
+      [
+        Alcotest.test_case "grid resolution" `Slow test_ablation_grid_resolution;
+        Alcotest.test_case "backside metallization" `Slow test_ablation_backside;
       ] );
     ( "flow.merge",
       [

@@ -234,6 +234,27 @@ let test_preflight_clean () =
   Alcotest.(check bool) "no reduction configured" true
     (p.Snoise.Flow.pf_reduction = Snoise.Flow.Not_reduced)
 
+(* every shipped example deck, and the merged VCO impact model that
+   `snoise verify` checks by default, passes the verify gate *)
+let test_shipped_decks_verify () =
+  let dir = Filename.concat ".." "examples/decks" in
+  let decks =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".sp")
+    |> List.sort String.compare
+    |> List.map (fun f -> (f, C.Spice.load (Filename.concat dir f)))
+  in
+  Alcotest.(check bool) "example decks found" true (List.length decks >= 2);
+  let vco =
+    Snoise.Flow.vco_merged
+      (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune:0.45)
+  in
+  List.iter
+    (fun (name, nl) ->
+      Alcotest.(check bool) (name ^ " verifies") false
+        (Snoise.Flow.preflight_failing (Snoise.Flow.preflight nl)))
+    (decks @ [ ("merged VCO", vco) ])
+
 let test_preflight_fails_on_warning () =
   let p = Snoise.Flow.preflight (illcond_deck 1.0e20) in
   Alcotest.(check bool) "warnings refuse verify" true
@@ -294,6 +315,8 @@ let suites =
     ( "preflight.flow",
       [
         Alcotest.test_case "clean deck verifies" `Quick test_preflight_clean;
+        Alcotest.test_case "shipped decks verify" `Slow
+          test_shipped_decks_verify;
         Alcotest.test_case "warnings refuse" `Quick
           test_preflight_fails_on_warning;
         Alcotest.test_case "configured reduction certifies" `Quick

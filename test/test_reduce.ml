@@ -174,6 +174,87 @@ let test_reduce_deck_transfer () =
         true (err < 1e-6))
     exact_pts
 
+(* The universal-macromodel case: a 14 x 14 RC mesh whose corners are
+   also tied through an extracted 4-port substrate macromodel, reduced
+   onto the far corner.  The realization is smaller than the deck, the
+   pointwise transfer stays within 1e-4 relative of the exact one over
+   40 points from 1 MHz to 1 GHz, and its sweep on 4 workers is
+   byte-identical to 1. *)
+let test_reduce_mesh_with_substrate () =
+  let module G = Sn_geometry in
+  let module Sub = Sn_substrate in
+  let side = 14 in
+  let name i j = Printf.sprintf "n%d_%d" i j in
+  let last = side - 1 in
+  let cell i j =
+    let here = name i j in
+    let link tag there ohms = r (Printf.sprintf "%s%d_%d" tag i j) here there ohms in
+    (if i < last then [ link "rr" (name (i + 1) j) 100.0 ] else [])
+    @ (if j < last then [ link "rd" (name i (j + 1)) 130.0 ] else [])
+    @ [ c (Printf.sprintf "cg%d_%d" i j) here "0" 0.1e-12 ]
+  in
+  let mesh =
+    List.concat (List.init side (fun i -> List.concat (List.init side (cell i))))
+  in
+  let corner nm x y =
+    Sub.Port.v ~name:nm ~kind:Sub.Port.Resistive
+      [ G.Rect.make x y (x +. 10.0) (y +. 10.0) ]
+  in
+  let macro =
+    Sub.Extractor.extract
+      ~config:{ Sub.Grid.nx = 12; ny = 12; z_per_layer = Some [ 1; 1; 1; 1 ] }
+      ~tech:Sn_tech.Tech.imec018 ~die:(G.Rect.make 0.0 0.0 60.0 60.0)
+      [ corner (name 0 0) 5.0 5.0; corner (name 0 last) 45.0 5.0;
+        corner (name last 0) 5.0 45.0; corner (name last last) 45.0 45.0 ]
+  in
+  let substrate =
+    List.mapi
+      (fun k (n1, n2, ohms) -> r (Printf.sprintf "rsub%d" k) n1 n2 ohms)
+      (Sub.Macromodel.to_resistors macro)
+  in
+  let out = name last last in
+  let nl =
+    C.Netlist.create
+      (v "vin" "emf" "0" 1.0 :: r "rsrc" "emf" (name 0 0) 50.0
+       :: (mesh @ substrate))
+  in
+  let config =
+    { R.default_config with R.order = R.Auto 1e-6; band = (1.0e6, 1.0e9) }
+  in
+  let red, reduced = R.reduce_deck_certified ~config ~keep:[ out ] nl in
+  let stats =
+    match Option.bind reduced (fun (model, _) -> R.stats model) with
+    | Some s -> s
+    | None -> Alcotest.fail "the reduction did not run"
+  in
+  let n_exact = List.length (C.Netlist.nodes nl)
+  and n_red = List.length (C.Netlist.nodes red) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d nodes -> %d" n_exact n_red)
+    true (n_red < n_exact);
+  Alcotest.(check bool)
+    (Printf.sprintf "rank %d < %d internal" stats.R.rank stats.R.internal)
+    true (stats.R.rank < stats.R.internal);
+  let freqs = N.Sweep.logspace 1.0e6 1.0e9 40 in
+  let sweep ?(jobs = 1) deck =
+    let pool = Sn_engine.Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Sn_engine.Pool.shutdown pool) @@ fun () ->
+    Sn_engine.Ac.sweep ~pool ~dc:(Sn_engine.Dc.solve deck) deck ~freqs
+      ~nodes:[ out ]
+  in
+  let exact = sweep nl and reduced_pts = sweep red in
+  Array.iteri
+    (fun k (pt : Sn_engine.Ac.sweep_point) ->
+      let ve = List.assoc out pt.Sn_engine.Ac.values in
+      let vr = List.assoc out reduced_pts.(k).Sn_engine.Ac.values in
+      let err = Complex.norm (Complex.sub ve vr) /. Complex.norm ve in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.3g Hz: rel err %.2e <= 1e-4" freqs.(k) err)
+        true (err <= 1e-4))
+    exact;
+  Alcotest.(check bool) "jobs=4 reduced sweep byte-identical to jobs=1" true
+    (sweep ~jobs:4 red = reduced_pts)
+
 let test_reduce_deck_keep () =
   let nl = deck 10 in
   let red =
@@ -452,6 +533,8 @@ let suites =
       [
         Alcotest.test_case "transfer matches exact" `Quick
           test_reduce_deck_transfer;
+        Alcotest.test_case "mesh with substrate: rank-k transfer" `Quick
+          test_reduce_mesh_with_substrate;
         Alcotest.test_case "keep list and directive" `Quick
           test_reduce_deck_keep;
         Alcotest.test_case "noop without internals" `Quick
