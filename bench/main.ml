@@ -16,7 +16,7 @@ module Sub = Sn_substrate
 module El = Sn_circuit.Element
 module Json = Sn_json.Json
 
-type bound = At_least of float | Above of float | At_most of float
+type bound = At_least of float | At_most of float
 
 type gate = {
   name : string;
@@ -295,23 +295,21 @@ let gates =
   [ { name = "MG-CG vs direct elimination"; measure = mgcg_vs_direct;
       small_bound = None; full_bound = At_least 10.0 };
     { name = "warm serving vs cold"; measure = warm_vs_cold;
-      small_bound = Some (Above 1.0); full_bound = At_least 10.0 };
+      small_bound = Some (At_least 5.0); full_bound = At_least 10.0 };
     { name = "cancellation overhead"; measure = cancellation_overhead;
       small_bound = None; full_bound = At_most 1.05 };
     { name = "PRIMA reduction speedup"; measure = reduction_speedup;
-      small_bound = Some (Above 1.0); full_bound = At_least 5.0 };
+      small_bound = Some (At_least 5.0); full_bound = At_least 5.0 };
     { name = "pre-flight vs cold compile"; measure = preflight_overhead;
       small_bound = Some (At_most 0.05); full_bound = At_most 0.05 } ]
 
 let holds bound x =
   match bound with
   | At_least b -> x >= b
-  | Above b -> x > b
   | At_most b -> x <= b
 
 let pp_bound ppf = function
   | At_least b -> Format.fprintf ppf ">= %g" b
-  | Above b -> Format.fprintf ppf "> %g" b
   | At_most b -> Format.fprintf ppf "<= %g" b
 
 let () =

@@ -18,20 +18,17 @@ let scaled_carrier = 64.0e6
 let behavioral_fs = 320.0e6
 let behavioral_n = 65536
 
-let behavioral_sidebands osc ~h ~f_noise =
+let behavioral_samples osc ~h ~f_noise =
   let a_noise = U.vpeak_of_dbm paper_noise_dbm in
   let beta, m_am = Impact.total_modulation osc ~h ~a_noise ~f_noise in
-  let samples =
-    Behavioral.synthesize ~carrier_freq:scaled_carrier
-      ~amplitude:osc.Impact.amplitude
-      ~tones:[ { Behavioral.f_noise; beta; m_am } ]
-      ~fs:behavioral_fs ~n:behavioral_n
-  in
-  let measure side =
-    Behavioral.measured_sideband_dbm samples ~fs:behavioral_fs
-      ~carrier_freq:scaled_carrier ~f_noise side
-  in
-  (measure `Lower, measure `Upper, samples)
+  Behavioral.synthesize ~carrier_freq:scaled_carrier
+    ~amplitude:osc.Impact.amplitude
+    ~tones:[ { Behavioral.f_noise; beta; m_am } ]
+    ~fs:behavioral_fs ~n:behavioral_n
+
+let measured_sideband samples ~f_noise side =
+  Behavioral.measured_sideband_dbm samples ~fs:behavioral_fs
+    ~carrier_freq:scaled_carrier ~f_noise side
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3 / section 3 *)
@@ -128,8 +125,11 @@ let fig7 ?(options = Flow.default_options) ?(f_noise = 10.0e6) () =
       Sweep.map_points ?pool:options.Flow.pool
         (fun fn ->
           let spur = Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn in
-          let lower, upper, samples = behavioral_sidebands osc ~h:(h fn) ~f_noise:fn in
-          (spur, lower, upper, samples))
+          let samples = behavioral_samples osc ~h:(h fn) ~f_noise:fn in
+          ( spur,
+            measured_sideband samples ~f_noise:fn `Lower,
+            measured_sideband samples ~f_noise:fn `Upper,
+            samples ))
         [ f_noise ]
     with
     | [ r ] -> r
@@ -202,7 +202,12 @@ let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
         let spur =
           Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn
         in
-        let _, upper_meas, _ = behavioral_sidebands osc ~h:(h fn) ~f_noise:fn in
+        (* fig 8 plots the model's two sidebands against the measured
+           upper one only *)
+        let upper_meas =
+          measured_sideband (behavioral_samples osc ~h:(h fn) ~f_noise:fn)
+            ~f_noise:fn `Upper
+        in
         {
           f_noise = fn;
           upper_dbm = spur.Impact.upper_dbm;

@@ -4,19 +4,22 @@ let next_power_of_two n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-(* Iterative in-place Cooley-Tukey with bit-reversal permutation. *)
-let transform ~inverse x =
-  let n = Array.length x in
+(* Iterative in-place radix-2 Cooley-Tukey on split re/im arrays, with
+   bit-reversal permutation and a twiddle table computed exactly
+   (cos/sin of 2 pi k / n, no accumulated rotation).  Unnormalized. *)
+let transform ~inverse re im =
+  let n = Array.length re in
   if not (is_power_of_two n) then
     invalid_arg "Fft: length must be a power of two";
-  let a = Array.copy x in
-  (* bit reversal *)
   let j = ref 0 in
   for i = 0 to n - 2 do
     if i < !j then begin
-      let t = a.(i) in
-      a.(i) <- a.(!j);
-      a.(!j) <- t
+      let t = re.(i) in
+      re.(i) <- re.(!j);
+      re.(!j) <- t;
+      let t = im.(i) in
+      im.(i) <- im.(!j);
+      im.(!j) <- t
     end;
     let m = ref (n lsr 1) in
     while !m >= 1 && !j land !m <> 0 do
@@ -25,44 +28,45 @@ let transform ~inverse x =
     done;
     j := !j lor !m
   done;
+  let half_n = n / 2 in
+  let tc = Array.create_float half_n and ts = Array.create_float half_n in
   let sign = if inverse then 1.0 else -1.0 in
+  for k = 0 to half_n - 1 do
+    let ang = 2.0 *. Units.pi *. float_of_int k /. float_of_int n in
+    tc.(k) <- cos ang;
+    ts.(k) <- sign *. sin ang
+  done;
   let len = ref 2 in
   while !len <= n do
-    let ang = sign *. 2.0 *. Units.pi /. float_of_int !len in
-    let wlen = { Complex.re = cos ang; im = sin ang } in
+    let half = !len / 2 and stride = n / !len in
     let i = ref 0 in
     while !i < n do
-      let w = ref Complex.one in
-      for k = 0 to (!len / 2) - 1 do
-        let u = a.(!i + k) in
-        let v = Complex.mul a.(!i + k + (!len / 2)) !w in
-        a.(!i + k) <- Complex.add u v;
-        a.(!i + k + (!len / 2)) <- Complex.sub u v;
-        w := Complex.mul !w wlen
+      for k = 0 to half - 1 do
+        let wr = tc.(k * stride) and wi = ts.(k * stride) in
+        let a = !i + k in
+        let b = a + half in
+        let br = re.(b) and bi = im.(b) in
+        let vr = (br *. wr) -. (bi *. wi) and vi = (br *. wi) +. (bi *. wr) in
+        let ar = re.(a) and ai = im.(a) in
+        re.(a) <- ar +. vr;
+        im.(a) <- ai +. vi;
+        re.(b) <- ar -. vr;
+        im.(b) <- ai -. vi
       done;
       i := !i + !len
     done;
     len := !len * 2
-  done;
-  if inverse then begin
-    let inv_n = 1.0 /. float_of_int n in
-    Array.map (fun c -> { Complex.re = c.Complex.re *. inv_n; im = c.Complex.im *. inv_n }) a
-  end
-  else a
+  done
 
-let fft x = transform ~inverse:false x
-let ifft x = transform ~inverse:true x
+let complex ~inverse x =
+  let re = Array.map (fun c -> c.Complex.re) x in
+  let im = Array.map (fun c -> c.Complex.im) x in
+  transform ~inverse re im;
+  let k = if inverse then 1.0 /. float_of_int (Array.length x) else 1.0 in
+  Array.init (Array.length x) (fun i -> { Complex.re = re.(i) *. k; im = im.(i) *. k })
 
-let hann n =
-  if n <= 1 then Array.make (max n 0) 1.0
-  else
-    Array.init n (fun i ->
-        0.5 *. (1.0 -. cos (2.0 *. Units.pi *. float_of_int i /. float_of_int (n - 1))))
-
-let coherent_gain w =
-  let n = Array.length w in
-  if n = 0 then 1.0
-  else Array.fold_left ( +. ) 0.0 w /. float_of_int n
+let fft x = complex ~inverse:false x
+let ifft x = complex ~inverse:true x
 
 type spectrum = { frequencies : float array; amplitudes : float array }
 
@@ -70,38 +74,27 @@ let amplitude_spectrum ?(window = `Hann) ~fs samples =
   let n = Array.length samples in
   if n = 0 then invalid_arg "Fft.amplitude_spectrum: empty input";
   if fs <= 0.0 then invalid_arg "Fft.amplitude_spectrum: fs must be > 0";
-  let w, gain =
-    match window with
-    | `Rect -> (Array.make n 1.0, 1.0)
-    | `Hann ->
-      let w = hann n in
-      (w, coherent_gain w)
-  in
   let np = next_power_of_two n in
-  let padded =
-    Array.init np (fun i ->
-        if i < n then { Complex.re = samples.(i) *. w.(i); im = 0.0 }
-        else Complex.zero)
-  in
-  let spec = fft padded in
+  let re = Array.make np 0.0 and im = Array.make np 0.0 in
+  let wsum = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w =
+      match window with
+      | `Hann when n > 1 ->
+        0.5 *. (1.0 -. cos (2.0 *. Units.pi *. float_of_int i /. float_of_int (n - 1)))
+      | _ -> 1.0
+    in
+    re.(i) <- samples.(i) *. w;
+    wsum := !wsum +. w
+  done;
+  transform ~inverse:false re im;
+  (* single-sided: double all bins except DC and Nyquist *)
+  let base = 1.0 /. !wsum in
   let half = (np / 2) + 1 in
-  let scale k =
-    (* single-sided: double all bins except DC and Nyquist *)
-    let base = 1.0 /. (float_of_int n *. gain) in
-    if k = 0 || k = np / 2 then base else 2.0 *. base
-  in
-  {
-    frequencies = Array.init half (fun k -> float_of_int k *. fs /. float_of_int np);
-    amplitudes = Array.init half (fun k -> Complex.norm spec.(k) *. scale k);
-  }
-
-let peak_near s ~f ~span =
-  let best = ref None in
-  Array.iteri
-    (fun k fk ->
-      if Float.abs (fk -. f) <= span then
-        match !best with
-        | Some (_, a) when a >= s.amplitudes.(k) -> ()
-        | _ -> best := Some (fk, s.amplitudes.(k)))
-    s.frequencies;
-  match !best with Some r -> r | None -> raise Not_found
+  let frequencies = Array.create_float half and amplitudes = Array.create_float half in
+  for k = 0 to half - 1 do
+    let scale = if k = 0 || k = np / 2 then base else 2.0 *. base in
+    frequencies.(k) <- float_of_int k *. fs /. float_of_int np;
+    amplitudes.(k) <- Float.hypot re.(k) im.(k) *. scale
+  done;
+  { frequencies; amplitudes }

@@ -17,8 +17,12 @@ val synthesize :
     {v v(t) = Ac (1 + sum Re (m e^{j w_m t}))
               cos (w_c t + sum Re (beta e^{j w_m t})) v}
 
-    at rate [fs].  Raises [Invalid_argument] when [fs <= 2 * fc] or
-    [n <= 0]. *)
+    at rate [fs].  Each tone's [e^{j w_m t}] is a phasor advanced by
+    one rotation per sample and re-seeded exactly with [cos]/[sin]
+    every 512 samples; the carrier phase [w_c t + ...] goes through
+    [cos] at every sample.  With 1-3 tones the result stays within
+    1e-12 x [Ac] of the per-sample closed form.  Raises
+    [Invalid_argument] when [fs <= 2 * fc] or [n <= 0]. *)
 
 val measured_sideband_dbm :
   float array -> fs:float -> carrier_freq:float -> f_noise:float ->

@@ -449,7 +449,7 @@ let test_tran_lc_ringdown_frequency () =
   let w = Tran.node d "tank" in
   let fs = 1.0 /. dt in
   let spec = Sn_numerics.Fft.amplitude_spectrum ~fs w in
-  let fpk, _ = Sn_numerics.Fft.peak_near spec ~f:f0 ~span:(0.2 *. f0) in
+  let fpk, _ = Test_numerics.peak_near spec ~f:f0 ~span:(0.2 *. f0) in
   check_close (0.02 *. f0) "ring frequency" f0 fpk
 
 let test_tran_trapezoidal_beats_be () =

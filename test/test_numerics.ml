@@ -1218,6 +1218,56 @@ let test_heap_sorts () =
 (* ------------------------------------------------------------------ *)
 (* FFT / Goertzel *)
 
+(* [(f_peak, a_peak)]: the largest-amplitude bin within [f +- span] *)
+let peak_near (s : Fft.spectrum) ~f ~span =
+  let best = ref None in
+  Array.iteri
+    (fun k fk ->
+      if Float.abs (fk -. f) <= span then
+        match !best with
+        | Some (_, a) when a >= s.Fft.amplitudes.(k) -> ()
+        | _ -> best := Some (fk, s.Fft.amplitudes.(k)))
+    s.Fft.frequencies;
+  match !best with Some r -> r | None -> raise Not_found
+
+(* Oracles: the two-pass definitions the one-pass kernels replace. *)
+
+let hann_oracle n =
+  if n <= 1 then Array.make (max n 0) 1.0
+  else
+    Array.init n (fun i ->
+        0.5 *. (1.0 -. cos (2.0 *. Units.pi *. float_of_int i /. float_of_int (n - 1))))
+
+(* Hann array, windowed copy, then a per-sample cos/sin correlation *)
+let goertzel_windowed_oracle ~fs ~f samples =
+  let n = Array.length samples in
+  let w = hann_oracle n in
+  let gain = Array.fold_left ( +. ) 0.0 w /. float_of_int n in
+  let dw = Units.two_pi *. f /. fs in
+  let re = ref 0.0 and im = ref 0.0 in
+  for i = 0 to n - 1 do
+    let x = samples.(i) *. w.(i) and ph = dw *. float_of_int i in
+    re := !re +. (x *. cos ph);
+    im := !im -. (x *. sin ph)
+  done;
+  let scale = if f = 0.0 || f = fs /. 2.0 then 1.0 else 2.0 in
+  let k = scale /. float_of_int n in
+  Complex.norm { Complex.re = !re *. k; im = !im *. k } /. gain
+
+(* O(n^2) DFT of a real input: |X_k| for k = 0 .. n/2 *)
+let naive_dft_magnitudes x =
+  let n = Array.length x in
+  Array.init ((n / 2) + 1) (fun k ->
+      let re = ref 0.0 and im = ref 0.0 in
+      for i = 0 to n - 1 do
+        let ph = 2.0 *. Units.pi *. float_of_int ((k * i) mod n) /. float_of_int n in
+        re := !re +. (x.(i) *. cos ph);
+        im := !im -. (x.(i) *. sin ph)
+      done;
+      Float.hypot !re !im)
+
+let max_abs a = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 a
+
 let test_fft_impulse () =
   let x = Array.init 8 (fun i -> if i = 0 then Complex.one else Complex.zero) in
   let y = Fft.fft x in
@@ -1253,7 +1303,7 @@ let test_amplitude_spectrum_tone () =
         a *. cos (Units.two_pi *. f *. float_of_int i /. fs))
   in
   let s = Fft.amplitude_spectrum ~window:`Rect ~fs samples in
-  let fpk, apk = Fft.peak_near s ~f ~span:2.0 in
+  let fpk, apk = peak_near s ~f ~span:2.0 in
   check_close 1e-9 "peak frequency" f fpk;
   check_close 1e-6 "peak amplitude" a apk
 
@@ -1264,7 +1314,7 @@ let test_amplitude_spectrum_hann () =
         a *. cos (Units.two_pi *. f *. float_of_int i /. fs))
   in
   let s = Fft.amplitude_spectrum ~fs samples in
-  let _, apk = Fft.peak_near s ~f ~span:3.0 in
+  let _, apk = peak_near s ~f ~span:3.0 in
   Alcotest.(check bool) "hann-windowed tone within 5%" true
     (Float.abs (apk -. a) /. a < 0.05)
 
@@ -1304,8 +1354,75 @@ let prop_goertzel_matches_fft =
       in
       let g = Goertzel.amplitude ~fs ~f samples in
       let s = Fft.amplitude_spectrum ~window:`Rect ~fs samples in
-      let _, apk = Fft.peak_near s ~f ~span:0.4 in
+      let _, apk = peak_near s ~f ~span:0.4 in
       Float.abs (g -. apk) < 1e-6)
+
+(* [n] samples at fs = 1 of a tone at [f1] (random when not given),
+   a weaker one elsewhere and noise *)
+let random_record ?f1 st n =
+  let f1 = match f1 with Some f -> f | None -> Random.State.float st 0.5 in
+  let a1 = Random.State.float st 2.0 and p1 = Random.State.float st 6.0 in
+  let a2 = Random.State.float st 0.1 and f2 = Random.State.float st 0.5 in
+  Array.init n (fun i ->
+      let t = float_of_int i in
+      (a1 *. cos ((Units.two_pi *. f1 *. t) +. p1))
+      +. (a2 *. sin (Units.two_pi *. f2 *. t))
+      +. Random.State.float st 0.02 -. 0.01)
+
+let prop_goertzel_windowed_oracle =
+  QCheck.Test.make ~count:60
+    ~name:"windowed Goertzel matches Hann array + correlation"
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 3))
+    (fun (seed, shape) ->
+      let st = Random.State.make [| seed |] in
+      (* short, odd and long records; f at DC, Nyquist or in between *)
+      let n =
+        match shape with
+        | 0 -> 1 + Random.State.int st 4
+        | 1 -> (2 * Random.State.int st 600) + 1
+        | _ -> 1 + Random.State.int st 70_000
+      in
+      let fs = 1.0 in
+      let f =
+        match Random.State.int st 4 with
+        | 0 -> 0.0
+        | 1 -> fs /. 2.0
+        | _ -> Random.State.float st (fs /. 2.0)
+      in
+      (* mostly a tone on the measured bin, as a spur reading has it *)
+      let on_bin = Random.State.int st 4 > 0 in
+      let x = random_record ?f1:(if on_bin then Some f else None) st n in
+      let got = Goertzel.amplitude_windowed ~fs ~f x in
+      let want = goertzel_windowed_oracle ~fs ~f x in
+      (* n = 2: both Hann weights are 0, so both forms read 0/0 *)
+      (Float.is_nan want && Float.is_nan got)
+      || Float.abs (got -. want) <= 1e-12 *. max_abs x
+      || QCheck.Test.fail_reportf "n=%d f=%g: %.17g vs %.17g" n f got want)
+
+let prop_spectrum_matches_naive_dft =
+  QCheck.Test.make ~count:40 ~name:"amplitude spectrum matches an O(n^2) DFT"
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 9) bool)
+    (fun (seed, log2n, hann) ->
+      let st = Random.State.make [| seed |] in
+      let n = 1 lsl log2n in
+      let x = random_record st n in
+      let window = if hann then `Hann else `Rect in
+      let got = (Fft.amplitude_spectrum ~window ~fs:1.0 x).Fft.amplitudes in
+      let w = if hann then hann_oracle n else Array.make n 1.0 in
+      let wsum = Array.fold_left ( +. ) 0.0 w in
+      let want =
+        Array.mapi
+          (fun k m ->
+            let side = if k = 0 || k = n / 2 then 1.0 else 2.0 in
+            side *. m /. wsum)
+          (naive_dft_magnitudes (Array.mapi (fun i xi -> xi *. w.(i)) x))
+      in
+      (* n = 2 under Hann: both weights are 0, so every bin reads 0/0 *)
+      (hann && n = 2 && Array.for_all Float.is_nan got)
+      ||
+      let err = max_abs (Array.mapi (fun k w -> got.(k) -. w) want) in
+      let tol = 1e-12 *. max_abs want in
+      err <= tol || QCheck.Test.fail_reportf "n=%d: max err %g > %g" n err tol)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep / Stats *)
@@ -1605,6 +1722,8 @@ let suites =
         Alcotest.test_case "goertzel dc" `Quick test_goertzel_dc;
         Alcotest.test_case "goertzel leakage" `Quick test_goertzel_rejects_other_tone;
         qcheck prop_goertzel_matches_fft;
+        qcheck prop_goertzel_windowed_oracle;
+        qcheck prop_spectrum_matches_naive_dft;
       ] );
     ( "numerics.sweep",
       [

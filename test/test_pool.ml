@@ -139,6 +139,14 @@ let test_fig7_parallel_identical () =
   let parallel = with_jobs 4 run in
   Alcotest.(check string) "fig7 report byte-identical" sequential parallel
 
+let test_fig8_parallel_identical () =
+  let run options =
+    render Snoise.Report.fig8 (E.fig8 ~options ~f_noise:fast_f_noise ())
+  in
+  let sequential = with_jobs 1 run in
+  let parallel = with_jobs 4 run in
+  Alcotest.(check string) "fig8 report byte-identical" sequential parallel
+
 let test_fig9_parallel_identical () =
   let run options =
     render Snoise.Report.fig9 (E.fig9 ~options ~f_noise:fast_f_noise ())
@@ -168,6 +176,8 @@ let suites =
       [
         Alcotest.test_case "fig7 parallel = sequential" `Slow
           test_fig7_parallel_identical;
+        Alcotest.test_case "fig8 parallel = sequential" `Slow
+          test_fig8_parallel_identical;
         Alcotest.test_case "fig9 parallel = sequential" `Slow
           test_fig9_parallel_identical;
       ] );

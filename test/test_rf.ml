@@ -241,6 +241,70 @@ let test_behavioral_multitone () =
   check_close 0.2 "tone 1" (U.dbm_of_vpeak 0.01) (at 3.0e6);
   check_close 0.2 "tone 2" (U.dbm_of_vpeak 0.02) (at 7.0e6)
 
+(* Oracle: eq. (1) evaluated per sample with cos/sin of each tone *)
+let synthesize_oracle ~carrier_freq ~amplitude ~tones ~fs ~n =
+  let wc = U.two_pi *. carrier_freq in
+  Array.init n (fun k ->
+      let t = float_of_int k /. fs in
+      let am = ref 0.0 and pm = ref 0.0 in
+      List.iter
+        (fun { Behavioral.f_noise; beta; m_am } ->
+          let wm = U.two_pi *. f_noise *. t in
+          let cwm = cos wm and swm = sin wm in
+          am := !am +. ((m_am.Complex.re *. cwm) -. (m_am.Complex.im *. swm));
+          pm := !pm +. ((beta.Complex.re *. cwm) -. (beta.Complex.im *. swm)))
+        tones;
+      amplitude *. (1.0 +. !am) *. cos ((wc *. t) +. !pm))
+
+(* ulp of [x] *)
+let ulp x = Float.succ (Float.abs x) -. Float.abs x
+
+(* The closed form rounds its phase arguments, so it is only this close
+   to eq. (1): each tone's [w_m t] to about an ulp, which the
+   recurrence inherits from its seeds (so 3 ulp x (|beta| + |m|)
+   between the two), and the carrier phase [w_c t + pm], whose rounding
+   turns a last-bit difference in [pm] into A x ulp (w_c t) (1.5e-11 A
+   at the 65,536th sample of a 64 MHz carrier at 320 MHz).  The bound
+   is 1e-12 on top of that floor, times the AM envelope's peak.
+   Carriers drawn down to 1 Hz and tones down to 10 kHz keep the floor
+   well below the 2-3e-12 a phasor drifts over 70k unseeded rotations. *)
+let prop_synthesize_matches_closed_form =
+  QCheck.Test.make ~count:60 ~name:"synthesize matches eq. (1) per sample"
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 3))
+    (fun (seed, n_tones) ->
+      let st = Random.State.make [| seed |] in
+      let fs = 320.0e6 in
+      let log_uniform lo hi = lo *. ((hi /. lo) ** Random.State.float st 1.0) in
+      let carrier_freq = log_uniform 1.0 100.0e6 in
+      let amplitude = 0.1 +. Random.State.float st 2.0 in
+      let within a = Random.State.float st (2.0 *. a) -. a in
+      let tones =
+        List.init n_tones (fun _ ->
+            { Behavioral.f_noise = log_uniform 1.0e4 30.0e6;
+              beta = { Complex.re = within 1.0; im = within 1.0 };
+              m_am = { Complex.re = within 0.1; im = within 0.1 } })
+      in
+      let n = 1 + Random.State.int st 70_000 in
+      let got = Behavioral.synthesize ~carrier_freq ~amplitude ~tones ~fs ~n in
+      let want = synthesize_oracle ~carrier_freq ~amplitude ~tones ~fs ~n in
+      let err = ref 0.0 in
+      Array.iteri (fun k w -> err := Float.max !err (Float.abs (got.(k) -. w))) want;
+      let phase f = U.two_pi *. f *. float_of_int n /. fs in
+      let floor =
+        List.fold_left
+          (fun acc { Behavioral.f_noise; beta; m_am } ->
+            acc
+            +. (3.0 *. (Complex.norm beta +. Complex.norm m_am) *. ulp (phase f_noise)))
+          (2.0 *. ulp (phase carrier_freq +. 8.0))
+          tones
+      in
+      let envelope =
+        List.fold_left (fun acc t -> acc +. Complex.norm t.Behavioral.m_am) 1.0 tones
+      in
+      !err <= amplitude *. envelope *. (1e-12 +. floor)
+      || QCheck.Test.fail_reportf "fc=%g n=%d, %d tones: max err %g > A (1e-12 + %g)"
+           carrier_freq n n_tones !err floor)
+
 (* ------------------------------------------------------------------ *)
 (* Digital aggressor *)
 
@@ -347,6 +411,7 @@ let suites =
         Alcotest.test_case "undersampling rejected" `Quick
           test_behavioral_rejects_undersampling;
         Alcotest.test_case "multi-tone" `Quick test_behavioral_multitone;
+        QCheck_alcotest.to_alcotest prop_synthesize_matches_closed_form;
       ] );
     ( "rf.aggressor",
       [
