@@ -78,19 +78,6 @@ let warnings r =
     (fun (d : Rule.diagnostic) -> d.Rule.severity = Rule.Warning)
     r.diagnostics
 
-let pp_report fmt r =
-  List.iter
-    (fun d -> Format.fprintf fmt "%a@." Rule.pp_diagnostic d)
-    r.diagnostics;
-  let ne = List.length (errors r) and nw = List.length (warnings r) in
-  Format.fprintf fmt "%d error%s, %d warning%s" ne
-    (if ne = 1 then "" else "s")
-    nw
-    (if nw = 1 then "" else "s");
-  if r.suppressed > 0 then
-    Format.fprintf fmt " (%d suppressed)" r.suppressed;
-  Format.pp_print_newline fmt ()
-
 (* Version of the JSON report shape itself, shared by [snoise lint
    --json] and [snoise verify --json].  Bump when fields are added,
    renamed or change meaning, so downstream parsers can gate on it:

@@ -45,11 +45,6 @@ val analyze : ?config:config -> Sn_circuit.Netlist.t -> report
 val errors : report -> Rule.diagnostic list
 val warnings : report -> Rule.diagnostic list
 
-val pp_report : Format.formatter -> report -> unit
-(** One {!Rule.pp_diagnostic} line per diagnostic followed by an
-    ["N errors, M warnings"] summary (plus a suppressed count when
-    non-zero). *)
-
 val schema_version : int
 (** Version of the JSON report shape emitted by {!to_json} (and by
     [snoise verify --json], which shares it).  Bumped when fields are

@@ -67,8 +67,6 @@ type t = {
   check : context -> diagnostic list;
 }
 
-val pp_severity : Format.formatter -> severity -> unit
-
 val pp_diagnostic : Format.formatter -> diagnostic -> unit
 (** [error [code] @ file:line: message (subject)] — the human text
     rendering used by the CLI and the flow's lint log. *)

@@ -55,29 +55,8 @@ let apply c (tech : T.t) =
       };
   }
 
-type nmos_corner_result = {
-  corner : corner;
-  division_ratio : float;
-  wire_ohms : float;
-}
-
 let with_corner options c =
   { options with Flow.tech = apply c options.Flow.tech }
-
-let nmos_spread ?(options = Flow.default_options)
-    ?(corners = corners_3sigma) () =
-  Sweep.corners ?pool:options.Flow.pool
-    (fun c ->
-      let flow =
-        Flow.build_nmos ~options:(with_corner options c)
-          Tc.Nmos_structure.default
-      in
-      {
-        corner = c;
-        division_ratio = 1.0 /. Flow.nmos_divider flow;
-        wire_ohms = Flow.nmos_ground_wire_resistance flow;
-      })
-    corners
 
 type vco_corner_result = {
   corner : corner;

@@ -26,17 +26,6 @@ val corners_3sigma : corner list
 val apply : corner -> Sn_tech.Tech.t -> Sn_tech.Tech.t
 (** Scale a technology card by the corner factors. *)
 
-type nmos_corner_result = {
-  corner : corner;
-  division_ratio : float;  (** 1/x of the SUB -> back-gate divider *)
-  wire_ohms : float;
-}
-
-val nmos_spread :
-  ?options:Flow.options -> ?corners:corner list -> unit ->
-  nmos_corner_result list
-(** Run the NMOS structure divider across the corners. *)
-
 type vco_corner_result = {
   corner : corner;
   spur_at_10mhz_dbm : float;

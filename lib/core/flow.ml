@@ -1,11 +1,10 @@
-module G = Sn_geometry
 module C = Sn_circuit
-module E = C.Element
 module N = Sn_numerics
 module Sub = Sn_substrate
 module Itc = Sn_interconnect
 module Tc = Sn_testchip
-module Tank = Sn_rf.Tank
+module Ns = Tc.Nmos_structure
+module Vc = Tc.Vco_chip
 module Impact = Sn_rf.Impact
 module Dc = Sn_engine.Dc
 module Ac = Sn_engine.Ac
@@ -40,47 +39,33 @@ let default_options =
 let pool_of options =
   match options.pool with Some p -> p | None -> Sn_engine.Pool.default ()
 
-(* the deck with its passive pool swapped for the configured PRIMA
-   realization, and the stats of that reduction ([None] when exact) *)
-let maybe_reduce options ~keep nl =
-  match options.reduce with
-  | None -> (nl, None)
-  | Some config ->
-    let nl, reduced = Reduced_model.reduce_deck_certified ~config ~keep nl in
-    (nl, Option.bind reduced (fun (model, _) -> Reduced_model.stats model))
-
-(* substrate tile-cache namespace tag: reduced and exact runs must
-   never share cached artifacts *)
-let reduction_digest options =
-  Option.map Reduced_model.config_digest options.reduce
-
 (* ------------------------------------------------------------------ *)
 (* lint gate: merged models pass the Sn_analysis rule suite before the
    engine sees them.  Errors refuse to simulate (raised as a
-   Diag.Bad_input); warnings are logged once per distinct message —
-   bias sweeps re-merge the same structure dozens of times and
-   repeating identical warnings would bury the report. *)
+   Diag.Bad_input); a built flow logs each distinct warning once — bias
+   sweeps re-merge the same structure dozens of times and repeating
+   identical warnings would bury the report. *)
 
 module A = Sn_analysis
 
-let warned : (string, unit) Hashtbl.t = Hashtbl.create 16
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let warned_lock = Mutex.create ()
+(* a thread-safe "first time for this key?" test: one per built flow,
+   which pool workers share *)
+let first_time () =
+  let seen = Hashtbl.create 16 and lock = Mutex.create () in
+  fun key ->
+    with_lock lock (fun () ->
+        (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true))
 
-let lint_gate ?(enabled = true) nl =
+let gate ?(enabled = true) ?(fresh = fun _ -> true) nl =
   if enabled then begin
     let report = A.Analyzer.analyze nl in
     List.iter
       (fun (d : A.Rule.diagnostic) ->
-        let key = d.A.Rule.code ^ ":" ^ d.A.Rule.message in
-        let fresh =
-          Mutex.lock warned_lock;
-          let f = not (Hashtbl.mem warned key) in
-          if f then Hashtbl.replace warned key ();
-          Mutex.unlock warned_lock;
-          f
-        in
-        if fresh then
+        if fresh (d.A.Rule.code ^ ":" ^ d.A.Rule.message) then
           Log.warn (fun m -> m "lint: %a" A.Rule.pp_diagnostic d))
       (A.Analyzer.warnings report);
     match A.Analyzer.errors report with
@@ -98,6 +83,8 @@ let lint_gate ?(enabled = true) nl =
            (Sn_engine.Diag.Bad_input
               { loc = Sn_engine.Diag.loc "lint"; what }))
   end
+
+let lint_gate ?enabled nl = gate ?enabled nl
 
 (* ------------------------------------------------------------------ *)
 (* numerical pre-flight: everything the lint gate checks, plus the raw
@@ -177,11 +164,6 @@ let compile_deck ?(lint = true) nl =
 
 let compiled_netlist c = c.c_netlist
 let compiled_mna c = c.c_mna
-let compiled_plan c = c.c_plan
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* callers hold c_lock *)
 let bias_locked c =
@@ -206,97 +188,89 @@ let compiled_ac_plan c =
         a)
 
 (* ------------------------------------------------------------------ *)
+(* the Fig. 2 pipeline over a structure description *)
 
-let noise_elements ~inject_node =
-  [
-    E.Vsource { name = "vnoise"; np = "sub_drive"; nn = "0";
-                wave = C.Waveform.dc 0.0; ac_mag = 1.0 };
-    E.Resistor { name = "rs_noise"; n1 = "sub_drive"; n2 = inject_node;
-                 ohms = 50.0 };
-  ]
+type extracted = {
+  structure : Tc.Structure.t;
+  options : options;
+  macromodel : Sub.Macromodel.t;
+  interconnect : Itc.Rc_netlist.t;
+  fresh_warning : string -> bool;
+}
 
-(* the VCO sits inside the chip's pad frame (paper Fig. 6); its seal
-   ring substrate tap is hard-grounded through the many pads it
-   touches.  The standalone NMOS structure (paper Fig. 4) has no such
-   frame — its outer guard ring is its outermost feature. *)
-let frame_elements =
-  [ E.Resistor { name = "rframe"; n1 = "frame"; n2 = "0"; ohms = 0.2 } ]
+let extract ?(options = default_options) (s : Tc.Structure.t) =
+  let layout =
+    match options.widen_ground with
+    | None -> s.layout
+    | Some factor -> Itc.Extract.widen_net ~net:s.ground_net ~factor s.layout
+  in
+  let report =
+    Itc.Extract.extract
+      ~options:
+        { Itc.Extract.default_options with
+          Itc.Extract.include_resistance = options.interconnect_resistance;
+          substrate_node = s.substrate_node }
+      ~tech:options.tech layout
+  in
+  (* the reduction's digest tags the tile cache: reduced and exact runs
+     must never share cached artifacts *)
+  let macromodel =
+    Sub.Extractor.extract_from_layout ~config:options.grid
+      ~tiles:options.tiles
+      ?reduction:(Option.map Reduced_model.config_digest options.reduce)
+      ?pool:options.pool ~tech:options.tech layout
+  in
+  Log.info (fun m ->
+      m "%s: %d wires, %d substrate ports" (Sn_layout.Layout.top_name layout)
+        report.Itc.Extract.wires_extracted
+        (Sub.Macromodel.port_count macromodel));
+  { structure = s; options; macromodel;
+    interconnect = report.Itc.Extract.netlist;
+    fresh_warning = first_time () }
+
+let merge x (d : Tc.Structure.deck) =
+  let nl =
+    C.Netlist.create ~title:d.title
+      (d.elements
+      @ Merge.of_macromodel x.macromodel
+      @ Merge.of_rc_netlist x.interconnect)
+  in
+  (* the passive pool swapped for the configured PRIMA realization, and
+     the stats of that reduction ([None] when exact) *)
+  let nl, reduction =
+    match x.options.reduce with
+    | None -> (nl, None)
+    | Some config ->
+      let nl, reduced =
+        Reduced_model.reduce_deck_certified ~config ~keep:d.keep nl
+      in
+      (nl, Option.bind reduced (fun (model, _) -> Reduced_model.stats model))
+  in
+  gate ~enabled:x.options.lint ~fresh:x.fresh_warning nl;
+  (nl, reduction)
+
+let ground_wire_resistance x =
+  let a, b = x.structure.Tc.Structure.ground_wire in
+  Itc.Rc_netlist.resistance_between x.interconnect a b
+
+(* the AC transfer from the injection node to [node] *)
+let transfer x s node =
+  Complex.norm (Ac.voltage s node)
+  /. Complex.norm (Ac.voltage s x.structure.Tc.Structure.inject)
 
 (* ------------------------------------------------------------------ *)
 (* NMOS measurement structure *)
 
-type nmos_flow = {
-  nmos_params : Tc.Nmos_structure.params;
-  nmos_macro : Sub.Macromodel.t;
-  nmos_itc : Itc.Rc_netlist.t;
-  nmos_options : options;
-}
+type nmos_flow = { nmos_params : Ns.params; nmos : extracted }
 
-let itc_options options ~substrate_node =
-  { Itc.Extract.default_options with
-    Itc.Extract.include_resistance = options.interconnect_resistance;
-    substrate_node }
+let build_nmos ?options params =
+  { nmos_params = params; nmos = extract ?options (Ns.structure params) }
 
-let build_nmos ?(options = default_options) params =
-  let layout = Tc.Nmos_structure.layout params in
-  let layout =
-    match options.widen_ground with
-    | None -> layout
-    | Some factor -> Itc.Extract.widen_net ~net:"gnd" ~factor layout
-  in
-  let report =
-    Itc.Extract.extract
-      ~options:(itc_options options ~substrate_node:"gr")
-      ~tech:options.tech layout
-  in
-  let macro =
-    Sub.Extractor.extract_from_layout ~config:options.grid
-      ~tiles:options.tiles ?reduction:(reduction_digest options)
-      ?pool:options.pool ~tech:options.tech layout
-  in
-  Log.info (fun m ->
-      m "nmos structure: %d wires, %d substrate ports"
-        report.Itc.Extract.wires_extracted
-        (Sub.Macromodel.port_count macro));
-  { nmos_params = params; nmos_macro = macro;
-    nmos_itc = report.Itc.Extract.netlist; nmos_options = options }
-
-let nmos_macromodel f = f.nmos_macro
-
-let nmos_ground_wire_resistance f =
-  Itc.Rc_netlist.resistance_between f.nmos_itc "mos_gr" "gnd_pad"
-
-(* The structure without the transistor: noise source, extracted
-   models, and the probe tying the pad to off-chip ground. *)
-let nmos_passive_netlist f =
-  C.Netlist.create ~title:"nmos structure, passive"
-    (noise_elements ~inject_node:"sub_inject"
-    @ [ E.Resistor { name = "rprobe"; n1 = "gnd_pad"; n2 = "0";
-                     ohms = f.nmos_params.Tc.Nmos_structure.probe_resistance };
-        E.Resistor { name = "rprobe_gr"; n1 = "gr_pad"; n2 = "0";
-                     ohms = f.nmos_params.Tc.Nmos_structure.probe_resistance } ]
-    @ Merge.of_macromodel f.nmos_macro
-    @ Merge.of_rc_netlist f.nmos_itc)
-  (* sub_inject and the back-gate probe are passive-touched only: the
-     divider observes them, so reduction must keep them explicit *)
-  |> maybe_reduce f.nmos_options ~keep:[ "sub_inject"; "backgate:m1" ]
-  |> fst
+let nmos_ground_wire_resistance f = ground_wire_resistance f.nmos
 
 let nmos_divider f =
-  let nl = nmos_passive_netlist f in
-  lint_gate ~enabled:f.nmos_options.lint nl;
-  let s = Ac.solve nl ~freq:1.0e6 in
-  Complex.norm (Ac.voltage s "backgate:m1")
-  /. Complex.norm (Ac.voltage s "sub_inject")
-
-let nmos_merged f ~vgs ~vds =
-  C.Netlist.create ~title:"nmos structure, merged impact model"
-    (C.Netlist.elements (Tc.Nmos_structure.device_netlist f.nmos_params ~vgs ~vds)
-    @ noise_elements ~inject_node:"sub_inject"
-    @ Merge.of_macromodel f.nmos_macro
-    @ Merge.of_rc_netlist f.nmos_itc)
-  |> maybe_reduce f.nmos_options ~keep:[ "sub_inject" ]
-  |> fst
+  let nl, _ = merge f.nmos (Ns.passive f.nmos_params) in
+  transfer f.nmos (Ac.solve nl ~freq:1.0e6) Ns.bulk
 
 type nmos_point = {
   vgs : float;
@@ -308,171 +282,57 @@ type nmos_point = {
 }
 
 let nmos_transfer f ~vgs ~vds ~freq =
-  let nl = nmos_merged f ~vgs ~vds in
-  lint_gate ~enabled:f.nmos_options.lint nl;
+  let nl, _ = merge f.nmos (Ns.biased f.nmos_params ~vgs ~vds) in
   let dc = Dc.solve nl in
-  let op = Dc.mos_operating_point dc "m1" in
-  let mult = float_of_int f.nmos_params.Tc.Nmos_structure.parallel_devices in
-  let gmb_total = mult *. op.C.Mos_model.gmb in
-  let gds_total = mult *. op.C.Mos_model.gds in
-  let s = Ac.solve ~dc nl ~freq in
-  let transfer_sim =
-    Complex.norm (Ac.voltage s "d") /. Complex.norm (Ac.voltage s "sub_inject")
-  in
-  let divider = nmos_divider f in
-  let transfer_hand = divider *. gmb_total /. gds_total in
-  {
-    vgs;
-    vds;
-    gmb_total;
-    gds_total;
+  let gmb_total, gds_total = Ns.small_signal f.nmos_params dc in
+  let transfer_sim = transfer f.nmos (Ac.solve ~dc nl ~freq) Ns.drain in
+  let transfer_hand = nmos_divider f *. gmb_total /. gds_total in
+  { vgs; vds; gmb_total; gds_total;
     transfer_sim_db = N.Units.db_of_ratio transfer_sim;
-    transfer_hand_db = N.Units.db_of_ratio transfer_hand;
-  }
+    transfer_hand_db = N.Units.db_of_ratio transfer_hand }
 
 (* ------------------------------------------------------------------ *)
 (* VCO *)
 
 type vco_flow = {
-  vco_params : Tc.Vco_chip.params;
-  vco_macro : Sub.Macromodel.t;
-  vco_itc : Itc.Rc_netlist.t;
+  vco_params : Vc.params;
+  vco : extracted;
   vco_nl : C.Netlist.t;
   vco_dc : Dc.solution;
-  vco_pool : Sn_engine.Pool.t option;
   vco_reduction : Reduced_model.stats option;
-  bias : Tank.bias;
   oscillator : Impact.oscillator;
   tank_cm_resistance : float;
 }
 
-(* AM gains per entry (1/V): small, so AM stays far below FM as the
-   paper observes; the ground and supply entries modulate the bias
-   hardest. *)
-let g_am_of_entry = function
-  | Tank.Ground -> 0.5
-  | Tank.Backgate -> 0.05
-  | Tank.Pmos_well -> 0.3
-  | Tank.Varactor_well -> 0.05
-  | Tank.Inductor_node -> 0.1
-  | Tank.Supply -> 0.3
-
-let build_vco ?(options = default_options) params ~vtune =
-  let layout = Tc.Vco_chip.layout params in
-  let layout =
-    match options.widen_ground with
-    | None -> layout
-    | Some factor -> Itc.Extract.widen_net ~net:"vss" ~factor layout
-  in
-  let report =
-    Itc.Extract.extract
-      ~options:(itc_options options ~substrate_node:"backgate:sub_ind")
-      ~tech:options.tech layout
-  in
-  let macro =
-    Sub.Extractor.extract_from_layout ~config:options.grid
-      ~tiles:options.tiles ?reduction:(reduction_digest options)
-      ?pool:options.pool ~tech:options.tech layout
-  in
-  let circuit = Tc.Vco_chip.circuit params ~vtune in
-  let merged, reduction =
-    C.Netlist.create ~title:"vco merged impact model"
-      (C.Netlist.elements circuit
-      @ frame_elements
-      @ Merge.of_macromodel macro
-      @ Merge.of_rc_netlist report.Itc.Extract.netlist)
-    (* every node the spur flow observes or the bias read-out touches
-       must survive reduction; most are device-touched anyway, but the
-       injection node and the inductor back-gate are passive-only *)
-    |> maybe_reduce options
-         ~keep:
-           (List.sort_uniq String.compare
-              (List.map snd Tc.Vco_chip.sensitive_nodes
-              @ [ "sub_inject"; "vtune_pad"; "vss_local"; "tank_p";
-                  "backgate:mn1"; "vdd_local" ]))
-  in
-  lint_gate ~enabled:options.lint merged;
-  let dc = Dc.solve merged in
-  let v node = Dc.voltage dc node in
-  let bias =
-    {
-      Tank.v_tune = v "vtune_pad";
-      v_gnd = v "vss_local";
-      v_tank_cm = v "tank_p" -. v "vss_local";
-      v_backgate = v "backgate:mn1";
-      v_nwell = v "vdd_local";
-    }
-  in
-  let tank = params.Tc.Vco_chip.tank in
-  let fc = Tank.frequency tank bias in
-  (* amplitude: current-limited level in the tank's parallel
-     resistance, clipped by the supply, then the output coupling to
-     the 50 ohm measurement chain *)
-  let omega = N.Units.two_pi *. fc in
-  let q_l = omega *. tank.Tank.inductance /. params.Tc.Vco_chip.inductor_series_r in
-  let rp = q_l *. q_l *. params.Tc.Vco_chip.inductor_series_r in
-  let swing =
-    Float.min
-      (4.0 /. N.Units.pi *. params.Tc.Vco_chip.tail_current *. rp)
-      (0.45 *. 1.8)
-  in
-  let amplitude = 0.5 *. swing in
-  let entries =
-    List.map
-      (fun (entry, node) ->
-        {
-          Impact.label = Tank.entry_name entry;
-          node;
-          k_hz_per_v = Tank.sensitivity tank bias entry;
-          g_am_per_v = g_am_of_entry entry;
-        })
-      Tc.Vco_chip.sensitive_nodes
-  in
-  let oscillator = { Impact.carrier_freq = fc; amplitude; entries } in
-  (* tank common-mode resistance for the inductor entry's capacitive
-     transfer: the cross-coupled devices' output conductances *)
-  let gds_of name mult =
-    float_of_int mult *. (Dc.mos_operating_point dc name).C.Mos_model.gds
-  in
-  let g_cm =
-    gds_of "mn1" 1 +. gds_of "mn2" 1 +. gds_of "mp1" 2 +. gds_of "mp2" 2
-  in
-  let tank_cm_resistance = if g_cm > 0.0 then 1.0 /. g_cm else 1.0e3 in
+let build_vco ?options params ~vtune =
+  let x = extract ?options (Vc.structure params) in
+  let nl, reduction = merge x (Vc.deck params ~vtune) in
+  let dc = Dc.solve nl in
+  let oscillator, tank_cm_resistance = Vc.readout params dc in
   Log.info (fun m ->
       m "vco: fc = %s, amplitude %.2f V, R_cm = %.0f ohm"
-        (N.Units.eng ~unit:"Hz" fc) amplitude tank_cm_resistance);
-  {
-    vco_params = params;
-    vco_macro = macro;
-    vco_itc = report.Itc.Extract.netlist;
-    vco_nl = merged;
-    vco_dc = dc;
-    vco_pool = options.pool;
-    vco_reduction = reduction;
-    bias;
-    oscillator;
-    tank_cm_resistance;
-  }
+        (N.Units.eng ~unit:"Hz" oscillator.Impact.carrier_freq)
+        oscillator.Impact.amplitude tank_cm_resistance);
+  { vco_params = params; vco = x; vco_nl = nl; vco_dc = dc;
+    vco_reduction = reduction; oscillator; tank_cm_resistance }
 
 let vco_merged f = f.vco_nl
 let vco_oscillator f = f.oscillator
 
-let vco_ground_wire_resistance f =
-  Itc.Rc_netlist.resistance_between f.vco_itc "vss_ring" "vss_pad"
+let vco_ground_wire_resistance f = ground_wire_resistance f.vco
 
 let vco_reduction f = f.vco_reduction
 let vco_carrier_freq f = f.oscillator.Impact.carrier_freq
 let vco_amplitude f = f.oscillator.Impact.amplitude
 
-let inductor_node = "backgate:sub_ind"
-
 let vco_transfers f ~f_noise =
   let nodes =
-    List.map snd Tc.Vco_chip.sensitive_nodes @ [ "sub_inject" ]
+    List.map snd Vc.sensitive_nodes @ [ f.vco.structure.Tc.Structure.inject ]
     |> List.sort_uniq String.compare
   in
   let points =
-    Ac.sweep ?pool:f.vco_pool ~dc:f.vco_dc f.vco_nl ~freqs:f_noise ~nodes
+    Ac.sweep ?pool:f.vco.options.pool ~dc:f.vco_dc f.vco_nl ~freqs:f_noise
+      ~nodes
   in
   let table = Hashtbl.create 64 in
   Array.iter
@@ -481,7 +341,8 @@ let vco_transfers f ~f_noise =
         (fun (node, v) -> Hashtbl.replace table (p.Ac.freq, node) v)
         p.Ac.values)
     points;
-  let c_ind = 2.0 *. f.vco_params.Tc.Vco_chip.inductor_sub_cap in
+  let c_ind = 2.0 *. f.vco_params.Vc.inductor_sub_cap in
+  let inductor_node = List.assoc Sn_rf.Tank.Inductor_node Vc.sensitive_nodes in
   let r_cm = f.tank_cm_resistance in
   let freqs = Array.copy f_noise in
   Array.sort compare freqs;

@@ -7,9 +7,10 @@
     -> merged impact model (Merge)
     -> impact simulation (sn_engine AC) and spur prediction (sn_rf).
 
-    A flow value holds the extracted models of one structure; building
-    it is the expensive step (substrate extraction dominates), and the
-    analyses that follow reuse it.  Flow values are immutable after
+    Every {!Sn_testchip.Structure.t} takes this path: {!extract} builds
+    its models once (the expensive step; substrate extraction
+    dominates), and {!merge} combines them with as many circuit decks
+    as the analyses need.  Flow values are immutable after
     construction, so independent analyses of one flow may run on
     parallel pool workers ([Snoise.Sweep]). *)
 
@@ -68,10 +69,8 @@ val lint_gate : ?enabled:bool -> Sn_circuit.Netlist.t -> unit
 (** [lint_gate nl] runs {!Sn_analysis.Analyzer.analyze} (with deck
     pragmas honoured) and refuses a netlist with error-severity
     diagnostics by raising {!Sn_engine.Diag.Error} with a
-    {!Sn_engine.Diag.Bad_input} listing every error; warnings are
-    logged once per distinct message.  [?enabled:false] turns the
-    gate into a no-op.  The flow calls this on every merged model it
-    is about to simulate, with [~enabled:options.lint]. *)
+    {!Sn_engine.Diag.Bad_input} listing every error; every warning is
+    logged.  [?enabled:false] turns the gate into a no-op. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 Numerical pre-flight}
@@ -151,10 +150,6 @@ val compiled_netlist : compiled -> Sn_circuit.Netlist.t
 val compiled_mna : compiled -> Sn_engine.Mna.t
 (** The deck's MNA structure (node/branch name resolution). *)
 
-val compiled_plan : compiled -> Sn_engine.Stamp_plan.t
-(** The compiled stamp plan — what {!Sn_engine.Dc.solve_plan} and the
-    transient engine consume. *)
-
 val compiled_bias : compiled -> Sn_engine.Dc.solution
 (** The DC operating point, solved on first call and memoized.
     Raises {!Sn_engine.Diag.Error} when the rescue ladder is
@@ -172,6 +167,27 @@ val compiled_ac_plan : compiled -> Sn_engine.Ac_plan.t
     factorization too. *)
 
 (* ------------------------------------------------------------------ *)
+(** {1 The Figure 2 pipeline} *)
+
+type extracted
+(** A structure's substrate macromodel and interconnect RC, the
+    options they were built with, and the lint warnings logged so far
+    (guarded: safe to share between pool workers). *)
+
+val extract : ?options:options -> Sn_testchip.Structure.t -> extracted
+(** Widens the ground net when [options.widen_ground] is set, then
+    extracts the interconnect and the substrate.  No merge, lint or
+    solve. *)
+
+val merge :
+  extracted -> Sn_testchip.Structure.deck ->
+  Sn_circuit.Netlist.t * Reduced_model.stats option
+(** The deck's circuit, then the substrate and interconnect elements
+    ({!Merge}); reduced when [options.reduce] is set (stats [None] when
+    exact or when reduction won nothing), then {!lint_gate}d when
+    [options.lint], logging each distinct warning once per [extracted]. *)
+
+(* ------------------------------------------------------------------ *)
 (** {1 NMOS measurement structure (paper section 3)} *)
 
 type nmos_flow
@@ -185,10 +201,6 @@ val build_nmos :
     the measurement structure once; bias-dependent analyses reuse
     them. *)
 
-val nmos_macromodel : nmos_flow -> Sn_substrate.Macromodel.t
-(** The reduced substrate admittance model between the structure's
-    contacts (injection pad, rings, back gate). *)
-
 val nmos_ground_wire_resistance : nmos_flow -> float
 (** Extracted metal resistance from the MOS guard ring to the pad. *)
 
@@ -196,10 +208,6 @@ val nmos_divider : nmos_flow -> float
 (** SUB -> back-gate voltage division with the rings grounded through
     their extracted interconnect (the paper's 1/652 figure), evaluated
     at 1 MHz where the structure is purely resistive. *)
-
-val nmos_merged : nmos_flow -> vgs:float -> vds:float -> Sn_circuit.Netlist.t
-(** Merged impact model (substrate + interconnect + devices linearized
-    at the given bias), the netlist the AC engine simulates. *)
 
 (** One bias point of the Fig. 4/5 substrate-to-drain transfer
     characterization. *)

@@ -8,10 +8,10 @@ let well_net port_name =
   | Some i -> String.sub port_name (i + 1) (String.length port_name - i - 1)
   | None -> port_name
 
-let of_macromodel ?(max_resistance = 1.0e9) m =
+let of_macromodel m =
   let resistors =
     Macromodel.to_resistors m
-    |> List.filter (fun (_, _, r) -> r <= max_resistance)
+    |> List.filter (fun (_, _, r) -> r <= 1.0e9)
     |> List.mapi (fun i (a, b, r) ->
            C.Element.Resistor
              { name = Printf.sprintf "rsub_%d" i; n1 = a; n2 = b; ohms = r })
@@ -34,9 +34,3 @@ let of_rc_netlist nl =
       | Rc.Cap { name; n1; n2; farads } ->
         C.Element.Capacitor { name = "itc_" ^ name; n1; n2; farads })
     nl
-
-let merged ~title ~circuit ~macromodel ~interconnect =
-  C.Netlist.create ~title
-    (C.Netlist.elements circuit
-    @ of_macromodel macromodel
-    @ of_rc_netlist interconnect)

@@ -272,20 +272,6 @@ let runtime fmt (r : E.runtime) =
   Format.fprintf fmt "%a" Sn_engine.Pool.pp_stats r.E.pool;
   Format.fprintf fmt "@]"
 
-let sweep_failures fmt failures =
-  match failures with
-  | [] -> ()
-  | _ ->
-    Format.fprintf fmt "@[<v>";
-    hr fmt;
-    Format.fprintf fmt "Failed sweep points (%d)@," (List.length failures);
-    hr fmt;
-    List.iter
-      (fun (label, diag) ->
-        Format.fprintf fmt "%-24s %a@," label Sn_engine.Diag.pp diag)
-      failures;
-    Format.fprintf fmt "@]"
-
 let aggressor fmt (r : E.aggressor_comb) =
   let a = r.E.aggressor in
   Format.fprintf fmt "@[<v>";

@@ -33,18 +33,6 @@ val runtime : Format.formatter -> Experiments.runtime -> unit
 val aggressor : Format.formatter -> Experiments.aggressor_comb -> unit
 (** Digital-aggressor spur comb (line table and total power). *)
 
-val sweep_failures :
-  Format.formatter -> (string * Sn_engine.Diag.t) list -> unit
-(** Render the points a fault-tolerant sweep could not complete, one
-    labelled diagnostic per line (see
-    {!Sweep.map_points_result}).  Prints nothing for an empty list, so
-    it can be appended unconditionally to any report. *)
-
-val spectrum_ascii :
-  ?width:int -> ?height:int -> Format.formatter -> (float * float) list -> unit
-(** [spectrum_ascii fmt points] renders (frequency-offset, dBm) points
-    as an ASCII spectrum plot — the Figure 7 panel. *)
-
 val lint :
   Format.formatter -> deck:string -> Sn_analysis.Analyzer.report -> unit
 (** Boxed lint report for one deck: one {!Sn_analysis.Rule.pp_diagnostic}

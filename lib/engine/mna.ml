@@ -114,8 +114,6 @@ let branch_slot m name =
                |> List.sort String.compare) })
 
 let node_names m = m.node_names
-let branch_names m = m.branch_names
-
 let slot_name m i =
   if i >= 0 && i < m.n_nodes then Some m.node_names.(i)
   else if i >= m.n_nodes && i < m.n_nodes + m.n_branches then

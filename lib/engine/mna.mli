@@ -36,10 +36,6 @@ val branch_slot : t -> string -> int
 val node_names : t -> string array
 (** Index [i] holds the name of unknown [i], for [i < n_nodes]. *)
 
-val branch_names : t -> string array
-(** Index [i] holds the element name of branch unknown
-    [n_nodes + i] — voltage-defined elements in netlist order. *)
-
 val slot_name : t -> int -> string option
 (** [slot_name m i] maps unknown index [i] back to its node name
     ([i < n_nodes]) or branch element name — the reverse of

@@ -102,9 +102,6 @@ val pp_stats : Format.formatter -> stats -> unit
 val max_jobs : int
 (** Hard upper clamp on the pool width (64). *)
 
-val clamp_jobs : int -> int
-(** Clamp to [[1, max_jobs]]. *)
-
 val jobs_of_string : ?default:int -> string -> int
 (** Parse a job-count string ([SNOISE_JOBS], [--jobs]).  Garbage, zero
     and negative values fall back to [default] (itself defaulting to

@@ -16,6 +16,3 @@ val make : name:string -> ?instances:instance list -> Shape.t list -> t
 
 val add_shape : Shape.t -> t -> t
 val add_instance : instance -> t -> t
-
-val shape_count : t -> int
-(** Own shapes only (instances not expanded). *)

@@ -35,8 +35,6 @@ let create ~top cells =
 
 let top_name l = l.top
 let cells l = List.map snd (StringMap.bindings l.table)
-let find_cell l name = find_table l.table name
-
 let flatten l =
   let rec expand transform name acc =
     let cell = find_table l.table name in

@@ -14,9 +14,6 @@ val create : top:string -> Cell.t list -> t
 
 val top_name : t -> string
 val cells : t -> Cell.t list
-val find_cell : t -> string -> Cell.t
-(** Raises {!Unknown_cell}. *)
-
 val flatten : t -> Shape.t list
 (** [flatten l] expands the hierarchy under the top cell into a flat
     list of transformed shapes. *)

@@ -74,6 +74,8 @@ let amplitude_spectrum ?(window = `Hann) ~fs samples =
   let n = Array.length samples in
   if n = 0 then invalid_arg "Fft.amplitude_spectrum: empty input";
   if fs <= 0.0 then invalid_arg "Fft.amplitude_spectrum: fs must be > 0";
+  if n = 2 && window = `Hann then
+    invalid_arg "Fft.amplitude_spectrum: a 2-sample Hann window is all 0";
   let np = next_power_of_two n in
   let re = Array.make np 0.0 and im = Array.make np 0.0 in
   let wsum = ref 0.0 in

@@ -22,4 +22,5 @@ val amplitude_spectrum : ?window:[ `Rect | `Hann ] -> fs:float -> float array ->
     input is zero-padded to a power of two; window defaults to [`Hann]
     and its coherent gain is compensated so an input
     [a *. cos (2 pi f t)] with [f] on a bin center reads amplitude [a].
-    Raises [Invalid_argument] on an empty input or non-positive [fs]. *)
+    Raises [Invalid_argument] on an empty input, a non-positive [fs],
+    or a 2-sample input under [`Hann], whose two weights are both 0. *)

@@ -63,5 +63,7 @@ let amplitude ~fs ~f samples = Complex.norm (bin ~fs ~f samples)
 
 let amplitude_windowed ~fs ~f samples =
   check ~fs ~f samples;
+  if Array.length samples = 2 then
+    invalid_arg "Goertzel: a 2-sample Hann window is all 0";
   let re, im, wsum = correlate ~hann:true ~fs ~f samples in
   side_scale ~fs ~f *. Complex.norm { Complex.re; im } /. wsum

@@ -26,4 +26,5 @@ val amplitude : fs:float -> f:float -> float array -> float
 val amplitude_windowed : fs:float -> f:float -> float array -> float
 (** Like {!amplitude} but applies a Hann window (compensated for
     coherent gain) first — reduces leakage from nearby strong tones at
-    the cost of a wider main lobe. *)
+    the cost of a wider main lobe.  Raises [Invalid_argument] on a
+    2-sample input, whose two Hann weights are both 0. *)

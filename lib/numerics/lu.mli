@@ -60,10 +60,6 @@ val refactor_mat : rfactor -> Mat.t -> unit
 val solve_factored : rfactor -> Vec.t -> Vec.t
 (** [solve_factored f b] solves [A x = b] from an existing factor. *)
 
-val solve_factored_into : rfactor -> Vec.t -> Vec.t -> unit
-(** [solve_factored_into f b x] writes the solution into [x]
-    ([b] and [x] may not alias). *)
-
 val rdim : rfactor -> int
 (** Matrix dimension of the factor. *)
 

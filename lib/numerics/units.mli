@@ -10,10 +10,6 @@ val pi : float
 val two_pi : float
 (** [two_pi] is [2 *. pi]. *)
 
-val reference_impedance : float
-(** [reference_impedance] is the 50 ohm system impedance used when
-    translating voltages to dBm. *)
-
 val db_of_ratio : float -> float
 (** [db_of_ratio r] is the amplitude ratio [r] expressed in dB
     ([20 log10 r]).  Raises [Invalid_argument] when [r <= 0]. *)
@@ -25,9 +21,6 @@ val db_of_power_ratio : float -> float
 (** [db_of_power_ratio r] is the power ratio [r] in dB ([10 log10 r]).
     Raises [Invalid_argument] when [r <= 0]. *)
 
-val power_ratio_of_db : float -> float
-(** [power_ratio_of_db d] inverts {!db_of_power_ratio}. *)
-
 val dbm_of_watts : float -> float
 (** [dbm_of_watts p] is the power [p] (W) in dBm.
     Raises [Invalid_argument] when [p <= 0]. *)
@@ -37,20 +30,12 @@ val watts_of_dbm : float -> float
 
 val dbm_of_vpeak : ?r:float -> float -> float
 (** [dbm_of_vpeak ?r v] is the power of a sinusoid of peak amplitude [v]
-    volts across resistance [r] (default {!reference_impedance}),
+    volts across resistance [r] (default 50 ohm, the system impedance),
     in dBm. *)
 
 val vpeak_of_dbm : ?r:float -> float -> float
 (** [vpeak_of_dbm ?r d] inverts {!dbm_of_vpeak}. *)
 
-val db_close : ?tol:float -> float -> float -> bool
-(** [db_close ?tol a b] is [true] when [a] and [b] (both in dB) differ by
-    at most [tol] dB (default [1.0]). *)
-
-val pp_eng : ?unit:string -> Format.formatter -> float -> unit
-(** [pp_eng ?unit fmt v] prints [v] with an engineering prefix
-    (f, p, n, u, m, k, M, G, T), e.g. [pp_eng ~unit:"Hz" fmt 3.0e9]
-    prints ["3.00 GHz"]. *)
-
 val eng : ?unit:string -> float -> string
-(** [eng ?unit v] is {!pp_eng} rendered to a string. *)
+(** [eng ?unit v] renders [v] with an engineering prefix (f, p, n, u,
+    m, k, M, G, T): [eng ~unit:"Hz" 3.0e9] is ["3.00 GHz"]. *)

@@ -5,10 +5,6 @@
     tool used to verify the transistor-level oscillator against the
     tank model. *)
 
-val crossings : float array -> float list
-(** [crossings samples] is the (fractional) sample indices of the
-    rising zero crossings, linearly interpolated. *)
-
 val estimate_frequency : fs:float -> float array -> float
 (** [estimate_frequency ~fs samples] is the mean frequency over the
     record, from the first to the last rising crossing.

@@ -74,9 +74,6 @@ let spur osc ~h ~a_noise ~f_noise =
     contributions;
   }
 
-let spur_sweep osc ~h ~a_noise ~f_noise =
-  Array.map (fun f -> spur osc ~h:(h f) ~a_noise ~f_noise:f) f_noise
-
 let total_modulation osc ~h ~a_noise ~f_noise =
   let s = spur osc ~h ~a_noise ~f_noise in
   let beta =

@@ -45,12 +45,6 @@ val spur :
     to [node] at [f_noise], [a_noise] the injected tone amplitude (V
     peak).  Raises [Invalid_argument] when [f_noise <= 0]. *)
 
-val spur_sweep :
-  oscillator -> h:(float -> string -> Complex.t) -> a_noise:float ->
-  f_noise:float array -> spur array
-(** [h f node] now also takes the frequency.  The result array is
-    positioned by input index. *)
-
 val total_modulation :
   oscillator -> h:(string -> Complex.t) -> a_noise:float -> f_noise:float ->
   Complex.t * Complex.t

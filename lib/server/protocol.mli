@@ -38,8 +38,6 @@ type verb =
 val verb_name : verb -> string
 (** Stable lower-case wire name, e.g. ["ac"]. *)
 
-val verb_of_string : string -> verb option
-
 (** Where the deck (or layout) text comes from.  Inline text and an
     on-disk path are equivalent: both are cached by {e content}
     digest, so editing a file invalidates exactly its own entries. *)
@@ -86,9 +84,6 @@ type error_code =
       (** TCP endpoint requires [--auth-token] and the connection has
           not presented it *)
   | Internal  (** unexpected exception (reported, not a disconnect) *)
-
-val error_code_name : error_code -> string
-(** Stable kebab-case wire name, e.g. ["quota-exceeded"]. *)
 
 val parse_request : Json.t -> (request, error_code * string) result
 (** Typed view of a parsed request line.  Rejects non-objects, unknown

@@ -17,9 +17,6 @@ val make :
 
 val port_count : t -> int
 
-val port_index : t -> string -> int
-(** Raises [Not_found]. *)
-
 val port_names : t -> string list
 
 val coupling_resistance : t -> string -> string -> float

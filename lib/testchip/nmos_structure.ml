@@ -59,6 +59,8 @@ let default =
     parallel_devices = 4;
   }
 
+let inject = "sub_inject"
+
 let layout p =
   let center = G.Point.zero in
   let hp = p.device_half_pitch in
@@ -70,20 +72,15 @@ let layout p =
   in
   let mos_ring_inner = 2.0 *. (hp +. p.mos_ring_gap) in
   let mos_ring =
-    Ring.rects ~center ~inner_width:mos_ring_inner
-      ~inner_height:mos_ring_inner ~strip:p.mos_ring_strip
-    |> List.map (fun r ->
-           L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:"mos_gr" r)
+    Ring.contacts ~net:"mos_gr" ~center ~inner:mos_ring_inner
+      ~strip:p.mos_ring_strip
   in
-  let outer_inner = 2.0 *. p.outer_ring_inner in
   let outer_ring =
-    Ring.rects ~center ~inner_width:outer_inner ~inner_height:outer_inner
+    Ring.contacts ~net:"gr" ~center ~inner:(2.0 *. p.outer_ring_inner)
       ~strip:p.outer_ring_strip
-    |> List.map (fun r ->
-           L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:"gr" r)
   in
   let sub =
-    L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:"sub_inject"
+    L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:inject
       (G.Rect.of_center
          (G.Point.v p.sub_offset 0.0)
          ~width:p.sub_size ~height:p.sub_size)
@@ -118,33 +115,55 @@ let layout p =
   in
   L.Layout.create ~top:"nmos_structure" [ cell ]
 
-let device_netlist p ~vgs ~vds =
-  let m = p.mos in
-  C.Netlist.create ~title:"nmos measurement structure"
-    [
-      C.Element.Vsource { name = "vg"; np = "g"; nn = "0";
-                          wave = C.Waveform.dc vgs; ac_mag = 0.0 };
-      C.Element.Vsource { name = "vbias"; np = "bias"; nn = "0";
-                          wave = C.Waveform.dc vds; ac_mag = 0.0 };
+let bulk = "backgate:m1"
+let drain = "d"
+
+let structure p =
+  { Structure.layout = layout p; ground_net = "gnd"; substrate_node = "gr";
+    ground_wire = ("mos_gr", "gnd_pad"); inject }
+
+let probes p =
+  [ C.Element.Resistor { name = "rprobe"; n1 = "gnd_pad"; n2 = "0";
+                         ohms = p.probe_resistance };
+    C.Element.Resistor { name = "rprobe_gr"; n1 = "gr_pad"; n2 = "0";
+                         ohms = p.probe_resistance } ]
+
+let biased p ~vgs ~vds =
+  let dc name np v =
+    C.Element.Vsource { name; np; nn = "0"; wave = C.Waveform.dc v;
+                        ac_mag = 0.0 }
+  in
+  { Structure.title = "nmos structure, merged impact model";
+    elements =
       (* the drain is biased through an RF choke so the AC output sees
-         the transistor's own r_ds, matching the paper's
-         gmb / gds hand calculation *)
-      C.Element.Inductor { name = "lchoke"; n1 = "bias"; n2 = "d";
-                           henries = 1.0e-3 };
-      (* the source metal runs on its own wide strap to the ground
-         pad, while the MOS guard ring reaches the same pad through
-         the thin extracted wire — so the bulk rides up on the ring
-         bounce while the source stays quiet, which is how the
-         interconnect resistance doubles v_bs in the paper *)
-      C.Element.Resistor { name = "rprobe"; n1 = "gnd_pad"; n2 = "0";
-                           ohms = p.probe_resistance };
-      C.Element.Resistor { name = "rprobe_gr"; n1 = "gr_pad"; n2 = "0";
-                           ohms = p.probe_resistance };
-      C.Element.Mosfet { name = "m1"; drain = "d"; gate = "g";
-                         source = "gnd_pad"; bulk = "backgate:m1";
-                         model = m; w = p.device_w; l = p.device_l;
-                         mult = p.parallel_devices };
-    ]
+         the transistor's own r_ds, matching the paper's gmb / gds hand
+         calculation *)
+      [ dc "vg" "g" vgs; dc "vbias" "bias" vds;
+        C.Element.Inductor { name = "lchoke"; n1 = "bias"; n2 = drain;
+                             henries = 1.0e-3 } ]
+      (* the source metal runs on its own wide strap to the ground pad,
+         while the MOS guard ring reaches the same pad through the thin
+         extracted wire — so the bulk rides up on the ring bounce while
+         the source stays quiet, which is how the interconnect
+         resistance doubles v_bs in the paper *)
+      @ probes p
+      @ C.Element.Mosfet { name = "m1"; drain; gate = "g"; source = "gnd_pad";
+                           bulk; model = p.mos; w = p.device_w;
+                           l = p.device_l; mult = p.parallel_devices }
+        :: Structure.injection inject;
+    keep = [ inject ] }
+
+(* sub_inject and the back-gate probe are passive-touched only: the
+   divider observes them, so reduction must keep them explicit *)
+let passive p =
+  { Structure.title = "nmos structure, passive";
+    elements = Structure.injection inject @ probes p;
+    keep = [ inject; bulk ] }
+
+let small_signal p dc =
+  let op = Sn_engine.Dc.mos_operating_point dc "m1" in
+  let mult = float_of_int p.parallel_devices in
+  (mult *. op.C.Mos_model.gmb, mult *. op.C.Mos_model.gds)
 
 let bias_sweep _p =
   List.map (fun v -> (v, v)) [ 0.6; 0.7; 0.8; 0.9; 1.0 ]

@@ -10,7 +10,8 @@
     - ["sub_inject"]: the SUB contact (paper: SUB)
     - ["mos_gr"]: the transistor ground ring (paper: MOS GR)
     - ["gr"]: the outer guard ring (paper: GR)
-    - ["backgate:m1"]: bulk sensing node under the transistors
+    - ["backgate:m1"] ({!bulk}): bulk sensing node under the transistors
+    - ["d"] ({!drain}): the drain, whose transfer Fig. 3 reports
     - ["gnd_pad"]: on-chip end of the measurement ground
     - ["0"]: off-chip ground *)
 
@@ -39,11 +40,24 @@ val default : params
 
 val layout : params -> Sn_layout.Layout.t
 
-val device_netlist : params -> vgs:float -> vds:float -> Sn_circuit.Netlist.t
-(** The biased 4-NMOS device with its drain load and the probe
-    resistances tying [gnd_pad] to the off-chip ground; the bulk node
-    is ["backgate:m1"], left to be driven by the substrate
+val structure : params -> Structure.t
+(** The layout, ground net ["gnd"] (wire ["mos_gr"] -> ["gnd_pad"])
+    and interconnect substrate node ["gr"]. *)
+
+val bulk : string
+val drain : string
+
+val passive : params -> Structure.deck
+(** The structure without the transistor: the noise source and the
+    probes tying [gnd_pad] and [gr_pad] to the off-chip ground. *)
+
+val biased : params -> vgs:float -> vds:float -> Structure.deck
+(** The biased 4-NMOS device ["m1"] with its drain load, the probes
+    and the noise source; its bulk is {!bulk}, driven by the substrate
     macromodel. *)
+
+val small_signal : params -> Sn_engine.Dc.solution -> float * float
+(** [(gmb, gds)] of all parallel devices at a solved bias, S. *)
 
 val bias_sweep : params -> (float * float) list
 (** The [(vgs, vds)] points of the paper's bias sweep (0.5 V to

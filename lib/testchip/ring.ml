@@ -15,6 +15,7 @@ let rects ~center ~inner_width ~inner_height ~strip =
     G.Rect.make (cx +. hw) (cy -. hh) (cx +. ow) (cy +. hh);
   ]
 
-let area ~inner_width ~inner_height ~strip =
-  let outer = (inner_width +. (2.0 *. strip)) *. (inner_height +. (2.0 *. strip)) in
-  outer -. (inner_width *. inner_height)
+let contacts ~net ~center ~inner ~strip =
+  rects ~center ~inner_width:inner ~inner_height:inner ~strip
+  |> List.map
+       (Sn_layout.Shape.rect ~layer:Sn_layout.Layer.Substrate_contact ~net)

@@ -10,5 +10,8 @@ val rects :
     whose band is [strip] wide.  Raises [Invalid_argument] on
     non-positive dimensions. *)
 
-val area : inner_width:float -> inner_height:float -> strip:float -> float
-(** Total metal/diffusion area of the frame. *)
+val contacts :
+  net:string -> center:Sn_geometry.Point.t -> inner:float -> strip:float ->
+  Sn_layout.Shape.t list
+(** A square ring of substrate-contact strips on [net], whose hole is
+    [inner] wide: one resistive substrate port named [net]. *)

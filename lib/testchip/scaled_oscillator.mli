@@ -27,14 +27,6 @@ val default : params
 (** ~5 MHz oscillator with a strong varactor (K_vco ~ a few hundred
     kHz/V). *)
 
-val netlist :
-  ?tune_tone:float * float ->
-  params -> vtune:float -> Sn_circuit.Netlist.t
-(** [netlist ?tune_tone p ~vtune] builds the oscillator; [tune_tone =
-    (amplitude, freq)] superimposes a sinusoidal disturbance on the
-    tuning line (the FM injection experiment).  Tank nodes are
-    ["tp"] / ["tn"]. *)
-
 val natural_frequency : params -> vtune:float -> float
 (** Small-signal tank estimate [1 / (2 pi sqrt (L C_diff))] including
     the varactor at its bias. *)
@@ -51,7 +43,8 @@ val simulate :
   params -> vtune:float -> run
 (** [simulate ?cycles ?steps_per_cycle ?tune_tone p ~vtune] runs the
     transient (default 160 cycles at 100 steps/cycle), discards the
-    first half (startup) and measures the rest. *)
+    first half (startup) and measures the rest; [tune_tone = (amplitude,
+    freq)] puts a sinusoid on the tuning line (FM injection). *)
 
 val kvco_transient : ?cycles:int -> params -> vtune:float -> dv:float -> float
 (** [kvco_transient p ~vtune ~dv] estimates the tuning gain from two

@@ -4,7 +4,6 @@ module C = Sn_circuit
 module Tank = Sn_rf.Tank
 
 type params = {
-  core_half_pitch : float;
   ring_inner : float;
   ring_strip : float;
   sub_offset : float;
@@ -38,7 +37,6 @@ let vco_pmos =
 
 let default =
   {
-    core_half_pitch = 20.0;
     ring_inner = 45.0;
     ring_strip = 14.0;
     sub_offset = 160.0;
@@ -60,6 +58,8 @@ let default =
     pair_l = 0.18e-6;
   }
 
+let inject = "sub_inject"
+
 let layout p =
   let center = G.Point.zero in
   let bg name x =
@@ -77,13 +77,11 @@ let layout p =
       (G.Rect.make (-12.0) (-40.0) 12.0 (-24.0))
   in
   let guard_ring =
-    Ring.rects ~center ~inner_width:(2.0 *. p.ring_inner)
-      ~inner_height:(2.0 *. p.ring_inner) ~strip:p.ring_strip
-    |> List.map (fun r ->
-           L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:"vss_ring" r)
+    Ring.contacts ~net:"vss_ring" ~center ~inner:(2.0 *. p.ring_inner)
+      ~strip:p.ring_strip
   in
   let sub =
-    L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:"sub_inject"
+    L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:inject
       (G.Rect.of_center
          (G.Point.v p.sub_offset 0.0)
          ~width:p.sub_size ~height:p.sub_size)
@@ -133,12 +131,8 @@ let layout p =
            G.Point.v 9.0 91.0 ])
   in
   let frame =
-    Ring.rects ~center
-      ~inner_width:(2.0 *. (p.sub_offset +. p.sub_size +. 30.0))
-      ~inner_height:(2.0 *. (p.sub_offset +. p.sub_size +. 30.0))
-      ~strip:15.0
-    |> List.map (fun r ->
-           L.Shape.rect ~layer:L.Layer.Substrate_contact ~net:"frame" r)
+    Ring.contacts ~net:"frame" ~center
+      ~inner:(2.0 *. (p.sub_offset +. p.sub_size +. 30.0)) ~strip:15.0
   in
   let pads =
     List.map
@@ -157,25 +151,26 @@ let layout p =
   in
   L.Layout.create ~top:"vco_chip" [ cell ]
 
-let noise_source_name = "vnoise"
 
-let circuit p ~vtune =
+let structure p =
+  { Structure.layout = layout p; ground_net = "vss";
+    substrate_node = "backgate:sub_ind"; ground_wire = ("vss_ring", "vss_pad");
+    inject }
+
+let elements p ~vtune =
   let t = p.tank in
   let c_fixed_half = t.Tank.c_fixed /. 2.0 in
-  C.Netlist.create ~title:"lc-tank vco"
-    [
-      (* supplies and references *)
-      C.Element.Vsource { name = "vdd"; np = "vdd_pad"; nn = "0";
-                          wave = C.Waveform.dc 1.8; ac_mag = 0.0 };
-      C.Element.Vsource { name = "vtune"; np = "vtune_pad"; nn = "0";
-                          wave = C.Waveform.dc vtune; ac_mag = 0.0 };
-      C.Element.Resistor { name = "rprobe_vss"; n1 = "vss_pad"; n2 = "0";
-                           ohms = p.probe_resistance };
-      (* substrate noise source behind its 50 ohm output impedance *)
-      C.Element.Vsource { name = noise_source_name; np = "sub_drive";
-                          nn = "0"; wave = C.Waveform.dc 0.0; ac_mag = 1.0 };
-      C.Element.Resistor { name = "rs_noise"; n1 = "sub_drive";
-                           n2 = "sub_inject"; ohms = 50.0 };
+  [
+    (* supplies and references *)
+    C.Element.Vsource { name = "vdd"; np = "vdd_pad"; nn = "0";
+                        wave = C.Waveform.dc 1.8; ac_mag = 0.0 };
+    C.Element.Vsource { name = "vtune"; np = "vtune_pad"; nn = "0";
+                        wave = C.Waveform.dc vtune; ac_mag = 0.0 };
+    C.Element.Resistor { name = "rprobe_vss"; n1 = "vss_pad"; n2 = "0";
+                         ohms = p.probe_resistance };
+  ]
+  @ Structure.injection inject
+  @ [
       (* bias *)
       C.Element.Isource { name = "itail"; np = "vdd_local"; nn = "vtop";
                           wave = C.Waveform.dc p.tail_current; ac_mag = 0.0 };
@@ -220,6 +215,8 @@ let circuit p ~vtune =
                             farads = p.inductor_sub_cap };
     ]
 
+let circuit p ~vtune = C.Netlist.create ~title:"lc-tank vco" (elements p ~vtune)
+
 (* The supply-interconnect entry shares the vdd_local node with the
    PMOS n-well entry in this topology, so it is subsumed by Pmos_well
    here (listing both would double-count the same coupling). *)
@@ -231,3 +228,69 @@ let sensitive_nodes =
     (Tank.Varactor_well, "vtune_w");
     (Tank.Inductor_node, "backgate:sub_ind");
   ]
+
+(* The VCO sits inside the chip's pad frame (paper Fig. 6); its seal
+   ring substrate tap is hard-grounded through the many pads it
+   touches.  The standalone NMOS structure (paper Fig. 4) has no such
+   frame — its outer guard ring is its outermost feature. *)
+let deck p ~vtune =
+  { Structure.title = "vco merged impact model";
+    elements =
+      elements p ~vtune
+      @ [ C.Element.Resistor { name = "rframe"; n1 = "frame"; n2 = "0";
+                               ohms = 0.2 } ];
+    (* every node the spur flow observes or the bias read-out touches
+       (the sensitive nodes, the tuning pad and the tank) must survive
+       reduction; most are device-touched anyway, but the injection node
+       and the inductor back-gate are passive-only *)
+    keep =
+      List.sort_uniq String.compare
+        (List.map snd sensitive_nodes @ [ inject; "vtune_pad"; "tank_p" ]) }
+
+(* AM gains per entry (1/V): small, so AM stays far below FM as the
+   paper observes; the ground and supply entries modulate the bias
+   hardest. *)
+let g_am_of_entry = function
+  | Tank.Ground -> 0.5
+  | Tank.Backgate -> 0.05
+  | Tank.Pmos_well -> 0.3
+  | Tank.Varactor_well -> 0.05
+  | Tank.Inductor_node -> 0.1
+  | Tank.Supply -> 0.3
+
+let readout p dc =
+  let module U = Sn_numerics.Units in
+  let v = Sn_engine.Dc.voltage dc in
+  let bias =
+    { Tank.v_tune = v "vtune_pad"; v_gnd = v "vss_local";
+      v_tank_cm = v "tank_p" -. v "vss_local"; v_backgate = v "backgate:mn1";
+      v_nwell = v "vdd_local" }
+  in
+  let tank = p.tank in
+  let fc = Tank.frequency tank bias in
+  (* amplitude: current-limited level in the tank's parallel
+     resistance, clipped by the supply, then the output coupling to
+     the 50 ohm measurement chain *)
+  let omega = U.two_pi *. fc in
+  let q_l = omega *. tank.Tank.inductance /. p.inductor_series_r in
+  let rp = q_l *. q_l *. p.inductor_series_r in
+  let swing = Float.min (4.0 /. U.pi *. p.tail_current *. rp) (0.45 *. 1.8) in
+  let entries =
+    List.map
+      (fun (entry, node) ->
+        { Sn_rf.Impact.label = Tank.entry_name entry; node;
+          k_hz_per_v = Tank.sensitivity tank bias entry;
+          g_am_per_v = g_am_of_entry entry })
+      sensitive_nodes
+  in
+  (* tank common-mode resistance for the inductor entry's capacitive
+     transfer: the cross-coupled devices' output conductances *)
+  let gds_of name mult =
+    float_of_int mult
+    *. (Sn_engine.Dc.mos_operating_point dc name).C.Mos_model.gds
+  in
+  let g_cm =
+    gds_of "mn1" 1 +. gds_of "mn2" 1 +. gds_of "mp1" 2 +. gds_of "mp2" 2
+  in
+  ( { Sn_rf.Impact.carrier_freq = fc; amplitude = 0.5 *. swing; entries },
+    if g_cm > 0.0 then 1.0 /. g_cm else 1.0e3 )

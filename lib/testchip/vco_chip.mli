@@ -18,7 +18,6 @@
     - ["tank_p"], ["tank_n"]: oscillator tank *)
 
 type params = {
-  core_half_pitch : float;  (** um: NMOS pair half extent *)
   ring_inner : float;  (** um: guard ring inner half width *)
   ring_strip : float;  (** um *)
   sub_offset : float;  (** um: SUB distance from the core *)
@@ -44,17 +43,26 @@ val default : params
 
 val layout : params -> Sn_layout.Layout.t
 
+val structure : params -> Structure.t
+(** The layout, ground net ["vss"] (wire ["vss_ring"] -> ["vss_pad"])
+    and interconnect substrate node ["backgate:sub_ind"]. *)
+
 val circuit : params -> vtune:float -> Sn_circuit.Netlist.t
 (** Schematic-level netlist: cross-coupled pairs, tail source, tank
     (L with series R, varactors, fixed C), decoupling, supplies, the
-    tuning source and the substrate noise source (0 amplitude DC; the
-    flow sets the tone), all referenced to the shared node names. *)
-
-val noise_source_name : string
-(** Name of the substrate noise V source inside {!circuit}
-    (["vnoise"]); the flow retunes its waveform / AC magnitude. *)
+    tuning source and the substrate noise source
+    ({!Structure.injection}), all referenced to the shared node
+    names. *)
 
 val sensitive_nodes : (Sn_rf.Tank.entry * string) list
 (** The merged-netlist node observed for each coupling entry's
     H_sub^i(f) (the inductor entry's node is the bulk probe under the
     coil; its capacitive transfer is formed analytically). *)
+
+val deck : params -> vtune:float -> Structure.deck
+(** {!circuit}'s elements and the pad frame's tie to ground. *)
+
+val readout : params -> Sn_engine.Dc.solution -> Sn_rf.Impact.oscillator * float
+(** The oscillator at a DC solution of {!deck} (carrier, amplitude,
+    each entry's K_i and G_AM) and the tank's common-mode resistance:
+    1 / the cross-coupled devices' summed g_ds, ohm. *)

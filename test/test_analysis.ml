@@ -665,9 +665,11 @@ let test_merged_decks_bind_wells () =
     (List.exists (has_prefix A.Rules.well_port_prefix) (C.Netlist.nodes vco));
   Alcotest.(check (list string)) "VCO deck: no warning" [] (codes vco);
   let nmos =
-    Snoise.Flow.nmos_merged
-      (Snoise.Flow.build_nmos Sn_testchip.Nmos_structure.default)
-      ~vgs:0.9 ~vds:1.0
+    let p = Sn_testchip.Nmos_structure.default in
+    fst
+      (Snoise.Flow.merge
+         (Snoise.Flow.extract (Sn_testchip.Nmos_structure.structure p))
+         (Sn_testchip.Nmos_structure.biased p ~vgs:0.9 ~vds:1.0))
   in
   Alcotest.(check (list string)) "NMOS deck: no warning" [] (codes nmos);
   let floating = C.Spice.load (Filename.concat "decks" "floating_well.sp") in

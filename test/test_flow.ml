@@ -466,6 +466,160 @@ let test_merged_deck_roundtrip () =
        (fun (d : Sn_analysis.Rule.diagnostic) -> d.Sn_analysis.Rule.code)
        (Sn_analysis.Analyzer.errors report))
 
+(* ------------------------------------------------------------------ *)
+(* the Fig. 2 pipeline on generated structures *)
+
+module Tc = Sn_testchip
+module L = Sn_layout
+module G = Sn_geometry
+module El = Sn_circuit.Element
+
+let small_grid =
+  { Sn_substrate.Grid.nx = 16; ny = 16; z_per_layer = Some [ 1; 2; 2; 1 ] }
+
+(* A small structure around the origin: a guard ring ["ring"], a
+   bulk probe ["backgate:victim"] in its hole, an injection contact
+   ["inj"] to its right, 0-2 grounded taps below it, and a metal-1
+   ground wire of random width from the ring to a pad ["pad"] whose
+   probe ties it to "0".  The RC victim hangs off the ring (the
+   ground-local node): a resistor to ["victim"], a capacitor from there
+   to the bulk probe.  The pad touches only the wire and its probe. *)
+let structure_gen : (Tc.Structure.t * Tc.Structure.deck) QCheck.Gen.t =
+ fun st ->
+  let u lo hi = lo +. Random.State.float st (hi -. lo) in
+  let inner = u 30.0 80.0 and strip = u 4.0 12.0 in
+  let edge = (inner /. 2.0) +. strip in
+  let length = u 50.0 250.0 in
+  let contact net = L.Shape.rect ~layer:L.Layer.Substrate_contact ~net in
+  let square x y size =
+    G.Rect.of_center (G.Point.v x y) ~width:size ~height:size
+  in
+  let taps =
+    List.init (Random.State.int st 3) (fun k ->
+        let net = Printf.sprintf "tap%d" k in
+        ( contact net
+            (square (-50.0 +. (60.0 *. float_of_int k) +. u 0.0 20.0)
+               (-.edge -. u 15.0 60.0) (u 8.0 16.0)),
+          El.Resistor
+            { name = "r" ^ net; n1 = net; n2 = "0"; ohms = u 1.0 1e3 } ))
+  in
+  let shapes =
+    [ contact "inj" (square (edge +. u 10.0 80.0) 0.0 (u 8.0 20.0));
+      L.Shape.rect ~layer:(L.Layer.Backgate_probe "victim") ~net:"-"
+        (square 0.0 0.0 (inner /. 3.0));
+      L.Shape.path ~layer:(L.Layer.Metal 1) ~net:"gnd" ~from_terminal:"ring"
+        ~to_terminal:"pad"
+        (G.Path.make ~width:(u 0.5 6.0)
+           [ G.Point.v (-.edge) 0.0; G.Point.v (-.edge -. length) 0.0 ]);
+      L.Shape.rect ~layer:L.Layer.Pad ~net:"gnd"
+        (square (-.edge -. length) 0.0 60.0) ]
+    @ Tc.Ring.contacts ~net:"ring" ~center:G.Point.zero ~inner ~strip
+    @ List.map fst taps
+  in
+  let layout =
+    L.Layout.create ~top:"generated" [ L.Cell.make ~name:"generated" shapes ]
+  in
+  ( { Tc.Structure.layout; ground_net = "gnd"; substrate_node = "ring";
+      ground_wire = ("ring", "pad"); inject = "inj" },
+    { Tc.Structure.title = "generated structure";
+      elements =
+        Tc.Structure.injection "inj"
+        @ [ El.Resistor
+              { name = "rprobe"; n1 = "pad"; n2 = "0"; ohms = u 0.01 2.0 };
+            El.Resistor
+              { name = "rvictim"; n1 = "ring"; n2 = "victim"; ohms = u 10.0 1e4 };
+            El.Capacitor
+              { name = "cvictim"; n1 = "victim"; n2 = "backgate:victim";
+                farads = u 1e-14 1e-12 } ]
+        @ List.map snd taps;
+      keep = [ "inj"; "ring" ] } )
+
+let print_structure ((s : Tc.Structure.t), (d : Tc.Structure.deck)) =
+  L.Layout_io.to_string s.Tc.Structure.layout
+  ^ Sn_circuit.Spice.to_string
+      (Sn_circuit.Netlist.create d.Tc.Structure.elements)
+
+(* Widening the ground wire never raises the ring's share of the
+   injected voltage.  The pad touches only the wire and its probe, so
+   the ring reaches "0" through one series branch whose conductance
+   widening raises; by Rayleigh monotonicity the ring's transfer from
+   the injection node cannot rise.  Evaluated at 1 kHz, where every
+   capacitance (at most ~1 pF, under 7 nS) is negligible beside the
+   resistive paths, with a relative tolerance of 1e-9 for rounding. *)
+let prop_widening_never_raises_ground_bounce =
+  QCheck.Test.make ~count:20
+    ~name:"generated structures: widening the ground never raises v(ring)/v(inj)"
+    QCheck.(
+      pair (make ~print:print_structure structure_gen) (float_range 1.1 4.0))
+    (fun ((structure, deck), factor) ->
+      let bounce widen_ground =
+        let options =
+          { Flow.default_options with Flow.grid = small_grid; widen_ground }
+        in
+        let nl, _ = Flow.merge (Flow.extract ~options structure) deck in
+        let s = Sn_engine.Ac.solve nl ~freq:1.0e3 in
+        Complex.norm (Sn_engine.Ac.voltage s "ring")
+        /. Complex.norm (Sn_engine.Ac.voltage s "inj")
+      in
+      let base = bounce None and widened = bounce (Some factor) in
+      widened <= base *. (1.0 +. 1e-9)
+      || QCheck.Test.fail_reportf "x%g: %.12g -> %.12g" factor base widened)
+
+(* Each distinct lint warning is logged once per built flow, however
+   many bias points re-merge its deck; a second build logs it again,
+   and a bare [lint_gate] logs every time.  A 0.1 micro-ohm probe
+   warns extreme-value on both pad probes. *)
+let test_lint_warns_once_per_flow () =
+  let logged = ref [] in
+  let reporter =
+    { Logs.report =
+        (fun src level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun s ->
+                  if level = Logs.Warning && Logs.Src.name src = "sn.flow" then
+                    logged := s :: !logged;
+                  over ();
+                  k ())
+                fmt)) }
+  in
+  let saved_reporter = Logs.reporter () and saved_level = Logs.level () in
+  Logs.set_reporter reporter;
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect ~finally:(fun () ->
+      Logs.set_reporter saved_reporter;
+      Logs.set_level saved_level)
+  @@ fun () ->
+  let module Ns = Tc.Nmos_structure in
+  let params = { Ns.default with Ns.probe_resistance = 1e-7 } in
+  let options = { Flow.default_options with Flow.grid = small_grid } in
+  let warnings () =
+    List.length
+      (List.filter
+         (fun s -> Test_circuit.contains_sub s "extreme-value")
+         !logged)
+  in
+  let sweep () =
+    let flow = Flow.build_nmos ~options params in
+    List.iter
+      (fun (vgs, vds) -> ignore (Flow.nmos_transfer flow ~vgs ~vds ~freq:5.0e6))
+      (Ns.bias_sweep params)
+  in
+  sweep ();
+  Alcotest.(check int) "5-point sweep: each probe warns once" 2 (warnings ());
+  sweep ();
+  Alcotest.(check int) "second build: logged again" 4 (warnings ());
+  let unlinted = { options with Flow.lint = false } in
+  let nl, _ =
+    Flow.merge
+      (Flow.extract ~options:unlinted (Ns.structure params))
+      (Ns.passive params)
+  in
+  Alcotest.(check int) "lint off: nothing logged" 4 (warnings ());
+  Flow.lint_gate nl;
+  Flow.lint_gate nl;
+  Alcotest.(check int) "bare lint_gate: every time" 8 (warnings ())
+
 let suites =
   [
     ( "flow.fig3",
@@ -544,5 +698,11 @@ let suites =
           test_merge_macromodel_elements;
         Alcotest.test_case "merged deck round-trips through SPICE" `Quick
           test_merged_deck_roundtrip;
+      ] );
+    ( "flow.pipeline",
+      [
+        QCheck_alcotest.to_alcotest prop_widening_never_raises_ground_bounce;
+        Alcotest.test_case "lint warnings once per flow" `Quick
+          test_lint_warns_once_per_flow;
       ] );
   ]

@@ -21,8 +21,9 @@ let test_ring_geometry () =
   in
   Alcotest.(check int) "4 strips" 4 (List.length rects);
   let area = List.fold_left (fun a r -> a +. G.Rect.area r) 0.0 rects in
+  (* closed form: outer square minus the hole *)
   check_close 1e-9 "area matches closed form"
-    (Ring.area ~inner_width:10.0 ~inner_height:10.0 ~strip:2.0)
+    ((14.0 *. 14.0) -. (10.0 *. 10.0))
     area;
   (* the hole is really hollow *)
   Alcotest.(check bool) "center not covered" false
@@ -115,7 +116,10 @@ let test_nmos_layout_io_roundtrip () =
   Alcotest.(check (list string)) "ports preserved" (names l) (names l2)
 
 let test_nmos_device_netlist () =
-  let nl = NS.device_netlist NS.default ~vgs:0.8 ~vds:0.9 in
+  let nl =
+    C.Netlist.create
+      (NS.biased NS.default ~vgs:0.8 ~vds:0.9).Sn_testchip.Structure.elements
+  in
   (match C.Netlist.find nl "m1" with
    | C.Element.Mosfet { mult; bulk; source; _ } ->
      Alcotest.(check int) "4 parallel transistors" 4 mult;
