@@ -47,10 +47,11 @@ let () =
      pool tasks of one sweep *)
   let distances = [ 20.0; 60.0; 120.0; 200.0 ] in
   let results =
-    Snoise.Sweep.grid
-      (fun tech distance -> coupling ~tech ~distance ())
+    List.concat_map
+      (fun tech -> List.map (fun d -> (tech, d)) distances)
       [ Sn_tech.Tech.imec018; Sn_tech.Tech.epi018 ]
-      distances
+    |> Sn_engine.Pool.map_list (Sn_engine.Pool.default ())
+         (fun (tech, distance) -> (tech, distance, coupling ~tech ~distance ()))
   in
   let value tech d =
     let _, _, v = List.find (fun (t, x, _) -> t == tech && x = d) results in

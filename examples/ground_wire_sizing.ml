@@ -6,7 +6,7 @@
    Run with:  dune exec examples/ground_wire_sizing.exe *)
 
 module Flow = Snoise.Flow
-module Sweep = Snoise.Sweep
+module Pool = Sn_engine.Pool
 module Impact = Sn_rf.Impact
 
 let f_noise = 10.0e6
@@ -26,13 +26,13 @@ let () =
   Format.printf "== Ground wire sizing (paper Fig. 10, extended) ==@.@.";
   Format.printf
     "Spur at fc + 10 MHz, -5 dBm substrate tone, Vtune = 0 (%d jobs):@.@."
-    (Sn_engine.Pool.jobs (Sn_engine.Pool.default ()));
+    (Pool.jobs (Pool.default ()));
   Format.printf "  %8s %12s %12s %14s@." "width x" "wire R" "spur [dBm]"
     "vs normal [dB]";
   (* every width is an independent extraction + impact run: one sweep
      point each, fanned out over the pool *)
   let results =
-    Sweep.map_points
+    Pool.map_list (Pool.default ())
       (fun factor -> (factor, spur_at factor))
       [ 1.0; 1.5; 2.0; 3.0; 5.0 ]
   in

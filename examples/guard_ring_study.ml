@@ -70,7 +70,7 @@ let () =
       ]
   in
   let results =
-    Snoise.Sweep.map_points
+    Sn_engine.Pool.map_list (Sn_engine.Pool.default ())
       (fun (tag, ring_strip, backplane, grounded) ->
         (tag, transfer ~backplane ~ring_strip ~grounded ()))
       scenarios

@@ -25,12 +25,12 @@ let () =
     "sim[dB]" "hand[dB]";
   List.iter
     (fun (vgs, vds) ->
-      let p = Flow.nmos_transfer flow ~vgs ~vds ~freq:5.0e6 in
+      let p = Flow.nmos_transfer flow ~divider ~vgs ~vds ~freq:5.0e6 in
       Format.printf "  %6.2f %10.1f %10.1f %10.1f %10.1f@." vgs
         (1.0e3 *. p.Flow.gmb_total)
         (1.0e3 *. p.Flow.gds_total)
         p.Flow.transfer_sim_db p.Flow.transfer_hand_db)
-    (NS.bias_sweep params);
+    NS.bias_sweep;
 
   (* the ablation that motivates the whole paper: re-run the flow the
      "classical" way, with ideal (zero-resistance) interconnect *)

@@ -9,7 +9,7 @@ module Corners = Snoise.Corners
 let () =
   Format.printf "== Process corners: VCO spur at fc + 10 MHz ==@.@.";
   (* Corners.vco_spread runs one flow per corner on the shared pool
-     (Snoise.Sweep.corners) — width picked by SNOISE_JOBS *)
+     (Sn_engine.Pool.map_list) — width picked by SNOISE_JOBS *)
   Format.printf "  evaluating %d corners on %d worker(s)@.@."
     (List.length Corners.corners_3sigma)
     (Sn_engine.Pool.jobs (Sn_engine.Pool.default ()));

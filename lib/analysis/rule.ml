@@ -12,6 +12,7 @@ let subject_name = function
   | Element n | Node n | Port n -> n
   | Deck -> ""
 
+(* the JSON discriminator *)
 let subject_kind = function
   | Element _ -> "element"
   | Node _ -> "node"

@@ -22,10 +22,6 @@ type subject =
 val subject_name : subject -> string
 (** The bare name; [""] for {!Deck}. *)
 
-val subject_kind : subject -> string
-(** ["element"], ["node"], ["port"] or ["deck"] — the JSON
-    discriminator. *)
-
 type diagnostic = {
   severity : severity;
   code : string;  (** the rule that fired *)

@@ -374,8 +374,11 @@ let extreme_values ctx =
 
 (* ------------------------------------------------------------------ *)
 (* merge-binding rules.  Snoise.Merge names the elements it renders
-   from the extracted models with fixed prefixes; a contract test in
-   test_analysis.ml keeps these in sync with the merge layer. *)
+   from the extracted models with fixed prefixes: macromodel
+   conductances and well capacitors, observation-only back-gate probe
+   ports, and well ports tied through their junction capacitor.
+   test_analysis.ml checks that the merged decks carry them and lint
+   without a port-binding warning. *)
 
 let substrate_prefixes = [ "rsub_"; "cwell_" ]
 let probe_port_prefix = "backgate:"

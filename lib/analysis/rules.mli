@@ -56,23 +56,3 @@ val find : string -> Rule.t option
 
 val codes : string list
 (** All registry codes, sorted. *)
-
-(** {2 Merge namespace conventions}
-
-    [Snoise.Merge] names the elements it synthesizes with these
-    prefixes; the port-binding rules recognize substrate parasitics by
-    them.  A contract test ([test_analysis.ml]) asserts the merge
-    layer actually uses them. *)
-
-val substrate_prefixes : string list
-(** [["rsub_"; "cwell_"]] — macromodel conductances / well caps. *)
-
-val probe_port_prefix : string
-(** ["backgate:"] — observation-only ports, exempt from binding
-    rules. *)
-
-val well_port_prefix : string
-(** ["nwell:"] — well ports, tied through their junction cap. *)
-
-val is_substrate_element : string -> bool
-(** Whether an element name carries a {!substrate_prefixes} prefix. *)

@@ -2,13 +2,16 @@ module P = Sn_engine.Stamp_plan
 module Mna = Sn_engine.Mna
 module Diag = Sn_engine.Diag
 
-type matching = { m_row : int array; m_col : int array; size : int }
+(* row -> matched column and column -> matched row, [-1] if unmatched *)
+type matching = { m_row : int array; m_col : int array }
 
+(* Kuhn's augmenting-path maximum bipartite matching, rows in
+   ascending index, so every reported unmatched unknown is
+   deterministic *)
 let maximum_matching (pat : P.pattern) =
   let n = pat.P.pat_dim in
   let m_row = Array.make (max n 1) (-1) in
   let m_col = Array.make (max n 1) (-1) in
-  let size = ref 0 in
   (* greedy seed before augmenting: match each row to its diagonal
      when the pattern has one (an MNA row can almost always pivot for
      its own unknown), else to any still-free column.  Augmenting from
@@ -20,8 +23,7 @@ let maximum_matching (pat : P.pattern) =
     let cols = pat.P.pat_adj.(r) in
     if m_col.(r) = -1 && Array.exists (fun c -> c = r) cols then begin
       m_row.(r) <- r;
-      m_col.(r) <- r;
-      incr size
+      m_col.(r) <- r
     end
     else begin
       let n_cols = Array.length cols in
@@ -30,8 +32,7 @@ let maximum_matching (pat : P.pattern) =
         let c = cols.(!k) in
         if m_col.(c) = -1 then begin
           m_row.(r) <- c;
-          m_col.(c) <- r;
-          incr size
+          m_col.(c) <- r
         end;
         incr k
       done
@@ -62,9 +63,9 @@ let maximum_matching (pat : P.pattern) =
     try_col 0
   in
   for r = 0 to n - 1 do
-    if m_row.(r) = -1 && augment r r then incr size
+    if m_row.(r) = -1 then ignore (augment r r)
   done;
-  { m_row; m_col; size = !size }
+  { m_row; m_col }
 
 let unmatched_columns m =
   let out = ref [] in
@@ -73,6 +74,10 @@ let unmatched_columns m =
   done;
   !out
 
+(* the columns reachable from unmatched column [c0] by alternating
+   paths: the Dulmage-Mendelsohn underdetermined block holding [c0].
+   Any of them may surface as the solver's singular pivot, so the
+   diagnostic reports the whole group *)
 let alternating_columns (pat : P.pattern) m c0 =
   let n = pat.P.pat_dim in
   (* transpose adjacency: column -> rows with a structural entry there *)

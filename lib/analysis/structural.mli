@@ -14,28 +14,6 @@
     parallel) — which is why the analyzer keeps the graph-based
     [vsource-loop] rule alongside this one. *)
 
-type matching = {
-  m_row : int array;  (** row -> matched column, [-1] if unmatched *)
-  m_col : int array;  (** column -> matched row, [-1] if unmatched *)
-  size : int;  (** matched pair count; [< dim] means singular *)
-}
-
-val maximum_matching : Sn_engine.Stamp_plan.pattern -> matching
-(** Kuhn's augmenting-path maximum bipartite matching, rows processed
-    in ascending index so the result (and therefore every reported
-    unmatched unknown) is deterministic. *)
-
-val unmatched_columns : matching -> int list
-(** Columns no maximum-matching augmentation could cover, ascending. *)
-
-val alternating_columns :
-  Sn_engine.Stamp_plan.pattern -> matching -> int -> int list
-(** [alternating_columns pat m c] is the set of columns reachable from
-    unmatched column [c] by alternating (non-matching / matching)
-    paths — the Dulmage–Mendelsohn underdetermined block containing
-    [c].  Any of these unknowns may surface as the solver's singular
-    pivot, so diagnostics report the whole dependent group. *)
-
 (** One structural rank deficiency of the compiled MNA system. *)
 type deficiency = {
   analyses : string;  (** ["dc"], ["ac"] or ["dc and ac"] *)

@@ -477,9 +477,3 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> of_string ~file:path (In_channel.input_all ic))
-
-let save path nl =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string nl))

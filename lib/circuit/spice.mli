@@ -53,4 +53,3 @@ val to_string : Netlist.t -> string
     since the reader takes the type from the first letter. *)
 
 val load : string -> Netlist.t
-val save : string -> Netlist.t -> unit

@@ -66,7 +66,7 @@ type vco_corner_result = {
 
 let vco_spread ?(options = Flow.default_options) ?(corners = corners_3sigma)
     () =
-  Sweep.corners ?pool:options.Flow.pool
+  Sn_engine.Pool.map_list (Flow.pool_of options)
     (fun c ->
       let flow =
         Flow.build_vco ~options:(with_corner options c) Tc.Vco_chip.default

@@ -4,6 +4,7 @@ module Tc = Sn_testchip
 module Impact = Sn_rf.Impact
 module Tank = Sn_rf.Tank
 module Behavioral = Sn_rf.Behavioral
+module Pool = Sn_engine.Pool
 
 let default_f_noise = N.Sweep.logspace 1.0e6 15.0e6 7
 
@@ -49,10 +50,11 @@ let fig3 ?(options = Flow.default_options) () =
       ~options:{ options with Flow.interconnect_resistance = false }
       params
   in
+  let divider = Flow.nmos_divider flow in
   let points =
     List.map
-      (fun (vgs, vds) -> Flow.nmos_transfer flow ~vgs ~vds ~freq:5.0e6)
-      (Tc.Nmos_structure.bias_sweep params)
+      (fun (vgs, vds) -> Flow.nmos_transfer flow ~divider ~vgs ~vds ~freq:5.0e6)
+      Tc.Nmos_structure.bias_sweep
   in
   let max_err =
     List.fold_left
@@ -62,7 +64,7 @@ let fig3 ?(options = Flow.default_options) () =
       0.0 points
   in
   {
-    divider = Flow.nmos_divider flow;
+    divider;
     divider_no_r = Flow.nmos_divider flow_no_r;
     ground_wire_ohms = Flow.nmos_ground_wire_resistance flow;
     points;
@@ -118,11 +120,11 @@ let fig7 ?(options = Flow.default_options) ?(f_noise = 10.0e6) () =
   let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune:0.0 in
   let h = Flow.vco_transfers flow ~f_noise:[| f_noise |] in
   let osc = Flow.vco_oscillator flow in
-  (* one tone, but routed through the sweep layer so fig7 shares the
-     pool path (and its determinism guarantee) with fig8-fig10 *)
+  (* one tone, but routed through the pool so fig7 shares the sweep
+     path (and its determinism guarantee) with fig8-fig10 *)
   let spur, lower, upper, samples =
     match
-      Sweep.map_points ?pool:options.Flow.pool
+      Pool.map_list (Flow.pool_of options)
         (fun fn ->
           let spur = Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn in
           let samples = behavioral_samples osc ~h:(h fn) ~f_noise:fn in
@@ -186,9 +188,9 @@ let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
      impact simulation) fans out over the vtunes, then the per-point
      work fans out over the full (family x f_noise) grid.  Each level
      drains before the next starts, so the pool is never re-entered. *)
-  let pool = options.Flow.pool in
+  let pool = Flow.pool_of options in
   let families =
-    Sweep.map_points ?pool
+    Pool.map_list pool
       (fun vtune ->
         let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune in
         let h = Flow.vco_transfers flow ~f_noise in
@@ -197,8 +199,10 @@ let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
       vtunes
   in
   let cells =
-    Sweep.grid ?pool
-      (fun (_, _, flow, h, osc) fn ->
+    List.concat_map
+      (fun family -> List.map (fun fn -> (family, fn)) (Array.to_list f_noise))
+      families
+    |> Pool.map_list pool (fun ((_, _, flow, h, osc), fn) ->
         let spur =
           Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn
         in
@@ -214,17 +218,11 @@ let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
           lower_dbm = spur.Impact.lower_dbm;
           behavioral_dbm = upper_meas;
         })
-      families
-      (Array.to_list f_noise)
   in
   let n_points = Array.length f_noise in
   List.mapi
     (fun i (vtune, carrier_ghz, _, _, _) ->
-      let points =
-        List.filteri
-          (fun j _ -> j / n_points = i)
-          (List.map (fun (_, _, p) -> p) cells)
-      in
+      let points = List.filteri (fun j _ -> j / n_points = i) cells in
       let slope =
         N.Stats.slope_db_per_decade
           (Array.of_list (List.map (fun p -> p.f_noise) points))
@@ -265,7 +263,7 @@ let fig9 ?(options = Flow.default_options) ?(f_noise = default_f_noise) () =
   let h = Flow.vco_transfers flow ~f_noise in
   let spurs =
     Array.to_list f_noise
-    |> Sweep.map_points ?pool:options.Flow.pool (fun fn ->
+    |> Pool.map_list (Flow.pool_of options) (fun fn ->
            (fn, Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn))
   in
   let labels =
@@ -331,10 +329,10 @@ let fig10 ?(options = Flow.default_options) ?(f_noise = default_f_noise) () =
   (* the two variants (normal / widened ground) are independent full
      extractions: build them as parallel sweep points, then fan the
      per-frequency spur pairs out *)
-  let pool = options.Flow.pool in
+  let pool = Flow.pool_of options in
   let normal, widened =
     match
-      Sweep.map_points ?pool
+      Pool.map_list pool
         (fun options ->
           let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune:0.0 in
           (flow, Flow.vco_transfers flow ~f_noise))
@@ -345,7 +343,7 @@ let fig10 ?(options = Flow.default_options) ?(f_noise = default_f_noise) () =
   in
   let points =
     Array.to_list f_noise
-    |> Sweep.map_points ?pool (fun fn ->
+    |> Pool.map_list pool (fun fn ->
            let s_n =
              Flow.vco_spur (fst normal) ~h:(snd normal)
                ~p_noise_dbm:paper_noise_dbm ~f_noise:fn
@@ -495,13 +493,13 @@ type runtime = {
 
 let runtime ?(options = Flow.default_options) () =
   let pool = Flow.pool_of options in
-  Sn_engine.Pool.reset_stats pool;
+  Pool.reset_stats pool;
   let t0 = Unix.gettimeofday () in
   let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune:0.0 in
   let t1 = Unix.gettimeofday () in
   let h = Flow.vco_transfers flow ~f_noise:default_f_noise in
   ignore
-    (Sweep.map_array ~pool
+    (Pool.map_array pool
        (fun fn ->
          Flow.vco_spur flow ~h ~p_noise_dbm:paper_noise_dbm ~f_noise:fn)
        default_f_noise);
@@ -517,7 +515,7 @@ let runtime ?(options = Flow.default_options) () =
     simulation_seconds = t2 -. t1;
     grid_cells = cells;
     extractor = xstats;
-    pool = Sn_engine.Pool.stats pool;
+    pool = Pool.stats pool;
     tile_cache = Sn_substrate.Cache.resolution ();
     reduction = Flow.vco_reduction flow;
   }

@@ -281,12 +281,12 @@ type nmos_point = {
   transfer_hand_db : float;
 }
 
-let nmos_transfer f ~vgs ~vds ~freq =
+let nmos_transfer f ~divider ~vgs ~vds ~freq =
   let nl, _ = merge f.nmos (Ns.biased f.nmos_params ~vgs ~vds) in
   let dc = Dc.solve nl in
   let gmb_total, gds_total = Ns.small_signal f.nmos_params dc in
   let transfer_sim = transfer f.nmos (Ac.solve ~dc nl ~freq) Ns.drain in
-  let transfer_hand = nmos_divider f *. gmb_total /. gds_total in
+  let transfer_hand = divider *. gmb_total /. gds_total in
   { vgs; vds; gmb_total; gds_total;
     transfer_sim_db = N.Units.db_of_ratio transfer_sim;
     transfer_hand_db = N.Units.db_of_ratio transfer_hand }
@@ -344,33 +344,13 @@ let vco_transfers f ~f_noise =
   let c_ind = 2.0 *. f.vco_params.Vc.inductor_sub_cap in
   let inductor_node = List.assoc Sn_rf.Tank.Inductor_node Vc.sensitive_nodes in
   let r_cm = f.tank_cm_resistance in
-  let freqs = Array.copy f_noise in
-  Array.sort compare freqs;
-  (* linear interpolation between the swept points for off-grid
-     queries *)
   let lookup freq node =
     match Hashtbl.find_opt table (freq, node) with
     | Some v -> v
     | None ->
-      let n = Array.length freqs in
-      if n = 0 then invalid_arg "vco_transfers: empty frequency sweep";
-      if freq <= freqs.(0) then Hashtbl.find table (freqs.(0), node)
-      else if freq >= freqs.(n - 1) then
-        Hashtbl.find table (freqs.(n - 1), node)
-      else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if freqs.(mid) <= freq then lo := mid else hi := mid
-        done;
-        let f0 = freqs.(!lo) and f1 = freqs.(!hi) in
-        let v0 = Hashtbl.find table (f0, node) in
-        let v1 = Hashtbl.find table (f1, node) in
-        let t = (freq -. f0) /. (f1 -. f0) in
-        let lerp a b = a +. (t *. (b -. a)) in
-        { Complex.re = lerp v0.Complex.re v1.Complex.re;
-          im = lerp v0.Complex.im v1.Complex.im }
-      end
+      invalid_arg
+        (Printf.sprintf "Flow.vco_transfers: %g Hz at node %s was not swept"
+           freq node)
   in
   fun freq node ->
     let raw = lookup freq node in

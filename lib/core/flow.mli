@@ -12,7 +12,8 @@
     dominates), and {!merge} combines them with as many circuit decks
     as the analyses need.  Flow values are immutable after
     construction, so independent analyses of one flow may run on
-    parallel pool workers ([Snoise.Sweep]). *)
+    parallel pool workers ({!Sn_engine.Pool.map_list} over
+    {!pool_of}). *)
 
 (** Knobs of one flow run — the ablations of the paper's evaluation
     are all expressed as option records.  The record is the whole run
@@ -50,7 +51,7 @@ type options = {
           probes, spur entry nodes) are kept explicit automatically. *)
   pool : Sn_engine.Pool.t option;
       (** worker pool for the substrate extraction, the AC sweeps and
-          every {!Sweep} fan-out of the run; [None] (the default)
+          every sweep fan-out of the run; [None] (the default)
           means {!Sn_engine.Pool.default}.  The CLI's [--jobs N] sets
           it to a pool of width [N].  Output is byte-identical at any
           width. *)
@@ -220,9 +221,13 @@ type nmos_point = {
   transfer_hand_db : float;  (** divider * gmb / gds, the paper's check *)
 }
 
-val nmos_transfer : nmos_flow -> vgs:float -> vds:float -> freq:float -> nmos_point
+val nmos_transfer :
+  nmos_flow -> divider:float -> vgs:float -> vds:float -> freq:float ->
+  nmos_point
 (** Simulates the substrate-to-drain transfer at one bias point and
-    also evaluates the paper's hand formula for cross-checking. *)
+    also evaluates the paper's hand formula for cross-checking.
+    [divider] is the flow's {!nmos_divider}, which does not depend on
+    the bias: a sweep computes it once and passes it to every point. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 VCO (paper sections 4-6)} *)
@@ -264,10 +269,12 @@ val vco_transfers :
   (float -> string -> Complex.t)
 (** [vco_transfers flow ~f_noise] runs the AC impact simulation of the
     merged model over the noise frequencies (unit drive at the noise
-    source) and returns the interpolating transfer accessor [h f node]
-    used by the spur model.  The inductor entry's capacitive transfer
-    is formed from the bulk potential under the coil and the tank's
-    common-mode impedance. *)
+    source) and returns the transfer accessor [h f node] used by the
+    spur model.  The inductor entry's capacitive transfer is formed
+    from the bulk potential under the coil and the tank's common-mode
+    impedance.  [h] answers only the swept frequencies and the spur
+    entry nodes: any other query raises [Invalid_argument] naming the
+    frequency and node. *)
 
 val paper_noise_dbm : float
 (** The paper's injected tone power: -5 dBm. *)

@@ -130,7 +130,6 @@ let of_macromodel m =
 
 let of_rc_netlist ~ports nl = of_elements ~ports (Merge.of_rc_netlist nl)
 
-let is_reduced t = match t.form with Exact -> false | Reduced _ -> true
 let ports t = Array.copy t.port_names
 let stats t = match t.form with Exact -> None | Reduced r -> Some r.stats
 

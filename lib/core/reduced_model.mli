@@ -92,7 +92,6 @@ val reduce : ?config:config -> t -> t
     island with no path to any port or ground) or when reduction would
     not shrink the model ([rank >= internal]). *)
 
-val is_reduced : t -> bool
 val ports : t -> string array
 val stats : t -> stats option
 (** Reduction stats of a reduced form ([None] for exact). *)

@@ -100,8 +100,8 @@ let assemble_plan (plan : Stamp_plan.t) dcx ~omega =
   done;
   (a, rhs)
 
-let system_of_plan plan dc ~omega = assemble_plan plan (Dc.unknowns dc) ~omega
-let system mna dc ~omega = system_of_plan (Stamp_plan.build mna) dc ~omega
+let system mna dc ~omega =
+  assemble_plan (Stamp_plan.build mna) (Dc.unknowns dc) ~omega
 
 (* Production solve path: compiled G + jwB plan, pattern-reusing sparse
    factorization, per-domain workspace. *)
@@ -125,9 +125,6 @@ let frequency s = s.freq
 let voltage s node =
   let slot = Mna.node_slot s.mna node in
   if slot < 0 then czero else s.x.(slot)
-
-let magnitude_db s node =
-  N.Units.db_of_ratio (Complex.norm (voltage s node))
 
 type sweep_point = { freq : float; values : (string * Complex.t) list }
 
@@ -164,8 +161,3 @@ let sweep ?pool ?dc netlist ~freqs ~nodes =
   let plan = Stamp_plan.build mna in
   let dc = match dc with Some d -> d | None -> Dc.solve_mna mna in
   sweep_plan ?pool (Ac_plan.of_dc plan dc) ~freqs ~nodes
-
-let transfer_db points node =
-  Array.map
-    (fun p -> N.Units.db_of_ratio (Complex.norm (List.assoc node p.values)))
-    points

@@ -36,25 +36,13 @@ val frequency : solution -> float
 val voltage : solution -> string -> Complex.t
 (** Node phasor (0 for ground).  Raises [Not_found]. *)
 
-val magnitude_db : solution -> string -> float
-(** [20 log10 |v(node)|].  Raises [Invalid_argument] when the
-    magnitude is zero. *)
-
 val system :
   Mna.t -> Dc.solution -> omega:float ->
   Complex.t array array * Complex.t array
 (** [system mna dc ~omega] is the assembled complex MNA matrix and
     stimulus vector at angular frequency [omega] — the dense reference
-    formulation, kept for validation of the sparse engine and for
-    callers that want the explicit matrix.  Compiles a fresh stamp plan
-    per call; for repeated assemblies build the plan once and use
-    {!system_of_plan}. *)
-
-val system_of_plan :
-  Stamp_plan.t -> Dc.solution -> omega:float ->
-  Complex.t array array * Complex.t array
-(** Same as {!system} over a pre-compiled stamp plan: per-frequency
-    cost is numeric stamping only. *)
+    formulation, kept for validation of the sparse engine.  Compiles a
+    fresh stamp plan per call. *)
 
 type sweep_point = { freq : float; values : (string * Complex.t) list }
 
@@ -79,7 +67,3 @@ val sweep_plan :
     repeated and batched sweeps over one cached plan are
     byte-identical however the points are grouped into dispatches.
     Raises as {!sweep}. *)
-
-val transfer_db : sweep_point array -> string -> float array
-(** [transfer_db points node] extracts [20 log10 |v(node)|] per sweep
-    point. *)

@@ -51,10 +51,6 @@ val attempts : solution -> Diag.attempt list
 val voltage : solution -> string -> float
 (** [voltage s node] — 0 for ground.  Raises {!Mna.Unknown_node}. *)
 
-val branch_current : solution -> string -> float
-(** Current through a voltage-defined element (V source, VCVS,
-    inductor).  Raises {!Mna.Unknown_branch}. *)
-
 val mos_operating_point :
   solution -> string -> Sn_circuit.Mos_model.operating_point
 (** Single-device operating point of MOSFET [name] at the solution

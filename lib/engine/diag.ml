@@ -59,8 +59,6 @@ let unknown_of_slot mna slot =
     | Some name ->
       Some (if slot < Mna.n_nodes mna then Node name else Branch name)
 
-let unknown_name = function Node n -> n | Branch b -> b
-
 let pp_unknown fmt = function
   | Node n -> Format.fprintf fmt "node %s" n
   | Branch b -> Format.fprintf fmt "branch of element %s" b

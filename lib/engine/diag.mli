@@ -71,11 +71,6 @@ exception Error of t
     registered with {!Printexc} so uncaught diagnostics print
     readably. *)
 
-val unknown_name : unknown -> string
-(** The bare node or element name, without the "node"/"branch"
-    qualifier — what static analysis cross-checks solver diagnostics
-    against. *)
-
 val unknown_of_slot : Mna.t -> int -> unknown option
 (** [unknown_of_slot mna i] names MNA unknown [i] — [Node _] for a
     node-voltage slot, [Branch _] for a branch-current slot, [None]

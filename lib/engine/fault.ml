@@ -48,15 +48,6 @@ let counter = function
   | Server_garble -> garble_count
   | Server_drop -> drop_count
 
-let site_name = function
-  | Factor -> "factor"
-  | Dc_attempt -> "dc-attempt"
-  | Tran_solve -> "tran-solve"
-  | Server_kill -> "server-kill"
-  | Server_delay -> "server-delay"
-  | Server_garble -> "server-garble"
-  | Server_drop -> "server-drop"
-
 let site_of_name = function
   | "factor" -> Some Factor
   | "dc-attempt" -> Some Dc_attempt
@@ -83,8 +74,6 @@ let arm site spec =
 let disarm () =
   reset_counters ();
   state := None
-
-let armed () = Option.map (fun a -> (a.site, a.spec)) !state
 
 let parse s =
   match String.index_opt s ':' with
@@ -127,8 +116,3 @@ let fire ?(scope_index = 0) site =
     (match a.spec with
      | First_in_scope -> scope_index = 1
      | Nth n -> Atomic.fetch_and_add (counter site) 1 + 1 = n)
-
-let pp fmt (site, spec) =
-  match spec with
-  | Nth n -> Format.fprintf fmt "%s:%d" (site_name site) n
-  | First_in_scope -> Format.fprintf fmt "%s:first" (site_name site)

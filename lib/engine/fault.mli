@@ -43,10 +43,6 @@ val arm : site -> spec -> unit
 val disarm : unit -> unit
 (** Remove the armed fault and reset the counters. *)
 
-val armed : unit -> (site * spec) option
-(** Currently armed fault, if any (after consulting the environment at
-    most once per process). *)
-
 val fire : ?scope_index:int -> site -> bool
 (** [fire ?scope_index site] is polled by the engines at each
     occurrence of [site]; [true] means "simulate a failure here".
@@ -54,9 +50,3 @@ val fire : ?scope_index:int -> site -> bool
     current solve (used by {!First_in_scope}; defaults to 0 = not
     scoped).  Thread-safe: with [Nth n], exactly one caller across all
     domains sees [true]. *)
-
-val reset_counters : unit -> unit
-(** Reset the global occurrence counters without disarming. *)
-
-val pp : Format.formatter -> site * spec -> unit
-(** Render a fault in the [SNOISE_FAULT] syntax. *)

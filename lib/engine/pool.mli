@@ -28,7 +28,7 @@ type t
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns a pool of [jobs] workers (default
-    {!env_jobs}; clamped to [[1, max_jobs]]). *)
+    {!env_jobs}; clamped to [[1, 64]]). *)
 
 val jobs : t -> int
 (** Width of the pool, including the calling domain. *)
@@ -57,20 +57,11 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f xs] is [List.map f xs] evaluated on the pool, in
     input order. *)
 
-val map_array_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-(** Fault-tolerant {!map_array}: each task's exception is captured as
-    [Error exn] in its own slot instead of aborting the batch, so a
-    single bad point never discards its siblings' results.  Failures
-    are counted in {!type-stats.field-tasks_failed}. *)
-
 (** {1 Observability} *)
 
 type stats = {
   jobs : int;  (** pool width, including the calling domain *)
   tasks_run : int;  (** tasks completed since the last reset *)
-  tasks_failed : int;
-      (** tasks whose exception was captured by {!map_array_result}
-          since the last reset *)
   batches : int;  (** {!run} invocations since the last reset *)
   busy_seconds : float array;
       (** per-worker wall time spent inside tasks (index 0 is the
@@ -99,28 +90,18 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** {1 Sizing} *)
 
-val max_jobs : int
-(** Hard upper clamp on the pool width (64). *)
-
-val jobs_of_string : ?default:int -> string -> int
-(** Parse a job-count string ([SNOISE_JOBS], [--jobs]).  Garbage, zero
-    and negative values fall back to [default] (itself defaulting to
-    {!recommended_jobs}); values above {!max_jobs} clamp down to it. *)
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], clamped to
-    [[1, max_jobs]]. *)
-
 val env_jobs : unit -> int
-(** Pool width selected by the [SNOISE_JOBS] environment variable via
-    {!jobs_of_string}, or {!recommended_jobs} when unset. *)
+(** Pool width selected by the [SNOISE_JOBS] environment variable,
+    clamped to [[1, 64]].  Unset, garbage, zero and negative values
+    select [Domain.recommended_domain_count ()] (clamped the same
+    way). *)
 
 (** {1 The shared default pool} *)
 
 val default : unit -> t
 (** The process-wide pool, created on first use with {!env_jobs}
     workers and shut down at exit.  Every parallel entry point
-    ([Snoise.Sweep], [Ac.sweep], [Noise.analyze], substrate
+    (the experiment sweeps, [Ac.sweep], [Noise.analyze], substrate
     extraction) runs on it unless given an explicit pool; a run that
     wants another width creates its own with {!create} and passes it
     along (the CLI's [--jobs] travels as [Snoise.Flow.options.pool]). *)

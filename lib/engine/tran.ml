@@ -406,124 +406,3 @@ let node d name =
     else find (k + 1)
   in
   find 0
-
-let samples_after d ~t0 name =
-  let w = node d name in
-  let start = ref 0 in
-  Array.iteri (fun k t -> if t < t0 then start := k + 1) d.times;
-  Array.sub w !start (Array.length w - !start)
-
-(* ------------------------------------------------------------------ *)
-(* adaptive stepping: step-doubling local truncation error control *)
-
-let simulate_adaptive ?(options = default_options) ?dt_min ?dt_max
-    ?(lte_tol = 1e-6) ~tstop ~dt netlist =
-  if tstop <= 0.0 || dt <= 0.0 then
-    invalid_arg "Tran.simulate_adaptive: tstop and dt must be > 0";
-  let dt_min = match dt_min with Some v -> v | None -> dt /. 1024.0 in
-  let dt_max = match dt_max with Some v -> v | None -> 16.0 *. dt in
-  let mna = Mna.build netlist in
-  let plan = P.build mna in
-  let x0 = initial_unknowns mna plan options in
-  let recorded = recorded_nodes mna options in
-  let rec_slots = Array.map (fun n -> Mna.node_slot mna n) recorded in
-  let times = ref [ 0.0 ] in
-  let data = Array.map (fun _ -> ref []) recorded in
-  let record x =
-    Array.iteri (fun r s -> data.(r) := volt_of x s :: !(data.(r))) rec_slots
-  in
-  record x0;
-  (* the step size changes, so the matrix values change per trial — but
-     the sparsity pattern doesn't: one assembler, refactored in place,
-     never frozen *)
-  let asm = Assembler.create (P.dim plan) in
-  let rhs = Array.make (P.dim plan) 0.0 in
-  let state = ref (init_state plan x0) in
-  let x = ref x0 in
-  let t = ref 0.0 and h = ref dt in
-  let scope = ref 0 in
-  let sp state ~h ~t x =
-    incr scope;
-    (* per-step cancellation tick: a deadline-armed transient stops at
-       the next solve boundary *)
-    N.Cancel.tick ();
-    solve_point ~fault_scope:!scope plan asm rhs options state ~h ~t x
-  in
-  let n_accepted = ref 1 in
-  let rejects = ref 0 in
-  let truncated = ref None in
-  while !truncated = None && !t < tstop -. 1e-18 do
-    let h_eff = Float.min !h (tstop -. !t) in
-    (* A Newton stall anywhere in the trial is handled like an LTE
-       rejection: halve the step and try again from the accepted
-       state (the trials only touch cloned states). *)
-    let trial =
-      try
-        (* one full step *)
-        let st_full = clone_state !state in
-        let x_full = sp st_full ~h:h_eff ~t:(!t +. h_eff) !x in
-        (* two half steps *)
-        let st_half = clone_state !state in
-        let h2 = h_eff /. 2.0 in
-        let x_mid = sp st_half ~h:h2 ~t:(!t +. h2) !x in
-        update_state plan options st_half ~h:h2 x_mid;
-        let x_end = sp st_half ~h:h2 ~t:(!t +. h_eff) x_mid in
-        let err = ref 0.0 in
-        for i = 0 to P.n_nodes plan - 1 do
-          err := Float.max !err (Float.abs (x_full.(i) -. x_end.(i)))
-        done;
-        Some (st_half, h2, x_end, !err)
-      with Step_failed _ -> None
-    in
-    match trial with
-    | Some (st_half, h2, x_end, err) when err <= lte_tol ->
-      (* accept the more accurate half-step solution *)
-      update_state plan options st_half ~h:h2 x_end;
-      state := st_half;
-      x := x_end;
-      t := !t +. h_eff;
-      times := !t :: !times;
-      record x_end;
-      incr n_accepted;
-      rejects := 0;
-      if err < lte_tol /. 4.0 then h := Float.min (2.0 *. h_eff) dt_max
-    | Some _ | None ->
-      if h_eff <= dt_min *. 1.000001 then begin
-        let diag =
-          Diag.Step_truncated
-            { loc = Diag.loc "tran" ~time:(!t +. h_eff); dt_final = h_eff;
-              retries = !rejects; completed_points = !n_accepted }
-        in
-        Log.warn (fun m -> m "%a" Diag.pp diag);
-        truncated := Some diag
-      end
-      else begin
-        incr rejects;
-        h := Float.max (h_eff /. 2.0) dt_min
-      end
-  done;
-  {
-    times = Array.of_list (List.rev !times);
-    names = recorded;
-    data = Array.map (fun cell -> Array.of_list (List.rev !cell)) data;
-    truncated = !truncated;
-  }
-
-let to_csv d =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "time";
-  Array.iter
-    (fun n ->
-      Buffer.add_char b ',';
-      Buffer.add_string b n)
-    d.names;
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun k t ->
-      Buffer.add_string b (Printf.sprintf "%.12g" t);
-      Array.iter
-        (fun w -> Buffer.add_string b (Printf.sprintf ",%.9g" w.(k)))
-        d.data;
-      Buffer.add_char b '\n')
-    d.times;
-  Buffer.contents b

@@ -59,28 +59,5 @@ val simulate :
     {!type-dataset.field-truncated} set instead of raising.  Raises
     [Invalid_argument] for non-positive [tstop] / [dt]. *)
 
-val simulate_adaptive :
-  ?options:options -> ?dt_min:float -> ?dt_max:float -> ?lte_tol:float ->
-  tstop:float -> dt:float -> Sn_circuit.Netlist.t -> dataset
-(** [simulate_adaptive ?options ?dt_min ?dt_max ?lte_tol ~tstop ~dt nl]
-    integrates with step-doubling local-truncation-error control: each
-    accepted step compares one [h] step against two [h/2] steps and
-    grows or shrinks [h] to keep the estimated error under [lte_tol]
-    (default 1e-6, absolute on node voltages).  [dt] is the initial
-    step; [dt_min] defaults to [dt / 1024], [dt_max] to [16 * dt].
-    Time points are non-uniform.  A Newton stall is treated like an
-    LTE rejection (halve the step); when the step cannot be met at
-    [dt_min] the partial waveform is returned with
-    {!type-dataset.field-truncated} set.  Raises [Invalid_argument] like
-    {!simulate}. *)
-
 val node : dataset -> string -> float array
 (** Waveform of one recorded node.  Raises [Not_found]. *)
-
-val samples_after : dataset -> t0:float -> string -> float array
-(** [samples_after d ~t0 node] drops the start-up transient before
-    [t0] — the window handed to the spectral estimator. *)
-
-val to_csv : dataset -> string
-(** [to_csv d] renders the dataset as CSV (header ["time,node,..."]),
-    for external plotting. *)

@@ -10,8 +10,6 @@ let distance a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   sqrt ((dx *. dx) +. (dy *. dy))
 
-let manhattan a b = Float.abs (a.x -. b.x) +. Float.abs (a.y -. b.y)
-let midpoint a b = { x = 0.5 *. (a.x +. b.x); y = 0.5 *. (a.y +. b.y) }
 
 let equal ?(tol = 1e-9) a b =
   Float.abs (a.x -. b.x) <= tol && Float.abs (a.y -. b.y) <= tol

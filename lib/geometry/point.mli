@@ -15,11 +15,6 @@ val scale : float -> t -> t
 val distance : t -> t -> float
 (** [distance a b] is the Euclidean distance. *)
 
-val manhattan : t -> t -> float
-(** [manhattan a b] is [|dx| + |dy|]. *)
-
-val midpoint : t -> t -> t
-
 val equal : ?tol:float -> t -> t -> bool
 (** [equal ?tol a b] compares within absolute tolerance [tol]
     (default [1e-9]). *)

@@ -22,9 +22,6 @@ let nodes nl =
     nl
   |> List.sort_uniq String.compare
 
-let total_capacitance nl =
-  List.fold_left (fun acc (_, _, c) -> acc +. c) 0.0 (capacitors nl)
-
 (* Restrict to the connected component containing [seed] so that
    unrelated nets elsewhere in the netlist cannot make the nodal
    matrix singular. *)

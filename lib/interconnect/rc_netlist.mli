@@ -14,9 +14,6 @@ val capacitors : t -> (string * string * float) list
 val nodes : t -> string list
 (** Sorted distinct node names. *)
 
-val total_capacitance : t -> float
-(** Sum of all capacitor values. *)
-
 val resistance_between : t -> string -> string -> float
 (** [resistance_between nl a b] is the two-terminal resistance of the
     resistor network between nodes [a] and [b] (capacitors open).

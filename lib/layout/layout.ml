@@ -50,12 +50,6 @@ let flatten l =
   in
   List.rev (expand G.Transform.identity l.top [])
 
-let shapes_on_layer l layer =
-  List.filter (fun (s : Shape.t) -> Layer.equal s.Shape.layer layer) (flatten l)
-
-let shapes_of_net l net =
-  List.filter (fun (s : Shape.t) -> String.equal s.Shape.net net) (flatten l)
-
 let nets l =
   flatten l
   |> List.map (fun (s : Shape.t) -> s.Shape.net)

@@ -18,12 +18,6 @@ val flatten : t -> Shape.t list
 (** [flatten l] expands the hierarchy under the top cell into a flat
     list of transformed shapes. *)
 
-val shapes_on_layer : t -> Layer.t -> Shape.t list
-(** Flattened shapes of one layer. *)
-
-val shapes_of_net : t -> string -> Shape.t list
-(** Flattened shapes attached to one net. *)
-
 val nets : t -> string list
 (** Sorted distinct net names present after flattening. *)
 

@@ -31,9 +31,6 @@ let create ?deadline () =
     reason = Atomic.make "cancelled";
   }
 
-let with_deadline_ms ms =
-  create ~deadline:(Unix.gettimeofday () +. (ms /. 1000.)) ()
-
 let cancel ?(reason = "cancelled") t =
   Atomic.set t.reason reason;
   Atomic.set t.cancelled true

@@ -27,10 +27,6 @@ val create : ?deadline:float -> unit -> t
     absolute [Unix.gettimeofday] timestamp; omitted means the token
     only cancels explicitly via {!cancel}. *)
 
-val with_deadline_ms : float -> t
-(** [with_deadline_ms ms] is a token whose deadline is [ms]
-    milliseconds from now. *)
-
 val cancel : ?reason:string -> t -> unit
 (** Cancel explicitly (e.g. client disconnected).  [reason] defaults
     to ["cancelled"]; a deadline expiry records ["deadline"]. *)

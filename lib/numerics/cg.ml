@@ -231,7 +231,3 @@ let lane blk c =
 
 let solve ?tol ?max_iter ?x0 ?precond a b =
   lane (solve_lanes ?tol ?max_iter ?x0 ?precond ~lanes:1 a b) 0
-
-let solve_exn ?tol ?max_iter ?x0 ?precond a b =
-  let r = solve ?tol ?max_iter ?x0 ?precond a b in
-  if r.converged then r.solution else raise (Not_converged r)

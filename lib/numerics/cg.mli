@@ -26,8 +26,9 @@ type block = {
     field of {!result}. *)
 
 exception Not_converged of result
-(** Raised by {!solve_exn} when the iteration cap is reached before the
-    tolerance. *)
+(** A solve that reached its iteration cap before the tolerance, raised
+    by callers that cannot use a partial solution (the substrate
+    extractor). *)
 
 exception Zero_diagonal of int
 (** [Zero_diagonal i] is raised when row [i] of the matrix has a zero
@@ -102,13 +103,3 @@ val lane : block -> int -> result
     one lane, [solution] is [blk.x] itself; with more, a de-interleaved
     copy. *)
 
-val solve_exn :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?x0:Vec.t ->
-  ?precond:(Vec.t -> Vec.t -> unit) ->
-  Sparse.t ->
-  Vec.t ->
-  Vec.t
-(** Like {!solve} but returns the solution directly and raises
-    {!Not_converged} on failure. *)

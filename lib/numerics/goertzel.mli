@@ -13,15 +13,12 @@
     up to 70k samples the result stays within 1e-12 x max |sample| of
     the per-sample [cos]/[sin] definition. *)
 
-val bin : fs:float -> f:float -> float array -> Complex.t
-(** [bin ~fs ~f samples] is the complex DFT coefficient of [samples] at
-    frequency [f] (Hz), with the [2/N] normalization that makes a pure
-    input [a *. cos (2 pi f t + phi)] yield a coefficient of magnitude
-    [a].  Raises [Invalid_argument] on an empty input, [fs <= 0], or
-    [f] outside [0, fs/2]. *)
-
 val amplitude : fs:float -> f:float -> float array -> float
-(** [amplitude ~fs ~f samples] is [Complex.norm (bin ~fs ~f samples)]. *)
+(** [amplitude ~fs ~f samples] is the magnitude of the DFT coefficient
+    of [samples] at frequency [f] (Hz), with the [2/N] normalization
+    that makes a pure input [a *. cos (2 pi f t + phi)] read [a].
+    Raises [Invalid_argument] on an empty input, [fs <= 0], or [f]
+    outside [0, fs/2]. *)
 
 val amplitude_windowed : fs:float -> f:float -> float array -> float
 (** Like {!amplitude} but applies a Hann window (compensated for

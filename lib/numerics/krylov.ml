@@ -242,7 +242,7 @@ let port_admittance ~g ~c ~ports ~omega =
 
 let psd_defect_index m =
   let n = Mat.rows m in
-  if Mat.cols m <> n then invalid_arg "Krylov.psd_defect: square matrices only";
+  if Mat.cols m <> n then invalid_arg "Krylov.psd_defect_index: square matrices only";
   (* LDLᵀ without pivoting on the symmetric part; for a PSD input all
      pivots are >= 0 (a zero pivot forces a zero row, which we treat as
      eliminated).  Scaled so the defect is comparable across
@@ -283,5 +283,3 @@ let psd_defect_index m =
       done
   done;
   (!defect, !at)
-
-let psd_defect m = fst (psd_defect_index m)

@@ -66,14 +66,11 @@ val port_admittance :
     exact references.
     Raises [Lu.Singular] when the internal block is singular at [jω]. *)
 
-val psd_defect : Mat.t -> float
-(** [psd_defect m] measures how far the symmetric part of [m] is from
-    positive semidefinite: the most negative LDLᵀ pivot encountered
-    (0 when none is negative).  A passive reduced pencil has
-    [psd_defect ghat >= -tol] and [psd_defect chat >= -tol] for a tiny
-    round-off [tol]. *)
-
 val psd_defect_index : Mat.t -> float * int
-(** Like {!psd_defect} but also returns the elimination index at which
-    the worst pivot occurred — the unknown a passivity certificate or
-    diagnostic should name ([0] when the matrix is PSD). *)
+(** [psd_defect_index m] measures how far the symmetric part of [m] is
+    from positive semidefinite: the most negative LDLᵀ pivot
+    encountered (0 when none is negative), and the elimination index
+    at which it occurred — the unknown a passivity certificate or
+    diagnostic should name ([0] when the matrix is PSD).  A passive
+    reduced pencil has a defect [>= -tol] for a tiny round-off [tol]
+    in both [ghat] and [chat]. *)

@@ -3,7 +3,7 @@ exception Singular of int
 (* Complex dense LU on arrays of rows, for the small AC systems. *)
 module Cplx = struct
   type matrix = Complex.t array array
-  type t = { lu : matrix; perm : int array; sign : int }
+  type t = { lu : matrix; perm : int array }
 
   let check_square a =
     let n = Array.length a in
@@ -17,7 +17,6 @@ module Cplx = struct
     let n = check_square a in
     let lu = Array.map Array.copy a in
     let perm = Array.init n (fun i -> i) in
-    let sign = ref 1 in
     for k = 0 to n - 1 do
       let best = ref k and best_mag = ref (Complex.norm lu.(k).(k)) in
       for i = k + 1 to n - 1 do
@@ -34,8 +33,7 @@ module Cplx = struct
         lu.(!best) <- tmp;
         let tp = perm.(k) in
         perm.(k) <- perm.(!best);
-        perm.(!best) <- tp;
-        sign := - !sign
+        perm.(!best) <- tp
       end;
       let pivot = lu.(k).(k) in
       for i = k + 1 to n - 1 do
@@ -47,7 +45,7 @@ module Cplx = struct
           done
       done
     done;
-    { lu; perm; sign = !sign }
+    { lu; perm }
 
   let solve { lu; perm; _ } b =
     let n = Array.length lu in
@@ -70,8 +68,6 @@ module Cplx = struct
       x.(i) <- Complex.div !acc lu.(i).(i)
     done;
     x
-
-  let solve_matrix a b = solve (decompose a) b
 
   (* A = P^T L U, so A^T x = b unrolls as U^T z = b (forward, diagonal
      division), L^T y = z (backward, unit diagonal), x = P^T y.  The
@@ -101,11 +97,6 @@ module Cplx = struct
       x.(perm.(i)) <- z.(i)
     done;
     x
-
-  let det { lu; sign; _ } =
-    let d = ref (if sign >= 0 then Complex.one else Complex.neg Complex.one) in
-    Array.iteri (fun i row -> d := Complex.mul !d row.(i)) lu;
-    !d
 
   let dim { lu; _ } = Array.length lu
 end
@@ -173,12 +164,10 @@ let refactor_mat f m =
   Array.blit (Mat.raw_data m) 0 f.fa 0 (f.fn * f.fn);
   factor_flat f.fn f.fa f.fperm
 
-let solve_factored_into { fn = n; fa = a; fperm = perm } b x =
-  if Array.length b <> n || Array.length x <> n then
-    invalid_arg "Lu.solve_factored_into: dimension mismatch";
-  for i = 0 to n - 1 do
-    x.(i) <- b.(perm.(i))
-  done;
+let solve_factored { fn = n; fa = a; fperm = perm } b =
+  if Array.length b <> n then
+    invalid_arg "Lu.solve_factored: dimension mismatch";
+  let x = Array.init n (fun i -> b.(perm.(i))) in
   for i = 1 to n - 1 do
     let acc = ref x.(i) in
     let ri = i * n in
@@ -194,11 +183,7 @@ let solve_factored_into { fn = n; fa = a; fperm = perm } b x =
       acc := !acc -. (a.(ri + j) *. x.(j))
     done;
     x.(i) <- !acc /. a.(ri + i)
-  done
-
-let solve_factored f b =
-  let x = Array.make f.fn 0.0 in
-  solve_factored_into f b x;
+  done;
   x
 
 let rdim f = f.fn
@@ -208,19 +193,3 @@ let solve_mat a b =
   if Mat.cols a <> n then invalid_arg "Lu.solve_mat: matrix not square";
   if Array.length b <> n then invalid_arg "Lu.solve_mat: dimension mismatch";
   solve_factored (factor_mat a) b
-
-let invert_mat a =
-  let n = Mat.rows a in
-  if Mat.cols a <> n then invalid_arg "Lu.invert_mat: matrix not square";
-  let f = factor_mat a in
-  let inv = Mat.make n n in
-  let e = Array.make n 0.0 and x = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    e.(j) <- 1.0;
-    solve_factored_into f e x;
-    e.(j) <- 0.0;
-    for i = 0 to n - 1 do
-      Mat.set inv i j x.(i)
-    done
-  done;
-  inv

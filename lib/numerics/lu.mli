@@ -24,9 +24,6 @@ module Cplx : sig
   (** [solve lu b] solves [A x = b].
       Raises [Invalid_argument] if [b] has the wrong length. *)
 
-  val solve_matrix : matrix -> Complex.t array -> Complex.t array
-  (** [solve_matrix a b] is [solve (decompose a) b]. *)
-
   val solve_transpose : t -> Complex.t array -> Complex.t array
   (** [solve_transpose lu b] solves [A{^T} x = b] on the {e existing}
       factorization of [A] (U{^T} then L{^T} sweeps) — no transposed
@@ -34,9 +31,6 @@ module Cplx : sig
       adjoint-analysis primitive: the noise engine factors the forward
       AC system once per frequency and reuses it for the transposed
       solve.  Raises [Invalid_argument] if [b] has the wrong length. *)
-
-  val det : t -> Complex.t
-  (** [det lu] is the determinant of the factorized matrix. *)
 
   val dim : t -> int
   (** [dim lu] is the matrix dimension. *)
@@ -67,7 +61,3 @@ val solve_mat : Mat.t -> Vec.t -> Vec.t
 (** [solve_mat a b] solves the dense real system [A x = b] on the flat
     representation directly.
     Raises {!Singular} or [Invalid_argument] as {!Cplx.decompose}. *)
-
-val invert_mat : Mat.t -> Mat.t
-(** [invert_mat a] is the inverse of [a], column by column from a
-    single factorization. *)

@@ -15,18 +15,6 @@ let init nr nc f =
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-let of_arrays rows_arr =
-  let nr = Array.length rows_arr in
-  if nr = 0 then make 0 0
-  else begin
-    let nc = Array.length rows_arr.(0) in
-    Array.iter
-      (fun r ->
-        if Array.length r <> nc then
-          invalid_arg "Mat.of_arrays: ragged rows")
-      rows_arr;
-    init nr nc (fun i j -> rows_arr.(i).(j))
-  end
 
 let rows m = m.nr
 let cols m = m.nc

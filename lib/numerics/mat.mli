@@ -11,10 +11,6 @@ val init : int -> int -> (int -> int -> float) -> t
 val identity : int -> t
 (** [identity n] is the [n]x[n] identity. *)
 
-val of_arrays : float array array -> t
-(** [of_arrays rows] builds a matrix from row arrays.
-    Raises [Invalid_argument] when rows have unequal lengths. *)
-
 val rows : t -> int
 val cols : t -> int
 

@@ -86,9 +86,6 @@ module Cplx : sig
   val mat_clear : mat -> unit
   (** Zero every value in place. *)
 
-  val mat_to_dense : mat -> Complex.t array array
-  (** The dense array-of-rows copy. *)
-
   type t
   (** A complex factor, sparse or dense. *)
 

@@ -5,49 +5,27 @@ let mean a =
   require_nonempty "mean" a;
   Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-let variance a =
-  require_nonempty "variance" a;
+let std a =
+  require_nonempty "std" a;
   let m = mean a in
-  Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a
-  /. float_of_int (Array.length a)
-
-let std a = sqrt (variance a)
-
-let rms a =
-  require_nonempty "rms" a;
   sqrt
-    (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 a
+    (Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a
     /. float_of_int (Array.length a))
 
 let max_abs a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 a
 
-type fit = { slope : float; intercept : float; r_squared : float }
-
-let linear_fit xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Stats.linear_fit: length mismatch";
-  if n < 2 then invalid_arg "Stats.linear_fit: need at least 2 points";
+let slope_db_per_decade freqs dbs =
+  let n = Array.length freqs in
+  if n <> Array.length dbs then
+    invalid_arg "Stats.slope_db_per_decade: length mismatch";
+  if n < 2 then invalid_arg "Stats.slope_db_per_decade: need at least 2 points";
+  let xs = Array.map log10 freqs in
   let fn = float_of_int n in
   let sx = Array.fold_left ( +. ) 0.0 xs in
-  let sy = Array.fold_left ( +. ) 0.0 ys in
+  let sy = Array.fold_left ( +. ) 0.0 dbs in
   let sxx = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
-  let sxy = Sweep.fold_pairs (fun a x y -> a +. (x *. y)) 0.0 xs ys in
+  let sxy = ref 0.0 in
+  Array.iteri (fun i x -> sxy := !sxy +. (x *. dbs.(i))) xs;
   let denom = (fn *. sxx) -. (sx *. sx) in
-  if denom = 0.0 then invalid_arg "Stats.linear_fit: degenerate x values";
-  let slope = ((fn *. sxy) -. (sx *. sy)) /. denom in
-  let intercept = (sy -. (slope *. sx)) /. fn in
-  let y_mean = sy /. fn in
-  let ss_tot = Array.fold_left (fun a y -> a +. ((y -. y_mean) ** 2.0)) 0.0 ys in
-  let ss_res =
-    Sweep.fold_pairs
-      (fun a x y ->
-        let e = y -. ((slope *. x) +. intercept) in
-        a +. (e *. e))
-      0.0 xs ys
-  in
-  let r_squared = if ss_tot = 0.0 then 1.0 else 1.0 -. (ss_res /. ss_tot) in
-  { slope; intercept; r_squared }
-
-let slope_db_per_decade freqs dbs =
-  let logs = Array.map log10 freqs in
-  (linear_fit logs dbs).slope
+  if denom = 0.0 then invalid_arg "Stats.slope_db_per_decade: degenerate x values";
+  ((fn *. !sxy) -. (sx *. sy)) /. denom

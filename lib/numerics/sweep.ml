@@ -36,18 +36,3 @@ let interp1 xs ys x =
     let t = (x -. x0) /. (x1 -. x0) in
     ys.(!lo) +. (t *. (ys.(!hi) -. ys.(!lo)))
   end
-
-let argmax a =
-  if Array.length a = 0 then invalid_arg "Sweep.argmax: empty array";
-  let best = ref 0 in
-  Array.iteri (fun i x -> if x > a.(!best) then best := i) a;
-  !best
-
-let fold_pairs f init xs ys =
-  if Array.length xs <> Array.length ys then
-    invalid_arg "Sweep.fold_pairs: length mismatch";
-  let acc = ref init in
-  for i = 0 to Array.length xs - 1 do
-    acc := f !acc xs.(i) ys.(i)
-  done;
-  !acc

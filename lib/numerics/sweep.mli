@@ -19,11 +19,3 @@ val interp1 : float array -> float array -> float -> float
     [(xs, ys)] at [x]; [xs] must be strictly increasing.  Values outside
     the range are clamped to the end samples.  Raises
     [Invalid_argument] on length mismatch or fewer than 1 point. *)
-
-val argmax : float array -> int
-(** [argmax a] is the index of the largest element.
-    Raises [Invalid_argument] on an empty array. *)
-
-val fold_pairs : ('a -> float -> float -> 'a) -> 'a -> float array -> float array -> 'a
-(** [fold_pairs f init xs ys] folds [f] over the zipped arrays.
-    Raises [Invalid_argument] on length mismatch. *)

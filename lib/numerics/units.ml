@@ -10,12 +10,6 @@ let db_of_ratio r =
   check_positive "db_of_ratio" r;
   20.0 *. log10 r
 
-let ratio_of_db d = 10.0 ** (d /. 20.0)
-
-let db_of_power_ratio r =
-  check_positive "db_of_power_ratio" r;
-  10.0 *. log10 r
-
 let dbm_of_watts p =
   check_positive "dbm_of_watts" p;
   10.0 *. log10 (p /. 1.0e-3)

@@ -14,13 +14,6 @@ val db_of_ratio : float -> float
 (** [db_of_ratio r] is the amplitude ratio [r] expressed in dB
     ([20 log10 r]).  Raises [Invalid_argument] when [r <= 0]. *)
 
-val ratio_of_db : float -> float
-(** [ratio_of_db d] inverts {!db_of_ratio}. *)
-
-val db_of_power_ratio : float -> float
-(** [db_of_power_ratio r] is the power ratio [r] in dB ([10 log10 r]).
-    Raises [Invalid_argument] when [r <= 0]. *)
-
 val dbm_of_watts : float -> float
 (** [dbm_of_watts p] is the power [p] (W) in dBm.
     Raises [Invalid_argument] when [p <= 0]. *)

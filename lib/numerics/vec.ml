@@ -37,8 +37,6 @@ let axpy a x y =
 
 let norm2 v = sqrt (dot v v)
 
-let norm_inf v = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v
-
 let max_abs_diff a b =
   check_dims "max_abs_diff" a b;
   let acc = ref 0.0 in

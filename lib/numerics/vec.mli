@@ -33,11 +33,8 @@ val axpy : float -> t -> t -> unit
 val norm2 : t -> float
 (** [norm2 v] is the Euclidean norm. *)
 
-val norm_inf : t -> float
-(** [norm_inf v] is the maximum absolute entry (0 for the empty vector). *)
-
 val max_abs_diff : t -> t -> float
-(** [max_abs_diff a b] is [norm_inf (sub a b)]. *)
+(** [max_abs_diff a b] is the largest [|a.(i) - b.(i)|]. *)
 
 val pp : Format.formatter -> t -> unit
 (** [pp fmt v] prints [v] as [[v0; v1; ...]]. *)

@@ -19,10 +19,9 @@ let default =
 
 let sinc x = if Float.abs x < 1e-12 then 1.0 else sin x /. x
 
-(* Fourier line amplitudes of a periodic triangular pulse train:
-   a_k = 2 * area / T * sinc^2 (pi k f w / 2). *)
+(* Fourier line amplitudes (A, peak) of a periodic triangular pulse
+   train, k >= 1: a_k = 2 * area / T * sinc^2 (pi k f w / 2). *)
 let harmonic_amplitude a k =
-  if k < 1 then invalid_arg "Aggressor.harmonic_amplitude: k must be >= 1";
   let area = a.peak_current *. a.pulse_width /. 2.0 in
   let arg = U.pi *. float_of_int k *. a.clock_freq *. a.pulse_width /. 2.0 in
   let s = sinc arg in

@@ -22,11 +22,6 @@ type t = {
 val default : t
 (** A 50 MHz, 20 mA-peak, 1 ns-wide aggressor, 8 harmonics. *)
 
-val harmonic_amplitude : t -> int -> float
-(** [harmonic_amplitude a k] is the amplitude (A, peak) of the [k]-th
-    clock harmonic of the periodic triangular pulse train
-    ([k >= 1]; raises [Invalid_argument] otherwise). *)
-
 type comb_line = {
   harmonic : int;
   f_noise : float;  (** k * f_clock *)

@@ -30,6 +30,3 @@ let dbc_per_hz p offset =
   let shape = 1.0 +. (resonator *. resonator) in
   let flicker = 1.0 +. (p.flicker_corner /. offset) in
   10.0 *. log10 (thermal *. shape *. flicker)
-
-let spur_equivalent_dbc ~beta =
-  if beta <= 0.0 then -300.0 else 20.0 *. log10 (beta /. 2.0)

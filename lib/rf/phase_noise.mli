@@ -18,7 +18,3 @@ val dbc_per_hz : params -> float -> float
     [offset] Hz from the carrier.  Raises [Invalid_argument] when
     [offset <= 0]. *)
 
-val spur_equivalent_dbc : beta:float -> float
-(** [spur_equivalent_dbc ~beta] is the dBc level of a discrete FM spur
-    with modulation index [beta] ([20 log10 (beta / 2)]) — relates the
-    substrate-noise spurs to the phase-noise plot. *)

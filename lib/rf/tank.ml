@@ -70,6 +70,9 @@ let capacitance t bias =
 let frequency t bias =
   1.0 /. (U.two_pi *. sqrt (t.inductance *. capacitance t bias))
 
+(* shift the bias the way a small voltage [dv] arriving at [entry]
+   physically does (a ground bounce lifts local ground and the tank
+   common mode riding on it, etc.) *)
 let apply_entry bias entry dv =
   match entry with
   | Ground -> { bias with v_gnd = bias.v_gnd +. dv }

@@ -15,11 +15,8 @@ type junction = {
   phi_b : float;  (** built-in potential, V *)
   grading : float;  (** grading coefficient m (0.3-0.5) *)
 }
-
-val junction_capacitance : junction -> float -> float
-(** [junction_capacitance j v_reverse] is
-    [c0 / (1 + v_reverse / phi_b) ** grading], clamped for forward
-    bias below [-phi_b / 2]. *)
+(** A junction of capacitance [c0 / (1 + v_reverse / phi_b) ** grading],
+    clamped for forward bias below [-phi_b / 2]. *)
 
 type bias = {
   v_tune : float;  (** tuning pad voltage, off-chip referenced, V *)
@@ -61,11 +58,6 @@ val capacitance : t -> bias -> float
 
 val frequency : t -> bias -> float
 (** [frequency tank bias] is [1 / (2 pi sqrt (L C))]. *)
-
-val apply_entry : bias -> entry -> float -> bias
-(** [apply_entry bias entry dv] shifts the bias the way a small voltage
-    [dv] arriving at [entry] physically does (a ground bounce lifts
-    local ground {e and} the tank common mode riding on it, etc.). *)
 
 val sensitivity : t -> bias -> entry -> float
 (** [sensitivity tank bias entry] is K_i = d f_c / d v_i (Hz/V),

@@ -104,11 +104,6 @@ val stats_json : t -> Json.t
     count, journal state, and the substrate tile-cache directory
     resolution ({!Sn_substrate.Cache.resolution}). *)
 
-val health_json : t -> Json.t
-(** The [health] reply payload: [status] (["ok"] / ["degraded"]),
-    queue depth vs capacity, pool width, resident cache entries,
-    memory pressure vs watermark, and the supervisor restart count. *)
-
 val warm_from_journal : t -> int * int
 (** Replay the configured warmup journal into the plan cache (most
     recent [max_decks] unique decks) and compact the file.  Returns

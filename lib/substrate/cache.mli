@@ -59,8 +59,8 @@ val hex_key : string -> string
     file-name key. *)
 
 val lookup : t -> key:string -> tile_model option
-(** [lookup t ~key] returns the cached model when {!verify_entry}
-    judges the entry {!Certified} or {!Recertified}, else [None]: a
+(** [lookup t ~key] returns the cached model when {!verify_dir}
+    would judge the entry {!Certified} or {!Recertified}, else [None]: a
     missing or {!Stale} entry is a plain miss, and a {!Bad} one
     (unreadable, tampered, or non-passive) is a miss counted in
     [rejected] — corruption and tampering downgrade to recomputation,
@@ -145,9 +145,6 @@ val status_name : entry_status -> string
 (** Stable kebab-case name for JSON output: ["certified"],
     ["recertified"], ["stale"], ["bad"]. *)
 
-val verify_entry : t -> key:string -> entry_status
-(** Judge a single entry. *)
-
 val verify_dir : t -> verification
 (** Judge every [*.tile] entry under the cache directory.  A cache
     passes verification iff [vf_bad = 0]. *)
@@ -158,7 +155,7 @@ type counters = {
   lookups : int;
   hits : int;  (** lookups that returned a (verified) model *)
   rejected : int;
-      (** lookups whose entry exists but {!verify_entry} judges {!Bad}
+      (** lookups whose entry exists but {!verify_dir} would judge {!Bad}
           — corruption, tampering or a non-passive matrix caught in
           time *)
   stores : int;  (** entries actually written (rename completed) *)

@@ -25,12 +25,6 @@ let port_index m name =
 let port_names m =
   Array.to_list (Array.map (fun (p : Port.t) -> p.Port.name) m.ports)
 
-let coupling_resistance m a b =
-  let g = Mat.get m.conductance (port_index m a) (port_index m b) in
-  if g >= 0.0 then
-    invalid_arg (Printf.sprintf "Macromodel: ports %s and %s uncoupled" a b)
-  else -1.0 /. g
-
 let to_resistors m =
   let np = port_count m in
   let acc = ref [] in

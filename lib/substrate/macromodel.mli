@@ -19,12 +19,6 @@ val port_count : t -> int
 
 val port_names : t -> string list
 
-val coupling_resistance : t -> string -> string -> float
-(** [coupling_resistance m a b] is the branch resistance [-1 / G_ab] of
-    the equivalent resistor network.  Raises [Not_found] for unknown
-    ports and [Invalid_argument] when the ports are uncoupled
-    ([G_ab >= 0]). *)
-
 val to_resistors : t -> (string * string * float) list
 (** All pairwise branch resistors [(a, b, ohms)] with [a < b],
     uncoupled pairs omitted. *)

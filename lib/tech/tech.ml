@@ -63,9 +63,6 @@ let via t k =
          { tech = t.name; level = k;
            available = List.map (fun v -> v.level) t.vias |> List.sort compare })
 
-let substrate_depth t =
-  List.fold_left (fun acc l -> acc +. l.depth) 0.0 t.substrate.layers
-
 let wire_capacitance_per_area t k =
   let m = metal t k in
   t.oxide_permittivity /. m.height

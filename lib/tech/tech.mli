@@ -56,9 +56,6 @@ val metal : t -> int -> metal
 val via : t -> int -> via
 (** [via t k].  Raises {!Unknown_via}. *)
 
-val substrate_depth : t -> float
-(** Total modeled substrate thickness. *)
-
 val wire_capacitance_per_area : t -> int -> float
 (** [wire_capacitance_per_area t k] is the parallel-plate C density
     (F/m^2) of metal [k] to the substrate surface. *)

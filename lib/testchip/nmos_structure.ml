@@ -165,5 +165,4 @@ let small_signal p dc =
   let mult = float_of_int p.parallel_devices in
   (mult *. op.C.Mos_model.gmb, mult *. op.C.Mos_model.gds)
 
-let bias_sweep _p =
-  List.map (fun v -> (v, v)) [ 0.6; 0.7; 0.8; 0.9; 1.0 ]
+let bias_sweep = List.map (fun v -> (v, v)) [ 0.6; 0.7; 0.8; 0.9; 1.0 ]

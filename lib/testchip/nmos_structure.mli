@@ -59,6 +59,6 @@ val biased : params -> vgs:float -> vds:float -> Structure.deck
 val small_signal : params -> Sn_engine.Dc.solution -> float * float
 (** [(gmb, gds)] of all parallel devices at a solved bias, S. *)
 
-val bias_sweep : params -> (float * float) list
-(** The [(vgs, vds)] points of the paper's bias sweep (0.5 V to
-    1.6 V). *)
+val bias_sweep : (float * float) list
+(** The [(vgs, vds)] points of the Fig. 3 bias sweep: vgs = vds from
+    0.6 V to 1.0 V in 0.1 V steps, the same for every structure. *)

@@ -7,6 +7,10 @@ module E = C.Element
 module W = C.Waveform
 module A = Sn_analysis
 module Diag = Sn_engine.Diag
+
+(* the bare node or element name of a solver unknown, what the
+   static analysis is cross-checked against *)
+let unknown_name = function Diag.Node n -> n | Diag.Branch b -> b
 module Dc = Sn_engine.Dc
 
 let r name n1 n2 ohms = E.Resistor { name; n1; n2; ohms }
@@ -53,7 +57,7 @@ let singular_pivot_of nl =
 let structural_names nl =
   A.Structural.deficiencies (A.Rule.context nl)
   |> List.concat_map (fun (d : A.Structural.deficiency) ->
-         List.map Diag.unknown_name d.A.Structural.group)
+         List.map unknown_name d.A.Structural.group)
   |> List.sort_uniq String.compare
 
 (* ------------------------------------------------------------------ *)
@@ -221,9 +225,9 @@ let test_structural_vsource_clash () =
   | Some (Some u) ->
     Alcotest.(check bool)
       (Printf.sprintf "solver pivot %s is in the dependent group"
-         (Diag.unknown_name u))
+         (unknown_name u))
       true
-      (List.mem (Diag.unknown_name u) names)
+      (List.mem (unknown_name u) names)
   | _ -> Alcotest.fail "expected the solver to hit a singular pivot"
 
 let test_structural_inductor_loop_dc_only () =
@@ -253,11 +257,11 @@ let test_structural_self_loop () =
      Alcotest.(check string) "both analyses" "dc and ac"
        d.A.Structural.analyses;
      Alcotest.(check string) "names the branch" "v1"
-       (Diag.unknown_name d.A.Structural.unknown)
+       (unknown_name d.A.Structural.unknown)
    | ds -> Alcotest.failf "expected 1 deficiency, got %d" (List.length ds));
   match singular_pivot_of nl with
   | Some (Some u) ->
-    Alcotest.(check string) "solver names it too" "v1" (Diag.unknown_name u)
+    Alcotest.(check string) "solver names it too" "v1" (unknown_name u)
   | _ -> Alcotest.fail "expected a singular pivot"
 
 let test_matching_on_regular_pattern () =
@@ -267,14 +271,8 @@ let test_matching_on_regular_pattern () =
       [ v "v1" "in" "0" 1.0; r "r1" "in" "out" 1.0e3; r "r2" "out" "0" 1.0e3;
         c "c1" "out" "0" 1e-12; l "l1" "in" "out" 1e-8 ]
   in
-  let plan = Sn_engine.Stamp_plan.build (Sn_engine.Mna.build nl) in
-  List.iter
-    (fun pat ->
-      let m = A.Structural.maximum_matching pat in
-      Alcotest.(check int) "perfect"
-        pat.Sn_engine.Stamp_plan.pat_dim m.A.Structural.size)
-    [ Sn_engine.Stamp_plan.dc_pattern plan;
-      Sn_engine.Stamp_plan.ac_pattern plan ]
+  Alcotest.(check int) "no deficiency" 0
+    (List.length (A.Structural.deficiencies (A.Rule.context nl)))
 
 (* ------------------------------------------------------------------ *)
 (* report determinism and ordering (satellite: stable ordering) *)
@@ -595,7 +593,7 @@ let test_deck_sweep () =
         (match unknown with
          | None -> ()
          | Some u ->
-           let n = Diag.unknown_name u in
+           let n = unknown_name u in
            let named =
              List.mem n (structural_names nl)
              || List.exists
@@ -640,12 +638,12 @@ let test_merged_vco_clean_and_contract () =
   Alcotest.(check int) "no errors" 0 (List.length (A.Analyzer.errors report));
   let names = List.map E.name (C.Netlist.elements nl) in
   Alcotest.(check bool) "substrate prefix contract" true
-    (List.exists A.Rules.is_substrate_element names);
+    (List.exists (has_prefix "rsub_") names);
   Alcotest.(check bool) "interconnect prefix contract" true
     (List.exists (has_prefix "itc_") names);
   let nodes = C.Netlist.nodes nl in
   Alcotest.(check bool) "probe port contract" true
-    (List.exists (has_prefix A.Rules.probe_port_prefix) nodes)
+    (List.exists (has_prefix "backgate:") nodes)
 
 (* The paper's own merged decks bind every n-well port through its
    junction capacitor (cwell_* from nwell:<net> to <net>): the VCO
@@ -662,7 +660,7 @@ let test_merged_decks_bind_wells () =
       (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune:0.45)
   in
   Alcotest.(check bool) "VCO deck has well ports" true
-    (List.exists (has_prefix A.Rules.well_port_prefix) (C.Netlist.nodes vco));
+    (List.exists (has_prefix "nwell:") (C.Netlist.nodes vco));
   Alcotest.(check (list string)) "VCO deck: no warning" [] (codes vco);
   let nmos =
     let p = Sn_testchip.Nmos_structure.default in

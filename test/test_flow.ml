@@ -275,7 +275,7 @@ let test_merge_macromodel_elements () =
     [| Port.v ~name:"a" ~kind:Port.Resistive [ G.Rect.make 0.0 0.0 1.0 1.0 ];
        Port.v ~name:"nwell:vdd" ~kind:Port.Well [ G.Rect.make 2.0 2.0 3.0 3.0 ] |]
   in
-  let g = Sn_numerics.Mat.of_arrays [| [| 1e-3; -1e-3 |]; [| -1e-3; 1e-3 |] |] in
+  let g = Test_numerics.mat_of_rows [| [| 1e-3; -1e-3 |]; [| -1e-3; 1e-3 |] |] in
   let m =
     Mac.make ~ports ~conductance:g ~well_capacitance:[ ("nwell:vdd", 50e-15) ]
   in
@@ -466,6 +466,29 @@ let test_merged_deck_roundtrip () =
        (fun (d : Sn_analysis.Rule.diagnostic) -> d.Sn_analysis.Rule.code)
        (Sn_analysis.Analyzer.errors report))
 
+(* The transfer accessor answers the swept frequencies only: an
+   off-grid query is refused with the frequency it asked for, never
+   interpolated or clamped to a neighbour. *)
+let test_transfers_only_swept () =
+  let options =
+    {
+      Flow.default_options with
+      Flow.grid = { Sn_substrate.Grid.default_config with nx = 12; ny = 12 };
+    }
+  in
+  let flow = Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune:0.0 in
+  let h = Flow.vco_transfers flow ~f_noise:[| 1.0e6; 2.0e6 |] in
+  let node = List.assoc Sn_rf.Tank.Ground Sn_testchip.Vco_chip.sensitive_nodes in
+  Alcotest.(check bool) "swept point answered" true
+    (Complex.norm (h 2.0e6 node) > 0.0);
+  match h 1.5e6 node with
+  | _ -> Alcotest.fail "off-grid query answered"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "names the frequency: %s" msg)
+      true
+      (Test_circuit.contains_sub msg "1.5e+06 Hz")
+
 (* ------------------------------------------------------------------ *)
 (* the Fig. 2 pipeline on generated structures *)
 
@@ -601,9 +624,11 @@ let test_lint_warns_once_per_flow () =
   in
   let sweep () =
     let flow = Flow.build_nmos ~options params in
+    let divider = Flow.nmos_divider flow in
     List.iter
-      (fun (vgs, vds) -> ignore (Flow.nmos_transfer flow ~vgs ~vds ~freq:5.0e6))
-      (Ns.bias_sweep params)
+      (fun (vgs, vds) ->
+        ignore (Flow.nmos_transfer flow ~divider ~vgs ~vds ~freq:5.0e6))
+      Ns.bias_sweep
   in
   sweep ();
   Alcotest.(check int) "5-point sweep: each probe warns once" 2 (warnings ());
@@ -704,5 +729,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_widening_never_raises_ground_bounce;
         Alcotest.test_case "lint warnings once per flow" `Quick
           test_lint_warns_once_per_flow;
+        Alcotest.test_case "transfers answer swept points only" `Quick
+          test_transfers_only_swept;
       ] );
   ]

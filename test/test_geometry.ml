@@ -10,9 +10,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_point_ops () =
   let a = Point.v 1.0 2.0 and b = Point.v 4.0 6.0 in
   check_float "distance" 5.0 (Point.distance a b);
-  check_float "manhattan" 7.0 (Point.manhattan a b);
-  Alcotest.(check bool) "midpoint" true
-    (Point.equal (Point.midpoint a b) (Point.v 2.5 4.0));
   Alcotest.(check bool) "add" true
     (Point.equal (Point.add a b) (Point.v 5.0 8.0))
 

@@ -10,6 +10,9 @@ module Extract = Sn_interconnect.Extract
 
 let check_close tol = Alcotest.(check (float tol))
 
+let total_capacitance nl =
+  List.fold_left (fun acc (_, _, c) -> acc +. c) 0.0 (Rc.capacitors nl)
+
 let straight_wire ?(net = "sig") ?(layer = L.Layer.Metal 1) ?(width = 1.0)
     ?(len = 100.0) ?(from_terminal = "a") ?(to_terminal = "b") () =
   L.Shape.path ~layer ~net ~from_terminal ~to_terminal
@@ -63,7 +66,7 @@ let test_metal6_lower_sheet_resistance () =
 
 let test_capacitance_extracted () =
   let r = extract [ straight_wire ~width:2.0 ~len:200.0 () ] in
-  let c = Rc.total_capacitance r.Extract.netlist in
+  let c = total_capacitance r.Extract.netlist in
   (* area 400 um^2 at ~34.5 aF/um^2 plus fringe: tens of fF *)
   Alcotest.(check bool)
     (Printf.sprintf "C = %g plausible" c)
@@ -75,7 +78,7 @@ let test_capacitance_extracted () =
 
 let test_capacitance_scales_with_area () =
   let c_of len =
-    Rc.total_capacitance
+    total_capacitance
       (extract [ straight_wire ~len () ]).Extract.netlist
   in
   Alcotest.(check bool) "C grows ~linearly with length" true
@@ -87,7 +90,7 @@ let test_no_capacitance_option () =
     { Extract.default_options with Extract.include_capacitance = false }
   in
   let r = extract ~options [ straight_wire () ] in
-  check_close 1e-30 "no caps" 0.0 (Rc.total_capacitance r.Extract.netlist)
+  check_close 1e-30 "no caps" 0.0 (total_capacitance r.Extract.netlist)
 
 let test_resistance_ablation () =
   let options =

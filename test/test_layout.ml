@@ -111,9 +111,15 @@ let sample_layout () =
 let test_queries () =
   let l = sample_layout () in
   Alcotest.(check int) "metal1 shapes" 1
-    (List.length (Layout.shapes_on_layer l (Layer.Metal 1)));
+    (List.length
+       (List.filter
+          (fun (s : Shape.t) -> Layer.equal s.Shape.layer (Layer.Metal 1))
+          (Layout.flatten l)));
   Alcotest.(check int) "gnd shapes" 2
-    (List.length (Layout.shapes_of_net l "gnd"));
+    (List.length
+       (List.filter
+          (fun (s : Shape.t) -> String.equal s.Shape.net "gnd")
+          (Layout.flatten l)));
   Alcotest.(check (list string)) "nets" [ "gnd"; "vdd" ] (Layout.nets l)
 
 let test_io_roundtrip () =

@@ -1,4 +1,4 @@
-(* Worker pool and sweep-combinator tests.
+(* Worker pool tests.
 
    The load-bearing property is determinism: a parallel sweep must be
    byte-for-byte identical to the sequential (jobs = 1) path, because
@@ -8,7 +8,6 @@
    use a reduced substrate grid so the double runs stay cheap. *)
 
 module Pool = Sn_engine.Pool
-module Sweep = Snoise.Sweep
 module E = Snoise.Experiments
 module Flow = Snoise.Flow
 
@@ -27,6 +26,16 @@ let test_map_preserves_order () =
     "map_list in input order"
     [ "0"; "1"; "2"; "3"; "4" ]
     (Pool.map_list pool string_of_int [ 0; 1; 2; 3; 4 ])
+
+let test_grid_row_major () =
+  let pool = Pool.create ~jobs:3 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  (* a grid flattened row-major (outer list first), the shape of the
+     fig8 and epi-vs-high-ohmic sweeps, comes back in that order *)
+  Alcotest.(check (list string))
+    "grid row-major" [ "1a"; "1b"; "2a"; "2b" ]
+    (List.concat_map (fun x -> List.map (fun y -> (x, y)) [ "a"; "b" ]) [ 1; 2 ]
+    |> Pool.map_list pool (fun (x, y) -> string_of_int x ^ y))
 
 let test_jobs1_is_sequential () =
   let pool = Pool.create ~jobs:1 () in
@@ -82,30 +91,25 @@ let test_nested_run_inlines () =
     [ [ 10; 11 ]; [ 20; 21 ]; [ 30; 31 ] ]
     r
 
-let test_jobs_parsing () =
-  (* 0, negative and garbage fall back to the default; huge clamps *)
-  Alcotest.(check int) "garbage" 3 (Pool.jobs_of_string ~default:3 "lots");
-  Alcotest.(check int) "empty" 3 (Pool.jobs_of_string ~default:3 "");
-  Alcotest.(check int) "zero" 3 (Pool.jobs_of_string ~default:3 "0");
-  Alcotest.(check int) "negative" 3 (Pool.jobs_of_string ~default:3 "-2");
-  Alcotest.(check int) "trimmed" 8 (Pool.jobs_of_string ~default:3 " 8 ");
-  Alcotest.(check int) "clamped high" Pool.max_jobs
-    (Pool.jobs_of_string ~default:3 "100000");
-  Alcotest.(check int) "default itself clamps" 1
-    (Pool.jobs_of_string ~default:(-4) "junk");
-  Alcotest.(check bool) "recommended in range" true
-    (let r = Pool.recommended_jobs () in
-     r >= 1 && r <= Pool.max_jobs)
+(* [Pool.env_jobs] with SNOISE_JOBS set to [v]; the variable is put
+   back afterwards (an empty value reads as unset) *)
+let env_jobs_with v =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "SNOISE_JOBS") in
+  Unix.putenv "SNOISE_JOBS" v;
+  Fun.protect ~finally:(fun () -> Unix.putenv "SNOISE_JOBS" saved)
+    Pool.env_jobs
 
-let test_grid_row_major () =
-  let pool = Pool.create ~jobs:2 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  Alcotest.(check (list (triple int string string)))
-    "grid order and values"
-    [ (1, "a", "1a"); (1, "b", "1b"); (2, "a", "2a"); (2, "b", "2b") ]
-    (Sweep.grid ~pool
-       (fun x y -> string_of_int x ^ y)
-       [ 1; 2 ] [ "a"; "b" ])
+let test_jobs_parsing () =
+  (* 0, negative and garbage fall back to the recommended width; huge
+     clamps.  Reading the variable spawns no domain. *)
+  let recommended = env_jobs_with "" in
+  Alcotest.(check bool) "recommended in range" true
+    (recommended >= 1 && recommended <= 64);
+  Alcotest.(check int) "garbage" recommended (env_jobs_with "lots");
+  Alcotest.(check int) "zero" recommended (env_jobs_with "0");
+  Alcotest.(check int) "negative" recommended (env_jobs_with "-2");
+  Alcotest.(check int) "trimmed" 8 (env_jobs_with " 8 ");
+  Alcotest.(check int) "clamped high" 64 (env_jobs_with "100000")
 
 (* ------------------------------------------------------------------ *)
 (* experiment determinism: parallel report output must be the byte
@@ -161,6 +165,7 @@ let suites =
       [
         Alcotest.test_case "map preserves order" `Quick
           test_map_preserves_order;
+        Alcotest.test_case "grid is row-major" `Quick test_grid_row_major;
         Alcotest.test_case "jobs=1 runs on calling domain" `Quick
           test_jobs1_is_sequential;
         Alcotest.test_case "task exception propagates" `Quick
@@ -170,7 +175,6 @@ let suites =
         Alcotest.test_case "nested run inlines" `Quick test_nested_run_inlines;
         Alcotest.test_case "SNOISE_JOBS parsing edge cases" `Quick
           test_jobs_parsing;
-        Alcotest.test_case "grid is row-major" `Quick test_grid_row_major;
       ] );
     ( "pool.determinism",
       [

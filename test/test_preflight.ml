@@ -33,7 +33,7 @@ let singular_pivot_of nl =
   match Dc.solve ~options nl with
   | (_ : Dc.solution) -> None
   | exception Diag.Error (Diag.Singular_pivot { unknown; _ }) ->
-    Option.map Diag.unknown_name unknown
+    Option.map Test_analysis.unknown_name unknown
   | exception Diag.Error _ -> None
 
 (* ------------------------------------------------------------------ *)

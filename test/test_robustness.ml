@@ -9,7 +9,6 @@ module Dc = Sn_engine.Dc
 module Tran = Sn_engine.Tran
 module Diag = Sn_engine.Diag
 module Fault = Sn_engine.Fault
-module Pool = Sn_engine.Pool
 module Mna = Sn_engine.Mna
 
 let check_close tol = Alcotest.(check (float tol))
@@ -181,57 +180,6 @@ let test_tran_truncation () =
    | None -> Alcotest.fail "expected a truncated dataset");
   Alcotest.(check int) "times truncated" 1 (Array.length d.Tran.times)
 
-let test_tran_adaptive_truncation () =
-  let nl = C.Netlist.create rc_charge in
-  let d =
-    Tran.simulate_adaptive ~options:unsolvable_options ~tstop:1e-3 ~dt:1e-4 nl
-  in
-  match d.Tran.truncated with
-  | Some (Diag.Step_truncated _) -> ()
-  | Some other ->
-    Alcotest.failf "unexpected diagnostic: %s" (Diag.to_string other)
-  | None -> Alcotest.fail "expected a truncated dataset"
-
-(* ------------------------------------------------------------------ *)
-(* fault-tolerant sweeps *)
-
-(* One injected singular factorization with the rescue ladder disabled:
-   exactly one point fails in the pool, the sequential retry (fault
-   already consumed) succeeds, and every point comes back [Ok]. *)
-let sweep_retry_rescues ~jobs () =
-  let pool = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let calls = Atomic.make 0 in
-  let options = { Dc.default_options with ladder = [ Diag.Plain_newton ] } in
-  let solve ohms =
-    Atomic.incr calls;
-    let nl =
-      C.Netlist.create
-        [ vdc "v1" "in" "0" 10.0; r "r1" "in" "mid" 1000.0;
-          r "r2" "mid" "0" ohms ]
-    in
-    Dc.voltage (Dc.solve ~options nl) "mid"
-  in
-  let points = Array.init 8 (fun k -> 1000.0 *. float_of_int (k + 1)) in
-  with_fault Fault.Factor (Fault.Nth 5) (fun () ->
-      let results = Snoise.Sweep.map_array_result ~pool solve points in
-      Array.iteri
-        (fun k res ->
-          match res with
-          | Ok v ->
-            let ohms = points.(k) in
-            check_close 1e-6
-              (Printf.sprintf "point %d" k)
-              (10.0 *. ohms /. (1000.0 +. ohms))
-              v
-          | Error d ->
-            Alcotest.failf "point %d not rescued: %s" k (Diag.to_string d))
-        results;
-      Alcotest.(check int) "exactly one retry" 9 (Atomic.get calls))
-
-let test_sweep_retry_width1 () = sweep_retry_rescues ~jobs:1 ()
-let test_sweep_retry_width4 () = sweep_retry_rescues ~jobs:4 ()
-
 (* The sparse frequency-domain path carries the same typed diagnostics
    as the dense one: a singular complex pivot maps back to the named
    unknown (vsource_clash is linear, so any bias vector compiles the
@@ -275,72 +223,6 @@ let test_injected_ac_fault_diagnostic () =
           (contains (Diag.to_string d) "injected fault")
       | exception Diag.Error d ->
         Alcotest.failf "expected a singular pivot, got %s" (Diag.to_string d))
-
-(* Acceptance: a 16-point sweep with one permanently bad point returns
-   15 [Ok] and one [Error] carrying a named unknown. *)
-let test_sweep_one_permanent_failure () =
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let solve k =
-    let nl =
-      if k = 13 then C.Netlist.create vsource_clash
-      else C.Netlist.create divider
-    in
-    Dc.voltage (Dc.solve nl) "mid"
-  in
-  let results =
-    Snoise.Sweep.map_points_result ~pool solve (List.init 16 Fun.id)
-  in
-  Alcotest.(check int) "16 results" 16 (List.length results);
-  List.iteri
-    (fun k res ->
-      match (k, res) with
-      | 13, Error (Diag.Singular_pivot { unknown = Some (Diag.Branch b); _ })
-        ->
-        Alcotest.(check bool) "named source" true (b = "v1" || b = "v2")
-      | 13, Error d ->
-        Alcotest.failf "point 13: expected a named singular pivot, got %s"
-          (Diag.to_string d)
-      | 13, Ok _ -> Alcotest.fail "point 13 should fail"
-      | _, Ok v -> check_close 1e-6 (Printf.sprintf "point %d" k) 7.5 v
-      | _, Error d ->
-        Alcotest.failf "point %d failed: %s" k (Diag.to_string d))
-    results
-
-let test_grid_result_keeps_coordinates () =
-  let f a b =
-    if a = 2 && b = 20 then
-      raise
-        (Diag.Error
-           (Diag.Bad_input { loc = Diag.loc "test"; what = "poisoned cell" }))
-    else a + b
-  in
-  let cells = Snoise.Sweep.grid_result f [ 1; 2 ] [ 10; 20 ] in
-  Alcotest.(check int) "4 cells" 4 (List.length cells);
-  List.iter
-    (fun (a, b, res) ->
-      match res with
-      | Ok v -> Alcotest.(check int) "sum" (a + b) v
-      | Error (Diag.Bad_input _) ->
-        Alcotest.(check (pair int int)) "failed cell" (2, 20) (a, b)
-      | Error d -> Alcotest.failf "unexpected: %s" (Diag.to_string d))
-    cells
-
-let test_pool_map_array_result () =
-  let pool = Pool.create ~jobs:4 () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let f k = if k = 3 then failwith "boom" else k * k in
-  let results = Pool.map_array_result pool f (Array.init 8 Fun.id) in
-  Array.iteri
-    (fun k res ->
-      match res with
-      | Ok v -> Alcotest.(check int) "square" (k * k) v
-      | Error (Failure msg) ->
-        Alcotest.(check int) "only point 3 fails" 3 k;
-        Alcotest.(check string) "message" "boom" msg
-      | Error e -> raise e)
-    results;
-  Alcotest.(check int) "one failure counted" 1 (Pool.stats pool).Pool.tasks_failed
 
 (* ------------------------------------------------------------------ *)
 (* lint gate, naming, rendering *)
@@ -426,8 +308,6 @@ let suites =
           test_tran_backoff_recovers;
         Alcotest.test_case "fixed-step truncation diagnostic" `Quick
           test_tran_truncation;
-        Alcotest.test_case "adaptive truncation diagnostic" `Quick
-          test_tran_adaptive_truncation;
       ] );
     ( "robustness.ac",
       [
@@ -435,19 +315,6 @@ let suites =
           test_ac_sparse_singular_names_branch;
         Alcotest.test_case "injected AC fault is transparent" `Quick
           test_injected_ac_fault_diagnostic;
-      ] );
-    ( "robustness.sweep",
-      [
-        Alcotest.test_case "retry rescues injected fault (jobs=1)" `Quick
-          test_sweep_retry_width1;
-        Alcotest.test_case "retry rescues injected fault (jobs=4)" `Quick
-          test_sweep_retry_width4;
-        Alcotest.test_case "15 Ok + 1 named Error" `Quick
-          test_sweep_one_permanent_failure;
-        Alcotest.test_case "grid keeps failed coordinates" `Quick
-          test_grid_result_keeps_coordinates;
-        Alcotest.test_case "pool map_array_result" `Quick
-          test_pool_map_array_result;
       ] );
     ( "robustness.diag",
       [

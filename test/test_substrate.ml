@@ -12,6 +12,17 @@ module Macromodel = Sn_substrate.Macromodel
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* the branch resistance -1 / G_ab between two ports of the model's
+   equivalent resistor network *)
+let coupling_resistance m a b =
+  match
+    List.find_opt
+      (fun (x, y, _) -> (x = a && y = b) || (x = b && y = a))
+      (Macromodel.to_resistors m)
+  with
+  | Some (_, _, r) -> r
+  | None -> Alcotest.failf "ports %s and %s are uncoupled" a b
+
 (* ------------------------------------------------------------------ *)
 (* Tech *)
 
@@ -84,7 +95,9 @@ let test_grid_depth_preserved () =
     total := !total +. Grid.dz g iz
   done;
   Alcotest.(check (float 1e-12)) "total depth"
-    (T.substrate_depth T.imec018) !total
+    (List.fold_left
+       (fun acc (l : T.substrate_layer) -> acc +. l.T.depth)
+       0.0 T.imec018.T.substrate.T.layers) !total
 
 let test_grid_bad_config () =
   Alcotest.check_raises "nx = 0"
@@ -184,7 +197,7 @@ let test_macromodel_row_sums_zero () =
 
 let test_two_contact_resistance_plausible () =
   let m = two_contact_model () in
-  let r = Macromodel.coupling_resistance m "a" "b" in
+  let r = coupling_resistance m "a" "b" in
   (* spreading resistance of two 10x10 um contacts 60 um apart in a
      20 ohm cm bulk: order 1-50 kohm *)
   Alcotest.(check bool)
@@ -194,10 +207,10 @@ let test_two_contact_resistance_plausible () =
 
 let test_resistance_increases_with_separation () =
   let r_near =
-    Macromodel.coupling_resistance (two_contact_model ~sep:30.0 ()) "a" "b"
+    coupling_resistance (two_contact_model ~sep:30.0 ()) "a" "b"
   in
   let r_far =
-    Macromodel.coupling_resistance (two_contact_model ~sep:70.0 ()) "a" "b"
+    coupling_resistance (two_contact_model ~sep:70.0 ()) "a" "b"
   in
   Alcotest.(check bool)
     (Printf.sprintf "R(30um)=%g < R(70um)=%g" r_near r_far)
@@ -215,8 +228,8 @@ let test_resistance_decreases_with_contact_area () =
     in
     Extractor.extract ~config:fast_config ~tech:T.imec018 ~die:die100 [ a; b ]
   in
-  let r_small = Macromodel.coupling_resistance (model 5.0) "a" "b" in
-  let r_big = Macromodel.coupling_resistance (model 15.0) "a" "b" in
+  let r_small = coupling_resistance (model 5.0) "a" "b" in
+  let r_big = coupling_resistance (model 15.0) "a" "b" in
   Alcotest.(check bool)
     (Printf.sprintf "R(5um)=%g > R(15um)=%g" r_small r_big)
     true (r_small > r_big)
@@ -480,10 +493,10 @@ let test_grid_convergence () =
   let coarse = { Grid.nx = 16; ny = 16; z_per_layer = Some [ 1; 1; 1; 1 ] } in
   let fine = { Grid.nx = 32; ny = 32; z_per_layer = Some [ 1; 2; 2; 2 ] } in
   let r_coarse =
-    Macromodel.coupling_resistance (two_contact_model ~cfg:coarse ()) "a" "b"
+    coupling_resistance (two_contact_model ~cfg:coarse ()) "a" "b"
   in
   let r_fine =
-    Macromodel.coupling_resistance (two_contact_model ~cfg:fine ()) "a" "b"
+    coupling_resistance (two_contact_model ~cfg:fine ()) "a" "b"
   in
   let rel = Float.abs (r_fine -. r_coarse) /. r_fine in
   Alcotest.(check bool)
@@ -495,6 +508,10 @@ let test_grid_convergence () =
    cache, and pool determinism *)
 
 module Cache = Sn_substrate.Cache
+
+(* the judgement [Cache.verify_dir] gives one entry *)
+let verify_entry cache ~key =
+  List.assoc key (Cache.verify_dir cache).Cache.vf_entries
 module Pool = Sn_engine.Pool
 
 let stats_exn () =
@@ -699,7 +716,7 @@ let test_cache_certificates () =
   let oc = open_out_bin victim in
   output_bytes oc bytes;
   close_out oc;
-  (match Cache.verify_entry cache ~key:victim_key with
+  (match verify_entry cache ~key:victim_key with
   | Cache.Bad _ -> ()
   | s ->
     Alcotest.failf "tampered entry judged %s, expected bad"
@@ -729,7 +746,7 @@ let test_cache_certificates () =
     [];
   close_out oc;
   Alcotest.(check bool) "stale entry judged stale" true
-    (Cache.verify_entry cache ~key:"00stale" = Cache.Stale);
+    (verify_entry cache ~key:"00stale" = Cache.Stale);
   Alcotest.(check int) "verify_dir counts it" 1
     (Cache.verify_dir cache).Cache.vf_stale;
   Alcotest.(check bool) "stale lookup is a miss" true
@@ -802,7 +819,7 @@ let test_lookup_refuses_bad () =
   write_entry cache ~key:"00bad"
     { Cache.labels = [| "n" |]; matrix = [| -1.0 |]; iterations = 0;
       form = "exact" };
-  (match Cache.verify_entry cache ~key:"00bad" with
+  (match verify_entry cache ~key:"00bad" with
    | Cache.Bad _ -> ()
    | s -> Alcotest.failf "judged %s, expected bad" (Cache.status_name s));
   let before = Cache.counters () in

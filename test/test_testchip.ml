@@ -54,7 +54,9 @@ let test_ring_invalid () =
 let nmos_layout = lazy (NS.layout NS.default)
 
 let shapes_on layout layer =
-  L.Layout.shapes_on_layer layout layer
+  List.filter
+    (fun (s : L.Shape.t) -> L.Layer.equal s.L.Shape.layer layer)
+    (L.Layout.flatten layout)
 
 let test_nmos_layout_ports () =
   let ports = Sn_substrate.Port.of_layout (Lazy.force nmos_layout) in
