@@ -8,6 +8,7 @@ let () =
      @ Test_analysis.suites
      @ Test_preflight.suites
      @ Test_engine.suites
+     @ Test_stamp.suites
      @ Test_interconnect.suites
      @ Test_rf.suites
      @ Test_testchip.suites
