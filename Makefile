@@ -45,11 +45,13 @@ server-chaos: build
 # totals, and bench/main.ml; then the lib/ modules that no other lib/,
 # bin/, examples/ or bench/ file names (qualified access, module alias,
 # include or open), i.e. code only tests reach; then the values a lib/
-# .mli exports whose name no lib/, bin/, examples/ or bench/ file
-# outside their own module mentions (a name match: candidates, not
-# verdicts; DESIGN.md gives the reason each listed value stays).  Fails
-# when more than LOC_UNUSED_MAX values are listed.
-LOC_UNUSED_MAX = 14
+# .mli exports that no lib/, bin/, examples/ or bench/ file outside
+# their own module uses: a file counts when it names the value and
+# also names its module (qualified access, alias, include or open).
+# These are candidates, not verdicts; DESIGN.md gives the reason each
+# listed value stays.  Fails when more than LOC_UNUSED_MAX values are
+# listed.
+LOC_UNUSED_MAX = 25
 
 loc:
 	@ml=$$(find lib bin -name '*.ml' -exec cat {} + | wc -l); \
@@ -74,7 +76,9 @@ loc:
 	  lib=$$(sed -n 's/.*(name \([a-z_]*\)).*/\1/p' $$d/dune | head -1); \
 	  for v in $$(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\).*/\1/p' $$f | sort -u); do \
 	    grep -rlw --include='*.ml' --include='*.mli' -e "$$v" lib bin examples bench \
-	      | grep -qv "^$$d/$$b\.mli\?$$" \
+	      | grep -v "^$$d/$$b\.mli\?$$" \
+	      | xargs -r grep -lE "\b$$m\.|(module [A-Za-z_]+ =|include|open) ([A-Za-z_]+\.)?$$m\b" \
+	      | grep -q . \
 	      || echo "$$lib.$$m.$$v" | sed 's/^./\U&/'; \
 	  done; \
 	done); \

@@ -622,6 +622,4 @@ and unknown_pragmas ctx =
              p.C.Netlist.ignore_code))
     (C.Netlist.pragmas ctx.Rule.netlist)
 
-let find code = List.find_opt (fun r -> r.Rule.code = code) registry
-
 let codes = List.map (fun r -> r.Rule.code) registry

@@ -51,8 +51,5 @@ val registry : Rule.t list
     - ["vsource-loop"] (error): a cycle of ideal voltage sources /
       inductors (numerically singular at DC). *)
 
-val find : string -> Rule.t option
-(** Look a rule up by code. *)
-
 val codes : string list
 (** All registry codes, sorted. *)

@@ -36,9 +36,6 @@
 
 exception Parse_error of int * string
 
-val parse_number : string -> float option
-(** [parse_number "10meg"] is [Some 1e7]; exposed for tests. *)
-
 val of_string : ?file:string -> string -> Netlist.t
 (** Raises {!Parse_error} or {!Netlist.Invalid}.  [?file] (default
     ["<string>"]) names the source in the recorded element

@@ -4,8 +4,9 @@
    frequency point and re-evaluate every nonlinear device's
    small-signal parameters (MOSFET transconductances, varactor C(V))
    while doing so — although neither depends on frequency, only on the
-   DC bias.  This module walks the stamp plan exactly once per
-   (plan, operating point) pair and splits every stamp into a
+   DC bias.  This module stamps the plan through the shared stamp rule
+   ({!Stamp_plan.stamp}, MOSFETs linearized at the bias) exactly once
+   per (plan, operating point) pair and splits every stamp into a
    frequency-independent real conductance event G (resistors,
    gm/gmb/gds, source and inductor branch connections) and a
    susceptance event B (capacitors, varactor C(V_dc), inductor -L on
@@ -81,7 +82,6 @@ let compile ?(crossover = N.Splu.default_crossover) (plan : Stamp_plan.t) dcx =
   let bi = N.Dyn.I.create () and bj = N.Dyn.I.create ()
   and bv = N.Dyn.F.create () in
   let ri = N.Dyn.I.create () and rv = N.Dyn.F.create () in
-  let volt s = if s < 0 then 0.0 else dcx.(s) in
   let g i j v =
     if i >= 0 && j >= 0 then begin
       N.Dyn.I.push gi i;
@@ -96,81 +96,30 @@ let compile ?(crossover = N.Splu.default_crossover) (plan : Stamp_plan.t) dcx =
       N.Dyn.F.push bv v
     end
   in
-  let g_adm i j v =
-    g i i v;
-    g j j v;
-    g i j (-.v);
-    g j i (-.v)
-  in
-  let b_adm i j v =
-    b i i v;
-    b j j v;
-    b i j (-.v);
-    b j i (-.v)
-  in
   let inject i v =
     if i >= 0 then begin
       N.Dyn.I.push ri i;
       N.Dyn.F.push rv v
     end
   in
-  Array.iter
-    (fun (e : P.elt) ->
-      match e with
-      | P.Resistor { i; j; g = gval } -> g_adm i j gval
-      | P.Capacitor { i; j; c; _ } -> b_adm i j c
-      | P.Varactor { i; j; vmodel; fm; _ } ->
-        (* C(V) at the DC bias, evaluated once for the whole sweep *)
-        b_adm i j (C.Varactor_model.capacitance vmodel (volt i -. volt j) *. fm)
-      | P.Inductor { b = br; i; j; henries; _ } ->
-        g br i 1.0;
-        g br j (-1.0);
-        g i br 1.0;
-        g j br (-1.0);
-        b br br (-.henries)
-      | P.Vsource { b = br; i; j; ac_mag; _ } ->
-        g br i 1.0;
-        g br j (-1.0);
-        g i br 1.0;
-        g j br (-1.0);
-        inject br ac_mag
-      | P.Isource { i; j; ac_mag; _ } ->
-        inject i (-.ac_mag);
-        inject j ac_mag
-      | P.Vccs { i; j; k; l; gm } ->
-        g i k gm;
-        g i l (-.gm);
-        g j k (-.gm);
-        g j l gm
-      | P.Vcvs { b = br; i; j; k; l; gain } ->
-        g br i 1.0;
-        g br j (-1.0);
-        g br k (-.gain);
-        g br l gain;
-        g i br 1.0;
-        g j br (-1.0)
-      | P.Mosfet m ->
-        (* transconductances at the DC bias, evaluated once: the
-           device capacitances were expanded into Capacitor stamps by
-           the plan *)
-        let d = m.P.md and gt = m.P.mg and s = m.P.ms and bk = m.P.mbk in
-        let lin =
-          Device_eval.mos ~model:m.P.mmodel ~w:m.P.mw ~l:m.P.ml
-            ~mult:m.P.mmult ~vd:(volt d) ~vg:(volt gt) ~vs:(volt s)
-            ~vb:(volt bk)
-        in
-        List.iter
-          (fun (coeff, node) ->
-            g d node coeff;
-            g s node (-.coeff))
-          [ (lin.Device_eval.g_dd, d); (lin.Device_eval.g_dg, gt);
-            (lin.Device_eval.g_ds, s); (lin.Device_eval.g_db, bk) ])
-    plan.P.elts;
+  (* the susceptances: capacitors, varactors at C(V_dc) — evaluated
+     once for the whole sweep — and -L on the inductor's branch row;
+     the MOSFET capacitances were expanded into capacitors by the
+     plan *)
+  let reactive _ = function
+    | P.Capacitor { i; j; c; _ } -> P.admittance b i j c
+    | P.Varactor { i; j; vmodel; fm; _ } ->
+      P.admittance b i j
+        (C.Varactor_model.capacitance vmodel (P.volt dcx i -. P.volt dcx j)
+        *. fm)
+    | P.Inductor { b = br; henries; _ } -> b br br (-.henries)
+    | _ -> ()
+  in
   (* the gmin floor keeps isolated nodes from making the system
      singular — same constant as the dense reference path *)
-  for i = 0 to Stamp_plan.n_nodes plan - 1 do
-    g i i Stamp_plan.node_gmin
-  done;
+  P.assemble { P.add = g; inject } ~lin:(P.Bias dcx)
+    ~source:(fun _ ac_mag -> ac_mag)
+    ~reactive ~gmin:Stamp_plan.node_gmin plan;
   (* one pattern over the union of G and B coordinates, built with unit
      weights so structural zeros survive *)
   let builder = N.Sparse.builder adim adim in

@@ -35,92 +35,25 @@ type failure =
 
 exception Attempt_failed of failure
 
-let volt_of x slot = if slot < 0 then 0.0 else x.(slot)
+(* Assemble the real Newton system at candidate [x] into the shared
+   assembler and right-hand side through the plan's stamp rule: every
+   node and branch index was resolved when the plan was built, so the
+   Newton inner loop does no name lookups at all.  [source wave ac_mag]
+   is an independent source's value; [reactive] stamps the dynamic
+   elements, which DC leaves open (the inductor is a short through its
+   incidences).  The transient engine supplies its companion models
+   here.
 
-(* Assemble the linearized MNA system at candidate [x] into the shared
-   assembler and right-hand side.  The stamps walk the compiled plan:
-   every node and branch index was resolved when the plan was built, so
-   the Newton inner loop does no name lookups at all.  Dynamic elements
-   are open circuits at DC.
-
-   [source_scale] multiplies every independent-source value (source
-   stepping ramps it 0 -> 1); it only touches the right-hand side, so
-   the stamp event sequence stays identical across the whole ladder and
-   the assembler's recorded pattern remains valid. *)
-let assemble_plan ?(source_scale = 1.0) (plan : Stamp_plan.t) asm rhs ~gmin x =
+   Source stepping scales [source], which only touches the right-hand
+   side, so the stamp event sequence stays identical across the whole
+   ladder and the assembler's recorded pattern remains valid. *)
+let assemble_plan ?(reactive = fun _ _ -> ()) ~source plan asm rhs ~gmin x =
   Assembler.start asm;
   Array.fill rhs 0 (Array.length rhs) 0.0;
-  let stamp i j g = Assembler.add asm i j g in
-  let inject i v = if i >= 0 then rhs.(i) <- rhs.(i) +. v in
-  Array.iter
-    (fun (e : Stamp_plan.elt) ->
-      match e with
-      | Stamp_plan.Resistor { i; j; g } ->
-        stamp i i g;
-        stamp j j g;
-        stamp i j (-.g);
-        stamp j i (-.g)
-      | Stamp_plan.Capacitor _ | Stamp_plan.Varactor _ -> ()
-      | Stamp_plan.Inductor { b; i; j; _ } ->
-        (* DC short with explicit branch current *)
-        stamp b i 1.0;
-        stamp b j (-1.0);
-        stamp i b 1.0;
-        stamp j b (-1.0)
-      | Stamp_plan.Vsource { b; i; j; wave; _ } ->
-        stamp b i 1.0;
-        stamp b j (-1.0);
-        stamp i b 1.0;
-        stamp j b (-1.0);
-        rhs.(b) <- rhs.(b) +. (source_scale *. C.Waveform.dc_value wave)
-      | Stamp_plan.Isource { i; j; wave; _ } ->
-        let v = source_scale *. C.Waveform.dc_value wave in
-        inject i (-.v);
-        inject j v
-      | Stamp_plan.Vccs { i; j; k; l; gm } ->
-        stamp i k gm;
-        stamp i l (-.gm);
-        stamp j k (-.gm);
-        stamp j l gm
-      | Stamp_plan.Vcvs { b; i; j; k; l; gain } ->
-        stamp b i 1.0;
-        stamp b j (-1.0);
-        stamp b k (-.gain);
-        stamp b l gain;
-        stamp i b 1.0;
-        stamp j b (-1.0)
-      | Stamp_plan.Mosfet m ->
-        let d = m.Stamp_plan.md and g = m.Stamp_plan.mg
-        and s = m.Stamp_plan.ms and b = m.Stamp_plan.mbk in
-        let lin =
-          Device_eval.mos ~model:m.Stamp_plan.mmodel ~w:m.Stamp_plan.mw
-            ~l:m.Stamp_plan.ml ~mult:m.Stamp_plan.mmult ~vd:(volt_of x d)
-            ~vg:(volt_of x g) ~vs:(volt_of x s) ~vb:(volt_of x b)
-        in
-        (* i_d(v) ~ id0 + sum g_t (v_t - v_t0); current leaves drain,
-           enters source *)
-        let linear_part =
-          (lin.Device_eval.g_dd *. volt_of x d)
-          +. (lin.Device_eval.g_dg *. volt_of x g)
-          +. (lin.Device_eval.g_ds *. volt_of x s)
-          +. (lin.Device_eval.g_db *. volt_of x b)
-        in
-        let ieq = lin.Device_eval.id -. linear_part in
-        stamp d d lin.Device_eval.g_dd;
-        stamp d g lin.Device_eval.g_dg;
-        stamp d s lin.Device_eval.g_ds;
-        stamp d b lin.Device_eval.g_db;
-        stamp s d (-.lin.Device_eval.g_dd);
-        stamp s g (-.lin.Device_eval.g_dg);
-        stamp s s (-.lin.Device_eval.g_ds);
-        stamp s b (-.lin.Device_eval.g_db);
-        inject d (-.ieq);
-        inject s ieq)
-    plan.Stamp_plan.elts;
-  (* gmin on every node row keeps floating subnets solvable *)
-  for i = 0 to Stamp_plan.n_nodes plan - 1 do
-    Assembler.add asm i i gmin
-  done
+  Stamp_plan.assemble
+    { Stamp_plan.add = (fun i j v -> Assembler.add asm i j v);
+      inject = (fun i v -> if i >= 0 then rhs.(i) <- rhs.(i) +. v) }
+    ~lin:(Stamp_plan.Newton x) ~source ~reactive ~gmin plan
 
 (* One Newton run.  [anchor = (g, x_prev)] turns the iteration into a
    backward-Euler pseudo-transient step: conductance [g] from every
@@ -131,7 +64,7 @@ let assemble_plan ?(source_scale = 1.0) (plan : Stamp_plan.t) asm rhs ~gmin x =
    Returns [(x, iterations)]; raises [Attempt_failed] with the last
    iteration's worst slot and residual on budget exhaustion, or the
    singular column on a factorization failure. *)
-let newton_loop ?source_scale ?anchor plan asm rhs ~budget ~clamp ~tolerance
+let newton_loop ~source_scale ~anchor plan asm rhs ~budget ~clamp ~tolerance
     ~gmin x0 =
   let dim = Stamp_plan.dim plan in
   let n_nodes = Stamp_plan.n_nodes plan in
@@ -157,7 +90,8 @@ let newton_loop ?source_scale ?anchor plan asm rhs ~budget ~clamp ~tolerance
                 worst = !last_worst }))
     else begin
       N.Cancel.poll ();
-      assemble_plan ?source_scale plan asm rhs ~gmin:gmin_eff x;
+      assemble_plan plan asm rhs ~gmin:gmin_eff x
+        ~source:(fun wave _ -> source_scale *. C.Waveform.dc_value wave);
       inject_anchor ();
       let x_new =
         try Assembler.solve asm rhs
@@ -187,113 +121,77 @@ let newton_loop ?source_scale ?anchor plan asm rhs ~budget ~clamp ~tolerance
   iterate 0
 
 (* ------------------------------------------------------------------ *)
-(* The rescue ladder.  Each rung takes the cold start [x0] and either
-   returns [(x, total_newton_iterations)] or raises [Attempt_failed].
-   All rungs share one assembler, so the factorization pattern is
-   discovered once and reused across the whole ladder. *)
+(* The rescue ladder.  Each rung is a list of continuation steps run as
+   warm-started Newton solves from the cold start [x0]; it returns
+   [(x, total_newton_iterations)] or raises [Attempt_failed] carrying
+   the iterations of every step so far.  All rungs share one assembler,
+   so the factorization pattern is discovered once and reused across
+   the whole ladder. *)
 
-let run_plain plan asm rhs (o : options) x0 =
-  newton_loop plan asm rhs ~budget:o.max_iterations ~clamp:o.damping
-    ~tolerance:o.tolerance ~gmin:o.gmin x0
+type step = {
+  gmin : float;
+  source_scale : float;
+  anchor : float option;
+      (** pseudo-transient conductance to the previous step's voltages *)
+}
 
-(* Heavier clamp, larger budget: slower but monotone-ish progress on
-   circuits where the full-strength update overshoots. *)
-let run_damped plan asm rhs (o : options) x0 =
-  newton_loop plan asm rhs ~budget:(3 * o.max_iterations)
-    ~clamp:(o.damping /. 6.0) ~tolerance:o.tolerance ~gmin:o.gmin x0
+let add_iterations n = function
+  | Diverged d -> Diverged { d with iterations = n + d.iterations }
+  | Singular s -> Singular { s with iterations = n + s.iterations }
 
-let run_gmin plan asm rhs (o : options) x0 =
-  let steps =
-    List.init o.gmin_steps (fun k ->
-        1e-3
-        *. (10.0
-            ** (-.float_of_int k *. 9.0 /. float_of_int (o.gmin_steps - 1))))
-    @ [ o.gmin ]
-  in
-  let rec continuation x iters = function
-    | [] -> (x, iters)
-    | g :: rest -> (
+let continuation plan asm rhs ~budget ~clamp ~tolerance x0 steps =
+  List.fold_left
+    (fun (x, iters) st ->
+      let anchor = Option.map (fun g -> (g, x)) st.anchor in
       match
-        newton_loop plan asm rhs ~budget:o.max_iterations ~clamp:o.damping
-          ~tolerance:o.tolerance ~gmin:g x
+        newton_loop ~source_scale:st.source_scale ~anchor plan asm rhs ~budget
+          ~clamp ~tolerance ~gmin:st.gmin x
       with
-      | x, k -> continuation x (iters + k) rest
-      | exception Attempt_failed (Diverged d) ->
-        raise
-          (Attempt_failed (Diverged { d with iterations = iters + d.iterations }))
-      | exception Attempt_failed (Singular s) ->
-        raise
-          (Attempt_failed (Singular { s with iterations = iters + s.iterations })))
-  in
-  continuation x0 0 steps
+      | x, k -> (x, iters + k)
+      | exception Attempt_failed f ->
+        raise (Attempt_failed (add_iterations iters f)))
+    (x0, 0) steps
 
-(* Ramp every independent source from 0 to 100 %.  At scale ~0 the
-   all-zero start is already near the solution; each sub-step warm
-   starts from the previous one, so even a tight damping clamp only has
-   to cover the per-step voltage increment. *)
-let run_source plan asm rhs (o : options) x0 =
-  let n = max 1 o.source_steps in
-  let rec ramp x iters k =
-    if k > n then (x, iters)
-    else
-      let scale = float_of_int k /. float_of_int n in
-      match
-        newton_loop ~source_scale:scale plan asm rhs ~budget:o.max_iterations
-          ~clamp:o.damping ~tolerance:o.tolerance ~gmin:o.gmin x
-      with
-      | x, it -> ramp x (iters + it) (k + 1)
-      | exception Attempt_failed (Diverged d) ->
-        raise
-          (Attempt_failed (Diverged { d with iterations = iters + d.iterations }))
-      | exception Attempt_failed (Singular s) ->
-        raise
-          (Attempt_failed (Singular { s with iterations = iters + s.iterations }))
+let run_rung plan asm rhs (o : options) rung x0 =
+  let step ?(gmin = o.gmin) ?(source_scale = 1.0) ?anchor () =
+    { gmin; source_scale; anchor }
   in
-  ramp x0 0 1
-
-(* Pseudo-transient continuation: anchor every node to its previous
-   voltage through a conductance [g], ramp [g] down by decades, then
-   polish with one clean Newton.  Equivalent to backward-Euler time
-   stepping toward the equilibrium with growing timestep. *)
-let run_ptran plan asm rhs (o : options) x0 =
-  let n = max 1 o.ptran_steps in
-  let gs = List.init n (fun k -> 1.0 *. (10.0 ** -.float_of_int k)) in
-  let rec march x iters = function
-    | [] -> (
-      (* final polish without the anchor *)
-      match
-        newton_loop plan asm rhs ~budget:o.max_iterations ~clamp:o.damping
-          ~tolerance:o.tolerance ~gmin:o.gmin x
-      with
-      | x, it -> (x, iters + it)
-      | exception Attempt_failed (Diverged d) ->
-        raise
-          (Attempt_failed (Diverged { d with iterations = iters + d.iterations }))
-      | exception Attempt_failed (Singular s) ->
-        raise
-          (Attempt_failed (Singular { s with iterations = iters + s.iterations })))
-    | g :: rest -> (
-      match
-        newton_loop ~anchor:(g, x) plan asm rhs ~budget:o.max_iterations
-          ~clamp:o.damping ~tolerance:o.tolerance ~gmin:o.gmin x
-      with
-      | x, it -> march x (iters + it) rest
-      | exception Attempt_failed (Diverged d) ->
-        raise
-          (Attempt_failed (Diverged { d with iterations = iters + d.iterations }))
-      | exception Attempt_failed (Singular s) ->
-        raise
-          (Attempt_failed (Singular { s with iterations = iters + s.iterations })))
+  let budget, clamp, steps =
+    match rung with
+    | Diag.Plain_newton -> (o.max_iterations, o.damping, [ step () ])
+    (* heavier clamp, larger budget: slower but monotone-ish progress on
+       circuits where the full-strength update overshoots *)
+    | Diag.Damped_newton ->
+      (3 * o.max_iterations, o.damping /. 6.0, [ step () ])
+    (* gmin continuation from 1 mS down to the working floor *)
+    | Diag.Gmin_stepping ->
+      let exponent k =
+        -.float_of_int k *. 9.0 /. float_of_int (o.gmin_steps - 1)
+      in
+      ( o.max_iterations, o.damping,
+        List.init o.gmin_steps (fun k ->
+            step ~gmin:(1e-3 *. (10.0 ** exponent k)) ())
+        @ [ step () ] )
+    (* Ramp every independent source from 0 to 100 %.  At scale ~0 the
+       all-zero start is already near the solution; each sub-step warm
+       starts from the previous one, so even a tight damping clamp only
+       has to cover the per-step voltage increment. *)
+    | Diag.Source_stepping ->
+      let n = max 1 o.source_steps in
+      ( o.max_iterations, o.damping,
+        List.init n (fun k ->
+            step ~source_scale:(float_of_int (k + 1) /. float_of_int n) ()) )
+    (* Pseudo-transient continuation: anchor every node to its previous
+       voltage through a conductance [g], ramp [g] down by decades, then
+       polish with one clean Newton.  Equivalent to backward-Euler time
+       stepping toward the equilibrium with growing timestep. *)
+    | Diag.Pseudo_transient ->
+      ( o.max_iterations, o.damping,
+        List.init (max 1 o.ptran_steps) (fun k ->
+            step ~anchor:(10.0 ** -.float_of_int k) ())
+        @ [ step () ] )
   in
-  march x0 0 gs
-
-let run_rung plan asm rhs options rung x0 =
-  match rung with
-  | Diag.Plain_newton -> run_plain plan asm rhs options x0
-  | Diag.Damped_newton -> run_damped plan asm rhs options x0
-  | Diag.Gmin_stepping -> run_gmin plan asm rhs options x0
-  | Diag.Source_stepping -> run_source plan asm rhs options x0
-  | Diag.Pseudo_transient -> run_ptran plan asm rhs options x0
+  continuation plan asm rhs ~budget ~clamp ~tolerance:o.tolerance x0 steps
 
 let solve_plan ?(options = default_options) plan =
   let dim = Stamp_plan.dim plan in
@@ -375,8 +273,7 @@ let mna s = s.mna
 let attempts s = s.attempts
 
 let voltage s node =
-  let slot = Mna.node_slot s.mna node in
-  volt_of s.x slot
+  Stamp_plan.volt s.x (Mna.node_slot s.mna node)
 
 let branch_current s name = s.x.(Mna.branch_slot s.mna name)
 

@@ -41,6 +41,20 @@ val solve_plan : ?options:options -> Stamp_plan.t -> solution
 (** Solve over a pre-compiled stamp plan, sharing the symbolic work
     with a caller that keeps the plan (the transient engine does). *)
 
+val assemble_plan :
+  ?reactive:(Stamp_plan.sink -> Stamp_plan.elt -> unit) ->
+  source:(Sn_circuit.Waveform.t -> float -> float) ->
+  Stamp_plan.t -> Assembler.t -> float array -> gmin:float -> float array ->
+  unit
+(** [assemble_plan ~source plan asm rhs ~gmin x] restarts [asm] and
+    [rhs] and stamps the real Newton system at iterate [x] through
+    {!Stamp_plan.assemble}: MOSFETs linearized at [x] with their
+    companion currents, [source wave ac_mag] on every independent
+    source, [gmin] on every node diagonal.  [reactive] stamps the
+    capacitors, varactors and inductor branch diagonals; the default
+    leaves them open, the DC rule.  The transient engine passes its
+    companion models. *)
+
 val mna : solution -> Mna.t
 
 val attempts : solution -> Diag.attempt list

@@ -1,15 +1,21 @@
-(* A netlist compiled once into slot-resolved stamps.
+(* A netlist compiled once into slot-resolved stamps, and the one rule
+   that says where each stamp lands.
 
-   The DC, AC and transient engines all used to walk the element list
-   and re-resolve every node and branch name through hashtables on
-   every assembly — every Newton iteration of every timestep.  The
-   stamp plan does that symbolic work exactly once per netlist: each
+   The stamp plan does the symbolic work exactly once per netlist: each
    element becomes a flat record of precomputed unknown indices
    (ground = -1), each dynamic element gets an index into the
    transient state arrays, and the per-MOSFET linear capacitances are
    expanded into ordinary capacitor stamps.  Assemblies then run over
    an array of int-indexed records with no string hashing and no list
-   traversal. *)
+   traversal.
+
+   {!stamp} is the MNA stamp rule for every element kind.  The DC and
+   transient Newton systems ([Dc.assemble_plan]), the small-signal
+   G + jwB split ([Ac_plan.compile]) and the structural pattern below
+   all stamp through it and differ only in what they supply: the
+   sinks, the source values, the MOSFET linearization and the reactive
+   stamps.  [Ac.system] keeps a dense assembly of its own as an
+   independent oracle for the AC case. *)
 
 module C = Sn_circuit
 
@@ -141,21 +147,130 @@ let build mna =
     linear = !linear;
   }
 
+let volt x s = if s < 0 then 0.0 else x.(s)
+
+(* ------------------------------------------------------------------ *)
+(* The stamp rule.  Matrix entries go to [add] and right-hand-side
+   entries to [inject], ground indices (-1) included: the sink drops
+   them.  Each caller's event order is fixed by the plan's element
+   order, so a pattern recorded on one assembly replays on the next. *)
+
+type sink = {
+  add : int -> int -> float -> unit;
+  inject : int -> float -> unit;
+}
+
+(* where the MOSFET conductances come from *)
+type linearization =
+  | Newton of float array
+      (** at this iterate, with the companion current
+          [ieq = id - sum g_t v_t] on the right-hand side *)
+  | Bias of float array  (** small-signal at this DC bias *)
+  | Units
+      (** symbolic: every coefficient 1, so signed units cancel within
+          an element exactly where the numeric stamps would *)
+
+let admittance add i j y =
+  add i i y;
+  add j j y;
+  add i j (-.y);
+  add j i (-.y)
+
+(* the +-1 coupling of a voltage-defined branch [b] to its terminals *)
+let incidence add b i j =
+  add b i 1.0;
+  add b j (-1.0);
+  add i b 1.0;
+  add j b (-1.0)
+
+(* drain-current conductances: + on the drain row, - on the source row *)
+let mos_rows add m g_dd g_dg g_ds g_db =
+  add m.md m.md g_dd;
+  add m.md m.mg g_dg;
+  add m.md m.ms g_ds;
+  add m.md m.mbk g_db;
+  add m.ms m.md (-.g_dd);
+  add m.ms m.mg (-.g_dg);
+  add m.ms m.ms (-.g_ds);
+  add m.ms m.mbk (-.g_db)
+
+(* The MOSFET's conductances at the bias [x], stamped; the evaluation
+   is returned for the Newton companion current. *)
+let linearize add m x =
+  let t =
+    Device_eval.mos ~model:m.mmodel ~w:m.mw ~l:m.ml ~mult:m.mmult
+      ~vd:(volt x m.md) ~vg:(volt x m.mg) ~vs:(volt x m.ms)
+      ~vb:(volt x m.mbk)
+  in
+  mos_rows add m t.Device_eval.g_dd t.g_dg t.g_ds t.g_db;
+  t
+
+(* Stamp one element.  [source wave ac_mag] is an independent source's
+   value; [reactive] stamps the capacitor, varactor and inductor
+   entries beyond the inductor's incidences. *)
+let stamp s ~lin ~source ~reactive e =
+  let coeff v = match lin with Units -> 1.0 | Newton _ | Bias _ -> v in
+  match e with
+  | Resistor { i; j; g } -> admittance s.add i j (coeff g)
+  | Capacitor _ | Varactor _ -> reactive s e
+  | Inductor { b; i; j; _ } ->
+    incidence s.add b i j;
+    reactive s e
+  | Vsource { b; i; j; wave; ac_mag } ->
+    incidence s.add b i j;
+    s.inject b (source wave ac_mag)
+  | Isource { i; j; wave; ac_mag } ->
+    let v = source wave ac_mag in
+    s.inject i (-.v);
+    s.inject j v
+  | Vccs { i; j; k; l; gm } ->
+    let gm = coeff gm in
+    s.add i k gm;
+    s.add i l (-.gm);
+    s.add j k (-.gm);
+    s.add j l gm
+  | Vcvs { b; i; j; k; l; gain } ->
+    let gain = coeff gain in
+    incidence s.add b i j;
+    s.add b k (-.gain);
+    s.add b l gain
+  | Mosfet m -> (
+    match lin with
+    | Units -> mos_rows s.add m 1.0 1.0 1.0 1.0
+    | Bias x -> ignore (linearize s.add m x : Device_eval.mos_linear)
+    | Newton x ->
+      (* i_d(v) ~ id0 + sum g_t (v_t - v_t0): the companion current *)
+      let t = linearize s.add m x in
+      let ieq =
+        t.id
+        -. ((t.g_dd *. volt x m.md) +. (t.g_dg *. volt x m.mg)
+           +. (t.g_ds *. volt x m.ms) +. (t.g_db *. volt x m.mbk))
+      in
+      s.inject m.md (-.ieq);
+      s.inject m.ms ieq)
+
+(* Every element, then [gmin] on every node diagonal so an isolated
+   subnet never makes the system singular. *)
+let assemble s ~lin ~source ~reactive ~gmin p =
+  Array.iter (stamp s ~lin ~source ~reactive) p.elts;
+  for i = 0 to p.n_nodes - 1 do
+    s.add i i gmin
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Structural zero-nonzero pattern export, consumed by the static
    analyzer (Sn_analysis) for matching-based singularity prediction.
 
-   The pattern must reproduce exactly which matrix positions the
-   assembly paths can ever fill: the DC shape follows Dc.assemble_plan
-   (dynamic elements open, gmin on every node diagonal), the AC shape
-   follows Ac_plan.compile (capacitive susceptances present, jwL on
-   the inductor branch diagonal, same gmin floor).  Device
-   small-signal parameters are treated as symbolic nonzeros — a cutoff
-   MOSFET's conductances stay in the pattern, matching the unit-weight
-   pattern compilation of the numeric engines.
+   The pattern is what {!stamp} fills with [Units]: the DC shape is
+   that of [Dc.assemble_plan] (dynamic elements open, gmin on every
+   node diagonal), the AC shape that of [Ac_plan.compile] (capacitive
+   susceptances present, the inductor's branch diagonal, the same
+   gmin floor).  Device small-signal parameters are symbolic nonzeros
+   — a cutoff MOSFET's conductances stay in the pattern, matching the
+   unit-weight pattern compilation of the numeric engines.
 
-   Cancellation is resolved per element with signed unit weights: a
-   stamp group whose coefficients sum to zero at one position (a
+   Cancellation is resolved per element with the signed unit weights:
+   a stamp group whose coefficients sum to zero at one position (a
    self-looped element's +1/-1 incidence pair, a resistor with both
    terminals on one node) contributes nothing there, exactly as the
    numeric stamps would.  Sums across different elements never cancel
@@ -172,63 +287,28 @@ type pattern = {
 let structural_pattern ~with_dynamic p =
   let global : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
   let local : (int * int, float ref) Hashtbl.t = Hashtbl.create 16 in
-  let stamp i j v =
+  let add i j v =
     if i >= 0 && j >= 0 then
       match Hashtbl.find_opt local (i, j) with
       | Some r -> r := !r +. v
       | None -> Hashtbl.add local (i, j) (ref v)
   in
-  let adm i j =
-    stamp i i 1.0;
-    stamp j j 1.0;
-    stamp i j (-1.0);
-    stamp j i (-1.0)
-  in
-  let branch_pair b i j =
-    stamp b i 1.0;
-    stamp b j (-1.0);
-    stamp i b 1.0;
-    stamp j b (-1.0)
-  in
-  let flush () =
-    Hashtbl.iter
-      (fun pos r -> if !r <> 0.0 then Hashtbl.replace global pos ())
-      local;
-    Hashtbl.reset local
+  let sink = { add; inject = (fun _ _ -> ()) } in
+  let reactive s = function
+    | Capacitor { i; j; _ } | Varactor { i; j; _ } ->
+      if with_dynamic then admittance s.add i j 1.0
+    | Inductor { b; _ } -> if with_dynamic then s.add b b 1.0
+    | _ -> ()
   in
   Array.iter
     (fun e ->
-      (match e with
-       | Resistor { i; j; _ } -> adm i j
-       | Capacitor { i; j; _ } | Varactor { i; j; _ } ->
-         if with_dynamic then adm i j
-       | Inductor { b; i; j; _ } ->
-         branch_pair b i j;
-         if with_dynamic then stamp b b 1.0
-       | Vsource { b; i; j; _ } -> branch_pair b i j
-       | Isource _ -> ()
-       | Vccs { i; j; k; l; _ } ->
-         stamp i k 1.0;
-         stamp i l (-1.0);
-         stamp j k (-1.0);
-         stamp j l 1.0
-       | Vcvs { b; i; j; k; l; _ } ->
-         branch_pair b i j;
-         stamp b k (-1.0);
-         stamp b l 1.0
-       | Mosfet { md; mg; ms; mbk; _ } ->
-         (* symbolic conductances g_d{d,g,s,b}: each appears once with
-            + on the drain row and once with - on the source row, so
-            signed units cancel exactly when (and only when) the
-            numeric stamps would *)
-         List.iter
-           (fun col ->
-             stamp md col 1.0;
-             stamp ms col (-1.0))
-           [ md; mg; ms; mbk ]);
-      flush ())
+      stamp sink ~lin:Units ~source:(fun _ _ -> 0.0) ~reactive e;
+      Hashtbl.iter
+        (fun pos r -> if !r <> 0.0 then Hashtbl.replace global pos ())
+        local;
+      Hashtbl.reset local)
     p.elts;
-  (* the gmin floor both assembly paths put on every node diagonal *)
+  (* the gmin floor every assembly puts on the node diagonals *)
   for i = 0 to p.n_nodes - 1 do
     Hashtbl.replace global (i, i) ()
   done;

@@ -47,8 +47,6 @@ type state = {
   vl_prev : float array;
 }
 
-let volt_of x slot = if slot < 0 then 0.0 else x.(slot)
-
 let init_state (plan : P.t) x0 =
   let mk n = Array.make (max n 1) 0.0 in
   let st =
@@ -61,17 +59,15 @@ let init_state (plan : P.t) x0 =
     (fun (e : P.elt) ->
       match e with
       | P.Capacitor { ci; i; j; _ } ->
-        st.cap_v.(ci) <- volt_of x0 i -. volt_of x0 j
+        st.cap_v.(ci) <- P.volt x0 i -. P.volt x0 j
       | P.Varactor { qi; i; j; vmodel; fm } ->
-        let v = volt_of x0 i -. volt_of x0 j in
+        let v = P.volt x0 i -. P.volt x0 j in
         st.q_prev.(qi) <- C.Varactor_model.charge vmodel v *. fm;
         st.vq_prev.(qi) <- v
       | P.Inductor { li; b; i; j; _ } ->
         st.il_prev.(li) <- x0.(b);
-        st.vl_prev.(li) <- volt_of x0 i -. volt_of x0 j
-      | P.Resistor _ | P.Vsource _ | P.Isource _ | P.Vccs _ | P.Vcvs _
-      | P.Mosfet _ ->
-        ())
+        st.vl_prev.(li) <- P.volt x0 i -. P.volt x0 j
+      | _ -> ())
     plan.P.elts;
   st
 
@@ -101,117 +97,53 @@ let cap_companion options ~h ~v_prev ~i_prev c =
     let geq = 2.0 *. c /. h in
     (geq, -.(geq *. v_prev) -. i_prev)
 
-(* Assemble the companion-model MNA system at time [t], candidate [x].
-   The walk is over the compiled plan, so the per-iteration cost is
-   pure numeric stamping; the assembler reuses its sparsity pattern
-   (and, when frozen, skips matrix work entirely). *)
+(* Assemble the companion-model MNA system at time [t], candidate [x]:
+   the DC Newton system with every source at its value at [t] and the
+   dynamic elements replaced by their companions.  The walk is over the
+   compiled plan, so the per-iteration cost is pure numeric stamping;
+   the assembler reuses its sparsity pattern (and, when frozen, skips
+   matrix work entirely). *)
 let assemble (plan : P.t) asm rhs options (state : state) ~h ~t x =
-  Assembler.start asm;
-  Array.fill rhs 0 (Array.length rhs) 0.0;
-  let gmin = Dc.default_options.Dc.gmin in
-  let stamp i j g = Assembler.add asm i j g in
-  let inject i v = if i >= 0 then rhs.(i) <- rhs.(i) +. v in
-  let stamp_conductance i j g =
-    stamp i i g;
-    stamp j j g;
-    stamp i j (-.g);
-    stamp j i (-.g)
+  let companion (s : P.sink) i j (geq, ieq) =
+    P.admittance s.add i j geq;
+    s.inject i (-.ieq);
+    s.inject j ieq
   in
-  Array.iter
-    (fun (e : P.elt) ->
-      match e with
-      | P.Resistor { i; j; g } -> stamp_conductance i j g
-      | P.Capacitor { ci; i; j; c } ->
-        let geq, ieq =
-          cap_companion options ~h ~v_prev:state.cap_v.(ci)
-            ~i_prev:state.cap_i.(ci) c
-        in
-        stamp_conductance i j geq;
-        inject i (-.ieq);
-        inject j ieq
-      | P.Varactor { qi; i; j; vmodel; fm } ->
-        let v = volt_of x i -. volt_of x j in
-        let cv = C.Varactor_model.capacitance vmodel v *. fm in
-        let qv = C.Varactor_model.charge vmodel v *. fm in
-        let geq, ieq =
-          match options.method_ with
-          | Backward_euler ->
-            let geq = cv /. h in
-            (geq, ((qv -. state.q_prev.(qi)) /. h) -. (geq *. v))
-          | Trapezoidal ->
-            let geq = 2.0 *. cv /. h in
-            ( geq,
-              (2.0 *. (qv -. state.q_prev.(qi)) /. h)
-              -. state.iq_prev.(qi) -. (geq *. v) )
-        in
-        stamp_conductance i j geq;
-        inject i (-.ieq);
-        inject j ieq
-      | P.Inductor { li; b; i; j; henries } ->
-        stamp b i 1.0;
-        stamp b j (-1.0);
-        stamp i b 1.0;
-        stamp j b (-1.0);
+  let reactive (s : P.sink) = function
+    | P.Capacitor { ci; i; j; c } ->
+      companion s i j
+        (cap_companion options ~h ~v_prev:state.cap_v.(ci)
+           ~i_prev:state.cap_i.(ci) c)
+    | P.Varactor { qi; i; j; vmodel; fm } ->
+      let v = P.volt x i -. P.volt x j in
+      let cv = C.Varactor_model.capacitance vmodel v *. fm in
+      let qv = C.Varactor_model.charge vmodel v *. fm in
+      companion s i j
         (match options.method_ with
          | Backward_euler ->
-           let z = henries /. h in
-           stamp b b (-.z);
-           rhs.(b) <- rhs.(b) -. (z *. state.il_prev.(li))
+           let geq = cv /. h in
+           (geq, ((qv -. state.q_prev.(qi)) /. h) -. (geq *. v))
          | Trapezoidal ->
-           let z = 2.0 *. henries /. h in
-           stamp b b (-.z);
-           rhs.(b) <- rhs.(b) -. (z *. state.il_prev.(li))
-                      -. state.vl_prev.(li))
-      | P.Vsource { b; i; j; wave; _ } ->
-        stamp b i 1.0;
-        stamp b j (-1.0);
-        stamp i b 1.0;
-        stamp j b (-1.0);
-        rhs.(b) <- rhs.(b) +. C.Waveform.value wave t
-      | P.Isource { i; j; wave; _ } ->
-        let v = C.Waveform.value wave t in
-        inject i (-.v);
-        inject j v
-      | P.Vccs { i; j; k; l; gm } ->
-        stamp i k gm;
-        stamp i l (-.gm);
-        stamp j k (-.gm);
-        stamp j l gm
-      | P.Vcvs { b; i; j; k; l; gain } ->
-        stamp b i 1.0;
-        stamp b j (-1.0);
-        stamp b k (-.gain);
-        stamp b l gain;
-        stamp i b 1.0;
-        stamp j b (-1.0)
-      | P.Mosfet m ->
-        let d = m.P.md and g = m.P.mg and s = m.P.ms and b = m.P.mbk in
-        let lin =
-          Device_eval.mos ~model:m.P.mmodel ~w:m.P.mw ~l:m.P.ml
-            ~mult:m.P.mmult ~vd:(volt_of x d) ~vg:(volt_of x g)
-            ~vs:(volt_of x s) ~vb:(volt_of x b)
-        in
-        let linear_part =
-          (lin.Device_eval.g_dd *. volt_of x d)
-          +. (lin.Device_eval.g_dg *. volt_of x g)
-          +. (lin.Device_eval.g_ds *. volt_of x s)
-          +. (lin.Device_eval.g_db *. volt_of x b)
-        in
-        let ieq = lin.Device_eval.id -. linear_part in
-        stamp d d lin.Device_eval.g_dd;
-        stamp d g lin.Device_eval.g_dg;
-        stamp d s lin.Device_eval.g_ds;
-        stamp d b lin.Device_eval.g_db;
-        stamp s d (-.lin.Device_eval.g_dd);
-        stamp s g (-.lin.Device_eval.g_dg);
-        stamp s s (-.lin.Device_eval.g_ds);
-        stamp s b (-.lin.Device_eval.g_db);
-        inject d (-.ieq);
-        inject s ieq)
-    plan.P.elts;
-  for i = 0 to plan.P.n_nodes - 1 do
-    Assembler.add asm i i gmin
-  done
+           let geq = 2.0 *. cv /. h in
+           ( geq,
+             (2.0 *. (qv -. state.q_prev.(qi)) /. h)
+             -. state.iq_prev.(qi) -. (geq *. v) ))
+    | P.Inductor { li; b; henries; _ } -> (
+      match options.method_ with
+      | Backward_euler ->
+        let z = henries /. h in
+        s.add b b (-.z);
+        s.inject b (-.(z *. state.il_prev.(li)))
+      | Trapezoidal ->
+        let z = 2.0 *. henries /. h in
+        s.add b b (-.z);
+        s.inject b (-.(z *. state.il_prev.(li)));
+        s.inject b (-.state.vl_prev.(li)))
+    | _ -> ()
+  in
+  Dc.assemble_plan ~reactive
+    ~source:(fun wave _ -> C.Waveform.value wave t)
+    plan asm rhs ~gmin:Dc.default_options.Dc.gmin x
 
 (* Solve one time point.  A linear plan on the fast path needs no
    Newton loop: the matrix does not depend on [x], so a single assembly
@@ -253,7 +185,7 @@ let update_state (plan : P.t) options (state : state) ~h x =
     (fun (e : P.elt) ->
       match e with
       | P.Capacitor { ci; i; j; c } ->
-        let v = volt_of x i -. volt_of x j in
+        let v = P.volt x i -. P.volt x j in
         let geq, ieq =
           cap_companion options ~h ~v_prev:state.cap_v.(ci)
             ~i_prev:state.cap_i.(ci) c
@@ -261,7 +193,7 @@ let update_state (plan : P.t) options (state : state) ~h x =
         state.cap_i.(ci) <- (geq *. v) +. ieq;
         state.cap_v.(ci) <- v
       | P.Varactor { qi; i; j; vmodel; fm } ->
-        let v = volt_of x i -. volt_of x j in
+        let v = P.volt x i -. P.volt x j in
         let q = C.Varactor_model.charge vmodel v *. fm in
         let i_new =
           match options.method_ with
@@ -274,10 +206,8 @@ let update_state (plan : P.t) options (state : state) ~h x =
         state.iq_prev.(qi) <- i_new
       | P.Inductor { li; b; i; j; _ } ->
         state.il_prev.(li) <- x.(b);
-        state.vl_prev.(li) <- volt_of x i -. volt_of x j
-      | P.Resistor _ | P.Vsource _ | P.Isource _ | P.Vccs _ | P.Vcvs _
-      | P.Mosfet _ ->
-        ())
+        state.vl_prev.(li) <- P.volt x i -. P.volt x j
+      | _ -> ())
     plan.P.elts
 
 let initial_unknowns mna plan options =
@@ -310,7 +240,7 @@ let simulate ?(options = default_options) ~tstop ~dt netlist =
   let times = Array.init (n_steps + 1) (fun k -> float_of_int k *. dt) in
   let data = Array.map (fun _ -> Array.make (n_steps + 1) 0.0) recorded in
   let record k x =
-    Array.iteri (fun r s -> data.(r).(k) <- volt_of x s) rec_slots
+    Array.iteri (fun r s -> data.(r).(k) <- P.volt x s) rec_slots
   in
   let state = init_state plan x0 in
   let asm = Assembler.create (P.dim plan) in

@@ -21,8 +21,6 @@ let squares p = length p /. p.width
 
 let bbox p = Rect.expand (p.width /. 2.0) (Rect.bbox_of_points p.points)
 
-let translate d p = { p with points = List.map (Point.add d) p.points }
-
 let scale_width k p =
   if k <= 0.0 then invalid_arg "Path.scale_width: factor must be > 0";
   { p with width = k *. p.width }

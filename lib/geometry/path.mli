@@ -24,8 +24,6 @@ val bbox : t -> Rect.t
 (** [bbox p] is the bounding box of the drawn metal, i.e. the
     centerline bbox expanded by half the width. *)
 
-val translate : Point.t -> t -> t
-
 val scale_width : float -> t -> t
 (** [scale_width k p] multiplies the width by [k] (the Fig. 10
     "enlarge the ground lines" operation).

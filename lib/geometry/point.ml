@@ -4,7 +4,6 @@ let v x y = { x; y }
 let zero = { x = 0.0; y = 0.0 }
 let add a b = { x = a.x +. b.x; y = a.y +. b.y }
 let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
-let scale k p = { x = k *. p.x; y = k *. p.y }
 
 let distance a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in

@@ -10,7 +10,6 @@ val zero : t
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val scale : float -> t -> t
 
 val distance : t -> t -> float
 (** [distance a b] is the Euclidean distance. *)

@@ -44,10 +44,6 @@ let expand m r =
     invalid_arg "Rect.expand: negative margin inverts rectangle";
   r'
 
-let translate (d : Point.t) r =
-  { x0 = r.x0 +. d.Point.x; y0 = r.y0 +. d.Point.y;
-    x1 = r.x1 +. d.Point.x; y1 = r.y1 +. d.Point.y }
-
 let bbox_of_points = function
   | [] -> invalid_arg "Rect.bbox_of_points: empty list"
   | p :: rest ->

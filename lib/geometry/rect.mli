@@ -34,8 +34,6 @@ val expand : float -> t -> t
     (negative [m] shrinks; raises [Invalid_argument] if the result
     would be inverted). *)
 
-val translate : Point.t -> t -> t
-
 val bbox_of_points : Point.t list -> t
 (** Raises [Invalid_argument] on the empty list. *)
 

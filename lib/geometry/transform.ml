@@ -3,7 +3,6 @@ type orientation = R0 | R90 | R180 | R270 | MX | MY | MXR90 | MYR90
 type t = { orientation : orientation; offset : Point.t }
 
 let identity = { orientation = R0; offset = Point.zero }
-let translate offset = { orientation = R0; offset }
 let make orientation offset = { orientation; offset }
 
 let rotate o (p : Point.t) =

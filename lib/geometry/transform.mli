@@ -14,7 +14,6 @@ type orientation =
 type t = { orientation : orientation; offset : Point.t }
 
 val identity : t
-val translate : Point.t -> t
 val make : orientation -> Point.t -> t
 
 val apply_point : t -> Point.t -> Point.t

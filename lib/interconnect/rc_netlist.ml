@@ -100,15 +100,3 @@ let resistance_between nl a b =
   | exception N.Lu.Singular _ ->
     failwith "Rc_netlist.resistance_between: nodes not connected"
 
-let pp fmt nl =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (function
-      | Res { name; n1; n2; ohms } ->
-        Format.fprintf fmt "R %s %s %s %s@," name n1 n2
-          (N.Units.eng ~unit:"Ohm" ohms)
-      | Cap { name; n1; n2; farads } ->
-        Format.fprintf fmt "C %s %s %s %s@," name n1 n2
-          (N.Units.eng ~unit:"F" farads))
-    nl;
-  Format.fprintf fmt "@]"

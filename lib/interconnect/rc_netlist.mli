@@ -20,4 +20,3 @@ val resistance_between : t -> string -> string -> float
     Raises [Not_found] for unknown nodes and [Failure] when the nodes
     are not connected. *)
 
-val pp : Format.formatter -> t -> unit

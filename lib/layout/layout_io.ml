@@ -143,12 +143,6 @@ let of_string text =
     in
     Layout.create ~top cells
 
-let save path layout =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string layout))
-
 let load path =
   let ic = open_in path in
   Fun.protect

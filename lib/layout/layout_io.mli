@@ -17,9 +17,6 @@ exception Parse_error of int * string
 val to_string : Layout.t -> string
 val of_string : string -> Layout.t
 
-val save : string -> Layout.t -> unit
-(** [save path layout] writes the textual form to [path]. *)
-
 val load : string -> Layout.t
 (** [load path] parses the file at [path].
     Raises {!Parse_error} or [Sys_error]. *)

@@ -50,7 +50,6 @@ let add_to m i j v =
 
 let copy m = { m with data = Array.copy m.data }
 
-let transpose m = init m.nc m.nr (fun i j -> m.data.((j * m.nc) + i))
 
 let mul a b =
   if a.nc <> b.nr then
@@ -91,15 +90,6 @@ let scale k m = { m with data = Array.map (fun x -> k *. x) m.data }
 
 let row m i = Vec.init m.nc (fun j -> get m i j)
 let col m j = Vec.init m.nr (fun i -> get m i j)
-
-let max_abs_diff a b =
-  if a.nr <> b.nr || a.nc <> b.nc then
-    invalid_arg "Mat.max_abs_diff: shape mismatch";
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun k x -> acc := Float.max !acc (Float.abs (x -. b.data.(k))))
-    a.data;
-  !acc
 
 let is_symmetric ?(tol = 1e-9) m =
   m.nr = m.nc

@@ -32,7 +32,6 @@ val add_to : t -> int -> int -> float -> unit
     "stamp" operation. *)
 
 val copy : t -> t
-val transpose : t -> t
 
 val mul : t -> t -> t
 (** [mul a b] is the matrix product.  Raises [Invalid_argument] on
@@ -50,9 +49,6 @@ val row : t -> int -> Vec.t
 
 val col : t -> int -> Vec.t
 (** [col m j] is a copy of column [j]. *)
-
-val max_abs_diff : t -> t -> float
-(** [max_abs_diff a b] is the largest absolute entrywise difference. *)
 
 val is_symmetric : ?tol:float -> t -> bool
 (** [is_symmetric ?tol m] checks symmetry within absolute tolerance

@@ -414,16 +414,6 @@ let iter_row m i f =
     f m.col_idx.(k) m.values.(k)
   done
 
-let is_symmetric ?(tol = 1e-9) m =
-  m.nr = m.nc
-  &&
-  let ok = ref true in
-  for i = 0 to m.nr - 1 do
-    iter_row m i (fun j v ->
-        if Float.abs (v -. get m j i) > tol then ok := false)
-  done;
-  !ok
-
 let to_dense m =
   let d = Mat.make m.nr m.nc in
   for i = 0 to m.nr - 1 do

@@ -122,8 +122,5 @@ val values : t -> float array
     refill it in place to reuse one sparsity pattern across many
     numeric assemblies (the pattern itself must not change). *)
 
-val is_symmetric : ?tol:float -> t -> bool
-(** [is_symmetric ?tol m] checks structural + numeric symmetry. *)
-
 val to_dense : t -> Mat.t
 (** [to_dense m] converts to a dense matrix (small matrices only). *)

@@ -11,14 +11,6 @@ let logspace a b n =
   if a <= 0.0 || b <= 0.0 then invalid_arg "Sweep.logspace: endpoints must be > 0";
   Array.map (fun e -> 10.0 ** e) (linspace (log10 a) (log10 b) n)
 
-let decades ~per_decade f0 f1 =
-  if per_decade < 1 then invalid_arg "Sweep.decades: per_decade must be >= 1";
-  if f0 <= 0.0 || f1 <= 0.0 || f1 <= f0 then
-    invalid_arg "Sweep.decades: need 0 < f0 < f1";
-  let n_dec = log10 (f1 /. f0) in
-  let n = max 2 (1 + int_of_float (ceil (n_dec *. float_of_int per_decade))) in
-  logspace f0 f1 n
-
 let interp1 xs ys x =
   let n = Array.length xs in
   if n = 0 || Array.length ys <> n then

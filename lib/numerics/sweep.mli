@@ -10,10 +10,6 @@ val logspace : float -> float -> int -> float array
     [b] inclusive.  Raises [Invalid_argument] when [a <= 0], [b <= 0]
     or [n < 2]. *)
 
-val decades : per_decade:int -> float -> float -> float array
-(** [decades ~per_decade f0 f1] is a log sweep with [per_decade] points
-    per decade, always including both endpoints. *)
-
 val interp1 : float array -> float array -> float -> float
 (** [interp1 xs ys x] linearly interpolates the sampled function
     [(xs, ys)] at [x]; [xs] must be strictly increasing.  Values outside

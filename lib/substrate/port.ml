@@ -45,8 +45,6 @@ let of_layout layout =
 let area p =
   List.fold_left (fun acc r -> acc +. G.Rect.area r) 0.0 p.region
 
-let contains p pt = List.exists (fun r -> G.Rect.contains_point r pt) p.region
-
 let kind_name = function
   | Resistive -> "resistive"
   | Well -> "well"

@@ -37,8 +37,5 @@ val of_layout : Sn_layout.Layout.t -> t list
 val area : t -> float
 (** Total region area (um^2). *)
 
-val contains : t -> Sn_geometry.Point.t -> bool
-(** [contains p pt] is true when [pt] lies in any region rectangle. *)
-
 val kind_name : kind -> string
 val pp : Format.formatter -> t -> unit

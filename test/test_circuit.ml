@@ -200,13 +200,20 @@ let test_parse_number () =
       ("0.18u", 0.18e-6); ("2n", 2.0e-9); ("1m", 1.0e-3); ("3p", 3.0e-12);
       ("1e-3", 1.0e-3); ("1.5e3", 1500.0); ("-5", -5.0) ]
   in
+  (* read back as the DC value of a source card *)
+  let value s =
+    match C.Netlist.elements (C.Spice.of_string ("v1 a 0 dc " ^ s ^ "\n")) with
+    | [ C.Element.Vsource { wave = W.Dc v; _ } ] -> Some v
+    | _ -> None
+    | exception C.Spice.Parse_error _ -> None
+  in
   List.iter
     (fun (s, expected) ->
-      match C.Spice.parse_number s with
+      match value s with
       | Some v -> check_close (Float.abs expected *. 1e-12 +. 1e-30) s expected v
       | None -> Alcotest.failf "failed to parse %s" s)
     cases;
-  Alcotest.(check bool) "garbage" true (C.Spice.parse_number "xyz" = None)
+  Alcotest.(check bool) "garbage" true (value "xyz" = None)
 
 let sample_deck =
   {|.title nmos test bench

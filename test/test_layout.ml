@@ -28,7 +28,7 @@ let test_flatten_translation () =
     Cell.make ~name:"top"
       ~instances:
         [ { Cell.cell_name = "unit";
-            transform = G.Transform.translate (G.Point.v 10.0 20.0) } ]
+            transform = G.Transform.make G.Transform.R0 (G.Point.v 10.0 20.0) } ]
       []
   in
   let l = Layout.create ~top:"top" [ top; unit_cell ] in
@@ -45,18 +45,18 @@ let test_flatten_nested () =
     Cell.make ~name:"mid"
       ~instances:
         [ { Cell.cell_name = "unit";
-            transform = G.Transform.translate (G.Point.v 1.0 0.0) };
+            transform = G.Transform.make G.Transform.R0 (G.Point.v 1.0 0.0) };
           { Cell.cell_name = "unit";
-            transform = G.Transform.translate (G.Point.v 3.0 0.0) } ]
+            transform = G.Transform.make G.Transform.R0 (G.Point.v 3.0 0.0) } ]
       []
   in
   let top =
     Cell.make ~name:"top"
       ~instances:
         [ { Cell.cell_name = "mid";
-            transform = G.Transform.translate (G.Point.v 0.0 5.0) };
+            transform = G.Transform.make G.Transform.R0 (G.Point.v 0.0 5.0) };
           { Cell.cell_name = "mid";
-            transform = G.Transform.translate (G.Point.v 0.0 8.0) } ]
+            transform = G.Transform.make G.Transform.R0 (G.Point.v 0.0 8.0) } ]
       []
   in
   let l = Layout.create ~top:"top" [ top; mid; unit_cell ] in
@@ -168,7 +168,8 @@ let test_io_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Io.save path l;
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Io.to_string l));
       let l2 = Io.load path in
       Alcotest.(check int) "shapes" 3 (List.length (Layout.flatten l2)))
 

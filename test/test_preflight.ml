@@ -141,7 +141,7 @@ let random_psd st n =
     N.Mat.init n n (fun _ _ -> QCheck.Gen.float_range (-2.0) 2.0 st)
   in
   (* A Aᵀ + eps I: PSD with a definite margin *)
-  let m = N.Mat.mul a (N.Mat.transpose a) in
+  let m = N.Mat.mul a (N.Mat.init n n (fun i j -> N.Mat.get a j i)) in
   for i = 0 to n - 1 do
     N.Mat.set m i i (N.Mat.get m i i +. 1.0e-6)
   done;

@@ -108,9 +108,63 @@ let test_bits_pinned () =
       ("tran trap, linear fast path", "da9d32fb46a8540b3320933d21f6de43",
        fun () -> tran_digest linear_deck Tran.Trapezoidal) ]
 
+(* The analyzer's structural patterns against the assemblies they
+   describe: every position [dc_pattern] reports must be one the DC
+   assembler records, and every position [ac_pattern] reports one the
+   compiled AC plan holds.  Run over the shipped and test decks, the
+   inline deck above and the merged VCO. *)
+let test_patterns_within_assemblies () =
+  let module P = Sn_engine.Stamp_plan in
+  let module A = Sn_engine.Assembler in
+  let check name pattern holds =
+    Array.iteri
+      (fun i cols ->
+        Array.iter
+          (fun j ->
+            if not (holds i j) then
+              Alcotest.failf "%s: pattern position (%d, %d) is never stamped"
+                name i j)
+          cols)
+      pattern.P.pat_adj
+  in
+  let decks =
+    Test_analysis.all_decks ()
+    |> List.map (fun path -> (path, C.Spice.load path))
+  in
+  Alcotest.(check bool) "found the deck corpus" true (List.length decks >= 4);
+  List.iter
+    (fun (name, nl) ->
+      let plan = P.build (Sn_engine.Mna.build nl) in
+      let zeros = Array.make (P.dim plan) 0.0 in
+      (* crossover 0: the assembler records every stamp event *)
+      let asm = A.create ~crossover:0 (P.dim plan) in
+      Dc.assemble_plan plan asm (Array.copy zeros) zeros
+        ~source:(fun _ _ -> 0.0) ~gmin:Dc.default_options.Dc.gmin;
+      let recorded = Hashtbl.create 64 in
+      (match asm.A.mode with
+       | A.Collect { ci; cj; _ } ->
+         for k = 0 to Sn_numerics.Dyn.I.length ci - 1 do
+           Hashtbl.replace recorded
+             (Sn_numerics.Dyn.I.get ci k, Sn_numerics.Dyn.I.get cj k)
+             ()
+         done
+       | A.Dense _ | A.Refill _ -> Alcotest.fail "assembler not recording");
+      check (name ^ " dc") (P.dc_pattern plan) (fun i j ->
+          Hashtbl.mem recorded (i, j));
+      let acp = Sn_engine.Ac_plan.compile plan zeros in
+      check (name ^ " ac") (P.ac_pattern plan) (fun i j ->
+          Sn_numerics.Sparse.index acp.Sn_engine.Ac_plan.pattern i j >= 0))
+    (("inline deck", Lazy.force deck)
+     :: ("merged VCO", fst (Lazy.force Test_engine.vco_fixture))
+     :: decks)
+
 let suites =
   [
     ( "engine.stamp",
-      [ Alcotest.test_case "every output bit pinned" `Quick test_bits_pinned ]
+      [
+        Alcotest.test_case "every output bit pinned" `Quick test_bits_pinned;
+        Alcotest.test_case "patterns within the assemblies" `Quick
+          test_patterns_within_assemblies;
+      ]
     );
   ]
