@@ -205,13 +205,14 @@ let linearize add m x =
   mos_rows add m t.Device_eval.g_dd t.g_dg t.g_ds t.g_db;
   t
 
+let coeff lin v = match lin with Units -> 1.0 | Newton _ | Bias _ -> v
+
 (* Stamp one element.  [source wave ac_mag] is an independent source's
    value; [reactive] stamps the capacitor, varactor and inductor
    entries beyond the inductor's incidences. *)
 let stamp s ~lin ~source ~reactive e =
-  let coeff v = match lin with Units -> 1.0 | Newton _ | Bias _ -> v in
   match e with
-  | Resistor { i; j; g } -> admittance s.add i j (coeff g)
+  | Resistor { i; j; g } -> admittance s.add i j (coeff lin g)
   | Capacitor _ | Varactor _ -> reactive s e
   | Inductor { b; i; j; _ } ->
     incidence s.add b i j;
@@ -224,13 +225,13 @@ let stamp s ~lin ~source ~reactive e =
     s.inject i (-.v);
     s.inject j v
   | Vccs { i; j; k; l; gm } ->
-    let gm = coeff gm in
+    let gm = coeff lin gm in
     s.add i k gm;
     s.add i l (-.gm);
     s.add j k (-.gm);
     s.add j l gm
   | Vcvs { b; i; j; k; l; gain } ->
-    let gain = coeff gain in
+    let gain = coeff lin gain in
     incidence s.add b i j;
     s.add b k (-.gain);
     s.add b l gain
