@@ -6,7 +6,7 @@
    test (or the SNOISE_FAULT environment variable) declare "the Nth
    factorization fails" or "the first DC Newton attempt of every solve
    fails"; the engines poll {!fire} at each occurrence and simulate the
-   failure on a hit.  Counters are atomic so an armed fault behaves
+   failure on a hit.  The counter is atomic so an armed fault behaves
    deterministically even when the occurrences race across pool
    domains (exactly one domain wins the Nth slot). *)
 
@@ -30,23 +30,9 @@ type armed = { site : site; spec : spec }
 
 let state : armed option ref = ref None
 
-(* one global occurrence counter per site *)
-let factor_count = Atomic.make 0
-let dc_count = Atomic.make 0
-let tran_count = Atomic.make 0
-let kill_count = Atomic.make 0
-let delay_count = Atomic.make 0
-let garble_count = Atomic.make 0
-let drop_count = Atomic.make 0
-
-let counter = function
-  | Factor -> factor_count
-  | Dc_attempt -> dc_count
-  | Tran_solve -> tran_count
-  | Server_kill -> kill_count
-  | Server_delay -> delay_count
-  | Server_garble -> garble_count
-  | Server_drop -> drop_count
+(* occurrences of the armed site; [fire] returns before counting any
+   other site, so one counter serves them all *)
+let count = Atomic.make 0
 
 let site_of_name = function
   | "factor" -> Some Factor
@@ -58,21 +44,12 @@ let site_of_name = function
   | "server-drop" -> Some Server_drop
   | _ -> None
 
-let reset_counters () =
-  Atomic.set factor_count 0;
-  Atomic.set dc_count 0;
-  Atomic.set tran_count 0;
-  Atomic.set kill_count 0;
-  Atomic.set delay_count 0;
-  Atomic.set garble_count 0;
-  Atomic.set drop_count 0
-
 let arm site spec =
-  reset_counters ();
+  Atomic.set count 0;
   state := Some { site; spec }
 
 let disarm () =
-  reset_counters ();
+  Atomic.set count 0;
   state := None
 
 let parse s =
@@ -115,4 +92,4 @@ let fire ?(scope_index = 0) site =
   | Some a ->
     (match a.spec with
      | First_in_scope -> scope_index = 1
-     | Nth n -> Atomic.fetch_and_add (counter site) 1 + 1 = n)
+     | Nth n -> Atomic.fetch_and_add count 1 + 1 = n)

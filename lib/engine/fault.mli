@@ -37,11 +37,11 @@ type spec =
 
 val arm : site -> spec -> unit
 (** [arm site spec] installs a fault and resets the occurrence
-    counters.  At most one fault is armed at a time; arming replaces
+    counter.  At most one fault is armed at a time; arming replaces
     any previous fault. *)
 
 val disarm : unit -> unit
-(** Remove the armed fault and reset the counters. *)
+(** Remove the armed fault and reset the counter. *)
 
 val fire : ?scope_index:int -> site -> bool
 (** [fire ?scope_index site] is polled by the engines at each
