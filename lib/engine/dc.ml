@@ -10,19 +10,20 @@ type options = {
   tolerance : float;
   gmin : float;
   damping : float;
-  gmin_steps : int;
   ladder : Diag.rung list;
-  source_steps : int;
-  ptran_steps : int;
 }
 
 let default_options =
   { max_iterations = 200; tolerance = 1e-9; gmin = 1e-12; damping = 0.6;
-    gmin_steps = 6;
     ladder =
       [ Diag.Plain_newton; Diag.Damped_newton; Diag.Gmin_stepping;
-        Diag.Source_stepping; Diag.Pseudo_transient ];
-    source_steps = 20; ptran_steps = 8 }
+        Diag.Source_stepping; Diag.Pseudo_transient ] }
+
+(* rescue-ladder step counts: gmin continuation steps, source-stepping
+   ramp sub-steps and pseudo-transient anchor-conductance decades *)
+let gmin_steps = 6
+let source_steps = 20
+let ptran_steps = 8
 
 type solution = { mna : Mna.t; x : float array; attempts : Diag.attempt list }
 
@@ -166,10 +167,10 @@ let run_rung plan asm rhs (o : options) rung x0 =
     (* gmin continuation from 1 mS down to the working floor *)
     | Diag.Gmin_stepping ->
       let exponent k =
-        -.float_of_int k *. 9.0 /. float_of_int (o.gmin_steps - 1)
+        -.float_of_int k *. 9.0 /. float_of_int (gmin_steps - 1)
       in
       ( o.max_iterations, o.damping,
-        List.init o.gmin_steps (fun k ->
+        List.init gmin_steps (fun k ->
             step ~gmin:(1e-3 *. (10.0 ** exponent k)) ())
         @ [ step () ] )
     (* Ramp every independent source from 0 to 100 %.  At scale ~0 the
@@ -177,7 +178,7 @@ let run_rung plan asm rhs (o : options) rung x0 =
        starts from the previous one, so even a tight damping clamp only
        has to cover the per-step voltage increment. *)
     | Diag.Source_stepping ->
-      let n = max 1 o.source_steps in
+      let n = source_steps in
       ( o.max_iterations, o.damping,
         List.init n (fun k ->
             step ~source_scale:(float_of_int (k + 1) /. float_of_int n) ()) )
@@ -187,7 +188,7 @@ let run_rung plan asm rhs (o : options) rung x0 =
        stepping toward the equilibrium with growing timestep. *)
     | Diag.Pseudo_transient ->
       ( o.max_iterations, o.damping,
-        List.init (max 1 o.ptran_steps) (fun k ->
+        List.init ptran_steps (fun k ->
             step ~anchor:(10.0 ** -.float_of_int k) ())
         @ [ step () ] )
   in

@@ -14,14 +14,10 @@ type options = {
   tolerance : float;  (** max |delta x| convergence target (default 1e-9) *)
   gmin : float;  (** conductance to ground on every node (default 1e-12) *)
   damping : float;  (** per-iteration update clamp, V (default 0.6) *)
-  gmin_steps : int;  (** gmin continuation steps (default 6) *)
   ladder : Diag.rung list;
       (** rescue rungs tried in order (default: all five, starting with
           {!Diag.Plain_newton}); an empty list falls back to a single
           plain Newton attempt *)
-  source_steps : int;  (** source-stepping ramp sub-steps (default 20) *)
-  ptran_steps : int;
-      (** pseudo-transient anchor-conductance decades (default 8) *)
 }
 
 val default_options : options

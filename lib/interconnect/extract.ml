@@ -10,7 +10,6 @@ type options = {
   include_resistance : bool;
   include_capacitance : bool;
   substrate_node : string;
-  min_resistance : float;
 }
 
 let default_options =
@@ -18,8 +17,11 @@ let default_options =
     include_resistance = true;
     include_capacitance = true;
     substrate_node = "sub_bulk";
-    min_resistance = 1.0e-6;
   }
+
+(* floor (ohm) replacing R when resistance is off or a segment rounds
+   to zero, keeping the topology connected *)
+let min_resistance = 1.0e-6
 
 type report = {
   netlist : Rc_netlist.t;
@@ -64,9 +66,9 @@ let segment_elements options tech ~layer ~net ~shape_id ~from_node ~to_node path
          let squares = len_um /. width_um in
          let r =
            if options.include_resistance then
-             Float.max options.min_resistance
+             Float.max min_resistance
                (metal.T.sheet_resistance *. squares)
-           else options.min_resistance
+           else min_resistance
          in
          let n1 = node k and n2 = node (k + 1) in
          let res =
@@ -108,8 +110,8 @@ let via_elements options tech ~level ~shape_id ~from_node ~to_node path =
   let cuts = Float.max 1.0 (Float.round (area_um2 /. via_cut_area_um2)) in
   let r =
     if options.include_resistance then
-      Float.max options.min_resistance (via.T.resistance /. cuts)
-    else options.min_resistance
+      Float.max min_resistance (via.T.resistance /. cuts)
+    else min_resistance
   in
   [
     Rc_netlist.Res

@@ -18,14 +18,12 @@ type options = {
           with a substrate port (e.g. the bulk probe under the
           circuit).  A wire end that is this node gets no half
           capacitor: it would short on the node *)
-  min_resistance : float;
-      (** floor (ohm) replacing R when [include_resistance = false] or
-          a segment rounds to zero, keeping the topology connected *)
 }
 
 val default_options : options
-(** R and C both enabled, substrate node ["sub_bulk"],
-    1 micro-ohm floor. *)
+(** R and C both enabled, substrate node ["sub_bulk"].  A wire whose
+    resistance is off or rounds to zero gets a 1 micro-ohm floor,
+    keeping the topology connected. *)
 
 type report = {
   netlist : Rc_netlist.t;
