@@ -30,7 +30,6 @@ module P = Stamp_plan
 type t = {
   plan : Stamp_plan.t;
   adim : int;
-  crossover : int;
   pattern : N.Sparse.t; (* shared, read-only after compile *)
   g_slots : int array;
   g_vals : float array;
@@ -75,7 +74,7 @@ let domain_workspace t =
     cell := Some (t, ws);
     ws
 
-let compile ?(crossover = N.Splu.default_crossover) (plan : Stamp_plan.t) dcx =
+let compile (plan : Stamp_plan.t) dcx =
   let adim = Stamp_plan.dim plan in
   let gi = N.Dyn.I.create () and gj = N.Dyn.I.create ()
   and gv = N.Dyn.F.create () in
@@ -134,7 +133,6 @@ let compile ?(crossover = N.Splu.default_crossover) (plan : Stamp_plan.t) dcx =
   {
     plan;
     adim;
-    crossover;
     pattern;
     g_slots =
       Array.init n_g (fun k ->
@@ -150,7 +148,7 @@ let compile ?(crossover = N.Splu.default_crossover) (plan : Stamp_plan.t) dcx =
     master_lock = Mutex.create ();
   }
 
-let of_dc ?crossover plan dc = compile ?crossover plan (Dc.unknowns dc)
+let of_dc plan dc = compile plan (Dc.unknowns dc)
 
 (* Per-frequency system assembly: the slot-replay G + jwB refill. *)
 let refill t ws ~omega =
@@ -186,7 +184,7 @@ let acquire_factor t ws =
     Mutex.unlock t.master_lock;
     `Refactor c
   | None ->
-    (match N.Splu.Cplx.factor ~crossover:t.crossover ws.mat with
+    (match N.Splu.Cplx.factor ws.mat with
      | f ->
        t.master <- Some f;
        Mutex.unlock t.master_lock;

@@ -1,15 +1,12 @@
 (* Matrix assembly with a pattern that is discovered once and reused.
 
-   The first assembly records the (row, col) add sequence.  For systems
-   at or above the crossover size the triples are compiled into a CSR
-   matrix plus a slot table mapping each add event to its position in
-   the CSR value array, so every later assembly is a value refill in
-   stamp order — no hashing, no allocation, no sorting.  Small systems
-   use a flat dense matrix instead, where direct indexing already beats
-   any sparse bookkeeping.
+   The first assembly records the (row, col) add sequence.  The first
+   solve compiles the triples into a CSR matrix plus a slot table
+   mapping each add event to its position in the CSR value array, so
+   every later assembly is a value refill in stamp order — no hashing,
+   no allocation, no sorting.
 
-   Either way the factorization object ([Splu.t]) is created on the
-   first solve and numerically refreshed afterwards, so the symbolic
+   The factorization object ([Splu.t]) is created on the first solve and numerically refreshed afterwards, so the symbolic
    work (pivot order, fill pattern) happens once per netlist.  When the
    stamped values are known not to change between solves — a linear
    circuit on a fixed timestep — [freeze] pins the current
@@ -19,7 +16,6 @@
 module N = Sn_numerics
 
 type mode =
-  | Dense of { ddata : float array; dmat : N.Mat.t }
   | Collect of { ci : N.Dyn.I.t; cj : N.Dyn.I.t; cv : N.Dyn.F.t }
   | Refill of {
       slots : int array;
@@ -36,17 +32,11 @@ type t = {
   mutable frozen : bool;
 }
 
-let create ?(crossover = N.Splu.default_crossover) dim =
+let create dim =
   if dim <= 0 then invalid_arg "Assembler.create: dimension must be > 0";
   let mode =
-    if dim < crossover then begin
-      let ddata = Array.make (dim * dim) 0.0 in
-      Dense { ddata; dmat = N.Mat.of_flat ~rows:dim ~cols:dim ddata }
-    end
-    else
-      Collect
-        { ci = N.Dyn.I.create (); cj = N.Dyn.I.create ();
-          cv = N.Dyn.F.create () }
+    Collect
+      { ci = N.Dyn.I.create (); cj = N.Dyn.I.create (); cv = N.Dyn.F.create () }
   in
   { adim = dim; mode; factor = None; frozen = false }
 
@@ -62,7 +52,6 @@ let unfreeze t = t.frozen <- false
 let start t =
   if not t.frozen then
     match t.mode with
-    | Dense { ddata; _ } -> Array.fill ddata 0 (Array.length ddata) 0.0
     | Collect { ci; cj; cv } ->
       N.Dyn.I.clear ci;
       N.Dyn.I.clear cj;
@@ -74,9 +63,6 @@ let start t =
 let add t i j v =
   if (not t.frozen) && i >= 0 && j >= 0 then
     match t.mode with
-    | Dense { ddata; _ } ->
-      let p = (i * t.adim) + j in
-      ddata.(p) <- ddata.(p) +. v
     | Collect { ci; cj; cv } ->
       N.Dyn.I.push ci i;
       N.Dyn.I.push cj j;
@@ -120,19 +106,17 @@ let solve t rhs =
     invalid_arg "Assembler.solve: rhs dimension mismatch";
   (match t.mode with
    | Collect { ci; cj; cv } -> t.mode <- compile_pattern t ci cj cv
-   | Dense _ | Refill _ -> ());
+   | Refill _ -> ());
   if not t.frozen then begin
     (* fault-injection site: pretend the factorization hit a zero
        pivot, so tests can drive the rescue paths on healthy circuits *)
     if Fault.fire Factor then raise (N.Splu.Singular (-1));
     match (t.mode, t.factor) with
-    | Dense { dmat; _ }, None -> t.factor <- Some (N.Splu.factor_dense dmat)
-    | Dense { dmat; _ }, Some f -> N.Splu.refactor_dense f dmat
     | Refill r, fo ->
       if r.k <> r.n_ev then
         invalid_arg "Assembler.solve: stamp sequence shorter than recorded";
       (match fo with
-       | None -> t.factor <- Some (N.Splu.factor ~crossover:0 r.matrix)
+       | None -> t.factor <- Some (N.Splu.factor r.matrix)
        | Some f -> N.Splu.refactor f r.matrix)
     | Collect _, _ -> assert false
   end;

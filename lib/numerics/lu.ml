@@ -1,6 +1,6 @@
 exception Singular of int
 
-(* Complex dense LU on arrays of rows, for the small AC systems. *)
+(* Complex dense LU on arrays of rows, for small dense blocks. *)
 module Cplx = struct
   type matrix = Complex.t array array
   type t = { lu : matrix; perm : int array }
@@ -68,59 +68,25 @@ module Cplx = struct
       x.(i) <- Complex.div !acc lu.(i).(i)
     done;
     x
-
-  (* A = P^T L U, so A^T x = b unrolls as U^T z = b (forward, diagonal
-     division), L^T y = z (backward, unit diagonal), x = P^T y.  The
-     transposed triangles are read column-wise from the stored factor,
-     so no transposed matrix is ever materialized. *)
-  let solve_transpose { lu; perm; _ } b =
-    let n = Array.length lu in
-    if Array.length b <> n then
-      invalid_arg "Lu.solve_transpose: dimension mismatch";
-    let z = Array.make n Complex.zero in
-    for i = 0 to n - 1 do
-      let acc = ref b.(i) in
-      for j = 0 to i - 1 do
-        acc := Complex.sub !acc (Complex.mul lu.(j).(i) z.(j))
-      done;
-      z.(i) <- Complex.div !acc lu.(i).(i)
-    done;
-    for i = n - 1 downto 0 do
-      let acc = ref z.(i) in
-      for j = i + 1 to n - 1 do
-        acc := Complex.sub !acc (Complex.mul lu.(j).(i) z.(j))
-      done;
-      z.(i) <- !acc
-    done;
-    let x = Array.make n Complex.zero in
-    for i = 0 to n - 1 do
-      x.(perm.(i)) <- z.(i)
-    done;
-    x
-
-  let dim { lu; _ } = Array.length lu
 end
 
 (* ------------------------------------------------------------------ *)
-(* Real factorization on the flat row-major representation of Mat.t.
+(* Real solve on the flat row-major representation of Mat.t: no
+   per-row boxing, one copy of the backing store eliminated in place. *)
 
-   No per-row boxing: the factor copies the backing store once (a
-   single [Array.copy]) and eliminates in place, and it can be refilled
-   in place for repeated factorizations of a same-shape system. *)
-
-type rfactor = { fn : int; fa : float array; fperm : int array }
-
-let factor_flat n a perm =
-  for i = 0 to n - 1 do
-    perm.(i) <- i
-  done;
+let solve_mat m b =
+  let n = Mat.rows m in
+  if Mat.cols m <> n then invalid_arg "Lu.solve_mat: matrix not square";
+  if Array.length b <> n then invalid_arg "Lu.solve_mat: dimension mismatch";
+  let a = Array.copy (Mat.raw_data m) in
+  let perm = Array.init n (fun i -> i) in
   for k = 0 to n - 1 do
     let best = ref k and best_mag = ref (Float.abs a.((k * n) + k)) in
     for i = k + 1 to n - 1 do
-      let m = Float.abs a.((i * n) + k) in
-      if m > !best_mag then begin
+      let mag = Float.abs a.((i * n) + k) in
+      if mag > !best_mag then begin
         best := i;
-        best_mag := m
+        best_mag := mag
       end
     done;
     if not (Float.is_finite !best_mag) || !best_mag = 0.0 then raise (Singular k);
@@ -146,27 +112,7 @@ let factor_flat n a perm =
         done
       end
     done
-  done
-
-let factor_mat m =
-  let n = Mat.rows m in
-  if Mat.cols m <> n then invalid_arg "Lu.factor_mat: matrix not square";
-  let a = Array.copy (Mat.raw_data m) in
-  let perm = Array.make n 0 in
-  factor_flat n a perm;
-  { fn = n; fa = a; fperm = perm }
-
-(* Refill an existing factor from a same-size matrix, reusing both
-   workspaces instead of allocating fresh ones. *)
-let refactor_mat f m =
-  if Mat.rows m <> f.fn || Mat.cols m <> f.fn then
-    invalid_arg "Lu.refactor_mat: dimension mismatch";
-  Array.blit (Mat.raw_data m) 0 f.fa 0 (f.fn * f.fn);
-  factor_flat f.fn f.fa f.fperm
-
-let solve_factored { fn = n; fa = a; fperm = perm } b =
-  if Array.length b <> n then
-    invalid_arg "Lu.solve_factored: dimension mismatch";
+  done;
   let x = Array.init n (fun i -> b.(perm.(i))) in
   for i = 1 to n - 1 do
     let acc = ref x.(i) in
@@ -185,11 +131,3 @@ let solve_factored { fn = n; fa = a; fperm = perm } b =
     x.(i) <- !acc /. a.(ri + i)
   done;
   x
-
-let rdim f = f.fn
-
-let solve_mat a b =
-  let n = Mat.rows a in
-  if Mat.cols a <> n then invalid_arg "Lu.solve_mat: matrix not square";
-  if Array.length b <> n then invalid_arg "Lu.solve_mat: dimension mismatch";
-  solve_factored (factor_mat a) b

@@ -15,9 +15,10 @@
    a [column] record of closures over its own unboxed value arrays for
    the numerics of one column, called once per reach entry.  The
    refill and the triangular solves, the hot path, are written out per
-   field.  Below [default_crossover] unknowns a flat dense
-   factorization wins on constant factors, so [factor] falls back to it
-   transparently.
+   field.  Every system goes through this one kernel, however small:
+   the merged VCO's 23 unknowns solve faster on it than through a dense
+   fallback, which would also allocate a boxed n x n matrix per
+   complex factorization.
 
    Global counters record fresh factorizations, pattern-reusing
    refactorizations and triangular solves, so tests and benchmarks can
@@ -26,8 +27,6 @@
    independent solves run on parallel domains (Sn_engine.Pool). *)
 
 exception Singular of int
-
-let default_crossover = 64
 
 let n_factor = Atomic.make 0
 let n_refactor = Atomic.make 0
@@ -41,8 +40,6 @@ let reset_stats () =
   Atomic.set n_factor 0;
   Atomic.set n_refactor 0;
   Atomic.set n_solve 0
-
-let lift_singular f = try f () with Lu.Singular k -> raise (Singular k)
 
 (* ------------------------------------------------------------------ *)
 (* Field-independent core *)
@@ -246,7 +243,7 @@ let gp_factor pattern c =
 (* ------------------------------------------------------------------ *)
 (* Real field *)
 
-type sp = {
+type t = {
   sym : sym;
   lval : float array;
   uval : float array;
@@ -254,13 +251,12 @@ type sp = {
   work : float array; (* dense scatter vector, kept all-zero between uses *)
 }
 
-type t = Dense of Lu.rfactor | Sparse_f of sp
+let dim f = f.sym.n
 
-let dim = function Dense df -> Lu.rdim df | Sparse_f sp -> sp.sym.n
-let is_dense = function Dense _ -> true | Sparse_f _ -> false
-
-let sp_factor m =
+let factor m =
   let n = Sparse.rows m and vals = Sparse.values m in
+  if Sparse.cols m <> n then invalid_arg "Splu.factor: matrix not square";
+  Atomic.incr n_factor;
   let cap = max (2 * Sparse.nnz m) 16 in
   let lval = Dyn.F.create ~capacity:cap () in
   let uval = Dyn.F.create ~capacity:cap () in
@@ -296,7 +292,10 @@ let sp_factor m =
 
 (* Numeric refill of an existing factor from a matrix with the same
    sparsity pattern: no reach computation, no pivot search. *)
-let sp_refactor { sym; lval; uval; dval; work = x } m =
+let refactor { sym; lval; uval; dval; work = x } m =
+  Atomic.incr n_refactor;
+  if Sparse.rows m <> sym.n || Sparse.cols m <> sym.n then
+    invalid_arg "Splu.refactor: dimension mismatch";
   let vals = Sparse.values m in
   if Array.length vals <> Array.length sym.aval_src then
     invalid_arg "Splu.refactor: sparsity pattern changed";
@@ -334,7 +333,8 @@ let sp_refactor { sym; lval; uval; dval; work = x } m =
     clear_column col
   done
 
-let sp_solve { sym; lval; uval; dval; _ } b =
+let solve { sym; lval; uval; dval; _ } b =
+  Atomic.incr n_solve;
   let n = sym.n in
   if Array.length b <> n then invalid_arg "Splu.solve: dimension mismatch";
   let x = Array.make n 0.0 in
@@ -357,41 +357,6 @@ let sp_solve { sym; lval; uval; dval; _ } b =
       done
   done;
   x
-
-let factor ?(crossover = default_crossover) m =
-  let n = Sparse.rows m in
-  if Sparse.cols m <> n then invalid_arg "Splu.factor: matrix not square";
-  Atomic.incr n_factor;
-  if n < crossover then
-    Dense (lift_singular (fun () -> Lu.factor_mat (Sparse.to_dense m)))
-  else Sparse_f (sp_factor m)
-
-let refactor t m =
-  Atomic.incr n_refactor;
-  if Sparse.rows m <> dim t || Sparse.cols m <> dim t then
-    invalid_arg "Splu.refactor: dimension mismatch";
-  match t with
-  | Dense df -> lift_singular (fun () -> Lu.refactor_mat df (Sparse.to_dense m))
-  | Sparse_f sp -> sp_refactor sp m
-
-(* Dense entry points for callers that assemble straight into a Mat.t
-   (small systems below the crossover): same counters, same exceptions. *)
-let factor_dense m =
-  Atomic.incr n_factor;
-  Dense (lift_singular (fun () -> Lu.factor_mat m))
-
-let refactor_dense t m =
-  match t with
-  | Dense df ->
-    Atomic.incr n_refactor;
-    lift_singular (fun () -> Lu.refactor_mat df m)
-  | Sparse_f _ -> invalid_arg "Splu.refactor_dense: not a dense factor"
-
-let solve t b =
-  Atomic.incr n_solve;
-  match t with
-  | Dense df -> Lu.solve_factored df b
-  | Sparse_f sp -> sp_solve sp b
 
 (* ------------------------------------------------------------------ *)
 (* Complex field, for the frequency-domain engine.
@@ -417,17 +382,6 @@ module Cplx = struct
     Array.fill m.re 0 (Array.length m.re) 0.0;
     Array.fill m.im 0 (Array.length m.im) 0.0
 
-  let mat_to_dense m =
-    let n = Sparse.rows m.pattern and nc = Sparse.cols m.pattern in
-    let d = Array.make_matrix n nc Complex.zero in
-    let rp = Sparse.row_ptr m.pattern and ci = Sparse.col_idx m.pattern in
-    for i = 0 to n - 1 do
-      for p = rp.(i) to rp.(i + 1) - 1 do
-        d.(i).(ci.(p)) <- { Complex.re = m.re.(p); im = m.im.(p) }
-      done
-    done;
-    d
-
   type cnum = {
     lre : float array;
     lim : float array;
@@ -439,19 +393,16 @@ module Cplx = struct
     wki : float array;
   }
 
-  type t =
-    | Cdense of { mutable df : Lu.Cplx.t }
-    | Csparse of { sym : sym; num : cnum }
+  type t = { sym : sym; num : cnum }
 
-  let dim = function
-    | Cdense { df } -> Lu.Cplx.dim df
-    | Csparse { sym; _ } -> sym.n
-
-  let is_dense = function Cdense _ -> true | Csparse _ -> false
+  let dim f = f.sym.n
 
   (* pivots on |x|^2 *)
-  let sp_factor_c (m : mat) =
+  let factor (m : mat) =
     let n = Sparse.rows m.pattern in
+    if Sparse.cols m.pattern <> n then
+      invalid_arg "Splu.Cplx.factor: matrix not square";
+    Atomic.incr n_factor;
     let vre = m.re and vim = m.im in
     let cap = max (2 * Sparse.nnz m.pattern) 16 in
     let lre = Dyn.F.create ~capacity:cap () in
@@ -501,16 +452,16 @@ module Cplx = struct
               xi.(i) <- 0.0);
         }
     in
-    Csparse
-      {
-        sym;
-        num =
-          { lre = Dyn.F.to_array lre; lim = Dyn.F.to_array lim;
-            ure = Dyn.F.to_array ure; uim = Dyn.F.to_array uim; dgr; dgi;
-            wkr = xr; wki = xi };
-      }
+    { sym;
+      num =
+        { lre = Dyn.F.to_array lre; lim = Dyn.F.to_array lim;
+          ure = Dyn.F.to_array ure; uim = Dyn.F.to_array uim; dgr; dgi;
+          wkr = xr; wki = xi } }
 
-  let sp_refactor_c sym num (m : mat) =
+  let refactor { sym; num } (m : mat) =
+    Atomic.incr n_refactor;
+    if Sparse.rows m.pattern <> sym.n || Sparse.cols m.pattern <> sym.n then
+      invalid_arg "Splu.Cplx.refactor: dimension mismatch";
     let vre = m.re and vim = m.im in
     if Array.length vre <> Array.length sym.aval_src then
       invalid_arg "Splu.Cplx.refactor: sparsity pattern changed";
@@ -561,7 +512,8 @@ module Cplx = struct
       clear_column col
     done
 
-  let sp_solve_c sym num (b : Complex.t array) =
+  let solve { sym; num } (b : Complex.t array) =
+    Atomic.incr n_solve;
     let n = sym.n in
     if Array.length b <> n then
       invalid_arg "Splu.Cplx.solve: dimension mismatch";
@@ -602,7 +554,8 @@ module Cplx = struct
      the stored U columns), L^T y = z (backward, along the L columns),
      x = P^T y.  The factorization of the forward system is reused;
      nothing is transposed or refactored. *)
-  let sp_solve_transpose_c sym num (b : Complex.t array) =
+  let solve_transpose { sym; num } (b : Complex.t array) =
+    Atomic.incr n_solve;
     let n = sym.n in
     if Array.length b <> n then
       invalid_arg "Splu.Cplx.solve_transpose: dimension mismatch";
@@ -637,49 +590,11 @@ module Cplx = struct
     done;
     x
 
-  (* public entry points: same counters, same [Singular] as the real
-     field, so tests can assert symbolic reuse across both fields *)
-
-  let dense_factor m =
-    lift_singular (fun () -> Lu.Cplx.decompose (mat_to_dense m))
-
-  let factor ?(crossover = default_crossover) m =
-    let n = Sparse.rows m.pattern in
-    if Sparse.cols m.pattern <> n then
-      invalid_arg "Splu.Cplx.factor: matrix not square";
-    Atomic.incr n_factor;
-    if n < crossover then
-      Cdense { df = dense_factor m }
-    else sp_factor_c m
-
-  let refactor t m =
-    Atomic.incr n_refactor;
-    if Sparse.rows m.pattern <> dim t || Sparse.cols m.pattern <> dim t then
-      invalid_arg "Splu.Cplx.refactor: dimension mismatch";
-    match t with
-    | Cdense d -> d.df <- dense_factor m
-    | Csparse { sym; num } -> sp_refactor_c sym num m
-
-  let clone = function
-    | Cdense { df } -> Cdense { df }
-    | Csparse { sym; num } ->
-      Csparse
-        { sym;
-          num =
-            { lre = Array.copy num.lre; lim = Array.copy num.lim;
-              ure = Array.copy num.ure; uim = Array.copy num.uim;
-              dgr = Array.copy num.dgr; dgi = Array.copy num.dgi;
-              wkr = Array.make sym.n 0.0; wki = Array.make sym.n 0.0 } }
-
-  let solve t b =
-    Atomic.incr n_solve;
-    match t with
-    | Cdense { df } -> Lu.Cplx.solve df b
-    | Csparse { sym; num } -> sp_solve_c sym num b
-
-  let solve_transpose t b =
-    Atomic.incr n_solve;
-    match t with
-    | Cdense { df } -> Lu.Cplx.solve_transpose df b
-    | Csparse { sym; num } -> sp_solve_transpose_c sym num b
+  let clone { sym; num } =
+    { sym;
+      num =
+        { lre = Array.copy num.lre; lim = Array.copy num.lim;
+          ure = Array.copy num.ure; uim = Array.copy num.uim;
+          dgr = Array.copy num.dgr; dgi = Array.copy num.dgi;
+          wkr = Array.make sym.n 0.0; wki = Array.make sym.n 0.0 } }
 end

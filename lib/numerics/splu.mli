@@ -7,15 +7,12 @@
     matrix with the {e same sparsity pattern} without any graph work or
     pivot search (one netlist, many Newton iterations, timesteps or
     frequencies).  Both fields share one symbolic core and differ only
-    in their column numerics.  Systems smaller than the crossover are
-    factored densely ({!Lu}) behind the same interface. *)
+    in their column numerics.  Every system, however small, is factored
+    by this one kernel. *)
 
 exception Singular of int
 (** [Singular k]: no usable pivot at elimination step [k] — zero,
     non-finite or structurally missing. *)
-
-val default_crossover : int
-(** Systems with fewer unknowns than this are factored densely. *)
 
 (** {1 Counters}
 
@@ -23,7 +20,7 @@ val default_crossover : int
     parallel domains.  Both fields count into the same three. *)
 
 val factorizations : unit -> int
-(** Fresh factorizations (symbolic + numeric, or dense). *)
+(** Fresh factorizations (symbolic + numeric). *)
 
 val refactorizations : unit -> int
 (** Pattern-reusing numeric refills. *)
@@ -37,36 +34,22 @@ val reset_stats : unit -> unit
 (** {1 Real systems} *)
 
 type t
-(** A real factor, sparse or dense. *)
+(** A real factor. *)
 
 val dim : t -> int
 (** Number of unknowns. *)
 
-val is_dense : t -> bool
-(** Whether the factor fell back to dense LU. *)
-
-val factor : ?crossover:int -> Sparse.t -> t
-(** [factor ?crossover m] factors [m], densely when it has fewer than
-    [crossover] (default {!default_crossover}) rows.
+val factor : Sparse.t -> t
+(** [factor m] factors [m].
     Raises [Invalid_argument] if [m] is not square and {!Singular} if
     no usable pivot exists. *)
 
 val refactor : t -> Sparse.t -> unit
 (** [refactor f m] refills [f] from [m], keeping the pivot order.
     Raises [Invalid_argument] if [m]'s dimension differs from [f]'s or
-    (sparse factor) its sparsity pattern changed, and {!Singular} if a
-    kept pivot is zero or non-finite; [f] is then unusable until the
-    next successful refill. *)
-
-val factor_dense : Mat.t -> t
-(** [factor_dense a] is a dense factor of [a], for callers that
-    assemble straight into a {!Mat.t}.
-    Raises [Invalid_argument] if [a] is not square and {!Singular}. *)
-
-val refactor_dense : t -> Mat.t -> unit
-(** [refactor_dense f a] refills a dense factor from [a].
-    Raises [Invalid_argument] if [f] is sparse or the shapes differ and
-    {!Singular} as {!refactor}. *)
+    its sparsity pattern changed, and {!Singular} if a kept pivot is
+    zero or non-finite; [f] is then unusable until the next successful
+    refill. *)
 
 val solve : t -> Vec.t -> Vec.t
 (** [solve f b] solves [A x = b].
@@ -87,21 +70,18 @@ module Cplx : sig
   (** Zero every value in place. *)
 
   type t
-  (** A complex factor, sparse or dense. *)
+  (** A complex factor. *)
 
   val dim : t -> int
   (** Number of unknowns. *)
 
-  val is_dense : t -> bool
-  (** Whether the factor fell back to dense LU. *)
-
-  val factor : ?crossover:int -> mat -> t
+  val factor : mat -> t
   (** As the real {!Splu.factor}: raises [Invalid_argument] if the
       matrix is not square and {!Singular}. *)
 
   val refactor : t -> mat -> unit
   (** As the real {!Splu.refactor}: raises [Invalid_argument] on a
-      dimension mismatch or (sparse factor) a changed pattern, and
+      dimension mismatch or a changed pattern, and
       {!Singular}. *)
 
   val clone : t -> t

@@ -868,8 +868,8 @@ let test_tran_fast_path_matches_newton () =
     [ 6; 80 ]
 
 let test_tran_single_factorization () =
-  (* 80 stages puts the system well past the dense crossover; Uic skips
-     the DC solve so the transient owns every counted factorization *)
+  (* Uic skips the DC solve so the transient owns every counted
+     factorization *)
   let nl = ladder_netlist ~stages:80 in
   Splu.reset_stats ();
   let d =

@@ -936,8 +936,7 @@ let prop_splu_matches_dense =
       let st = Random.State.make [| seed; n |] in
       let m = random_dd_system st n in
       let rhs = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-      (* crossover 0 forces the Gilbert-Peierls path even for tiny n *)
-      let f = Splu.factor ~crossover:0 m in
+      let f = Splu.factor m in
       let x_sparse = Splu.solve f rhs in
       let x_dense = Lu.solve_mat (Sparse.to_dense m) rhs in
       if Vec.max_abs_diff x_sparse x_dense >= 1e-9 then false
@@ -954,18 +953,16 @@ let prop_splu_matches_dense =
         Vec.max_abs_diff x_sparse' x_dense' < 1e-9
       end)
 
-let test_splu_dense_fallback () =
+let test_splu_small_system () =
   let st = Random.State.make [| 42 |] in
   let n = 12 in
   let m = random_dd_system st n in
   let rhs = Array.init n (fun i -> cos (float_of_int i)) in
-  (* n below the default crossover: the factor must be dense *)
   let f = Splu.factor m in
-  Alcotest.(check bool) "dense fallback" true (Splu.is_dense f);
   Alcotest.(check int) "dim" n (Splu.dim f);
   let x = Splu.solve f rhs in
   let x_ref = Lu.solve_mat (Sparse.to_dense m) rhs in
-  Alcotest.(check bool) "fallback matches dense" true
+  Alcotest.(check bool) "solve matches Lu.solve_mat" true
     (Vec.max_abs_diff x x_ref < 1e-9)
 
 let test_splu_singular () =
@@ -975,7 +972,7 @@ let test_splu_singular () =
   (* row/column 2 is empty: structurally singular *)
   let m = Sparse.finalize b in
   Alcotest.(check bool) "raises Singular" true
-    (match Splu.factor ~crossover:0 m with
+    (match Splu.factor m with
      | _ -> false
      | exception Splu.Singular _ -> true)
 
@@ -984,7 +981,7 @@ let test_splu_counters () =
   let st = Random.State.make [| 7 |] in
   let m = random_dd_system st 30 in
   let rhs = Array.make 30 1.0 in
-  let f = Splu.factor ~crossover:0 m in
+  let f = Splu.factor m in
   ignore (Splu.solve f rhs);
   Splu.refactor f m;
   ignore (Splu.solve f rhs);
@@ -1051,7 +1048,7 @@ let prop_csplu_matches_dense =
       let st = Random.State.make [| seed; n; 77 |] in
       let m = random_cdd_system st n in
       let rhs = random_crhs st n in
-      let f = Splu.Cplx.factor ~crossover:0 m in
+      let f = Splu.Cplx.factor m in
       let d = cmat_to_dense m in
       if cmax_diff (Splu.Cplx.solve f rhs) (dense_csolve d rhs) >= 1e-9
       then false
@@ -1083,14 +1080,12 @@ let prop_csplu_matches_dense =
         end
       end)
 
-let test_csplu_dense_fallback () =
+let test_csplu_small_system () =
   let st = Random.State.make [| 11 |] in
   let n = 12 in
   let m = random_cdd_system st n in
   let rhs = random_crhs st n in
-  (* n below the default crossover: the factor must be dense *)
   let f = Splu.Cplx.factor m in
-  Alcotest.(check bool) "dense fallback" true (Splu.Cplx.is_dense f);
   Alcotest.(check int) "dim" n (Splu.Cplx.dim f);
   let d = cmat_to_dense m in
   Alcotest.(check bool) "forward matches" true
@@ -1119,7 +1114,7 @@ let test_splu_bit_exact () =
   let n = 120 in
   let m = random_dd_system st n in
   let rhs = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-  let f = Splu.factor ~crossover:0 m in
+  let f = Splu.factor m in
   let x1 = Splu.solve f rhs in
   let v = Sparse.values m in
   for k = 0 to Array.length v - 1 do
@@ -1136,7 +1131,7 @@ let test_csplu_bit_exact () =
   let n = 100 in
   let m = random_cdd_system st n in
   let rhs = random_crhs st n in
-  let f = Splu.Cplx.factor ~crossover:0 m in
+  let f = Splu.Cplx.factor m in
   let x1 = Splu.Cplx.solve f rhs and y1 = Splu.Cplx.solve_transpose f rhs in
   for k = 0 to Array.length m.Splu.Cplx.re - 1 do
     m.Splu.Cplx.re.(k) <- m.Splu.Cplx.re.(k) *. 1.25;
@@ -1148,21 +1143,19 @@ let test_csplu_bit_exact () =
     "4dcff7c076384a7b17c3f751534fe87f"
     (digest_hex (List.concat_map cfloats [ x1; y1; x2; y2 ]))
 
-(* A dense factor (below the crossover) refilled from a matrix of the
-   wrong size must refuse it the way the sparse kernels do, and keep
-   solving the system it was built from. *)
+(* A factor refilled from a matrix of the wrong size must refuse it and
+   keep solving the system it was built from. *)
 let raises_dimension_mismatch f =
   match f () with
   | () -> false
   | exception Invalid_argument msg ->
     String.ends_with ~suffix:"dimension mismatch" msg
 
-let test_dense_refactor_shape () =
+let test_refactor_shape () =
   let st = Random.State.make [| 12 |] in
   let m = random_dd_system st 12 and small = random_dd_system st 10 in
   let rhs = Array.init 12 (fun i -> sin (float_of_int i)) in
   let f = Splu.factor m in
-  Alcotest.(check bool) "real factor is dense" true (Splu.is_dense f);
   Alcotest.(check bool) "real refactor refuses 10x10" true
     (raises_dimension_mismatch (fun () -> Splu.refactor f small));
   Alcotest.(check int) "real dim" 12 (Splu.dim f);
@@ -1173,7 +1166,6 @@ let test_dense_refactor_shape () =
   let cm = random_cdd_system st 12 and csmall = random_cdd_system st 10 in
   let crhs = random_crhs st 12 in
   let cf = Splu.Cplx.factor cm in
-  Alcotest.(check bool) "complex factor is dense" true (Splu.Cplx.is_dense cf);
   Alcotest.(check bool) "complex refactor refuses 10x10" true
     (raises_dimension_mismatch (fun () -> Splu.Cplx.refactor cf csmall));
   Alcotest.(check int) "complex dim" 12 (Splu.Cplx.dim cf);
@@ -1192,7 +1184,7 @@ let test_csplu_singular () =
   m.Splu.Cplx.re.(0) <- 1.0;
   m.Splu.Cplx.re.(1) <- 1.0;
   Alcotest.(check bool) "raises Singular" true
-    (match Splu.Cplx.factor ~crossover:0 m with
+    (match Splu.Cplx.factor m with
      | _ -> false
      | exception Splu.Singular _ -> true)
 
@@ -1654,8 +1646,7 @@ let suites =
         Alcotest.test_case "LU singular" `Quick test_lu_singular;
         Alcotest.test_case "LU pivoting" `Quick test_lu_pivoting;
         Alcotest.test_case "complex LU" `Quick test_lu_complex;
-        Alcotest.test_case "dense refactor checks shape" `Quick
-          test_dense_refactor_shape;
+        Alcotest.test_case "refactor checks shape" `Quick test_refactor_shape;
         qcheck prop_lu_random_solve;
         qcheck prop_chol_matches_lu;
         Alcotest.test_case "Cholesky refuses non-positive pivots" `Quick
@@ -1696,12 +1687,12 @@ let suites =
     ( "numerics.splu",
       [
         qcheck prop_splu_matches_dense;
-        Alcotest.test_case "dense fallback" `Quick test_splu_dense_fallback;
+        Alcotest.test_case "small system solve" `Quick test_splu_small_system;
         Alcotest.test_case "structurally singular" `Quick test_splu_singular;
         Alcotest.test_case "factorization counters" `Quick test_splu_counters;
         qcheck prop_csplu_matches_dense;
-        Alcotest.test_case "complex dense fallback" `Quick
-          test_csplu_dense_fallback;
+        Alcotest.test_case "complex small system" `Quick
+          test_csplu_small_system;
         Alcotest.test_case "complex structurally singular" `Quick
           test_csplu_singular;
         Alcotest.test_case "real kernel bit-exact" `Quick test_splu_bit_exact;

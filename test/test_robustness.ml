@@ -183,14 +183,14 @@ let test_tran_truncation () =
 (* The sparse frequency-domain path carries the same typed diagnostics
    as the dense one: a singular complex pivot maps back to the named
    unknown (vsource_clash is linear, so any bias vector compiles the
-   same plan; crossover 0 forces the Gilbert-Peierls kernel). *)
+   same plan). *)
 let test_ac_sparse_singular_names_branch () =
   let module Ac_plan = Sn_engine.Ac_plan in
   let module Sp = Sn_engine.Stamp_plan in
   let nl = C.Netlist.create vsource_clash in
   let mna = Mna.build nl in
   let plan = Sp.build mna in
-  let acp = Ac_plan.compile ~crossover:0 plan (Array.make (Mna.dim mna) 0.0) in
+  let acp = Ac_plan.compile plan (Array.make (Mna.dim mna) 0.0) in
   match Ac_plan.ensure_master acp ~freq:1.0e6 with
   | () -> Alcotest.fail "expected a singular pivot"
   | exception
