@@ -158,6 +158,96 @@ let test_patterns_within_assemblies () =
      :: ("merged VCO", fst (Lazy.force Test_engine.vco_fixture))
      :: decks)
 
+(* Cards whose stamps cancel in part or whole: a VCCS with both
+   controls on one node and one with both outputs on one node, an R, a
+   C and an L strapped across a single node, and a MOSFET with its
+   drain on its source. *)
+let cancelling_deck =
+  lazy
+    (C.Spice.of_string
+       {|.title cancelling cards
+.model nch nmos
+v1 x 0 1.0
+r1 x y 1k
+r2 y 0 1k
+g1 y 0 x x 1m
+g2 y y x 0 1m
+r3 y y 1k
+c1 x x 1p
+l1 y y 1n
+m1 y x y 0 nch W=10u L=0.5u
+.end
+|})
+
+(* [Stamp_plan.numeric_profile] walks the netlist with its own copy of
+   which node rows each card fills.  Here it is held to the stamp rule:
+   the node rows the profile attributes to a card are exactly the node
+   rows that card's own stamps fill through [Stamp_plan.stamp], with
+   the signed unit weights cancelling within each stamp group as in the
+   structural pattern.  Cards map to plan elements in netlist order; a
+   MOSFET owns its channel stamp and the four device capacitors that
+   follow it. *)
+let test_profile_matches_stamps () =
+  let module P = Sn_engine.Stamp_plan in
+  let reactive s = function
+    | P.Capacitor { i; j; _ } | P.Varactor { i; j; _ } ->
+      P.admittance s.P.add i j 1.0
+    | P.Inductor { b; _ } -> s.P.add b b 1.0
+    | _ -> ()
+  in
+  let stamped_rows plan elts =
+    let rows = ref [] in
+    List.iter
+      (fun e ->
+        let local = Hashtbl.create 8 in
+        let add i j v =
+          if i >= 0 && j >= 0 then
+            Hashtbl.replace local (i, j)
+              (v +. Option.value ~default:0.0 (Hashtbl.find_opt local (i, j)))
+        in
+        P.stamp { P.add; inject = (fun _ _ -> ()) } ~lin:P.Units
+          ~source:(fun _ _ -> 0.0) ~reactive e;
+        Hashtbl.iter
+          (fun (i, _) v ->
+            if v <> 0.0 && i < P.n_nodes plan then rows := i :: !rows)
+          local)
+      elts;
+    List.sort_uniq compare !rows
+  in
+  let check_deck deck nl =
+    let plan = P.build (Sn_engine.Mna.build nl) in
+    let prof = P.numeric_profile plan in
+    let profile_rows name =
+      List.filter
+        (fun s ->
+          List.exists
+            (fun (w : P.node_weight) -> String.equal w.P.nw_elt name)
+            prof.P.prof_weights.(s))
+        (List.init prof.P.prof_nodes Fun.id)
+    in
+    let rest =
+      List.fold_left
+        (fun elts card ->
+          let own = match card with E.Mosfet _ -> 5 | _ -> 1 in
+          let mine = List.filteri (fun k _ -> k < own) elts in
+          let name = E.name card in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: %s rows" deck name)
+            (stamped_rows plan mine) (profile_rows name);
+          List.filteri (fun k _ -> k >= own) elts)
+        (Array.to_list plan.P.elts) (C.Netlist.elements nl)
+    in
+    Alcotest.(check int) (deck ^ ": every plan element owned") 0
+      (List.length rest)
+  in
+  List.iter
+    (fun (deck, nl) -> check_deck deck nl)
+    (("inline deck", Lazy.force deck)
+     :: ("cancelling cards", Lazy.force cancelling_deck)
+     :: ("merged VCO", fst (Lazy.force Test_engine.vco_fixture))
+     :: List.map (fun path -> (path, C.Spice.load path))
+          (Test_analysis.all_decks ()))
+
 let suites =
   [
     ( "engine.stamp",
@@ -165,6 +255,8 @@ let suites =
         Alcotest.test_case "every output bit pinned" `Quick test_bits_pinned;
         Alcotest.test_case "patterns within the assemblies" `Quick
           test_patterns_within_assemblies;
+        Alcotest.test_case "numeric profile matches stamps" `Quick
+          test_profile_matches_stamps;
       ]
     );
   ]
