@@ -622,4 +622,3 @@ and unknown_pragmas ctx =
              p.C.Netlist.ignore_code))
     (C.Netlist.pragmas ctx.Rule.netlist)
 
-let codes = List.map (fun r -> r.Rule.code) registry

@@ -51,5 +51,3 @@ val registry : Rule.t list
     - ["vsource-loop"] (error): a cycle of ideal voltage sources /
       inductors (numerically singular at DC). *)
 
-val codes : string list
-(** All registry codes, sorted. *)

@@ -15,9 +15,6 @@ type corner = {
   well_capacitance : float;  (** x nominal *)
 }
 
-val nominal : corner
-(** All factors 1.0 — the unscaled {!Sn_tech.Tech.imec018} card. *)
-
 val corners_3sigma : corner list
 (** nominal, slow (every parasitic worse) and fast (every parasitic
     better), plus the two mixed corners that matter for this coupling

@@ -8,9 +8,6 @@
 val paper_noise_dbm : float
 (** {!Flow.paper_noise_dbm}, the paper's injected tone power. *)
 
-val default_f_noise : float array
-(** The default noise-frequency sweep (1 to 15 MHz, log-spaced). *)
-
 (** {1 Figure 3 / section 3: NMOS measurement structure} *)
 
 type fig3 = {

@@ -44,7 +44,7 @@ type options = {
   reduce : Reduced_model.config option;
       (** swap each merged model's passive pool (substrate resistors,
           well capacitors, interconnect RC) for its PRIMA rank-k
-          realization ({!Reduced_model.reduce_deck}) before
+          realization ({!Reduced_model.reduce_deck_certified}) before
           simulating; [None] (the default) simulates the exact
           models.  The CLI's [--reduce-order] / [--reduce-tol] set it.
           Observation nodes the flow needs (injection node, back-gate

@@ -404,5 +404,3 @@ let reduce_deck_certified ?(config = default_config) ?(keep = []) nl =
     end
   end
 
-let reduce_deck ?config ?keep nl =
-  fst (reduce_deck_certified ?config ?keep nl)

@@ -10,7 +10,7 @@
     elements (over fresh internal nodes, values possibly negative —
     mathematical branches, not physical ones), so downstream stamping,
     compiled plans, caching and the server need no new element kinds:
-    reduction is a netlist-to-netlist rewrite ({!reduce_deck}) applied
+    reduction is a netlist-to-netlist rewrite ({!reduce_deck_certified}) applied
     before compilation. *)
 
 type order_spec =
@@ -75,7 +75,7 @@ val of_macromodel : Sn_substrate.Macromodel.t -> t
     port nodes and well nets, elements are {!Merge.of_macromodel}.
     (A Schur macromodel is already port-only, so reduction of this
     pool alone is the identity — its value is merging into a larger
-    pool via {!elements} / {!reduce_deck}.) *)
+    pool via {!elements} / {!reduce_deck_certified}.) *)
 
 val of_rc_netlist :
   ports:string list -> Sn_interconnect.Rc_netlist.t -> t
@@ -107,16 +107,6 @@ val to_elements : ?prefix:string -> t -> Sn_circuit.Element.t list
 
 (** {1 Passivity certificates} *)
 
-val certificate :
-  t -> (Sn_numerics.Passivity.cert * Sn_numerics.Passivity.cert) option
-(** [certificate t] certifies a {e reduced} model's (Ĝ, Ĉ) pencil:
-    signed PSD certificates bound to the model's port set.  [None] for
-    an exact form, and — by construction of
-    {!Sn_numerics.Passivity.certify} — for any pencil that fails the
-    LDLᵀ check: a de-passivated pencil never gets a certificate.
-    SPRIM congruence preserves passivity, so a healthy reduction
-    always certifies. *)
-
 val verify_certificate :
   t -> Sn_numerics.Passivity.cert * Sn_numerics.Passivity.cert -> bool
 (** Re-verify stored certificates against the pencil bytes (hashing
@@ -131,11 +121,13 @@ val port_admittance : t -> freq_hz:float -> Complex.t array array
 
 (** {1 Deck rewrite} *)
 
-val reduce_deck :
+val reduce_deck_certified :
   ?config:config -> ?keep:string list -> Sn_circuit.Netlist.t ->
   Sn_circuit.Netlist.t
-(** [reduce_deck ?config ?keep nl] swaps the passive R/C pool of [nl]
-    for its reduced realization: ports are every passive node also
+  * (t * (Sn_numerics.Passivity.cert * Sn_numerics.Passivity.cert) option)
+    option
+(** [reduce_deck_certified ?config ?keep nl] swaps the passive R/C pool
+    of [nl] for its reduced realization: ports are every passive node also
     touched by a non-R/C element, named in [keep], or named in a deck
     directive [*%snoise reduce keep=n1,n2,...]; all other
     passive-only nodes are eliminated.  Nodes that are {e not} kept no
@@ -144,16 +136,14 @@ val reduce_deck :
     pragmas and directives are carried over unchanged.  Returns [nl]
     itself when there is nothing to reduce, when reduction would not
     shrink the deck, or when the passive pool is irreducible
-    (singular internal pencil — logged). *)
+    (singular internal pencil — logged).
 
-val reduce_deck_certified :
-  ?config:config -> ?keep:string list -> Sn_circuit.Netlist.t ->
-  Sn_circuit.Netlist.t
-  * (t * (Sn_numerics.Passivity.cert * Sn_numerics.Passivity.cert) option)
-    option
-(** {!reduce_deck} plus the artifact the rewrite realized: [None] when
-    nothing was reduced (the returned netlist is [nl] itself),
-    otherwise the reduced model and its {!certificate} — kept by the
-    server's plan cache alongside the compiled plan, so a resident
-    plan's pencil can be re-verified by hashing alone
-    ([snoise verify], server [verify] verb). *)
+    The second component is the artifact the rewrite realized: [None]
+    when nothing was reduced, otherwise the reduced model and the
+    passivity certificates of its (Ĝ, Ĉ) pencil — signed PSD
+    certificates bound to the model's port set, [None] for a pencil
+    that fails the LDLᵀ check (SPRIM congruence preserves passivity,
+    so a healthy reduction always certifies).  The server's plan cache
+    keeps them alongside the compiled plan, so a resident plan's
+    pencil can be re-verified by hashing alone ([snoise verify],
+    server [verify] verb). *)

@@ -120,7 +120,6 @@ let solve ?dc netlist ~freq =
   let dc = match dc with Some d -> d | None -> Dc.solve_mna mna in
   solve_at_plan (Stamp_plan.build mna) dc ~freq
 
-let frequency s = s.freq
 
 let voltage s node =
   let slot = Mna.node_slot s.mna node in

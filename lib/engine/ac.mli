@@ -31,8 +31,6 @@ val solve_plan : Ac_plan.t -> freq:float -> solution
     reused pattern and a factorization (or numeric refactor when the
     plan already carries its master).  Raises like {!solve}. *)
 
-val frequency : solution -> float
-
 val voltage : solution -> string -> Complex.t
 (** Node phasor (0 for ground).  Raises [Not_found]. *)
 

@@ -534,7 +534,7 @@ let test_json_shape () =
 (* registry hygiene *)
 
 let test_registry () =
-  let codes = A.Rules.codes in
+  let codes = List.map (fun r -> r.A.Rule.code) A.Rules.registry in
   Alcotest.(check (list string)) "sorted by code"
     (List.sort String.compare codes) codes;
   Alcotest.(check int) "unique"

@@ -146,8 +146,9 @@ let test_reduce_deck_transfer () =
   let nl = deck 30 in
   (* "p1" is passive-touched only (rload is a resistor): observing it
      downstream requires keeping it *)
-  let red =
-    R.reduce_deck ~config:{ R.default_config with order = R.Auto 1e-7 }
+  let red, _ =
+    R.reduce_deck_certified
+      ~config:{ R.default_config with order = R.Auto 1e-7 }
       ~keep:[ "p1" ] nl
   in
   Alcotest.(check bool) "deck shrank" true
@@ -257,8 +258,9 @@ let test_reduce_mesh_with_substrate () =
 
 let test_reduce_deck_keep () =
   let nl = deck 10 in
-  let red =
-    R.reduce_deck ~config:{ R.default_config with order = R.Fixed 2 }
+  let red, _ =
+    R.reduce_deck_certified
+      ~config:{ R.default_config with order = R.Fixed 2 }
       ~keep:[ "n5" ] nl
   in
   Alcotest.(check bool) "kept node survives" true (C.Netlist.mem_node red "n5");
@@ -269,8 +271,9 @@ let test_reduce_deck_keep () =
       ~directives:[ { C.Netlist.verb = "reduce"; args = [ ("keep", "n5") ] } ]
       (C.Netlist.elements nl)
   in
-  let red_dir =
-    R.reduce_deck ~config:{ R.default_config with order = R.Fixed 2 } nl_dir
+  let red_dir, _ =
+    R.reduce_deck_certified
+      ~config:{ R.default_config with order = R.Fixed 2 } nl_dir
   in
   Alcotest.(check bool) "directive keep survives" true
     (C.Netlist.mem_node red_dir "n5")
@@ -280,7 +283,8 @@ let test_reduce_deck_noop () =
   let nl =
     C.Netlist.create [ v "vin" "a" "0" 1.0; r "r1" "a" "0" 100.0 ]
   in
-  Alcotest.(check bool) "noop returns same deck" true (R.reduce_deck nl == nl)
+  Alcotest.(check bool) "noop returns same deck" true
+    (fst (R.reduce_deck_certified nl) == nl)
 
 let test_config_digest_distinct () =
   let d spec = R.config_digest { R.default_config with order = spec } in
