@@ -6,8 +6,9 @@
    every later assembly is a value refill in stamp order — no hashing,
    no allocation, no sorting.
 
-   The factorization object ([Splu.t]) is created on the first solve and numerically refreshed afterwards, so the symbolic
-   work (pivot order, fill pattern) happens once per netlist.  When the
+   The factorization object ([Splu.t]) is created on the first solve
+   and numerically refreshed afterwards, so the symbolic work (pivot
+   order, fill pattern) happens once per netlist.  When the
    stamped values are known not to change between solves — a linear
    circuit on a fixed timestep — [freeze] pins the current
    factorization: subsequent [start]/[add] calls become no-ops and

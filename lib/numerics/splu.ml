@@ -16,9 +16,8 @@
    the numerics of one column, called once per reach entry.  The
    refill and the triangular solves, the hot path, are written out per
    field.  Every system goes through this one kernel, however small:
-   the merged VCO's 23 unknowns solve faster on it than through a dense
-   fallback, which would also allocate a boxed n x n matrix per
-   complex factorization.
+   even on the merged VCO's 23 unknowns it outruns a dense
+   factorization, which visits every one of the n^2 entries.
 
    Global counters record fresh factorizations, pattern-reusing
    refactorizations and triangular solves, so tests and benchmarks can
