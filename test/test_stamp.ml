@@ -108,6 +108,15 @@ let test_bits_pinned () =
       ("tran trap, linear fast path", "390289ce8355c4ffdcf02ea79fe0007e",
        fun () -> tran_digest linear_deck Tran.Trapezoidal) ]
 
+(* The decks the stamp-rule checks run over: the inline deck above,
+   the merged VCO and every shipped and test deck. *)
+let deck_corpus () =
+  let files = Test_analysis.all_decks () in
+  Alcotest.(check bool) "found the deck corpus" true (List.length files >= 4);
+  ("inline deck", Lazy.force deck)
+  :: ("merged VCO", fst (Lazy.force Test_engine.vco_fixture))
+  :: List.map (fun path -> (path, C.Spice.load path)) files
+
 (* The analyzer's structural patterns against the assemblies they
    describe: every position [dc_pattern] reports must be one the DC
    assembler records, and every position [ac_pattern] reports one the
@@ -127,11 +136,6 @@ let test_patterns_within_assemblies () =
           cols)
       pattern.P.pat_adj
   in
-  let decks =
-    Test_analysis.all_decks ()
-    |> List.map (fun path -> (path, C.Spice.load path))
-  in
-  Alcotest.(check bool) "found the deck corpus" true (List.length decks >= 4);
   List.iter
     (fun (name, nl) ->
       let plan = P.build (Sn_engine.Mna.build nl) in
@@ -154,18 +158,14 @@ let test_patterns_within_assemblies () =
       let acp = Sn_engine.Ac_plan.compile plan zeros in
       check (name ^ " ac") (P.ac_pattern plan) (fun i j ->
           Sn_numerics.Sparse.index acp.Sn_engine.Ac_plan.pattern i j >= 0))
-    (("inline deck", Lazy.force deck)
-     :: ("merged VCO", fst (Lazy.force Test_engine.vco_fixture))
-     :: decks)
+    (deck_corpus ())
 
 (* Cards whose stamps cancel in part or whole: a VCCS with both
    controls on one node and one with both outputs on one node, an R, a
    C and an L strapped across a single node, and a MOSFET with its
    drain on its source. *)
 let cancelling_deck =
-  lazy
-    (C.Spice.of_string
-       {|.title cancelling cards
+  {|.title cancelling cards
 .model nch nmos
 v1 x 0 1.0
 r1 x y 1k
@@ -177,7 +177,7 @@ c1 x x 1p
 l1 y y 1n
 m1 y x y 0 nch W=10u L=0.5u
 .end
-|})
+|}
 
 (* [Stamp_plan.numeric_profile] walks the netlist with its own copy of
    which node rows each card fills.  Here it is held to the stamp rule:
@@ -242,11 +242,7 @@ let test_profile_matches_stamps () =
   in
   List.iter
     (fun (deck, nl) -> check_deck deck nl)
-    (("inline deck", Lazy.force deck)
-     :: ("cancelling cards", Lazy.force cancelling_deck)
-     :: ("merged VCO", fst (Lazy.force Test_engine.vco_fixture))
-     :: List.map (fun path -> (path, C.Spice.load path))
-          (Test_analysis.all_decks ()))
+    (("cancelling cards", C.Spice.of_string cancelling_deck) :: deck_corpus ())
 
 let suites =
   [
