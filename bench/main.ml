@@ -56,49 +56,29 @@ let rc_ladder stages =
                   farads = 1.0e-12 } ]))
 
 (* ------------------------------------------------------------------ *)
-(* MG-CG extraction vs direct star-mesh elimination at 512^2.  Direct
-   elimination is timed at 48^2 and 96^2 and extrapolated to 512^2 by
-   the power law t = c cells^alpha through them (alpha >= 1).  Full
-   mode only. *)
+(* MG-CG extraction vs direct star-mesh elimination, both on one 48^2
+   grid.  Full mode only: the direct path takes tens of seconds. *)
 
 let mgcg_vs_direct ~small:_ =
   let module G = Sn_geometry in
   let module Port = Sub.Port in
   let tech = Sn_tech.Tech.imec018 in
   let die = G.Rect.make 0.0 0.0 400.0 400.0 in
-  let rects =
-    [ ("agg", Port.Resistive, G.Rect.make 40.0 40.0 120.0 120.0);
-      ("vic", Port.Resistive, G.Rect.make 280.0 280.0 360.0 360.0);
-      ("ring", Port.Resistive, G.Rect.make 40.0 280.0 120.0 360.0);
-      ("tap", Port.Resistive, G.Rect.make 280.0 40.0 360.0 120.0);
-      ("probe", Port.Probe, G.Rect.make 180.0 180.0 220.0 220.0) ]
+  let ports =
+    [ Port.v ~name:"agg" ~kind:Port.Resistive [ G.Rect.make 40.0 40.0 120.0 120.0 ];
+      Port.v ~name:"vic" ~kind:Port.Resistive [ G.Rect.make 280.0 280.0 360.0 360.0 ];
+      Port.v ~name:"ring" ~kind:Port.Resistive [ G.Rect.make 40.0 280.0 120.0 360.0 ];
+      Port.v ~name:"tap" ~kind:Port.Resistive [ G.Rect.make 280.0 40.0 360.0 120.0 ];
+      Port.v ~name:"probe" ~kind:Port.Probe [ G.Rect.make 180.0 180.0 220.0 220.0 ] ]
   in
-  let ports = List.map (fun (name, kind, r) -> Port.v ~name ~kind [ r ]) rects in
-  let cfg n = { Sub.Grid.nx = n; ny = n; z_per_layer = Some [ 1; 1; 1; 1 ] } in
-  (* the extractor snaps grid lines to every port edge *)
-  let cells n =
-    let snap f = List.concat_map (fun (_, _, r) -> f r) rects in
-    Sub.Grid.cell_count
-      (Sub.Grid.build
-         ~snap_x:(snap (fun r -> [ r.G.Rect.x0; r.G.Rect.x1 ]))
-         ~snap_y:(snap (fun r -> [ r.G.Rect.y0; r.G.Rect.y1 ]))
-         (cfg n) ~die tech.Sn_tech.Tech.substrate)
-    |> float_of_int
+  let n = 48 in
+  let config = { Sub.Grid.nx = n; ny = n; z_per_layer = Some [ 1; 1; 1; 1 ] } in
+  let t_direct =
+    seconds (fun () -> Sub.Elimination.reduce_grid ~config ~tech ~die ports)
   in
-  let direct n =
-    seconds (fun () -> Sub.Elimination.reduce_grid ~config:(cfg n) ~tech ~die ports)
-  in
-  let n1, n2, largest = (48, 96, 512) in
-  let t1 = direct n1 and t2 = direct n2 in
-  let alpha = Float.max 1.0 (log (t2 /. t1) /. log (cells n2 /. cells n1)) in
-  let t_direct = t2 *. ((cells largest /. cells n2) ** alpha) in
-  let t_mg =
-    seconds (fun () -> Sub.Extractor.extract ~config:(cfg largest) ~tech ~die ports)
-  in
+  let t_mg = seconds (fun () -> Sub.Extractor.extract ~config ~tech ~die ports) in
   ( t_direct /. t_mg,
-    Printf.sprintf
-      "%dx%d: MG-CG %.2f s, direct %.2f s (fit on %d^2 and %d^2, alpha %.2f)"
-      largest largest t_mg t_direct n1 n2 alpha )
+    Printf.sprintf "%dx%d: MG-CG %.3f s, direct %.2f s" n n t_mg t_direct )
 
 (* ------------------------------------------------------------------ *)
 (* Resident service: the same ac request served warm (plan, bias and AC

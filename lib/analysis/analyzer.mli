@@ -15,11 +15,8 @@ type config = {
           (see {!Sn_circuit.Spice}); they extend [ignores] *)
 }
 
-val default : config
-(** Everything enabled, no suppressions, pragmas honoured. *)
-
 val configure : disable:string list -> ignore:string list -> config
-(** {!default} with the rule codes in [disable] not run and the
+(** Pragmas honoured, the rule codes in [disable] not run and the
     [CODE[=SUBJECT]] suppressions in [ignore] applied: [CODE] silences
     the rule everywhere, [CODE=SUBJECT] only on that element, node or
     port.  ['='] separates because subject names contain [':'].  What

@@ -99,26 +99,3 @@ let validate e =
           (model.Varactor_model.cmin > 0.0
            && model.Varactor_model.cmax >= model.Varactor_model.cmin)
           "need 0 < cmin <= cmax")
-
-let pp fmt e =
-  match e with
-  | Resistor { name; n1; n2; ohms } ->
-    Format.fprintf fmt "%s %s %s %g" name n1 n2 ohms
-  | Capacitor { name; n1; n2; farads } ->
-    Format.fprintf fmt "%s %s %s %g" name n1 n2 farads
-  | Inductor { name; n1; n2; henries } ->
-    Format.fprintf fmt "%s %s %s %g" name n1 n2 henries
-  | Vsource { name; np; nn; wave; ac_mag } ->
-    Format.fprintf fmt "%s %s %s %a AC %g" name np nn Waveform.pp wave ac_mag
-  | Isource { name; np; nn; wave; ac_mag } ->
-    Format.fprintf fmt "%s %s %s %a AC %g" name np nn Waveform.pp wave ac_mag
-  | Vccs { name; np; nn; cp; cn; gm } ->
-    Format.fprintf fmt "%s %s %s %s %s %g" name np nn cp cn gm
-  | Vcvs { name; np; nn; cp; cn; gain } ->
-    Format.fprintf fmt "%s %s %s %s %s %g" name np nn cp cn gain
-  | Mosfet { name; drain; gate; source; bulk; model; w; l; mult } ->
-    Format.fprintf fmt "%s %s %s %s %s %s W=%g L=%g M=%d" name drain gate
-      source bulk model.Mos_model.name w l mult
-  | Varactor { name; n1; n2; model; mult } ->
-    Format.fprintf fmt "%s %s %s %s M=%d" name n1 n2
-      model.Varactor_model.name mult

@@ -64,5 +64,3 @@ val validate : t -> (unit, string) result
 (** Finite nonzero R / C values (negative allowed — reduced-order
     macromodel branches carry arbitrary sign), positive inductance and
     device geometry, [mult >= 1]. *)
-
-val pp : Format.formatter -> t -> unit

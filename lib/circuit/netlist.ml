@@ -77,24 +77,7 @@ let mem_node nl n =
   Element.is_ground n
   || List.exists (fun e -> List.mem n (Element.nodes e)) nl.elements
 
-let merge ?(title = "merged") parts =
-  create ~title
-    ~pragmas:(List.concat_map pragmas parts)
-    ~directives:(List.concat_map directives parts)
-    ~locs:(List.concat_map element_locs parts)
-    (List.concat_map elements parts)
-
 let map f nl =
   create ~title:nl.title ~pragmas:nl.pragmas ~directives:nl.directives
     ~locs:(element_locs nl)
     (List.map f nl.elements)
-
-let filter f nl =
-  create ~title:nl.title ~pragmas:nl.pragmas ~directives:nl.directives
-    ~locs:(element_locs nl)
-    (List.filter f nl.elements)
-
-let pp fmt nl =
-  Format.fprintf fmt "@[<v>* %s@," nl.title;
-  List.iter (fun e -> Format.fprintf fmt "%a@," Element.pp e) nl.elements;
-  Format.fprintf fmt "@]"

@@ -62,8 +62,8 @@ val element_loc : t -> string -> source_loc option
 (** Source location of the element named, when known. *)
 
 val element_locs : t -> (string * source_loc) list
-(** All known locations, sorted by element name — what {!merge} and
-    {!map} carry over. *)
+(** All known locations, sorted by element name — what {!map} carries
+    over. *)
 
 val nodes : t -> string list
 (** Sorted distinct non-ground node names. *)
@@ -73,15 +73,6 @@ val find : t -> string -> Element.t
 
 val mem_node : t -> string -> bool
 
-val merge : ?title:string -> t list -> t
-(** [merge parts] concatenates element lists (re-validating); node
-    names shared across parts become electrical connections.  Pragmas,
-    directives and source locations of every part are carried over. *)
-
 val map : (Element.t -> Element.t) -> t -> t
 (** Rewrite elements (revalidates). *)
 
-val filter : (Element.t -> bool) -> t -> t
-(** Drop elements (revalidates; useful for ablations). *)
-
-val pp : Format.formatter -> t -> unit

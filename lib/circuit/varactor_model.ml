@@ -23,7 +23,3 @@ let charge m v =
   let half = 0.5 *. (m.cmax -. m.cmin) in
   let term x = m.vslope *. log_cosh ((x -. m.v0) /. m.vslope) in
   (m.cmin *. v) +. (half *. (v +. term v -. term 0.0))
-
-let sensitivity m v =
-  let s = 1.0 /. cosh ((v -. m.v0) /. m.vslope) in
-  (m.cmax -. m.cmin) *. 0.5 *. s *. s /. m.vslope

@@ -22,6 +22,3 @@ val capacitance : t -> float -> float
 val charge : t -> float -> float
 (** [charge m v] is the exact antiderivative of {!capacitance} with
     [charge m 0 = 0]. *)
-
-val sensitivity : t -> float -> float
-(** [sensitivity m v] is [dC/dV] (F/V) at [v]. *)

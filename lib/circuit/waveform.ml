@@ -68,15 +68,3 @@ let dc_value = function
   | Pulse { v1; v2; delay; rise; fall; width; period } ->
     pulse_value ~v1 ~v2 ~delay ~rise ~fall ~width ~period 0.0
   | Pwl points -> pwl_value points 0.0
-
-let pp fmt = function
-  | Dc v -> Format.fprintf fmt "DC %g" v
-  | Sin { offset; amplitude; freq; phase } ->
-    Format.fprintf fmt "SIN(%g %g %g %g)" offset amplitude freq phase
-  | Pulse { v1; v2; delay; rise; fall; width; period } ->
-    Format.fprintf fmt "PULSE(%g %g %g %g %g %g %g)" v1 v2 delay rise fall
-      width period
-  | Pwl points ->
-    Format.fprintf fmt "PWL(";
-    List.iter (fun (t, v) -> Format.fprintf fmt "%g %g " t v) points;
-    Format.fprintf fmt ")"

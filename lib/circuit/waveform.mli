@@ -38,5 +38,3 @@ val value : t -> float -> float
 val dc_value : t -> float
 (** Value used by DC analysis ([t = 0] for time-varying shapes, except
     [Sin] which uses its offset). *)
-
-val pp : Format.formatter -> t -> unit

@@ -64,8 +64,7 @@ type vco_corner_result = {
   carrier_ghz : float;
 }
 
-let vco_spread ?(options = Flow.default_options) ?(corners = corners_3sigma)
-    () =
+let vco_spread ?(options = Flow.default_options) () =
   Sn_engine.Pool.map_list (Flow.pool_of options)
     (fun c ->
       let flow =
@@ -82,7 +81,7 @@ let vco_spread ?(options = Flow.default_options) ?(corners = corners_3sigma)
         spur_at_10mhz_dbm = spur.Impact.upper_dbm;
         carrier_ghz = Flow.vco_carrier_freq flow /. 1.0e9;
       })
-    corners
+    corners_3sigma
 
 let spread_db results =
   let dbs = List.map (fun r -> r.spur_at_10mhz_dbm) results in

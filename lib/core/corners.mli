@@ -30,10 +30,9 @@ type vco_corner_result = {
 }
 
 val vco_spread :
-  ?options:Flow.options -> ?corners:corner list -> unit ->
-  vco_corner_result list
+  ?options:Flow.options -> unit -> vco_corner_result list
 (** Run the VCO spur of the paper's tone ({!Flow.paper_noise_dbm}) at
-    10 MHz across the corners. *)
+    10 MHz across {!corners_3sigma}. *)
 
 val spread_db : vco_corner_result list -> float
 (** Max - min spur level over the corners. *)

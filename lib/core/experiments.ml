@@ -182,8 +182,7 @@ type fig8_family = {
   max_model_vs_behavioral_db : float;
 }
 
-let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
-    ?(f_noise = default_f_noise) () =
+let fig8 ?(options = Flow.default_options) ?(f_noise = default_f_noise) () =
   (* two sweep levels: the heavy per-family work (extraction + AC
      impact simulation) fans out over the vtunes, then the per-point
      work fans out over the full (family x f_noise) grid.  Each level
@@ -196,7 +195,7 @@ let fig8 ?(options = Flow.default_options) ?(vtunes = [ 0.0; 0.45; 0.9 ])
         let h = Flow.vco_transfers flow ~f_noise in
         let osc = Flow.vco_oscillator flow in
         (vtune, Flow.vco_carrier_freq flow /. 1.0e9, flow, h, osc))
-      vtunes
+      [ 0.0; 0.45; 0.9 ]
   in
   let cells =
     List.concat_map
@@ -401,8 +400,8 @@ type aggressor_comb = {
   total_dbm : float;
 }
 
-let aggressor_comb ?(options = Flow.default_options)
-    ?(aggressor = Sn_rf.Aggressor.default) () =
+let aggressor_comb ?(options = Flow.default_options) () =
+  let aggressor = Sn_rf.Aggressor.default in
   let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune:0.0 in
   let freqs =
     Array.init aggressor.Sn_rf.Aggressor.harmonics (fun i ->

@@ -78,10 +78,9 @@ type fig8_family = {
 }
 
 val fig8 :
-  ?options:Flow.options -> ?vtunes:float list -> ?f_noise:float array ->
-  unit -> fig8_family list
+  ?options:Flow.options -> ?f_noise:float array -> unit -> fig8_family list
 (** Sweep spur power over noise frequency for each tuning voltage
-    (default Vtune 0, 0.45, 0.9 V).  Each family rebuilds the VCO flow
+    (Vtune 0, 0.45, 0.9 V).  Each family rebuilds the VCO flow
     at its [vtune]; families and points both fan out on the sweep
     pool. *)
 
@@ -150,10 +149,10 @@ type aggressor_comb = {
 }
 
 val aggressor_comb :
-  ?options:Flow.options -> ?aggressor:Sn_rf.Aggressor.t -> unit ->
-  aggressor_comb
-(** Predict the spur comb a synchronous digital block imprints on the
-    VCO through the extracted substrate and interconnect models. *)
+  ?options:Flow.options -> unit -> aggressor_comb
+(** Predict the spur comb that {!Sn_rf.Aggressor.default}, a
+    synchronous digital block, imprints on the VCO through the
+    extracted substrate and interconnect models. *)
 
 (** {1 Ablations}
 

@@ -4,10 +4,6 @@
     ([Flow.merge]) — the box labelled "simulation model of the entire
     system" in the paper's Figure 2. *)
 
-val well_net : string -> string
-(** [well_net "nwell:<net>"] is ["<net>"] (other names pass through)
-    — the circuit net a well port's junction capacitance bridges to. *)
-
 val of_macromodel : Sn_substrate.Macromodel.t -> Sn_circuit.Element.t list
 (** [of_macromodel m] renders the port conductance matrix as named
     resistors between port-named nodes (couplings above 1 Gohm are

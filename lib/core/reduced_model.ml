@@ -119,17 +119,6 @@ let of_elements ~ports els =
     port_names;
   { port_names; exact = els; form = Exact }
 
-let of_macromodel m =
-  let module Mm = Sn_substrate.Macromodel in
-  let ports =
-    Array.to_list m.Mm.ports
-    |> List.map (fun p -> p.Sn_substrate.Port.name)
-  in
-  let wells = List.map (fun (p, _) -> Merge.well_net p) m.Mm.well_capacitance in
-  of_elements ~ports:(ports @ wells) (Merge.of_macromodel m)
-
-let of_rc_netlist ~ports nl = of_elements ~ports (Merge.of_rc_netlist nl)
-
 let ports t = Array.copy t.port_names
 let stats t = match t.form with Exact -> None | Reduced r -> Some r.stats
 

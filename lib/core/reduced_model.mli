@@ -70,18 +70,6 @@ val of_elements : ports:string list -> Sn_circuit.Element.t list -> t
     Raises [Invalid_argument] when [els] contains a non-R/C element or
     a port node no element touches. *)
 
-val of_macromodel : Sn_substrate.Macromodel.t -> t
-(** The substrate macromodel as a reduced-model pool: ports are its
-    port nodes and well nets, elements are {!Merge.of_macromodel}.
-    (A Schur macromodel is already port-only, so reduction of this
-    pool alone is the identity — its value is merging into a larger
-    pool via {!elements} / {!reduce_deck_certified}.) *)
-
-val of_rc_netlist :
-  ports:string list -> Sn_interconnect.Rc_netlist.t -> t
-(** The interconnect parasitics as a reduced-model pool (elements are
-    {!Merge.of_rc_netlist}, names prefixed ["itc_"]). *)
-
 (** {1 Reduction} *)
 
 val reduce : ?config:config -> t -> t

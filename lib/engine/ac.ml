@@ -111,8 +111,6 @@ let solve_at_acp acp ~freq =
   let x = Ac_plan.solve_stimulus acp ws in
   { mna = Stamp_plan.mna (Ac_plan.plan acp); freq; x }
 
-let solve_plan acp ~freq = solve_at_acp acp ~freq
-
 let solve_at_plan plan dc ~freq = solve_at_acp (Ac_plan.of_dc plan dc) ~freq
 
 let solve ?dc netlist ~freq =

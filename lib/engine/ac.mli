@@ -24,13 +24,6 @@ val solve : ?dc:Dc.solution -> Sn_circuit.Netlist.t -> freq:float -> solution
     (naming the offending node or element) when the complex system is
     singular at [freq]. *)
 
-val solve_plan : Ac_plan.t -> freq:float -> solution
-(** [solve_plan acp ~freq] solves one point on a pre-compiled
-    {!Ac_plan} — the resident-service hot path: no parse, no stamp
-    compilation, no bias solve, just a [G + jwB] refill of the plan's
-    reused pattern and a factorization (or numeric refactor when the
-    plan already carries its master).  Raises like {!solve}. *)
-
 val voltage : solution -> string -> Complex.t
 (** Node phasor (0 for ground).  Raises [Not_found]. *)
 

@@ -8,16 +8,17 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type options = {
   max_iterations : int;
   tolerance : float;
-  gmin : float;
   damping : float;
   ladder : Diag.rung list;
 }
 
 let default_options =
-  { max_iterations = 200; tolerance = 1e-9; gmin = 1e-12; damping = 0.6;
+  { max_iterations = 200; tolerance = 1e-9; damping = 0.6;
     ladder =
       [ Diag.Plain_newton; Diag.Damped_newton; Diag.Gmin_stepping;
         Diag.Source_stepping; Diag.Pseudo_transient ] }
+
+let gmin = 1e-12
 
 (* rescue-ladder step counts: gmin continuation steps, source-stepping
    ramp sub-steps and pseudo-transient anchor-conductance decades *)
@@ -154,7 +155,7 @@ let continuation plan asm rhs ~budget ~clamp ~tolerance x0 steps =
     (x0, 0) steps
 
 let run_rung plan asm rhs (o : options) rung x0 =
-  let step ?(gmin = o.gmin) ?(source_scale = 1.0) ?anchor () =
+  let step ?(gmin = gmin) ?(source_scale = 1.0) ?anchor () =
     { gmin; source_scale; anchor }
   in
   let budget, clamp, steps =
@@ -270,7 +271,6 @@ let solve_plan ?(options = default_options) plan =
 let solve_mna ?options mna = solve_plan ?options (Stamp_plan.build mna)
 let solve ?options netlist = solve_mna ?options (Mna.build netlist)
 
-let mna s = s.mna
 let attempts s = s.attempts
 
 let voltage s node =

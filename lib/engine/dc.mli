@@ -12,7 +12,6 @@
 type options = {
   max_iterations : int;  (** Newton cap per attempt / sub-step (default 200) *)
   tolerance : float;  (** max |delta x| convergence target (default 1e-9) *)
-  gmin : float;  (** conductance to ground on every node (default 1e-12) *)
   damping : float;  (** per-iteration update clamp, V (default 0.6) *)
   ladder : Diag.rung list;
       (** rescue rungs tried in order (default: all five, starting with
@@ -21,6 +20,10 @@ type options = {
 }
 
 val default_options : options
+
+val gmin : float
+(** The conductance to ground on every node of a Newton system, 1e-12 S
+    (the transient engine stamps the same floor). *)
 
 type solution
 
@@ -50,8 +53,6 @@ val assemble_plan :
     capacitors, varactors and inductor branch diagonals; the default
     leaves them open, the DC rule.  The transient engine passes its
     companion models. *)
-
-val mna : solution -> Mna.t
 
 val attempts : solution -> Diag.attempt list
 (** The recorded rescue-ladder trace, in the order the rungs ran.  A

@@ -2,6 +2,7 @@ module C = Sn_circuit
 module N = Sn_numerics
 
 let boltzmann = 1.380649e-23
+let temperature = 300.0
 let mos_gamma = 2.0 /. 3.0
 
 type contribution = { element : string; psd : float }
@@ -15,7 +16,7 @@ type point = {
 (* Noise current sources: (element name, node+, node-, PSD in A^2/Hz).
    The MOS channel noise acts between drain and source with
    4 k T gamma gm of the biased device. *)
-let noise_sources nl dc ~temperature =
+let noise_sources nl dc =
   let four_kt = 4.0 *. boltzmann *. temperature in
   List.filter_map
     (fun e ->
@@ -34,8 +35,7 @@ let noise_sources nl dc ~temperature =
         None)
     (C.Netlist.elements nl)
 
-let analyze_plan ?(pool = Pool.default ()) ?(temperature = 300.0) ~dc acp
-    ~output ~freqs =
+let analyze_plan ?(pool = Pool.default ()) ~dc acp ~output ~freqs =
   let mna = Stamp_plan.mna (Ac_plan.plan acp) in
   let nl = Mna.netlist mna in
   let out_slot = Mna.node_slot mna output in
@@ -49,7 +49,7 @@ let analyze_plan ?(pool = Pool.default ()) ?(temperature = 300.0) ~dc acp
     List.map
       (fun (element, np, nn, psd_i) ->
         (element, Mna.node_slot mna np, Mna.node_slot mna nn, psd_i))
-      (noise_sources nl dc ~temperature)
+      (noise_sources nl dc)
   in
   (* the adjoint stimulus: a unit excitation of the output row, shared
      by every frequency point *)
@@ -87,11 +87,11 @@ let analyze_plan ?(pool = Pool.default ()) ?(temperature = 300.0) ~dc acp
     freqs
   |> Array.to_list
 
-let analyze ?pool ?dc ?temperature nl ~output ~freqs =
+let analyze ?pool ?dc nl ~output ~freqs =
   let mna = Mna.build nl in
   let dc = match dc with Some d -> d | None -> Dc.solve_mna mna in
   let acp = Ac_plan.of_dc (Stamp_plan.build mna) dc in
-  analyze_plan ?pool ?temperature ~dc acp ~output ~freqs
+  analyze_plan ?pool ~dc acp ~output ~freqs
 
 let total_rms points =
   match points with

@@ -24,16 +24,16 @@ type point = {
 }
 
 val analyze :
-  ?pool:Pool.t -> ?dc:Dc.solution -> ?temperature:float ->
+  ?pool:Pool.t -> ?dc:Dc.solution ->
   Sn_circuit.Netlist.t -> output:string -> freqs:float array -> point list
-(** [analyze ?dc ?temperature nl ~output ~freqs] computes the output
-    noise voltage spectral density.  [temperature] defaults to 300 K.
+(** [analyze ?dc nl ~output ~freqs] computes the output noise voltage
+    spectral density at 300 K.
     Raises [Not_found] for an unknown output node and
     [Invalid_argument] for negative frequencies (validated before any
     solve runs). *)
 
 val analyze_plan :
-  ?pool:Pool.t -> ?temperature:float -> dc:Dc.solution -> Ac_plan.t ->
+  ?pool:Pool.t -> dc:Dc.solution -> Ac_plan.t ->
   output:string -> freqs:float array -> point list
 (** [analyze_plan ~dc acp ~output ~freqs] is {!analyze} over a
     pre-compiled {!Ac_plan} and its operating point — the

@@ -23,8 +23,8 @@ module C = Sn_circuit
    analyses (both the dense reference and the sparse frequency-domain
    paths) so an isolated subnet never makes the system singular.  Small
    enough (1 fS) to be invisible next to any real admittance; the
-   Newton paths use the larger, user-settable [Dc.options.gmin]
-   instead, which also serves their convergence continuation. *)
+   Newton paths use the larger [Dc.gmin] instead, which also serves
+   their convergence continuation. *)
 let node_gmin = 1e-15
 
 type mosfet = {

@@ -13,7 +13,6 @@ type initial_condition = Operating_point | Uic of (string * float) list
 type options = {
   method_ : method_;
   max_newton : int;
-  tolerance : float;
   ic : initial_condition;
   record : string list option;
   linear_fast_path : bool;
@@ -21,9 +20,11 @@ type options = {
 }
 
 let default_options =
-  { method_ = Trapezoidal; max_newton = 50; tolerance = 1e-9;
-    ic = Operating_point; record = None; linear_fast_path = true;
-    max_step_retries = 6 }
+  { method_ = Trapezoidal; max_newton = 50; ic = Operating_point;
+    record = None; linear_fast_path = true; max_step_retries = 6 }
+
+(* max |delta x| at which a time point's Newton loop stops *)
+let newton_tolerance = 1e-9
 
 exception Step_failed of { time : float; iterations : int }
 
@@ -143,7 +144,7 @@ let assemble (plan : P.t) asm rhs options (state : state) ~h ~t x =
   in
   Dc.assemble_plan ~reactive
     ~source:(fun wave _ -> C.Waveform.value wave t)
-    plan asm rhs ~gmin:Dc.default_options.Dc.gmin x
+    plan asm rhs ~gmin:Dc.gmin x
 
 (* Solve one time point.  A linear plan on the fast path needs no
    Newton loop: the matrix does not depend on [x], so a single assembly
@@ -174,7 +175,7 @@ let solve_point ?(fault_scope = 0) plan asm rhs options state ~h ~t x_guess =
         max_delta := Float.max !max_delta (Float.abs (x_new.(i) -. x.(i)));
         x.(i) <- x_new.(i)
       done;
-      if !max_delta < options.tolerance then x else newton (k + 1)
+      if !max_delta < newton_tolerance then x else newton (k + 1)
     in
     newton 0
   end

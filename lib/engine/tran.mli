@@ -15,7 +15,6 @@ type initial_condition =
 type options = {
   method_ : method_;
   max_newton : int;
-  tolerance : float;
   ic : initial_condition;
   record : string list option;  (** nodes to record; [None] = all *)
   linear_fast_path : bool;

@@ -14,7 +14,9 @@ type sparams = {
    side with an EMF of 2 V behind z0 (incident wave a = 1 at the port
    plane), terminate the other side in z0.  Then
    S_driven,driven = v_driven - 1 and S_other,driven = v_other. *)
-let analyze ?(z0 = 50.0) nl ~port1 ~port2 ~freqs =
+let z0 = 50.0
+
+let analyze nl ~port1 ~port2 ~freqs =
   if E.is_ground port1 || E.is_ground port2 then
     invalid_arg "Twoport.analyze: port cannot be ground";
   if not (C.Netlist.mem_node nl port1 && C.Netlist.mem_node nl port2) then

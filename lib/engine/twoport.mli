@@ -2,7 +2,7 @@
     usually quoted (S21 between a noisy contact and a victim contact).
 
     Ports are single-ended (node referenced to ground) with a common
-    reference impedance; the netlist must not already contain the
+    50 ohm reference impedance; the netlist must not already contain the
     terminations. *)
 
 type sparams = {
@@ -14,10 +14,10 @@ type sparams = {
 }
 
 val analyze :
-  ?z0:float -> Sn_circuit.Netlist.t -> port1:string -> port2:string ->
+  Sn_circuit.Netlist.t -> port1:string -> port2:string ->
   freqs:float array -> sparams list
-(** [analyze ?z0 nl ~port1 ~port2 ~freqs] terminates both ports in
-    [z0] (default 50 ohm), drives each side in turn and solves the AC
+(** [analyze nl ~port1 ~port2 ~freqs] terminates both ports in the
+    50 ohm reference impedance, drives each side in turn and solves the AC
     system per frequency.  Raises [Invalid_argument] when a port node
     is ground or missing. *)
 

@@ -25,7 +25,3 @@ let scale_width k p =
   if k <= 0.0 then invalid_arg "Path.scale_width: factor must be > 0";
   { p with width = k *. p.width }
 
-let pp fmt p =
-  Format.fprintf fmt "path(w=%g)[%a]" p.width
-    (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt " -> ") Point.pp)
-    p.points

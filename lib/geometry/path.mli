@@ -28,5 +28,3 @@ val scale_width : float -> t -> t
 (** [scale_width k p] multiplies the width by [k] (the Fig. 10
     "enlarge the ground lines" operation).
     Raises [Invalid_argument] when [k <= 0]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,13 +9,9 @@ val v : float -> float -> t
 val zero : t
 
 val add : t -> t -> t
-val sub : t -> t -> t
 
 val distance : t -> t -> float
 (** [distance a b] is the Euclidean distance. *)
 
-val equal : ?tol:float -> t -> t -> bool
-(** [equal ?tol a b] compares within absolute tolerance [tol]
-    (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit
+val equal : t -> t -> bool
+(** [equal a b] compares within an absolute tolerance of [1e-9]. *)

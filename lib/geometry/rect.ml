@@ -19,7 +19,6 @@ let width r = r.x1 -. r.x0
 let height r = r.y1 -. r.y0
 let area r = width r *. height r
 let perimeter r = 2.0 *. (width r +. height r)
-let center r = Point.v ((r.x0 +. r.x1) /. 2.0) ((r.y0 +. r.y1) /. 2.0)
 
 let contains_point r (p : Point.t) =
   p.Point.x >= r.x0 && p.Point.x <= r.x1 && p.Point.y >= r.y0 && p.Point.y <= r.y1
@@ -54,10 +53,9 @@ let bbox_of_points = function
       { x0 = p.Point.x; y0 = p.Point.y; x1 = p.Point.x; y1 = p.Point.y }
       rest
 
-let equal ?(tol = 1e-9) a b =
+let equal a b =
+  let tol = 1e-9 in
   Float.abs (a.x0 -. b.x0) <= tol
   && Float.abs (a.y0 -. b.y0) <= tol
   && Float.abs (a.x1 -. b.x1) <= tol
   && Float.abs (a.y1 -. b.y1) <= tol
-
-let pp fmt r = Format.fprintf fmt "[%g,%g .. %g,%g]" r.x0 r.y0 r.x1 r.y1

@@ -14,7 +14,6 @@ val width : t -> float
 val height : t -> float
 val area : t -> float
 val perimeter : t -> float
-val center : t -> Point.t
 
 val contains_point : t -> Point.t -> bool
 (** Closed-boundary containment. *)
@@ -37,5 +36,6 @@ val expand : float -> t -> t
 val bbox_of_points : Point.t list -> t
 (** Raises [Invalid_argument] on the empty list. *)
 
-val equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
+val equal : t -> t -> bool
+(** [equal a b] compares corners within an absolute tolerance of
+    [1e-9]. *)

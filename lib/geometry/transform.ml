@@ -71,6 +71,3 @@ let orientation_of_name = function
   | "MXR90" -> Some MXR90
   | "MYR90" -> Some MYR90
   | _ -> None
-
-let pp fmt t =
-  Format.fprintf fmt "%s@%a" (orientation_name t.orientation) Point.pp t.offset

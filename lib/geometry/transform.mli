@@ -26,5 +26,3 @@ val compose : t -> t -> t
 
 val orientation_name : orientation -> string
 val orientation_of_name : string -> orientation option
-
-val pp : Format.formatter -> t -> unit

@@ -8,7 +8,6 @@ type element =
 
 type t = element list
 
-val resistors : t -> (string * string * float) list
 val capacitors : t -> (string * string * float) list
 
 val nodes : t -> string list

@@ -9,7 +9,6 @@ type t =
   | Backgate_probe of string
 
 let equal a b = a = b
-let compare = Stdlib.compare
 
 let is_metal = function Metal _ -> true
   | Substrate_contact | Nwell | Diffusion | Poly | Via _ | Pad

@@ -17,7 +17,6 @@ type t =
           device; the string names the device *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val is_metal : t -> bool
 val metal_index : t -> int option

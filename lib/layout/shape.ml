@@ -31,13 +31,3 @@ let scale_path_width k s =
   | Rect _ -> s
   | Path p ->
     { s with geometry = Path { p with path = G.Path.scale_width k p.path } }
-
-let pp fmt s =
-  match s.geometry with
-  | Rect r ->
-    Format.fprintf fmt "%a net=%s rect %a" Layer.pp s.layer s.net G.Rect.pp r
-  | Path { path; from_terminal; to_terminal } ->
-    Format.fprintf fmt "%a net=%s %a (%s -> %s)" Layer.pp s.layer s.net
-      G.Path.pp path
-      (Option.value ~default:"?" from_terminal)
-      (Option.value ~default:"?" to_terminal)

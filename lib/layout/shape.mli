@@ -28,5 +28,3 @@ val transform : Sn_geometry.Transform.t -> t -> t
 val scale_path_width : float -> t -> t
 (** [scale_path_width k s] widens path geometry by [k]; rectangles are
     returned unchanged.  Used by the Fig. 10 re-extraction. *)
-
-val pp : Format.formatter -> t -> unit

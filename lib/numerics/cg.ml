@@ -87,14 +87,14 @@ let next_direction w on beta z p =
   | 3 -> next_direction_lanes 3 on beta z p
   | _ -> next_direction_lanes 4 on beta z p
 
-let solve_lanes ?(tol = 1e-10) ?max_iter ?x0 ?precond ~lanes a b =
+let solve_lanes ?(tol = 1e-10) ?max_iter ?precond ~lanes a b =
   let w = lanes in
   let n = Sparse.rows a in
   if Sparse.cols a <> n then invalid_arg "Cg.solve: matrix not square";
   if w < 1 || w > 4 then invalid_arg "Cg.solve: lanes must be 1..4";
   if Array.length b <> w * n then invalid_arg "Cg.solve: dimension mismatch";
   let max_iter = match max_iter with Some m -> m | None -> 4 * n in
-  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros (w * n) in
+  let x = Vec.zeros (w * n) in
   let apply_precond =
     match precond with
     | Some f -> f
@@ -124,7 +124,7 @@ let solve_lanes ?(tol = 1e-10) ?max_iter ?x0 ?precond ~lanes a b =
     b_norm.(c) <- sqrt b_norm.(c)
   done;
   (* a zero right-hand side has the zero solution: that lane never
-     runs, whatever [x0] is *)
+     runs and its [x] stays zero *)
   let zero = Array.init w (fun c -> b_norm.(c) = 0.0) in
   let k = Array.make w 0 and res_norm = lane_floats () in
   let breakdown = Array.make w false in
@@ -203,14 +203,6 @@ let solve_lanes ?(tol = 1e-10) ?max_iter ?x0 ?precond ~lanes a b =
       end
     done
   end;
-  (* a zero lane's solution is zero, whatever [x0] held *)
-  Array.iteri
-    (fun c z ->
-      if z then
-        for i = 0 to n - 1 do
-          x.((w * i) + c) <- 0.0
-        done)
-    zero;
   {
     x;
     lane_iterations = k;
@@ -229,5 +221,5 @@ let lane blk c =
     converged = blk.lane_converged.(c);
   }
 
-let solve ?tol ?max_iter ?x0 ?precond a b =
-  lane (solve_lanes ?tol ?max_iter ?x0 ?precond ~lanes:1 a b) 0
+let solve ?tol ?max_iter ?precond a b =
+  lane (solve_lanes ?tol ?max_iter ?precond ~lanes:1 a b) 0

@@ -41,13 +41,13 @@ exception Zero_diagonal of int
 val solve :
   ?tol:float ->
   ?max_iter:int ->
-  ?x0:Vec.t ->
   ?precond:(Vec.t -> Vec.t -> unit) ->
   Sparse.t ->
   Vec.t ->
   result
-(** [solve ?tol ?max_iter ?x0 ?precond a b] runs preconditioned CG on
-    [A x = b]: the one-lane case of {!solve_lanes}.  [precond r z] writes [M{^-1} r] into [z] (in place,
+(** [solve ?tol ?max_iter ?precond a b] runs preconditioned CG on
+    [A x = b] from a zero start: the one-lane case of {!solve_lanes}.
+    [precond r z] writes [M{^-1} r] into [z] (in place,
     never aliasing [r]) and must be a symmetric positive-definite
     operator (e.g. {!Mg.precond}); when omitted, a Jacobi
     preconditioner is built from the diagonal of [a], raising
@@ -64,14 +64,13 @@ val solve :
 val solve_lanes :
   ?tol:float ->
   ?max_iter:int ->
-  ?x0:Vec.t ->
   ?precond:(Vec.t -> Vec.t -> unit) ->
   lanes:int ->
   Sparse.t ->
   Vec.t ->
   block
 (** [solve_lanes ~lanes a b] solves [A x = b_c] for [lanes] (1 to 4)
-    right-hand sides at once, in lockstep.  [b], [x0] and the vectors
+    right-hand sides at once, in lockstep.  [b] and the vectors
     [precond] sees hold the lanes interleaved: entry [(i, c)] is at
     [lanes * i + c], so [precond] must be a lane-aware operator of the
     same width ({!Mg.precond_lanes}); the Jacobi default handles any

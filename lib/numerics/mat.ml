@@ -48,8 +48,6 @@ let add_to m i j v =
   let k = (i * m.nc) + j in
   m.data.(k) <- m.data.(k) +. v
 
-let copy m = { m with data = Array.copy m.data }
-
 
 let mul a b =
   if a.nc <> b.nr then
@@ -79,18 +77,6 @@ let mul_vec m v =
       done;
       !acc)
 
-let map2 name f a b =
-  if a.nr <> b.nr || a.nc <> b.nc then
-    invalid_arg (Printf.sprintf "Mat.%s: shape mismatch" name);
-  { a with data = Array.init (Array.length a.data) (fun k -> f a.data.(k) b.data.(k)) }
-
-let add a b = map2 "add" ( +. ) a b
-let sub a b = map2 "sub" ( -. ) a b
-let scale k m = { m with data = Array.map (fun x -> k *. x) m.data }
-
-let row m i = Vec.init m.nc (fun j -> get m i j)
-let col m j = Vec.init m.nr (fun i -> get m i j)
-
 let is_symmetric ?(tol = 1e-9) m =
   m.nr = m.nc
   &&
@@ -101,14 +87,3 @@ let is_symmetric ?(tol = 1e-9) m =
     done
   done;
   !ok
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.nr - 1 do
-    Format.fprintf fmt "|";
-    for j = 0 to m.nc - 1 do
-      Format.fprintf fmt " %10.4g" (get m i j)
-    done;
-    Format.fprintf fmt " |@,"
-  done;
-  Format.fprintf fmt "@]"

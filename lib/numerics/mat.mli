@@ -31,8 +31,6 @@ val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] accumulates [v] into entry [(i, j)] — the MNA
     "stamp" operation. *)
 
-val copy : t -> t
-
 val mul : t -> t -> t
 (** [mul a b] is the matrix product.  Raises [Invalid_argument] on
     dimension mismatch. *)
@@ -40,18 +38,6 @@ val mul : t -> t -> t
 val mul_vec : t -> Vec.t -> Vec.t
 (** [mul_vec m v] is [m * v]. *)
 
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-
-val row : t -> int -> Vec.t
-(** [row m i] is a copy of row [i]. *)
-
-val col : t -> int -> Vec.t
-(** [col m j] is a copy of column [j]. *)
-
 val is_symmetric : ?tol:float -> t -> bool
 (** [is_symmetric ?tol m] checks symmetry within absolute tolerance
     [tol] (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -167,16 +167,15 @@ let band_solve { env; perm; l } w y b x =
     done
   done
 
-type t = { levels : level array; coarse : band; nu : int }
+type t = { levels : level array; coarse : band }
 
 let levels t = Array.length t.levels
 
-let build ?(nu = 1) ?(coarse_limit = 1500) ?(par = Sparse.sequential) ~dims a =
+let build ?(coarse_limit = 1500) ?(par = Sparse.sequential) ~dims a =
   let nx, ny, nz = dims in
   let n = nx * ny * nz in
   if Sparse.rows a <> n || Sparse.cols a <> n then
     invalid_arg "Mg.build: dims do not match matrix size";
-  if nu < 1 then invalid_arg "Mg.build: nu must be >= 1";
   let level a dims (p_ptr, p_idx, p_w) coarse_n =
     let nx, ny, nz = dims in
     {
@@ -208,7 +207,7 @@ let build ?(nu = 1) ?(coarse_limit = 1500) ?(par = Sparse.sequential) ~dims a =
   let levels, a_last, dims_last = grow a dims [] in
   (* the coarsest operator is band-factored once; with only one level
      the V-cycle degenerates to that direct solve *)
-  { levels; coarse = band_factor a_last dims_last; nu }
+  { levels; coarse = band_factor a_last dims_last }
 
 (* The level kernels act on [w] (1 to 4) interleaved vectors, entry
    (i, c) at [w * i + c].  Each decoded matrix or transfer entry is
@@ -360,18 +359,14 @@ let rec v_cycle t ws l b x =
   if l = Array.length t.levels - 1 then band_solve t.coarse w ws.y b x
   else begin
     Array.fill x 0 (w * lvl.n) 0.0;
-    for _ = 1 to t.nu do
-      gs_sweep lvl w b x ~reverse:false
-    done;
+    gs_sweep lvl w b x ~reverse:false;
     let r = ws.r.(l) in
     residual lvl w b x r;
     let bc = ws.b.(l + 1) and xc = ws.x.(l + 1) in
     restrict lvl w r bc;
     v_cycle t ws (l + 1) bc xc;
     prolong_add lvl w xc x;
-    for _ = 1 to t.nu do
-      gs_sweep lvl w b x ~reverse:true
-    done
+    gs_sweep lvl w b x ~reverse:true
   end
 
 let precond_lanes t ~lanes =

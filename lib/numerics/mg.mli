@@ -29,7 +29,7 @@ type t
 (** A multigrid hierarchy bound to one matrix. *)
 
 val build :
-  ?nu:int -> ?coarse_limit:int -> ?par:Sparse.par -> dims:int * int * int ->
+  ?coarse_limit:int -> ?par:Sparse.par -> dims:int * int * int ->
   Sparse.t -> t
 (** [build ~dims:(nx, ny, nz) a] constructs the hierarchy for the
     grid-ordered matrix [a] (cell [(ix, iy, iz)] at row
@@ -48,7 +48,7 @@ val build :
     Each Galerkin product is built in row ranges on [par] (default
     {!Sparse.sequential}), one {!Sparse.of_rows} call per level; the
     hierarchy is bit-identical whatever [par] is.
-    [nu] (default 1) is the number of pre- and post-smoothing sweeps.
+    Each level runs one pre- and one post-smoothing sweep.
     Raises [Invalid_argument] when [dims] disagree with the matrix
     size, {!Cg.Zero_diagonal} when a level operator has a zero
     diagonal entry (a disconnected cell — structurally broken input)

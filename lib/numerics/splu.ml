@@ -250,8 +250,6 @@ type t = {
   work : float array; (* dense scatter vector, kept all-zero between uses *)
 }
 
-let dim f = f.sym.n
-
 let factor m =
   let n = Sparse.rows m and vals = Sparse.values m in
   if Sparse.cols m <> n then invalid_arg "Splu.factor: matrix not square";
@@ -393,8 +391,6 @@ module Cplx = struct
   }
 
   type t = { sym : sym; num : cnum }
-
-  let dim f = f.sym.n
 
   (* pivots on |x|^2 *)
   let factor (m : mat) =

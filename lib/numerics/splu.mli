@@ -36,9 +36,6 @@ val reset_stats : unit -> unit
 type t
 (** A real factor. *)
 
-val dim : t -> int
-(** Number of unknowns. *)
-
 val factor : Sparse.t -> t
 (** [factor m] factors [m].
     Raises [Invalid_argument] if [m] is not square and {!Singular} if
@@ -71,9 +68,6 @@ module Cplx : sig
 
   type t
   (** A complex factor. *)
-
-  val dim : t -> int
-  (** Number of unknowns. *)
 
   val factor : mat -> t
   (** As the real {!Splu.factor}: raises [Invalid_argument] if the

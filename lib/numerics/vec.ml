@@ -1,6 +1,5 @@
 type t = float array
 
-let make n v = Array.make n v
 let zeros n = Array.make n 0.0
 let init = Array.init
 let copy = Array.copy
@@ -19,16 +18,6 @@ let dot a b =
   done;
   !acc
 
-let add a b =
-  check_dims "add" a b;
-  Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
-
-let sub a b =
-  check_dims "sub" a b;
-  Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
-
-let scale k v = Array.map (fun x -> k *. x) v
-
 let axpy a x y =
   check_dims "axpy" x y;
   for i = 0 to Array.length x - 1 do
@@ -44,10 +33,3 @@ let max_abs_diff a b =
     acc := Float.max !acc (Float.abs (a.(i) -. b.(i)))
   done;
   !acc
-
-let pp fmt v =
-  Format.fprintf fmt "[@[%a@]]"
-    (Format.pp_print_array
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ")
-       (fun fmt x -> Format.fprintf fmt "%g" x))
-    v

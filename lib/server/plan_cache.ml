@@ -24,9 +24,10 @@ type t = {
   netlists : Sn_circuit.Netlist.t layer;
   plans : (certified_plan * int) layer;
   macros : Sn_substrate.Macromodel.t layer;
+  flows : Snoise.Flow.vco_flow layer;
 }
 
-let create ?(max_decks = 128) () =
+let create ~max_decks ~max_flows =
   let max_decks = max 1 max_decks in
   {
     lock = Mutex.create ();
@@ -35,6 +36,7 @@ let create ?(max_decks = 128) () =
     netlists = layer (2 * max_decks);
     plans = layer max_decks;
     macros = layer max_decks;
+    flows = layer (max 1 max_flows);
   }
 
 let with_lock t f =
@@ -81,13 +83,16 @@ let find_generic t layer ~key ~(compute : unit -> 'a) =
     (v, Protocol.Miss)
 
 (* memory-pressure shedding: drop LRU plans and macromodels down to
-   [keep] each, returning how many plans went.  The freed words only
-   leave the process after a compaction — the service pairs this with
-   [Gc.compact]. *)
+   [keep] each and half the flows, returning how many plans and flows
+   went.  The freed words only leave the process after a compaction —
+   the service pairs this with [Gc.compact]. *)
 let shed t ~keep =
   with_lock t (fun () ->
       ignore (Lru.trim t.macros.lru ~max_entries:keep);
-      Lru.trim t.plans.lru ~max_entries:keep)
+      let flows =
+        Lru.trim t.flows.lru ~max_entries:(Lru.length t.flows.lru / 2)
+      in
+      (Lru.trim t.plans.lru ~max_entries:keep, flows))
 
 let words_of plans =
   Lru.fold (fun _ (_, words) acc -> acc + words) plans.lru 0
@@ -113,6 +118,10 @@ let find_compiled t ~key ~compile =
 
 let find_macro t ~text ~extract =
   find_generic t t.macros ~key:(text_key text) ~compute:extract
+
+let find_flow t ~vtune ~nx ~ny ~build =
+  find_generic t t.flows ~key:(Printf.sprintf "%.17g:%d:%d" vtune nx ny)
+    ~compute:build
 
 (* certificate re-verification of every resident plan: hash-only
    (Reduced_model.verify_certificate), no compile, no factorization.
@@ -164,6 +173,11 @@ type stats = {
   macro_hits : int;
   macro_misses : int;
   evictions : int;
+  flows : int;
+  flow_capacity : int;
+  flow_hits : int;
+  flow_misses : int;
+  flow_evictions : int;
 }
 
 let stats t =
@@ -182,10 +196,16 @@ let stats t =
         macro_hits = t.macros.hits;
         macro_misses = t.macros.misses;
         evictions = Lru.evictions t.plans.lru;
+        flows = Lru.length t.flows.lru;
+        flow_capacity = Lru.capacity t.flows.lru;
+        flow_hits = t.flows.hits;
+        flow_misses = t.flows.misses;
+        flow_evictions = Lru.evictions t.flows.lru;
       })
 
 let clear t =
   with_lock t (fun () ->
       Lru.clear t.netlists.lru;
       Lru.clear t.plans.lru;
-      Lru.clear t.macros.lru)
+      Lru.clear t.macros.lru;
+      Lru.clear t.flows.lru)

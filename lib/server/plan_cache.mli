@@ -1,8 +1,8 @@
 (** In-memory content-addressed cache of compiled simulation
     artifacts — what keeps a resident [snoise serve] process hot.
 
-    Three layers, all keyed by {e content} digests so a stale hit is
-    impossible (the same discipline as the on-disk
+    Four layers.  The first three are keyed by {e content} digests so
+    a stale hit is impossible (the same discipline as the on-disk
     {!Sn_substrate.Cache} for tiles):
 
     - {b parse layer}: deck text digest -> parsed
@@ -15,18 +15,24 @@
       (deck, bias point) -> [Ac_plan] mapping rides on this layer.
     - {b macro layer}: layout text digest -> extracted substrate
       macromodel (the [extract] verb).
+    - {b flow layer}: (vtune, nx, ny) -> the shipped VCO's
+      {!Snoise.Flow.vco_flow} (the [spur] verb).  The chip and the
+      service's flow options are fixed, so these three values are the
+      flow's whole input.
 
     Every layer is a {!Sn_numerics.Lru} map, evicted
     least-recently-used: the plan and macro layers hold at most
     [max_decks] entries each, the parse layer [2 × max_decks] (it only
     exists to de-duplicate work between override variants of one
-    deck).  All operations are thread-safe. *)
+    deck), the flow layer [max_flows].  All operations are
+    thread-safe. *)
 
 type t
 
-val create : ?max_decks:int -> unit -> t
-(** [create ()] builds an empty cache holding at most [max_decks]
-    (default 128) compiled plans and as many extracted macromodels. *)
+val create : max_decks:int -> max_flows:int -> t
+(** [create ~max_decks ~max_flows] builds an empty cache holding at
+    most [max_decks] compiled plans, as many extracted macromodels and
+    [max_flows] VCO flows (each at least 1). *)
 
 val deck_key : text:string -> overrides:(string * float) list -> string
 (** The plan-layer key: a digest over the deck text and the
@@ -85,6 +91,14 @@ val find_macro :
 (** Layout-extraction layer, keyed by layout text digest and bounded
     at [max_decks] macromodels like the plan layer. *)
 
+val find_flow :
+  t -> vtune:float -> nx:int -> ny:int ->
+  build:(unit -> Snoise.Flow.vco_flow) ->
+  Snoise.Flow.vco_flow * Protocol.cache_note
+(** VCO-flow layer: the flow at [vtune] on an [nx] x [ny] substrate
+    grid, or [build ()] cached on a miss.  A flow holds a substrate
+    macromodel plus compiled tank plans, hence the [max_flows] bound. *)
+
 (** Monotonic hit/miss/eviction counters, exposed in the server's
     [stats] reply. *)
 type stats = {
@@ -104,6 +118,11 @@ type stats = {
   evictions : int;
       (** LRU evictions from the plan layer, capacity and {!shed}
           alike *)
+  flows : int;  (** VCO flows currently resident *)
+  flow_capacity : int;
+  flow_hits : int;
+  flow_misses : int;
+  flow_evictions : int;
 }
 
 val stats : t -> stats
@@ -112,10 +131,11 @@ val plan_words : t -> int
 (** Accounted heap words of the resident plan layer (see
     {!stats.plan_words}). *)
 
-val shed : t -> keep:int -> int
+val shed : t -> keep:int -> int * int
 (** [shed t ~keep] drops least-recently-used plans until at most
-    [keep] remain, and likewise trims the macro layer to [keep]
-    macromodels; it returns how many plans were evicted.  Called by
+    [keep] remain, likewise trims the macro layer to [keep]
+    macromodels and drops the older half of the flows; it returns how
+    many plans and how many flows were evicted.  Called by
     the service when the memory watermark is crossed; the freed words
     leave the process on the next compaction. *)
 

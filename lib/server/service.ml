@@ -50,12 +50,6 @@ type t = {
   mutable svc_total_ms : float;
   mutable svc_max_ms : float;
   mutable svc_last_ms : float;
-  (* VCO flows for the spur verb, keyed by (vtune, grid); LRU-bounded
-     because each resident flow holds a substrate macromodel plus
-     compiled tank plans *)
-  flows : Flow.vco_flow N.Lru.t;
-  mutable flow_hits : int;
-  mutable flow_misses : int;
   (* reductions this service ran (plan compiles and spur flows) *)
   mutable reductions : int;
   mutable last_reduction : Snoise.Reduced_model.stats option;
@@ -77,7 +71,9 @@ let create ?(config = default_config) ?(options = Flow.default_options) () =
   {
     config;
     options;
-    cache = Plan_cache.create ~max_decks:config.max_decks ();
+    cache =
+      Plan_cache.create ~max_decks:config.max_decks
+        ~max_flows:config.max_flows;
     lock = Mutex.create ();
     queue = Queue.create ();
     per_client = Hashtbl.create 16;
@@ -96,9 +92,6 @@ let create ?(config = default_config) ?(options = Flow.default_options) () =
     svc_total_ms = 0.0;
     svc_max_ms = 0.0;
     svc_last_ms = 0.0;
-    flows = N.Lru.create ~capacity:(max 1 config.max_flows);
-    flow_hits = 0;
-    flow_misses = 0;
     reductions = 0;
     last_reduction = None;
     restarts =
@@ -661,29 +654,15 @@ let run_spur t (req : P.request) =
     n
   in
   let nx = grid_size "nx" and ny = grid_size "ny" in
-  let key = Printf.sprintf "%.17g:%d:%d" vtune nx ny in
-  let cached =
-    with_lock t (fun () ->
-        match N.Lru.find t.flows key with
-        | Some f ->
-          t.flow_hits <- t.flow_hits + 1;
-          Some f
-        | None ->
-          t.flow_misses <- t.flow_misses + 1;
-          None)
-  in
   let flow, note =
-    match cached with
-    | Some f -> (f, P.Hit)
-    | None ->
-      let grid =
-        { t.options.Flow.grid with Sn_substrate.Grid.nx = nx; ny = ny }
-      in
-      let options = { t.options with Flow.grid = grid } in
-      let f = Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune in
-      note_reduction t (Flow.vco_reduction f);
-      with_lock t (fun () -> N.Lru.add t.flows key f);
-      (f, P.Miss)
+    Plan_cache.find_flow t.cache ~vtune ~nx ~ny ~build:(fun () ->
+        let grid =
+          { t.options.Flow.grid with Sn_substrate.Grid.nx = nx; ny = ny }
+        in
+        let options = { t.options with Flow.grid = grid } in
+        let f = Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune in
+        note_reduction t (Flow.vco_reduction f);
+        f)
   in
   let h = Flow.vco_transfers flow ~f_noise:[| f_noise |] in
   let spur = Flow.vco_spur flow ~h ~p_noise_dbm ~f_noise in
@@ -824,10 +803,8 @@ let try_shed t =
   in
   if allowed then begin
     let resident = (Plan_cache.stats t.cache).Plan_cache.plans in
-    let dropped = Plan_cache.shed t.cache ~keep:(resident / 2) in
-    let flows_dropped =
-      with_lock t (fun () ->
-          N.Lru.trim t.flows ~max_entries:(N.Lru.length t.flows / 2))
+    let dropped, flows_dropped =
+      Plan_cache.shed t.cache ~keep:(resident / 2)
     in
     with_lock t (fun () -> t.shed_plans <- t.shed_plans + dropped);
     Log.warn (fun m ->
@@ -886,11 +863,11 @@ let stats_json t =
             ("evictions", num cs.Plan_cache.evictions);
             ("plan_words", num cs.Plan_cache.plan_words);
             ("shed_plans", num t.shed_plans);
-            ("flows", num (N.Lru.length t.flows));
-            ("flow_capacity", num (N.Lru.capacity t.flows));
-            ("flow_evictions", num (N.Lru.evictions t.flows));
-            ("flow_hits", num t.flow_hits);
-            ("flow_misses", num t.flow_misses);
+            ("flows", num cs.Plan_cache.flows);
+            ("flow_capacity", num cs.Plan_cache.flow_capacity);
+            ("flow_evictions", num cs.Plan_cache.flow_evictions);
+            ("flow_hits", num cs.Plan_cache.flow_hits);
+            ("flow_misses", num cs.Plan_cache.flow_misses);
           ] );
       ( "timings_ms",
         J.Obj
@@ -995,7 +972,7 @@ let health_json t =
         J.Obj
           [
             ("plans", num cs.Plan_cache.plans);
-            ("flows", num (N.Lru.length t.flows));
+            ("flows", num cs.Plan_cache.flows);
           ] );
       ( "memory",
         J.Obj

@@ -43,8 +43,7 @@ let of_conductances ~n ~ports edges =
   net
 
 (* Star-mesh: eliminating node k inserts g_ik g_jk / g_k between every
-   neighbour pair.  Returns the (former) neighbours, whose degrees have
-   just changed. *)
+   neighbour pair. *)
 let eliminate_node net k =
   let neighbours =
     Hashtbl.fold
@@ -65,20 +64,18 @@ let eliminate_node net k =
   end;
   List.iter (fun (j, _) -> Hashtbl.remove net.adj.(j) k) neighbours;
   Hashtbl.reset net.adj.(k);
-  net.alive.(k) <- false;
-  List.map fst neighbours
+  net.alive.(k) <- false
 
-(* Reference ordering: full scan for the minimum-degree internal node
-   before every elimination — O(n) per eliminated node.  Kept as the
-   oracle the heap path is tested against. *)
-let eliminate_internal_scan net =
+(* Greedy minimum degree: a full scan for the lowest-degree internal
+   node (ties to the lowest index) before every elimination, O(n) per
+   eliminated node. *)
+let eliminate_internal net =
   let n = Array.length net.alive in
   let remaining = ref 0 in
   for i = 0 to n - 1 do
     if net.alive.(i) && not (net.is_port.(i)) then incr remaining
   done;
   while !remaining > 0 do
-    (* greedy minimum degree *)
     let best = ref (-1) and best_deg = ref max_int in
     for i = 0 to n - 1 do
       if net.alive.(i) && not (net.is_port.(i)) then begin
@@ -89,47 +86,9 @@ let eliminate_internal_scan net =
         end
       end
     done;
-    ignore (eliminate_node net !best);
+    eliminate_node net !best;
     decr remaining
   done
-
-(* Lazy-deletion binary heap keyed on [deg * n + node]: pops come out
-   ordered by degree with the node index breaking ties — exactly the
-   order the scan produces — but finding the next victim is O(log n).
-   A node is re-pushed whenever its degree changes; entries whose key
-   no longer matches the live degree are stale and skipped on pop. *)
-let eliminate_internal_heap net =
-  let n = Array.length net.alive in
-  let heap = N.Heap.create ~capacity:(max n 1) () in
-  let push i =
-    N.Heap.push heap ~key:((Hashtbl.length net.adj.(i) * n) + i) i
-  in
-  let remaining = ref 0 in
-  for i = 0 to n - 1 do
-    if net.alive.(i) && not (net.is_port.(i)) then begin
-      incr remaining;
-      push i
-    end
-  done;
-  while !remaining > 0 do
-    match N.Heap.pop heap with
-    | None ->
-      (* every live internal node always has a current entry *)
-      assert false
-    | Some (key, i) ->
-      if net.alive.(i) && key = (Hashtbl.length net.adj.(i) * n) + i then begin
-        let neighbours = eliminate_node net i in
-        List.iter
-          (fun j -> if net.alive.(j) && not net.is_port.(j) then push j)
-          neighbours;
-        decr remaining
-      end
-  done
-
-let eliminate_internal ?(strategy = `Heap) net =
-  match strategy with
-  | `Heap -> eliminate_internal_heap net
-  | `Scan -> eliminate_internal_scan net
 
 let port_conductance net =
   let np = Array.length net.ports in

@@ -900,12 +900,9 @@ let substrate_bbox layout =
       (fun acc sh -> G.Rect.union_bbox acc (Sn_layout.Shape.bbox sh))
       (Sn_layout.Shape.bbox s) rest
 
-let extract_from_layout ?config ?(margin_fraction = 0.35) ?tiles ?cache
-    ?reduction ?pool ~tech layout =
+let extract_from_layout ?config ?tiles ?reduction ?pool ~tech layout =
   let bbox = substrate_bbox layout in
-  let margin =
-    margin_fraction *. Float.max (G.Rect.width bbox) (G.Rect.height bbox)
-  in
+  let margin = 0.35 *. Float.max (G.Rect.width bbox) (G.Rect.height bbox) in
   let die = G.Rect.expand margin bbox in
-  extract ?config ?tiles ?cache ?reduction ?pool ~tech ~die
+  extract ?config ?tiles ?reduction ?pool ~tech ~die
     (Port.of_layout layout)

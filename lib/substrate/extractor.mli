@@ -169,19 +169,16 @@ val extract :
 
 val extract_from_layout :
   ?config:Grid.config ->
-  ?margin_fraction:float ->
   ?tiles:int * int ->
-  ?cache:Cache.t ->
   ?reduction:string ->
   ?pool:Sn_engine.Pool.t ->
   tech:Sn_tech.Tech.t ->
   Sn_layout.Layout.t ->
   Macromodel.t
-(** [extract_from_layout ?config ?margin_fraction ?tiles ?cache
-    ?reduction ?pool ~tech layout] derives the extraction window from
-    the substrate-relevant shapes (contacts, wells, probes — metal
-    routing and pads are excluded so they cannot blow up the cell
-    size), padded on each side by [margin_fraction] (default
-    0.35) of the larger extent so bulk spreading has room, then
-    extracts with ports from {!Port.of_layout}.  The tiling, cache,
-    reduction and pool options are forwarded to {!extract}. *)
+(** [extract_from_layout ?config ?tiles ?reduction ?pool ~tech layout]
+    derives the extraction window from the substrate-relevant shapes
+    (contacts, wells, probes — metal routing and pads are excluded so
+    they cannot blow up the cell size), padded on each side by 0.35 of
+    the larger extent so bulk spreading has room, then extracts with
+    ports from {!Port.of_layout} through the default tile cache.  The
+    tiling, reduction and pool options are forwarded to {!extract}. *)

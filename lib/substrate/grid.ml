@@ -79,7 +79,6 @@ let cell_index g ix iy iz =
 let dx g ix = (g.xs.(ix + 1) -. g.xs.(ix)) *. T.micron
 let dy g iy = (g.ys.(iy + 1) -. g.ys.(iy)) *. T.micron
 let dz g iz = g.slab_dz.(iz)
-let resistivity g iz = g.slab_rho.(iz)
 
 let surface_cell_rect g ix iy =
   G.Rect.make g.xs.(ix) g.ys.(iy) g.xs.(ix + 1) g.ys.(iy + 1)

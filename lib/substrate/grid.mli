@@ -49,9 +49,6 @@ val dy : t -> int -> float
 val dz : t -> int -> float
 (** [dz g iz] is the thickness of z-slab [iz], meters. *)
 
-val resistivity : t -> int -> float
-(** [resistivity g iz] is the resistivity of slab [iz], ohm m. *)
-
 val surface_cell_rect : t -> int -> int -> Sn_geometry.Rect.t
 (** [surface_cell_rect g ix iy] is the micrometre-unit footprint of
     column [(ix, iy)] — used to intersect with port regions. *)

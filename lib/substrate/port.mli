@@ -34,8 +34,5 @@ val of_layout : Sn_layout.Layout.t -> t list
       [d], named ["backgate:<d>"].
     Ports are returned sorted by name. *)
 
-val area : t -> float
-(** Total region area (um^2). *)
-
 val kind_name : kind -> string
 val pp : Format.formatter -> t -> unit

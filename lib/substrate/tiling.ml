@@ -69,7 +69,6 @@ let plan ~tiles:(txr, tyr) ~nx ~ny ~nz =
     tiles;
   { shape = (tx, ty); nx; ny; nz; tiles; tile_of }
 
-let tile_of_cell t ~ix ~iy = t.tile_of.((iy * t.nx) + ix)
 
 let is_interior tl ~ix ~iy =
   ix >= tl.ix0 && ix < tl.ix1 && iy >= tl.iy0 && iy < tl.iy1

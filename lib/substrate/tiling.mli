@@ -51,9 +51,6 @@ val shape : t -> int * int
 val count : t -> int
 (** Number of tiles. *)
 
-val tile_of_cell : t -> ix:int -> iy:int -> int
-(** Tile id owning lateral cell [(ix, iy)]. *)
-
 val is_interior : tile -> ix:int -> iy:int -> bool
 (** Whether lateral cell [(ix, iy)] of the tile is interior (no
     lateral neighbour outside the tile). *)

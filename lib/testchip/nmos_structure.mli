@@ -38,8 +38,6 @@ val default : params
     the bias-dependent transfer land in the paper's reported bands
     (about 1/652 and -45 to -52 dB). *)
 
-val layout : params -> Sn_layout.Layout.t
-
 val structure : params -> Structure.t
 (** The layout, ground net ["gnd"] (wire ["mos_gr"] -> ["gnd_pad"])
     and interconnect substrate node ["gr"]. *)

@@ -87,7 +87,9 @@ type run = {
   sample_rate : float;
 }
 
-let simulate ?(cycles = 160) ?(steps_per_cycle = 100) ?tune_tone p ~vtune =
+let steps_per_cycle = 100
+
+let simulate ?(cycles = 160) ?tune_tone p ~vtune =
   let f0 = natural_frequency p ~vtune in
   let dt = 1.0 /. (f0 *. float_of_int steps_per_cycle) in
   let tstop = float_of_int cycles /. f0 in

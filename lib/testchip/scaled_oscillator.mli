@@ -39,9 +39,8 @@ type run = {
 }
 
 val simulate :
-  ?cycles:int -> ?steps_per_cycle:int -> ?tune_tone:float * float ->
-  params -> vtune:float -> run
-(** [simulate ?cycles ?steps_per_cycle ?tune_tone p ~vtune] runs the
+  ?cycles:int -> ?tune_tone:float * float -> params -> vtune:float -> run
+(** [simulate ?cycles ?tune_tone p ~vtune] runs the
     transient (default 160 cycles at 100 steps/cycle), discards the
     first half (startup) and measures the rest; [tune_tone = (amplitude,
     freq)] puts a sinusoid on the tuning line (FM injection). *)

@@ -30,6 +30,9 @@ let mos name d g s b =
 
 let analyze ?config nl = A.Analyzer.analyze ?config nl
 
+(* everything enabled, no suppressions, pragmas honoured *)
+let default_config = A.Analyzer.configure ~disable:[] ~ignore:[]
+
 let codes_of (ds : A.Rule.diagnostic list) =
   List.map (fun (d : A.Rule.diagnostic) -> d.A.Rule.code) ds
   |> List.sort_uniq String.compare
@@ -337,7 +340,7 @@ let test_pragma_suppression () =
   Alcotest.(check int) "clean" 0 (List.length report.A.Analyzer.diagnostics);
   Alcotest.(check int) "one suppressed" 1 report.A.Analyzer.suppressed;
   (* pragmas can be turned off *)
-  let config = { A.Analyzer.default with A.Analyzer.use_pragmas = false } in
+  let config = { default_config with A.Analyzer.use_pragmas = false } in
   check_has "resurfaces" "dangling-node" (analyze ~config nl)
 
 let test_config_suppression () =
@@ -346,7 +349,7 @@ let test_config_suppression () =
   in
   (* subject-scoped ignore *)
   let config =
-    { A.Analyzer.default with
+    { default_config with
       A.Analyzer.ignores = [ ("dangling-node", Some "b") ] }
   in
   let report = analyze ~config nl in
@@ -354,13 +357,13 @@ let test_config_suppression () =
   Alcotest.(check int) "counted" 1 report.A.Analyzer.suppressed;
   (* a mismatching subject does not suppress *)
   let config =
-    { A.Analyzer.default with
+    { default_config with
       A.Analyzer.ignores = [ ("dangling-node", Some "zz") ] }
   in
   check_has "kept" "dangling-node" (analyze ~config nl);
   (* disabling skips the rule without counting suppressions *)
   let config =
-    { A.Analyzer.default with A.Analyzer.disabled = [ "dangling-node" ] }
+    { default_config with A.Analyzer.disabled = [ "dangling-node" ] }
   in
   let report = analyze ~config nl in
   Alcotest.(check int) "disabled" 0
@@ -396,7 +399,7 @@ let test_pragma_multi_code () =
     (List.length report.A.Analyzer.diagnostics);
   Alcotest.(check int) "both counted" 2 report.A.Analyzer.suppressed;
   (* with pragmas off, both codes resurface *)
-  let config = { A.Analyzer.default with A.Analyzer.use_pragmas = false } in
+  let config = { default_config with A.Analyzer.use_pragmas = false } in
   let report = analyze ~config nl in
   check_has "dangling-node resurfaces" "dangling-node" report;
   check_has "extreme-value resurfaces" "extreme-value" report
@@ -431,7 +434,7 @@ let test_numeric_rule_suppression () =
   in
   check_has "non-passive-pool fires" "non-passive-pool" (analyze nonpassive);
   let config =
-    { A.Analyzer.default with
+    { default_config with
       A.Analyzer.ignores = [ ("non-passive-pool", None) ] }
   in
   let report = analyze ~config nonpassive in
@@ -446,13 +449,13 @@ let test_numeric_rule_suppression () =
   in
   check_has "conditioning-span fires" "conditioning-span" (analyze illcond);
   let config =
-    { A.Analyzer.default with
+    { default_config with
       A.Analyzer.ignores = [ ("conditioning-span", Some "b") ] }
   in
   Alcotest.(check bool) "scoped ignore suppresses" false
     (has "conditioning-span" (analyze ~config illcond).A.Analyzer.diagnostics);
   let config =
-    { A.Analyzer.default with
+    { default_config with
       A.Analyzer.ignores = [ ("conditioning-span", Some "zz") ] }
   in
   check_has "mismatching subject keeps it" "conditioning-span"

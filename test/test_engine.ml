@@ -15,8 +15,8 @@ let check_close tol = Alcotest.(check (float tol))
 
 (* the current through a voltage-defined element, read off the
    solution vector *)
-let branch_current s name =
-  (Dc.unknowns s).(Sn_engine.Mna.branch_slot (Dc.mna s) name)
+let branch_current nl s name =
+  (Dc.unknowns s).(Sn_engine.Mna.branch_slot (Sn_engine.Mna.build nl) name)
 
 let r name n1 n2 ohms = E.Resistor { name; n1; n2; ohms }
 let c name n1 n2 farads = E.Capacitor { name; n1; n2; farads }
@@ -41,7 +41,7 @@ let test_dc_divider () =
   let s = Dc.solve nl in
   check_close 1e-6 "divider" 7.5 (Dc.voltage s "mid");
   check_close 1e-9 "source current" (-.(10.0 -. 7.5) /. 1000.0)
-    (branch_current s "v1")
+    (branch_current nl s "v1")
 
 let test_dc_current_source () =
   let nl = C.Netlist.create [ idc "i1" "0" "a" 1.0e-3; r "r1" "a" "0" 2000.0 ] in
@@ -57,7 +57,7 @@ let test_dc_inductor_short () =
   let s = Dc.solve nl in
   check_close 1e-6 "inductor shorts" 2.5 (Dc.voltage s "a");
   check_close 1e-6 "same both sides" 2.5 (Dc.voltage s "b");
-  check_close 1e-9 "inductor current" 2.5e-3 (branch_current s "l1")
+  check_close 1e-9 "inductor current" 2.5e-3 (branch_current nl s "l1")
 
 let test_dc_capacitor_open () =
   let nl =

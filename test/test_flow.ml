@@ -262,10 +262,29 @@ let test_vco_card () =
 (* merge mechanics *)
 
 let test_merge_well_net_naming () =
-  Alcotest.(check string) "strips prefix" "vdd_local"
-    (Snoise.Merge.well_net "nwell:vdd_local");
-  Alcotest.(check string) "plain name unchanged" "gnd"
-    (Snoise.Merge.well_net "gnd")
+  (* the net each well port's junction capacitor bridges to *)
+  let module Port = Sn_substrate.Port in
+  let well name x =
+    Port.v ~name ~kind:Port.Well [ Sn_geometry.Rect.make x 0.0 (x +. 1.0) 1.0 ]
+  in
+  let m =
+    Sn_substrate.Macromodel.make
+      ~ports:[| well "nwell:vdd_local" 0.0; well "gnd" 2.0 |]
+      ~conductance:
+        (Test_numerics.mat_of_rows [| [| 1e-3; -1e-3 |]; [| -1e-3; 1e-3 |] |])
+      ~well_capacitance:[ ("nwell:vdd_local", 1e-15); ("gnd", 1e-15) ]
+  in
+  let bridged port =
+    List.find_map
+      (function
+        | Sn_circuit.Element.Capacitor { n1; n2; _ } when n1 = port -> Some n2
+        | _ -> None)
+      (Merge.of_macromodel m)
+  in
+  Alcotest.(check (option string)) "strips prefix" (Some "vdd_local")
+    (bridged "nwell:vdd_local");
+  Alcotest.(check (option string)) "plain name unchanged" (Some "gnd")
+    (bridged "gnd")
 
 let test_merge_macromodel_elements () =
   let module Port = Sn_substrate.Port in

@@ -259,7 +259,8 @@ let test_drc_testchip_layouts_clean () =
     Alcotest.(check int) (name ^ " clean") 0 (List.length vs)
   in
   check_clean "nmos"
-    (Sn_testchip.Nmos_structure.layout Sn_testchip.Nmos_structure.default);
+    (Sn_testchip.Nmos_structure.structure Sn_testchip.Nmos_structure.default)
+      .Sn_testchip.Structure.layout;
   check_clean "vco" (Sn_testchip.Vco_chip.layout Sn_testchip.Vco_chip.default)
 
 let suites =

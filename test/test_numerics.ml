@@ -6,7 +6,6 @@ module Mat = Sn_numerics.Mat
 module Lu = Sn_numerics.Lu
 module Sparse = Sn_numerics.Sparse
 module Splu = Sn_numerics.Splu
-module Heap = Sn_numerics.Heap
 module Lru = Sn_numerics.Lru
 module Cg = Sn_numerics.Cg
 module Fft = Sn_numerics.Fft
@@ -58,8 +57,6 @@ let test_vec_ops () =
   let a = [| 1.0; 2.0; 3.0 |] and b = [| 4.0; 5.0; 6.0 |] in
   check_float "dot" 32.0 (Vec.dot a b);
   check_float "norm2" (sqrt 14.0) (Vec.norm2 a);
-  Alcotest.(check (array (float 1e-12))) "add" [| 5.0; 7.0; 9.0 |] (Vec.add a b);
-  Alcotest.(check (array (float 1e-12))) "sub" [| -3.0; -3.0; -3.0 |] (Vec.sub a b);
   let y = Vec.copy b in
   Vec.axpy 2.0 a y;
   Alcotest.(check (array (float 1e-12))) "axpy" [| 6.0; 9.0; 12.0 |] y
@@ -959,7 +956,6 @@ let test_splu_small_system () =
   let m = random_dd_system st n in
   let rhs = Array.init n (fun i -> cos (float_of_int i)) in
   let f = Splu.factor m in
-  Alcotest.(check int) "dim" n (Splu.dim f);
   let x = Splu.solve f rhs in
   let x_ref = Lu.solve_mat (Sparse.to_dense m) rhs in
   Alcotest.(check bool) "solve matches Lu.solve_mat" true
@@ -1086,7 +1082,6 @@ let test_csplu_small_system () =
   let m = random_cdd_system st n in
   let rhs = random_crhs st n in
   let f = Splu.Cplx.factor m in
-  Alcotest.(check int) "dim" n (Splu.Cplx.dim f);
   let d = cmat_to_dense m in
   Alcotest.(check bool) "forward matches" true
     (cmax_diff (Splu.Cplx.solve f rhs) (dense_csolve d rhs) < 1e-9);
@@ -1158,7 +1153,6 @@ let test_refactor_shape () =
   let f = Splu.factor m in
   Alcotest.(check bool) "real refactor refuses 10x10" true
     (raises_dimension_mismatch (fun () -> Splu.refactor f small));
-  Alcotest.(check int) "real dim" 12 (Splu.dim f);
   Alcotest.(check bool) "real factor intact" true
     (Vec.max_abs_diff (Splu.solve f rhs)
        (Lu.solve_mat (Sparse.to_dense m) rhs)
@@ -1168,7 +1162,6 @@ let test_refactor_shape () =
   let cf = Splu.Cplx.factor cm in
   Alcotest.(check bool) "complex refactor refuses 10x10" true
     (raises_dimension_mismatch (fun () -> Splu.Cplx.refactor cf csmall));
-  Alcotest.(check int) "complex dim" 12 (Splu.Cplx.dim cf);
   Alcotest.(check bool) "complex factor intact" true
     (cmax_diff (Splu.Cplx.solve cf crhs)
        (dense_csolve (cmat_to_dense cm) crhs)
@@ -1187,28 +1180,6 @@ let test_csplu_singular () =
     (match Splu.Cplx.factor m with
      | _ -> false
      | exception Splu.Singular _ -> true)
-
-let test_heap_sorts () =
-  let st = Random.State.make [| 3 |] in
-  let h = Heap.create () in
-  let keys = Array.init 200 (fun _ -> Random.State.int st 1000) in
-  Array.iteri (fun i k -> Heap.push h ~key:k i) keys;
-  Alcotest.(check int) "length" 200 (Heap.length h);
-  let prev = ref min_int in
-  let count = ref 0 in
-  let ok = ref true in
-  let continue = ref true in
-  while !continue do
-    match Heap.pop h with
-    | None -> continue := false
-    | Some (k, payload) ->
-      if k < !prev || keys.(payload) <> k then ok := false;
-      prev := k;
-      incr count
-  done;
-  Alcotest.(check bool) "ascending keys, payloads intact" true !ok;
-  Alcotest.(check int) "all popped" 200 !count;
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 (* ------------------------------------------------------------------ *)
 (* FFT / Goertzel *)
@@ -1698,7 +1669,6 @@ let suites =
         Alcotest.test_case "real kernel bit-exact" `Quick test_splu_bit_exact;
         Alcotest.test_case "complex kernel bit-exact" `Quick
           test_csplu_bit_exact;
-        Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
       ] );
     ( "numerics.spectral",
       [

@@ -221,7 +221,7 @@ let resident find key =
   | exception Exit -> false
 
 let test_plan_cache_eviction () =
-  let pc = Pc.create ~max_decks:2 () in
+  let pc = Pc.create ~max_decks:2 ~max_flows:1 in
   let plan =
     {
       Pc.cp_plan =
@@ -241,11 +241,11 @@ let test_plan_cache_eviction () =
   Alcotest.(check bool) "recently used a kept" true (resident find "a");
   Alcotest.(check int) "one eviction" 1 (Pc.stats pc).Pc.evictions;
   Alcotest.(check int) "shed drops every resident plan" 2
-    (Pc.shed pc ~keep:0);
+    (fst (Pc.shed pc ~keep:0));
   Alcotest.(check int) "none resident" 0 (Pc.stats pc).Pc.plans
 
 let test_macro_layer_bounded () =
-  let pc = Pc.create ~max_decks:2 () in
+  let pc = Pc.create ~max_decks:2 ~max_flows:1 in
   let macro =
     Sn_substrate.Macromodel.make
       ~ports:
@@ -264,6 +264,32 @@ let test_macro_layer_bounded () =
   ignore (Pc.shed pc ~keep:0);
   Alcotest.(check bool) "shed empties the layer" false (resident find "l3");
   Alcotest.(check bool) "shed empties the layer" false (resident find "l2")
+
+(* the spur verb's VCO flows: keyed by (vtune, nx, ny), bounded at
+   max_flows, counted, and halved by shed *)
+let test_flow_layer_bounded () =
+  let pc = Pc.create ~max_decks:1 ~max_flows:2 in
+  let flow =
+    let o = Snoise.Flow.default_options in
+    let grid = { o.Snoise.Flow.grid with Sn_substrate.Grid.nx = 8; ny = 8 } in
+    Snoise.Flow.build_vco
+      ~options:{ o with Snoise.Flow.grid }
+      Sn_testchip.Vco_chip.default ~vtune:0.0
+  in
+  let find vtune build = Pc.find_flow pc ~vtune ~nx:8 ~ny:8 ~build in
+  List.iter (fun v -> ignore (find v (fun () -> flow))) [ 0.0; 0.45; 0.9 ];
+  Alcotest.(check bool) "oldest flow evicted" false (resident find 0.0);
+  Alcotest.(check bool) "newest flow kept" true (resident find 0.9);
+  Alcotest.(check bool) "the grid is part of the key" false
+    (resident (fun vtune build -> Pc.find_flow pc ~vtune ~nx:8 ~ny:9 ~build) 0.9);
+  let s = Pc.stats pc in
+  Alcotest.(check (list int)) "flows, capacity, hits, misses, evictions"
+    [ 2; 2; 1; 5; 1 ]
+    [ s.Pc.flows; s.Pc.flow_capacity; s.Pc.flow_hits; s.Pc.flow_misses;
+      s.Pc.flow_evictions ];
+  Alcotest.(check (pair int int)) "shed drops the older half of the flows"
+    (0, 1) (Pc.shed pc ~keep:0);
+  Alcotest.(check bool) "most recent flow kept" true (resident find 0.9)
 
 (* batched sweep must be byte-identical to one-by-one serving *)
 let batch_vs_individual jobs () =
@@ -1183,6 +1209,7 @@ let suites =
         Alcotest.test_case "lint refusal" `Quick test_lint_refused;
         Alcotest.test_case "plan cache eviction" `Quick
           test_plan_cache_eviction;
+        Alcotest.test_case "flow layer bounded" `Quick test_flow_layer_bounded;
         Alcotest.test_case "macro layer bounded" `Quick
           test_macro_layer_bounded;
         Alcotest.test_case "plan cache lifecycle" `Quick

@@ -143,7 +143,7 @@ let test_patterns_within_assemblies () =
       (* before its first solve the assembler records every stamp event *)
       let asm = A.create (P.dim plan) in
       Dc.assemble_plan plan asm (Array.copy zeros) zeros
-        ~source:(fun _ _ -> 0.0) ~gmin:Dc.default_options.Dc.gmin;
+        ~source:(fun _ _ -> 0.0) ~gmin:Dc.gmin;
       let recorded = Hashtbl.create 64 in
       (match asm.A.mode with
        | A.Collect { ci; cj; _ } ->

@@ -51,7 +51,7 @@ let test_ring_invalid () =
 (* ------------------------------------------------------------------ *)
 (* NMOS structure layout *)
 
-let nmos_layout = lazy (NS.layout NS.default)
+let nmos_layout = lazy (NS.structure NS.default).Sn_testchip.Structure.layout
 
 let shapes_on layout layer =
   List.filter
