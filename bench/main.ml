@@ -74,7 +74,8 @@ let mgcg_vs_direct ~small:_ =
   let n = 48 in
   let config = { Sub.Grid.nx = n; ny = n; z_per_layer = Some [ 1; 1; 1; 1 ] } in
   let t_direct =
-    seconds (fun () -> Sub.Elimination.reduce_grid ~config ~tech ~die ports)
+    seconds (fun () ->
+        Sn_oracle.Elimination.reduce_grid ~config ~tech ~die ports)
   in
   let t_mg = seconds (fun () -> Sub.Extractor.extract ~config ~tech ~die ports) in
   ( t_direct /. t_mg,

@@ -3,10 +3,9 @@ module C = Sn_circuit
 type config = {
   disabled : string list;
   ignores : (string * string option) list;
-  use_pragmas : bool;
 }
 
-let default = { disabled = []; ignores = []; use_pragmas = true }
+let default = { disabled = []; ignores = [] }
 
 (* CODE[=SUBJECT]: '=' as the separator because subject names
    themselves contain ':' (backgate:m1, nwell:vdd) *)
@@ -17,7 +16,7 @@ let configure ~disable ~ignore =
     | Some i ->
       (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
   in
-  { default with disabled = disable; ignores = List.map parse_ignore ignore }
+  { disabled = disable; ignores = List.map parse_ignore ignore }
 
 type report = {
   diagnostics : Rule.diagnostic list;
@@ -34,12 +33,10 @@ let matches_ignore (d : Rule.diagnostic) (code, subject) =
 let analyze ?(config = default) netlist =
   let ctx = Rule.context netlist in
   let ignores =
-    if config.use_pragmas then
-      config.ignores
-      @ List.map
-          (fun (p : C.Netlist.pragma) -> (p.ignore_code, p.ignore_subject))
-          (C.Netlist.pragmas netlist)
-    else config.ignores
+    config.ignores
+    @ List.map
+        (fun (p : C.Netlist.pragma) -> (p.ignore_code, p.ignore_subject))
+        (C.Netlist.pragmas netlist)
   in
   let raw =
     List.concat_map

@@ -9,18 +9,17 @@ type config = {
       (** [(code, subject)] suppressions applied after running: a
           diagnostic is dropped when its code matches and — if the
           subject is [Some s] — its subject name equals [s].  [None]
-          suppresses the code everywhere. *)
-  use_pragmas : bool;
-      (** honour [*%snoise ignore] pragmas carried by the netlist
-          (see {!Sn_circuit.Spice}); they extend [ignores] *)
+          suppresses the code everywhere.  The netlist's
+          [*%snoise ignore] pragmas (see {!Sn_circuit.Spice}) always
+          extend this list. *)
 }
 
 val configure : disable:string list -> ignore:string list -> config
-(** Pragmas honoured, the rule codes in [disable] not run and the
-    [CODE[=SUBJECT]] suppressions in [ignore] applied: [CODE] silences
-    the rule everywhere, [CODE=SUBJECT] only on that element, node or
-    port.  ['='] separates because subject names contain [':'].  What
-    the CLI's [--disable]/[--ignore] flags and the service's
+(** The rule codes in [disable] not run and the [CODE[=SUBJECT]]
+    suppressions in [ignore] applied: [CODE] silences the rule
+    everywhere, [CODE=SUBJECT] only on that element, node or port.
+    ['='] separates because subject names contain [':'].  What the
+    CLI's [--disable]/[--ignore] flags and the service's
     [disable]/[ignore] lint params mean. *)
 
 type report = {

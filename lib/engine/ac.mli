@@ -27,14 +27,6 @@ val solve : ?dc:Dc.solution -> Sn_circuit.Netlist.t -> freq:float -> solution
 val voltage : solution -> string -> Complex.t
 (** Node phasor (0 for ground).  Raises [Not_found]. *)
 
-val system :
-  Mna.t -> Dc.solution -> omega:float ->
-  Complex.t array array * Complex.t array
-(** [system mna dc ~omega] is the assembled complex MNA matrix and
-    stimulus vector at angular frequency [omega] — the dense reference
-    formulation, kept for validation of the sparse engine.  Compiles a
-    fresh stamp plan per call. *)
-
 type sweep_point = { freq : float; values : (string * Complex.t) list }
 
 val sweep :

@@ -14,8 +14,9 @@
    G + jwB split ([Ac_plan.compile]) and the structural pattern below
    all stamp through it and differ only in what they supply: the
    sinks, the source values, the MOSFET linearization and the reactive
-   stamps.  [Ac.system] keeps a dense assembly of its own as an
-   independent oracle for the AC case. *)
+   stamps.  The dense AC assembly in the test oracle library
+   ([test/support/dense_ac.ml]) stamps on its own, as an independent
+   reference for the AC case. *)
 
 module C = Sn_circuit
 

@@ -13,9 +13,6 @@ let init nr nc f =
   done;
   m
 
-let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
-
-
 let rows m = m.nr
 let cols m = m.nc
 
@@ -47,43 +44,3 @@ let add_to m i j v =
   check_bounds "add_to" m i j;
   let k = (i * m.nc) + j in
   m.data.(k) <- m.data.(k) +. v
-
-
-let mul a b =
-  if a.nc <> b.nr then
-    invalid_arg
-      (Printf.sprintf "Mat.mul: %dx%d * %dx%d" a.nr a.nc b.nr b.nc);
-  let c = make a.nr b.nc in
-  for i = 0 to a.nr - 1 do
-    for k = 0 to a.nc - 1 do
-      let aik = a.data.((i * a.nc) + k) in
-      if aik <> 0.0 then
-        for j = 0 to b.nc - 1 do
-          c.data.((i * c.nc) + j) <-
-            c.data.((i * c.nc) + j) +. (aik *. b.data.((k * b.nc) + j))
-        done
-    done
-  done;
-  c
-
-let mul_vec m v =
-  if m.nc <> Array.length v then
-    invalid_arg
-      (Printf.sprintf "Mat.mul_vec: %dx%d * %d" m.nr m.nc (Array.length v));
-  Vec.init m.nr (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.nc - 1 do
-        acc := !acc +. (m.data.((i * m.nc) + j) *. v.(j))
-      done;
-      !acc)
-
-let is_symmetric ?(tol = 1e-9) m =
-  m.nr = m.nc
-  &&
-  let ok = ref true in
-  for i = 0 to m.nr - 1 do
-    for j = i + 1 to m.nc - 1 do
-      if Float.abs (get m i j -. get m j i) > tol then ok := false
-    done
-  done;
-  !ok

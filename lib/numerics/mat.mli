@@ -8,9 +8,6 @@ val make : int -> int -> t
 val init : int -> int -> (int -> int -> float) -> t
 (** [init rows cols f] fills entry [(i, j)] with [f i j]. *)
 
-val identity : int -> t
-(** [identity n] is the [n]x[n] identity. *)
-
 val rows : t -> int
 val cols : t -> int
 
@@ -30,14 +27,3 @@ val set : t -> int -> int -> float -> unit
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] accumulates [v] into entry [(i, j)] — the MNA
     "stamp" operation. *)
-
-val mul : t -> t -> t
-(** [mul a b] is the matrix product.  Raises [Invalid_argument] on
-    dimension mismatch. *)
-
-val mul_vec : t -> Vec.t -> Vec.t
-(** [mul_vec m v] is [m * v]. *)
-
-val is_symmetric : ?tol:float -> t -> bool
-(** [is_symmetric ?tol m] checks symmetry within absolute tolerance
-    [tol] (default [1e-9]). *)

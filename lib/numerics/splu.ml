@@ -296,15 +296,10 @@ let refactor { sym; lval; uval; dval; work = x } m =
   let vals = Sparse.values m in
   if Array.length vals <> Array.length sym.aval_src then
     invalid_arg "Splu.refactor: sparsity pattern changed";
-  let clear_column col =
-    for p = sym.ucolptr.(col) to sym.ucolptr.(col + 1) - 1 do
-      x.(sym.urow.(p)) <- 0.0
-    done;
-    x.(col) <- 0.0;
-    for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
-      x.(sym.lrow.(q)) <- 0.0
-    done
-  in
+  (* Each entry of the scatter vector is zeroed as soon as it is read:
+     U rows in topological order (no later update reaches row [k]), then
+     the pivot, then the L rows as they are divided, so [x] is all-zero
+     again when the column ends. *)
   for col = 0 to sym.n - 1 do
     for p = sym.acolptr.(col) to sym.acolptr.(col + 1) - 1 do
       x.(sym.arow.(p)) <- vals.(sym.aval_src.(p))
@@ -312,6 +307,7 @@ let refactor { sym; lval; uval; dval; work = x } m =
     for p = sym.ucolptr.(col) to sym.ucolptr.(col + 1) - 1 do
       let k = sym.urow.(p) in
       let xk = x.(k) in
+      x.(k) <- 0.0;
       uval.(p) <- xk;
       if xk <> 0.0 then
         for q = sym.lcolptr.(k) to sym.lcolptr.(k + 1) - 1 do
@@ -319,15 +315,19 @@ let refactor { sym; lval; uval; dval; work = x } m =
         done
     done;
     let d = x.(col) in
+    x.(col) <- 0.0;
     if d = 0.0 || not (Float.is_finite d) then begin
-      clear_column col;
+      for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
+        x.(sym.lrow.(q)) <- 0.0
+      done;
       raise (Singular col)
     end;
     dval.(col) <- d;
     for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
-      lval.(q) <- x.(sym.lrow.(q)) /. d
-    done;
-    clear_column col
+      let r = sym.lrow.(q) in
+      lval.(q) <- x.(r) /. d;
+      x.(r) <- 0.0
+    done
   done
 
 let solve { sym; lval; uval; dval; _ } b =
@@ -461,18 +461,7 @@ module Cplx = struct
     if Array.length vre <> Array.length sym.aval_src then
       invalid_arg "Splu.Cplx.refactor: sparsity pattern changed";
     let xr = num.wkr and xi = num.wki in
-    let clear_column col =
-      for p = sym.ucolptr.(col) to sym.ucolptr.(col + 1) - 1 do
-        xr.(sym.urow.(p)) <- 0.0;
-        xi.(sym.urow.(p)) <- 0.0
-      done;
-      xr.(col) <- 0.0;
-      xi.(col) <- 0.0;
-      for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
-        xr.(sym.lrow.(q)) <- 0.0;
-        xi.(sym.lrow.(q)) <- 0.0
-      done
-    in
+    (* entries are zeroed as they are read, as in the real [refactor] *)
     for col = 0 to sym.n - 1 do
       for p = sym.acolptr.(col) to sym.acolptr.(col + 1) - 1 do
         xr.(sym.arow.(p)) <- vre.(sym.aval_src.(p));
@@ -481,6 +470,8 @@ module Cplx = struct
       for p = sym.ucolptr.(col) to sym.ucolptr.(col + 1) - 1 do
         let k = sym.urow.(p) in
         let ukr = xr.(k) and uki = xi.(k) in
+        xr.(k) <- 0.0;
+        xi.(k) <- 0.0;
         num.ure.(p) <- ukr;
         num.uim.(p) <- uki;
         if ukr <> 0.0 || uki <> 0.0 then
@@ -492,9 +483,14 @@ module Cplx = struct
           done
       done;
       let dr = xr.(col) and di = xi.(col) in
+      xr.(col) <- 0.0;
+      xi.(col) <- 0.0;
       let den = (dr *. dr) +. (di *. di) in
       if den = 0.0 || not (Float.is_finite den) then begin
-        clear_column col;
+        for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
+          xr.(sym.lrow.(q)) <- 0.0;
+          xi.(sym.lrow.(q)) <- 0.0
+        done;
         raise (Singular col)
       end;
       num.dgr.(col) <- dr;
@@ -502,9 +498,10 @@ module Cplx = struct
       for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
         let r = sym.lrow.(q) in
         num.lre.(q) <- ((xr.(r) *. dr) +. (xi.(r) *. di)) /. den;
-        num.lim.(q) <- ((xi.(r) *. dr) -. (xr.(r) *. di)) /. den
-      done;
-      clear_column col
+        num.lim.(q) <- ((xi.(r) *. dr) -. (xr.(r) *. di)) /. den;
+        xr.(r) <- 0.0;
+        xi.(r) <- 0.0
+      done
     done
 
   let solve { sym; num } (b : Complex.t array) =

@@ -25,11 +25,3 @@ let axpy a x y =
   done
 
 let norm2 v = sqrt (dot v v)
-
-let max_abs_diff a b =
-  check_dims "max_abs_diff" a b;
-  let acc = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    acc := Float.max !acc (Float.abs (a.(i) -. b.(i)))
-  done;
-  !acc

@@ -20,6 +20,3 @@ val axpy : float -> t -> t -> unit
 
 val norm2 : t -> float
 (** [norm2 v] is the Euclidean norm. *)
-
-val max_abs_diff : t -> t -> float
-(** [max_abs_diff a b] is the largest [|a.(i) - b.(i)|]. *)

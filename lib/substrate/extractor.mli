@@ -28,8 +28,9 @@
     below a direct factorization as the grid grows (the hierarchy
     coarsens only laterally, so the layered profile's anisotropy
     leaves the iteration count flat — the bench records the per-size
-    counts).  The exact star-mesh {!Elimination} is the small-grid
-    oracle the tests compare against.
+    counts).  The exact star-mesh elimination in the test oracle
+    library ([test/support]) is the small-grid reference the tests
+    compare against.
 
     The reduction optionally runs {e tiled} (hierarchical, nested
     Schur: reduce each lateral tile onto its interface and local ports

@@ -1,6 +1,9 @@
 module G = Sn_geometry
 module N = Sn_numerics
 module T = Sn_tech.Tech
+module Grid = Sn_substrate.Grid
+module Macromodel = Sn_substrate.Macromodel
+module Port = Sn_substrate.Port
 
 type network = {
   adj : (int, float) Hashtbl.t array;  (** neighbour -> branch conductance *)

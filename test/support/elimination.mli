@@ -1,6 +1,7 @@
 (** Direct node-elimination macromodel reduction — the classic
     star-mesh (Gaussian elimination on the conductance graph)
-    alternative to the CG-based Schur complement in {!Extractor}.
+    alternative to the CG-based Schur complement in
+    {!Sn_substrate.Extractor}.
 
     Eliminating node k with self-conductance g_kk rewrites each
     neighbour pair (i, j) with g_ij += g_ik g_jk / g_kk.  Exact, but
@@ -30,8 +31,9 @@ val port_conductance : network -> Sn_numerics.Mat.t
     Only meaningful after {!eliminate_internal}. *)
 
 val reduce_grid :
-  ?config:Grid.config -> tech:Sn_tech.Tech.t -> die:Sn_geometry.Rect.t ->
-  Port.t list -> Macromodel.t
-(** Drop-in alternative to {!Extractor.extract} using direct
+  ?config:Sn_substrate.Grid.config -> tech:Sn_tech.Tech.t ->
+  die:Sn_geometry.Rect.t -> Sn_substrate.Port.t list ->
+  Sn_substrate.Macromodel.t
+(** Drop-in alternative to {!Sn_substrate.Extractor.extract} using direct
     elimination.  Intended for small grids (the cost grows steeply
     with grid size). *)

@@ -4,24 +4,14 @@
 
 module C = Sn_circuit
 module E = C.Element
-module W = C.Waveform
 module A = Sn_analysis
 module Diag = Sn_engine.Diag
 
 (* the bare node or element name of a solver unknown, what the
    static analysis is cross-checked against *)
 let unknown_name = function Diag.Node n -> n | Diag.Branch b -> b
-module Dc = Sn_engine.Dc
 
-let r name n1 n2 ohms = E.Resistor { name; n1; n2; ohms }
-let c name n1 n2 farads = E.Capacitor { name; n1; n2; farads }
-let l name n1 n2 henries = E.Inductor { name; n1; n2; henries }
-
-let v name np nn value =
-  E.Vsource { name; np; nn; wave = W.dc value; ac_mag = 0.0 }
-
-let i name np nn value =
-  E.Isource { name; np; nn; wave = W.dc value; ac_mag = 0.0 }
+open Helpers
 
 let mos name d g s b =
   E.Mosfet
@@ -44,17 +34,6 @@ let check_has what code report =
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-(* plain Newton only: no rescue rung may paper over a singularity the
-   analyzer is supposed to predict *)
-let singular_pivot_of nl =
-  let options =
-    { Dc.default_options with Dc.ladder = [ Diag.Plain_newton ] }
-  in
-  match Dc.solve ~options nl with
-  | (_ : Dc.solution) -> None
-  | exception Diag.Error (Diag.Singular_pivot { unknown; _ }) -> Some unknown
-  | exception Diag.Error _ -> None
 
 (* every unknown in every reported dependent group, by name *)
 let structural_names nl =
@@ -327,6 +306,12 @@ let test_ordering_permutation_invariant_codes () =
 (* ------------------------------------------------------------------ *)
 (* suppression: pragmas and configuration *)
 
+(* [deck] minus its [*%snoise ignore] lines *)
+let without_pragmas deck =
+  String.split_on_char '\n' deck
+  |> List.filter (fun l -> not (has_prefix "*%snoise ignore" l))
+  |> String.concat "\n"
+
 let probe_deck =
   "*%snoise ignore dangling-node probe\n\
    v1 in 0 1.0\n\
@@ -339,9 +324,9 @@ let test_pragma_suppression () =
   let report = analyze nl in
   Alcotest.(check int) "clean" 0 (List.length report.A.Analyzer.diagnostics);
   Alcotest.(check int) "one suppressed" 1 report.A.Analyzer.suppressed;
-  (* pragmas can be turned off *)
-  let config = { default_config with A.Analyzer.use_pragmas = false } in
-  check_has "resurfaces" "dangling-node" (analyze ~config nl)
+  (* the same deck without its pragma line reports the finding *)
+  let bare = C.Spice.of_string (without_pragmas probe_deck) in
+  check_has "resurfaces" "dangling-node" (analyze bare)
 
 let test_config_suppression () =
   let nl =
@@ -398,9 +383,8 @@ let test_pragma_multi_code () =
   Alcotest.(check int) "both findings suppressed" 0
     (List.length report.A.Analyzer.diagnostics);
   Alcotest.(check int) "both counted" 2 report.A.Analyzer.suppressed;
-  (* with pragmas off, both codes resurface *)
-  let config = { default_config with A.Analyzer.use_pragmas = false } in
-  let report = analyze ~config nl in
+  (* without the pragma line, both codes resurface *)
+  let report = analyze (C.Spice.of_string (without_pragmas deck)) in
   check_has "dangling-node resurfaces" "dangling-node" report;
   check_has "extreme-value resurfaces" "extreme-value" report
 
@@ -712,8 +696,6 @@ let prop_structural_soundness =
       match singular_pivot_of nl with
       | None -> true
       | Some _ -> errs <> [])
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

@@ -6,8 +6,7 @@ module W = C.Waveform
 module M = C.Mos_model
 module V = C.Varactor_model
 
-let check_float = Alcotest.(check (float 1e-9))
-let check_close tol = Alcotest.(check (float tol))
+open Helpers
 
 (* ------------------------------------------------------------------ *)
 (* waveforms *)
@@ -145,8 +144,6 @@ let prop_varactor_charge_monotone =
 
 (* ------------------------------------------------------------------ *)
 (* netlist construction *)
-
-let r name n1 n2 ohms = C.Element.Resistor { name; n1; n2; ohms }
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -302,8 +299,6 @@ let test_spice_pragmas () =
   match C.Spice.of_string "*%snoise frobnicate x\nr1 a 0 1k\n" with
   | exception C.Spice.Parse_error _ -> ()
   | _ -> Alcotest.fail "bad pragma accepted"
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

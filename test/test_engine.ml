@@ -8,21 +8,16 @@ module M = C.Mos_model
 module U = Sn_numerics.Units
 module Dc = Sn_engine.Dc
 module Ac = Sn_engine.Ac
+module Dense_ac = Sn_oracle.Dense_ac
 module Tran = Sn_engine.Tran
 module Goertzel = Sn_numerics.Goertzel
 
-let check_close tol = Alcotest.(check (float tol))
+open Helpers
 
 (* the current through a voltage-defined element, read off the
    solution vector *)
 let branch_current nl s name =
   (Dc.unknowns s).(Sn_engine.Mna.branch_slot (Sn_engine.Mna.build nl) name)
-
-let r name n1 n2 ohms = E.Resistor { name; n1; n2; ohms }
-let c name n1 n2 farads = E.Capacitor { name; n1; n2; farads }
-let l name n1 n2 henries = E.Inductor { name; n1; n2; henries }
-
-let vdc name np nn v = E.Vsource { name; np; nn; wave = W.dc v; ac_mag = 0.0 }
 
 let vac name np nn ?(dc = 0.0) mag =
   E.Vsource { name; np; nn; wave = W.dc dc; ac_mag = mag }
@@ -35,7 +30,7 @@ let idc name np nn v = E.Isource { name; np; nn; wave = W.dc v; ac_mag = 0.0 }
 let test_dc_divider () =
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 10.0; r "r1" "in" "mid" 1000.0;
+      [ v "v1" "in" "0" 10.0; r "r1" "in" "mid" 1000.0;
         r "r2" "mid" "0" 3000.0 ]
   in
   let s = Dc.solve nl in
@@ -51,7 +46,7 @@ let test_dc_current_source () =
 let test_dc_inductor_short () =
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 5.0; r "r1" "in" "a" 1000.0; l "l1" "a" "b" 1e-9;
+      [ v "v1" "in" "0" 5.0; r "r1" "in" "a" 1000.0; l "l1" "a" "b" 1e-9;
         r "r2" "b" "0" 1000.0 ]
   in
   let s = Dc.solve nl in
@@ -62,7 +57,7 @@ let test_dc_inductor_short () =
 let test_dc_capacitor_open () =
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 5.0; r "r1" "in" "a" 1000.0; c "c1" "a" "0" 1e-9 ]
+      [ v "v1" "in" "0" 5.0; r "r1" "in" "a" 1000.0; c "c1" "a" "0" 1e-9 ]
   in
   let s = Dc.solve nl in
   check_close 1e-5 "cap open: no drop" 5.0 (Dc.voltage s "a")
@@ -70,7 +65,7 @@ let test_dc_capacitor_open () =
 let test_dc_vcvs () =
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 1.0;
+      [ v "v1" "in" "0" 1.0;
         E.Vcvs { name = "e1"; np = "out"; nn = "0"; cp = "in"; cn = "0";
                  gain = 4.0 };
         r "rl" "out" "0" 1000.0 ]
@@ -81,7 +76,7 @@ let test_dc_vcvs () =
 let test_dc_vccs () =
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 2.0;
+      [ v "v1" "in" "0" 2.0;
         E.Vccs { name = "g1"; np = "out"; nn = "0"; cp = "in"; cn = "0";
                  gm = 1.0e-3 };
         r "rl" "out" "0" 500.0 ]
@@ -91,7 +86,7 @@ let test_dc_vccs () =
   check_close 1e-6 "vccs polarity" (-1.0) (Dc.voltage s "out")
 
 let diode_connected_bias =
-  [ vdc "vdd" "vdd" "0" 1.8;
+  [ v "vdd" "vdd" "0" 1.8;
     r "rd" "vdd" "d" 1000.0;
     E.Mosfet { name = "m1"; drain = "d"; gate = "d"; source = "0";
                bulk = "0"; model = M.default_nmos; w = 10e-6; l = 1e-6;
@@ -113,7 +108,7 @@ let test_dc_pmos_mirror_polarity () =
      toward vdd through the device against a resistor to ground *)
   let nl =
     C.Netlist.create
-      [ vdc "vdd" "vdd" "0" 1.8;
+      [ v "vdd" "vdd" "0" 1.8;
         E.Mosfet { name = "mp"; drain = "d"; gate = "0"; source = "vdd";
                    bulk = "vdd"; model = M.default_pmos; w = 50e-6;
                    l = 0.5e-6; mult = 1 };
@@ -126,7 +121,7 @@ let test_dc_mos_reverse_conduction () =
   (* drain below source: the device conducts symmetrically *)
   let nl =
     C.Netlist.create
-      [ vdc "vg" "g" "0" 1.8; vdc "vs" "s" "0" 1.0;
+      [ v "vg" "g" "0" 1.8; v "vs" "s" "0" 1.0;
         E.Mosfet { name = "m1"; drain = "d"; gate = "g"; source = "s";
                    bulk = "0"; model = M.default_nmos; w = 10e-6; l = 1e-6;
                    mult = 1 };
@@ -143,7 +138,7 @@ let test_dc_bridge_with_gmin_path () =
   (* a node connected only through capacitors still solves thanks to gmin *)
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 1.0; c "c1" "in" "float" 1e-12;
+      [ v "v1" "in" "0" 1.0; c "c1" "in" "float" 1e-12;
         c "c2" "float" "0" 1e-12; r "r1" "in" "0" 1000.0 ]
   in
   let s = Dc.solve nl in
@@ -185,7 +180,7 @@ let test_ac_lc_resonance () =
     (Complex.norm (Ac.voltage s_off "tank") < 0.3)
 
 let common_source_bias vg =
-  [ vdc "vdd" "vdd" "0" 1.8; vdc "vg" "g" "0" vg;
+  [ v "vdd" "vdd" "0" 1.8; v "vg" "g" "0" vg;
     E.Vsource { name = "vsig"; np = "gac"; nn = "g"; wave = W.dc 0.0;
                 ac_mag = 1.0 };
     r "rd" "vdd" "d" 2000.0;
@@ -209,7 +204,7 @@ let test_ac_backgate_transfer () =
      gmb * (RD || ro) at the drain *)
   let nl =
     C.Netlist.create
-      [ vdc "vdd" "vdd" "0" 1.8; vdc "vg" "g" "0" 0.9;
+      [ v "vdd" "vdd" "0" 1.8; v "vg" "g" "0" 0.9;
         E.Vsource { name = "vbulk"; np = "b"; nn = "0"; wave = W.dc 0.0;
                     ac_mag = 1.0 };
         r "rd" "vdd" "d" 2000.0;
@@ -273,7 +268,7 @@ let test_ac_sparse_matches_dense_vco () =
   Array.iteri
     (fun k (p : Ac.sweep_point) ->
       let omega = U.two_pi *. freqs.(k) in
-      let a, rhs = Ac.system mna dc ~omega in
+      let a, rhs = Dense_ac.system mna dc ~omega in
       let x = Test_numerics.dense_csolve a rhs in
       List.iter
         (fun (node, v) ->
@@ -348,7 +343,7 @@ let test_mesh_sparse_matches_dense () =
   let four_kt = 4.0 *. 1.380649e-23 *. 300.0 in
   Array.iteri
     (fun k f ->
-      let a, rhs = Ac.system mna dc ~omega:(U.two_pi *. f) in
+      let a, rhs = Dense_ac.system mna dc ~omega:(U.two_pi *. f) in
       let v_ref = (Test_numerics.dense_csolve a rhs).(slot out) in
       let v = List.assoc out points.(k).Ac.values in
       let ac_err = Complex.norm (Complex.sub v v_ref) /. Complex.norm v_ref in
@@ -529,7 +524,7 @@ let test_noise_resistor_divider () =
   let rv = 10.0e3 in
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 1.0; r "r1" "in" "out" rv; r "r2" "out" "0" rv ]
+      [ v "v1" "in" "0" 1.0; r "r1" "in" "out" rv; r "r2" "out" "0" rv ]
   in
   let pts = Noise.analyze nl ~output:"out" ~freqs:[| 1.0e3 |] in
   let expected = 4.0 *. 1.380649e-23 *. 300.0 *. (rv /. 2.0) in
@@ -548,7 +543,7 @@ let test_noise_ktc () =
     let f3db = 1.0 /. (U.two_pi *. rv *. cv) in
     let nl =
       C.Netlist.create
-        [ vdc "v1" "in" "0" 1.0; r "r1" "in" "out" rv; c "c1" "out" "0" cv ]
+        [ v "v1" "in" "0" 1.0; r "r1" "in" "out" rv; c "c1" "out" "0" cv ]
     in
     let freqs = Sn_numerics.Sweep.logspace (f3db /. 1000.0) (1000.0 *. f3db) 400 in
     let pts = Noise.analyze nl ~output:"out" ~freqs in
@@ -585,7 +580,7 @@ let test_noise_filtered_rolloff () =
   (* beyond the RC corner the PSD falls 20 dB/dec *)
   let nl =
     C.Netlist.create
-      [ vdc "v1" "in" "0" 1.0; r "r1" "in" "out" 1.0e3; c "c1" "out" "0" 1.0e-9 ]
+      [ v "v1" "in" "0" 1.0; r "r1" "in" "out" 1.0e3; c "c1" "out" "0" 1.0e-9 ]
   in
   let f3db = 1.0 /. (U.two_pi *. 1.0e3 *. 1.0e-9) in
   let pts =
@@ -612,7 +607,7 @@ let test_noise_adjoint_matches_bruteforce () =
     | [ p ] -> p
     | _ -> Alcotest.fail "expected 1 point"
   in
-  let a, _ = Ac.system mna dc ~omega:(U.two_pi *. freq) in
+  let a, _ = Dense_ac.system mna dc ~omega:(U.two_pi *. freq) in
   let out_slot = Mna.node_slot mna "d" in
   let four_kt = 4.0 *. 1.380649e-23 *. 300.0 in
   let sources =
@@ -713,7 +708,7 @@ let test_sparams_isolation_of_substrate_model () =
   | _ -> Alcotest.fail "expected one point"
 
 let test_tran_invalid_args () =
-  let nl = C.Netlist.create [ r "r1" "a" "0" 1.0; vdc "v1" "a" "0" 1.0 ] in
+  let nl = C.Netlist.create [ r "r1" "a" "0" 1.0; v "v1" "a" "0" 1.0 ] in
   Alcotest.check_raises "bad dt"
     (Invalid_argument "Tran.simulate: tstop and dt must be > 0") (fun () ->
       ignore (Tran.simulate ~tstop:1.0 ~dt:0.0 nl))
@@ -764,7 +759,7 @@ let prop_dc_superposition =
         let nl =
           C.Netlist.create
             (ladder
-            @ [ vdc "v1" "in" "0" src_v;
+            @ [ v "v1" "in" "0" src_v;
                 E.Isource { name = "i2"; np = "0"; nn = probe;
                             wave = W.dc src_i; ac_mag = 0.0 } ])
         in
@@ -885,8 +880,6 @@ let test_tran_single_factorization () =
        (Array.length d.Tran.times - 1))
     true
     (Splu.solves () = Array.length d.Tran.times - 1)
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

@@ -5,7 +5,7 @@ module Rect = Sn_geometry.Rect
 module Path = Sn_geometry.Path
 module Transform = Sn_geometry.Transform
 
-let check_float = Alcotest.(check (float 1e-9))
+open Helpers
 
 let test_point_ops () =
   let a = Point.v 1.0 2.0 and b = Point.v 4.0 6.0 in
@@ -165,8 +165,6 @@ let prop_rect_intersection_within =
       | None -> true
       | Some o -> Rect.area o <= Rect.area a +. 1e-9
                   && Rect.area o <= Rect.area b +. 1e-9)
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

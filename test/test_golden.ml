@@ -13,6 +13,8 @@ module E = Sn_engine
 module G = Sn_geometry
 module Sub = Sn_substrate
 
+open Helpers
+
 let replace_all ~sub ~by s =
   let n = String.length sub in
   let b = Buffer.create (String.length s) in
@@ -55,10 +57,6 @@ let handle1 svc line =
   | rs -> Alcotest.failf "expected 1 reply, got %d" (List.length rs)
 
 let wire svc line = J.to_string (handle1 svc line)
-
-let with_fault site spec f =
-  E.Fault.arm site spec;
-  Fun.protect ~finally:E.Fault.disarm f
 
 (* a reducible RC ladder: the reduced plan it leaves resident carries a
    passivity certificate *)

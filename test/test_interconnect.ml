@@ -8,7 +8,7 @@ module T = Sn_tech.Tech
 module Rc = Sn_interconnect.Rc_netlist
 module Extract = Sn_interconnect.Extract
 
-let check_close tol = Alcotest.(check (float tol))
+open Helpers
 
 let total_capacitance nl =
   List.fold_left (fun acc (_, _, c) -> acc +. c) 0.0 (Rc.capacitors nl)
@@ -172,8 +172,6 @@ let prop_resistance_matches_formula =
       let expected = 0.08 *. len /. width in
       let got = Rc.resistance_between r.Extract.netlist "a" "b" in
       Float.abs (got -. expected) < 1e-6 *. expected +. 1e-9)
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

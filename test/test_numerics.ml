@@ -13,9 +13,9 @@ module Goertzel = Sn_numerics.Goertzel
 module Sweep = Sn_numerics.Sweep
 module Stats = Sn_numerics.Stats
 module Chol = Sn_numerics.Chol
+module Dense = Sn_oracle.Dense
 
-let check_float = Alcotest.(check (float 1e-9))
-let check_close tol = Alcotest.(check (float tol))
+open Helpers
 
 (* a matrix from its rows *)
 let mat_of_rows rows =
@@ -69,7 +69,7 @@ let test_vec_mismatch () =
 let test_mat_mul () =
   let a = mat_of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
   let b = mat_of_rows [| [| 5.0; 6.0 |]; [| 7.0; 8.0 |] |] in
-  let c = Mat.mul a b in
+  let c = Dense.mul a b in
   check_float "c00" 19.0 (Mat.get c 0 0);
   check_float "c01" 22.0 (Mat.get c 0 1);
   check_float "c10" 43.0 (Mat.get c 1 0);
@@ -77,17 +77,17 @@ let test_mat_mul () =
 
 let test_mat_identity () =
   let a = Mat.init 4 4 (fun i j -> float_of_int ((3 * i) + j + 1)) in
-  let i4 = Mat.identity 4 in
+  let i4 = Dense.identity 4 in
   let entries m = Array.init 4 (fun i -> Array.init 4 (Mat.get m i)) in
   let exact = Alcotest.(array (array (float 0.0))) in
-  Alcotest.check exact "A*I = A" (entries a) (entries (Mat.mul a i4));
-  Alcotest.check exact "I*A = A" (entries a) (entries (Mat.mul i4 a))
+  Alcotest.check exact "A*I = A" (entries a) (entries (Dense.mul a i4));
+  Alcotest.check exact "I*A = A" (entries a) (entries (Dense.mul i4 a))
 
 let test_mat_symmetry () =
   let s = mat_of_rows [| [| 2.0; -1.0 |]; [| -1.0; 2.0 |] |] in
-  Alcotest.(check bool) "symmetric" true (Mat.is_symmetric s);
+  Alcotest.(check bool) "symmetric" true (Dense.is_symmetric s);
   Mat.set s 0 1 5.0;
-  Alcotest.(check bool) "asymmetric" false (Mat.is_symmetric s)
+  Alcotest.(check bool) "asymmetric" false (Dense.is_symmetric s)
 
 (* ------------------------------------------------------------------ *)
 (* LU *)
@@ -133,9 +133,9 @@ let prop_lu_random_solve =
             +. Random.State.float st 1.0)
       in
       let x_true = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
-      let b = Mat.mul_vec a x_true in
+      let b = Dense.mul_vec a x_true in
       let x = Lu.solve_mat a b in
-      Vec.max_abs_diff x x_true < 1e-8)
+      Dense.max_abs_diff x x_true < 1e-8)
 
 (* ------------------------------------------------------------------ *)
 (* Envelope Cholesky *)
@@ -195,7 +195,7 @@ let prop_chol_matches_lu =
       let rhs () = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
       let close a b x =
         let x_lu = Lu.solve_mat a b in
-        Vec.max_abs_diff x x_lu <= 1e-10 *. Stats.max_abs x_lu
+        Dense.max_abs_diff x x_lu <= 1e-10 *. Stats.max_abs x_lu
       in
       let dense = chol_band ~n ~bw:(n - 1) in
       let a = random_spd_envelope st (Array.init n (fun k -> max 0 (k - bw))) in
@@ -395,7 +395,7 @@ let test_sparse_mul_vec () =
 
 let test_sparse_symmetric () =
   Alcotest.(check bool) "laplacian symmetric" true
-    (Mat.is_symmetric (Sparse.to_dense (laplacian_1d 10)))
+    (Dense.is_symmetric (Sparse.to_dense (laplacian_1d 10)))
 
 (* the CG solution, failing when the solve did not converge *)
 let cg_solve ?tol ?precond m b =
@@ -409,7 +409,7 @@ let test_cg_vs_lu () =
   let b = Array.init n (fun i -> sin (float_of_int i)) in
   let x_cg = cg_solve ~tol:1e-12 m b in
   let x_lu = Lu.solve_mat (Sparse.to_dense m) b in
-  Alcotest.(check bool) "CG matches LU" true (Vec.max_abs_diff x_cg x_lu < 1e-8)
+  Alcotest.(check bool) "CG matches LU" true (Dense.max_abs_diff x_cg x_lu < 1e-8)
 
 let test_cg_zero_rhs () =
   let r = Cg.solve (laplacian_1d 5) (Vec.zeros 5) in
@@ -444,7 +444,7 @@ let prop_cg_solves_spd =
       let x_true = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
       let rhs = Sparse.mul_vec m x_true in
       let x = cg_solve ~tol:1e-12 m rhs in
-      Vec.max_abs_diff x x_true < 1e-6)
+      Dense.max_abs_diff x x_true < 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* Mg: geometric multigrid preconditioner *)
@@ -487,7 +487,7 @@ let test_mg_cg_vs_lu () =
   let x = cg_solve ~tol:1e-12 ~precond:(Mg.precond mg) m rhs in
   let x_lu = Lu.solve_mat (Sparse.to_dense m) rhs in
   Alcotest.(check bool) "MG-CG matches LU" true
-    (Vec.max_abs_diff x x_lu < 1e-7)
+    (Dense.max_abs_diff x x_lu < 1e-7)
 
 (* A one-level hierarchy is the banded-Cholesky direct solve: on every
    axis order (z longest in the last shape) one application is the LU
@@ -504,7 +504,7 @@ let test_mg_coarse_exact () =
       let z = Vec.zeros n in
       Mg.precond mg rhs z;
       let x_lu = Lu.solve_mat (Sparse.to_dense m) rhs in
-      let err = Vec.max_abs_diff z x_lu /. Stats.max_abs x_lu in
+      let err = Dense.max_abs_diff z x_lu /. Stats.max_abs x_lu in
       Alcotest.(check bool)
         (Printf.sprintf "%s band solve = LU (%.2g)" what err)
         true (err <= 1e-12);
@@ -936,7 +936,7 @@ let prop_splu_matches_dense =
       let f = Splu.factor m in
       let x_sparse = Splu.solve f rhs in
       let x_dense = Lu.solve_mat (Sparse.to_dense m) rhs in
-      if Vec.max_abs_diff x_sparse x_dense >= 1e-9 then false
+      if Dense.max_abs_diff x_sparse x_dense >= 1e-9 then false
       else begin
         (* numeric refill with the same pattern: scale all values in
            place, refactor without symbolic work, compare again *)
@@ -947,7 +947,7 @@ let prop_splu_matches_dense =
         Splu.refactor f m;
         let x_sparse' = Splu.solve f rhs in
         let x_dense' = Lu.solve_mat (Sparse.to_dense m) rhs in
-        Vec.max_abs_diff x_sparse' x_dense' < 1e-9
+        Dense.max_abs_diff x_sparse' x_dense' < 1e-9
       end)
 
 let test_splu_small_system () =
@@ -959,7 +959,7 @@ let test_splu_small_system () =
   let x = Splu.solve f rhs in
   let x_ref = Lu.solve_mat (Sparse.to_dense m) rhs in
   Alcotest.(check bool) "solve matches Lu.solve_mat" true
-    (Vec.max_abs_diff x x_ref < 1e-9)
+    (Dense.max_abs_diff x x_ref < 1e-9)
 
 let test_splu_singular () =
   let b = Sparse.builder 3 3 in
@@ -1139,12 +1139,37 @@ let test_csplu_bit_exact () =
     (digest_hex (List.concat_map cfloats [ x1; y1; x2; y2 ]))
 
 (* A factor refilled from a matrix of the wrong size must refuse it and
-   keep solving the system it was built from. *)
+   keep solving the system it was built from.  One whose refill cancels
+   a pivot to zero must raise [Singular] at that column and stay usable:
+   the next refill solves bit for bit like a factor that never failed. *)
 let raises_dimension_mismatch f =
   match f () with
   | () -> false
   | exception Invalid_argument msg ->
     String.ends_with ~suffix:"dimension mismatch" msg
+
+let raises_singular_at col f =
+  match f () with () -> false | exception Splu.Singular c -> c = col
+
+(* full 3x3 patterns: [good3] pivots on the diagonal; [bad3], refilled
+   into that pivot order, cancels the column-1 pivot to exactly 0 *)
+let dense3 rows =
+  let b = Sparse.builder 3 3 in
+  Array.iteri
+    (fun i row -> Array.iteri (fun j v -> Sparse.add b i j v) row)
+    rows;
+  Sparse.finalize b
+
+let good3 =
+  dense3 [| [| 4.0; 1.0; 1.0 |]; [| 1.0; 4.0; 1.0 |]; [| 1.0; 1.0; 4.0 |] |]
+
+let bad3 =
+  dense3 [| [| 1.0; 1.0; 1.0 |]; [| 1.0; 1.0; 1.0 |]; [| 1.0; 2.0; 1.0 |] |]
+
+let cmat_of_real m =
+  let c = Splu.Cplx.mat_of_pattern m in
+  Array.blit (Sparse.values m) 0 c.Splu.Cplx.re 0 (Sparse.nnz m);
+  c
 
 let test_refactor_shape () =
   let st = Random.State.make [| 12 |] in
@@ -1154,7 +1179,7 @@ let test_refactor_shape () =
   Alcotest.(check bool) "real refactor refuses 10x10" true
     (raises_dimension_mismatch (fun () -> Splu.refactor f small));
   Alcotest.(check bool) "real factor intact" true
-    (Vec.max_abs_diff (Splu.solve f rhs)
+    (Dense.max_abs_diff (Splu.solve f rhs)
        (Lu.solve_mat (Sparse.to_dense m) rhs)
      < 1e-9);
   let cm = random_cdd_system st 12 and csmall = random_cdd_system st 10 in
@@ -1165,7 +1190,24 @@ let test_refactor_shape () =
   Alcotest.(check bool) "complex factor intact" true
     (cmax_diff (Splu.Cplx.solve cf crhs)
        (dense_csolve (cmat_to_dense cm) crhs)
-     < 1e-9)
+     < 1e-9);
+  let rhs3 = [| 1.0; 2.0; 3.0 |] in
+  let f = Splu.factor good3 and f_clean = Splu.factor good3 in
+  Alcotest.(check bool) "real zero pivot raises" true
+    (raises_singular_at 1 (fun () -> Splu.refactor f bad3));
+  Splu.refactor f good3;
+  Splu.refactor f_clean good3;
+  Alcotest.(check (array (float 0.0))) "real refill after singular"
+    (Splu.solve f_clean rhs3) (Splu.solve f rhs3);
+  let cgood = cmat_of_real good3 and cbad = cmat_of_real bad3 in
+  let crhs3 = Array.map (fun re -> { Complex.re; im = 0.5 }) rhs3 in
+  let cf = Splu.Cplx.factor cgood and cf_clean = Splu.Cplx.factor cgood in
+  Alcotest.(check bool) "complex zero pivot raises" true
+    (raises_singular_at 1 (fun () -> Splu.Cplx.refactor cf cbad));
+  Splu.Cplx.refactor cf cgood;
+  Splu.Cplx.refactor cf_clean cgood;
+  Alcotest.(check (float 0.0)) "complex refill after singular" 0.0
+    (cmax_diff (Splu.Cplx.solve cf_clean crhs3) (Splu.Cplx.solve cf crhs3))
 
 let test_csplu_singular () =
   let b = Sparse.builder 3 3 in
@@ -1593,8 +1635,6 @@ let test_lru_fold () =
   Lru.add c "c" 3;
   Alcotest.(check (list string)) "fold leaves recency" [ "b"; "c" ]
     (List.sort String.compare (Lru.fold (fun k _ acc -> k :: acc) c []))
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

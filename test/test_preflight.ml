@@ -5,36 +5,14 @@
 
 module C = Sn_circuit
 module E = C.Element
-module W = C.Waveform
 module A = Sn_analysis
 module Nu = A.Numeric
 module N = Sn_numerics
-module Diag = Sn_engine.Diag
-module Dc = Sn_engine.Dc
 module R = Snoise.Reduced_model
 
-let r name n1 n2 ohms = E.Resistor { name; n1; n2; ohms }
-let c name n1 n2 farads = E.Capacitor { name; n1; n2; farads }
-
-let v name np nn value =
-  E.Vsource { name; np; nn; wave = W.dc value; ac_mag = 0.0 }
-
-let i name np nn value =
-  E.Isource { name; np; nn; wave = W.dc value; ac_mag = 0.0 }
+open Helpers
 
 let ctx nl = A.Rule.context nl
-
-(* plain Newton only: no rescue rung may paper over the singularity
-   the pre-flight is supposed to predict *)
-let singular_pivot_of nl =
-  let options =
-    { Dc.default_options with Dc.ladder = [ Diag.Plain_newton ] }
-  in
-  match Dc.solve ~options nl with
-  | (_ : Dc.solution) -> None
-  | exception Diag.Error (Diag.Singular_pivot { unknown; _ }) ->
-    Option.map Test_analysis.unknown_name unknown
-  | exception Diag.Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* conditioning: the static span names the node the LU pivot dies at *)
@@ -60,7 +38,10 @@ let test_conditioning_predicts_pivot () =
         (Printf.sprintf "span flagged at %g" big)
         true (spans <> []);
       let static_nodes = List.map (fun s -> s.Nu.sp_node) spans in
-      match singular_pivot_of nl with
+      match
+        Option.map Test_analysis.unknown_name
+          (Option.join (singular_pivot_of nl))
+      with
       | None -> ()
       | Some unknown ->
         incr dynamic_failures;
@@ -141,7 +122,9 @@ let random_psd st n =
     N.Mat.init n n (fun _ _ -> QCheck.Gen.float_range (-2.0) 2.0 st)
   in
   (* A Aᵀ + eps I: PSD with a definite margin *)
-  let m = N.Mat.mul a (N.Mat.init n n (fun i j -> N.Mat.get a j i)) in
+  let m =
+    Sn_oracle.Dense.mul a (N.Mat.init n n (fun i j -> N.Mat.get a j i))
+  in
   for i = 0 to n - 1 do
     N.Mat.set m i i (N.Mat.get m i i +. 1.0e-6)
   done;

@@ -9,8 +9,7 @@ module C = Sn_circuit
 module K = N.Krylov
 module R = Snoise.Reduced_model
 
-let r name n1 n2 ohms = C.Element.Resistor { name; n1; n2; ohms }
-let c name n1 n2 farads = C.Element.Capacitor { name; n1; n2; farads }
+open Helpers
 
 let v name np nn ac_mag =
   C.Element.Vsource { name; np; nn; wave = C.Waveform.Dc 0.0; ac_mag }
@@ -517,8 +516,6 @@ let test_flow_reduced_nmos () =
        pr.Flow.transfer_sim_db pe.Flow.transfer_sim_db)
     true
     (Float.abs (pr.Flow.transfer_sim_db -. pe.Flow.transfer_sim_db) < 0.05)
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

@@ -8,7 +8,7 @@ module Behavioral = Sn_rf.Behavioral
 module Pn = Sn_rf.Phase_noise
 module U = Sn_numerics.Units
 
-let check_close tol = Alcotest.(check (float tol))
+open Helpers
 
 let tank = Tank.default_3ghz
 let bias = Tank.quiet_bias ~v_tune:0.45

@@ -11,7 +11,7 @@ module Diag = Sn_engine.Diag
 module Fault = Sn_engine.Fault
 module Mna = Sn_engine.Mna
 
-let check_close tol = Alcotest.(check (float tol))
+open Helpers
 
 (* naive substring search, enough for asserting rendered output *)
 let contains s affix =
@@ -19,20 +19,12 @@ let contains s affix =
   let rec at i = i + m <= n && (String.sub s i m = affix || at (i + 1)) in
   at 0
 
-let r name n1 n2 ohms = E.Resistor { name; n1; n2; ohms }
-let c name n1 n2 farads = E.Capacitor { name; n1; n2; farads }
-let vdc name np nn v = E.Vsource { name; np; nn; wave = W.dc v; ac_mag = 0.0 }
-
-let with_fault site spec f =
-  Fault.arm site spec;
-  Fun.protect ~finally:Fault.disarm f
-
 let divider =
-  [ vdc "v1" "in" "0" 10.0; r "r1" "in" "mid" 1000.0;
+  [ v "v1" "in" "0" 10.0; r "r1" "in" "mid" 1000.0;
     r "r2" "mid" "0" 3000.0 ]
 
 let diode_nmos =
-  [ vdc "vdd" "vdd" "0" 1.8;
+  [ v "vdd" "vdd" "0" 1.8;
     r "rd" "vdd" "d" 1000.0;
     E.Mosfet { name = "m1"; drain = "d"; gate = "d"; source = "0";
                bulk = "0"; model = M.default_nmos; w = 10e-6; l = 1e-6;
@@ -41,7 +33,7 @@ let diode_nmos =
 (* Two ideal sources fighting over one node: structurally singular,
    and no rescue rung can fix it. *)
 let vsource_clash =
-  [ vdc "v1" "in" "0" 1.0; vdc "v2" "in" "0" 2.0; r "r1" "in" "0" 1000.0 ]
+  [ v "v1" "in" "0" 1.0; v "v2" "in" "0" 2.0; r "r1" "in" "0" 1000.0 ]
 
 (* ------------------------------------------------------------------ *)
 (* rescue ladder *)
@@ -143,7 +135,7 @@ let test_injected_dc_fault_transparent () =
 (* transient backoff *)
 
 let rc_charge =
-  [ vdc "v1" "in" "0" 1.0; r "r1" "in" "out" 1000.0; c "c1" "out" "0" 1e-6 ]
+  [ v "v1" "in" "0" 1.0; r "r1" "in" "out" 1000.0; c "c1" "out" "0" 1e-6 ]
 
 let rc_options = { Tran.default_options with ic = Tran.Uic [] }
 

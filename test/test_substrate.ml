@@ -10,7 +10,7 @@ module Grid = Sn_substrate.Grid
 module Extractor = Sn_substrate.Extractor
 module Macromodel = Sn_substrate.Macromodel
 
-let check_float = Alcotest.(check (float 1e-9))
+open Helpers
 
 (* the branch resistance -1 / G_ab between two ports of the model's
    equivalent resistor network *)
@@ -181,7 +181,7 @@ let two_contact_model ?(die = die100) ?(cfg = fast_config) ?(sep = 60.0) () =
 let test_macromodel_symmetric () =
   let m = two_contact_model () in
   Alcotest.(check bool) "S symmetric" true
-    (N.Mat.is_symmetric ~tol:1e-6 m.Macromodel.conductance)
+    (Sn_oracle.Dense.is_symmetric ~tol:1e-6 m.Macromodel.conductance)
 
 let test_macromodel_row_sums_zero () =
   (* no global ground: the reduced network is a pure Laplacian *)
@@ -356,7 +356,7 @@ let test_grounded_backplane_shields () =
     true
     (g plated < 1.1 *. g bare)
 
-module Elim = Sn_substrate.Elimination
+module Elim = Sn_oracle.Elimination
 
 let test_elimination_simple_chain () =
   (* three resistors in series, middle nodes eliminated: R total = sum *)
@@ -1351,8 +1351,6 @@ let test_corrected_schur_accuracy () =
         true
         (linear10 >= 100.0 *. corrected))
     [ 1; 2 ]
-
-let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suites =
   [

@@ -9,7 +9,7 @@ module NS = Sn_testchip.Nmos_structure
 module VC = Sn_testchip.Vco_chip
 module C = Sn_circuit
 
-let check_close tol = Alcotest.(check (float tol))
+open Helpers
 
 (* ------------------------------------------------------------------ *)
 (* Ring *)
