@@ -12,19 +12,23 @@ type initial_condition = Operating_point | Uic of (string * float) list
 
 type options = {
   method_ : method_;
-  max_newton : int;
   ic : initial_condition;
   record : string list option;
   linear_fast_path : bool;
-  max_step_retries : int;
 }
 
 let default_options =
-  { method_ = Trapezoidal; max_newton = 50; ic = Operating_point;
-    record = None; linear_fast_path = true; max_step_retries = 6 }
+  { method_ = Trapezoidal; ic = Operating_point; record = None;
+    linear_fast_path = true }
 
 (* max |delta x| at which a time point's Newton loop stops *)
 let newton_tolerance = 1e-9
+
+(* a time point fails after [max_newton] Newton iterations; a failing
+   point is retried down to [dt / 2^max_step_retries] before the
+   waveform is truncated *)
+let max_newton = 50
+let max_step_retries = 6
 
 exception Step_failed of { time : float; iterations : int }
 
@@ -162,7 +166,7 @@ let solve_point ?(fault_scope = 0) plan asm rhs options state ~h ~t x_guess =
     let dim = P.dim plan in
     let x = Array.copy x_guess in
     let rec newton k =
-      if k >= options.max_newton then
+      if k >= max_newton then
         raise (Step_failed { time = t; iterations = k });
       assemble plan asm rhs options state ~h ~t x;
       let x_new =
@@ -280,9 +284,8 @@ let simulate ?(options = default_options) ~tstop ~dt netlist =
          factorization (if any) must be released first *)
       Assembler.unfreeze asm;
       let rec retry r =
-        if r > options.max_step_retries then
-          Error (dt /. float_of_int (1 lsl options.max_step_retries),
-                 options.max_step_retries)
+        if r > max_step_retries then
+          Error (dt /. float_of_int (1 lsl max_step_retries), max_step_retries)
         else begin
           let sub = 1 lsl r in
           let h = dt /. float_of_int sub in

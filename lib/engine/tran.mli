@@ -14,7 +14,6 @@ type initial_condition =
 
 type options = {
   method_ : method_;
-  max_newton : int;
   ic : initial_condition;
   record : string list option;  (** nodes to record; [None] = all *)
   linear_fast_path : bool;
@@ -22,9 +21,6 @@ type options = {
           Newton loop and — on a fixed step — freeze the LU
           factorization after the first point, leaving two triangular
           solves per step (default [true]) *)
-  max_step_retries : int;
-      (** step-size halvings tried when a time point fails before the
-          waveform is truncated (default 6, i.e. down to [dt / 64]) *)
 }
 
 val default_options : options
@@ -53,7 +49,7 @@ val simulate :
   dataset
 (** [simulate ?options ~tstop ~dt nl] integrates from 0 to [tstop].
     A failing time point is retried by re-integrating its interval
-    with up to [2 ^ max_step_retries] substeps; if even the smallest
+    with up to 64 substeps (6 halvings); if even the smallest
     substep fails, the partial waveform is returned with
     {!type-dataset.field-truncated} set instead of raising.  Raises
     [Invalid_argument] for non-positive [tstop] / [dt]. *)

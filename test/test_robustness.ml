@@ -154,18 +154,15 @@ let test_tran_backoff_recovers () =
             v_ref.(k) x)
         v)
 
-(* max_newton = 0 fails every solve at every substep size: the run
-   must stop early with a truncation diagnostic instead of raising. *)
-let unsolvable_options =
-  { rc_options with max_newton = 0; linear_fast_path = false;
-    max_step_retries = 2 }
-
+(* A structurally singular deck fails every solve at every substep
+   size: the run must stop after the last of the six halvings with a
+   truncation diagnostic instead of raising. *)
 let test_tran_truncation () =
-  let nl = C.Netlist.create rc_charge in
-  let d = Tran.simulate ~options:unsolvable_options ~tstop:1e-3 ~dt:1e-4 nl in
+  let nl = C.Netlist.create vsource_clash in
+  let d = Tran.simulate ~options:rc_options ~tstop:1e-3 ~dt:1e-4 nl in
   (match d.Tran.truncated with
    | Some (Diag.Step_truncated { retries; completed_points; _ }) ->
-     Alcotest.(check int) "retries exhausted" 2 retries;
+     Alcotest.(check int) "retries exhausted" 6 retries;
      Alcotest.(check int) "only the initial point" 1 completed_points
    | Some other ->
      Alcotest.failf "unexpected diagnostic: %s" (Diag.to_string other)
