@@ -171,6 +171,65 @@ let test_malformed_requests () =
   let reply = handle1 svc {|{"id": 1, "verb": "ping"}|} in
   Alcotest.(check string) "still alive" "response" (msg_type reply)
 
+(* every refusal the request reader can give, code and message as the
+   client reads them: the envelope checks in their order, then the
+   params accessors (reached through verbs that read params before
+   touching a deck) *)
+let test_refusal_messages () =
+  let svc = Sv.create () in
+  List.iter
+    (fun (line, code, message) ->
+      let reply = handle1 svc line in
+      let error = member "error" reply in
+      Alcotest.(check (pair string string))
+        line (code, message)
+        (str (member "code" error), str (member "message" error)))
+    [
+      ({|[1, 2]|}, "bad-request", "a request must be a JSON object");
+      ( {|{"type": "response", "verb": "ping"}|},
+        "bad-request",
+        {|unexpected message type "response"|} );
+      ( {|{"type": 1, "verb": "ping"}|},
+        "bad-request",
+        {|"type" must be a string|} );
+      ({|{"id": 1}|}, "bad-request", {|missing "verb"|});
+      ({|{"verb": 7}|}, "bad-request", {|"verb" must be a string|});
+      ({|{"verb": "warp"}|}, "unknown-verb", {|unknown verb "warp"|});
+      ( {|{"verb": "op", "deck": "x", "deck_path": "y"}|},
+        "bad-request",
+        {|give "deck" or "deck_path", not both|} );
+      ( {|{"verb": "op", "deck": 1}|},
+        "bad-request",
+        {|"deck" must be a string|} );
+      ( {|{"verb": "extract", "layout_path": []}|},
+        "bad-request",
+        {|"layout_path" must be a string|} );
+      ( {|{"verb": "op", "deadline_ms": -1}|},
+        "bad-request",
+        {|"deadline_ms" must be a positive number|} );
+      ( {|{"verb": "op", "overrides": {"r1": "big"}}|},
+        "bad-request",
+        {|override "r1" must be a number|} );
+      ( {|{"verb": "op", "overrides": [1]}|},
+        "bad-request",
+        {|"overrides" must be an object|} );
+      ( {|{"verb": "spur", "params": {"f_noise": "x"}}|},
+        "bad-request",
+        {|param "f_noise" must be a number|} );
+      ( {|{"verb": "spur", "params": {}}|},
+        "bad-request",
+        {|missing required param "f_noise"|} );
+      ( {|{"verb": "ac", "params": [1]}|},
+        "bad-request",
+        {|"params" must be an object|} );
+      ( {|{"verb": "ac", "params": {"nodes": "out"}}|},
+        "bad-request",
+        {|param "nodes" must be an array|} );
+      ( {|{"verb": "ac", "params": {"nodes": [1]}}|},
+        "bad-request",
+        {|param "nodes" must hold strings|} );
+    ]
+
 let test_lint_refused () =
   let svc = Sv.create () in
   let reply = handle1 svc (request ~verb:"op" ~deck:bad_lint_deck ()) in
@@ -1206,6 +1265,7 @@ let suites =
     ( "server-service",
       [
         Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
+        Alcotest.test_case "refusal messages" `Quick test_refusal_messages;
         Alcotest.test_case "lint refusal" `Quick test_lint_refused;
         Alcotest.test_case "plan cache eviction" `Quick
           test_plan_cache_eviction;
