@@ -55,7 +55,7 @@ server-chaos: build
 # LOC_UNUSED_MAX values are listed.  Both scans read the sources with
 # comments and string literals blanked (STRIP_OCAML), so a name that
 # only prose or a message mentions is no use.
-LOC_UNUSED_MAX = 44
+LOC_UNUSED_MAX = 42
 
 # awk filter: OCaml source minus nested (* *) comments, "..." and
 # {id|...|id} string literals and character literals, one output line

@@ -128,59 +128,34 @@ let or_diag_exit f =
 
 let print_json j = print_endline (Sn_json.Json.to_string j)
 
-let run_fig3 options =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig3 fmt (Snoise.Experiments.fig3 ~options ());
-      Snoise.Report.sec3 fmt (Snoise.Experiments.sec3_numbers ~options ());
-      finish ())
+module R = Snoise.Report
+module X = Snoise.Experiments
 
-let run_fig7 options f_noise =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig7 fmt (Snoise.Experiments.fig7 ~options ~f_noise ());
-      finish ())
+(* the experiments of the figure commands and of [all], one Experiments
+   -> Report call each *)
+let fig3 options =
+  R.fig3 fmt (X.fig3 ~options ());
+  R.sec3 fmt (X.sec3_numbers ~options ())
 
-let run_fig8 options =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig8 fmt (Snoise.Experiments.fig8 ~options ());
-      finish ())
+let fig7 f_noise options = R.fig7 fmt (X.fig7 ~options ~f_noise ())
+let fig8 options = R.fig8 fmt (X.fig8 ~options ())
+let fig9 options = R.fig9 fmt (X.fig9 ~options ())
+let fig10 options = R.fig10 fmt (X.fig10 ~options ())
+let card options = R.vco_card fmt (X.vco_card ~options ())
+let runtime options = R.runtime fmt (X.runtime ~options ())
+let aggressor options = R.aggressor fmt (X.aggressor_comb ~options ())
+let ablations options = R.ablations fmt (X.ablations ~options ())
 
-let run_fig9 options =
+(* one experiment, run as a command *)
+let report run options =
   or_diag_exit (fun () ->
-      Snoise.Report.fig9 fmt (Snoise.Experiments.fig9 ~options ());
-      finish ())
-
-let run_fig10 options =
-  or_diag_exit (fun () ->
-      Snoise.Report.fig10 fmt (Snoise.Experiments.fig10 ~options ());
-      finish ())
-
-let run_card options =
-  or_diag_exit (fun () ->
-      Snoise.Report.vco_card fmt (Snoise.Experiments.vco_card ~options ());
-      finish ())
-
-let run_runtime options =
-  or_diag_exit (fun () ->
-      Snoise.Report.runtime fmt (Snoise.Experiments.runtime ~options ());
-      finish ())
-
-let run_aggressor options =
-  or_diag_exit (fun () ->
-      Snoise.Report.aggressor fmt
-        (Snoise.Experiments.aggressor_comb ~options ());
+      run options;
       finish ())
 
 let run_all options =
-  run_fig3 options;
-  run_fig7 options 10.0e6;
-  run_fig8 options;
-  run_fig9 options;
-  run_fig10 options;
-  run_card options;
-  or_diag_exit (fun () ->
-      Snoise.Report.ablations fmt (Snoise.Experiments.ablations ~options ());
-      finish ());
-  run_runtime options
+  List.iter
+    (fun run -> report run options)
+    [ fig3; fig7 10.0e6; fig8; fig9; fig10; card; ablations; runtime ]
 
 let run_extract options path =
   let layout = Sn_layout.Layout_io.load path in
@@ -197,12 +172,15 @@ let run_extract options path =
     (Sn_substrate.Macromodel.to_resistors macro);
   finish ()
 
+(* the merged VCO impact model: what netlist prints and the deck op,
+   lint and verify fall back to *)
+let merged_vco ?(vtune = 0.45) options =
+  Snoise.Flow.vco_merged
+    (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune)
+
 let run_netlist options vtune =
   or_diag_exit (fun () ->
-      let flow =
-        Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune
-      in
-      print_string (Sn_circuit.Spice.to_string (Snoise.Flow.vco_merged flow)))
+      print_string (Sn_circuit.Spice.to_string (merged_vco ~vtune options)))
 
 let run_op options vtune file =
   or_diag_exit (fun () ->
@@ -212,11 +190,7 @@ let run_op options vtune file =
           let nl = Sn_circuit.Spice.load path in
           Snoise.Flow.lint_gate ~enabled:options.Snoise.Flow.lint nl;
           nl
-        | None ->
-          let flow =
-            Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune
-          in
-          Snoise.Flow.vco_merged flow
+        | None -> merged_vco ~vtune options
       in
       let dc = Sn_engine.Dc.solve netlist in
       Format.fprintf fmt "%a@." Sn_engine.Dc.pp dc;
@@ -227,11 +201,7 @@ let run_lint options json strict ignores disables file =
       let deck, netlist =
         match file with
         | Some path -> (path, Sn_circuit.Spice.load path)
-        | None ->
-          ( "merged VCO impact model",
-            Snoise.Flow.vco_merged
-              (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default
-                 ~vtune:0.45) )
+        | None -> ("merged VCO impact model", merged_vco options)
       in
       let config =
         Sn_analysis.Analyzer.configure ~disable:disables ~ignore:ignores
@@ -285,10 +255,7 @@ let run_verify options json ignores disables cache file =
           | None ->
             (* unreduced: the pre-flight dry-runs the reduction itself *)
             ( "merged VCO impact model",
-              Snoise.Flow.vco_merged
-                (Snoise.Flow.build_vco
-                   ~options:{ options with Snoise.Flow.reduce = None }
-                   Sn_testchip.Vco_chip.default ~vtune:0.45) )
+              merged_vco { options with Snoise.Flow.reduce = None } )
         in
         let config =
           Sn_analysis.Analyzer.configure ~disable:disables ~ignore:ignores
@@ -531,28 +498,40 @@ let layout_arg =
     & pos 0 (some file) None
     & info [] ~docv:"LAYOUT" ~doc:"Layout file (text format).")
 
+(* a [serve] limit: an integer flag defaulting to the service's own
+   [default_config] field *)
+let limit_flag name docv field doc =
+  Arg.(
+    value
+    & opt int (field Sn_server.Service.default_config)
+    & info [ name ] ~docv ~doc)
+
 let cmd name doc term =
   Cmd.v (Cmd.info name ~doc) term
 
+(* a figure command: its experiment, with the arguments it reads *)
+let figure name doc run = cmd name doc Term.(const report $ run $ options)
+
 let cmds =
   [
-    cmd "fig3" "NMOS measurement structure transfer (paper Figure 3 / section 3)"
-      Term.(const run_fig3 $ options);
-    cmd "fig7" "VCO output spectrum with a substrate tone (paper Figure 7)"
-      Term.(const run_fig7 $ options $ f_noise_arg);
-    cmd "fig8" "spur power vs noise frequency and Vtune (paper Figure 8)"
-      Term.(const run_fig8 $ options);
-    cmd "fig9" "per-device contribution analysis (paper Figure 9)"
-      Term.(const run_fig9 $ options);
-    cmd "fig10" "ground interconnect sizing experiment (paper Figure 10)"
-      Term.(const run_fig10 $ options);
-    cmd "card" "VCO design card check (paper section 4)"
-      Term.(const run_card $ options);
-    cmd "runtime" "extraction / simulation wall-clock (paper section 6 note)"
-      Term.(const run_runtime $ options);
-    cmd "aggressor"
+    figure "fig3"
+      "NMOS measurement structure transfer (paper Figure 3 / section 3)"
+      (Term.const fig3);
+    figure "fig7" "VCO output spectrum with a substrate tone (paper Figure 7)"
+      Term.(const fig7 $ f_noise_arg);
+    figure "fig8" "spur power vs noise frequency and Vtune (paper Figure 8)"
+      (Term.const fig8);
+    figure "fig9" "per-device contribution analysis (paper Figure 9)"
+      (Term.const fig9);
+    figure "fig10" "ground interconnect sizing experiment (paper Figure 10)"
+      (Term.const fig10);
+    figure "card" "VCO design card check (paper section 4)" (Term.const card);
+    figure "runtime"
+      "extraction / simulation wall-clock (paper section 6 note)"
+      (Term.const runtime);
+    figure "aggressor"
       "digital switching-noise spur comb (the paper's sign-off outlook)"
-      Term.(const run_aggressor $ options);
+      (Term.const aggressor);
     cmd "all" "run every experiment" Term.(const run_all $ options);
     cmd "extract" "extract the substrate macromodel of a layout file"
       Term.(const run_extract $ options $ layout_arg);
@@ -621,57 +600,25 @@ let cmds =
                    $(b,--warmup-journal) so a restarted worker \
                    re-compiles recently served plans before \
                    accepting traffic.")
-        $ Arg.(
-            value
-            & opt int Sn_server.Service.default_config.Sn_server.Service.max_queue
-            & info [ "max-queue" ] ~docv:"N"
-                ~doc:
-                  "Bounded request-queue capacity; a full queue answers \
-                   $(b,busy) with a retry hint instead of buffering \
-                   without limit.")
-        $ Arg.(
-            value
-            & opt int
-                Sn_server.Service.default_config.Sn_server.Service.client_quota
-            & info [ "quota" ] ~docv:"N"
-                ~doc:
-                  "Max requests one client may have queued at once; \
-                   beyond it the client is answered $(b,quota-exceeded).")
-        $ Arg.(
-            value
-            & opt int Sn_server.Service.default_config.Sn_server.Service.max_decks
-            & info [ "max-decks" ] ~docv:"N"
-                ~doc:
-                  "Compiled-plan cache bound (LRU eviction beyond it).")
-        $ Arg.(
-            value
-            & opt int
-                Sn_server.Service.default_config.Sn_server.Service
-                .tran_max_points
-            & info [ "tran-max-points" ] ~docv:"N"
-                ~doc:
-                  "Largest transient point count a request may ask \
-                   for.")
-        $ Arg.(
-            value
-            & opt int
-                Sn_server.Service.default_config.Sn_server.Service.max_flows
-            & info [ "max-flows" ] ~docv:"N"
-                ~doc:
-                  "Bound on resident per-(vtune, grid) VCO flows \
-                   (LRU eviction beyond it).")
-        $ Arg.(
-            value
-            & opt int
-                Sn_server.Service.default_config.Sn_server.Service
-                .mem_watermark_mb
-            & info [ "mem-watermark-mb" ] ~docv:"MB"
-                ~doc:
-                  "Memory watermark: above $(docv) MB of live heap or \
-                   accounted plan bytes the service sheds \
-                   least-recently-used plans and answers $(b,busy) \
-                   with a retry hint instead of running into the OOM \
-                   killer.")
+        $ limit_flag "max-queue" "N" (fun c -> c.max_queue)
+            "Bounded request-queue capacity; a full queue answers \
+             $(b,busy) with a retry hint instead of buffering without \
+             limit."
+        $ limit_flag "quota" "N" (fun c -> c.client_quota)
+            "Max requests one client may have queued at once; beyond it \
+             the client is answered $(b,quota-exceeded)."
+        $ limit_flag "max-decks" "N" (fun c -> c.max_decks)
+            "Compiled-plan cache bound (LRU eviction beyond it)."
+        $ limit_flag "tran-max-points" "N" (fun c -> c.tran_max_points)
+            "Largest transient point count a request may ask for."
+        $ limit_flag "max-flows" "N" (fun c -> c.max_flows)
+            "Bound on resident per-(vtune, grid) VCO flows (LRU eviction \
+             beyond it)."
+        $ limit_flag "mem-watermark-mb" "MB" (fun c -> c.mem_watermark_mb)
+            "Memory watermark: above $(docv) MB of live heap or accounted \
+             plan bytes the service sheds least-recently-used plans and \
+             answers $(b,busy) with a retry hint instead of running into \
+             the OOM killer."
         $ Arg.(
             value
             & opt (some string) None

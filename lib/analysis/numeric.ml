@@ -6,6 +6,7 @@ module C = Sn_circuit
 module E = C.Element
 module P = Sn_engine.Stamp_plan
 module N = Sn_numerics
+module Uf = Rule.Uf
 
 let diag = Rule.diag
 let profile ctx = P.numeric_profile (Lazy.force ctx.Rule.plan)
@@ -152,26 +153,6 @@ type pool_defect = {
   pd_negative : int;
 }
 
-(* minimal union-find over node names (the rules module has its own;
-   depending on it here would be circular: Rules registers our
-   checks) *)
-module Uf = struct
-  let find (t : (string, string) Hashtbl.t) n =
-    let rec go n =
-      match Hashtbl.find_opt t n with
-      | None -> n
-      | Some p ->
-        let r = go p in
-        Hashtbl.replace t n r;
-        r
-    in
-    go n
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then Hashtbl.replace t ra rb
-end
-
 let pool_value = function
   | E.Resistor { ohms; _ } -> Some (1.0 /. ohms)
   | E.Capacitor { farads; _ } -> Some farads
@@ -189,7 +170,7 @@ let pool_passivity ctx =
        PSD by Gershgorin, no factorization needed *)
     []
   else begin
-    let uf = Hashtbl.create 64 in
+    let uf = Uf.create () in
     List.iter
       (fun e ->
         match List.filter (fun n -> not (E.is_ground n)) (E.nodes e) with

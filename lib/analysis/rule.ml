@@ -95,3 +95,23 @@ let diagnostic_to_json d =
       ("file", file);
       ("line", line);
     ]
+
+module Uf = struct
+  type t = (string, string) Hashtbl.t
+
+  let create () : t = Hashtbl.create 64
+
+  let rec find (t : t) n =
+    match Hashtbl.find_opt t n with
+    | None -> n
+    | Some p ->
+      let root = find t p in
+      Hashtbl.replace t n root;
+      root
+
+  let union t a b =
+    let ra = find t a and rb = find t b in
+    if ra <> rb then Hashtbl.replace t ra rb
+
+  let connected t a b = find t a = find t b
+end

@@ -71,3 +71,14 @@ val diagnostic_to_json : diagnostic -> Sn_json.Json.t
 (** One stable JSON object:
     [{"severity", "code", "subject_kind", "subject", "message",
     "file", "line"}] ([file]/[line] are [null] when unlocated). *)
+
+(** Union-find over node names with path compression, shared by the
+    connectivity rules. *)
+module Uf : sig
+  type t
+
+  val create : unit -> t
+  val find : t -> string -> string
+  val union : t -> string -> string -> unit
+  val connected : t -> string -> string -> bool
+end

@@ -10,28 +10,7 @@ let elements ctx = C.Netlist.elements ctx.Rule.netlist
 
 let canonical n = if E.is_ground n then "0" else n
 
-(* ------------------------------------------------------------------ *)
-(* small union-find over node names *)
-
-module Uf = struct
-  type t = (string, string) Hashtbl.t
-
-  let create () : t = Hashtbl.create 64
-
-  let rec find (t : t) n =
-    match Hashtbl.find_opt t n with
-    | None -> n
-    | Some p ->
-      let root = find t p in
-      Hashtbl.replace t n root;
-      root
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then Hashtbl.replace t ra rb
-
-  let connected t a b = find t a = find t b
-end
+module Uf = Rule.Uf
 
 (* ------------------------------------------------------------------ *)
 (* dangling-node *)

@@ -48,16 +48,12 @@ let pool_of options =
 
 module A = Sn_analysis
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* a thread-safe "first time for this key?" test: one per built flow,
    which pool workers share *)
 let first_time () =
   let seen = Hashtbl.create 16 and lock = Mutex.create () in
   fun key ->
-    with_lock lock (fun () ->
+    Mutex.protect lock (fun () ->
         (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true))
 
 let gate ?(enabled = true) ?(fresh = fun _ -> true) nl =
@@ -174,12 +170,12 @@ let bias_locked c =
     c.c_bias <- Some b;
     b
 
-let compiled_bias c = with_lock c.c_lock (fun () -> bias_locked c)
+let compiled_bias c = Mutex.protect c.c_lock (fun () -> bias_locked c)
 
-let compiled_bias_cached c = with_lock c.c_lock (fun () -> c.c_bias <> None)
+let compiled_bias_cached c = Mutex.protect c.c_lock (fun () -> c.c_bias <> None)
 
 let compiled_ac_plan c =
-  with_lock c.c_lock (fun () ->
+  Mutex.protect c.c_lock (fun () ->
       match c.c_acp with
       | Some a -> a
       | None ->

@@ -35,11 +35,6 @@ let factorizations () = Atomic.get n_factor
 let refactorizations () = Atomic.get n_refactor
 let solves () = Atomic.get n_solve
 
-let reset_stats () =
-  Atomic.set n_factor 0;
-  Atomic.set n_refactor 0;
-  Atomic.set n_solve 0
-
 (* ------------------------------------------------------------------ *)
 (* Field-independent core *)
 
@@ -247,7 +242,7 @@ type t = {
   lval : float array;
   uval : float array;
   dval : float array; (* diagonal of U *)
-  work : float array; (* dense scatter vector, kept all-zero between uses *)
+  work : float array; (* dense scatter vector, zero after a completed refill *)
 }
 
 let factor m =
@@ -299,7 +294,11 @@ let refactor { sym; lval; uval; dval; work = x } m =
   (* Each entry of the scatter vector is zeroed as soon as it is read:
      U rows in topological order (no later update reaches row [k]), then
      the pivot, then the L rows as they are divided, so [x] is all-zero
-     again when the column ends. *)
+     again when the column ends.  A [Singular] exit leaves the failed
+     column's L rows set and needs no clear: the first column whose LU
+     pattern holds a row holds it in A (fill at (r, c) needs L(r, k)
+     for some k < c), and no earlier column touches that row, so the
+     next refill's A scatter assigns it before anything reads it. *)
   for col = 0 to sym.n - 1 do
     for p = sym.acolptr.(col) to sym.acolptr.(col + 1) - 1 do
       x.(sym.arow.(p)) <- vals.(sym.aval_src.(p))
@@ -316,12 +315,7 @@ let refactor { sym; lval; uval; dval; work = x } m =
     done;
     let d = x.(col) in
     x.(col) <- 0.0;
-    if d = 0.0 || not (Float.is_finite d) then begin
-      for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
-        x.(sym.lrow.(q)) <- 0.0
-      done;
-      raise (Singular col)
-    end;
+    if d = 0.0 || not (Float.is_finite d) then raise (Singular col);
     dval.(col) <- d;
     for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
       let r = sym.lrow.(q) in
@@ -386,7 +380,7 @@ module Cplx = struct
     uim : float array;
     dgr : float array; (* diagonal of U *)
     dgi : float array;
-    wkr : float array; (* scatter workspace, all-zero between uses *)
+    wkr : float array; (* scatter workspace, zero after a completed refill *)
     wki : float array;
   }
 
@@ -461,7 +455,8 @@ module Cplx = struct
     if Array.length vre <> Array.length sym.aval_src then
       invalid_arg "Splu.Cplx.refactor: sparsity pattern changed";
     let xr = num.wkr and xi = num.wki in
-    (* entries are zeroed as they are read, as in the real [refactor] *)
+    (* entries are zeroed as they are read, and a [Singular] exit leaves
+       them for the next A scatter, as in the real [refactor] *)
     for col = 0 to sym.n - 1 do
       for p = sym.acolptr.(col) to sym.acolptr.(col + 1) - 1 do
         xr.(sym.arow.(p)) <- vre.(sym.aval_src.(p));
@@ -486,13 +481,7 @@ module Cplx = struct
       xr.(col) <- 0.0;
       xi.(col) <- 0.0;
       let den = (dr *. dr) +. (di *. di) in
-      if den = 0.0 || not (Float.is_finite den) then begin
-        for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do
-          xr.(sym.lrow.(q)) <- 0.0;
-          xi.(sym.lrow.(q)) <- 0.0
-        done;
-        raise (Singular col)
-      end;
+      if den = 0.0 || not (Float.is_finite den) then raise (Singular col);
       num.dgr.(col) <- dr;
       num.dgi.(col) <- di;
       for q = sym.lcolptr.(col) to sym.lcolptr.(col + 1) - 1 do

@@ -28,9 +28,6 @@ val refactorizations : unit -> int
 val solves : unit -> int
 (** Triangular solves, forward or transposed. *)
 
-val reset_stats : unit -> unit
-(** Zero all three counters. *)
-
 (** {1 Real systems} *)
 
 type t

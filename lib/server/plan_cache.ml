@@ -39,10 +39,6 @@ let create ~max_decks ~max_flows =
     flows = layer (max 1 max_flows);
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let deck_key ~text ~overrides =
   let canonical =
     List.map (fun (k, v) -> Printf.sprintf "%s=%.17g" k v) overrides
@@ -68,7 +64,7 @@ let text_key text =
    their key. *)
 let find_generic t layer ~key ~(compute : unit -> 'a) =
   let cached =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let v = Lru.find layer.lru key in
         (match v with
          | Some _ -> layer.hits <- layer.hits + 1
@@ -79,7 +75,7 @@ let find_generic t layer ~key ~(compute : unit -> 'a) =
   | Some v -> (v, Protocol.Hit)
   | None ->
     let v = compute () in
-    with_lock t (fun () -> Lru.add layer.lru key v);
+    Mutex.protect t.lock (fun () -> Lru.add layer.lru key v);
     (v, Protocol.Miss)
 
 (* memory-pressure shedding: drop LRU plans and macromodels down to
@@ -87,7 +83,7 @@ let find_generic t layer ~key ~(compute : unit -> 'a) =
    went.  The freed words only leave the process after a compaction —
    the service pairs this with [Gc.compact]. *)
 let shed t ~keep =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       ignore (Lru.trim t.macros.lru ~max_entries:keep);
       let flows =
         Lru.trim t.flows.lru ~max_entries:(Lru.length t.flows.lru / 2)
@@ -97,7 +93,7 @@ let shed t ~keep =
 let words_of plans =
   Lru.fold (fun _ (_, words) acc -> acc + words) plans.lru 0
 
-let plan_words t = with_lock t (fun () -> words_of t.plans)
+let plan_words t = Mutex.protect t.lock (fun () -> words_of t.plans)
 
 let find_netlist t ~text ~parse =
   fst
@@ -139,7 +135,7 @@ type plan_verification = {
 
 let verify_plans t =
   let entries =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         Lru.fold (fun _ (cp, _) acc -> cp :: acc) t.plans.lru [])
   in
   let v =
@@ -181,7 +177,7 @@ type stats = {
 }
 
 let stats t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         plans = Lru.length t.plans.lru;
         certified_plans =
@@ -204,7 +200,7 @@ let stats t =
       })
 
 let clear t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Lru.clear t.netlists.lru;
       Lru.clear t.plans.lru;
       Lru.clear t.macros.lru;

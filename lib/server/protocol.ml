@@ -12,34 +12,16 @@ type verb =
   | Health
   | Shutdown
 
-let verb_name = function
-  | Op -> "op"
-  | Ac -> "ac"
-  | Tran -> "tran"
-  | Noise -> "noise"
-  | Spur -> "spur"
-  | Lint -> "lint"
-  | Verify -> "verify"
-  | Extract -> "extract"
-  | Stats -> "stats"
-  | Ping -> "ping"
-  | Health -> "health"
-  | Shutdown -> "shutdown"
+(* each verb once, with its wire name *)
+let verbs =
+  [ ("op", Op); ("ac", Ac); ("tran", Tran); ("noise", Noise); ("spur", Spur);
+    ("lint", Lint); ("verify", Verify); ("extract", Extract);
+    ("stats", Stats); ("ping", Ping); ("health", Health);
+    ("shutdown", Shutdown) ]
 
-let verb_of_string = function
-  | "op" -> Some Op
-  | "ac" -> Some Ac
-  | "tran" -> Some Tran
-  | "noise" -> Some Noise
-  | "spur" -> Some Spur
-  | "lint" -> Some Lint
-  | "verify" -> Some Verify
-  | "extract" -> Some Extract
-  | "stats" -> Some Stats
-  | "ping" -> Some Ping
-  | "health" -> Some Health
-  | "shutdown" -> Some Shutdown
-  | _ -> None
+let verb_name verb = fst (List.find (fun (_, v) -> v = verb) verbs)
+
+let verb_of_string name = List.assoc_opt name verbs
 
 type source = Inline of string | Path of string
 
@@ -78,102 +60,140 @@ let error_code_name = function
   | Unauthorized -> "unauthorized"
   | Internal -> "internal"
 
+(* ------------------------------------------------------------------ *)
+(* reading a request: every check raises [Refused], which [parse_request]
+   and the service's [guard_result] turn into the error reply *)
+
+exception Refused of error_code * string
+
+let bad fmt = Printf.ksprintf (fun m -> raise (Refused (Bad_request, m))) fmt
+
+let params_members = function
+  | Json.Null -> []
+  | Json.Obj members -> members
+  | _ -> bad "\"params\" must be an object"
+
+(* a typed param accessor: the JSON converter and what the refusal
+   calls the expected kind *)
+type 'a kind = (Json.t -> 'a option) * string
+
+let number : float kind = (Json.to_float, "a number")
+let integer : int kind = (Json.to_int, "an integer")
+let boolean : bool kind = (Json.to_bool, "a boolean")
+let str : string kind = (Json.to_str, "a string")
+
+let param ((conv, what) : 'a kind) m k =
+  Option.map
+    (fun v ->
+      match conv v with
+      | Some x -> x
+      | None -> bad "param %S must be %s" k what)
+    (List.assoc_opt k m)
+
+let required kind m k =
+  match param kind m k with
+  | Some x -> x
+  | None -> bad "missing required param %S" k
+
+let opt_str_list m k =
+  Option.map
+    (fun v ->
+      match Json.to_list v with
+      | None -> bad "param %S must be an array" k
+      | Some items ->
+        List.map
+          (fun item ->
+            match Json.to_str item with
+            | Some s -> s
+            | None -> bad "param %S must hold strings" k)
+          items)
+    (List.assoc_opt k m)
+
+(* ["freqs": [...]] or a generated span ["fstart"/"fstop"/"points"
+   with log (default) or lin "spacing"] *)
+let freqs_of_params m =
+  match List.assoc_opt "freqs" m with
+  | Some v -> (
+    match Json.float_list v with
+    | Some (_ :: _ as l) -> Array.of_list l
+    | Some [] -> bad "\"freqs\" must not be empty"
+    | None -> bad "\"freqs\" must be an array of numbers")
+  | None -> (
+    let fstart = required number m "fstart" in
+    let fstop = required number m "fstop" in
+    let points = Option.value (param integer m "points") ~default:50 in
+    if points < 1 then bad "\"points\" must be >= 1";
+    match Option.value (param str m "spacing") ~default:"log" with
+    | "log" -> Sn_numerics.Sweep.logspace fstart fstop points
+    | "lin" -> Sn_numerics.Sweep.linspace fstart fstop points
+    | other -> bad "unknown spacing %S (log or lin)" other)
+
+let str_member json field =
+  Option.map
+    (fun v ->
+      match Json.to_str v with
+      | Some s -> s
+      | None -> bad "%S must be a string" field)
+    (Json.member field json)
+
+(* the envelope checks, in the order their refusals take precedence *)
+let read_request json =
+  (match json with
+  | Json.Obj _ -> ()
+  | _ -> bad "a request must be a JSON object");
+  (match str_member json "type" with
+  | None | Some "request" -> ()
+  | Some other -> bad "unexpected message type %S" other);
+  let name =
+    match str_member json "verb" with
+    | Some name -> name
+    | None -> bad "missing \"verb\""
+  in
+  let verb =
+    match verb_of_string name with
+    | Some verb -> verb
+    | None ->
+      raise (Refused (Unknown_verb, Printf.sprintf "unknown verb %S" name))
+  in
+  let inline, path =
+    match verb with
+    | Extract -> ("layout", "layout_path")
+    | _ -> ("deck", "deck_path")
+  in
+  if Option.is_some (Json.member inline json)
+     && Option.is_some (Json.member path json)
+  then bad "give %S or %S, not both" inline path;
+  let source =
+    match str_member json inline with
+    | Some text -> Some (Inline text)
+    | None -> Option.map (fun p -> Path p) (str_member json path)
+  in
+  let deadline_ms =
+    match Json.member "deadline_ms" json with
+    | None | Some Json.Null -> None
+    | Some (Json.Num v) when v > 0.0 && Float.is_finite v -> Some v
+    | Some _ -> bad "\"deadline_ms\" must be a positive number"
+  in
+  let overrides =
+    match Json.member "overrides" json with
+    | None -> []
+    | Some (Json.Obj members) ->
+      List.rev_map
+        (function
+          | k, Json.Num v -> (k, v)
+          | k, _ -> bad "override %S must be a number" k)
+        members
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    | Some _ -> bad "\"overrides\" must be an object"
+  in
+  let field k = Option.value (Json.member k json) ~default:Json.Null in
+  { id = field "id"; verb; source; overrides; deadline_ms;
+    params = field "params" }
+
 let parse_request json =
-  match json with
-  | Json.Obj _ -> (
-    let type_ok =
-      match Json.member "type" json with
-      | None | Some (Json.Str "request") -> Ok ()
-      | Some (Json.Str other) ->
-        Error
-          (Bad_request, Printf.sprintf "unexpected message type %S" other)
-      | Some _ -> Error (Bad_request, "\"type\" must be a string")
-    in
-    match type_ok with
-    | Error (c, m) -> Error (c, m)
-    | Ok () -> (
-      match Json.member "verb" json with
-      | None -> Error (Bad_request, "missing \"verb\"")
-      | Some v -> (
-        match Json.to_str v with
-        | None -> Error (Bad_request, "\"verb\" must be a string")
-        | Some name -> (
-          match verb_of_string name with
-          | None ->
-            Error (Unknown_verb, Printf.sprintf "unknown verb %S" name)
-          | Some verb -> (
-            let id =
-              Option.value (Json.member "id" json) ~default:Json.Null
-            in
-            let params =
-              Option.value (Json.member "params" json) ~default:Json.Null
-            in
-            let pick_source inline_field path_field =
-              match
-                (Json.member inline_field json, Json.member path_field json)
-              with
-              | Some _, Some _ ->
-                Error
-                  ( Bad_request,
-                    Printf.sprintf "give %S or %S, not both" inline_field
-                      path_field )
-              | Some v, None -> (
-                match Json.to_str v with
-                | Some s -> Ok (Some (Inline s))
-                | None ->
-                  Error
-                    ( Bad_request,
-                      Printf.sprintf "%S must be a string" inline_field ))
-              | None, Some v -> (
-                match Json.to_str v with
-                | Some s -> Ok (Some (Path s))
-                | None ->
-                  Error
-                    ( Bad_request,
-                      Printf.sprintf "%S must be a string" path_field ))
-              | None, None -> Ok None
-            in
-            let source =
-              match verb with
-              | Extract -> pick_source "layout" "layout_path"
-              | _ -> pick_source "deck" "deck_path"
-            in
-            let deadline =
-              match Json.member "deadline_ms" json with
-              | None | Some Json.Null -> Ok None
-              | Some (Json.Num v) when v > 0.0 && Float.is_finite v ->
-                Ok (Some v)
-              | Some _ ->
-                Error
-                  (Bad_request, "\"deadline_ms\" must be a positive number")
-            in
-            match (source, deadline) with
-            | (Error _ as e), _ -> e
-            | _, Error (c, m) -> Error (c, m)
-            | Ok source, Ok deadline_ms -> (
-              match Json.member "overrides" json with
-              | None ->
-                Ok { id; verb; source; overrides = []; deadline_ms; params }
-              | Some (Json.Obj members) -> (
-                let rec collect acc = function
-                  | [] ->
-                    Ok
-                      (List.sort
-                         (fun (a, _) (b, _) -> String.compare a b)
-                         acc)
-                  | (k, Json.Num v) :: rest -> collect ((k, v) :: acc) rest
-                  | (k, _) :: _ ->
-                    Error
-                      ( Bad_request,
-                        Printf.sprintf "override %S must be a number" k )
-                in
-                match collect [] members with
-                | Ok overrides ->
-                  Ok { id; verb; source; overrides; deadline_ms; params }
-                | Error _ as e -> e)
-              | Some _ ->
-                Error (Bad_request, "\"overrides\" must be an object")))))))
-  | _ -> Error (Bad_request, "a request must be a JSON object")
+  match read_request json with
+  | req -> Ok req
+  | exception Refused (code, message) -> Error (code, message)
 
 type cache_note = Hit | Miss | Not_applicable
 

@@ -85,10 +85,49 @@ type error_code =
           not presented it *)
   | Internal  (** unexpected exception (reported, not a disconnect) *)
 
+(** {1 Reading a request}
+
+    One reader for the envelope and for the verb-specific ["params"]:
+    every check refuses by raising {!Refused}. *)
+
+exception Refused of error_code * string
+(** A request the reader refuses: the error code and message of its
+    reply. *)
+
+val bad : ('a, unit, string, 'b) format4 -> 'a
+(** [bad fmt ...] raises {!Refused} with {!Bad_request} and the
+    printf-formatted message. *)
+
 val parse_request : Json.t -> (request, error_code * string) result
 (** Typed view of a parsed request line.  Rejects non-objects, unknown
     or missing verbs, conflicting deck sources and malformed
     overrides with the error code the reply should carry. *)
+
+val params_members : Json.t -> (string * Json.t) list
+(** The members of a request's ["params"]; [[]] when absent. *)
+
+type 'a kind
+(** What a param must hold, and what a refusal calls it. *)
+
+val number : float kind
+val integer : int kind
+val boolean : bool kind
+val str : string kind
+
+val param : 'a kind -> (string * Json.t) list -> string -> 'a option
+(** [param kind members k] is param [k], [None] when absent; refuses
+    a value of another kind. *)
+
+val required : 'a kind -> (string * Json.t) list -> string -> 'a
+(** Like {!param}, and refuses an absent param. *)
+
+val opt_str_list : (string * Json.t) list -> string -> string list option
+(** An optional array of strings. *)
+
+val freqs_of_params : (string * Json.t) list -> float array
+(** The sweep frequencies: ["freqs"], or ["fstart"]/["fstop"] with
+    ["points"] (default 50) and a ["spacing"] of ["log"] (default) or
+    ["lin"]. *)
 
 (** {1 Reply constructors} *)
 

@@ -111,16 +111,12 @@ let create ?(config = default_config) ?(options = Flow.default_options) () =
 
 let cache t = t.cache
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let queue_depth t = with_lock t (fun () -> Queue.length t.queue)
+let queue_depth t = Mutex.protect t.lock (fun () -> Queue.length t.queue)
 
 let note_reduction t = function
   | None -> ()
   | Some stats ->
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         t.reductions <- t.reductions + 1;
         t.last_reduction <- Some stats)
 
@@ -129,8 +125,6 @@ let note_reduction t = function
    [guard_result] below — a malformed request must produce a structured
    reply, never a disconnect or a crash *)
 
-exception Bad of string
-exception Unreadable of string
 exception Lint_errors of A.Analyzer.report
 
 let name_hint = function
@@ -146,9 +140,8 @@ let guard_result ~id f =
       (P.error ~id
          ~data:[ ("lint", A.Analyzer.to_json report) ]
          P.Lint_refused "lint errors refused simulation")
-  | exception (Bad m | Invalid_argument m) ->
-    Error (P.error ~id P.Bad_request m)
-  | exception Unreadable m -> Error (P.error ~id P.Deck_unreadable m)
+  | exception P.Refused (code, m) -> Error (P.error ~id code m)
+  | exception Invalid_argument m -> Error (P.error ~id P.Bad_request m)
   | exception C.Spice.Parse_error (line, msg) ->
     Error
       (P.error ~id P.Deck_unreadable
@@ -194,79 +187,13 @@ let with_id json id =
   | other -> other
 
 (* ------------------------------------------------------------------ *)
-(* params accessors (the ["params"] object of a request) *)
-
-let params_members = function
-  | J.Null -> []
-  | J.Obj members -> members
-  | _ -> raise (Bad "\"params\" must be an object")
-
-(* a typed param accessor: the JSON converter and what the refusal
-   calls the expected kind *)
-type 'a kind = (J.t -> 'a option) * string
-
-let number : float kind = (J.to_float, "a number")
-let integer : int kind = (J.to_int, "an integer")
-let boolean : bool kind = (J.to_bool, "a boolean")
-let str : string kind = (J.to_str, "a string")
-
-let param ((conv, what) : 'a kind) m k =
-  match List.assoc_opt k m with
-  | None -> None
-  | Some v -> (
-    match conv v with
-    | Some x -> Some x
-    | None -> raise (Bad (Printf.sprintf "param %S must be %s" k what)))
-
-let required kind m k =
-  match param kind m k with
-  | Some x -> x
-  | None -> raise (Bad (Printf.sprintf "missing required param %S" k))
-
-let opt_str_list m k =
-  match List.assoc_opt k m with
-  | None -> None
-  | Some v -> (
-    match J.to_list v with
-    | None -> raise (Bad (Printf.sprintf "param %S must be an array" k))
-    | Some items ->
-      Some
-        (List.map
-           (fun item ->
-             match J.to_str item with
-             | Some s -> s
-             | None ->
-               raise (Bad (Printf.sprintf "param %S must hold strings" k)))
-           items))
-
-(* ["freqs": [...]] or a generated span ["fstart"/"fstop"/"points"
-   with log (default) or lin "spacing"] *)
-let freqs_of_params m =
-  match List.assoc_opt "freqs" m with
-  | Some v -> (
-    match J.float_list v with
-    | Some (_ :: _ as l) -> Array.of_list l
-    | Some [] -> raise (Bad "\"freqs\" must not be empty")
-    | None -> raise (Bad "\"freqs\" must be an array of numbers"))
-  | None ->
-    let fstart = required number m "fstart" in
-    let fstop = required number m "fstop" in
-    let points = Option.value (param integer m "points") ~default:50 in
-    if points < 1 then raise (Bad "\"points\" must be >= 1");
-    (match Option.value (param str m "spacing") ~default:"log" with
-    | "log" -> N.Sweep.logspace fstart fstop points
-    | "lin" -> N.Sweep.linspace fstart fstop points
-    | other ->
-      raise (Bad (Printf.sprintf "unknown spacing %S (log or lin)" other)))
-
-(* ------------------------------------------------------------------ *)
 (* deck resolution and compilation *)
 
 let source_text = function
   | P.Inline s -> s
   | P.Path p -> (
     try In_channel.with_open_bin p In_channel.input_all
-    with Sys_error m -> raise (Unreadable m))
+    with Sys_error m -> raise (P.Refused (P.Deck_unreadable, m)))
 
 let source_name = function P.Inline _ -> "<inline>" | P.Path p -> p
 
@@ -274,10 +201,8 @@ let require_source (req : P.request) =
   match req.P.source with
   | Some s -> s
   | None ->
-    raise
-      (Bad
-         (Printf.sprintf "verb %S needs a deck (\"deck\" or \"deck_path\")"
-            (P.verb_name req.P.verb)))
+    P.bad "verb %S needs a deck (\"deck\" or \"deck_path\")"
+      (P.verb_name req.P.verb)
 
 (* a request's deck, resolved once: where it came from, its text and
    overrides, and the plan-cache key they digest to *)
@@ -322,7 +247,7 @@ let reduction_of_overrides overrides =
       ?order:(value R.Order) ?tol:(value R.Tol) ?s0_hz:(value R.S0) ()
   with
   | Ok config -> (elements, config)
-  | Error m -> raise (Bad ("override " ^ m))
+  | Error m -> P.bad "override %s" m
 
 let apply_overrides nl overrides =
   if overrides = [] then nl
@@ -349,17 +274,14 @@ let apply_overrides nl overrides =
         | C.Element.Vccs g -> C.Element.Vccs { g with gm = v }
         | C.Element.Vcvs g -> C.Element.Vcvs { g with gain = v }
         | C.Element.Mosfet _ | C.Element.Varactor _ ->
-          raise
-            (Bad
-               (Printf.sprintf
-                  "override %S: only R/C/L/V/I/G/E values can be overridden"
-                  name)))
+          P.bad "override %S: only R/C/L/V/I/G/E values can be overridden"
+            name)
     in
     let elements = List.map subst (C.Netlist.elements nl) in
     List.iter
       (fun (k, _) ->
         if not (Hashtbl.mem used (String.lowercase_ascii k)) then
-          raise (Bad (Printf.sprintf "override %S names no deck element" k)))
+          P.bad "override %S names no deck element" k)
       overrides;
     C.Netlist.create ~title:(C.Netlist.title nl)
       ~pragmas:(C.Netlist.pragmas nl)
@@ -390,7 +312,7 @@ let journal_compile t d =
   | None -> ()
   | Some j ->
     let fresh =
-      with_lock t (fun () ->
+      Mutex.protect t.lock (fun () ->
           if t.journaling && not (Hashtbl.mem t.journaled d.key) then begin
             Hashtbl.replace t.journaled d.key ();
             true
@@ -463,10 +385,10 @@ type sweep_verb = {
 }
 
 let sweep_signature sv (req : P.request) =
-  let m = params_members req.P.params in
+  let m = P.params_members req.P.params in
   let sg_columns, sg_contributions = sv.columns m in
   let sg_deck = deck_of req in
-  let sg_freqs = freqs_of_params m in
+  let sg_freqs = P.freqs_of_params m in
   { sg_deck; sg_columns; sg_freqs; sg_contributions;
     sg_deadline_ms = req.P.deadline_ms }
 
@@ -494,9 +416,9 @@ let run_op t (req : P.request) =
   let compiled, plan_note = compiled_of t (deck_of req) in
   let bias_note = bias_note compiled in
   let dc = Flow.compiled_bias compiled in
-  let m = params_members req.P.params in
+  let m = P.params_members req.P.params in
   let nodes =
-    match opt_str_list m "nodes" with
+    match P.opt_str_list m "nodes" with
     | Some ns -> ns
     | None ->
       Array.to_list (E.Mna.node_names (Flow.compiled_mna compiled))
@@ -507,32 +429,27 @@ let run_op t (req : P.request) =
 
 let run_tran t (req : P.request) =
   let compiled, plan_note = compiled_of t (deck_of req) in
-  let m = params_members req.P.params in
-  let tstop = required number m "tstop" and dt = required number m "dt" in
-  if tstop <= 0.0 || dt <= 0.0 then
-    raise (Bad "\"tstop\" and \"dt\" must be > 0");
+  let m = P.params_members req.P.params in
+  let tstop = P.required P.number m "tstop"
+  and dt = P.required P.number m "dt" in
+  if tstop <= 0.0 || dt <= 0.0 then P.bad "\"tstop\" and \"dt\" must be > 0";
   let n_points = int_of_float (Float.round (tstop /. dt)) + 1 in
   if n_points > t.config.tran_max_points then
-    raise
-      (Bad
-         (Printf.sprintf
-            "%d points exceed the service limit of %d (raise \"dt\" or \
-             split the window)"
-            n_points t.config.tran_max_points));
+    P.bad
+      "%d points exceed the service limit of %d (raise \"dt\" or split \
+       the window)"
+      n_points t.config.tran_max_points;
   let method_ =
-    match Option.value (param str m "method") ~default:"trapezoidal" with
+    match Option.value (P.param P.str m "method") ~default:"trapezoidal" with
     | "trapezoidal" | "trap" -> E.Tran.Trapezoidal
     | "backward-euler" | "be" -> E.Tran.Backward_euler
     | other ->
-      raise
-        (Bad
-           (Printf.sprintf "unknown method %S (trapezoidal or backward-euler)"
-              other))
+      P.bad "unknown method %S (trapezoidal or backward-euler)" other
   in
   let options =
     { E.Tran.default_options with
       E.Tran.method_ = method_;
-      record = opt_str_list m "nodes" }
+      record = P.opt_str_list m "nodes" }
   in
   let ds =
     E.Tran.simulate ~options ~tstop ~dt (Flow.compiled_netlist compiled)
@@ -555,9 +472,9 @@ let run_tran t (req : P.request) =
 
 let run_lint t (req : P.request) =
   let nl, _ = netlist_of t (deck_of req) in
-  let m = params_members req.P.params in
-  let strict = Option.value (param boolean m "strict") ~default:false in
-  let strings k = Option.value (opt_str_list m k) ~default:[] in
+  let m = P.params_members req.P.params in
+  let strict = Option.value (P.param P.boolean m "strict") ~default:false in
+  let strings k = Option.value (P.opt_str_list m k) ~default:[] in
   let config =
     A.Analyzer.configure ~disable:(strings "disable") ~ignore:(strings "ignore")
   in
@@ -581,13 +498,13 @@ let run_lint t (req : P.request) =
    hash-or-LDL^T work — never an extraction, solve or CG iteration. *)
 
 let run_verify t (req : P.request) =
-  let m = params_members req.P.params in
+  let m = P.params_members req.P.params in
   let doc =
-    match (param str m "cache_dir", req.P.source) with
-    | Some _, Some _ -> raise (Bad "give a deck or \"cache_dir\", not both")
+    match (P.param P.str m "cache_dir", req.P.source) with
+    | Some _, Some _ -> P.bad "give a deck or \"cache_dir\", not both"
     | Some dir, None ->
       if not (Sys.file_exists dir && Sys.is_directory dir) then
-        raise (Bad (Printf.sprintf "cache_dir %S is not a directory" dir));
+        P.bad "cache_dir %S is not a directory" dir;
       Snoise.Report.cache_verification_json ~dir
         (Sn_substrate.Cache.verify_dir (Sn_substrate.Cache.create ~dir))
     | None, Some _ ->
@@ -641,16 +558,16 @@ let run_extract t (req : P.request) =
 let max_spur_grid = 512
 
 let run_spur t (req : P.request) =
-  let m = params_members req.P.params in
-  let f_noise = required number m "f_noise" in
-  let vtune = Option.value (param number m "vtune") ~default:0.45 in
+  let m = P.params_members req.P.params in
+  let f_noise = P.required P.number m "f_noise" in
+  let vtune = Option.value (P.param P.number m "vtune") ~default:0.45 in
   let p_noise_dbm =
-    Option.value (param number m "p_noise_dbm") ~default:(-5.0)
+    Option.value (P.param P.number m "p_noise_dbm") ~default:(-5.0)
   in
   let grid_size name =
-    let n = Option.value (param integer m name) ~default:48 in
+    let n = Option.value (P.param P.integer m name) ~default:48 in
     if n < 4 || n > max_spur_grid then
-      raise (Bad (Printf.sprintf "%S must be in 4..%d" name max_spur_grid));
+      P.bad "%S must be in 4..%d" name max_spur_grid;
     n
   in
   let nx = grid_size "nx" and ny = grid_size "ny" in
@@ -693,10 +610,10 @@ let ac_sweep =
   {
     columns =
       (fun m ->
-        match opt_str_list m "nodes" with
+        match P.opt_str_list m "nodes" with
         | Some (_ :: _ as ns) -> (ns, false)
-        | Some [] -> raise (Bad "\"nodes\" must not be empty")
-        | None -> raise (Bad "missing required param \"nodes\""));
+        | Some [] -> P.bad "\"nodes\" must not be empty"
+        | None -> P.bad "missing required param \"nodes\"");
     solve =
       (fun pool compiled leader union ->
         let at =
@@ -728,8 +645,8 @@ let noise_sweep =
   {
     columns =
       (fun m ->
-        ( [ required str m "output" ],
-          Option.value (param boolean m "contributions") ~default:false ));
+        ( [ P.required P.str m "output" ],
+          Option.value (P.param P.boolean m "contributions") ~default:false ));
     solve =
       (fun pool compiled leader union ->
         let acp = Flow.compiled_ac_plan compiled in
@@ -793,7 +710,7 @@ let over_watermark t = mem_pressure_mb t > float_of_int t.config.mem_watermark_m
 let try_shed t =
   let now = Unix.gettimeofday () in
   let allowed =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         if now -. t.last_shed < 5.0 then false
         else begin
           t.last_shed <- now;
@@ -806,7 +723,7 @@ let try_shed t =
     let dropped, flows_dropped =
       Plan_cache.shed t.cache ~keep:(resident / 2)
     in
-    with_lock t (fun () -> t.shed_plans <- t.shed_plans + dropped);
+    Mutex.protect t.lock (fun () -> t.shed_plans <- t.shed_plans + dropped);
     Log.warn (fun m ->
         m "memory watermark: shed %d plan(s), %d flow(s), compacting"
           dropped flows_dropped);
@@ -821,7 +738,7 @@ let stats_json t =
   let pool = E.Pool.stats (Flow.pool_of t.options) in
   let tile = Sn_substrate.Cache.resolution () in
   let verb_table table to_json =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         Hashtbl.fold (fun k v acc -> (k, to_json v) :: acc) table []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b))
   in
@@ -904,7 +821,7 @@ let stats_json t =
           ] );
       ( "reduction",
         let reductions, last =
-          with_lock t (fun () -> (t.reductions, t.last_reduction))
+          Mutex.protect t.lock (fun () -> (t.reductions, t.last_reduction))
         in
         J.Obj
           (("reductions", num reductions)
@@ -1015,7 +932,7 @@ let bump add table k v =
     (match Hashtbl.find_opt table k with Some prev -> add prev v | None -> v)
 
 let note_reply t reply =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match reply with
       | J.Obj (("type", J.Str "error") :: _) ->
         t.errors_total <- t.errors_total + 1
@@ -1037,7 +954,7 @@ let admit t ~client (req : P.request) =
   in
   let arrived = Unix.gettimeofday () in
   let verdict =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let depth = Queue.length t.queue in
         let mine =
           Option.value (Hashtbl.find_opt t.per_client client) ~default:0
@@ -1089,13 +1006,13 @@ let submit t ~client line =
   match J.parse trimmed with
   | Error msg -> `Replied (note_reply t (P.error P.Parse_error msg))
   | Ok json -> (
-    with_lock t (fun () -> t.requests_total <- t.requests_total + 1);
+    Mutex.protect t.lock (fun () -> t.requests_total <- t.requests_total + 1);
     match P.parse_request json with
     | Error (code, msg) ->
       let id = Option.value (J.member "id" json) ~default:J.Null in
       `Replied (note_reply t (P.error ~id code msg))
     | Ok req -> (
-      with_lock t (fun () ->
+      Mutex.protect t.lock (fun () ->
           bump ( + ) t.verb_counts (P.verb_name req.P.verb) 1);
       match handler req.P.verb with
       | Control payload ->
@@ -1115,7 +1032,7 @@ let submit t ~client line =
 
 let finish_timing t verb t0 =
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.svc_total_ms <- t.svc_total_ms +. elapsed_ms;
       t.svc_last_ms <- elapsed_ms;
       if elapsed_ms > t.svc_max_ms then t.svc_max_ms <- elapsed_ms;
@@ -1144,7 +1061,8 @@ let run_with_deadline t ~arrived ~deadline_ms f =
       N.Cancel.check tok;
       N.Cancel.with_token tok f
     with N.Cancel.Cancelled _ as e ->
-      with_lock t (fun () -> t.deadline_exceeded <- t.deadline_exceeded + 1);
+      Mutex.protect t.lock (fun () ->
+          t.deadline_exceeded <- t.deadline_exceeded + 1);
       raise e)
 
 (* The one dispatch path: a lone request is a group of one, a sweep
@@ -1156,7 +1074,7 @@ let serve_group t (members : (pending * 'a) list) work emit =
   let t0 = Unix.gettimeofday () in
   let leader = (fst (List.hd members)).req in
   let n = List.length members in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.dispatches <- t.dispatches + 1;
       t.coalesced <- t.coalesced + (n - 1));
   Log.debug (fun m ->
@@ -1206,24 +1124,9 @@ let solve_sweep t sv leader union =
   let pool = Flow.pool_of t.options in
   (plan_note, bias_note, sv.solve pool compiled leader union)
 
-(* a queued request, classified once *)
-type job =
-  | Lone of (t -> P.request -> J.t * P.cache_note * P.cache_note)
-  | Swept of sweep_verb * sweep_sig
-  | Refused of J.t  (* a sweep request whose params failed *)
-
-let job_of (p : pending) =
-  match handler p.req.P.verb with
-  | Alone run -> Lone run
-  | Sweep sv -> (
-    match guard_result ~id:p.req.P.id (fun () -> sweep_signature sv p.req) with
-    | Ok sg -> Swept (sv, sg)
-    | Error reply -> Refused reply)
-  | Control _ -> assert false (* never queued *)
-
 let drain ?(alive = fun _ -> true) t =
   let items =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let items = List.of_seq (Queue.to_seq t.queue) in
         Queue.clear t.queue;
         Hashtbl.reset t.per_client;
@@ -1238,7 +1141,7 @@ let drain ?(alive = fun _ -> true) t =
         alive p.client
         ||
         begin
-          with_lock t (fun () -> t.disconnected <- t.disconnected + 1);
+          Mutex.protect t.lock (fun () -> t.disconnected <- t.disconnected + 1);
           Log.info (fun m ->
               m "dropping request from disconnected client #%d" p.client);
           false
@@ -1247,36 +1150,50 @@ let drain ?(alive = fun _ -> true) t =
   in
   let results = ref [] in
   let emit seq client reply = results := (seq, (client, reply)) :: !results in
+  (* a sweep request's params are read once, here: a refusal is its
+     reply, a signature is what it coalesces by *)
+  let signed (p : pending) =
+    match handler p.req.P.verb with
+    | Sweep sv -> (
+      match
+        guard_result ~id:p.req.P.id (fun () -> sweep_signature sv p.req)
+      with
+      | Ok sg -> Some (p, Some sg)
+      | Error reply ->
+        emit p.seq p.client (note_reply t reply);
+        None)
+    | Alone _ | Control _ -> Some (p, None)
+  in
   (* dispatch in submission order of each group's first member *)
   let rec dispatch = function
     | [] -> ()
-    | ((p : pending), Refused reply) :: rest ->
-      emit p.seq p.client (note_reply t reply);
-      dispatch rest
-    | (p, Lone run) :: rest ->
-      serve_group t [ (p, ()) ]
-        (fun () ->
-          let result, plan, bias = run t p.req in
-          (plan, bias, fun () -> result))
-        emit;
-      dispatch rest
-    | (p, Swept (sv, sg)) :: rest ->
-      let mates, rest =
-        List.partition_map
-          (function
-            | (q, Swept (_, qs))
-              when q.req.P.verb = p.req.P.verb && compatible sg qs ->
-              Either.Left (q, qs)
-            | other -> Either.Right other)
-          rest
-      in
-      let members = (p, sg) :: mates in
-      serve_group t members
-        (fun () -> solve_sweep t sv sg (union_freqs members))
-        emit;
-      dispatch rest
+    | ((p : pending), sg) :: rest -> (
+      match (handler p.req.P.verb, sg) with
+      | Alone run, _ ->
+        serve_group t [ (p, ()) ]
+          (fun () ->
+            let result, plan, bias = run t p.req in
+            (plan, bias, fun () -> result))
+          emit;
+        dispatch rest
+      | Sweep sv, Some sg ->
+        let mates, rest =
+          List.partition_map
+            (function
+              | q, Some qs when q.req.P.verb = p.req.P.verb && compatible sg qs
+                ->
+                Either.Left (q, qs)
+              | other -> Either.Right other)
+            rest
+        in
+        let members = (p, sg) :: mates in
+        serve_group t members
+          (fun () -> solve_sweep t sv sg (union_freqs members))
+          emit;
+        dispatch rest
+      | (Sweep _ | Control _), _ -> assert false (* signed; never queued *))
   in
-  dispatch (List.map (fun p -> (p, job_of p)) items);
+  dispatch (List.filter_map signed items);
   List.sort (fun (a, _) (b, _) -> compare a b) !results |> List.map snd
 
 (* Replay the warmup journal into the plan cache (most recent
@@ -1316,7 +1233,7 @@ let warm_from_journal t =
       unique;
     t.journaling <- true;
     List.iter (fun d -> Hashtbl.replace t.journaled d.key ()) unique;
-    with_lock t (fun () -> t.journal_replayed <- !ok);
+    Mutex.protect t.lock (fun () -> t.journal_replayed <- !ok);
     if unique <> [] then
       Journal.rewrite j
         (List.map

@@ -154,9 +154,6 @@ let counters () =
     stores = Atomic.get n_stores;
   }
 
-let reset_counters () =
-  List.iter (fun c -> Atomic.set c 0) [ n_lookups; n_hits; n_rejected; n_stores ]
-
 let lookup t ~key =
   Atomic.incr n_lookups;
   let file = path t ~key in

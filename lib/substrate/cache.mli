@@ -165,8 +165,6 @@ val counters : unit -> counters
 (** Lifetime totals for this process ([snoise runtime], server
     stats). *)
 
-val reset_counters : unit -> unit
-
 (** {1 Process-wide default}
 
     The CLI flags [--cache-dir DIR] / [--no-cache] and the
