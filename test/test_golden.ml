@@ -230,6 +230,49 @@ let test_wire_diagnostics () =
           {|{"id": 5, "verb": "tran", "deck": %s, "params": {"tstop": 1e-6, "dt": 1e-7}}|}
           (J.to_string (J.Str stiff_deck))))
 
+(* ------------------------------------------------------------------ *)
+(* float bytes: the served replies of the merged VCO deck and the deck
+   as the SPICE writer prints it, pinned by digest.  Nearly every byte
+   of these documents is a printed float, so any change to the float
+   printer's output shows here. *)
+
+let vco_nodes =
+  List.sort_uniq String.compare
+    (List.map snd Sn_testchip.Vco_chip.sensitive_nodes @ [ "sub_inject" ])
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let test_vco_float_bytes () =
+  let deck =
+    C.Spice.to_string
+      (Snoise.Flow.vco_merged
+         (Snoise.Flow.build_vco Sn_testchip.Vco_chip.default ~vtune:0.45))
+  in
+  let floats xs = J.Arr (List.map (fun x -> J.Num x) xs) in
+  let strs xs = J.Arr (List.map (fun x -> J.Str x) xs) in
+  let freqs = floats (Array.to_list (Sn_numerics.Sweep.logspace 1.0e5 15.0e6 16)) in
+  let svc = Sv.create () in
+  let result verb source params =
+    let line = J.Obj ((("verb", J.Str verb) :: source) @ [ ("params", J.Obj params) ]) in
+    match J.member "result" (handle1 svc (J.to_string line)) with
+    | Some r -> J.to_string r
+    | None -> Alcotest.failf "%s reply has no result" verb
+  in
+  let on_deck = [ ("deck", J.Str deck) ] in
+  let ac = [ ("freqs", freqs); ("nodes", strs vco_nodes) ] in
+  let noise = [ ("freqs", freqs); ("output", J.Str "vss_local") ] in
+  let spur = [ ("f_noise", J.Num 1.0e7); ("vtune", J.Num 0.45) ] in
+  List.iter
+    (fun (name, expect, text) -> Alcotest.(check string) name expect (digest text))
+    [
+      ("merged deck", "56585fd6b83983dfbcf326c2a0954677", deck);
+      ("ac", "0859cd75cc8a48eeecf0215df75872ce", result "ac" on_deck ac);
+      ("noise", "c367e057cbe1551eeb4d19bbd9e87c83", result "noise" on_deck noise);
+      ( "op", "f5c55a3b53e610bc012cedba471e6512",
+        result "op" on_deck [ ("nodes", strs vco_nodes) ] );
+      ("spur", "c7fdec5f3157b7a146d13a8ca9abcee0", result "spur" [] spur);
+    ]
+
 let suites =
   [
     ( "golden-json",
@@ -240,5 +283,7 @@ let suites =
         Alcotest.test_case "cli verify matches the verify verb" `Quick
           test_cli_matches_server;
         Alcotest.test_case "wire diagnostics" `Quick test_wire_diagnostics;
+        Alcotest.test_case "vco reply and deck float bytes" `Quick
+          test_vco_float_bytes;
       ] );
   ]

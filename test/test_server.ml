@@ -96,6 +96,19 @@ let test_json_specials () =
     "escape" {|"a\"b\\c\nd"|}
     (J.to_string (J.Str "a\"b\\c\nd"))
 
+(* every control character, the quote and the backslash: \n, \r and
+   \t by name, the rest as \u00XX in lower-case hex *)
+let test_json_escapes () =
+  let all = String.init 32 Char.chr ^ "\"\\" in
+  Alcotest.(check string)
+    "escapes"
+    ({|"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b|}
+    ^ {|\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017|}
+    ^ {|\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\"|})
+    (J.to_string (J.Str all));
+  Alcotest.(check (result string string)) "escapes parse back" (Ok all)
+    (Result.map (fun j -> Option.get (J.to_str j)) (J.parse (J.to_string (J.Str all))))
+
 let test_json_errors () =
   List.iter
     (fun s ->
@@ -1254,6 +1267,7 @@ let suites =
       [
         Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "special values" `Quick test_json_specials;
+        Alcotest.test_case "control-character escapes" `Quick test_json_escapes;
         Alcotest.test_case "parse errors" `Quick test_json_errors;
         QCheck_alcotest.to_alcotest prop_json_fuzz;
       ] );
