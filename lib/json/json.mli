@@ -30,10 +30,14 @@ val to_string : t -> string
 (** Canonical single-line rendering (no insignificant whitespace). *)
 
 val shortest_float : float -> string
-(** For a finite float, the shortest decimal that [float_of_string]
-    reads back bit-identical: a bare integer when the value is one
-    (below 1e15), otherwise [%.15g] or, when that loses bits,
-    [%.17g]. *)
+(** For a finite float, a decimal that [float_of_string] reads back
+    bit-identical, by the 15-or-17-digit rule: a bare integer when the
+    value is one below 1e15 ([-0] for negative zero), otherwise C's
+    [%.15g] when that reads back bit-identical, otherwise [%.17g].  It
+    is not always the shortest such decimal: [%.17g] is the correctly
+    rounded 17 digits, where a 16-digit form may exist.  The bytes are
+    computed without printf except near a rounding tie, for
+    subnormals and beyond about 1e-28 .. 1e60 in magnitude. *)
 
 (** {1 Accessors}
 

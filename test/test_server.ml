@@ -706,6 +706,54 @@ let prop_json_fuzz =
         | Error _ -> false)
       | exception _ -> false)
 
+(* the float printer against the printf rule it replaces, byte for
+   byte, and bit-exact when read back.  Values are drawn where the
+   decisions are close: digit strings that end on a tie, neighbours of
+   powers of ten (the decade guess) and of two (the narrower gap
+   below), integers about 1e15 (the bare-integer cut), subnormals *)
+let gen_printed_float =
+  let open QCheck.Gen in
+  let signed g = map2 (fun neg v -> if neg then -.v else v) bool g in
+  let bits sign exp mant =
+    Int64.float_of_bits
+      Int64.(logor (shift_left (of_int ((sign lsl 11) lor exp)) 52) mant)
+  in
+  let mantissa = map (fun m -> Int64.shift_right_logical m 12) ui64 in
+  let neighbour x k =
+    let step = if k < 0 then Float.pred else Float.succ in
+    let rec go x k = if k = 0 then x else go (step x) (k - 1) in
+    go x (abs k)
+  in
+  frequency
+    [
+      (3, map3 bits (int_bound 1) (int_bound 2046) mantissa);
+      (3, signed (map (fun e -> 10.0 ** e) (float_range (-20.0) 2.0)));
+      (1, float_range (-180.0) 180.0);
+      (1, map (fun e -> 10.0 ** e) (float_range 5.0 7.2));
+      ( 2,
+        map2
+          (fun m e -> float_of_string (Printf.sprintf "%de%d" m e))
+          (int_bound 999_999_999) (int_range (-30) 30) );
+      (1, oneofl [ 0.0; -0.0; Float.max_float; -.Float.max_float ]);
+      (1, map3 bits (int_bound 1) (return 0) mantissa);
+      (2, signed (map (fun k -> 1e15 +. float_of_int k) (int_range (-2000) 2000)));
+      (1, signed (map Int64.to_float (map (fun m -> Int64.shift_right_logical m 11) ui64)));
+      ( 2,
+        map2 neighbour
+          (map (fun k -> float_of_string (Printf.sprintf "1e%d" k)) (int_range (-40) 70))
+          (int_range (-3) 3) );
+      (2, map2 neighbour (map (Float.ldexp 1.0) (int_range (-1074) 1023)) (int_range (-3) 3));
+    ]
+
+let prop_float_printer =
+  QCheck.Test.make ~count:50_000 ~name:"printer = printf rule"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_printed_float)
+    (fun v ->
+      let s = J.shortest_float v in
+      String.equal s (Sn_oracle.Printf_float.shortest_float v)
+      && String.equal s (J.to_string (J.Num v))
+      && Int64.equal (Int64.bits_of_float (float_of_string s)) (Int64.bits_of_float v))
+
 (* ------------------------------------------------------------------ *)
 (* deadlines *)
 
@@ -1271,6 +1319,7 @@ let suites =
         Alcotest.test_case "parse errors" `Quick test_json_errors;
         QCheck_alcotest.to_alcotest prop_json_fuzz;
       ] );
+    ("json.float", [ QCheck_alcotest.to_alcotest prop_float_printer ]);
     ( "server-protocol",
       [
         Alcotest.test_case "request parsing" `Quick test_protocol_parse;
