@@ -155,7 +155,7 @@ let report run options =
 let run_all options =
   List.iter
     (fun run -> report run options)
-    [ fig3; fig7 10.0e6; fig8; fig9; fig10; card; ablations; runtime ]
+    [ fig3; fig7 Snoise.Flow.default_f_noise; fig8; fig9; fig10; card; ablations; runtime ]
 
 let run_extract options path =
   let layout = Sn_layout.Layout_io.load path in
@@ -174,7 +174,7 @@ let run_extract options path =
 
 (* the merged VCO impact model: what netlist prints and the deck op,
    lint and verify fall back to *)
-let merged_vco ?(vtune = 0.45) options =
+let merged_vco ?(vtune = Snoise.Flow.default_vtune) options =
   Snoise.Flow.vco_merged
     (Snoise.Flow.build_vco ~options Sn_testchip.Vco_chip.default ~vtune)
 
@@ -483,13 +483,13 @@ let socket_arg =
 let f_noise_arg =
   Arg.(
     value
-    & opt float 10.0e6
+    & opt float Snoise.Flow.default_f_noise
     & info [ "f-noise" ] ~docv:"HZ" ~doc:"Substrate tone frequency in Hz.")
 
 let vtune_arg =
   Arg.(
     value
-    & opt float 0.45
+    & opt float Snoise.Flow.default_vtune
     & info [ "vtune" ] ~docv:"V" ~doc:"VCO tuning voltage.")
 
 let layout_arg =

@@ -116,7 +116,7 @@ type fig7 = {
   spectrum : (float * float) list;
 }
 
-let fig7 ?(options = Flow.default_options) ?(f_noise = 10.0e6) () =
+let fig7 ?(options = Flow.default_options) ?(f_noise = Flow.default_f_noise) () =
   let flow = Flow.build_vco ~options Tc.Vco_chip.default ~vtune:0.0 in
   let h = Flow.vco_transfers flow ~f_noise:[| f_noise |] in
   let osc = Flow.vco_oscillator flow in
@@ -375,7 +375,7 @@ type vco_card = {
 
 let vco_card ?(options = Flow.default_options) () =
   let params = Tc.Vco_chip.default in
-  let flow = Flow.build_vco ~options params ~vtune:0.45 in
+  let flow = Flow.build_vco ~options params ~vtune:Flow.default_vtune in
   let tank = params.Tc.Vco_chip.tank in
   let fc_at vt = Tank.frequency tank (Tank.quiet_bias ~v_tune:vt) in
   let pn =
@@ -384,7 +384,7 @@ let vco_card ?(options = Flow.default_options) () =
   in
   {
     carrier_ghz = Flow.vco_carrier_freq flow /. 1.0e9;
-    kvco_mhz_per_v = Tank.kvco tank ~v_tune:0.45 /. 1.0e6;
+    kvco_mhz_per_v = Tank.kvco tank ~v_tune:Flow.default_vtune /. 1.0e6;
     tuning_range_ghz = (fc_at 0.0 /. 1.0e9, fc_at 1.8 /. 1.0e9);
     phase_noise_100k_dbc = Sn_rf.Phase_noise.dbc_per_hz pn 100.0e3;
     core_current_ma = 1.0e3 *. params.Tc.Vco_chip.tail_current;

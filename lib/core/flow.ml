@@ -359,6 +359,8 @@ let vco_transfers f ~f_noise =
     else raw
 
 let paper_noise_dbm = -5.0
+let default_f_noise = 10.0e6
+let default_vtune = 0.45
 
 let vco_spur f ~h ~p_noise_dbm ~f_noise =
   let a_noise = N.Units.vpeak_of_dbm p_noise_dbm in

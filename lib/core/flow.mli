@@ -279,6 +279,14 @@ val vco_transfers :
 val paper_noise_dbm : float
 (** The paper's injected tone power: -5 dBm. *)
 
+val default_f_noise : float
+(** The substrate tone frequency a run takes when none is given:
+    10 MHz (Fig. 7). *)
+
+val default_vtune : float
+(** The VCO tuning voltage a run takes when none is given: 0.45 V, mid
+    tuning range. *)
+
 val vco_spur :
   vco_flow -> h:(float -> string -> Complex.t) -> p_noise_dbm:float ->
   f_noise:float -> Sn_rf.Impact.spur

@@ -560,9 +560,9 @@ let max_spur_grid = 512
 let run_spur t (req : P.request) =
   let m = P.params_members req.P.params in
   let f_noise = P.required P.number m "f_noise" in
-  let vtune = Option.value (P.param P.number m "vtune") ~default:0.45 in
+  let vtune = Option.value (P.param P.number m "vtune") ~default:Flow.default_vtune in
   let p_noise_dbm =
-    Option.value (P.param P.number m "p_noise_dbm") ~default:(-5.0)
+    Option.value (P.param P.number m "p_noise_dbm") ~default:Flow.paper_noise_dbm
   in
   let grid_size name =
     let n = Option.value (P.param P.integer m name) ~default:48 in
