@@ -361,7 +361,8 @@ let of_string ?(file = "<string>") text =
 (* ------------------------------------------------------------------ *)
 (* printing *)
 
-(* values print as the shortest decimal that reads back bit-identical *)
+(* values print by the JSON float rule (a bare integer, or 15 or 17
+   significant digits), which reads back bit-identical *)
 let num = Sn_json.Json.shortest_float
 
 (* the reader takes a card's type from its first letter, so a name

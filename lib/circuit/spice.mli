@@ -44,8 +44,8 @@ val of_string : ?file:string -> string -> Netlist.t
 val to_string : Netlist.t -> string
 (** Emits a netlist (with the [.model] cards and [%snoise] marker
     lines it needs) that {!of_string} parses back to the same elements:
-    every value prints as the shortest decimal that reads back
-    bit-identical, and a name that does not start with its card's type
+    every value prints as {!Sn_json.Json.shortest_float} prints it,
+    which reads back bit-identical, and a name that does not start with its card's type
     letter gets that letter prefixed ([itc_R1] is written [ritc_R1]),
     since the reader takes the type from the first letter. *)
 

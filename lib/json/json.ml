@@ -28,21 +28,19 @@ let escape b s =
     s
 
 (* Floats print by one rule: a bare integer below 1e15, else [%.15g]
-   when it reads back bit-identical, else [%.17g].  [printf_rule] asks
-   the C printer, which is exact and slow.  [add_float] reaches the
-   same bytes from V = |v| * 10^p in double-double arithmetic, whose
-   error is below 2^-100 relative, and falls back on [printf_rule]
-   where a fraction of V lies within 1e-6 of a rounding tie or of the
-   round-trip bound: there the error could decide, and an exact tie
-   needs printf's round-half-even. *)
+   when it reads back bit-identical, else [%.17g].  [printf_digits]
+   asks the C printer for the last two, which is exact and slow.
+   [add_float] reaches the same bytes from V = |v| * 10^p in
+   double-double arithmetic, whose error is below 2^-100 relative, and
+   falls back on [printf_digits] where a fraction of V lies within 1e-6
+   of a rounding tie or of the round-trip bound: there the error could
+   decide, and an exact tie needs printf's round-half-even. *)
 
 external format_float : string -> float -> string = "caml_format_float"
 
-let printf_rule v =
-  if Float.is_integer v && Float.abs v < 1e15 then format_float "%.0f" v
-  else
-    let s = format_float "%.15g" v in
-    if float_of_string s = v then s else format_float "%.17g" v
+let printf_digits v =
+  let s = format_float "%.15g" v in
+  if float_of_string s = v then s else format_float "%.17g" v
 
 (* 10^k = pow10_hi.(k) + pow10_lo.(k) exactly, k = 0..44: 10^k is a
    double up to k = 22 (5^22 < 2^53), and beyond it is the product of
@@ -181,7 +179,7 @@ let add_float b v =
     if Float.sign_bit v then Buffer.add_char b '-';
     add_int b (int_of_float a)
   end
-  else if not (Float.is_finite v) then Buffer.add_string b (printf_rule v)
+  else if not (Float.is_finite v) then Buffer.add_string b (printf_digits v)
   else begin
     (* subnormals, and |v| beyond ~1e60 or below ~1e-28, fall outside
        the table and take the C printer too *)
@@ -189,7 +187,7 @@ let add_float b v =
     if v < 0.0 then Buffer.add_char b '-';
     if not (add_scaled b a) then begin
       Buffer.truncate b start;
-      Buffer.add_string b (printf_rule v)
+      Buffer.add_string b (printf_digits v)
     end
   end
 
