@@ -71,9 +71,11 @@ let vco_spread ?(options = Flow.default_options) () =
         Flow.build_vco ~options:(with_corner options c) Tc.Vco_chip.default
           ~vtune:0.0
       in
-      let f_noise = Flow.default_f_noise in
-      let h = Flow.vco_transfers flow ~f_noise:[| f_noise |] in
-      let spur = Flow.vco_spur flow ~h ~p_noise_dbm:Flow.paper_noise_dbm ~f_noise in
+      let h = Flow.vco_transfers flow ~f_noise:[| 10.0e6 |] in
+      let spur =
+        Flow.vco_spur flow ~h ~p_noise_dbm:Flow.paper_noise_dbm
+          ~f_noise:10.0e6
+      in
       {
         corner = c;
         spur_at_10mhz_dbm = spur.Impact.upper_dbm;
